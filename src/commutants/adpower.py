@@ -5,8 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from .commutant import commutant_operator
 from .errors import BadExponent, FieldMismatch, NotSquare, ShapeMismatch
-from .matrices import Matrix, kernel_basis, kron, unvec
+from .matrices import Matrix, kernel_basis, unvec
 from .polys import Poly, eval_at_matrix
 from .subspaces import SubspaceBasis, subspace_from_matrices
 
@@ -22,11 +23,7 @@ class AdOperator:
 
     @classmethod
     def of(cls, A: Matrix) -> "AdOperator":
-        if not A.is_square:
-            raise NotSquare("ad operator needs a square matrix")
-        ident = Matrix.identity(A.rows, A.field)
-        op = kron(A, ident) - kron(ident, A.transpose())
-        return cls(A, op)
+        return cls(A, commutant_operator(A, A.field.one()))
 
     def apply(self, X: Matrix) -> Matrix:
         return self.A * X - X * self.A

@@ -1,17 +1,22 @@
 """Similarity invariants without eigenvalue extraction.
 
-Characteristic polynomial by Faddeev-LeVerrier (integer divisions only,
-safe in characteristic zero), minimal polynomial as the first linear
-dependence among vectorized powers, invariant factors by Smith reduction
-of xI - A over F[x].  Balancedness is decided on invariant factors; the
-essential-part / balanced-radical split is a coprime factor splitting of
-the minimal polynomial with a Bezout projector, so no Jordan form and no
-algebraic closure ever appear.
+Invariant factors come from Smith reduction of xI - A over F[x].  A
+structure report computes them once and derives the rest: the
+characteristic polynomial is their product and the minimal polynomial
+is the last one.  The standalone characteristic polynomial
+(Faddeev-LeVerrier, integer divisions only, safe in characteristic
+zero) and minimal polynomial (first linear dependence among vectorized
+powers) reach the same answers by independent routes.  Balancedness is
+decided on invariant factors; the essential-part / balanced-radical
+split is a coprime factor splitting of the minimal polynomial with a
+Bezout projector, so no Jordan form and no algebraic closure ever
+appear.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import DegreeZero, NotMonic, NotSquare
 from .matrices import Matrix, solve, vec
@@ -209,9 +214,9 @@ class StructureReport:
     def of(cls, A: Matrix) -> StructureReport:
         if not A.is_square:
             raise NotSquare("structure report needs a square matrix")
-        p = char_poly(A)
-        m = min_poly(A)
         factors = invariant_factors(A)
+        p = prod(factors, start=Poly.one(A.field))
+        m = factors[-1]
         balanced = all(is_balanced_poly(d) for d in factors if d.degree >= 1)
         nilpotent = p == Poly.monomial(A.rows, 1, A.field)
         return cls(

@@ -119,22 +119,6 @@ def parse_matrix(text: bytes | str) -> Matrix:
     return Matrix.make(parsed, field)
 
 
-def _parse_class(text: str) -> CongruenceClass:
-    if text == "general":
-        return CongruenceClass.general()
-    if text == "odd":
-        return CongruenceClass.odd()
-    if text.startswith("q:"):
-        try:
-            q = int(text[2:])
-        except ValueError:
-            raise FieldError(f"bad class {text!r}") from None
-        if q < 1:
-            raise FieldError(f"class modulus must be positive, got {q}")
-        return CongruenceClass.q_class(q)
-    raise FieldError(f"unrecognized class {text!r}; use general, odd or q:N")
-
-
 def _parse_genspec(obj, where: str = "spec") -> GenSpec:
     if not isinstance(obj, dict):
         raise InvalidSpec(f"{where}: expected an object")
@@ -258,7 +242,6 @@ def _cmd_analyze(args) -> int:
     cliff = clifforder_basis(A)
     double = double_centralizer_basis(A)
     has_inv = clifforder_has_invertible(A)
-    assert has_inv == rep.is_balanced, "flag disagrees with structure"
     out = {
         "input": matrix_json(A),
         "structure": _structure_json(rep),
@@ -306,7 +289,10 @@ def _cmd_omega(args) -> int:
 def _cmd_equiv(args) -> int:
     A = _read_matrix_file(args.file_a)
     B = _read_matrix_file(args.file_b)
-    cls = _parse_class(args.cls)
+    try:
+        cls = CongruenceClass.parse(args.cls)
+    except ValueError as exc:
+        raise FieldError(f"bad class {args.cls!r}: {exc}") from None
     cert = equivalence_certificate(A, B, cls)
     if cert is None:
         _emit({"equivalent": False})

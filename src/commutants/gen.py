@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .canonical import companion
-from .errors import InvalidSpec, NotMonic, DegreeZero
+from .errors import DegreeZero, InvalidSpec, NotMonic, ZeroInverse
 from .matrices import Matrix
 from .polys import CongruenceClass, Poly
 from .scalars import QQ
@@ -152,11 +152,14 @@ def _materialize(profile: Profile, seed: int) -> Matrix:
         for _ in range(_MAX_CONJUGATE_TRIES):
             rows = [[rng.randint(-H, H) for _ in range(n)] for _ in range(n)]
             P = Matrix.make(rows, inner.field)
-            if P.det():
-                result = P.inverse() * inner * P
-                # similarity gives back every invariant we promise
-                assert P * result == inner * P
-                return result
+            try:
+                P_inv = P.inverse()
+            except ZeroInverse:
+                continue
+            result = P_inv * inner * P
+            # similarity gives back every invariant we promise
+            assert P * result == inner * P
+            return result
         raise InvalidSpec(
             f"no invertible conjugator found in {_MAX_CONJUGATE_TRIES} draws "
             f"(n={n}, height={H})"

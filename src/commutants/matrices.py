@@ -326,8 +326,8 @@ def _rref_generic(M: Matrix) -> RrefResult:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
         for i in range(M.rows):
             if i != r and rows[i][c]:
                 v = rows[i][c]

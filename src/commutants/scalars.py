@@ -5,7 +5,9 @@ conductor q >= 1.  A cyclotomic number is stored as the unique residue of
 a polynomial in zeta_q modulo the q-th cyclotomic polynomial Phi_q, so
 equality is plain coefficient comparison.  Mixed-field arithmetic is
 rejected; only the embedding of Q into Q(zeta_q) is applied implicitly
-(ints and Fractions act as constants).
+(ints and Fractions act as constants).  An inverse in Q(zeta_q) is the
+product of the other Galois conjugates over the norm, so it needs only
+multiplication and no polynomial Euclid.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Sequence, Union
 
 from .errors import FieldMismatch, ZeroInverse
@@ -71,65 +74,6 @@ def _reduce_mod_phi(coeffs: Sequence[Fraction], q: int) -> tuple[Fraction, ...]:
             rem[i - d + j] -= c * p
     rem = rem[:d] if len(rem) >= d else rem + [Fraction(0)] * (d - len(rem))
     return tuple(rem)
-
-
-def _frac_poly_divmod(
-    num: Sequence[Fraction], den: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    num = list(num)
-    den = list(den)
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    dd = len(den) - 1
-    lead = den[-1]
-    quo = [Fraction(0)] * max(len(num) - dd, 0)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / lead
-        if c == 0:
-            continue
-        quo[i - dd] = c
-        for j, p in enumerate(den):
-            num[i - dd + j] -= c * p
-    while num and num[-1] == 0:
-        num.pop()
-    return quo, num
-
-
-def _frac_poly_xgcd(
-    a: Sequence[Fraction], b: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-    # Extended Euclid on coefficient lists; gcd is not normalized here.
-    def mul(f, g):
-        if not f or not g:
-            return []
-        out = [Fraction(0)] * (len(f) + len(g) - 1)
-        for i, x in enumerate(f):
-            if x:
-                for j, y in enumerate(g):
-                    out[i + j] += x * y
-        return out
-
-    def sub(f, g):
-        out = [Fraction(0)] * max(len(f), len(g))
-        for i, x in enumerate(f):
-            out[i] += x
-        for i, y in enumerate(g):
-            out[i] -= y
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _frac_poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(s0, mul(q, s1))
-        t0, t1 = t1, sub(t0, mul(q, t1))
-    return r0, s0, t0
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,14 +186,23 @@ class CycloScalar:
         return any(self.coeffs)
 
     def inverse(self) -> CycloScalar:
-        """Multiplicative inverse via extended gcd with Phi_q."""
+        """Multiplicative inverse: the product of the other Galois
+        conjugates divided by the norm, which is a nonzero rational."""
         if not self:
             raise ZeroInverse("zero has no inverse")
-        phi = [Fraction(c) for c in cyclo_coeffs(self.q)]
-        d, u, _ = _frac_poly_xgcd(list(self.coeffs), phi)
-        # Phi_q is irreducible over Q, so d is a nonzero constant.
-        c = d[0]
-        return CycloScalar(self.q, tuple(x / c for x in u))
+        q = self.q
+        others = CycloScalar.from_rational(q, 1)
+        for k in range(2, q):
+            if gcd(k, q) != 1:
+                continue
+            # sigma_k sends zeta^i to zeta^(ik mod q); k is a unit, so
+            # distinct i land on distinct exponents
+            image = [Fraction(0)] * q
+            for i, c in enumerate(self.coeffs):
+                image[i * k % q] = c
+            others = others * CycloScalar(q, tuple(image))
+        norm = (self * others).coeffs[0]
+        return CycloScalar(q, tuple(c / norm for c in others.coeffs))
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
@@ -325,13 +278,3 @@ class FieldTag:
 
 
 QQ = FieldTag.rational()
-
-
-def scalar_inverse(s) -> Scalar:
-    """1/s, exactly.  Raises ZeroInverse on zero."""
-    if isinstance(s, CycloScalar):
-        return s.inverse()
-    s = Fraction(s)
-    if s == 0:
-        raise ZeroInverse("zero has no inverse")
-    return 1 / s

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from commutants import (
+    CycloScalar,
     DegreeZero,
+    FieldTag,
     Matrix,
     NotMonic,
     Poly,
@@ -181,6 +183,19 @@ def test_double_cover_always_balanced():
         assert is_balanced_matrix(double_cover(A))
 
 
+def _assert_report_matches_routines(A):
+    rep = StructureReport.of(A)
+    p = char_poly(A)
+    m = min_poly(A)
+    assert rep.n == A.rows and rep.field == A.field
+    assert rep.char_poly == p
+    assert rep.min_poly == m
+    assert rep.invariant_factors == invariant_factors(A)
+    assert rep.is_balanced == is_balanced_matrix(A)
+    assert rep.is_nilpotent == (p == Poly.monomial(A.rows, 1, A.field))
+    assert rep.min_equals_char == (m == p)
+
+
 def test_structure_report():
     A = Matrix.jordan(3, 0, QQ)
     rep = StructureReport.of(A)
@@ -189,3 +204,12 @@ def test_structure_report():
     B = Matrix.identity(2, QQ)
     repb = StructureReport.of(B)
     assert not repb.is_nilpotent and not repb.min_equals_char
+    # every derived field agrees with the standalone routine
+    for seed in range(12):
+        _assert_report_matches_routines(random_rational_matrix(seed, 1 + seed % 6))
+        _assert_report_matches_routines(random_jordan_matrix(seed, 1 + seed % 6))
+    F = FieldTag.cyclotomic(3)
+    z = CycloScalar.zeta(3)
+    C = Matrix.make([[z, 1, 0], [0, z, 0], [0, 0, -z]], F)
+    _assert_report_matches_routines(C)
+    _assert_report_matches_routines(C * C - C.scale(z))

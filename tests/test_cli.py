@@ -199,6 +199,24 @@ def test_equiv_q_class(tmp_path, capsys):
     assert out["class"] == {"q": 3}
 
 
+def test_equiv_class_spelling_is_normalised(tmp_path, capsys):
+    fa = write_matrix(tmp_path / "a.json", ODD4_A)
+    fb = write_matrix(tmp_path / "b.json", ODD4_B)
+    code, out, _ = run(capsys, ["equiv", fa, fb, "--class", " ODD "])
+    assert code == 0
+    assert out["class"] == "odd"
+
+
+def test_equiv_bad_class_is_input_error(tmp_path, capsys):
+    fa = write_matrix(tmp_path / "a.json", ODD4_A)
+    fb = write_matrix(tmp_path / "b.json", ODD4_B)
+    for bad in ("bogus", "q:0", "q:x"):
+        code, out, err = run(capsys, ["equiv", fa, fb, "--class", bad])
+        assert code == 2, bad
+        assert out is None
+        assert json.loads(err)["error"] == "FieldError"
+
+
 # ----------------------------------------------------------------- potter
 
 def test_potter_weyl(tmp_path, capsys):

@@ -67,7 +67,7 @@ def test_arithmetic_against_sympy():
 
 @settings(max_examples=60)
 @given(
-    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=1, max_value=12),
     st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=12),
 )
 def test_inverse_property(q, coeffs):
