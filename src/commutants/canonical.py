@@ -5,12 +5,12 @@ structure report computes them once and derives the rest: the
 characteristic polynomial is their product and the minimal polynomial
 is the last one.  The standalone characteristic polynomial
 (Faddeev-LeVerrier, integer divisions only, safe in characteristic
-zero) and minimal polynomial (first linear dependence among vectorized
-powers) reach the same answers by independent routes.  Balancedness is
-decided on invariant factors; the essential-part / balanced-radical
-split is a coprime factor splitting of the minimal polynomial with a
-Bezout projector, so no Jordan form and no algebraic closure ever
-appear.
+zero) and minimal polynomial (one kernel of the Krylov matrix of
+vectorized powers) reach the same answers by independent routes.
+Balancedness is decided on invariant factors; the essential-part /
+balanced-radical split is a coprime factor splitting of the minimal
+polynomial with a Bezout projector, so no Jordan form and no algebraic
+closure ever appear.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import DegreeZero, NotMonic, NotSquare
-from .matrices import Matrix, solve, vec
+from .matrices import Matrix, kernel_basis, vec
 from .polys import Poly, eval_at_matrix, is_balanced_poly, poly_gcd, poly_xgcd
 from .scalars import FieldTag
 
@@ -44,24 +44,21 @@ def char_poly(A: Matrix) -> Poly:
 
 
 def min_poly(A: Matrix) -> Poly:
-    """The monic generator of {f : f(A) = 0}, located as the first
-    linear dependence among vec(I), vec(A), vec(A^2), ..."""
+    """The monic generator of {f : f(A) = 0}, read off the first kernel
+    vector of the Krylov matrix [vec(I) vec(A) ... vec(A^n)]: its first
+    free column is the first power dependent on the lower ones, so that
+    vector holds the coefficients, monic in degree deg m_A."""
     if not A.is_square:
         raise NotSquare("minimal polynomial needs a square matrix")
     n = A.rows
     field = A.field
     power = Matrix.identity(n, field)
     columns = [vec(power)]
-    for k in range(1, n + 1):
+    for _ in range(n):
         power = power * A
-        target = vec(power)
-        flat = tuple(col[i] for i in range(n * n) for col in columns)
-        colmat = Matrix(field, n * n, len(columns), flat)
-        sol = solve(colmat, target)
-        if sol is not None:
-            return Poly.make([-s for s in sol] + [field.one()], field)
-        columns.append(target)
-    raise AssertionError("no dependence by degree n contradicts Cayley-Hamilton")
+        columns.append(vec(power))
+    flat = tuple(col[i] for i in range(n * n) for col in columns)
+    return Poly.make(kernel_basis(Matrix(field, n * n, n + 1, flat))[0], field)
 
 
 def invariant_factors(A: Matrix) -> tuple[Poly, ...]:

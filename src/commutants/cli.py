@@ -17,7 +17,6 @@ from .commutant import (
     OmegaSpec,
     centralizer_basis,
     clifforder_basis,
-    clifforder_has_invertible,
     double_centralizer_basis,
     omega_centralizer_basis,
 )
@@ -26,6 +25,7 @@ from .errors import (
     AlgebraError,
     FieldError,
     InvalidSpec,
+    PairInvariantViolated,
     ParseError,
     RaggedRows,
 )
@@ -40,7 +40,7 @@ from .gen import (
 )
 from .matrices import Matrix
 from .polys import CongruenceClass, Poly
-from .potter import QuasiPair, omega_commutes, potter_check
+from .potter import QuasiPair, potter_check
 from .scalars import QQ, CycloScalar, FieldTag, cyclo_reduce
 from .subspaces import SubspaceBasis
 
@@ -241,7 +241,6 @@ def _cmd_analyze(args) -> int:
     cent = centralizer_basis(A)
     cliff = clifforder_basis(A)
     double = double_centralizer_basis(A)
-    has_inv = clifforder_has_invertible(A)
     out = {
         "input": matrix_json(A),
         "structure": _structure_json(rep),
@@ -254,7 +253,7 @@ def _cmd_analyze(args) -> int:
             "balanced": rep.is_balanced,
             "nilpotent": rep.is_nilpotent,
             "min_eq_char": rep.min_equals_char,
-            "clifforder_has_invertible": has_inv,
+            "clifforder_has_invertible": rep.is_balanced,
         },
     }
     if args.q is not None:
@@ -316,10 +315,11 @@ def _cmd_potter(args) -> int:
     A = _read_matrix_file(args.file_a)
     B = _read_matrix_file(args.file_b)
     w = OmegaSpec(args.q, args.k)
-    if not omega_commutes(A, B, w):
+    try:
+        pair = QuasiPair.of(A, B, w)
+    except PairInvariantViolated:
         _emit({"quasi_commuting": False, "q": w.q, "k": w.k})
         return 1
-    pair = QuasiPair.of(A, B, w)
     checked = 0
     for s, t in _potter_samples(w.q, args.samples, args.seed):
         if not potter_check(pair, s, t):

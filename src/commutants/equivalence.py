@@ -63,23 +63,21 @@ def express_in_powers(B: Matrix, A: Matrix, cls: CongruenceClass = GENERAL) -> P
         raise FieldMismatch(f"fields differ: {A.field} vs {B.field}")
     n = A.rows
     exps = class_exponents(cls, n)
-    wanted = set(exps)
-    top = exps[-1]
-    columns = {}
-    power = Matrix.identity(n, A.field)
-    for e in range(top + 1):
-        if e in wanted:
-            columns[e] = vec(power)
-        if e < top:
-            power = power * A
-    colvecs = [columns[e] for e in exps]
+    # the exponents step by q (by 1 in the general class), so each
+    # column is the previous one times one fixed power of A
+    step = A if cls.q is None else A ** cls.q
+    power = A ** exps[0]
+    columns = [vec(power)]
+    for _ in exps[1:]:
+        power = power * step
+        columns.append(vec(power))
     m = n * n
-    flat = tuple(colvecs[j][i] for i in range(m) for j in range(len(exps)))
+    flat = tuple(col[i] for i in range(m) for col in columns)
     coeff_matrix = Matrix(A.field, m, len(exps), flat)
     sol = solve(coeff_matrix, vec(B))
     if sol is None:
         return None
-    dense = [A.field.zero()] * (top + 1)
+    dense = [A.field.zero()] * (exps[-1] + 1)
     for idx, e in enumerate(exps):
         dense[e] = sol[idx]
     return Poly.make(dense, A.field)

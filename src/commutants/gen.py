@@ -156,10 +156,7 @@ def _materialize(profile: Profile, seed: int) -> Matrix:
                 P_inv = P.inverse()
             except ZeroInverse:
                 continue
-            result = P_inv * inner * P
-            # similarity gives back every invariant we promise
-            assert P * result == inner * P
-            return result
+            return P_inv * inner * P
         raise InvalidSpec(
             f"no invertible conjugator found in {_MAX_CONJUGATE_TRIES} draws "
             f"(n={n}, height={H})"

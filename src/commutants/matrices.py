@@ -8,7 +8,8 @@ come out in the free-column order the pivots induce.
 Elimination over Q runs fraction-free on scaled integer rows with gcd
 normalization, which is roughly an order of magnitude faster than naive
 Fraction pivoting at the n^2 x n^2 sizes the commutant solvers produce.
-Cyclotomic matrices take the generic division path.
+Cyclotomic matrices take the generic division path.  One determinant
+routine, plain pivoting with division, serves both fields.
 """
 
 from __future__ import annotations
@@ -224,9 +225,29 @@ class Matrix:
     def det(self):
         if not self.is_square:
             raise NotSquare("determinant needs a square matrix")
-        if self.field.is_cyclotomic:
-            return _det_generic(self)
-        return _det_bareiss(self)
+        n = self.rows
+        rows = [list(self.row(i)) for i in range(n)]
+        det = self.field.one()
+        for k in range(n):
+            pivot_row = None
+            for i in range(k, n):
+                if rows[i][k]:
+                    pivot_row = i
+                    break
+            if pivot_row is None:
+                return self.field.zero()
+            if pivot_row != k:
+                rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+                det = -det
+            pv = rows[k][k]
+            det = det * pv
+            inv = 1 / pv
+            rows[k] = [x * inv for x in rows[k]]
+            for i in range(k + 1, n):
+                v = rows[i][k]
+                if v:
+                    rows[i] = [x - v * y for x, y in zip(rows[i], rows[k])]
+        return det
 
     def inverse(self) -> Matrix:
         if not self.is_square:
@@ -423,62 +444,3 @@ def solve(M: Matrix, b: Sequence):
     for row_idx, pc in enumerate(r.pivots):
         x[pc] = r.rref.at(row_idx, M.cols)
     return tuple(x)
-
-
-def _det_bareiss(M: Matrix) -> Fraction:
-    n = M.rows
-    if n == 0:
-        return Fraction(1)
-    scale = 1
-    work: list[list[int]] = []
-    for i in range(n):
-        row = M.row(i)
-        s = lcm(*(x.denominator for x in row))
-        scale *= s
-        work.append([int(x * s) for x in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if work[k][k] == 0:
-            swap = None
-            for i in range(k + 1, n):
-                if work[i][k]:
-                    swap = i
-                    break
-            if swap is None:
-                return Fraction(0)
-            work[k], work[swap] = work[swap], work[k]
-            sign = -sign
-        pk = work[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (work[i][j] * pk - work[i][k] * work[k][j]) // prev
-            work[i][k] = 0
-        prev = pk
-    return Fraction(sign * work[n - 1][n - 1], scale)
-
-
-def _det_generic(M: Matrix):
-    n = M.rows
-    rows = [list(M.row(i)) for i in range(n)]
-    det = M.field.one()
-    for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if rows[i][k]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return M.field.zero()
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            det = -det
-        pv = rows[k][k]
-        det = det * pv
-        inv = 1 / pv
-        rows[k] = [x * inv for x in rows[k]]
-        for i in range(k + 1, n):
-            v = rows[i][k]
-            if v:
-                rows[i] = [x - v * y for x, y in zip(rows[i], rows[k])]
-    return det

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -312,3 +316,85 @@ def test_bad_omega_spec(tmp_path, capsys):
     code, out, err = run(capsys, ["omega", f, "--q", "4", "--k", "2"])
     assert code == 2
     assert json.loads(err)["error"] == "InvalidSpec"
+
+
+# ------------------------------------------------------- work done once
+
+def test_analyze_computes_invariant_factors_once(tmp_path, capsys, monkeypatch):
+    import commutants.canonical as canonical
+    calls = 0
+    plain = canonical.invariant_factors
+
+    def counting(A):
+        nonlocal calls
+        calls += 1
+        return plain(A)
+
+    monkeypatch.setattr(canonical, "invariant_factors", counting)
+    f = write_matrix(tmp_path / "a.json", mat([[0, 1, 0], [0, 0, 0], [0, 0, 2]]))
+    code, out, _ = run(capsys, ["analyze", f])
+    assert code == 0
+    assert out["flags"]["clifforder_has_invertible"] is out["flags"]["balanced"] is False
+    assert calls == 1
+
+
+def test_potter_checks_the_relation_once(tmp_path, capsys, monkeypatch):
+    import commutants.cli as cli
+    import commutants.potter as potter
+    from commutants import weyl_pair
+    pair = weyl_pair(3, 3)
+    calls = 0
+    plain = potter.omega_commutes
+
+    def counting(A, B, w):
+        nonlocal calls
+        calls += 1
+        return plain(A, B, w)
+
+    # count calls made through any module that holds its own reference
+    for module in (potter, cli):
+        if hasattr(module, "omega_commutes"):
+            monkeypatch.setattr(module, "omega_commutes", counting)
+    fa = write_matrix(tmp_path / "a.json", pair.A)
+    fb = write_matrix(tmp_path / "b.json", pair.B)
+    code, out, _ = run(capsys, ["potter", fa, fb, "--q", "3", "--samples", "2"])
+    assert code == 0 and out["holds"] is True
+    assert calls == 1
+
+
+@pytest.mark.parametrize("a, b, error", [
+    (mat([[1, 2, 3], [4, 5, 6]]), Matrix.identity(2, QQ), "NotSquare"),
+    (Matrix.identity(2, QQ), Matrix.identity(3, QQ), "ShapeMismatch"),
+    (Matrix.identity(2, QQ).promote(5), Matrix.identity(2, QQ), "FieldMismatch"),
+])
+def test_potter_input_errors(tmp_path, capsys, a, b, error):
+    fa = write_matrix(tmp_path / "a.json", a)
+    fb = write_matrix(tmp_path / "b.json", b)
+    code, out, err = run(capsys, ["potter", fa, fb, "--q", "3"])
+    assert code == 2
+    assert out is None
+    assert json.loads(err)["error"] == error
+
+
+# --------------------------------------------------------- python -O parity
+
+def test_optimize_flag_changes_no_output(tmp_path):
+    import commutants
+    from commutants import weyl_pair
+    src = str(Path(commutants.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    pair = weyl_pair(3, 3)
+    fa = write_matrix(tmp_path / "a.json", Matrix.block_diag([Matrix.jordan(2, 0, QQ), mat([[1]])]))
+    fd = write_matrix(tmp_path / "d.json", pair.A)
+    fs = write_matrix(tmp_path / "s.json", pair.B)
+    for argv in (["analyze", fa, "--q", "3"],
+                 ["potter", fd, fs, "--q", "3", "--samples", "3"],
+                 ["potter", fd, fd, "--q", "3"]):
+        runs = [
+            subprocess.run([sys.executable, *flag, "-m", "commutants.cli", *argv],
+                           capture_output=True, env=env, timeout=120)
+            for flag in ([], ["-O"])
+        ]
+        assert runs[0].stdout and runs[0].stdout == runs[1].stdout
+        assert runs[0].returncode == runs[1].returncode

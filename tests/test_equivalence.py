@@ -220,3 +220,22 @@ def test_shape_and_field_errors():
         express_in_powers(Matrix.identity(2, QQ), Matrix.identity(3, QQ))
     with pytest.raises(FieldMismatch):
         express_in_powers(Matrix.identity(2, QQ), Matrix.identity(2, QQ).promote(3))
+
+
+def test_express_steps_by_the_class_power(monkeypatch):
+    # six columns A, A^4, ..., A^16: A^3 once, then one product per column
+    A = mat([[i + 1 if j == i else 1 if j > i else 0 for j in range(6)] for i in range(6)])
+    B = A + (A ** 4).scale(2)
+    products = 0
+    plain_mul = Matrix.__mul__
+
+    def counting_mul(self, other):
+        nonlocal products
+        if isinstance(other, Matrix):
+            products += 1
+        return plain_mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    f = express_in_powers(B, A, CongruenceClass.q_class(3))
+    assert f == poly([0, 1, 0, 0, 2])
+    assert products <= 10

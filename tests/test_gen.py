@@ -51,11 +51,23 @@ def test_block_diag_profile():
     assert prof.size() == 3
 
 
-def test_conjugate_by_preserves_similarity_invariants():
+def test_conjugate_by_preserves_similarity_invariants(monkeypatch):
+    inverted = []
+    plain_inverse = Matrix.inverse
+
+    def recording_inverse(self):
+        inv = plain_inverse(self)
+        inverted.append(self)
+        return inv
+
+    monkeypatch.setattr(Matrix, "inverse", recording_inverse)
     inner = GenSpec(NilpotentBlocks((3, 2, 2)))
     base = generate(inner)
     for seed in range(6):
         A = generate(GenSpec(ConjugateBy(inner), seed=seed))
+        P = inverted[-1]  # the conjugator: A = P^-1 * base * P
+        assert P.det() != 0
+        assert P * A == base * P
         assert char_poly(A) == char_poly(base)
         assert min_poly(A) == min_poly(base)
         assert invariant_factors(A) == invariant_factors(base)
