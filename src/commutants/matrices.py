@@ -10,6 +10,13 @@ normalization, which is roughly an order of magnitude faster than naive
 Fraction pivoting at the n^2 x n^2 sizes the commutant solvers produce.
 Cyclotomic matrices take the generic division path.  One determinant
 routine, plain pivoting with division, serves both fields.
+
+Products lift each row of the left factor and each column of the right
+factor to integers over the lcm of its own denominators (over Q(zeta_q),
+of all its zeta-coefficients), accumulate integer row axpys over the
+nonzero entries of the left row and nonzero rows of the right factor,
+and normalize each output entry once: one Fraction over Q, one
+reduction mod Phi_q over Q(zeta_q).
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import FieldMismatch, NotSquare, ShapeMismatch, ZeroInverse
-from .scalars import QQ, CycloScalar, FieldTag, Scalar
+from .scalars import QQ, CycloScalar, FieldTag, Scalar, phi_degree
 
 
 @dataclass(frozen=True)
@@ -163,19 +170,7 @@ class Matrix:
                 raise FieldMismatch(f"{self.field} vs {other.field}")
             if self.cols != other.rows:
                 raise ShapeMismatch(f"{self.shape} @ {other.shape}")
-            n, k, m = self.rows, self.cols, other.cols
-            a, b = self.entries, other.entries
-            flat = []
-            for i in range(n):
-                arow = a[i * k : (i + 1) * k]
-                for j in range(m):
-                    acc = self.field.zero()
-                    for t in range(k):
-                        x = arow[t]
-                        if x:
-                            acc = acc + x * b[t * m + j]
-                    flat.append(acc)
-            return Matrix(self.field, n, m, tuple(flat))
+            return Matrix(self.field, self.rows, other.cols, _product(self, other))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -186,14 +181,14 @@ class Matrix:
             raise NotSquare("powers need a square matrix")
         if k < 0:
             return self.inverse() ** (-k)
-        result = Matrix.identity(self.rows, self.field)
+        result = None  # stands for I, which is never multiplied in
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
-        return result
+        return Matrix.identity(self.rows, self.field) if result is None else result
 
     def transpose(self) -> Matrix:
         flat = tuple(
@@ -267,6 +262,59 @@ class Matrix:
             " ".join(str(x) for x in self.row(i)) for i in range(self.rows)
         )
         return f"Matrix<{self.field}, {self.rows}x{self.cols}: {body}>"
+
+
+# ---- products ----
+
+
+def _lift(values: Sequence) -> tuple[int, list[int]]:
+    """The lcm d of the denominators of rational ``values`` and the
+    integers d * x."""
+    d = lcm(*(x.denominator for x in values))
+    return d, [x.numerator * (d // x.denominator) for x in values]
+
+
+def _product(A: Matrix, B: Matrix) -> tuple:
+    # Over Q(zeta_q) an entry is its coefficient vector in powers of
+    # zeta below phi = deg Phi_q; over Q, phi = 1.  Row i of A and column
+    # j of B are lifted to integer coefficient planes over the lcms da_i
+    # and db_j.  Entry (i, j) is then an integer polynomial over
+    # da_i * db_j, accumulated unreduced in 2 phi - 1 planes by row axpys
+    # over the nonzero entries of A and nonzero rows of B.
+    q = A.field.q
+    phi = phi_degree(q) if q else 1
+    k, m = A.cols, B.cols
+
+    def lift(values):
+        d, ints = _lift([c for x in values for c in x.coeffs] if q else values)
+        return d, [ints[e::phi] for e in range(phi)]
+
+    b_cols = [lift(B.entries[j::m]) for j in range(m)]
+    b_rows = [
+        [row if any(row) else None for row in zip(*(col[f] for _, col in b_cols))]
+        for f in range(phi)
+    ]
+    zero = A.field.zero()
+    flat = []
+    for i in range(A.rows):
+        da, a_planes = lift(A.entries[i * k : (i + 1) * k])
+        acc = [[0] * m for _ in range(2 * phi - 1)]
+        for e, arow in enumerate(a_planes):
+            for f, brows in enumerate(b_rows):
+                s = acc[e + f]
+                for x, brow in zip(arow, brows):
+                    if x and brow:
+                        s = [u + x * y for u, y in zip(s, brow)]
+                acc[e + f] = s
+        if q is None:
+            flat.extend(Fraction(s, da * db) if s else zero for s, (db, _) in zip(acc[0], b_cols))
+            continue
+        # the constructor reduces mod Phi_q, in integers when den is 1
+        for (db, _), *s in zip(b_cols, *acc):
+            den = da * db
+            s = tuple(s) if den == 1 else tuple(Fraction(c, den) for c in s)
+            flat.append(CycloScalar(q, s) if any(s) else zero)
+    return tuple(flat)
 
 
 # ---- vectorization and Kronecker products ----
@@ -364,11 +412,7 @@ def _rref_generic(M: Matrix) -> RrefResult:
 def _rref_rational(M: Matrix) -> RrefResult:
     # Clear denominators per row, then run integer cross-multiplication
     # elimination with gcd normalization; divide by the pivot only at the end.
-    work: list[list[int]] = []
-    for i in range(M.rows):
-        row = M.row(i)
-        scale = lcm(*(x.denominator for x in row)) if row else 1
-        work.append([int(x * scale) for x in row])
+    work = [_lift(M.row(i))[1] for i in range(M.rows)]
     ncols = M.cols
     pivots = []
     r = 0

@@ -370,14 +370,17 @@ def poly_in_class(f: Poly, c: CongruenceClass) -> bool:
 
 def eval_at_matrix(f: Poly, A: Matrix) -> Matrix:
     """Horner evaluation of f at a square matrix; the constant term
-    contributes c*I."""
+    contributes c*I.  It starts from c_top*I, so degree d costs d
+    products."""
     if not A.is_square:
         raise NotSquare("polynomial evaluation needs a square matrix")
     if f.field != A.field:
         raise FieldMismatch(f"{f.field} vs {A.field}")
-    result = Matrix.zero(A.rows, A.rows, A.field)
+    if f.is_zero:
+        return Matrix.zero(A.rows, A.rows, A.field)
     ident = Matrix.identity(A.rows, A.field)
-    for c in reversed(f.coeffs):
+    result = ident.scale(f.coeffs[-1])
+    for c in reversed(f.coeffs[:-1]):
         result = result * A
         if c:
             result = result + ident.scale(c)

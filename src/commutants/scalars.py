@@ -62,18 +62,20 @@ def phi_degree(q: int) -> int:
     return len(cyclo_coeffs(q)) - 1
 
 
-def _reduce_mod_phi(coeffs: Sequence[Fraction], q: int) -> tuple[Fraction, ...]:
+def _reduce_mod_phi(coeffs: Sequence, q: int) -> tuple[Fraction, ...]:
+    # Integers are reduced in integer arithmetic and become Fractions
+    # only at the end; anything else is a Fraction from the start.
     phi = cyclo_coeffs(q)
     d = len(phi) - 1
-    rem = [Fraction(c) for c in coeffs]
+    rem = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
     for i in range(len(rem) - 1, d - 1, -1):
         c = rem[i]
         if c == 0:
             continue
         for j, p in enumerate(phi):
             rem[i - d + j] -= c * p
-    rem = rem[:d] if len(rem) >= d else rem + [Fraction(0)] * (d - len(rem))
-    return tuple(rem)
+    rem = rem[:d] + [0] * (d - len(rem))
+    return tuple(Fraction(c) if isinstance(c, int) else c for c in rem)
 
 
 @dataclass(frozen=True, eq=False)

@@ -81,6 +81,49 @@ COUNTER_A = Matrix.diag([1, frac(2, 3), frac(1, 2)], QQ)
 COUNTER_B = Matrix.identity(3, QQ)
 
 
+# ------------------------------------------------- reference products
+
+def reference_product(A: Matrix, B: Matrix) -> Matrix:
+    """The textbook triple loop: one scalar multiply-add per nonzero
+    entry of A and entry of B, each normalized on the spot.  The oracle
+    that ``Matrix.__mul__`` must match entry for entry."""
+    n, k, m = A.rows, A.cols, B.cols
+    a, b = A.entries, B.entries
+    flat = []
+    for i in range(n):
+        arow = a[i * k : (i + 1) * k]
+        for j in range(m):
+            acc = A.field.zero()
+            for t in range(k):
+                x = arow[t]
+                if x:
+                    acc = acc + x * b[t * m + j]
+            flat.append(acc)
+    return Matrix(A.field, n, m, tuple(flat))
+
+
+def reference_power(A: Matrix, k: int) -> Matrix:
+    result = Matrix.identity(A.rows, A.field)
+    for _ in range(k):
+        result = reference_product(result, A)
+    return result
+
+
+def count_products(monkeypatch) -> list[int]:
+    """Count Matrix-by-Matrix products from here on: the patched
+    ``Matrix.__mul__`` increments the returned one-item list."""
+    count = [0]
+    plain_mul = Matrix.__mul__
+
+    def counting_mul(self, other):
+        if isinstance(other, Matrix):
+            count[0] += 1
+        return plain_mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    return count
+
+
 # ------------------------------------------------------- sympy bridges
 
 def to_sympy(M: Matrix) -> sympy.Matrix:

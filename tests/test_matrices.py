@@ -18,9 +18,18 @@ from commutants import (
     solve,
     unvec,
     vec,
+    weyl_pair,
 )
 from commutants.matrices import rref
-from helpers import from_sympy, mat, random_rational_matrix, to_sympy
+from helpers import (
+    count_products,
+    from_sympy,
+    mat,
+    random_rational_matrix,
+    reference_power,
+    reference_product,
+    to_sympy,
+)
 
 square = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.lists(
@@ -29,6 +38,59 @@ square = st.integers(min_value=1, max_value=4).flatmap(
         max_size=n,
     )
 ).map(mat)
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+# small integers, or fractions over many distinct prime denominators
+rational = st.one_of(
+    st.integers(min_value=-6, max_value=6).map(Fraction),
+    st.builds(Fraction, st.integers(min_value=-60, max_value=60), st.sampled_from(PRIMES)),
+)
+dim = st.integers(min_value=1, max_value=5)
+
+
+@st.composite
+def grid(draw, rows, cols, entry):
+    """A rows x cols list of entries with some whole rows and columns
+    set to zero."""
+    zero_rows = draw(st.sets(st.integers(min_value=0, max_value=rows - 1)))
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=cols - 1)))
+    return [
+        [0 if i in zero_rows or j in zero_cols else draw(entry) for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+@st.composite
+def rational_pair(draw):
+    k, m, p = draw(dim), draw(dim), draw(dim)
+    return mat(draw(grid(k, m, rational))), mat(draw(grid(m, p, rational)))
+
+
+@st.composite
+def cyclotomic_pair(draw):
+    """Compatible factors over Q(zeta_q): dense entries with rational
+    coefficients, Weyl-style monomial factors (at most one c*zeta^e per
+    row), or a zero factor."""
+    q = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 12)))
+    field = FieldTag.cyclotomic(q)
+    k, m, p = draw(dim), draw(dim), draw(dim)
+    dense = st.lists(rational, max_size=2 * q)
+
+    def factor(rows, cols):
+        kind = draw(st.sampled_from(("dense", "weyl", "zero")))
+        if kind == "dense":
+            return Matrix.make(draw(grid(rows, cols, dense)), field)
+        if kind == "zero":
+            return Matrix.zero(rows, cols, field)
+        out = [[0] * cols for _ in range(rows)]
+        for i in range(rows):
+            j = draw(st.integers(min_value=-1, max_value=cols - 1))
+            if j >= 0:
+                e = draw(st.integers(min_value=0, max_value=q - 1))
+                out[i][j] = [0] * e + [draw(rational)]
+        return Matrix.make(out, field)
+
+    return factor(k, m), factor(m, p)
 
 
 def test_construction_and_access():
@@ -48,12 +110,72 @@ def test_jordan_and_friends():
     assert D == Matrix.diag([1, 2, 3], QQ)
 
 
-@settings(max_examples=50)
-@given(square, square)
-def test_mul_matches_sympy(A, B):
-    if A.cols != B.rows:
-        return
-    assert to_sympy(A * B) == to_sympy(A) * to_sympy(B)
+@settings(max_examples=80)
+@given(rational_pair())
+def test_mul_matches_sympy(pair):
+    A, B = pair
+    product = A * B
+    assert product.shape == (A.rows, B.cols)
+    assert to_sympy(product) == to_sympy(A) * to_sympy(B)
+    assert repr(product) == repr(reference_product(A, B))
+
+
+def test_mul_many_distinct_denominators():
+    # a row and a column over fourteen distinct primes, and a 1 x 1 case
+    row = mat([[Fraction(1, p) for p in PRIMES]])
+    col = mat([[p] for p in PRIMES])
+    assert row * col == mat([[len(PRIMES)]])
+    outer = col * row
+    assert outer.at(0, 1) == Fraction(2, 3) and outer.at(13, 13) == 1
+    assert outer == reference_product(col, row)
+    assert mat([[Fraction(2, 3)]]) * mat([[Fraction(9, 4)]]) == mat([[Fraction(3, 2)]])
+
+
+@settings(max_examples=120)
+@given(cyclotomic_pair())
+def test_mul_cyclotomic_matches_reference(pair):
+    A, B = pair
+    product = A * B
+    reference = reference_product(A, B)
+    assert product == reference
+    assert repr(product) == repr(reference)
+
+
+def test_mul_cyclotomic_weyl_pairs():
+    # clock D and shift S: DS = zeta * SD, D^q = S^q = I; the halved
+    # factors put a single denominator 2 on one side of the product
+    for q in (2, 3, 5, 12):
+        pair = weyl_pair(q, q)
+        D, S = pair.A, pair.B
+        w = pair.omega.omega()
+        half = Fraction(1, 2)
+        assert D * S == (S * D).scale(w)
+        assert D ** q == S ** q == Matrix.identity(q, D.field)
+        for X, Y in [(D, S), (D.scale(half), S), (S, D.scale(half)), (D * S, D + S)]:
+            assert repr(X * Y) == repr(reference_product(X, Y))
+
+
+def test_mul_cyclotomic_products_that_vanish():
+    f3 = FieldTag.cyclotomic(3)
+    z = f3.omega(1)
+    # 1 + zeta_3 + zeta_3^2 = 0: a nonzero unreduced sum that reduces to 0
+    row = Matrix.make([[1, z, z ** 2]], f3)
+    ones = Matrix.make([[1], [1], [1]], f3)
+    assert row * ones == Matrix.zero(1, 1, f3)
+    N = Matrix.make([[0, z], [0, 0]], f3)
+    assert N * N == Matrix.zero(2, 2, f3)
+    assert Matrix.zero(2, 3, f3) * Matrix.zero(3, 1, f3) == Matrix.zero(2, 1, f3)
+
+
+def test_mul_rejects_mismatches():
+    A = mat([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ShapeMismatch):
+        A * A
+    f3, f5 = FieldTag.cyclotomic(3), FieldTag.cyclotomic(5)
+    with pytest.raises(FieldMismatch):
+        Matrix.identity(2, f3) * Matrix.identity(2, f5)
+    with pytest.raises(FieldMismatch):
+        Matrix.identity(2, f3) * Matrix.identity(2, QQ)
 
 
 @settings(max_examples=60)
@@ -113,6 +235,20 @@ def test_pow():
     assert A ** -2 == (A.inverse()) ** 2
     with pytest.raises(NotSquare):
         mat([[1, 2, 3], [4, 5, 6]]) ** 2
+
+
+def test_pow_multiplies_no_identity(monkeypatch):
+    A = mat([[1, 2, 0], [Fraction(1, 3), 0, 1], [0, -1, 2]])
+    expected = {k: reference_power(A, k) for k in range(9)}
+    inverse_cubed = reference_power(A.inverse(), 3)
+    products = count_products(monkeypatch)
+    for k, count in [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3), (7, 4), (8, 3)]:
+        products[0] = 0
+        assert A ** k == expected[k]
+        assert products[0] == count, k
+    products[0] = 0
+    assert A ** -3 == inverse_cubed
+    assert products[0] == 2
 
 
 def test_vec_kron_identity():

@@ -24,7 +24,7 @@ from commutants import (
     poly_xgcd,
     restrict_to_class,
 )
-from helpers import mat, poly, sympy_poly_coeffs
+from helpers import count_products, mat, poly, reference_power, sympy_poly_coeffs
 
 x = sympy.Symbol("x")
 
@@ -186,3 +186,20 @@ def test_eval_is_ring_hom(f, g):
     rhs = eval_at_matrix(f, A) * eval_at_matrix(g, A)
     assert lhs == rhs
     assert eval_at_matrix(f + g, A) == eval_at_matrix(f, A) + eval_at_matrix(g, A)
+
+
+def test_eval_at_matrix_costs_one_product_per_degree(monkeypatch):
+    A = mat([[1, 2], [Fraction(1, 2), -1]])
+    powers = [reference_power(A, e) for e in range(5)]
+    products = count_products(monkeypatch)
+    for coeffs in ([5], [1, 2], [0, 0, 3], [1, -1, 0, 2], [0, 0, 0, 0, Fraction(1, 7)]):
+        f = poly(coeffs)
+        expected = Matrix.zero(2, 2, QQ)
+        for e, c in enumerate(f.coeffs):
+            expected = expected + powers[e].scale(c)
+        products[0] = 0
+        assert eval_at_matrix(f, A) == expected
+        assert products[0] == f.degree
+    products[0] = 0
+    assert eval_at_matrix(Poly.zero(QQ), A) == Matrix.zero(2, 2, QQ)
+    assert products[0] == 0
