@@ -52,12 +52,14 @@ def ann_k_member(X: Matrix, B: Matrix, k: int) -> bool:
     if not isinstance(k, int) or k < 1:
         raise BadExponent(f"power k={k} must be a positive integer")
     n = X.rows
-    powers = [Matrix.identity(n, X.field)]
-    for _ in range(k):
+    powers = [None, X]  # X^0 = I is never multiplied in
+    for _ in range(k - 1):
         powers.append(powers[-1] * X)
     acc = Matrix.zero(n, n, X.field)
     for i in range(k + 1):
-        term = powers[k - i] * B * powers[i]
+        term = B if i == k else powers[k - i] * B
+        if i:
+            term = term * powers[i]
         coeff = comb(k, i) * (-1 if i % 2 else 1)
         acc = acc + term.scale(coeff)
     return acc.is_zero()

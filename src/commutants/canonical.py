@@ -31,14 +31,13 @@ def char_poly(A: Matrix) -> Poly:
     n = A.rows
     field = A.field
     ident = Matrix.identity(n, field)
-    M = ident
+    AM = A
     coeffs = [field.one()]
     for k in range(1, n + 1):
-        AM = A * M
         ck = -(AM.trace() / k)
         coeffs.append(ck)
         if k < n:
-            M = AM + ident.scale(ck)
+            AM = A * (AM + ident.scale(ck))
     coeffs.reverse()
     return Poly.make(coeffs, field)
 
@@ -52,9 +51,9 @@ def min_poly(A: Matrix) -> Poly:
         raise NotSquare("minimal polynomial needs a square matrix")
     n = A.rows
     field = A.field
-    power = Matrix.identity(n, field)
-    columns = [vec(power)]
-    for _ in range(n):
+    power = A
+    columns = [vec(Matrix.identity(n, field)), vec(A)]
+    for _ in range(n - 1):
         power = power * A
         columns.append(vec(power))
     flat = tuple(col[i] for i in range(n * n) for col in columns)

@@ -5,18 +5,24 @@ vectorization) is the identity on storage.  Everything is immutable and
 deterministic: RREF is the unique reduced echelon form, kernel vectors
 come out in the free-column order the pivots induce.
 
-Elimination over Q runs fraction-free on scaled integer rows with gcd
-normalization, which is roughly an order of magnitude faster than naive
-Fraction pivoting at the n^2 x n^2 sizes the commutant solvers produce.
-Cyclotomic matrices take the generic division path.  One determinant
-routine, plain pivoting with division, serves both fields.
+One elimination routine serves Q and Q(zeta_q).  Each row is lifted to
+integers, one coefficient plane per power of zeta below phi = deg Phi_q
+(phi = 1 over Q), and eliminated fraction-free by cross-multiplication
+with gcd normalization, which is roughly an order of magnitude faster
+than Fraction pivoting at the n^2 x n^2 sizes the commutant solvers
+produce.  A pivot p that is not rational is made rational once, by
+multiplying its row by d * p^-1 with d the lcm of the denominators of
+p^-1, so every cross-multiplier is an integer; each output entry is
+divided by its row's pivot once.  One determinant routine, plain
+pivoting with division, serves both fields.
 
 Products lift each row of the left factor and each column of the right
 factor to integers over the lcm of its own denominators (over Q(zeta_q),
 of all its zeta-coefficients), accumulate integer row axpys over the
 nonzero entries of the left row and nonzero rows of the right factor,
-and normalize each output entry once: one Fraction over Q, one
-reduction mod Phi_q over Q(zeta_q).
+and normalize each output entry once: one Fraction over Q; over
+Q(zeta_q), one reduction mod Phi_q in integers, then one division per
+coefficient.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import FieldMismatch, NotSquare, ShapeMismatch, ZeroInverse
-from .scalars import QQ, CycloScalar, FieldTag, Scalar, phi_degree
+from .scalars import QQ, CycloScalar, FieldTag, _divmod_monic, cyclo_coeffs, phi_degree
 
 
 @dataclass(frozen=True)
@@ -267,39 +273,44 @@ class Matrix:
 # ---- products ----
 
 
-def _lift(values: Sequence) -> tuple[int, list[int]]:
-    """The lcm d of the denominators of rational ``values`` and the
-    integers d * x."""
+def _planes(values: Sequence, q: int | None, phi: int) -> tuple[int, list[int]]:
+    """The lcm d of the denominators of ``values`` (over Q(zeta_q), of all
+    their zeta-coefficients) and the integers d * x, plane-major:
+    coefficient e of entry j sits at e * len(values) + j.  Over Q, phi = 1."""
+    if q:
+        values = [x.coeffs[e] for e in range(phi) for x in values]
     d = lcm(*(x.denominator for x in values))
     return d, [x.numerator * (d // x.denominator) for x in values]
 
 
+def _cyclo_entry(q: int, ints: Sequence[int], den: int, zero):
+    """sum_e ints[e] zeta_q^e / den: reduced mod Phi_q in integers, then
+    each coefficient divided by den once."""
+    rem = _divmod_monic(ints, cyclo_coeffs(q))[1] if any(ints) else ()
+    if not any(rem):
+        return zero
+    return CycloScalar(q, tuple(rem) if den == 1 else tuple(Fraction(c, den) for c in rem))
+
+
 def _product(A: Matrix, B: Matrix) -> tuple:
-    # Over Q(zeta_q) an entry is its coefficient vector in powers of
-    # zeta below phi = deg Phi_q; over Q, phi = 1.  Row i of A and column
-    # j of B are lifted to integer coefficient planes over the lcms da_i
-    # and db_j.  Entry (i, j) is then an integer polynomial over
-    # da_i * db_j, accumulated unreduced in 2 phi - 1 planes by row axpys
-    # over the nonzero entries of A and nonzero rows of B.
+    # Entry (i, j) is an integer polynomial in zeta over da_i * db_j,
+    # accumulated unreduced in 2 phi - 1 planes by row axpys over the
+    # nonzero entries of A and nonzero rows of B.
     q = A.field.q
     phi = phi_degree(q) if q else 1
     k, m = A.cols, B.cols
-
-    def lift(values):
-        d, ints = _lift([c for x in values for c in x.coeffs] if q else values)
-        return d, [ints[e::phi] for e in range(phi)]
-
-    b_cols = [lift(B.entries[j::m]) for j in range(m)]
+    b_cols = [_planes(B.entries[j::m], q, phi) for j in range(m)]
     b_rows = [
-        [row if any(row) else None for row in zip(*(col[f] for _, col in b_cols))]
+        [row if any(row) else None for row in zip(*(col[f * k : (f + 1) * k] for _, col in b_cols))]
         for f in range(phi)
     ]
     zero = A.field.zero()
     flat = []
     for i in range(A.rows):
-        da, a_planes = lift(A.entries[i * k : (i + 1) * k])
+        da, a = _planes(A.entries[i * k : (i + 1) * k], q, phi)
         acc = [[0] * m for _ in range(2 * phi - 1)]
-        for e, arow in enumerate(a_planes):
+        for e in range(phi):
+            arow = a[e * k : (e + 1) * k]
             for f, brows in enumerate(b_rows):
                 s = acc[e + f]
                 for x, brow in zip(arow, brows):
@@ -308,12 +319,8 @@ def _product(A: Matrix, B: Matrix) -> tuple:
                 acc[e + f] = s
         if q is None:
             flat.extend(Fraction(s, da * db) if s else zero for s, (db, _) in zip(acc[0], b_cols))
-            continue
-        # the constructor reduces mod Phi_q, in integers when den is 1
-        for (db, _), *s in zip(b_cols, *acc):
-            den = da * db
-            s = tuple(s) if den == 1 else tuple(Fraction(c, den) for c in s)
-            flat.append(CycloScalar(q, s) if any(s) else zero)
+        else:
+            flat.extend(_cyclo_entry(q, s, da * db, zero) for (db, _), *s in zip(b_cols, *acc))
     return tuple(flat)
 
 
@@ -377,82 +384,76 @@ class RrefResult(NamedTuple):
 
 def rref(M: Matrix) -> RrefResult:
     """The unique reduced row-echelon form of M, with pivot columns."""
-    if M.field.is_cyclotomic:
-        return _rref_generic(M)
-    return _rref_rational(M)
+    # Rows are plane-major integer lists as in _planes.  The update is
+    # row_i <- pv * row_i - v * pivot_row for the rational pivot pv, with
+    # v = entry (i, c) applied as sum_e v_e * (zeta^e * pivot_row).
+    q = M.field.q
+    phi = phi_degree(q) if q else 1
+    low = cyclo_coeffs(q)[:-1] if q else ()
+    n = M.cols
+    work = [_planes(M.row(i), q, phi)[1] for i in range(M.rows)]
 
+    def zeta_shifts(row):
+        # row, zeta * row, ..., zeta^(phi - 1) * row: shift the planes up
+        # and fold the top one back with zeta^phi = -sum_k low[k] zeta^k
+        out = [row]
+        for _ in range(phi - 1):
+            top = out[-1][-n:]
+            nxt = [0] * n + out[-1][:-n]
+            for k, ck in enumerate(low):
+                if ck:
+                    plane = slice(k * n, (k + 1) * n)
+                    nxt[plane] = [x - ck * t for x, t in zip(nxt[plane], top)]
+            out.append(nxt)
+        return out
 
-def _rref_generic(M: Matrix) -> RrefResult:
-    rows = [list(M.row(i)) for i in range(M.rows)]
+    def combine(pv, row, v, shifts):
+        # pv * row - sum_e v[e] * shifts[e], gcd-normalized
+        for ve, s in zip(v, shifts):
+            if ve:
+                row = [pv * x - ve * y for x, y in zip(row, s)]
+                pv = 1
+        g = 0
+        for x in row:
+            if x:
+                g = gcd(g, x)
+                if g == 1:
+                    return row
+        return [x // g for x in row] if g > 1 else row
+
     pivots = []
     r = 0
-    for c in range(M.cols):
-        pivot_row = None
-        for i in range(r, M.rows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(M.rows):
-            if i != r and rows[i][c]:
-                v = rows[i][c]
-                rows[i] = [x - v * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == M.rows:
-            break
-    flat = tuple(x for row in rows for x in row)
-    return RrefResult(Matrix(M.field, M.rows, M.cols, flat), tuple(pivots), len(pivots))
-
-
-def _rref_rational(M: Matrix) -> RrefResult:
-    # Clear denominators per row, then run integer cross-multiplication
-    # elimination with gcd normalization; divide by the pivot only at the end.
-    work = [_lift(M.row(i))[1] for i in range(M.rows)]
-    ncols = M.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot_row = i
-                break
+    for c in range(n):
+        pivot_row = next((i for i in range(r, len(work)) if any(work[i][c::n])), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv_row = work[r]
-        pv = pv_row[c]
-        for i in range(len(work)):
-            if i == r or not work[i][c]:
-                continue
-            v = work[i][c]
-            row = [x * pv - v * y for x, y in zip(work[i], pv_row)]
-            g = 0
-            for x in row:
-                if x:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
-            if g > 1:
-                row = [x // g for x in row]
-            work[i] = row
+        shifts = zeta_shifts(work[r])
+        p = work[r][c::n]
+        if any(p[1:]):
+            # the row times m = d * p^-1 is 0 * row - (-m) * row
+            _, m = _planes((CycloScalar(q, tuple(p)).inverse(),), q, phi)
+            work[r] = combine(0, work[r], [-x for x in m], shifts)
+            shifts = zeta_shifts(work[r])
+        pv = work[r][c]
+        for i, row in enumerate(work):
+            v = row[c::n]
+            if i != r and any(v):
+                work[i] = combine(pv, row, v, shifts)
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    flat: list[Fraction] = []
-    for i, row in enumerate(work):
-        if i < len(pivots):
-            pv = Fraction(row[pivots[i]])
-            flat.extend(Fraction(x) / pv for x in row)
+    zero = M.field.zero()
+    flat = []
+    for row, c in zip(work, pivots):
+        pv = row[c]
+        if q is None:
+            flat.extend(Fraction(x, pv) if x else zero for x in row)
         else:
-            flat.extend(Fraction(0) for _ in row)
-    return RrefResult(Matrix(QQ, M.rows, M.cols, tuple(flat)), tuple(pivots), len(pivots))
+            flat.extend(_cyclo_entry(q, row[j::n], pv, zero) for j in range(n))
+    flat.extend([zero] * (n * (M.rows - r)))
+    return RrefResult(Matrix(M.field, M.rows, M.cols, tuple(flat)), tuple(pivots), r)
 
 
 def kernel_basis(M: Matrix) -> list[tuple]:

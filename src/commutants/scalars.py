@@ -21,6 +21,7 @@ from typing import Sequence, Union
 from .errors import FieldMismatch, ZeroInverse
 
 Scalar = Union[Fraction, "CycloScalar"]
+_ZERO = Fraction(0)
 
 
 @lru_cache(maxsize=None)
@@ -38,23 +39,23 @@ def cyclo_coeffs(q: int) -> tuple[int, ...]:
         if q % d:
             continue
         phi_d = cyclo_coeffs(d)
-        rem = _int_poly_quotient(rem, phi_d)
+        rem = _divmod_monic(rem, phi_d)[0]
     return tuple(rem)
 
 
-def _int_poly_quotient(num: list[int], den: Sequence[int]) -> list[int]:
-    # Exact long division by a monic integer polynomial.
-    num = list(num)
+def _divmod_monic(num: Sequence, den: Sequence[int]) -> tuple[list, list]:
+    """Quotient and remainder of ``num`` by the monic integer polynomial
+    ``den``, both ascending; exact for int and Fraction coefficients."""
+    rem = list(num)
     dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        out[i - dd] = c
-        for j, p in enumerate(den):
-            num[i - dd + j] -= c * p
-    return out
+    quo = [0] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
+        if c:
+            quo[i - dd] = c
+            for j, p in enumerate(den, i - dd):
+                rem[j] -= c * p
+    return quo, rem[:dd]
 
 
 def phi_degree(q: int) -> int:
@@ -64,18 +65,14 @@ def phi_degree(q: int) -> int:
 
 def _reduce_mod_phi(coeffs: Sequence, q: int) -> tuple[Fraction, ...]:
     # Integers are reduced in integer arithmetic and become Fractions
-    # only at the end; anything else is a Fraction from the start.
+    # only at the end; input of length deg Phi_q or less is only converted.
     phi = cyclo_coeffs(q)
     d = len(phi) - 1
-    rem = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        for j, p in enumerate(phi):
-            rem[i - d + j] -= c * p
-    rem = rem[:d] + [0] * (d - len(rem))
-    return tuple(Fraction(c) if isinstance(c, int) else c for c in rem)
+    if len(coeffs) > d:
+        rem = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        coeffs = _divmod_monic(rem, phi)[1]
+    pad = [_ZERO] * (d - len(coeffs))
+    return tuple([c if isinstance(c, Fraction) else Fraction(c) for c in coeffs] + pad)
 
 
 @dataclass(frozen=True, eq=False)

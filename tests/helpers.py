@@ -109,6 +109,37 @@ def reference_power(A: Matrix, k: int) -> Matrix:
     return result
 
 
+def reference_rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Textbook Gauss-Jordan with division: scale each pivot row by the
+    inverse of its pivot, then clear the column in every other row.  The
+    oracle that ``rref`` must match entry for entry; returns the reduced
+    matrix and its pivot columns."""
+    rows = [list(M.row(i)) for i in range(M.rows)]
+    pivots = []
+    r = 0
+    for c in range(M.cols):
+        pivot_row = None
+        for i in range(r, M.rows):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(M.rows):
+            if i != r and rows[i][c]:
+                v = rows[i][c]
+                rows[i] = [x - v * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == M.rows:
+            break
+    flat = tuple(x for row in rows for x in row)
+    return Matrix(M.field, M.rows, M.cols, flat), tuple(pivots)
+
+
 def count_products(monkeypatch) -> list[int]:
     """Count Matrix-by-Matrix products from here on: the patched
     ``Matrix.__mul__`` increments the returned one-item list."""

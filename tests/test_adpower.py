@@ -18,7 +18,7 @@ from commutants import (
     subspace_equal,
     subspace_leq,
 )
-from helpers import mat, poly, random_jordan_matrix, random_rational_matrix
+from helpers import count_products, mat, poly, random_jordan_matrix, random_rational_matrix
 
 
 def iterated_commutator(A, B, k):
@@ -96,6 +96,18 @@ def test_ann_k_goldens():
     X2 = Matrix.diag([1, 2], QQ)
     B2 = mat([[0, 1], [0, 0]])
     assert not ann_k_member(X2, B2, 2)
+
+
+def test_ann_k_member_multiplies_no_identity(monkeypatch):
+    # X^1..X^k cost k - 1 products, the k left and k right factors 2k
+    X = random_rational_matrix(71, 3)
+    B = random_rational_matrix(91, 3)
+    expected = {k: iterated_commutator(X, B, k).is_zero() for k in (1, 2, 3, 4)}
+    products = count_products(monkeypatch)
+    for k in (1, 2, 3, 4):
+        products[0] = 0
+        assert ann_k_member(X, B, k) == expected[k]
+        assert products[0] == 3 * k - 1, k
 
 
 def test_ann_k_shape_errors():

@@ -22,6 +22,7 @@ from commutants import (
     poly_gcd,
 )
 from helpers import (
+    count_products,
     mat,
     minors_gcd_invariant_factors,
     poly,
@@ -64,6 +65,22 @@ def test_min_poly_goldens():
     assert min_poly(Matrix.jordan(4, 0, QQ)) == poly([0, 0, 0, 0, 1])
     A = Matrix.block_diag([Matrix.jordan(2, 1, QQ), Matrix.diag([-1, -1], QQ)])
     assert min_poly(A) == poly([1, -1, -1, 1])  # (x-1)^2 (x+1)
+
+
+def test_char_poly_multiplies_no_identity(monkeypatch):
+    A = random_jordan_matrix(4, 5)
+    expected = sympy_charpoly(A)
+    products = count_products(monkeypatch)
+    assert char_poly(A) == expected
+    assert products[0] == 4
+
+
+def test_min_poly_multiplies_no_identity(monkeypatch):
+    A = random_jordan_matrix(4, 5)
+    expected = invariant_factors(A)[-1]
+    products = count_products(monkeypatch)
+    assert min_poly(A) == expected
+    assert products[0] == 4
 
 
 def test_invariant_factors_match_sympy_snf():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commutants import (
+    CycloScalar,
     FieldMismatch,
     FieldTag,
     Matrix,
@@ -28,6 +30,7 @@ from helpers import (
     random_rational_matrix,
     reference_power,
     reference_product,
+    reference_rref,
     to_sympy,
 )
 
@@ -67,30 +70,44 @@ def rational_pair(draw):
 
 
 @st.composite
-def cyclotomic_pair(draw):
-    """Compatible factors over Q(zeta_q): dense entries with rational
-    coefficients, Weyl-style monomial factors (at most one c*zeta^e per
-    row), or a zero factor."""
-    q = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 12)))
-    field = FieldTag.cyclotomic(q)
-    k, m, p = draw(dim), draw(dim), draw(dim)
+def cyclotomic_matrix(draw, field, rows, cols, kinds):
+    """A rows x cols matrix over Q(zeta_q) of one of ``kinds``: dense
+    entries with rational coefficients, Weyl-style monomial (at most one
+    c*zeta^e per row), zero, or dense rows repeated up to scalar
+    multiples."""
+    q = field.q
     dense = st.lists(rational, max_size=2 * q)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "dense":
+        return Matrix.make(draw(grid(rows, cols, dense)), field)
+    if kind == "zero":
+        return Matrix.zero(rows, cols, field)
+    if kind == "repeated":
+        base = Matrix.make(draw(grid(draw(st.integers(1, rows)), cols, dense)), field)
+        picks = draw(st.lists(st.integers(0, base.rows - 1), min_size=rows, max_size=rows))
+        scales = draw(st.lists(dense, min_size=rows, max_size=rows))
+        return Matrix.make(
+            [[field.coerce(s) * x for x in base.row(i)] for i, s in zip(picks, scales)], field
+        )
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        j = draw(st.integers(min_value=-1, max_value=cols - 1))
+        if j >= 0:
+            e = draw(st.integers(min_value=0, max_value=q - 1))
+            out[i][j] = [0] * e + [draw(rational)]
+    return Matrix.make(out, field)
 
-    def factor(rows, cols):
-        kind = draw(st.sampled_from(("dense", "weyl", "zero")))
-        if kind == "dense":
-            return Matrix.make(draw(grid(rows, cols, dense)), field)
-        if kind == "zero":
-            return Matrix.zero(rows, cols, field)
-        out = [[0] * cols for _ in range(rows)]
-        for i in range(rows):
-            j = draw(st.integers(min_value=-1, max_value=cols - 1))
-            if j >= 0:
-                e = draw(st.integers(min_value=0, max_value=q - 1))
-                out[i][j] = [0] * e + [draw(rational)]
-        return Matrix.make(out, field)
 
-    return factor(k, m), factor(m, p)
+@st.composite
+def cyclotomic_pair(draw):
+    """Compatible dense, Weyl-style or zero factors over Q(zeta_q)."""
+    field = FieldTag.cyclotomic(draw(st.sampled_from((1, 2, 3, 4, 5, 6, 12))))
+    k, m, p = draw(dim), draw(dim), draw(dim)
+    kinds = ("dense", "weyl", "zero")
+    return (
+        draw(cyclotomic_matrix(field, k, m, kinds)),
+        draw(cyclotomic_matrix(field, m, p, kinds)),
+    )
 
 
 def test_construction_and_access():
@@ -196,14 +213,79 @@ def test_det_generic_path_cyclotomic():
     assert C.det() == -(z ** 2)
 
 
-@settings(max_examples=40)
-@given(square)
+@settings(max_examples=80)
+@given(st.tuples(dim, st.integers(min_value=1, max_value=7)).flatmap(
+    lambda shape: grid(*shape, rational)).map(mat))
 def test_rref_matches_sympy(A):
     R, pivots, rank = rref(A)
     sR, spivots = to_sympy(A).rref()
     assert to_sympy(R) == sR
     assert list(pivots) == list(spivots)
     assert rank == len(spivots)
+    expected, expected_pivots = reference_rref(A)
+    assert repr(R) == repr(expected) and pivots == expected_pivots
+
+
+@settings(max_examples=150)
+@given(st.sampled_from((1, 2, 3, 4, 5, 6, 8, 12)).flatmap(
+    lambda q: st.tuples(dim, st.integers(min_value=1, max_value=6)).flatmap(
+        lambda shape: cyclotomic_matrix(
+            FieldTag.cyclotomic(q), *shape, ("dense", "weyl", "repeated")))))
+def test_rref_cyclotomic_matches_reference(A):
+    # dense entries give non-rational pivots such as 1 - zeta
+    R, pivots, rank = rref(A)
+    expected, expected_pivots = reference_rref(A)
+    assert repr(R) == repr(expected)
+    assert pivots == expected_pivots and rank == len(pivots)
+
+
+def test_rref_cyclotomic_pivots_need_no_scalar_sums(monkeypatch):
+    f5 = FieldTag.cyclotomic(5)
+    rng = random.Random(5)
+    M = Matrix.make(
+        [[[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(4)]
+          for _ in range(8)] for _ in range(6)],
+        f5,
+    )
+    expected = reference_rref(M)
+    sums = [0]
+
+    def counted(name):
+        plain = getattr(CycloScalar, name)
+
+        def wrapper(self, other):
+            sums[0] += 1
+            return plain(self, other)
+
+        return wrapper
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(CycloScalar, name, counted(name))
+    R, pivots, rank = rref(M)
+    assert sums[0] == 0
+    assert (R, pivots) == expected and rank == 6
+
+
+def test_kernel_solve_inverse_cyclotomic():
+    f5 = FieldTag.cyclotomic(5)
+    z = f5.omega(1)
+    one = f5.one()
+    M = Matrix.make(
+        [[1, z, z ** 2, 0], [1 - z, 0, z ** 3, 1], [2 - z, z, z ** 2 + z ** 3, 1]], f5
+    )
+    basis = kernel_basis(M)
+    assert len(basis) == 2
+    for v in basis:
+        assert M * Matrix(f5, 4, 1, v) == Matrix.zero(3, 1, f5)
+    b = (one, z, 1 + z)
+    x = solve(M, b)
+    assert M * Matrix(f5, 4, 1, x) == Matrix(f5, 3, 1, b)
+    assert solve(M, (one, z, z)) is None
+    P = Matrix.make([[1 - z, z, 0], [0, 1 + z ** 2, Fraction(1, 3)], [z ** 4, 0, 2]], f5)
+    assert P * P.inverse() == Matrix.identity(3, f5)
+    assert P.inverse() * P == Matrix.identity(3, f5)
+    with pytest.raises(ZeroInverse):
+        Matrix.make([[1, z], [z, z ** 2]], f5).inverse()
 
 
 @settings(max_examples=40)
