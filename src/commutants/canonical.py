@@ -1,12 +1,13 @@
 """Similarity invariants without eigenvalue extraction.
 
-Invariant factors come from Smith reduction of xI - A over F[x].  A
-structure report computes them once and derives the rest: the
-characteristic polynomial is their product and the minimal polynomial
-is the last one.  The standalone characteristic polynomial
-(Faddeev-LeVerrier, integer divisions only, safe in characteristic
-zero) and minimal polynomial (one kernel of the Krylov matrix of
-vectorized powers) reach the same answers by independent routes.
+Invariant factors come from a seeded Las Vegas cyclic-vector split:
+random draws, but every accepted draw is checked exactly, so the answer
+never depends on them.  A structure report computes them once and
+derives the rest: the characteristic polynomial is their product and
+the minimal polynomial is the last one.  The standalone characteristic
+polynomial (Faddeev-LeVerrier, integer divisions only, safe in
+characteristic zero) and minimal polynomial (the first dependency of
+the vectorized powers) reach the same answers by independent routes.
 Balancedness is decided on invariant factors; the essential-part /
 balanced-radical split is a coprime factor splitting of the minimal
 polynomial with a Bezout projector, so no Jordan form and no algebraic
@@ -15,11 +16,12 @@ closure ever appear.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from math import prod
 
 from .errors import DegreeZero, NotMonic, NotSquare
-from .matrices import Matrix, kernel_basis, vec
+from .matrices import Matrix, kernel_basis, rref, vec, vstack_rows
 from .polys import Poly, eval_at_matrix, is_balanced_poly, poly_gcd, poly_xgcd
 from .scalars import FieldTag
 
@@ -42,87 +44,76 @@ def char_poly(A: Matrix) -> Poly:
     return Poly.make(coeffs, field)
 
 
+def _krylov(M: Matrix, x: Matrix, k: int) -> list[tuple]:
+    """vec(x), vec(Mx), ..., vec(M^(k-1) x): k - 1 products."""
+    out = [x]
+    for _ in range(k - 1):
+        out.append(M * out[-1])
+    return [vec(y) for y in out]
+
+
+def _first_dependency(columns: list[tuple], field: FieldTag) -> Poly:
+    """The monic f of least degree with sum_k f_k columns[k] = 0, read
+    off the first kernel vector of the matrix with these columns: its
+    first free column is the first one dependent on the lower ones."""
+    return Poly.make(kernel_basis(vstack_rows(columns, field).transpose())[0], field)
+
+
 def min_poly(A: Matrix) -> Poly:
-    """The monic generator of {f : f(A) = 0}, read off the first kernel
-    vector of the Krylov matrix [vec(I) vec(A) ... vec(A^n)]: its first
-    free column is the first power dependent on the lower ones, so that
-    vector holds the coefficients, monic in degree deg m_A."""
+    """The monic generator of {f : f(A) = 0}: the first dependency of
+    vec(I), vec(A), ..., vec(A^n)."""
     if not A.is_square:
         raise NotSquare("minimal polynomial needs a square matrix")
-    n = A.rows
-    field = A.field
-    power = A
-    columns = [vec(Matrix.identity(n, field)), vec(A)]
-    for _ in range(n - 1):
-        power = power * A
-        columns.append(vec(power))
-    flat = tuple(col[i] for i in range(n * n) for col in columns)
-    return Poly.make(kernel_basis(Matrix(field, n * n, n + 1, flat))[0], field)
+    identity = vec(Matrix.identity(A.rows, A.field))
+    return _first_dependency([identity] + _krylov(A, A, A.rows), A.field)
 
 
 def invariant_factors(A: Matrix) -> tuple[Poly, ...]:
     """Diagonal of the Smith normal form of xI - A: monic polynomials
-    d_1 | d_2 | ... | d_n including the constant ones."""
+    d_1 | d_2 | ... | d_n including the constant ones.
+
+    Seeded Las Vegas cyclic-vector split (Giesbrecht 1995, Storjohann
+    1998) from M = A: the first Krylov dependency m_v of a random v is
+    m_M once it annihilates M.  A random w with a nonsingular Hankel
+    matrix [w^T M^(i+j) v], i, j < d = deg m_v, makes the kernel U of
+    the rows w^T M^i an M-invariant complement, and M restricted to U
+    has the smaller factors.  A rejected draw retries one height up."""
     if not A.is_square:
         raise NotSquare("invariant factors need a square matrix")
-    n = A.rows
     field = A.field
-    S = [
-        [
-            Poly.make([-A.at(i, j), 1] if i == j else [-A.at(i, j)], field)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    for t in range(n):
+    rng = random.Random(0)
+    height = 1
+
+    def draw(m):
+        entries = tuple(field.coerce(rng.randint(-height, height)) for _ in range(m))
+        return Matrix(field, m, 1, entries)
+
+    factors = []
+    M = A
+    while True:
+        m = M.rows
+        krylov = _krylov(M, draw(m), m + 1)
+        f = _first_dependency(krylov, field)
+        if not eval_at_matrix(f, M).is_zero():
+            height += 1
+            continue
+        factors.append(f)
+        d = f.degree
+        if d == m:
+            break
+        K = vstack_rows(krylov[:d], field).transpose()
         while True:
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    e = S[i][j]
-                    if not e.is_zero and (best is None or e.degree < best[0]):
-                        best = (e.degree, i, j)
-            if best is None:
+            W = vstack_rows(_krylov(M.transpose(), draw(m), d), field)
+            if rref(W * K).rank == d:
                 break
-            _, bi, bj = best
-            if bi != t:
-                S[bi], S[t] = S[t], S[bi]
-            if bj != t:
-                for row in S:
-                    row[t], row[bj] = row[bj], row[t]
-            p = S[t][t]
-            dirty = False
-            for i in range(t + 1, n):
-                if not S[i][t].is_zero:
-                    q = S[i][t] // p
-                    if not q.is_zero:
-                        S[i] = [a - q * b for a, b in zip(S[i], S[t])]
-                    if not S[i][t].is_zero:
-                        dirty = True
-            for j in range(t + 1, n):
-                if not S[t][j].is_zero:
-                    q = S[t][j] // p
-                    if not q.is_zero:
-                        for i in range(t, n):
-                            S[i][j] = S[i][j] - q * S[i][t]
-                    if not S[t][j].is_zero:
-                        dirty = True
-            if dirty:
-                continue
-            offender = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    if not (S[i][j] % p).is_zero:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            # pivot must divide the whole remaining block: pull the bad
-            # row into row t and reduce again
-            S[t] = [a + b for a, b in zip(S[t], S[offender])]
-    return tuple(S[t][t].monic() for t in range(n))
+            height += 1
+        # a kernel vector is zero right of its free column, where it is
+        # 1, so M|U in this basis is M*U read at the free columns
+        U = kernel_basis(W)
+        free = [max(j for j, x in enumerate(u) if x) for u in U]
+        MU = M * vstack_rows(U, field).transpose()
+        M = Matrix(field, m - d, m - d, tuple(x for j in free for x in MU.row(j)))
+    return (Poly.one(field),) * (A.rows - len(factors)) + tuple(reversed(factors))
 
 
 def is_balanced_matrix(A: Matrix) -> bool:

@@ -15,9 +15,9 @@ from fractions import Fraction
 from .canonical import StructureReport
 from .commutant import (
     OmegaSpec,
+    _double_centralizer,
     centralizer_basis,
     clifforder_basis,
-    double_centralizer_basis,
     omega_centralizer_basis,
 )
 from .equivalence import Certificate, equivalence_certificate
@@ -240,7 +240,7 @@ def _cmd_analyze(args) -> int:
     rep = StructureReport.of(A)
     cent = centralizer_basis(A)
     cliff = clifforder_basis(A)
-    double = double_centralizer_basis(A)
+    double = _double_centralizer(A, cent)
     out = {
         "input": matrix_json(A),
         "structure": _structure_json(rep),
@@ -312,6 +312,8 @@ def _potter_samples(q: int, n_samples: int, seed: int):
 
 
 def _cmd_potter(args) -> int:
+    if args.samples < 0:
+        raise InvalidSpec(f"--samples must be non-negative, got {args.samples}")
     A = _read_matrix_file(args.file_a)
     B = _read_matrix_file(args.file_b)
     w = OmegaSpec(args.q, args.k)

@@ -83,8 +83,12 @@ def double_centralizer_basis(A: Matrix) -> SubspaceBasis:
     checkable."""
     if not A.is_square:
         raise NotSquare("double centralizer needs a square matrix")
+    return _double_centralizer(A, centralizer_basis(A))
+
+
+def _double_centralizer(A: Matrix, cent: SubspaceBasis) -> SubspaceBasis:
+    """double_centralizer_basis(A) from A's centralizer basis ``cent``."""
     n = A.rows
-    cent = centralizer_basis(A)
     rows: list[tuple] = []
     for X in cent.basis:
         op = commutant_operator(X, A.field.one())

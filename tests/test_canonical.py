@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+from math import prod
+from types import SimpleNamespace
 
 import pytest
 
@@ -107,17 +110,69 @@ def test_invariant_factors_match_minors_gcd():
         assert list(invariant_factors(A)) == minors_gcd_invariant_factors(A)
 
 
-def test_invariant_factors_divisibility_chain():
+def _divisibility_chain_inputs():
     for seed in range(12):
-        A = random_jordan_matrix(3000 + seed, 1 + seed % 6)
+        yield random_jordan_matrix(3000 + seed, 1 + seed % 6)
+    # n = 13 and 16: random, and the derogatory B + B (+ 1)
+    for n in (13, 16):
+        B = random_rational_matrix(6100, n // 2, 3)
+        yield random_rational_matrix(6000, n, 3)
+        yield random_rational_matrix(6001, n, 3)
+        yield Matrix.block_diag([B, B] + [Matrix.identity(n % 2, QQ)] * (n % 2))
+
+
+def test_invariant_factors_divisibility_chain():
+    for A in _divisibility_chain_inputs():
         fs = invariant_factors(A)
-        assert len(fs) == A.rows
-        prod = Poly.one(QQ)
+        assert len(fs) == A.rows and all(f.is_monic for f in fs)
         for prev, nxt in zip(fs, fs[1:]):
-            assert (nxt % prev).is_zero, seed
-        for f in fs:
-            prod = prod * f
-        assert prod == char_poly(A)
+            assert (nxt % prev).is_zero, A
+        assert prod(fs, start=Poly.one(QQ)) == char_poly(A)
+        assert fs[-1] == min_poly(A)
+
+
+def test_invariant_factors_survive_rejected_draws(monkeypatch):
+    # A = P^-1 D P with D = J_2(1) + (1) + (2), so m_A = (x-1)^2 (x-2).
+    # In D's coordinates the scripted draws are: v = e0 + e3, whose
+    # Krylov polynomial (x-1)(x-2) is a proper divisor of m_A; then
+    # v = e1 + e3; then w = e2, orthogonal to the whole Krylov space of
+    # v (a zero Hankel matrix); then w = (1, 1, 1, 1).
+    import commutants.canonical as canonical
+    D = Matrix.block_diag([Matrix.jordan(2, 1, QQ), Matrix.diag([1, 2], QQ)])
+    P = mat([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+    Pinv = P.inverse()
+    A = Pinv * D * P
+    # v is drawn as P^-1 v_D; w, a column too, as (w_D^T P)^T = P^T w_D
+    v_draws = [Pinv * mat([[x] for x in v]) for v in ([1, 0, 0, 1], [0, 1, 0, 1])]
+    w_draws = [P.transpose() * mat([[x] for x in w]) for w in ([0, 0, 1, 0], [1, 1, 1, 1])]
+    script = [int(x) for M in v_draws + w_draws for x in M.entries]
+
+    class ScriptedRandom(random.Random):
+        def randint(self, a, b):
+            return script.pop(0) if script else super().randint(a, b)
+
+    annihilates, hankel_ranks = [], []
+    plain_eval, plain_rref = canonical.eval_at_matrix, canonical.rref
+
+    def eval_spy(f, M):
+        out = plain_eval(f, M)
+        annihilates.append(out.is_zero())
+        return out
+
+    def rref_spy(M):
+        out = plain_rref(M)
+        hankel_ranks.append((out.rank, M.rows))
+        return out
+
+    monkeypatch.setattr(canonical, "random", SimpleNamespace(Random=ScriptedRandom))
+    monkeypatch.setattr(canonical, "eval_at_matrix", eval_spy)
+    monkeypatch.setattr(canonical, "rref", rref_spy)
+    got = invariant_factors(A)
+    assert not script
+    assert annihilates[:2] == [False, True]
+    assert hankel_ranks[0][0] < hankel_ranks[0][1] == 3 == hankel_ranks[1][0]
+    assert got == (Poly.one(QQ), Poly.one(QQ), poly([-1, 1]), poly([-2, 5, -4, 1]))
+    assert list(got) == sympy_invariant_factors(A)
 
 
 def test_companion_goldens():

@@ -16,6 +16,7 @@ from commutants import (
     QQ,
     RaggedRows,
     eval_at_matrix,
+    invariant_factors,
 )
 from commutants.cli import main, matrix_json, parse_matrix
 from helpers import PAIR5_A, PAIR5_B, PAIR5_A_FROM_B, PAIR5_B_FROM_A, ODD4_A, ODD4_B, mat, poly
@@ -235,6 +236,20 @@ def test_potter_weyl(tmp_path, capsys):
     assert out["samples_run"] == 5
 
 
+def test_potter_negative_samples_is_input_error(tmp_path, capsys):
+    from commutants import weyl_pair
+    pair = weyl_pair(3, 3)
+    fa = write_matrix(tmp_path / "a.json", pair.A)
+    fb = write_matrix(tmp_path / "b.json", pair.B)
+    code, out, err = run(capsys, ["potter", fa, fb, "--q", "3", "--samples", "-3"])
+    assert code == 2
+    assert out is None
+    assert json.loads(err)["error"] == "InvalidSpec"
+    code, out, _ = run(capsys, ["potter", fa, fb, "--q", "3", "--samples", "0"])
+    assert code == 0
+    assert out == {"quasi_commuting": True, "holds": True, "q": 3, "samples_run": 0}
+
+
 def test_potter_not_quasi_commuting(tmp_path, capsys):
     fa = write_matrix(tmp_path / "a.json", Matrix.identity(2, QQ))
     fb = write_matrix(tmp_path / "b.json", Matrix.identity(2, QQ))
@@ -338,6 +353,26 @@ def test_analyze_computes_invariant_factors_once(tmp_path, capsys, monkeypatch):
     assert calls == 1
 
 
+def test_analyze_solves_the_centralizer_once(tmp_path, capsys, monkeypatch):
+    import commutants.cli as cli
+    import commutants.commutant as commutant
+    calls = 0
+    plain = commutant.centralizer_basis
+
+    def counting(A):
+        nonlocal calls
+        calls += 1
+        return plain(A)
+
+    for module in (commutant, cli):
+        monkeypatch.setattr(module, "centralizer_basis", counting)
+    f = write_matrix(tmp_path / "a.json", mat([[0, 1, 0], [0, 0, 0], [0, 0, 2]]))
+    code, out, _ = run(capsys, ["analyze", f])
+    assert code == 0
+    assert out["dims"] == {"centralizer": 3, "clifforder": 2, "double_centralizer": 3}
+    assert calls == 1
+
+
 def test_potter_checks_the_relation_once(tmp_path, capsys, monkeypatch):
     import commutants.cli as cli
     import commutants.potter as potter
@@ -388,7 +423,14 @@ def test_optimize_flag_changes_no_output(tmp_path):
     fa = write_matrix(tmp_path / "a.json", Matrix.block_diag([Matrix.jordan(2, 0, QQ), mat([[1]])]))
     fd = write_matrix(tmp_path / "d.json", pair.A)
     fs = write_matrix(tmp_path / "s.json", pair.B)
+    # conjugated J_2(1) + (1) + (-1): two nonconstant invariant factors
+    P = mat([[1, 2, 0, 0], [0, 1, 1, 0], [1, 0, 1, 1], [0, 1, 0, 1]])
+    D = Matrix.block_diag([Matrix.jordan(2, 1, QQ), Matrix.diag([1, -1], QQ)])
+    derogatory = P.inverse() * D * P
+    assert sum(f.degree >= 1 for f in invariant_factors(derogatory)) == 2
+    fg = write_matrix(tmp_path / "g.json", derogatory)
     for argv in (["analyze", fa, "--q", "3"],
+                 ["analyze", fg],
                  ["potter", fd, fs, "--q", "3", "--samples", "3"],
                  ["potter", fd, fd, "--q", "3"]):
         runs = [

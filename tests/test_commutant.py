@@ -4,7 +4,9 @@ import pytest
 import sympy
 
 from commutants import (
+    CycloScalar,
     FieldMismatch,
+    FieldTag,
     IndexOutOfRange,
     InvalidSpec,
     Matrix,
@@ -17,10 +19,12 @@ from commutants import (
     clifforder_has_invertible,
     commutant_operator,
     double_centralizer_basis,
+    invariant_factors,
     k_combo,
     k_matrix,
     min_poly,
     omega_centralizer_basis,
+    poly_gcd,
     subspace_contains,
     subspace_equal,
     subspace_from_matrices,
@@ -71,6 +75,41 @@ def test_centralizer_dimension_formula():
         A = Matrix.block_diag([Matrix.jordan(s, 0, QQ) for s in sizes])
         want = sum(min(a, b) for a in sizes for b in sizes)
         assert centralizer_basis(A).dim == want, sizes
+
+
+def _frobenius_dims(A):
+    """Frobenius' formula on the invariant factors d_i of A:
+    sum deg gcd(d_i(x), d_j(x)) and sum deg gcd(d_i(x), d_j(-x))."""
+    fs = [f for f in invariant_factors(A) if f.degree >= 1]
+    cent = sum(poly_gcd(a, b).degree for a in fs for b in fs)
+    cliff = sum(poly_gcd(a, b.reflect()).degree for a in fs for b in fs)
+    return cent, cliff
+
+
+def _frobenius_inputs():
+    for seed in range(8):
+        yield random_jordan_matrix(700 + seed, 2 + seed % 6)
+        yield random_rational_matrix(800 + seed, 2 + seed % 6, 2)
+    for seed in range(4):
+        # derogatory and balanced: B + (-B), and B + B + (1)
+        B = random_jordan_matrix(900 + seed, 2 + seed % 2)
+        yield Matrix.block_diag([B, -B])
+        yield Matrix.block_diag([B, B, mat([[1]])])
+    yield Matrix.block_diag([Matrix.jordan(3, 0, QQ), Matrix.jordan(2, 0, QQ), mat([[1]])])
+    F = FieldTag.cyclotomic(3)
+    z = CycloScalar.zeta(3)
+    D = Matrix.block_diag([Matrix.jordan(2, z, F), Matrix.diag([z, -z, 1], F)])
+    P = Matrix.make([[1, 1, 0, 0, 0], [0, 1, z, 0, 0], [0, 0, 1, -1, 0],
+                     [0, 0, 0, 1, 2], [1, 0, 0, 0, 1]], F)
+    yield P.inverse() * D * P
+
+
+def test_commutant_dims_match_frobenius_formula():
+    # the Kronecker kernel and the invariant factors are independent routes
+    for A in _frobenius_inputs():
+        cent, cliff = _frobenius_dims(A)
+        assert centralizer_basis(A).dim == cent, A
+        assert clifforder_basis(A).dim == cliff, A
 
 
 def test_centralizer_dim_against_oracle():
