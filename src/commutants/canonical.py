@@ -2,8 +2,11 @@
 
 Invariant factors come from a seeded Las Vegas cyclic-vector split:
 random draws, but every accepted draw is checked exactly, so the answer
-never depends on them.  A structure report computes them once and
-derives the rest: the characteristic polynomial is their product and
+never depends on them.  The split also yields the change of basis P to
+the Frobenius (rational canonical) form F, with A*P = P*F checked
+exactly; the commutant solvers build their bases on F.  A structure
+report computes the factors once and derives the rest: the
+characteristic polynomial is their product and
 the minimal polynomial is the last one.  The standalone characteristic
 polynomial (Faddeev-LeVerrier, integer divisions only, safe in
 characteristic zero) and minimal polynomial (the first dependency of
@@ -20,7 +23,7 @@ import random
 from dataclasses import dataclass
 from math import prod
 
-from .errors import DegreeZero, NotMonic, NotSquare
+from .errors import DegreeZero, NotMonic, NotSquare, VerificationError
 from .matrices import Matrix, kernel_basis, rref, vec, vstack_rows
 from .polys import Poly, eval_at_matrix, is_balanced_poly, poly_gcd, poly_xgcd
 from .scalars import FieldTag
@@ -70,16 +73,30 @@ def min_poly(A: Matrix) -> Poly:
 
 def invariant_factors(A: Matrix) -> tuple[Poly, ...]:
     """Diagonal of the Smith normal form of xI - A: monic polynomials
-    d_1 | d_2 | ... | d_n including the constant ones.
-
-    Seeded Las Vegas cyclic-vector split (Giesbrecht 1995, Storjohann
-    1998) from M = A: the first Krylov dependency m_v of a random v is
-    m_M once it annihilates M.  A random w with a nonsingular Hankel
-    matrix [w^T M^(i+j) v], i, j < d = deg m_v, makes the kernel U of
-    the rows w^T M^i an M-invariant complement, and M restricted to U
-    has the smaller factors.  A rejected draw retries one height up."""
+    d_1 | d_2 | ... | d_n including the constant ones, read off the
+    checked Frobenius decomposition."""
     if not A.is_square:
         raise NotSquare("invariant factors need a square matrix")
+    factors = _frobenius(A)[0]
+    return (Poly.one(A.field),) * (A.rows - len(factors)) + factors
+
+
+def _frobenius(A: Matrix) -> tuple[tuple[Poly, ...], Matrix]:
+    """The nonconstant invariant factors f_1 | ... | f_r of a square A
+    and an invertible P with A*P = P*F, F = companion(f_1) + ... +
+    companion(f_r), checked exactly before they are returned.
+
+    Seeded Las Vegas cyclic-vector split (Giesbrecht 1995, Storjohann
+    1998).  The loop keeps M, the restriction of A to an invariant
+    subspace, and B, whose columns span that subspace in A's
+    coordinates, so A*B = B*M (B starts as I, which is never multiplied
+    in).  The first Krylov dependency m_v of a random v is m_M once it
+    annihilates M, and B maps the Krylov columns v, Mv, ..., M^(d-1) v
+    to P's block for it.  A random w with a nonsingular Hankel matrix
+    [w^T M^(i+j) v], i, j < d = deg m_v, makes the kernel U of the rows
+    w^T M^i an M-invariant complement; M restricted to U has the
+    smaller factors, and B becomes B*U.  A rejected draw retries one
+    height up."""
     field = A.field
     rng = random.Random(0)
     height = 1
@@ -88,8 +105,8 @@ def invariant_factors(A: Matrix) -> tuple[Poly, ...]:
         entries = tuple(field.coerce(rng.randint(-height, height)) for _ in range(m))
         return Matrix(field, m, 1, entries)
 
-    factors = []
-    M = A
+    factors, blocks = [], []
+    M, B = A, None
     while True:
         m = M.rows
         krylov = _krylov(M, draw(m), m + 1)
@@ -97,11 +114,12 @@ def invariant_factors(A: Matrix) -> tuple[Poly, ...]:
         if not eval_at_matrix(f, M).is_zero():
             height += 1
             continue
-        factors.append(f)
         d = f.degree
+        K = vstack_rows(krylov[:d], field).transpose()
+        factors.append(f)
+        blocks.append(K if B is None else B * K)
         if d == m:
             break
-        K = vstack_rows(krylov[:d], field).transpose()
         while True:
             W = vstack_rows(_krylov(M.transpose(), draw(m), d), field)
             if rref(W * K).rank == d:
@@ -109,11 +127,19 @@ def invariant_factors(A: Matrix) -> tuple[Poly, ...]:
             height += 1
         # a kernel vector is zero right of its free column, where it is
         # 1, so M|U in this basis is M*U read at the free columns
-        U = kernel_basis(W)
-        free = [max(j for j, x in enumerate(u) if x) for u in U]
-        MU = M * vstack_rows(U, field).transpose()
+        kernel = kernel_basis(W)
+        free = [max(j for j, x in enumerate(u) if x) for u in kernel]
+        U = vstack_rows(kernel, field).transpose()
+        MU = M * U
         M = Matrix(field, m - d, m - d, tuple(x for j in free for x in MU.row(j)))
-    return (Poly.one(field),) * (A.rows - len(factors)) + tuple(reversed(factors))
+        B = U if B is None else B * U
+    factors.reverse()
+    blocks.reverse()
+    n = A.rows
+    P = Matrix(field, n, n, tuple(x for i in range(n) for blk in blocks for x in blk.row(i)))
+    if A * P != P * Matrix.block_diag([companion(f) for f in factors]):
+        raise VerificationError("Frobenius decomposition fails A*P = P*F")
+    return tuple(factors), P
 
 
 def is_balanced_matrix(A: Matrix) -> bool:

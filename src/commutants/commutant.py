@@ -1,10 +1,14 @@
-"""Commutant-type subspaces via vectorized kernels.
+"""Commutant-type subspaces from the Frobenius form.
 
-The defining relation AX = mu*XA vectorizes (row-major) to
-(A kron I - mu * I kron A^T) vec(X) = 0, so the centralizer (mu = 1),
-the clifforder (mu = -1) and the omega-centralizer (mu = zeta_q^k) are
-one kernel computation with different scalars.  The double centralizer
-stacks one such operator per centralizer basis element.
+The centralizer (mu = 1), the clifforder (mu = -1) and the
+omega-centralizer (mu = zeta_q^k) are the solutions of AX = mu*XA.
+With A = P*F*P^-1 and F a direct sum of companion blocks, X = P*Y*P^-1
+where each block of Y solves C(a)*Y = mu*Y*C(b), whose solutions are
+known in closed form, so one structural routine serves all three and no
+n^2 x n^2 system is eliminated.  Each basis is checked exactly before
+it is returned.  The double centralizer and the ad-power kernels still
+use the vectorized operator A kron I - mu * I kron A^T, which the tests
+also keep as the oracle for the structural bases.
 """
 
 from __future__ import annotations
@@ -12,15 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .canonical import is_balanced_matrix
+from .canonical import _frobenius, is_balanced_matrix
 from .errors import (
-    FieldMismatch,
     IndexOutOfRange,
     InvalidSpec,
     NotSquare,
     ShapeMismatch,
+    VerificationError,
+    ZeroInverse,
 )
 from .matrices import Matrix, kernel_basis, kron, unvec
+from .polys import Poly, poly_gcd
 from .scalars import QQ, CycloScalar, FieldTag
 from .subspaces import SubspaceBasis, subspace_from_matrices
 
@@ -55,9 +61,109 @@ def commutant_operator(A: Matrix, mu) -> Matrix:
 
 
 def _mu_commutant_basis(A: Matrix, mu) -> SubspaceBasis:
-    vecs = kernel_basis(commutant_operator(A, mu))
-    mats = [unvec(v, A.rows, A.field) for v in vecs]
-    return subspace_from_matrices(mats, ambient_n=A.rows, field=A.field)
+    """Basis of {X : AX = mu*XA} over mu's field, built block by block
+    on the Frobenius form A = P*F*P^-1 and proven before it is
+    returned: A*P = P*F (checked by the split) with P invertible, every
+    returned X satisfies the relation, and the span has Frobenius'
+    dimension sum deg gcd(f_i(x), f_j(mu^-1 x)).  A rational A is split
+    over Q even when mu is cyclotomic; only P, P^-1 and the factors are
+    promoted."""
+    if not A.is_square:
+        raise NotSquare("commutant needs a square matrix")
+    field = FieldTag.cyclotomic(mu.q) if isinstance(mu, CycloScalar) else QQ
+    A_mu = A.promote(field.q) if field.is_cyclotomic else A
+    n = A.rows
+    factors, P = _frobenius(A)
+    try:
+        P_inv = P.inverse()
+    except ZeroInverse:
+        raise VerificationError("Frobenius change of basis is singular") from None
+    if A.field != field:
+        P, P_inv = P.promote(field.q), P_inv.promote(field.q)
+        factors = tuple(Poly.make(f.coeffs, field) for f in factors)
+    offsets = [0]
+    for f in factors:
+        offsets.append(offsets[-1] + f.degree)
+    # each solution Y is one nonzero block (i, j), laid out abreast:
+    # row r of the stack is row r of Y_1, Y_2, ...
+    ys = [
+        (offsets[i], offsets[j], cols)
+        for i, a in enumerate(factors)
+        for j, b in enumerate(factors)
+        for cols in _block_solutions(a, b, mu)
+    ]
+    count = len(ys)
+    if not count:
+        return subspace_from_matrices([], ambient_n=n, field=field)
+    grid = [[field.zero()] * (n * count) for _ in range(n)]
+    for e, (r0, c0, cols) in enumerate(ys):
+        for k, col in enumerate(cols):
+            for r, x in enumerate(col):
+                grid[r0 + r][e * n + c0 + k] = x
+    PY = P * Matrix(field, n, n * count, tuple(x for row in grid for x in row))
+    X = Matrix(field, n * count, n, _stacked(PY.entries, n, count)) * P_inv
+    S = subspace_from_matrices(
+        [Matrix(field, n, n, X.entries[e * n * n : (e + 1) * n * n]) for e in range(count)],
+        ambient_n=n,
+        field=field,
+    )
+    if S.dim != count:
+        raise VerificationError(f"span has rank {S.dim}, Frobenius' formula gives {count}")
+    flat = tuple(x for Xb in S.basis for x in Xb.entries)
+    AX = A_mu * Matrix(field, n, n * S.dim, _abreast(flat, n, S.dim))
+    XmuA = Matrix(field, n * S.dim, n, flat) * A_mu.scale(mu)
+    if _stacked(AX.entries, n, S.dim) != XmuA.entries:
+        raise VerificationError("a basis element fails AX = mu*XA")
+    return S
+
+
+def _block_solutions(a: Poly, b: Poly, mu) -> list[list[tuple]]:
+    """Basis of {Y : C(a)*Y = mu*Y*C(b)}, each Y as its deg b columns of
+    length deg a.  With columns read as F[x]/(a), where C(a) is
+    multiplication by x, the solutions are p -> p(mu^-1 x)*u mod a for
+    u in (a/g)*F[x]/(a), g = gcd(a(x), b(mu^-1 x)): spanned by
+    u_t = x^t * (a/g), t < deg g, and column k is mu^-k x^k u_t mod a,
+    so every column is a scaled x^s * (a/g) mod a, s < deg g + deg b."""
+    field = a.field
+    inv = field.one() / mu
+    scales, c = [], field.one()
+    for _ in b.coeffs:
+        scales.append(c)
+        c = c * inv
+    g = poly_gcd(a, Poly.make([x * y for x, y in zip(b.coeffs, scales)], field))
+    if not g.degree:
+        return []
+    zero, low = field.zero(), a.coeffs[:-1]
+    w = list((a // g).coeffs) + [zero] * (g.degree - 1)
+    shifts = [tuple(w)]
+    for _ in range(g.degree + b.degree - 2):
+        # x * w mod a: shift up, fold the top back with the monic a
+        top = w[-1]
+        w = [zero] + w[:-1]
+        if top:
+            w = [x - top * y for x, y in zip(w, low)]
+        shifts.append(tuple(w))
+    return [
+        [shifts[t + k] if s == 1 else tuple(s * x for x in shifts[t + k]) for k, s in enumerate(scales[:-1])]
+        for t in range(g.degree)
+    ]
+
+
+def _abreast(flat: tuple, n: int, count: int) -> tuple:
+    """Entries of [M_1 | ... | M_count] from those of the stack
+    [M_1; ...; M_count] of n x n blocks."""
+    return tuple(
+        x for r in range(n) for e in range(count) for x in flat[(e * n + r) * n : (e * n + r + 1) * n]
+    )
+
+
+def _stacked(flat: tuple, n: int, count: int) -> tuple:
+    """Entries of the stack [M_1; ...; M_count] from those of
+    [M_1 | ... | M_count] of n x n blocks."""
+    w = n * count
+    return tuple(
+        x for e in range(count) for r in range(n) for x in flat[r * w + e * n : r * w + (e + 1) * n]
+    )
 
 
 def centralizer_basis(A: Matrix) -> SubspaceBasis:
@@ -73,7 +179,7 @@ def clifforder_basis(A: Matrix) -> SubspaceBasis:
 def omega_centralizer_basis(A: Matrix, w: OmegaSpec) -> SubspaceBasis:
     """Basis of {X : AX = omega*XA} over Q(zeta_q); rational input is
     promoted."""
-    return _mu_commutant_basis(A.promote(w.q), w.omega())
+    return _mu_commutant_basis(A, w.omega())
 
 
 def double_centralizer_basis(A: Matrix) -> SubspaceBasis:

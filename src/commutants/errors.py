@@ -104,3 +104,9 @@ class FieldError(ParseError):
 
 class RaggedRows(ParseError):
     """Matrix rows of unequal length."""
+
+
+class VerificationError(ArithmeticError):
+    """An exact check of a computed result failed, so the result is
+    withheld.  This marks a defect in the package, not bad input, so it
+    is deliberately not an AlgebraError."""

@@ -371,17 +371,20 @@ def poly_in_class(f: Poly, c: CongruenceClass) -> bool:
 def eval_at_matrix(f: Poly, A: Matrix) -> Matrix:
     """Horner evaluation of f at a square matrix; the constant term
     contributes c*I.  It starts from c_top*I, so degree d costs d
-    products."""
+    products, and each step adds its coefficient to the n diagonal
+    entries only."""
     if not A.is_square:
         raise NotSquare("polynomial evaluation needs a square matrix")
     if f.field != A.field:
         raise FieldMismatch(f"{f.field} vs {A.field}")
+    n = A.rows
     if f.is_zero:
-        return Matrix.zero(A.rows, A.rows, A.field)
-    ident = Matrix.identity(A.rows, A.field)
-    result = ident.scale(f.coeffs[-1])
+        return Matrix.zero(n, n, A.field)
+    result = Matrix.diag([f.coeffs[-1]] * n, A.field)
     for c in reversed(f.coeffs[:-1]):
         result = result * A
         if c:
-            result = result + ident.scale(c)
+            flat = list(result.entries)
+            flat[:: n + 1] = [x + c for x in flat[:: n + 1]]
+            result = Matrix(A.field, n, n, tuple(flat))
     return result

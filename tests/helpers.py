@@ -16,6 +16,11 @@ from commutants import (
     Matrix,
     Poly,
     QQ,
+    SubspaceBasis,
+    commutant_operator,
+    kernel_basis,
+    subspace_from_matrices,
+    unvec,
 )
 
 # ------------------------------------------------------------ builders
@@ -153,6 +158,15 @@ def count_products(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(Matrix, "__mul__", counting_mul)
     return count
+
+
+def reference_commutant_basis(A: Matrix, mu) -> SubspaceBasis:
+    """The Kronecker oracle for {X : AX = mu XA}: the kernel of the
+    n^2 x n^2 operator A kron I - mu I kron A^T, canonicalized like the
+    library's bases.  A must already live over mu's field."""
+    vecs = kernel_basis(commutant_operator(A, mu))
+    mats = [unvec(v, A.rows, A.field) for v in vecs]
+    return subspace_from_matrices(mats, ambient_n=A.rows, field=A.field)
 
 
 # ------------------------------------------------------- sympy bridges

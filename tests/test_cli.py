@@ -429,10 +429,16 @@ def test_optimize_flag_changes_no_output(tmp_path):
     derogatory = P.inverse() * D * P
     assert sum(f.degree >= 1 for f in invariant_factors(derogatory)) == 2
     fg = write_matrix(tmp_path / "g.json", derogatory)
+    # conjugated J_3(0) + J_1(0): derogatory with a nonzero omega-centralizer
+    N = Matrix.block_diag([Matrix.jordan(3, 0, QQ), mat([[0]])])
+    fn = write_matrix(tmp_path / "n.json", P.inverse() * N * P)
+    subspace_runs = [[cmd, f, "--basis"] for f in (fg, fn) for cmd in ("centralizer", "clifforder")]
+    subspace_runs += [["omega", f, "--q", "5", "--k", "2", "--basis"] for f in (fg, fn)]
     for argv in (["analyze", fa, "--q", "3"],
                  ["analyze", fg],
                  ["potter", fd, fs, "--q", "3", "--samples", "3"],
-                 ["potter", fd, fd, "--q", "3"]):
+                 ["potter", fd, fd, "--q", "3"],
+                 *subspace_runs):
         runs = [
             subprocess.run([sys.executable, *flag, "-m", "commutants.cli", *argv],
                            capture_output=True, env=env, timeout=120)

@@ -1,7 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from commutants import canonical, commutant
 
 from commutants import (
     CycloScalar,
@@ -30,10 +35,12 @@ from commutants import (
     subspace_from_matrices,
     subspace_leq,
 )
+from commutants.errors import VerificationError
 from helpers import (
     mat,
     random_jordan_matrix,
     random_rational_matrix,
+    reference_commutant_basis,
     relation_kernel_oracle,
 )
 
@@ -225,3 +232,168 @@ def test_not_square_rejected():
         centralizer_basis(R)
     with pytest.raises(NotSquare):
         commutant_operator(R, 1)
+
+
+# ------------------------------------- structural bases vs the Kronecker oracle
+
+def _conjugated(M, seed):
+    """P^-1 M P for a seeded invertible integer P."""
+    for s in range(seed, seed + 64):
+        P = random_rational_matrix(s, M.rows, 2)
+        if M.field.is_cyclotomic:
+            P = P.promote(M.field.q)
+        if P.det():
+            return P.inverse() * M * P
+    return M
+
+
+_Z3 = FieldTag.cyclotomic(3)
+_z3 = CycloScalar.zeta(3)
+# conjugated J_2(zeta_3) + diag(zeta_3, -zeta_3), over Q(zeta_3)
+_CYCLO3_INPUT = _conjugated(Matrix.block_diag([Matrix.jordan(2, _z3, _Z3), Matrix.diag([_z3, -_z3], _Z3)]), 0)
+
+
+def _partition(n):
+    return st.integers(1, n).flatmap(
+        lambda head: st.just((head,)) if head == n else _partition(n - head).map(lambda rest: (head,) + rest)
+    )
+
+
+def _balanced(seed, n):
+    B = random_jordan_matrix(seed, n)
+    return Matrix.block_diag([B, -B])
+
+
+def _nilpotent(sizes, seed):
+    return _conjugated(Matrix.block_diag([Matrix.jordan(k, 0, QQ) for k in sizes]), seed)
+
+
+seeds = st.integers(0, 10 ** 6)
+rational_inputs = st.one_of(
+    st.builds(random_rational_matrix, seeds, st.integers(1, 5), st.integers(1, 3)),
+    st.builds(random_jordan_matrix, seeds, st.integers(2, 6)),
+    # scalar matrices, the zero matrix among them
+    st.builds(lambda n, c: Matrix.identity(n, QQ).scale(c), st.integers(1, 4), st.integers(-3, 3)),
+    st.builds(_balanced, seeds, st.integers(1, 3)),
+    st.builds(_nilpotent, st.integers(1, 6).flatmap(_partition), seeds),
+)
+# mu as (q, k): q = None for mu = 1 (k = 0) and mu = -1 (k = 1)
+mus = st.sampled_from(
+    [(None, 0), (None, 1)] + [(q, k) for q in (3, 4, 5, 6) for k in range(1, q) if gcd(k, q) == 1]
+)
+
+
+def _same_span(A, q, k):
+    if q is None:
+        ours = clifforder_basis(A) if k else centralizer_basis(A)
+        ref = reference_commutant_basis(A, A.field.coerce(-1 if k else 1))
+    else:
+        w = OmegaSpec(q, k)
+        ours = omega_centralizer_basis(A, w)
+        ref = reference_commutant_basis(A.promote(q), w.omega())
+    assert ours.field == ref.field
+    assert ours.rref_rows == ref.rref_rows
+    assert ours.pivots == ref.pivots
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_inputs, mus)
+def test_structural_bases_equal_kronecker_oracle(A, mu):
+    _same_span(A, *mu)
+
+
+def test_structural_bases_equal_kronecker_oracle_on_fixed_inputs():
+    fixed = [Matrix.zero(3, 3, QQ), mat([[0]]), mat([[Fraction(-5, 2)]]), Matrix.identity(4, QQ)]
+    for A in fixed:
+        for q, k in [(None, 0), (None, 1), (3, 2), (4, 1), (5, 3), (6, 5)]:
+            _same_span(A, q, k)
+    for q, k in [(None, 0), (None, 1), (3, 1), (3, 2)]:
+        _same_span(_CYCLO3_INPUT, q, k)
+
+
+# ---------------------------------------- a corrupted result is never returned
+
+# conjugated J_2(1) + (1) + (-1) and J_3(0) + J_1(0): derogatory, nonzero
+# centralizer and omega-centralizer respectively
+_DEROGATORY = _conjugated(Matrix.block_diag([Matrix.jordan(2, 1, QQ), Matrix.diag([1, -1], QQ)]), 7)
+_NILPOTENT = _conjugated(Matrix.block_diag([Matrix.jordan(3, 0, QQ), mat([[0]])]), 7)
+_W5 = OmegaSpec(5, 2)
+
+
+def _corrupted_calls():
+    return [lambda: centralizer_basis(_DEROGATORY), lambda: omega_centralizer_basis(_NILPOTENT, _W5)]
+
+
+def test_perturbed_frobenius_P_is_never_returned(monkeypatch):
+    split = commutant._frobenius
+
+    def perturbed(A):
+        factors, P = split(A)
+        entries = list(P.entries)
+        entries[0] += 1
+        return factors, Matrix(P.field, P.rows, P.cols, tuple(entries))
+
+    monkeypatch.setattr(commutant, "_frobenius", perturbed)
+    for call in _corrupted_calls():
+        with pytest.raises(VerificationError):
+            call()
+
+
+def test_split_checks_its_own_decomposition(monkeypatch):
+    # a wrong F must fail A*P = P*F inside the split
+    monkeypatch.setattr(canonical, "companion", lambda f: Matrix.identity(f.degree, f.field))
+    with pytest.raises(VerificationError):
+        invariant_factors(_DEROGATORY)
+    with pytest.raises(VerificationError):
+        centralizer_basis(_DEROGATORY)
+
+
+def test_perturbed_block_solution_is_never_returned(monkeypatch):
+    solve_block = commutant._block_solutions
+
+    def perturbed(a, b, mu):
+        sols = solve_block(a, b, mu)
+        if sols:
+            first = sols[0][0]
+            sols[0][0] = (first[0] + 1,) + first[1:]
+        return sols
+
+    monkeypatch.setattr(commutant, "_block_solutions", perturbed)
+    for call in _corrupted_calls():
+        with pytest.raises(VerificationError):
+            call()
+
+
+def test_dropped_basis_element_is_never_returned(monkeypatch):
+    span = commutant.subspace_from_matrices
+    monkeypatch.setattr(commutant, "subspace_from_matrices", lambda mats, **kw: span(mats[:-1], **kw))
+    for call in _corrupted_calls():
+        with pytest.raises(VerificationError):
+            call()
+
+
+def test_rational_input_is_split_over_q(monkeypatch):
+    split = commutant._frobenius
+    fields = []
+
+    def spy(A):
+        fields.append(A.field)
+        return split(A)
+
+    monkeypatch.setattr(commutant, "_frobenius", spy)
+    omega_centralizer_basis(_NILPOTENT, _W5)
+    omega_centralizer_basis(_NILPOTENT.promote(5), _W5)
+    assert fields == [QQ, _W5.field]
+
+
+def test_commutant_solvers_build_no_kronecker_operator(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("Kronecker operator built")
+
+    monkeypatch.setattr(commutant, "commutant_operator", forbidden)
+    monkeypatch.setattr(commutant, "kron", forbidden)
+    for A in (_DEROGATORY, _NILPOTENT, _CYCLO3_INPUT):
+        centralizer_basis(A)
+        clifforder_basis(A)
+    omega_centralizer_basis(_NILPOTENT, _W5)
+    omega_centralizer_basis(_CYCLO3_INPUT, OmegaSpec(3, 2))

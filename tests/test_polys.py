@@ -24,7 +24,14 @@ from commutants import (
     poly_xgcd,
     restrict_to_class,
 )
-from helpers import count_products, mat, poly, reference_power, sympy_poly_coeffs
+from helpers import (
+    count_products,
+    mat,
+    poly,
+    reference_power,
+    reference_product,
+    sympy_poly_coeffs,
+)
 
 x = sympy.Symbol("x")
 
@@ -203,3 +210,53 @@ def test_eval_at_matrix_costs_one_product_per_degree(monkeypatch):
     products[0] = 0
     assert eval_at_matrix(Poly.zero(QQ), A) == Matrix.zero(2, 2, QQ)
     assert products[0] == 0
+
+
+def _reference_horner(f, A):
+    """Plain Horner: result <- result * A + c * I, with the textbook
+    product and an entrywise identity term."""
+    n = A.rows
+    result = Matrix.zero(n, n, A.field)
+    for c in reversed(f.coeffs):
+        result = reference_product(result, A)
+        result = Matrix(A.field, n, n, tuple(
+            x + c if i % (n + 1) == 0 else x for i, x in enumerate(result.entries)))
+    return result
+
+
+def test_eval_at_matrix_matches_reference_horner():
+    f5 = FieldTag.cyclotomic(5)
+    z = f5.omega()
+    cases = [
+        (mat([[1, 2, 0], [Fraction(1, 2), -1, 3], [0, 4, Fraction(-2, 3)]]),
+         [[], [7], [0], [Fraction(-3, 4), 0, 2], [1, -2, 0, 0, Fraction(1, 5)]]),
+        (Matrix.make([[z, 1, 0], [0, z * z, -z], [2, 0, 1]], f5),
+         [[], [z], [0, 0, 1], [1, z, 0, z ** 3], [Fraction(1, 2), 0, z + 1]]),
+    ]
+    for A, coeff_lists in cases:
+        for coeffs in coeff_lists:
+            f = Poly.make(coeffs, A.field)
+            assert eval_at_matrix(f, A) == _reference_horner(f, A), coeffs
+
+
+def test_eval_at_matrix_adds_constants_on_the_diagonal(monkeypatch):
+    # each Horner step touches n diagonal entries, never a full n x n
+    # scaled identity or matrix sum
+    calls = []
+
+    def counting(name):
+        plain = getattr(Matrix, name)
+
+        def wrapper(self, other):
+            calls.append(name)
+            return plain(self, other)
+
+        return wrapper
+
+    for name in ("scale", "__add__"):
+        monkeypatch.setattr(Matrix, name, counting(name))
+    A = mat([[1, 2], [3, 4]])
+    for coeffs in ([5], [1, 2], [3, 0, -1, 2]):
+        eval_at_matrix(poly(coeffs), A)
+    eval_at_matrix(Poly.make([1, 1], FieldTag.cyclotomic(5)), A.promote(5))
+    assert calls == []
