@@ -81,6 +81,69 @@ def invariant_factors(A: Matrix) -> tuple[Poly, ...]:
     return (Poly.one(A.field),) * (A.rows - len(factors)) + factors
 
 
+class _Draws:
+    """Seeded random columns with small integer entries.  The caller
+    raises `height` after a rejected draw, so the next one comes from a
+    wider range."""
+
+    def __init__(self, field: FieldTag):
+        self.field = field
+        self.rng = random.Random(0)
+        self.height = 1
+
+    def column(self, m: int) -> Matrix:
+        h = self.height
+        entries = tuple(self.field.coerce(self.rng.randint(-h, h)) for _ in range(m))
+        return Matrix(self.field, m, 1, entries)
+
+
+def _cyclic_vector(M: Matrix, draws: _Draws) -> tuple[Poly, list[tuple]]:
+    """m_M and the Krylov columns v, Mv, ..., M^(d-1) v of a drawn v
+    with m_v = m_M, d = deg m_M.
+
+    The first Krylov dependency m_v of v is accepted only once
+    `_annihilates` has checked m_v(M) = 0 exactly; then m_v = m_M.  A
+    rejected draw retries one height up."""
+    m = M.rows
+    while True:
+        krylov = _krylov(M, draws.column(m), m + 1)
+        f = _first_dependency(krylov, M.field)
+        krylov = krylov[: f.degree]
+        if _annihilates(f, M, krylov):
+            return f, krylov
+        draws.height += 1
+
+
+def _annihilates(f: Poly, M: Matrix, krylov: list[tuple]) -> bool:
+    """f(M) = 0, for a monic f with f(M) v = 0 and krylov = v, Mv, ...,
+    M^(deg f - 1) v, independent.  f(M) commutes with M, so it kills
+    the span of krylov; the unit vectors e_j at the non-pivot columns of
+    the rows `krylov` complete it to a basis, and f(M) is tested on
+    those m - deg f columns only, by one Horner pass.  A cyclic M
+    (deg f = m) needs no product."""
+    field, m = M.field, M.rows
+    if len(krylov) == m:
+        return True
+    # a zero v gives f = 1 and no Krylov columns: every e_j is tested
+    pivots = set(rref(vstack_rows(krylov, field)).pivots) if krylov else set()
+    rest = [j for j in range(m) if j not in pivots]
+    w = len(rest)
+    units = [j * w + k for k, j in enumerate(rest)]  # e_j sits at (j, k)
+    zero, one = field.zero(), field.one()
+    flat = [zero] * (m * w)
+    for i in units:
+        flat[i] = one
+    R = Matrix(field, m, w, tuple(flat))
+    for c in reversed(f.coeffs[:-1]):
+        R = M * R
+        if c:
+            flat = list(R.entries)
+            for i in units:
+                flat[i] = flat[i] + c
+            R = Matrix(field, m, w, tuple(flat))
+    return R.is_zero()
+
+
 def _frobenius(A: Matrix) -> tuple[tuple[Poly, ...], Matrix]:
     """The nonconstant invariant factors f_1 | ... | f_r of a square A
     and an invertible P with A*P = P*F, F = companion(f_1) + ... +
@@ -90,41 +153,30 @@ def _frobenius(A: Matrix) -> tuple[tuple[Poly, ...], Matrix]:
     1998).  The loop keeps M, the restriction of A to an invariant
     subspace, and B, whose columns span that subspace in A's
     coordinates, so A*B = B*M (B starts as I, which is never multiplied
-    in).  The first Krylov dependency m_v of a random v is m_M once it
-    annihilates M, and B maps the Krylov columns v, Mv, ..., M^(d-1) v
-    to P's block for it.  A random w with a nonsingular Hankel matrix
-    [w^T M^(i+j) v], i, j < d = deg m_v, makes the kernel U of the rows
-    w^T M^i an M-invariant complement; M restricted to U has the
-    smaller factors, and B becomes B*U.  A rejected draw retries one
-    height up."""
+    in).  `_cyclic_vector` draws v with m_v = m_M, and B maps its Krylov
+    columns v, Mv, ..., M^(d-1) v to P's block for it.  A random w with
+    a nonsingular Hankel matrix [w^T M^(i+j) v], i, j < d = deg m_v,
+    makes the kernel U of the rows w^T M^i an M-invariant complement;
+    M restricted to U has the smaller factors, and B becomes B*U.  A
+    rejected draw retries one height up."""
     field = A.field
-    rng = random.Random(0)
-    height = 1
-
-    def draw(m):
-        entries = tuple(field.coerce(rng.randint(-height, height)) for _ in range(m))
-        return Matrix(field, m, 1, entries)
-
+    draws = _Draws(field)
     factors, blocks = [], []
     M, B = A, None
     while True:
         m = M.rows
-        krylov = _krylov(M, draw(m), m + 1)
-        f = _first_dependency(krylov, field)
-        if not eval_at_matrix(f, M).is_zero():
-            height += 1
-            continue
+        f, krylov = _cyclic_vector(M, draws)
         d = f.degree
-        K = vstack_rows(krylov[:d], field).transpose()
+        K = vstack_rows(krylov, field).transpose()
         factors.append(f)
         blocks.append(K if B is None else B * K)
         if d == m:
             break
         while True:
-            W = vstack_rows(_krylov(M.transpose(), draw(m), d), field)
+            W = vstack_rows(_krylov(M.transpose(), draws.column(m), d), field)
             if rref(W * K).rank == d:
                 break
-            height += 1
+            draws.height += 1
         # a kernel vector is zero right of its free column, where it is
         # 1, so M|U in this basis is M*U read at the free columns
         kernel = kernel_basis(W)

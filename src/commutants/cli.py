@@ -1,7 +1,9 @@
 """Command-line front-end: JSON in, JSON out, exact arithmetic inside.
 
 Exit codes: 0 success, 1 negative mathematical verdict (not equivalent,
-identity fails), 2 malformed input.  Errors go to stderr as JSON.
+identity fails), 2 malformed input, 3 a failed internal check (a
+computed result did not verify, so nothing was printed).  Errors go to
+stderr as JSON.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .canonical import StructureReport
 from .commutant import (
@@ -28,6 +31,7 @@ from .errors import (
     PairInvariantViolated,
     ParseError,
     RaggedRows,
+    VerificationError,
 )
 from .gen import (
     BlockDiag,
@@ -353,7 +357,10 @@ def _cmd_gen(args) -> int:
 
 # ----------------------------------------------------------------- main
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no
+    state between calls."""
     p = argparse.ArgumentParser(
         prog="commutants",
         description="Exact commutant-type subspaces, equivalence certificates and "
@@ -424,6 +431,9 @@ def main(argv=None) -> int:
     except AlgebraError as exc:
         print(json.dumps(_error_json(exc)), file=sys.stderr)
         return 2
+    except VerificationError as exc:
+        print(json.dumps(_error_json(exc)), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

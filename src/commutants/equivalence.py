@@ -1,18 +1,29 @@
 """Polynomial equivalence with explicit two-sided certificates.
 
 Two matrices are equivalent for a congruence class of exponents when
-each is a polynomial in the other using only allowed exponents.  The
-solver works directly in the linear span of the allowed powers, so a
-returned certificate is trustworthy by construction and `None` means a
-genuine obstruction, not a search giving up.
+each is a polynomial in the other using only allowed exponents.  Both
+directions are solved in the quotient ring F[x]/(m_A), which
+p -> p(A) embeds into the matrices, from one cyclic vector v of A
+whose Krylov polynomial is checked to annihilate A (so it is m_A).
+The coordinates of Bv in v's Krylov basis give f0 with deg f0 <
+deg m_A, and B is a polynomial in A exactly when f0(A) = B.  Then
+B^e = (f0^e mod m_A)(A), so f and g solve deg m_A-row systems over the
+class exponents and no matrix power is formed.  Free coordinates are
+pinned to zero, which gives the same canonical solution as the n^2-row
+system of stacked powers, since the embedding is injective.  Before a
+certificate is returned, f = f0 and g(f0) = x mod m_A are checked by
+Horner in the quotient ring, which proves f(A) = B and g(B) = A; a
+failure raises VerificationError.  `None` means a genuine obstruction,
+not a search giving up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FieldMismatch, NotSquare, ShapeMismatch
-from .matrices import Matrix, solve, vec
+from .canonical import _cyclic_vector, _Draws
+from .errors import FieldMismatch, NotSquare, ShapeMismatch, VerificationError
+from .matrices import Matrix, solve, vstack_rows
 from .polys import CongruenceClass, Poly, eval_at_matrix, poly_in_class, restrict_to_class
 
 GENERAL = CongruenceClass.general()
@@ -55,44 +66,83 @@ def express_in_powers(B: Matrix, A: Matrix, cls: CongruenceClass = GENERAL) -> P
     which makes the answer canonical: the solution supported on the
     earliest allowed exponents.
     """
+    reduced = _reduce(B, A)
+    if reduced is None:
+        return None
+    m, f0 = reduced
+    return _class_solve(Poly.x(A.field), f0, m, cls, A.rows)
+
+
+def equivalence_certificate(A: Matrix, B: Matrix, cls: CongruenceClass = GENERAL) -> Certificate | None:
+    """Two-sided certificate for the given class, or None if either
+    direction fails.  Both directions are solved in F[x]/(m_A): with
+    B = f0(A), B^e = (f0^e mod m_A)(A)."""
+    reduced = _reduce(B, A)
+    if reduced is None:
+        return None
+    m, f0 = reduced
+    x = Poly.x(A.field)
+    f = _class_solve(x, f0, m, cls, A.rows)
+    if f is None:
+        return None
+    g = _class_solve(f0, x % m, m, cls, A.rows)
+    if g is None:
+        return None
+    return Certificate(f=f, g=g, cls=cls)
+
+
+def _reduce(B: Matrix, A: Matrix) -> tuple[Poly, Poly] | None:
+    """(m_A, f0) with deg f0 < deg m_A and f0(A) = B, or None when B is
+    not a polynomial in A.
+
+    For a checked v with m_v = m_A, B = p(A) gives Bv = (p mod m_A)(A) v,
+    so f0's coefficients solve K c = Bv for the independent Krylov
+    columns K of v; when f0(A) != B, no p exists."""
     if not A.is_square or not B.is_square:
         raise NotSquare("power expression needs square matrices")
     if A.rows != B.rows:
         raise ShapeMismatch(f"sizes differ: {A.rows} vs {B.rows}")
     if A.field != B.field:
         raise FieldMismatch(f"fields differ: {A.field} vs {B.field}")
-    n = A.rows
+    m, krylov = _cyclic_vector(A, _Draws(A.field))
+    K = vstack_rows(krylov, A.field).transpose()
+    Bv = B * Matrix(A.field, A.rows, 1, krylov[0])
+    coords = solve(K, Bv.entries)
+    if coords is None:
+        return None
+    f0 = Poly.make(coords, A.field)
+    return (m, f0) if eval_at_matrix(f0, A) == B else None
+
+
+def _class_solve(base: Poly, target: Poly, m: Poly, cls: CongruenceClass, n: int) -> Poly | None:
+    """The canonical f = sum_e c_e x^e over the class exponents for size
+    n with f(base) = target mod m, or None.  The system has one row per
+    coefficient below deg m; the exponents step by q (by 1 in the
+    general class), so each column is the previous one times base^q
+    mod m.  Raises VerificationError unless f(base) = target mod m,
+    recomputed by Horner."""
+    field, d = m.field, m.degree
     exps = class_exponents(cls, n)
-    # the exponents step by q (by 1 in the general class), so each
-    # column is the previous one times one fixed power of A
-    step = A if cls.q is None else A ** cls.q
-    power = A ** exps[0]
-    columns = [vec(power)]
+    step = base ** (cls.q or 1) % m
+    power = base ** exps[0] % m
+    columns = [power]
     for _ in exps[1:]:
-        power = power * step
-        columns.append(vec(power))
-    m = n * n
-    flat = tuple(col[i] for i in range(m) for col in columns)
-    coeff_matrix = Matrix(A.field, m, len(exps), flat)
-    sol = solve(coeff_matrix, vec(B))
+        power = power * step % m
+        columns.append(power)
+    system = Matrix(field, d, len(exps), tuple(col.coeff(i) for i in range(d) for col in columns))
+    sol = solve(system, [target.coeff(i) for i in range(d)])
     if sol is None:
         return None
-    dense = [A.field.zero()] * (exps[-1] + 1)
+    dense = [field.zero()] * (exps[-1] + 1)
     for idx, e in enumerate(exps):
         dense[e] = sol[idx]
-    return Poly.make(dense, A.field)
-
-
-def equivalence_certificate(A: Matrix, B: Matrix, cls: CongruenceClass = GENERAL) -> Certificate | None:
-    """Two-sided certificate for the given class, or None if either
-    direction fails."""
-    f = express_in_powers(B, A, cls)
-    if f is None:
-        return None
-    g = express_in_powers(A, B, cls)
-    if g is None:
-        return None
-    return Certificate(f=f, g=g, cls=cls)
+    f = Poly.make(dense, field)
+    acc = Poly.zero(field)
+    for c in reversed(f.coeffs):
+        acc = (acc * base + c) % m
+    if acc != target:
+        raise VerificationError("certificate fails f(base) = target mod m_A")
+    return f
 
 
 def verify_certificate(A: Matrix, B: Matrix, cert: Certificate) -> bool:

@@ -11,6 +11,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from commutants import (
     CongruenceClass,
+    class_exponents,
     CycloScalar,
     FieldTag,
     Matrix,
@@ -19,8 +20,10 @@ from commutants import (
     SubspaceBasis,
     commutant_operator,
     kernel_basis,
+    solve,
     subspace_from_matrices,
     unvec,
+    vec,
 )
 
 # ------------------------------------------------------------ builders
@@ -160,6 +163,28 @@ def count_products(monkeypatch) -> list[int]:
     return count
 
 
+def perturb_first_coordinate(monkeypatch, module, name: str, which: int) -> list[int]:
+    """Make the which-th call of module.name (1-based) return its result
+    with 1 added to the first coordinate: of the tuple it returns, or of
+    the first tuple in the first list of a list of lists.  Returns a
+    one-item list counting the calls."""
+    plain = getattr(module, name)
+    calls = [0]
+
+    def perturbed(*args):
+        out = plain(*args)
+        calls[0] += 1
+        if calls[0] == which and out:
+            if isinstance(out, tuple):
+                return (out[0] + 1,) + out[1:]
+            first = out[0][0]
+            out[0][0] = (first[0] + 1,) + first[1:]
+        return out
+
+    monkeypatch.setattr(module, name, perturbed)
+    return calls
+
+
 def reference_commutant_basis(A: Matrix, mu) -> SubspaceBasis:
     """The Kronecker oracle for {X : AX = mu XA}: the kernel of the
     n^2 x n^2 operator A kron I - mu I kron A^T, canonicalized like the
@@ -167,6 +192,23 @@ def reference_commutant_basis(A: Matrix, mu) -> SubspaceBasis:
     vecs = kernel_basis(commutant_operator(A, mu))
     mats = [unvec(v, A.rows, A.field) for v in vecs]
     return subspace_from_matrices(mats, ambient_n=A.rows, field=A.field)
+
+
+def reference_express_in_powers(B: Matrix, A: Matrix, cls: CongruenceClass) -> Poly | None:
+    """The stacked-powers oracle for B = sum_e c_e A^e over the class
+    exponents: one column vec(A^e) per exponent, n^2 rows, solved with
+    free coordinates pinned to zero, or None."""
+    exps = class_exponents(cls, A.rows)
+    columns = [vec(A ** e) for e in exps]
+    m = A.rows * A.rows
+    system = Matrix(A.field, m, len(exps), tuple(col[i] for i in range(m) for col in columns))
+    sol = solve(system, vec(B))
+    if sol is None:
+        return None
+    dense = [A.field.zero()] * (exps[-1] + 1)
+    for idx, e in enumerate(exps):
+        dense[e] = sol[idx]
+    return Poly.make(dense, A.field)
 
 
 # ------------------------------------------------------- sympy bridges
@@ -265,6 +307,17 @@ def relation_kernel_oracle(A: Matrix, mu_sympy) -> int:
 def random_rational_matrix(seed: int, n: int, height: int = 4) -> Matrix:
     rng = random.Random(seed)
     return mat([[rng.randint(-height, height) for _ in range(n)] for _ in range(n)])
+
+
+def conjugated(M: Matrix, seed: int) -> Matrix:
+    """P^-1 M P for a seeded invertible integer P."""
+    for s in range(seed, seed + 64):
+        P = random_rational_matrix(s, M.rows, 2)
+        if M.field.is_cyclotomic:
+            P = P.promote(M.field.q)
+        if P.det():
+            return P.inverse() * M * P
+    return M
 
 
 def random_jordan_matrix(seed: int, n: int) -> Matrix:

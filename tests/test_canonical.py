@@ -152,20 +152,23 @@ def test_invariant_factors_survive_rejected_draws(monkeypatch):
             return script.pop(0) if script else super().randint(a, b)
 
     annihilates, hankel_ranks = [], []
-    plain_eval, plain_rref = canonical.eval_at_matrix, canonical.rref
+    plain_check, plain_rref = canonical._annihilates, canonical.rref
 
-    def eval_spy(f, M):
-        out = plain_eval(f, M)
-        annihilates.append(out.is_zero())
+    def check_spy(f, M, krylov):
+        out = plain_check(f, M, krylov)
+        annihilates.append(out)
         return out
 
     def rref_spy(M):
         out = plain_rref(M)
-        hankel_ranks.append((out.rank, M.rows))
+        # the Hankel matrices are the square ones; the annihilation
+        # check reduces the deg f x m Krylov rows with deg f < m
+        if M.rows == M.cols:
+            hankel_ranks.append((out.rank, M.rows))
         return out
 
     monkeypatch.setattr(canonical, "random", SimpleNamespace(Random=ScriptedRandom))
-    monkeypatch.setattr(canonical, "eval_at_matrix", eval_spy)
+    monkeypatch.setattr(canonical, "_annihilates", check_spy)
     monkeypatch.setattr(canonical, "rref", rref_spy)
     got = invariant_factors(A)
     assert not script
@@ -173,6 +176,26 @@ def test_invariant_factors_survive_rejected_draws(monkeypatch):
     assert hankel_ranks[0][0] < hankel_ranks[0][1] == 3 == hankel_ranks[1][0]
     assert got == (Poly.one(QQ), Poly.one(QQ), poly([-1, 1]), poly([-2, 5, -4, 1]))
     assert list(got) == sympy_invariant_factors(A)
+
+
+def test_cyclic_input_check_makes_no_product(monkeypatch):
+    # m_v(C) = 0 is tested only off the Krylov span of v, which is the
+    # whole space for an accepted v of a companion matrix
+    import commutants.canonical as canonical
+    f = poly([2, -3, 0, 1, 5, -1, 1])
+    products = count_products(monkeypatch)
+    plain = canonical._annihilates
+    checks = []
+
+    def spy(g, M, krylov):
+        before = products[0]
+        out = plain(g, M, krylov)
+        checks.append((g.degree, out, products[0] - before))
+        return out
+
+    monkeypatch.setattr(canonical, "_annihilates", spy)
+    assert invariant_factors(companion(f))[-1] == f
+    assert checks[-1] == (6, True, 0)
 
 
 def test_companion_goldens():

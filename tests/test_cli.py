@@ -19,7 +19,17 @@ from commutants import (
     invariant_factors,
 )
 from commutants.cli import main, matrix_json, parse_matrix
-from helpers import PAIR5_A, PAIR5_B, PAIR5_A_FROM_B, PAIR5_B_FROM_A, ODD4_A, ODD4_B, mat, poly
+from helpers import (
+    PAIR5_A,
+    PAIR5_B,
+    PAIR5_A_FROM_B,
+    PAIR5_B_FROM_A,
+    ODD4_A,
+    ODD4_B,
+    mat,
+    perturb_first_coordinate,
+    poly,
+)
 
 
 def write_matrix(path, M):
@@ -220,6 +230,36 @@ def test_equiv_bad_class_is_input_error(tmp_path, capsys):
         assert code == 2, bad
         assert out is None
         assert json.loads(err)["error"] == "FieldError"
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    import commutants.cli as cli
+    cli._build_parser.cache_clear()
+    fa = write_matrix(tmp_path / "a.json", ODD4_A)
+    fb = write_matrix(tmp_path / "b.json", ODD4_B)
+    code, out, _ = run(capsys, ["equiv", fa, fb, "--class", "odd"])
+    assert code == 0 and out["class"] == "odd"
+    code, out, _ = run(capsys, ["equiv", fa, fb])
+    assert code == 0 and out["class"] == "general"
+    assert cli._build_parser.cache_info().misses == 1
+
+
+# ------------------------------------------------------ failed checks, exit 3
+
+def test_failed_check_exits_3_with_empty_stdout(tmp_path, capsys, monkeypatch):
+    import commutants.commutant as commutant
+    import commutants.equivalence as equivalence
+    fa = write_matrix(tmp_path / "a.json", PAIR5_A)
+    fb = write_matrix(tmp_path / "b.json", PAIR5_B)
+    # the second solve is the f system; its check must catch the change
+    perturb_first_coordinate(monkeypatch, equivalence, "solve", 2)
+    code, out, err = run(capsys, ["equiv", fa, fb])
+    assert (code, out) == (3, None)
+    assert json.loads(err)["error"] == "VerificationError"
+    perturb_first_coordinate(monkeypatch, commutant, "_block_solutions", 1)
+    code, out, err = run(capsys, ["centralizer", fa, "--basis"])
+    assert (code, out) == (3, None)
+    assert json.loads(err)["error"] == "VerificationError"
 
 
 # ----------------------------------------------------------------- potter
@@ -434,11 +474,22 @@ def test_optimize_flag_changes_no_output(tmp_path):
     fn = write_matrix(tmp_path / "n.json", P.inverse() * N * P)
     subspace_runs = [[cmd, f, "--basis"] for f in (fg, fn) for cmd in ("centralizer", "clifforder")]
     subspace_runs += [["omega", f, "--q", "5", "--k", "2", "--basis"] for f in (fg, fn)]
-    for argv in (["analyze", fa, "--q", "3"],
-                 ["analyze", fg],
-                 ["potter", fd, fs, "--q", "3", "--samples", "3"],
-                 ["potter", fd, fd, "--q", "3"],
-                 *subspace_runs):
+    # per class, one equivalent pair (exit 0) and one that is not (exit 1)
+    J3, J5 = Matrix.jordan(3, 0, QQ), Matrix.jordan(5, 0, QQ)
+    pairs = {"general": [(PAIR5_A, PAIR5_B), (J3, J3 * J3)],
+             "odd": [(ODD4_A, ODD4_B), (J3, J3 * J3)],
+             "q:3": [(J5, eval_at_matrix(poly([0, 4, 0, 0, -3]), J5)), (J5, J5 * J5)]}
+    equiv_runs = []
+    for cls, cases in pairs.items():
+        for i, (A, B) in enumerate(cases):
+            files = [write_matrix(tmp_path / f"{cls[0]}{i}{side}.json", M) for side, M in (("a", A), ("b", B))]
+            equiv_runs.append((["equiv", *files, "--class", cls], i))
+    other_runs = [(argv, None) for argv in (["analyze", fa, "--q", "3"],
+                                            ["analyze", fg],
+                                            ["potter", fd, fs, "--q", "3", "--samples", "3"],
+                                            ["potter", fd, fd, "--q", "3"],
+                                            *subspace_runs)]
+    for argv, code in other_runs + equiv_runs:
         runs = [
             subprocess.run([sys.executable, *flag, "-m", "commutants.cli", *argv],
                            capture_output=True, env=env, timeout=120)
@@ -446,3 +497,4 @@ def test_optimize_flag_changes_no_output(tmp_path):
         ]
         assert runs[0].stdout and runs[0].stdout == runs[1].stdout
         assert runs[0].returncode == runs[1].returncode
+        assert code is None or runs[0].returncode == code, argv

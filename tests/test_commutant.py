@@ -37,6 +37,7 @@ from commutants import (
 )
 from commutants.errors import VerificationError
 from helpers import (
+    conjugated,
     mat,
     random_jordan_matrix,
     random_rational_matrix,
@@ -236,21 +237,10 @@ def test_not_square_rejected():
 
 # ------------------------------------- structural bases vs the Kronecker oracle
 
-def _conjugated(M, seed):
-    """P^-1 M P for a seeded invertible integer P."""
-    for s in range(seed, seed + 64):
-        P = random_rational_matrix(s, M.rows, 2)
-        if M.field.is_cyclotomic:
-            P = P.promote(M.field.q)
-        if P.det():
-            return P.inverse() * M * P
-    return M
-
-
 _Z3 = FieldTag.cyclotomic(3)
 _z3 = CycloScalar.zeta(3)
 # conjugated J_2(zeta_3) + diag(zeta_3, -zeta_3), over Q(zeta_3)
-_CYCLO3_INPUT = _conjugated(Matrix.block_diag([Matrix.jordan(2, _z3, _Z3), Matrix.diag([_z3, -_z3], _Z3)]), 0)
+_CYCLO3_INPUT = conjugated(Matrix.block_diag([Matrix.jordan(2, _z3, _Z3), Matrix.diag([_z3, -_z3], _Z3)]), 0)
 
 
 def _partition(n):
@@ -265,7 +255,7 @@ def _balanced(seed, n):
 
 
 def _nilpotent(sizes, seed):
-    return _conjugated(Matrix.block_diag([Matrix.jordan(k, 0, QQ) for k in sizes]), seed)
+    return conjugated(Matrix.block_diag([Matrix.jordan(k, 0, QQ) for k in sizes]), seed)
 
 
 seeds = st.integers(0, 10 ** 6)
@@ -315,8 +305,8 @@ def test_structural_bases_equal_kronecker_oracle_on_fixed_inputs():
 
 # conjugated J_2(1) + (1) + (-1) and J_3(0) + J_1(0): derogatory, nonzero
 # centralizer and omega-centralizer respectively
-_DEROGATORY = _conjugated(Matrix.block_diag([Matrix.jordan(2, 1, QQ), Matrix.diag([1, -1], QQ)]), 7)
-_NILPOTENT = _conjugated(Matrix.block_diag([Matrix.jordan(3, 0, QQ), mat([[0]])]), 7)
+_DEROGATORY = conjugated(Matrix.block_diag([Matrix.jordan(2, 1, QQ), Matrix.diag([1, -1], QQ)]), 7)
+_NILPOTENT = conjugated(Matrix.block_diag([Matrix.jordan(3, 0, QQ), mat([[0]])]), 7)
 _W5 = OmegaSpec(5, 2)
 
 

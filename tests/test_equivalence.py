@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commutants import equivalence
 from commutants import (
     Certificate,
     CongruenceClass,
+    CycloScalar,
+    FieldTag,
     FieldMismatch,
     Matrix,
     NotInClass,
@@ -45,11 +48,16 @@ from helpers import (
     TRI4_A_FROM_B,
     TRI4_B,
     TRI4_B_FROM_A,
+    conjugated,
     count_products,
     mat,
+    perturb_first_coordinate,
     poly,
     random_jordan_matrix,
+    random_rational_matrix,
+    reference_express_in_powers,
 )
+from commutants.errors import VerificationError
 
 GENERAL = CongruenceClass.general()
 ODD = CongruenceClass.odd()
@@ -224,11 +232,125 @@ def test_shape_and_field_errors():
 
 
 def test_express_steps_by_the_class_power(monkeypatch):
-    # six columns A, A^4, ..., A^16: A^3 once, then one product per column
+    # The class powers A^1, A^4, ..., A^16 are read as x^e mod m_A, so the
+    # matrix products are the same for every class.  The seeded first
+    # draw v has a degree-4 Krylov polynomial: six Krylov steps, then four
+    # Horner steps on the two unit vectors outside its span reject it.
+    # The second draw costs six Krylov steps and no check product (this A
+    # is cyclic).  Then one product for B*v and four for the Horner check
+    # f0(A) = B with f0 = x + 2x^4.
     A = mat([[i + 1 if j == i else 1 if j > i else 0 for j in range(6)] for i in range(6)])
     B = A + (A ** 4).scale(2)
     products = count_products(monkeypatch)
-    f = express_in_powers(B, A, CongruenceClass.q_class(3))
-    assert f == poly([0, 1, 0, 0, 2])
-    # A^3 costs two products and A^1 none, then five steps by A^3
-    assert products[0] == 7
+    counts = []
+    for q in (3, 5, 9):
+        before = products[0]
+        f = express_in_powers(B, A, CongruenceClass.q_class(q))
+        counts.append(products[0] - before)
+        if q == 3:
+            assert f == poly([0, 1, 0, 0, 2])
+    assert counts == [21, 21, 21]
+
+
+def test_certificates_take_no_matrix_power(monkeypatch):
+    def forbidden(self, k):
+        raise AssertionError("matrix power taken")
+
+    monkeypatch.setattr(Matrix, "__pow__", forbidden)
+    Q3 = CongruenceClass.q_class(3)
+    for A, B, cls in [(PAIR5_A, PAIR5_B, GENERAL), (ODD4_A, ODD4_B, ODD), (TRI4_A, TRI4_B, ODD),
+                      (COUNTER_A, COUNTER_B, GENERAL), (PAIR5_A, PAIR5_B, Q3)]:
+        equivalence_certificate(A, B, cls)
+        equivalence_certificate(B, A, cls)
+
+
+# ------------------------------------- certificates vs the stacked-powers oracle
+
+_Z3 = FieldTag.cyclotomic(3)
+_z3 = CycloScalar.zeta(3)
+CLASSES = [GENERAL, ODD, CongruenceClass.q_class(3), CongruenceClass.q_class(4)]
+_PARTITIONS = [(1,), (2,), (1, 1), (3,), (2, 1), (4,), (2, 2), (3, 1), (2, 1, 1), (5,), (3, 2), (4, 1)]
+seeds = st.integers(0, 10 ** 6)
+
+
+def _nilpotent(sizes, seed):
+    return conjugated(Matrix.block_diag([Matrix.jordan(k, 0, QQ) for k in sizes]), seed)
+
+
+base_inputs = st.one_of(
+    st.builds(random_jordan_matrix, seeds, st.integers(2, 5)),
+    st.builds(random_rational_matrix, seeds, st.integers(1, 4), st.integers(1, 2)),
+    st.builds(_nilpotent, st.sampled_from(_PARTITIONS), seeds),
+    # scalar matrices, the zero matrix and 1x1 matrices among them
+    st.builds(lambda n, c: Matrix.identity(n, QQ).scale(c), st.integers(1, 3), st.integers(-2, 2)),
+)
+
+
+@st.composite
+def certificate_inputs(draw):
+    """(A, B, cls) over Q or Q(zeta_3).  B is a polynomial in A (any
+    exponents, or class exponents only), or a random matrix, which is
+    almost never in F[A]."""
+    A = draw(base_inputs)
+    cls = draw(st.sampled_from(CLASSES))
+    cyclo = draw(st.booleans())
+    n = A.rows
+    field = _Z3 if cyclo else QQ
+    if cyclo:
+        A = A.promote(3)
+    kind = draw(st.sampled_from(["poly", "class", "outside"]))
+    if kind == "outside":
+        B = random_rational_matrix(draw(seeds), n, 2)
+        if cyclo:
+            B = B.promote(3) + A.scale(_z3)
+        return A, B, cls
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=n + 2, max_size=n + 2))
+    if kind == "class":
+        coeffs = [c if cls.allows(e) else 0 for e, c in enumerate(coeffs)]
+    lifted = [field.coerce(c) * (_z3 if cyclo and e % 2 else 1) for e, c in enumerate(coeffs)]
+    return A, eval_at_matrix(Poly.make(lifted, field), A), cls
+
+
+@settings(max_examples=80, deadline=None)
+@given(certificate_inputs())
+def test_certificates_equal_stacked_powers_oracle(case):
+    A, B, cls = case
+    f = reference_express_in_powers(B, A, cls)
+    assert express_in_powers(B, A, cls) == f
+    g = reference_express_in_powers(A, B, cls) if f is not None else None
+    cert = equivalence_certificate(A, B, cls)
+    if f is None or g is None:
+        assert cert is None
+    else:
+        assert (cert.f, cert.g) == (f, g)
+
+
+def test_certificates_equal_oracle_on_fixed_inputs():
+    J = Matrix.jordan(3, 0, QQ)
+    for A, B in [(Matrix.zero(3, 3, QQ), Matrix.zero(3, 3, QQ)), (mat([[0]]), mat([[0]])),
+                 (mat([[Fraction(-5, 2)]]), mat([[3]])), (Matrix.identity(4, QQ), Matrix.identity(4, QQ)),
+                 (J, J * J), (J * J, J), (PAIR5_A, PAIR5_B), (ODD4_A, ODD4_B), (COUNTER_A, COUNTER_B)]:
+        for cls in CLASSES:
+            for X, Y in [(A, B), (A.promote(3), B.promote(3))]:
+                f = reference_express_in_powers(Y, X, cls)
+                g = reference_express_in_powers(X, Y, cls)
+                assert express_in_powers(Y, X, cls) == f
+                cert = equivalence_certificate(X, Y, cls)
+                assert (cert.f, cert.g) == (f, g) if f is not None and g is not None else cert is None
+
+
+# ---------------------------------------- a corrupted certificate is never returned
+
+# the solves run in this order: 1 the Krylov coordinates of B*v, 2 the f
+# system, 3 the g system
+@pytest.mark.parametrize("which", [2, 3])
+def test_perturbed_certificate_is_never_returned(monkeypatch, which):
+    for A, B, cls in [(PAIR5_A, PAIR5_B, GENERAL), (ODD4_A, ODD4_B, ODD), (TRI4_A, TRI4_B, ODD)]:
+        calls = perturb_first_coordinate(monkeypatch, equivalence, "solve", which)
+        with pytest.raises(VerificationError):
+            equivalence_certificate(A, B, cls)
+        assert calls[0] == which
+    if which == 2:
+        perturb_first_coordinate(monkeypatch, equivalence, "solve", which)
+        with pytest.raises(VerificationError):
+            express_in_powers(PAIR5_B, PAIR5_A)
