@@ -244,7 +244,7 @@ def _cmd_analyze(args) -> int:
     rep = StructureReport.of(A)
     cent = centralizer_basis(A)
     cliff = clifforder_basis(A)
-    double = _double_centralizer(A, cent)
+    double = _double_centralizer(A, cent, rep.min_poly.degree)
     out = {
         "input": matrix_json(A),
         "structure": _structure_json(rep),

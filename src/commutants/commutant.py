@@ -5,10 +5,10 @@ omega-centralizer (mu = zeta_q^k) are the solutions of AX = mu*XA.
 With A = P*F*P^-1 and F a direct sum of companion blocks, X = P*Y*P^-1
 where each block of Y solves C(a)*Y = mu*Y*C(b), whose solutions are
 known in closed form, so one structural routine serves all three and no
-n^2 x n^2 system is eliminated.  Each basis is checked exactly before
-it is returned.  The double centralizer and the ad-power kernels still
-use the vectorized operator A kron I - mu * I kron A^T, which the tests
-also keep as the oracle for the structural bases.
+n^2 x n^2 system is eliminated; the double centralizer shrinks the
+centralizer basis by commutator kernels.  Each basis is checked exactly
+before it is returned.  The ad-power kernels still use the vectorized
+operator A kron I - mu * I kron A^T, the tests' oracle for all of them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .canonical import _frobenius, is_balanced_matrix
+from .canonical import _frobenius, invariant_factors, is_balanced_matrix
 from .errors import (
     IndexOutOfRange,
     InvalidSpec,
@@ -25,7 +25,7 @@ from .errors import (
     VerificationError,
     ZeroInverse,
 )
-from .matrices import Matrix, kernel_basis, kron, unvec
+from .matrices import Matrix, kernel_basis, kron, unvec, vstack_rows
 from .polys import Poly, poly_gcd
 from .scalars import QQ, CycloScalar, FieldTag
 from .subspaces import SubspaceBasis, subspace_from_matrices
@@ -109,10 +109,8 @@ def _mu_commutant_basis(A: Matrix, mu) -> SubspaceBasis:
     )
     if S.dim != count:
         raise VerificationError(f"span has rank {S.dim}, Frobenius' formula gives {count}")
-    flat = tuple(x for Xb in S.basis for x in Xb.entries)
-    AX = A_mu * Matrix(field, n, n * S.dim, _abreast(flat, n, S.dim))
-    XmuA = Matrix(field, n * S.dim, n, flat) * A_mu.scale(mu)
-    if _stacked(AX.entries, n, S.dim) != XmuA.entries:
+    AX, XmuA = _sides(tuple(x for row in S.rref_rows for x in row), A_mu, A_mu.scale(mu))
+    if AX != XmuA:
         raise VerificationError("a basis element fails AX = mu*XA")
     return S
 
@@ -166,6 +164,15 @@ def _stacked(flat: tuple, n: int, count: int) -> tuple:
     )
 
 
+def _sides(flat: tuple, L: Matrix, R: Matrix) -> tuple[tuple, tuple]:
+    """Entries of the stacks [L*Y_1; L*Y_2; ...] and [Y_1*R; Y_2*R; ...]
+    from those of the stack [Y_1; Y_2; ...] of n x n blocks."""
+    n = L.rows
+    count = len(flat) // (n * n)
+    LY = L * Matrix(L.field, n, n * count, _abreast(flat, n, count))
+    return _stacked(LY.entries, n, count), (Matrix(L.field, n * count, n, flat) * R).entries
+
+
 def centralizer_basis(A: Matrix) -> SubspaceBasis:
     """Basis of {X : AX = XA}."""
     return _mu_commutant_basis(A, A.field.one())
@@ -183,25 +190,41 @@ def omega_centralizer_basis(A: Matrix, w: OmegaSpec) -> SubspaceBasis:
 
 
 def double_centralizer_basis(A: Matrix) -> SubspaceBasis:
-    """Matrices commuting with everything that commutes with A,
-    computed honestly from the centralizer basis (stacked kernels), not
-    from the F[A] shortcut, so that identity stays independently
-    checkable."""
+    """Matrices commuting with everything that commutes with A, shrunk
+    from C(A) rather than read off as F[A], so C(C(A)) = F[A] is a check."""
     if not A.is_square:
         raise NotSquare("double centralizer needs a square matrix")
-    return _double_centralizer(A, centralizer_basis(A))
+    return _double_centralizer(A, centralizer_basis(A), invariant_factors(A)[-1].degree)
 
 
-def _double_centralizer(A: Matrix, cent: SubspaceBasis) -> SubspaceBasis:
-    """double_centralizer_basis(A) from A's centralizer basis ``cent``."""
-    n = A.rows
-    rows: list[tuple] = []
+def _double_centralizer(A: Matrix, cent: SubspaceBasis, m_degree: int) -> SubspaceBasis:
+    """double_centralizer_basis(A) from cent = C(A) and m_degree = deg m_A.
+    C(C(A)) lies in C(A), as A is in C(A), so K (one vec per row) starts
+    as cent's basis and each X_i in it cuts span K down to what commutes
+    with X_i.  Checked: all commute with every X_i, dim = deg m_A = dim F[A]."""
+    n, field = A.rows, A.field
+    K = vstack_rows(cent.rref_rows, field)
     for X in cent.basis:
-        op = commutant_operator(X, A.field.one())
-        rows.extend(op.row(i) for i in range(op.rows))
-    stacked = Matrix(A.field, len(rows), n * n, tuple(x for r in rows for x in r))
-    mats = [unvec(v, n, A.field) for v in kernel_basis(stacked)]
-    return subspace_from_matrices(mats, ambient_n=n, field=A.field)
+        if K.rows <= m_degree:
+            break
+        K = _shrink(K, X)
+    S = subspace_from_matrices([unvec(K.row(k), n, field) for k in range(K.rows)], ambient_n=n, field=field)
+    if S.dim != m_degree:
+        raise VerificationError(f"double centralizer has dimension {S.dim}, deg m_A is {m_degree}")
+    flat = tuple(x for row in S.rref_rows for x in row)
+    if any(xy != yx for xy, yx in (_sides(flat, X, X) for X in cent.basis)):
+        raise VerificationError("a double centralizer element fails to commute with the centralizer")
+    return S
+
+
+def _shrink(K: Matrix, X: Matrix) -> Matrix:
+    """Rows of K (vecs of Y_k) recombined to span the part commuting with
+    X: the kernel of the columns vec(Y_k*X - X*Y_k), zero rows dropped."""
+    xy, yx = _sides(K.entries, X, X)
+    diff = (Matrix(K.field, K.rows, K.cols, yx) - Matrix(K.field, K.rows, K.cols, xy)).entries
+    rows = [r for r in (diff[i :: K.cols] for i in range(K.cols)) if any(r)]
+    kernel = kernel_basis(Matrix(K.field, len(rows), K.rows, tuple(x for r in rows for x in r)))
+    return Matrix(K.field, len(kernel), K.rows, tuple(x for v in kernel for x in v)) * K
 
 
 def k_matrix(n: int, i: int) -> Matrix:

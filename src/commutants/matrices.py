@@ -153,14 +153,14 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_same_shape(other)
-        flat = tuple(a + b for a, b in zip(self.entries, other.entries))
+        flat = tuple((a + b if a else b) if b else a for a, b in zip(self.entries, other.entries))
         return Matrix(self.field, self.rows, self.cols, flat)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_same_shape(other)
-        flat = tuple(a - b for a, b in zip(self.entries, other.entries))
+        flat = tuple((a - b if a else -b) if b else a for a, b in zip(self.entries, other.entries))
         return Matrix(self.field, self.rows, self.cols, flat)
 
     def __neg__(self):
@@ -168,7 +168,7 @@ class Matrix:
 
     def scale(self, c) -> Matrix:
         c = self.field.coerce(c)
-        return Matrix(self.field, self.rows, self.cols, tuple(c * a for a in self.entries))
+        return Matrix(self.field, self.rows, self.cols, tuple(c * a if a else a for a in self.entries))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):

@@ -4,6 +4,7 @@ omega-centralizer equivalence report."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .canonical import char_poly
 from .commutant import OmegaSpec, omega_centralizer_basis
@@ -49,6 +50,12 @@ class QuasiPair:
     def of(cls, A: Matrix, B: Matrix, w: OmegaSpec) -> "QuasiPair":
         return cls(A.promote(w.q), B.promote(w.q), w)
 
+    @cached_property
+    def _powers(self) -> tuple[Matrix, Matrix]:
+        """(A^q, B^q) over Q(zeta_q), computed once per pair."""
+        q = self.omega.q
+        return self.A.promote(q) ** q, self.B.promote(q) ** q
+
 
 def potter_check(pair: QuasiPair, s, t) -> bool:
     """Verify (sA + tB)^q = s^q A^q + t^q B^q for the pair."""
@@ -59,7 +66,7 @@ def potter_check(pair: QuasiPair, s, t) -> bool:
     s = field.coerce(s)
     t = field.coerce(t)
     lhs = (A.scale(s) + B.scale(t)) ** q
-    rhs = (A ** q).scale(s ** q) + (B ** q).scale(t ** q)
+    rhs = pair._powers[0].scale(s ** q) + pair._powers[1].scale(t ** q)
     return lhs == rhs
 
 

@@ -18,6 +18,7 @@ from commutants import (
     Poly,
     QQ,
     SubspaceBasis,
+    centralizer_basis,
     commutant_operator,
     kernel_basis,
     solve,
@@ -192,6 +193,20 @@ def reference_commutant_basis(A: Matrix, mu) -> SubspaceBasis:
     vecs = kernel_basis(commutant_operator(A, mu))
     mats = [unvec(v, A.rows, A.field) for v in vecs]
     return subspace_from_matrices(mats, ambient_n=A.rows, field=A.field)
+
+
+def reference_double_centralizer(A: Matrix) -> SubspaceBasis:
+    """The stacked-kernel oracle for C(C(A)): the kernel of the
+    c*n^2 x n^2 stack of commutant_operator(X_i, 1) over the centralizer
+    basis elements X_i, canonicalized like the library's bases."""
+    n = A.rows
+    rows = []
+    for X in centralizer_basis(A).basis:
+        op = commutant_operator(X, A.field.one())
+        rows.extend(op.row(i) for i in range(op.rows))
+    stacked = Matrix(A.field, len(rows), n * n, tuple(x for r in rows for x in r))
+    mats = [unvec(v, n, A.field) for v in kernel_basis(stacked)]
+    return subspace_from_matrices(mats, ambient_n=n, field=A.field)
 
 
 def reference_express_in_powers(B: Matrix, A: Matrix, cls: CongruenceClass) -> Poly | None:

@@ -144,6 +144,29 @@ def test_analyze_with_omega_section(tmp_path, capsys):
     assert len(out["omega"]["basis"]) == 2
 
 
+# sizes whose c*n^2 x n^2 stacked double-centralizer system took minutes
+_COMPANION10 = {"profile": {"conjugate_by": {"inner": {"profile": {
+    "companion": [3, -1, 2, 0, -2, 1, 1, -3, 2, 0, 1]}}, "height": 3}}, "seed": 7}
+_SCALAR12 = {"profile": {"diag_rational": [2] * 12}}
+_NILPOTENT444 = {"profile": {"conjugate_by": {"inner": {"profile": {"nilpotent_blocks": [4, 4, 4]}}}},
+                 "seed": 7}
+
+
+@pytest.mark.parametrize("spec, dims", [
+    (_COMPANION10, {"centralizer": 10, "clifforder": 0, "double_centralizer": 10}),
+    (_SCALAR12, {"centralizer": 144, "clifforder": 0, "double_centralizer": 1}),
+    (_NILPOTENT444, {"centralizer": 36, "clifforder": 36, "double_centralizer": 4}),
+], ids=["companion10", "scalar12", "nilpotent444"])
+def test_analyze_at_sizes_the_stacked_solver_could_not_reach(tmp_path, capsys, spec, dims):
+    code, out, _ = run(capsys, ["gen", "--spec", json.dumps(spec)])
+    assert code == 0
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(out))
+    code, out, _ = run(capsys, ["analyze", str(path)])
+    assert code == 0
+    assert out["dims"] == dims
+
+
 # --------------------------------------------------------- subspace dumps
 
 def test_centralizer_basis_elements_commute(tmp_path, capsys):
@@ -484,8 +507,11 @@ def test_optimize_flag_changes_no_output(tmp_path):
         for i, (A, B) in enumerate(cases):
             files = [write_matrix(tmp_path / f"{cls[0]}{i}{side}.json", M) for side, M in (("a", A), ("b", B))]
             equiv_runs.append((["equiv", *files, "--class", cls], i))
+    fi = write_matrix(tmp_path / "i.json", Matrix.identity(3, QQ).scale(5))
     other_runs = [(argv, None) for argv in (["analyze", fa, "--q", "3"],
                                             ["analyze", fg],
+                                            ["analyze", fn],
+                                            ["analyze", fi],
                                             ["potter", fd, fs, "--q", "3", "--samples", "3"],
                                             ["potter", fd, fd, "--q", "3"],
                                             *subspace_runs)]

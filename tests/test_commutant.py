@@ -42,6 +42,7 @@ from helpers import (
     random_jordan_matrix,
     random_rational_matrix,
     reference_commutant_basis,
+    reference_double_centralizer,
     relation_kernel_oracle,
 )
 
@@ -308,6 +309,9 @@ def test_structural_bases_equal_kronecker_oracle_on_fixed_inputs():
 _DEROGATORY = conjugated(Matrix.block_diag([Matrix.jordan(2, 1, QQ), Matrix.diag([1, -1], QQ)]), 7)
 _NILPOTENT = conjugated(Matrix.block_diag([Matrix.jordan(3, 0, QQ), mat([[0]])]), 7)
 _W5 = OmegaSpec(5, 2)
+# derogatory inputs whose centralizer is larger than F[A], so at least
+# one double-centralizer shrink step runs
+_SHRUNK = (_DEROGATORY, _NILPOTENT, Matrix.identity(3, QQ).scale(2), _CYCLO3_INPUT)
 
 
 def _corrupted_calls():
@@ -387,3 +391,93 @@ def test_commutant_solvers_build_no_kronecker_operator(monkeypatch):
         clifforder_basis(A)
     omega_centralizer_basis(_NILPOTENT, _W5)
     omega_centralizer_basis(_CYCLO3_INPUT, OmegaSpec(3, 2))
+    for A in _SHRUNK:
+        double_centralizer_basis(A)
+
+
+# ------------------------------------ double centralizer vs the stacked oracle
+
+def _cyclo3_jordan(seed, sizes):
+    """Conjugated direct sum of Jordan blocks over Q(zeta_3) with
+    eigenvalues drawn from 0, 1, zeta_3 and -zeta_3."""
+    eigen = [0, 1, _z3, -_z3]
+    blocks = [Matrix.jordan(k, eigen[(seed + i) % 4], _Z3) for i, k in enumerate(sizes)]
+    return conjugated(Matrix.block_diag(blocks), seed)
+
+
+double_inputs = st.one_of(
+    st.builds(random_rational_matrix, seeds, st.integers(1, 6), st.integers(1, 3)),
+    st.builds(random_jordan_matrix, seeds, st.integers(2, 6)),
+    st.builds(lambda n, c: Matrix.identity(n, QQ).scale(c), st.integers(1, 5), st.integers(-3, 3)),
+    st.builds(_nilpotent, st.integers(1, 6).flatmap(_partition), seeds),
+    st.builds(_cyclo3_jordan, seeds, st.integers(1, 5).flatmap(_partition)),
+    st.builds(lambda s, n: random_rational_matrix(s, n, 2).promote(3), seeds, st.integers(1, 4)),
+)
+
+
+def _same_double(A):
+    ours, ref = double_centralizer_basis(A), reference_double_centralizer(A)
+    assert ours.field == ref.field
+    assert ours.rref_rows == ref.rref_rows
+    assert ours.pivots == ref.pivots
+
+
+@settings(max_examples=40, deadline=None)
+@given(double_inputs)
+def test_double_centralizer_equals_stacked_oracle(A):
+    _same_double(A)
+
+
+def test_double_centralizer_equals_stacked_oracle_on_fixed_inputs():
+    for A in (mat([[0]]), mat([[Fraction(7, 3)]]), Matrix.zero(4, 4, QQ), Matrix.identity(5, QQ), *_SHRUNK):
+        _same_double(A)
+
+
+def _calls_of(name, A, monkeypatch):
+    """The arguments of each call double_centralizer_basis(A) makes to
+    commutant.<name>."""
+    calls = []
+    plain = getattr(commutant, name)
+
+    def spy(*args):
+        calls.append(args)
+        return plain(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(commutant, name, spy)
+        double_centralizer_basis(A)
+    return calls
+
+
+def test_shrink_steps_stop_at_deg_min_poly(monkeypatch):
+    for A in _SHRUNK:
+        sizes = [K.rows for K, X in _calls_of("_shrink", A, monkeypatch)]
+        assert sizes and sizes[0] == centralizer_basis(A).dim
+        assert all(k > min_poly(A).degree for k in sizes)
+
+
+def _bump_first(kernel):
+    return [(kernel[0][0] + 1,) + kernel[0][1:]] + kernel[1:]
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("kernel_basis", lambda plain, args: _bump_first(plain(*args))),
+    ("kernel_basis", lambda plain, args: plain(*args)[:-1]),
+    # from the last step on, K is returned unshrunk: the loop stops early
+    ("_shrink", lambda plain, args: args[0]),
+], ids=["perturbed-coefficient", "dropped-kernel-vector", "stopped-early"])
+def test_corrupted_shrink_step_is_never_returned(monkeypatch, name, corrupt):
+    for A in _SHRUNK:
+        last = len(_calls_of(name, A, monkeypatch))
+        assert last
+        plain = getattr(commutant, name)
+        calls = [0]
+
+        def corrupted(*args):
+            calls[0] += 1
+            return corrupt(plain, args) if calls[0] >= last else plain(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(commutant, name, corrupted)
+            with pytest.raises(VerificationError):
+                double_centralizer_basis(A)

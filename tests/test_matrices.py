@@ -386,3 +386,63 @@ def test_scale_and_arithmetic():
     assert A - A == Matrix.zero(2, 2, QQ)
     assert (-A) + A == Matrix.zero(2, 2, QQ)
     assert 2 * A == A + A
+
+
+# ------------------------------------------- elementwise ops skip zero entries
+
+@st.composite
+def elementwise_operands(draw):
+    """A scalar and two same-shape matrices over Q or Q(zeta_5): the
+    second is independent, the negated first, all zero, or the first."""
+    field = draw(st.sampled_from((QQ, FieldTag.cyclotomic(5))))
+    rows, cols = draw(dim), draw(dim)
+    if field.is_cyclotomic:
+        def matrix():
+            return draw(cyclotomic_matrix(field, rows, cols, ("dense", "weyl", "zero")))
+        c = field.coerce(draw(st.lists(rational, max_size=5)))
+    else:
+        def matrix():
+            return mat(draw(grid(rows, cols, rational)))
+        c = draw(rational)
+    A = matrix()
+    other = draw(st.sampled_from(("fresh", "negated", "zero", "same")))
+    B = {"fresh": matrix, "negated": lambda: -A, "zero": lambda: Matrix.zero(rows, cols, field),
+         "same": lambda: A}[other]()
+    return c, A, B
+
+
+def _entrywise(op, A, *B):
+    return Matrix(A.field, A.rows, A.cols, tuple(op(*xs) for xs in zip(A.entries, *(M.entries for M in B))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(elementwise_operands())
+def test_elementwise_ops_match_entrywise_oracle(operands):
+    c, A, B = operands
+    cases = [
+        (A + B, _entrywise(lambda a, b: a + b, A, B)),
+        (B + A, _entrywise(lambda b, a: b + a, B, A)),
+        (A - B, _entrywise(lambda a, b: a - b, A, B)),
+        (B - A, _entrywise(lambda b, a: b - a, B, A)),
+        (A.scale(c), _entrywise(lambda a: A.field.coerce(c) * a, A)),
+        (A.scale(0), _entrywise(lambda a: A.field.zero() * a, A)),
+    ]
+    for ours, oracle in cases:
+        assert ours == oracle
+        assert [type(x) for x in ours.entries] == [type(x) for x in oracle.entries]
+
+
+def test_scale_multiplies_only_nonzero_entries(monkeypatch):
+    A = weyl_pair(3, 12).B
+    nonzero = sum(1 for x in A.entries if x)
+    count = [0]
+    plain = CycloScalar.__mul__
+
+    def counting(self, other):
+        count[0] += 1
+        return plain(self, other)
+
+    monkeypatch.setattr(CycloScalar, "__mul__", counting)
+    scaled = A.scale(CycloScalar.zeta(3, 2))
+    assert count[0] == nonzero == 12
+    assert sum(1 for x in scaled.entries if x) == nonzero

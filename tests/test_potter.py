@@ -180,3 +180,21 @@ def test_omega_centralizer_is_subspace():
         X, Y = sub.basis[0], sub.basis[1]
         Z = X.scale(w.omega()) + Y.scale(3)
         assert S.promote(3) * Z == (Z * S.promote(3)).scale(w.omega())
+
+
+def test_potter_check_powers_each_factor_once(monkeypatch):
+    pair = weyl_pair(3, 12)
+    bases = []
+    plain = Matrix.__pow__
+
+    def spy(self, k):
+        bases.append(self)
+        return plain(self, k)
+
+    monkeypatch.setattr(Matrix, "__pow__", spy)
+    for s in range(1, 5):
+        for t in range(1, 6):
+            assert potter_check(pair, s, t)
+    assert sum(M == pair.A for M in bases) == 1
+    assert sum(M == pair.B for M in bases) == 1
+    assert len(bases) == 20 + 2
