@@ -21,10 +21,25 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import count
 from math import prod
 
 from .errors import DegreeZero, NotMonic, NotSquare, VerificationError
-from .matrices import Matrix, kernel_basis, rref, vec, vstack_rows
+from .matrices import (
+    Matrix,
+    _combine,
+    _content_free,
+    _entries,
+    _lift,
+    _Lifted,
+    _mul_lifted,
+    _pivot,
+    _products_equal,
+    kernel_basis,
+    rref,
+    vec,
+    vstack_rows,
+)
 from .polys import Poly, eval_at_matrix, is_balanced_poly, poly_gcd, poly_xgcd
 from .scalars import FieldTag
 
@@ -48,11 +63,14 @@ def char_poly(A: Matrix) -> Poly:
 
 
 def _krylov(M: Matrix, x: Matrix, k: int) -> list[tuple]:
-    """vec(x), vec(Mx), ..., vec(M^(k-1) x): k - 1 products."""
-    out = [x]
+    """vec(x), vec(Mx), ..., vec(M^(k-1) x): k - 1 integer products, with
+    M lifted once and each iterate kept in integers over one denominator."""
+    Ml, y = _lift(M).common(), _lift(x)
+    out = [vec(x)]
     for _ in range(k - 1):
-        out.append(M * out[-1])
-    return [vec(y) for y in out]
+        y = _content_free(_mul_lifted(Ml, y))
+        out.append(_entries(y))
+    return out
 
 
 def _first_dependency(columns: list[tuple], field: FieldTag) -> Poly:
@@ -77,7 +95,11 @@ def invariant_factors(A: Matrix) -> tuple[Poly, ...]:
     checked Frobenius decomposition."""
     if not A.is_square:
         raise NotSquare("invariant factors need a square matrix")
-    factors = _frobenius(A)[0]
+    return _with_units(A, _frobenius(A)[0])
+
+
+def _with_units(A: Matrix, factors: tuple[Poly, ...]) -> tuple[Poly, ...]:
+    """The nonconstant invariant factors of A preceded by the constant ones."""
     return (Poly.one(A.field),) * (A.rows - len(factors)) + factors
 
 
@@ -104,14 +126,46 @@ def _cyclic_vector(M: Matrix, draws: _Draws) -> tuple[Poly, list[tuple]]:
     The first Krylov dependency m_v of v is accepted only once
     `_annihilates` has checked m_v(M) = 0 exactly; then m_v = m_M.  A
     rejected draw retries one height up."""
-    m = M.rows
+    Ml = _lift(M).common()
     while True:
-        krylov = _krylov(M, draws.column(m), m + 1)
-        f = _first_dependency(krylov, M.field)
-        krylov = krylov[: f.degree]
+        f, krylov = _krylov_dependency(Ml, _lift(draws.column(M.rows)).common())
         if _annihilates(f, M, krylov):
             return f, krylov
         draws.height += 1
+
+
+def _krylov_dependency(Ml: _Lifted, y: _Lifted) -> tuple[Poly, list[tuple]]:
+    """m_v and vec(v), vec(Mv), ..., vec(M^(d-1) v), d = deg m_v, for M
+    and the column v lifted, each over one denominator.  Each new
+    integer column y = D * M^k v enters as the row [y | D * e_k] and is
+    reduced fraction-free against the earlier ones, so its right part
+    keeps the coefficients of v, ..., M^k v that make up its left part;
+    the first column that reduces to zero stops the iteration, after
+    deg m_v products, and its right part, divided by its last entry, is
+    m_v."""
+    field, m, phi = Ml.field, Ml.rows, Ml.phi
+    w = 2 * m + 1
+    echelon, columns = [], []
+    for k in count():
+        if k:
+            y = _content_free(_mul_lifted(Ml, y))
+        columns.append(y)
+        row = [0] * (phi * w)
+        for i, planes in enumerate(y.ints):
+            row[i::w] = planes
+        row[m + k] = y.dens[0]
+        for c, pv, shifts in echelon:
+            # each echelon row is zero at the pivots before its own
+            v = row[c::w]
+            if any(v):
+                row = _combine(pv, row, v, shifts)
+        c = next((c for c in range(m) if any(row[c::w])), None)
+        if c is None:
+            coeffs = [x for f in range(phi) for x in row[f * w + m : f * w + m + k + 1]]
+            f = Poly.make(_entries(_Lifted(field, k + 1, [row[m + k]], [coeffs])), field)
+            return f, [_entries(col) for col in columns[:k]]
+        pv, _, shifts = _pivot(row, c, w, field.q)
+        echelon.append((c, pv, shifts))
 
 
 def _annihilates(f: Poly, M: Matrix, krylov: list[tuple]) -> bool:
@@ -189,7 +243,7 @@ def _frobenius(A: Matrix) -> tuple[tuple[Poly, ...], Matrix]:
     blocks.reverse()
     n = A.rows
     P = Matrix(field, n, n, tuple(x for i in range(n) for blk in blocks for x in blk.row(i)))
-    if A * P != P * Matrix.block_diag([companion(f) for f in factors]):
+    if not _products_equal(A, P, P, Matrix.block_diag([companion(f) for f in factors])):
         raise VerificationError("Frobenius decomposition fails A*P = P*F")
     return tuple(factors), P
 
@@ -276,10 +330,12 @@ class StructureReport:
     min_equals_char: bool
 
     @classmethod
-    def of(cls, A: Matrix) -> StructureReport:
+    def of(cls, A: Matrix, _factors: tuple[Poly, ...] | None = None) -> StructureReport:
+        """The report of A; `_factors`, private, are A's nonconstant
+        invariant factors from a split the caller has already run."""
         if not A.is_square:
             raise NotSquare("structure report needs a square matrix")
-        factors = invariant_factors(A)
+        factors = invariant_factors(A) if _factors is None else _with_units(A, _factors)
         p = prod(factors, start=Poly.one(A.field))
         m = factors[-1]
         balanced = all(is_balanced_poly(d) for d in factors if d.degree >= 1)

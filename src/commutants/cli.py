@@ -19,6 +19,8 @@ from .canonical import StructureReport
 from .commutant import (
     OmegaSpec,
     _double_centralizer,
+    _mu_commutant_basis,
+    _split,
     centralizer_basis,
     clifforder_basis,
     omega_centralizer_basis,
@@ -241,9 +243,13 @@ def _read_matrix_file(path: str) -> Matrix:
 
 def _cmd_analyze(args) -> int:
     A = _read_matrix_file(args.file)
-    rep = StructureReport.of(A)
-    cent = centralizer_basis(A)
-    cliff = clifforder_basis(A)
+    # one Frobenius split, P^-1 included, serves the report and every
+    # commutant; a non-square A is rejected by the report, as before
+    split = _split(A) if A.is_square else None
+    rep = StructureReport.of(A, _factors=split[0] if split else None)
+    one = A.field.one()
+    cent = _mu_commutant_basis(A, one, split)
+    cliff = _mu_commutant_basis(A, -one, split)
     double = _double_centralizer(A, cent, rep.min_poly.degree)
     out = {
         "input": matrix_json(A),
@@ -262,7 +268,7 @@ def _cmd_analyze(args) -> int:
     }
     if args.q is not None:
         w = OmegaSpec(args.q, args.k)
-        om = omega_centralizer_basis(A, w)
+        om = _mu_commutant_basis(A, w.omega(), split)
         out["omega"] = {"q": w.q, "k": w.k, "dim": om.dim, "basis": _basis_json(om)}
     _emit(out)
     return 0

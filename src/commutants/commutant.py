@@ -25,10 +25,10 @@ from .errors import (
     VerificationError,
     ZeroInverse,
 )
-from .matrices import Matrix, kernel_basis, kron, unvec, vstack_rows
+from .matrices import Matrix, _entries, _lift, _Lifted, _mul_lifted, kernel_basis, kron, vstack_rows
 from .polys import Poly, poly_gcd
 from .scalars import QQ, CycloScalar, FieldTag
-from .subspaces import SubspaceBasis, subspace_from_matrices
+from .subspaces import SubspaceBasis, _span, subspace_from_matrices
 
 
 @dataclass(frozen=True)
@@ -60,24 +60,35 @@ def commutant_operator(A: Matrix, mu) -> Matrix:
     return kron(A, ident) - kron(ident, A.transpose()).scale(mu)
 
 
-def _mu_commutant_basis(A: Matrix, mu) -> SubspaceBasis:
+def _split(A: Matrix) -> tuple[tuple[Poly, ...], Matrix, Matrix]:
+    """The checked Frobenius split of A with P^-1: (factors, P, P^-1)."""
+    factors, P = _frobenius(A)
+    try:
+        P_inv = P.inverse()
+    except ZeroInverse:
+        raise VerificationError("Frobenius change of basis is singular") from None
+    return factors, P, P_inv
+
+
+def _mu_commutant_basis(A: Matrix, mu, split=None) -> SubspaceBasis:
     """Basis of {X : AX = mu*XA} over mu's field, built block by block
     on the Frobenius form A = P*F*P^-1 and proven before it is
     returned: A*P = P*F (checked by the split) with P invertible, every
     returned X satisfies the relation, and the span has Frobenius'
     dimension sum deg gcd(f_i(x), f_j(mu^-1 x)).  A rational A is split
     over Q even when mu is cyclotomic; only P, P^-1 and the factors are
-    promoted."""
+    promoted.  `split`, private, is `_split(A)` when the caller has it.
+
+    P, the solutions Y and P^-1 are lifted to integers once, each over
+    one denominator, so X = P*Y*P^-1 stays in integers up to a common
+    scale, which the span does not see; only the canonical basis that
+    is returned becomes field elements."""
     if not A.is_square:
         raise NotSquare("commutant needs a square matrix")
     field = FieldTag.cyclotomic(mu.q) if isinstance(mu, CycloScalar) else QQ
     A_mu = A.promote(field.q) if field.is_cyclotomic else A
     n = A.rows
-    factors, P = _frobenius(A)
-    try:
-        P_inv = P.inverse()
-    except ZeroInverse:
-        raise VerificationError("Frobenius change of basis is singular") from None
+    factors, P, P_inv = _split(A) if split is None else split
     if A.field != field:
         P, P_inv = P.promote(field.q), P_inv.promote(field.q)
         factors = tuple(Poly.make(f.coeffs, field) for f in factors)
@@ -100,16 +111,14 @@ def _mu_commutant_basis(A: Matrix, mu) -> SubspaceBasis:
         for k, col in enumerate(cols):
             for r, x in enumerate(col):
                 grid[r0 + r][e * n + c0 + k] = x
-    PY = P * Matrix(field, n, n * count, tuple(x for row in grid for x in row))
-    X = Matrix(field, n * count, n, _stacked(PY.entries, n, count)) * P_inv
-    S = subspace_from_matrices(
-        [Matrix(field, n, n, X.entries[e * n * n : (e + 1) * n * n]) for e in range(count)],
-        ambient_n=n,
-        field=field,
-    )
+    Y = _lift(Matrix(field, n, n * count, tuple(x for row in grid for x in row)))
+    PY = _mul_lifted(_lift(P).common(), Y)
+    phi = PY.phi
+    X = _mul_lifted(_scaled(field, n, _blocks(_unblocks(PY.ints, n, phi, count), n, phi, stacked=True)), _lift(P_inv))
+    S = _span(_scaled(field, n * n, _unblocks(X.ints, n, phi, count, stacked=True)), n)
     if S.dim != count:
         raise VerificationError(f"span has rank {S.dim}, Frobenius' formula gives {count}")
-    AX, XmuA = _sides(tuple(x for row in S.rref_rows for x in row), A_mu, A_mu.scale(mu))
+    AX, XmuA = _sides(_lift(vstack_rows(S.rref_rows, field)).ints, A_mu, A_mu.scale(mu))
     if AX != XmuA:
         raise VerificationError("a basis element fails AX = mu*XA")
     return S
@@ -147,30 +156,49 @@ def _block_solutions(a: Poly, b: Poly, mu) -> list[list[tuple]]:
     ]
 
 
-def _abreast(flat: tuple, n: int, count: int) -> tuple:
-    """Entries of [M_1 | ... | M_count] from those of the stack
-    [M_1; ...; M_count] of n x n blocks."""
-    return tuple(
-        x for r in range(n) for e in range(count) for x in flat[(e * n + r) * n : (e * n + r + 1) * n]
-    )
+def _scaled(field: FieldTag, cols: int, ints: list[list[int]]) -> _Lifted:
+    """Integer rows as a lifted matrix over denominator 1: each is a
+    scaled copy of the row it came from, for uses that see only spans or
+    homogeneous relations."""
+    return _Lifted(field, cols, [1] * len(ints), ints)
 
 
-def _stacked(flat: tuple, n: int, count: int) -> tuple:
-    """Entries of the stack [M_1; ...; M_count] from those of
-    [M_1 | ... | M_count] of n x n blocks."""
+def _blocks(vecs: list[list[int]], n: int, phi: int, stacked: bool = False) -> list[list[int]]:
+    """Plane-major rows of [Y_1 | Y_2 | ...], or with `stacked` of
+    [Y_1; Y_2; ...], from the plane-major vecs of n x n blocks Y_e."""
+    nn = n * n
+    if stacked:
+        return [[x for f in range(phi) for x in v[f * nn + r * n : f * nn + (r + 1) * n]] for v in vecs for r in range(n)]
+    return [[x for f in range(phi) for v in vecs for x in v[f * nn + r * n : f * nn + (r + 1) * n]] for r in range(n)]
+
+
+def _unblocks(rows: list[list[int]], n: int, phi: int, count: int, stacked: bool = False) -> list[list[int]]:
+    """The plane-major vecs of the count n x n blocks of rows laid out as
+    in `_blocks`."""
+    if stacked:
+        return [[x for f in range(phi) for r in range(n) for x in rows[e * n + r][f * n : (f + 1) * n]] for e in range(count)]
     w = n * count
-    return tuple(
-        x for e in range(count) for r in range(n) for x in flat[r * w + e * n : r * w + (e + 1) * n]
-    )
+    return [[x for f in range(phi) for r in range(n) for x in rows[r][f * w + e * n : f * w + (e + 1) * n]] for e in range(count)]
 
 
-def _sides(flat: tuple, L: Matrix, R: Matrix) -> tuple[tuple, tuple]:
-    """Entries of the stacks [L*Y_1; L*Y_2; ...] and [Y_1*R; Y_2*R; ...]
-    from those of the stack [Y_1; Y_2; ...] of n x n blocks."""
-    n = L.rows
-    count = len(flat) // (n * n)
-    LY = L * Matrix(L.field, n, n * count, _abreast(flat, n, count))
-    return _stacked(LY.entries, n, count), (Matrix(L.field, n * count, n, flat) * R).entries
+def _sides(vecs: list[list[int]], L: Matrix, R: Matrix) -> tuple[list, list]:
+    """Integer vecs proportional to L*Y_e and to Y_e*R, by the same factor
+    for each e, from the integer vecs of n x n blocks Y_e: equal exactly
+    when L*Y_e = Y_e*R, and their difference is a fixed multiple of
+    Y_e*R - L*Y_e.  L and R are lifted once each, with no Fraction output."""
+    n, count = L.rows, len(vecs)
+    Ll = _lift(L).common()
+    Rl = Ll if R is L else _lift(R).common()
+    phi = Ll.phi
+    LY = _mul_lifted(Ll, _scaled(L.field, n * count, _blocks(vecs, n, phi)))
+    YR = _mul_lifted(_scaled(L.field, n, _blocks(vecs, n, phi, stacked=True)), Rl)
+    left = _unblocks(LY.ints, n, phi, count)
+    right = _unblocks(YR.ints, n, phi, count, stacked=True)
+    dL, dR = Ll.dens[0], Rl.dens[0]
+    if dL != dR:
+        left = [[dR * x for x in v] for v in left]
+        right = [[dL * x for x in v] for v in right]
+    return left, right
 
 
 def centralizer_basis(A: Matrix) -> SubspaceBasis:
@@ -199,32 +227,39 @@ def double_centralizer_basis(A: Matrix) -> SubspaceBasis:
 
 def _double_centralizer(A: Matrix, cent: SubspaceBasis, m_degree: int) -> SubspaceBasis:
     """double_centralizer_basis(A) from cent = C(A) and m_degree = deg m_A.
-    C(C(A)) lies in C(A), as A is in C(A), so K (one vec per row) starts
-    as cent's basis and each X_i in it cuts span K down to what commutes
-    with X_i.  Checked: all commute with every X_i, dim = deg m_A = dim F[A]."""
+    C(C(A)) lies in C(A), as A is in C(A), so K (one integer vec per
+    row, a scaled element) starts as cent's basis and each X_i in it
+    cuts span K down to what commutes with X_i.  Checked: all commute
+    with every X_i, dim = deg m_A = dim F[A]."""
     n, field = A.rows, A.field
-    K = vstack_rows(cent.rref_rows, field)
+    K = _scaled(field, n * n, _lift(vstack_rows(cent.rref_rows, field)).ints)
     for X in cent.basis:
         if K.rows <= m_degree:
             break
         K = _shrink(K, X)
-    S = subspace_from_matrices([unvec(K.row(k), n, field) for k in range(K.rows)], ambient_n=n, field=field)
+    S = _span(K, n)
     if S.dim != m_degree:
         raise VerificationError(f"double centralizer has dimension {S.dim}, deg m_A is {m_degree}")
-    flat = tuple(x for row in S.rref_rows for x in row)
-    if any(xy != yx for xy, yx in (_sides(flat, X, X) for X in cent.basis)):
+    vecs = _lift(vstack_rows(S.rref_rows, field)).ints
+    if any(xy != yx for xy, yx in (_sides(vecs, X, X) for X in cent.basis)):
         raise VerificationError("a double centralizer element fails to commute with the centralizer")
     return S
 
 
-def _shrink(K: Matrix, X: Matrix) -> Matrix:
-    """Rows of K (vecs of Y_k) recombined to span the part commuting with
-    X: the kernel of the columns vec(Y_k*X - X*Y_k), zero rows dropped."""
-    xy, yx = _sides(K.entries, X, X)
-    diff = (Matrix(K.field, K.rows, K.cols, yx) - Matrix(K.field, K.rows, K.cols, xy)).entries
-    rows = [r for r in (diff[i :: K.cols] for i in range(K.cols)) if any(r)]
-    kernel = kernel_basis(Matrix(K.field, len(rows), K.rows, tuple(x for r in rows for x in r)))
-    return Matrix(K.field, len(kernel), K.rows, tuple(x for v in kernel for x in v)) * K
+def _shrink(K: _Lifted, X: Matrix) -> _Lifted:
+    """Rows of K (integer vecs of Y_k) recombined to span the part
+    commuting with X: the kernel of the columns proportional to
+    vec(Y_k*X - X*Y_k), zero rows dropped.  K's rows carry no
+    denominators, so the kernel coordinates apply to them directly."""
+    xy, yx = _sides(K.ints, X, X)
+    nn, phi = K.cols, K.phi
+    diff = [[a - b for a, b in zip(u, v)] for u, v in zip(yx, xy)]
+    # one system row per entry i of the vecs, plane-major across k
+    rows = [r for r in ([d[f * nn + i] for f in range(phi) for d in diff] for i in range(nn)) if any(r)]
+    system = Matrix(K.field, len(rows), K.rows, _entries(_scaled(K.field, K.rows, rows)))
+    kernel = kernel_basis(system)
+    C = _lift(Matrix(K.field, len(kernel), K.rows, tuple(x for v in kernel for x in v)))
+    return _scaled(K.field, nn, _mul_lifted(C, K).ints)
 
 
 def k_matrix(n: int, i: int) -> Matrix:

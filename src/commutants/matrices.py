@@ -5,24 +5,33 @@ vectorization) is the identity on storage.  Everything is immutable and
 deterministic: RREF is the unique reduced echelon form, kernel vectors
 come out in the free-column order the pivots induce.
 
-One elimination routine serves Q and Q(zeta_q).  Each row is lifted to
-integers, one coefficient plane per power of zeta below phi = deg Phi_q
-(phi = 1 over Q), and eliminated fraction-free by cross-multiplication
-with gcd normalization, which is roughly an order of magnitude faster
-than Fraction pivoting at the n^2 x n^2 sizes the commutant solvers
-produce.  A pivot p that is not rational is made rational once, by
-multiplying its row by d * p^-1 with d the lcm of the denominators of
-p^-1, so every cross-multiplier is an integer; each output entry is
-divided by its row's pivot once.  One determinant routine, plain
-pivoting with division, serves both fields.
+Products and elimination share one private lifted form, `_Lifted`:
+integer coefficient planes, one per power of zeta below phi = deg Phi_q
+(phi = 1 over Q), plane-major, over a denominator per row.  Each
+algorithm is "lift, integer core, one normalization", with one body for
+Q and Q(zeta_q):
 
-Products lift each row of the left factor and each column of the right
-factor to integers over the lcm of its own denominators (over Q(zeta_q),
-of all its zeta-coefficients), accumulate integer row axpys over the
-nonzero entries of the left row and nonzero rows of the right factor,
-and normalize each output entry once: one Fraction over Q; over
-Q(zeta_q), one reduction mod Phi_q in integers, then one division per
-coefficient.
+- `_mul_lifted` multiplies in integers with no division: the right
+  factor goes over one denominator, output rows are integer axpys over
+  the nonzero entries of the left row and nonzero rows of the right
+  factor, and over Q(zeta_q) the 2 phi - 1 planes are folded back mod
+  Phi_q in integers.
+- `_rref_core` is fraction-free Gauss-Jordan by cross-multiplication
+  with gcd normalization, stopped before the final division by each
+  pivot.  A pivot p that is not rational is made rational once, by
+  multiplying its row by d * p^-1 with d the lcm of the denominators of
+  p^-1, so every cross-multiplier is an integer.
+- `_entries` normalizes: one Fraction per entry over Q, one division per
+  coefficient over Q(zeta_q).
+
+`Matrix.__mul__` and `rref` normalize at once.  Callers that feed a
+result into more integer work keep it lifted instead: the commutant
+solvers carry X = P*Y*P^-1 into the canonical RREF and their relation
+checks in integers, and the Krylov iterations of the Frobenius split lift
+their matrix once.  Wherever only a span or a homogeneous relation
+matters, row denominators are dropped, since a scaled row spans the same
+line.  One determinant routine, plain pivoting with division, serves
+both fields.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import FieldMismatch, NotSquare, ShapeMismatch, ZeroInverse
-from .scalars import QQ, CycloScalar, FieldTag, _divmod_monic, cyclo_coeffs, phi_degree
+from .scalars import QQ, CycloScalar, FieldTag, cyclo_coeffs, phi_degree
 
 
 @dataclass(frozen=True)
@@ -176,7 +185,7 @@ class Matrix:
                 raise FieldMismatch(f"{self.field} vs {other.field}")
             if self.cols != other.rows:
                 raise ShapeMismatch(f"{self.shape} @ {other.shape}")
-            return Matrix(self.field, self.rows, other.cols, _product(self, other))
+            return Matrix(self.field, self.rows, other.cols, _entries(_mul_lifted(_lift(self), _lift(other))))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -270,7 +279,36 @@ class Matrix:
         return f"Matrix<{self.field}, {self.rows}x{self.cols}: {body}>"
 
 
-# ---- products ----
+# ---- the lifted form: integer planes over denominators ----
+
+
+class _Lifted(NamedTuple):
+    """A matrix over Q or Q(zeta_q) in integers: row i is ints[i] / dens[i],
+    and ints[i] is plane-major as in `_planes` (coefficient e of column j
+    at e * cols + j).  Wherever only the span of the rows matters, the
+    denominators are dropped (set to 1): each row is then a scaled copy."""
+
+    field: FieldTag
+    cols: int
+    dens: list[int]
+    ints: list[list[int]]
+
+    @property
+    def rows(self) -> int:
+        return len(self.ints)
+
+    @property
+    def phi(self) -> int:
+        """Planes per row: deg Phi_q, or 1 over Q."""
+        return phi_degree(self.field.q) if self.field.q else 1
+
+    def common(self) -> _Lifted:
+        """The same matrix with every row over the lcm of the denominators."""
+        d = lcm(*self.dens)
+        if all(e == d for e in self.dens):
+            return self
+        ints = [row if e == d else [x * (d // e) for x in row] for e, row in zip(self.dens, self.ints)]
+        return _Lifted(self.field, self.cols, [d] * len(ints), ints)
 
 
 def _planes(values: Sequence, q: int | None, phi: int) -> tuple[int, list[int]]:
@@ -283,45 +321,83 @@ def _planes(values: Sequence, q: int | None, phi: int) -> tuple[int, list[int]]:
     return d, [x.numerator * (d // x.denominator) for x in values]
 
 
-def _cyclo_entry(q: int, ints: Sequence[int], den: int, zero):
-    """sum_e ints[e] zeta_q^e / den: reduced mod Phi_q in integers, then
-    each coefficient divided by den once."""
-    rem = _divmod_monic(ints, cyclo_coeffs(q))[1] if any(ints) else ()
-    if not any(rem):
-        return zero
-    return CycloScalar(q, tuple(rem) if den == 1 else tuple(Fraction(c, den) for c in rem))
-
-
-def _product(A: Matrix, B: Matrix) -> tuple:
-    # Entry (i, j) is an integer polynomial in zeta over da_i * db_j,
-    # accumulated unreduced in 2 phi - 1 planes by row axpys over the
-    # nonzero entries of A and nonzero rows of B.
-    q = A.field.q
+def _lift(M: Matrix) -> _Lifted:
+    """M's rows, each over the lcm of its own denominators."""
+    q = M.field.q
     phi = phi_degree(q) if q else 1
-    k, m = A.cols, B.cols
-    b_cols = [_planes(B.entries[j::m], q, phi) for j in range(m)]
-    b_rows = [
-        [row if any(row) else None for row in zip(*(col[f * k : (f + 1) * k] for _, col in b_cols))]
-        for f in range(phi)
-    ]
-    zero = A.field.zero()
+    rows = [_planes(M.row(i), q, phi) for i in range(M.rows)]
+    return _Lifted(M.field, M.cols, [d for d, _ in rows], [row for _, row in rows])
+
+
+def _entries(L: _Lifted) -> tuple:
+    """The entries of L, row-major: the one normalization per entry, a
+    Fraction over Q, over Q(zeta_q) one division per coefficient."""
+    q, n, zero = L.field.q, L.cols, L.field.zero()
     flat = []
-    for i in range(A.rows):
-        da, a = _planes(A.entries[i * k : (i + 1) * k], q, phi)
+    for d, row in zip(L.dens, L.ints):
+        if q is None:
+            flat.extend((Fraction(x, d) if d != 1 else Fraction(x)) if x else zero for x in row)
+        else:
+            for j in range(n):
+                c = row[j::n]
+                flat.append(CycloScalar(q, tuple(c) if d == 1 else tuple(Fraction(x, d) for x in c)) if any(c) else zero)
+    return tuple(flat)
+
+
+def _mul_lifted(A: _Lifted, B: _Lifted) -> _Lifted:
+    """A * B with no division: row i is over A.dens[i] * d, with B put
+    over one denominator d, accumulated unreduced in 2 phi - 1 planes by
+    row axpys over the nonzero entries of A and nonzero rows of B; over
+    Q(zeta_q) the planes from phi up are folded back with
+    zeta^phi = -sum_k low[k] zeta^k, in integers."""
+    B = B.common()
+    q = A.field.q
+    low = cyclo_coeffs(q)[:-1] if q else ()
+    phi = len(low) or 1
+    m = B.cols
+    b_rows = [[row[f * m : (f + 1) * m] if any(row[f * m : (f + 1) * m]) else None for row in B.ints] for f in range(phi)]
+    d = B.dens[0] if B.dens else 1
+    ints = []
+    for arow in A.ints:
         acc = [[0] * m for _ in range(2 * phi - 1)]
         for e in range(phi):
-            arow = a[e * k : (e + 1) * k]
+            a = arow[e * A.cols : (e + 1) * A.cols]
             for f, brows in enumerate(b_rows):
                 s = acc[e + f]
-                for x, brow in zip(arow, brows):
+                for x, brow in zip(a, brows):
                     if x and brow:
                         s = [u + x * y for u, y in zip(s, brow)]
                 acc[e + f] = s
-        if q is None:
-            flat.extend(Fraction(s, da * db) if s else zero for s, (db, _) in zip(acc[0], b_cols))
-        else:
-            flat.extend(_cyclo_entry(q, s, da * db, zero) for (db, _), *s in zip(b_cols, *acc))
-    return tuple(flat)
+        for e in range(2 * phi - 2, phi - 1, -1):
+            top = acc[e]
+            if not any(top):
+                continue
+            for k, ck in enumerate(low):
+                if ck:
+                    acc[e - phi + k] = [x - ck * t for x, t in zip(acc[e - phi + k], top)]
+        ints.append([x for plane in acc[:phi] for x in plane])
+    return _Lifted(A.field, m, [da * d for da in A.dens], ints)
+
+
+def _products_equal(A: Matrix, B: Matrix, C: Matrix, D: Matrix) -> bool:
+    """A*B == C*D exactly, decided in integers: row i of each product is
+    an integer row over its own denominator, so the rows agree when each
+    times the other's denominator does.  No entry becomes a Fraction."""
+    AB, CD = _mul_lifted(_lift(A), _lift(B)), _mul_lifted(_lift(C), _lift(D))
+    return all(
+        x == y if u == v else [a * v for a in x] == [c * u for c in y]
+        for u, x, v, y in zip(AB.dens, AB.ints, CD.dens, CD.ints)
+    )
+
+
+def _content_free(L: _Lifted) -> _Lifted:
+    """L over one denominator, with the gcd of that denominator and all
+    the integers divided out, so repeated products do not swell."""
+    L = L.common()
+    g = gcd(L.dens[0], *(x for row in L.ints for x in row)) if L.dens else 1
+    if g == 1:
+        return L
+    return _Lifted(L.field, L.cols, [d // g for d in L.dens], [[x // g for x in row] for row in L.ints])
 
 
 # ---- vectorization and Kronecker products ----
@@ -384,76 +460,88 @@ class RrefResult(NamedTuple):
 
 def rref(M: Matrix) -> RrefResult:
     """The unique reduced row-echelon form of M, with pivot columns."""
-    # Rows are plane-major integer lists as in _planes.  The update is
-    # row_i <- pv * row_i - v * pivot_row for the rational pivot pv, with
-    # v = entry (i, c) applied as sum_e v_e * (zeta^e * pivot_row).
-    q = M.field.q
-    phi = phi_degree(q) if q else 1
-    low = cyclo_coeffs(q)[:-1] if q else ()
-    n = M.cols
-    work = [_planes(M.row(i), q, phi)[1] for i in range(M.rows)]
+    return _rref_lifted(_lift(M))
 
-    def zeta_shifts(row):
-        # row, zeta * row, ..., zeta^(phi - 1) * row: shift the planes up
-        # and fold the top one back with zeta^phi = -sum_k low[k] zeta^k
-        out = [row]
-        for _ in range(phi - 1):
-            top = out[-1][-n:]
-            nxt = [0] * n + out[-1][:-n]
-            for k, ck in enumerate(low):
-                if ck:
-                    plane = slice(k * n, (k + 1) * n)
-                    nxt[plane] = [x - ck * t for x, t in zip(nxt[plane], top)]
-            out.append(nxt)
-        return out
 
-    def combine(pv, row, v, shifts):
-        # pv * row - sum_e v[e] * shifts[e], gcd-normalized
-        for ve, s in zip(v, shifts):
-            if ve:
-                row = [pv * x - ve * y for x, y in zip(row, s)]
-                pv = 1
-        g = 0
-        for x in row:
-            if x:
-                g = gcd(g, x)
-                if g == 1:
-                    return row
-        return [x // g for x in row] if g > 1 else row
+def _rref_lifted(L: _Lifted) -> RrefResult:
+    """rref of the matrix whose rows span the rows of L (the denominators
+    do not matter): `_rref_core`, then each entry divided by its row's
+    pivot once."""
+    rows, pivots = _rref_core(L.ints, L.cols, L.field.q)
+    flat = _entries(_Lifted(L.field, L.cols, [row[c] for row, c in zip(rows, pivots)], rows))
+    flat += (L.field.zero(),) * (L.cols * (L.rows - len(pivots)))
+    return RrefResult(Matrix(L.field, L.rows, L.cols, flat), tuple(pivots), len(pivots))
 
+
+def _rref_core(ints: list[list[int]], width: int, q: int | None) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan on plane-major integer rows of `width`
+    columns, stopped before the final division: the nonzero reduced rows,
+    each a multiple pv = row[c] (rational, in plane 0) of its RREF row,
+    and their pivot columns c.  The update is row_i <- pv * row_i -
+    v * pivot_row, with v = entry (i, c) applied as sum_e v_e * (zeta^e *
+    pivot_row)."""
+    work = list(ints)
     pivots = []
     r = 0
-    for c in range(n):
-        pivot_row = next((i for i in range(r, len(work)) if any(work[i][c::n])), None)
+    for c in range(width):
+        pivot_row = next((i for i in range(r, len(work)) if any(work[i][c::width])), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        shifts = zeta_shifts(work[r])
-        p = work[r][c::n]
-        if any(p[1:]):
-            # the row times m = d * p^-1 is 0 * row - (-m) * row
-            _, m = _planes((CycloScalar(q, tuple(p)).inverse(),), q, phi)
-            work[r] = combine(0, work[r], [-x for x in m], shifts)
-            shifts = zeta_shifts(work[r])
-        pv = work[r][c]
+        pv, work[r], shifts = _pivot(work[r], c, width, q)
         for i, row in enumerate(work):
-            v = row[c::n]
+            v = row[c::width]
             if i != r and any(v):
-                work[i] = combine(pv, row, v, shifts)
+                work[i] = _combine(pv, row, v, shifts)
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    zero = M.field.zero()
-    flat = []
-    for row, c in zip(work, pivots):
-        pv = row[c]
-        if q is None:
-            flat.extend(Fraction(x, pv) if x else zero for x in row)
-        else:
-            flat.extend(_cyclo_entry(q, row[j::n], pv, zero) for j in range(n))
-    flat.extend([zero] * (n * (M.rows - r)))
-    return RrefResult(Matrix(M.field, M.rows, M.cols, tuple(flat)), tuple(pivots), r)
+    return work[:r], pivots
+
+
+def _zeta_shifts(row: list[int], width: int, low: Sequence[int]) -> list[list[int]]:
+    """row, zeta * row, ..., zeta^(phi - 1) * row: shift the planes up and
+    fold the top one back with zeta^phi = -sum_k low[k] zeta^k."""
+    out = [row]
+    for _ in range(len(low) - 1):
+        top = out[-1][-width:]
+        nxt = [0] * width + out[-1][:-width]
+        for k, ck in enumerate(low):
+            if ck:
+                plane = slice(k * width, (k + 1) * width)
+                nxt[plane] = [x - ck * t for x, t in zip(nxt[plane], top)]
+        out.append(nxt)
+    return out
+
+
+def _combine(pv: int, row: list[int], v: Sequence[int], shifts: list[list[int]]) -> list[int]:
+    """pv * row - sum_e v[e] * shifts[e], gcd-normalized."""
+    for ve, s in zip(v, shifts):
+        if ve:
+            row = [pv * x - ve * y for x, y in zip(row, s)]
+            pv = 1
+    g = 0
+    for x in row:
+        if x:
+            g = gcd(g, x)
+            if g == 1:
+                return row
+    return [x // g for x in row] if g > 1 else row
+
+
+def _pivot(row: list[int], c: int, width: int, q: int | None) -> tuple[int, list[int], list[list[int]]]:
+    """(pv, row, zeta shifts of row) with row's entry at column c made
+    rational, pv: a pivot p that is not is multiplied by m = d * p^-1, d
+    the lcm of the denominators of p^-1, as 0 * row - (-m) * row."""
+    low = cyclo_coeffs(q)[:-1] if q else ()
+    shifts = _zeta_shifts(row, width, low)
+    p = row[c::width]
+    if any(p[1:]):
+        _, m = _planes((CycloScalar(q, tuple(p)).inverse(),), q, len(low))
+        row = _combine(0, row, [-x for x in m], shifts)
+        shifts = _zeta_shifts(row, width, low)
+    return row[c], row, shifts
 
 
 def kernel_basis(M: Matrix) -> list[tuple]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import AmbientMismatch, FieldMismatch, NotSquare, ShapeMismatch
-from .matrices import Matrix, rref, unvec, vstack_rows
+from .matrices import Matrix, _lift, _Lifted, _rref_lifted, unvec, vstack_rows
 from .scalars import FieldTag
 
 
@@ -52,11 +52,18 @@ def subspace_from_matrices(
             raise FieldMismatch(f"{m.field} vs {f}")
     if ambient_n is not None and ambient_n != n:
         raise ShapeMismatch(f"ambient_n={ambient_n} but matrices are {n}x{n}")
-    stacked = vstack_rows([m.entries for m in mats], f)
-    r = rref(stacked)
+    return _span(_lift(vstack_rows([m.entries for m in mats], f)), n)
+
+
+def _span(L: _Lifted, n: int) -> SubspaceBasis:
+    """The canonical basis of the span of L's rows, the vecs of n x n
+    matrices in lifted form: scaling a row does not change the span, so
+    integer rows from any stage feed the elimination core directly, and
+    only the returned entries become field elements."""
+    r = _rref_lifted(L)
     rows = tuple(r.rref.row(i) for i in range(r.rank))
-    basis = tuple(unvec(row, n, f) for row in rows)
-    return SubspaceBasis(f, n, r.rank, basis, rows, r.pivots)
+    basis = tuple(unvec(row, n, L.field) for row in rows)
+    return SubspaceBasis(L.field, n, r.rank, basis, rows, r.pivots)
 
 
 def _check_same_ambient(S: SubspaceBasis, T: SubspaceBasis):

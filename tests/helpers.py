@@ -4,11 +4,13 @@ and small random generators for the property suites."""
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
+from commutants import matrices
 from commutants import (
     CongruenceClass,
     class_exponents,
@@ -150,17 +152,21 @@ def reference_rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def count_products(monkeypatch) -> list[int]:
-    """Count Matrix-by-Matrix products from here on: the patched
-    ``Matrix.__mul__`` increments the returned one-item list."""
+    """Count matrix products from here on: every product, whether
+    ``Matrix.__mul__`` or an integer Krylov step, runs the one integer
+    product kernel ``matrices._mul_lifted``, so each module of the package
+    that binds it gets a counting copy that increments the returned
+    one-item list."""
     count = [0]
-    plain_mul = Matrix.__mul__
+    plain = matrices._mul_lifted
 
-    def counting_mul(self, other):
-        if isinstance(other, Matrix):
-            count[0] += 1
-        return plain_mul(self, other)
+    def counting(A, B):
+        count[0] += 1
+        return plain(A, B)
 
-    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    for name, module in list(sys.modules.items()):
+        if (name == "commutants" or name.startswith("commutants.")) and getattr(module, "_mul_lifted", None) is plain:
+            monkeypatch.setattr(module, "_mul_lifted", counting)
     return count
 
 

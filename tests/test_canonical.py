@@ -25,6 +25,7 @@ from commutants import (
     poly_gcd,
 )
 from helpers import (
+    conjugated,
     count_products,
     mat,
     minors_gcd_invariant_factors,
@@ -176,6 +177,30 @@ def test_invariant_factors_survive_rejected_draws(monkeypatch):
     assert hankel_ranks[0][0] < hankel_ranks[0][1] == 3 == hankel_ranks[1][0]
     assert got == (Poly.one(QQ), Poly.one(QQ), poly([-1, 1]), poly([-2, 5, -4, 1]))
     assert list(got) == sympy_invariant_factors(A)
+
+
+def test_cyclic_vector_stops_at_the_first_krylov_dependency(monkeypatch):
+    # conjugated J_3(0) + J_3(0) + J_2(0), m = 8, m_A = x^3: each draw
+    # costs deg m_v Krylov products, not the m that m + 1 columns took
+    import commutants.canonical as canonical
+    N = Matrix.block_diag([Matrix.jordan(3, 0, QQ), Matrix.jordan(3, 0, QQ), Matrix.jordan(2, 0, QQ)])
+    A = conjugated(N, 5)
+    products = count_products(monkeypatch)
+    plain = canonical._annihilates
+    draws = []
+
+    def spy(f, M, krylov):
+        draws.append((f.degree, products[0]))
+        out = plain(f, M, krylov)
+        draws.append((None, products[0]))
+        return out
+
+    monkeypatch.setattr(canonical, "_annihilates", spy)
+    f, krylov = canonical._cyclic_vector(A, canonical._Draws(QQ))
+    assert f == poly([0, 0, 0, 1]) and len(krylov) == 3
+    steps = [(deg, after - before) for (_, before), (deg, after) in zip([(None, 0)] + draws[1::2], draws[0::2])]
+    assert steps and all(cost == deg for deg, cost in steps)
+    assert steps[-1] == (3, 3)
 
 
 def test_cyclic_input_check_makes_no_product(monkeypatch):

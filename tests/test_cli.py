@@ -398,42 +398,96 @@ def test_bad_omega_spec(tmp_path, capsys):
 
 # ------------------------------------------------------- work done once
 
-def test_analyze_computes_invariant_factors_once(tmp_path, capsys, monkeypatch):
+def _count_splits(monkeypatch) -> list[int]:
+    """Count runs of the Frobenius split from here on, under both names
+    it is bound to; every invariant factor and commutant basis is read
+    off one."""
     import commutants.canonical as canonical
-    calls = 0
-    plain = canonical.invariant_factors
+    import commutants.commutant as commutant
+    calls = [0]
+    plain = canonical._frobenius
 
     def counting(A):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return plain(A)
 
-    monkeypatch.setattr(canonical, "invariant_factors", counting)
+    for module in (canonical, commutant):
+        monkeypatch.setattr(module, "_frobenius", counting)
+    return calls
+
+
+def test_analyze_computes_invariant_factors_once(tmp_path, capsys, monkeypatch):
+    # the factors come from the one split that also serves the commutants
+    splits = _count_splits(monkeypatch)
     f = write_matrix(tmp_path / "a.json", mat([[0, 1, 0], [0, 0, 0], [0, 0, 2]]))
     code, out, _ = run(capsys, ["analyze", f])
     assert code == 0
     assert out["flags"]["clifforder_has_invertible"] is out["flags"]["balanced"] is False
-    assert calls == 1
+    assert splits[0] == 1
+
+
+def test_analyze_splits_once_and_prints_what_the_public_calls_give(tmp_path, capsys, monkeypatch):
+    # conjugated J_3(0) + J_1(0), and a cyclic input, each with and
+    # without an omega section: one split per analyze, and stdout equal
+    # to the JSON built from the public calls, each of which splits anew
+    import commutants.cli as cli
+    from commutants import (
+        OmegaSpec,
+        StructureReport,
+        centralizer_basis,
+        clifforder_basis,
+        double_centralizer_basis,
+        omega_centralizer_basis,
+    )
+    P = mat([[1, 2, 0, 0], [0, 1, 1, 0], [1, 0, 1, 1], [0, 1, 0, 1]])
+    N = Matrix.block_diag([Matrix.jordan(3, 0, QQ), mat([[0]])])
+    inputs = [P.inverse() * N * P, mat([[1, 2], [Fraction(1, 3), -1]])]
+    for i, A in enumerate(inputs):
+        f = write_matrix(tmp_path / f"{i}.json", A)
+        for q in (None, 3):
+            rep = StructureReport.of(A)
+            expected = {
+                "input": matrix_json(A),
+                "structure": cli._structure_json(rep),
+                "dims": {
+                    "centralizer": centralizer_basis(A).dim,
+                    "clifforder": clifforder_basis(A).dim,
+                    "double_centralizer": double_centralizer_basis(A).dim,
+                },
+                "flags": {
+                    "balanced": rep.is_balanced,
+                    "nilpotent": rep.is_nilpotent,
+                    "min_eq_char": rep.min_equals_char,
+                    "clifforder_has_invertible": rep.is_balanced,
+                },
+            }
+            argv = ["analyze", f]
+            if q:
+                om = omega_centralizer_basis(A, OmegaSpec(q))
+                expected["omega"] = {"q": q, "k": 1, "dim": om.dim, "basis": cli._basis_json(om)}
+                argv += ["--q", str(q)]
+            with monkeypatch.context() as m:
+                splits = _count_splits(m)
+                assert main(argv) == 0
+            assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+            assert splits[0] == 1
 
 
 def test_analyze_solves_the_centralizer_once(tmp_path, capsys, monkeypatch):
     import commutants.cli as cli
-    import commutants.commutant as commutant
-    calls = 0
-    plain = commutant.centralizer_basis
+    mus = []
+    plain = cli._mu_commutant_basis
 
-    def counting(A):
-        nonlocal calls
-        calls += 1
-        return plain(A)
+    def counting(A, mu, split=None):
+        mus.append(mu)
+        return plain(A, mu, split)
 
-    for module in (commutant, cli):
-        monkeypatch.setattr(module, "centralizer_basis", counting)
+    monkeypatch.setattr(cli, "_mu_commutant_basis", counting)
     f = write_matrix(tmp_path / "a.json", mat([[0, 1, 0], [0, 0, 0], [0, 0, 2]]))
     code, out, _ = run(capsys, ["analyze", f])
     assert code == 0
     assert out["dims"] == {"centralizer": 3, "clifforder": 2, "double_centralizer": 3}
-    assert calls == 1
+    assert mus.count(1) == 1
 
 
 def test_potter_checks_the_relation_once(tmp_path, capsys, monkeypatch):

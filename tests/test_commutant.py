@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -359,11 +360,44 @@ def test_perturbed_block_solution_is_never_returned(monkeypatch):
 
 
 def test_dropped_basis_element_is_never_returned(monkeypatch):
-    span = commutant.subspace_from_matrices
-    monkeypatch.setattr(commutant, "subspace_from_matrices", lambda mats, **kw: span(mats[:-1], **kw))
+    # the solutions reach the canonical span as integer rows
+    span = commutant._span
+    monkeypatch.setattr(commutant, "_span", lambda L, n: span(L._replace(dens=L.dens[:-1], ints=L.ints[:-1]), n))
     for call in _corrupted_calls():
         with pytest.raises(VerificationError):
             call()
+
+
+def test_entry_changed_after_normalization_is_never_returned(monkeypatch):
+    # the last canonical span of each call gets one returned entry
+    # changed after the integer -> field step; the relation (or
+    # commutation) check lifts the returned rows, so it must see it
+    span = commutant._span
+
+    def bumped(S):
+        row = list(S.rref_rows[0])
+        row[-1] = row[-1] + 1
+        rows = (tuple(row),) + S.rref_rows[1:]
+        basis = (Matrix(S.field, S.ambient_n, S.ambient_n, tuple(row)),) + S.basis[1:]
+        return replace(S, rref_rows=rows, basis=basis)
+
+    calls = _corrupted_calls() + [lambda: clifforder_basis(_DEROGATORY)] + [lambda: double_centralizer_basis(A) for A in _SHRUNK]
+    for call in calls:
+        seen = []
+        with monkeypatch.context() as m:
+            m.setattr(commutant, "_span", lambda L, n: seen.append(n) or span(L, n))
+            call()
+        last = len(seen)
+
+        def corrupted(L, n):
+            seen.append(n)
+            S = span(L, n)
+            return bumped(S) if len(seen) == 2 * last else S
+
+        with monkeypatch.context() as m:
+            m.setattr(commutant, "_span", corrupted)
+            with pytest.raises(VerificationError):
+                call()
 
 
 def test_rational_input_is_split_over_q(monkeypatch):

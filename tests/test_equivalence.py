@@ -233,12 +233,14 @@ def test_shape_and_field_errors():
 
 def test_express_steps_by_the_class_power(monkeypatch):
     # The class powers A^1, A^4, ..., A^16 are read as x^e mod m_A, so the
-    # matrix products are the same for every class.  The seeded first
-    # draw v has a degree-4 Krylov polynomial: six Krylov steps, then four
-    # Horner steps on the two unit vectors outside its span reject it.
-    # The second draw costs six Krylov steps and no check product (this A
-    # is cyclic).  Then one product for B*v and four for the Horner check
-    # f0(A) = B with f0 = x + 2x^4.
+    # matrix products are the same for every class.  Products are counted
+    # at the integer kernel, Krylov steps included.  The seeded first draw
+    # v has a degree-4 Krylov polynomial: the Krylov iteration stops at
+    # the first dependency, M^4 v, after four steps, then four Horner
+    # steps on the two unit vectors outside its span reject it.  The
+    # second draw is cyclic (this A is): six steps to the dependency at
+    # M^6 v and no check product.  Then one product for B*v and four for
+    # the Horner check f0(A) = B with f0 = x + 2x^4: 4 + 4 + 6 + 1 + 4.
     A = mat([[i + 1 if j == i else 1 if j > i else 0 for j in range(6)] for i in range(6)])
     B = A + (A ** 4).scale(2)
     products = count_products(monkeypatch)
@@ -249,7 +251,7 @@ def test_express_steps_by_the_class_power(monkeypatch):
         counts.append(products[0] - before)
         if q == 3:
             assert f == poly([0, 1, 0, 0, 2])
-    assert counts == [21, 21, 21]
+    assert counts == [19, 19, 19]
 
 
 def test_certificates_take_no_matrix_power(monkeypatch):

@@ -22,6 +22,7 @@ from commutants import (
     vec,
     weyl_pair,
 )
+from commutants import matrices
 from commutants.matrices import rref
 from helpers import (
     count_products,
@@ -182,6 +183,63 @@ def test_mul_cyclotomic_products_that_vanish():
     N = Matrix.make([[0, z], [0, 0]], f3)
     assert N * N == Matrix.zero(2, 2, f3)
     assert Matrix.zero(2, 3, f3) * Matrix.zero(3, 1, f3) == Matrix.zero(2, 1, f3)
+
+
+# ------------------------------------------- the lifted integer kernels
+
+# denominators negative as written, and large: 2^61 - 1 and 10^12 + 39 are prime
+LIFT_DENOMINATORS = (1, 2, -3, 7, -12, 10**12 + 39, -(2**61 - 1))
+lift_rational = st.one_of(
+    st.integers(min_value=-6, max_value=6).map(Fraction),
+    st.builds(Fraction, st.integers(min_value=-(10**15), max_value=10**15), st.sampled_from(LIFT_DENOMINATORS)),
+)
+
+
+@st.composite
+def lift_case(draw):
+    """A compatible pair over Q or Q(zeta_q), q in 3..6, sizes 1..4, with
+    zero rows and columns; cyclotomic entries are rational, or carry
+    coefficients on every power of zeta below 2q."""
+    q = draw(st.sampled_from((None, 3, 4, 5, 6)))
+    field = QQ if q is None else FieldTag.cyclotomic(q)
+    entry = lift_rational if q is None else st.one_of(st.lists(lift_rational, min_size=2, max_size=2 * q), lift_rational)
+    k, m, p = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return Matrix.make(draw(grid(k, m, entry)), field), Matrix.make(draw(grid(m, p, entry)), field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lift_case())
+def test_lifted_product_and_rref_equal_the_fraction_oracle(case):
+    A, B = case
+    product = matrices._entries(matrices._mul_lifted(matrices._lift(A), matrices._lift(B)))
+    assert repr(Matrix(A.field, A.rows, B.cols, product)) == repr(reference_product(A, B))
+    for M in (A, B, reference_product(A, B)):
+        reduced, pivots = reference_rref(M)
+        r = matrices._rref_lifted(matrices._lift(M))
+        assert repr(r.rref) == repr(reduced)
+        assert r.pivots == pivots and r.rank == len(pivots)
+
+
+def test_lifted_kernels_on_fixed_edge_inputs():
+    big = Fraction(-(2**61 - 1), 10**12 + 39)
+    for field in (QQ, FieldTag.cyclotomic(3), FieldTag.cyclotomic(4), FieldTag.cyclotomic(5), FieldTag.cyclotomic(6)):
+        cases = [
+            (Matrix.make([[big]], field), Matrix.make([[Fraction(3, -7)]], field)),
+            (Matrix.zero(1, 1, field), Matrix.make([[1]], field)),
+            (Matrix.zero(3, 2, field), Matrix.zero(2, 4, field)),
+            (Matrix.make([[0, big], [0, 0]], field), Matrix.make([[0, 0], [Fraction(1, -2), 0]], field)),
+        ]
+        if field.is_cyclotomic:
+            # zeta^(phi - 1) squared needs the fold back below zeta^phi
+            top = [0] * (len(field.one().coeffs) - 1) + [big]
+            cases.append((Matrix.make([[top, 1]], field), Matrix.make([[top], [[0, Fraction(5, -3)]]], field)))
+        for A, B in cases:
+            product = matrices._entries(matrices._mul_lifted(matrices._lift(A), matrices._lift(B)))
+            assert repr(Matrix(field, A.rows, B.cols, product)) == repr(reference_product(A, B))
+            for M in (A, B):
+                reduced, pivots = reference_rref(M)
+                r = matrices._rref_lifted(matrices._lift(M))
+                assert repr(r.rref) == repr(reduced) and r.pivots == pivots
 
 
 def test_mul_rejects_mismatches():
