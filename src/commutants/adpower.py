@@ -5,11 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .commutant import commutant_operator
+from .commutant import _ad_power, _shrink, commutant_operator
 from .errors import BadExponent, FieldMismatch, NotSquare, ShapeMismatch
-from .matrices import Matrix, kernel_basis, unvec
+from .matrices import Matrix, _lift, vstack_rows
 from .polys import Poly, eval_at_matrix
-from .subspaces import SubspaceBasis, subspace_from_matrices
+from .subspaces import SubspaceBasis, _span
 
 DEFAULT_MAX_POWER = 16
 
@@ -30,12 +30,16 @@ class AdOperator:
 
 
 def ad_power_kernel(A: Matrix, k: int, max_power: int = DEFAULT_MAX_POWER) -> SubspaceBasis:
-    """Kernel of (ad_A)^k as a subspace of n x n matrices."""
+    """Kernel of (ad_A)^k as a subspace of n x n matrices: the unit
+    matrices E_ij, lifted, go through k commutator steps, and the kernel
+    of their images recombines them."""
     if not isinstance(k, int) or k < 1 or k > max_power:
         raise BadExponent(f"power k={k} outside 1..{max_power}")
-    op = AdOperator.of(A).op_matrix ** k
-    mats = [unvec(v, A.rows, A.field) for v in kernel_basis(op)]
-    return subspace_from_matrices(mats, ambient_n=A.rows, field=A.field)
+    if not A.is_square:
+        raise NotSquare("ad-power kernel needs a square matrix")
+    n = A.rows
+    I = _lift(Matrix.identity(n * n, A.field))
+    return _span(_shrink(I, _ad_power(I.ints, A, k)), n)
 
 
 def ann_k_member(X: Matrix, B: Matrix, k: int) -> bool:
@@ -67,13 +71,8 @@ def ann_k_member(X: Matrix, B: Matrix, k: int) -> bool:
 
 def ad_inclusion_check(A: Matrix, f: Poly, k: int, max_power: int = DEFAULT_MAX_POWER) -> bool:
     """Test ker (ad_A)^k <= ker (ad_f(A))^k by running the iterated
-    commutator with f(A) on every kernel basis element."""
+    commutator with f(A) on every kernel basis element, in integers."""
     F = eval_at_matrix(f, A)
     ker = ad_power_kernel(A, k, max_power=max_power)
-    for X in ker.basis:
-        Y = X
-        for _ in range(k):
-            Y = F * Y - Y * F
-        if not Y.is_zero():
-            return False
-    return True
+    vecs = _lift(vstack_rows(ker.rref_rows, A.field)).ints
+    return not any(any(v) for v in _ad_power(vecs, F, k))

@@ -34,7 +34,7 @@ from .matrices import (
     _Lifted,
     _mul_lifted,
     _pivot,
-    _products_equal,
+    _sides,
     kernel_basis,
     rref,
     vec,
@@ -128,21 +128,22 @@ def _cyclic_vector(M: Matrix, draws: _Draws) -> tuple[Poly, list[tuple]]:
     rejected draw retries one height up."""
     Ml = _lift(M).common()
     while True:
-        f, krylov = _krylov_dependency(Ml, _lift(draws.column(M.rows)).common())
-        if _annihilates(f, M, krylov):
+        f, krylov, pivots = _krylov_dependency(Ml, _lift(draws.column(M.rows)).common())
+        if _annihilates(f, M, pivots):
             return f, krylov
         draws.height += 1
 
 
-def _krylov_dependency(Ml: _Lifted, y: _Lifted) -> tuple[Poly, list[tuple]]:
-    """m_v and vec(v), vec(Mv), ..., vec(M^(d-1) v), d = deg m_v, for M
-    and the column v lifted, each over one denominator.  Each new
-    integer column y = D * M^k v enters as the row [y | D * e_k] and is
-    reduced fraction-free against the earlier ones, so its right part
-    keeps the coefficients of v, ..., M^k v that make up its left part;
-    the first column that reduces to zero stops the iteration, after
-    deg m_v products, and its right part, divided by its last entry, is
-    m_v."""
+def _krylov_dependency(Ml: _Lifted, y: _Lifted) -> tuple[Poly, list[tuple], list[int]]:
+    """m_v, vec(v), vec(Mv), ..., vec(M^(d-1) v), d = deg m_v, and their
+    pivot columns, for M and the column v lifted, each over one
+    denominator.  Each new integer column y = D * M^k v enters as the row
+    [y | D * e_k] and is reduced fraction-free against the earlier ones,
+    so its right part keeps the coefficients of v, ..., M^k v that make
+    up its left part; the first column that reduces to zero stops the
+    iteration, after deg m_v products, and its right part, divided by its
+    last entry, is m_v.  The echelon rows lead at distinct columns, the
+    pivot columns of the Krylov rows' RREF."""
     field, m, phi = Ml.field, Ml.rows, Ml.phi
     w = 2 * m + 1
     echelon, columns = [], []
@@ -163,23 +164,22 @@ def _krylov_dependency(Ml: _Lifted, y: _Lifted) -> tuple[Poly, list[tuple]]:
         if c is None:
             coeffs = [x for f in range(phi) for x in row[f * w + m : f * w + m + k + 1]]
             f = Poly.make(_entries(_Lifted(field, k + 1, [row[m + k]], [coeffs])), field)
-            return f, [_entries(col) for col in columns[:k]]
+            return f, [_entries(col) for col in columns[:k]], [c for c, _, _ in echelon]
         pv, _, shifts = _pivot(row, c, w, field.q)
         echelon.append((c, pv, shifts))
 
 
-def _annihilates(f: Poly, M: Matrix, krylov: list[tuple]) -> bool:
-    """f(M) = 0, for a monic f with f(M) v = 0 and krylov = v, Mv, ...,
-    M^(deg f - 1) v, independent.  f(M) commutes with M, so it kills
-    the span of krylov; the unit vectors e_j at the non-pivot columns of
-    the rows `krylov` complete it to a basis, and f(M) is tested on
-    those m - deg f columns only, by one Horner pass.  A cyclic M
-    (deg f = m) needs no product."""
+def _annihilates(f: Poly, M: Matrix, pivots: list[int]) -> bool:
+    """f(M) = 0, for a monic f with f(M) v = 0 and `pivots` the pivot
+    columns of the independent rows v, Mv, ..., M^(deg f - 1) v.  f(M)
+    commutes with M, so it kills their span; the unit vectors e_j at the
+    other columns complete it to a basis, and f(M) is tested on those
+    m - deg f columns only, by one Horner pass.  A cyclic M (deg f = m)
+    needs no product."""
     field, m = M.field, M.rows
-    if len(krylov) == m:
+    if len(pivots) == m:
         return True
-    # a zero v gives f = 1 and no Krylov columns: every e_j is tested
-    pivots = set(rref(vstack_rows(krylov, field)).pivots) if krylov else set()
+    # a zero v gives f = 1 and no pivots: every e_j is tested
     rest = [j for j in range(m) if j not in pivots]
     w = len(rest)
     units = [j * w + k for k, j in enumerate(rest)]  # e_j sits at (j, k)
@@ -243,7 +243,8 @@ def _frobenius(A: Matrix) -> tuple[tuple[Poly, ...], Matrix]:
     blocks.reverse()
     n = A.rows
     P = Matrix(field, n, n, tuple(x for i in range(n) for blk in blocks for x in blk.row(i)))
-    if not _products_equal(A, P, P, Matrix.block_diag([companion(f) for f in factors])):
+    AP, PF = _sides(_lift(vstack_rows([P.entries], field)).ints, A, Matrix.block_diag([companion(f) for f in factors]))
+    if AP != PF:
         raise VerificationError("Frobenius decomposition fails A*P = P*F")
     return tuple(factors), P
 

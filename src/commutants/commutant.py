@@ -7,8 +7,9 @@ where each block of Y solves C(a)*Y = mu*Y*C(b), whose solutions are
 known in closed form, so one structural routine serves all three and no
 n^2 x n^2 system is eliminated; the double centralizer shrinks the
 centralizer basis by commutator kernels.  Each basis is checked exactly
-before it is returned.  The ad-power kernels still use the vectorized
-operator A kron I - mu * I kron A^T, the tests' oracle for all of them.
+before it is returned.  The ad-power kernels iterate the same lifted
+commutator products; the vectorized operator A kron I - mu * I kron A^T
+is the tests' oracle for all of them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .canonical import _frobenius, invariant_factors, is_balanced_matrix
+from .canonical import _frobenius, is_balanced_matrix
 from .errors import (
     IndexOutOfRange,
     InvalidSpec,
@@ -25,7 +26,20 @@ from .errors import (
     VerificationError,
     ZeroInverse,
 )
-from .matrices import Matrix, _entries, _lift, _Lifted, _mul_lifted, kernel_basis, kron, vstack_rows
+from .matrices import (
+    Matrix,
+    _entries,
+    _left,
+    _lift,
+    _Lifted,
+    _mul_lifted,
+    _right,
+    _scaled,
+    _sides,
+    kernel_basis,
+    kron,
+    vstack_rows,
+)
 from .polys import Poly, poly_gcd
 from .scalars import QQ, CycloScalar, FieldTag
 from .subspaces import SubspaceBasis, _span, subspace_from_matrices
@@ -79,10 +93,10 @@ def _mu_commutant_basis(A: Matrix, mu, split=None) -> SubspaceBasis:
     over Q even when mu is cyclotomic; only P, P^-1 and the factors are
     promoted.  `split`, private, is `_split(A)` when the caller has it.
 
-    P, the solutions Y and P^-1 are lifted to integers once, each over
-    one denominator, so X = P*Y*P^-1 stays in integers up to a common
-    scale, which the span does not see; only the canonical basis that
-    is returned becomes field elements."""
+    P and P^-1 are lifted to integers once, each over one denominator,
+    and each solution Y to one integer vec, so X = P*Y*P^-1 stays in
+    integers up to a scale per X, which the span does not see; only the
+    canonical basis that is returned becomes field elements."""
     if not A.is_square:
         raise NotSquare("commutant needs a square matrix")
     field = FieldTag.cyclotomic(mu.q) if isinstance(mu, CycloScalar) else QQ
@@ -95,27 +109,21 @@ def _mu_commutant_basis(A: Matrix, mu, split=None) -> SubspaceBasis:
     offsets = [0]
     for f in factors:
         offsets.append(offsets[-1] + f.degree)
-    # each solution Y is one nonzero block (i, j), laid out abreast:
-    # row r of the stack is row r of Y_1, Y_2, ...
-    ys = [
-        (offsets[i], offsets[j], cols)
-        for i, a in enumerate(factors)
-        for j, b in enumerate(factors)
-        for cols in _block_solutions(a, b, mu)
-    ]
+    # each solution Y is one nonzero block (i, j) of an n x n matrix
+    ys = []
+    for i, a in enumerate(factors):
+        for j, b in enumerate(factors):
+            for cols in _block_solutions(a, b, mu):
+                flat = [field.zero()] * (n * n)
+                for k, col in enumerate(cols):
+                    for r, x in enumerate(col):
+                        flat[(offsets[i] + r) * n + offsets[j] + k] = x
+                ys.append(flat)
     count = len(ys)
     if not count:
         return subspace_from_matrices([], ambient_n=n, field=field)
-    grid = [[field.zero()] * (n * count) for _ in range(n)]
-    for e, (r0, c0, cols) in enumerate(ys):
-        for k, col in enumerate(cols):
-            for r, x in enumerate(col):
-                grid[r0 + r][e * n + c0 + k] = x
-    Y = _lift(Matrix(field, n, n * count, tuple(x for row in grid for x in row)))
-    PY = _mul_lifted(_lift(P).common(), Y)
-    phi = PY.phi
-    X = _mul_lifted(_scaled(field, n, _blocks(_unblocks(PY.ints, n, phi, count), n, phi, stacked=True)), _lift(P_inv))
-    S = _span(_scaled(field, n * n, _unblocks(X.ints, n, phi, count, stacked=True)), n)
+    X = _right(_left(_lift(P), _lift(vstack_rows(ys, field)).ints), _lift(P_inv))
+    S = _span(_scaled(field, n * n, X), n)
     if S.dim != count:
         raise VerificationError(f"span has rank {S.dim}, Frobenius' formula gives {count}")
     AX, XmuA = _sides(_lift(vstack_rows(S.rref_rows, field)).ints, A_mu, A_mu.scale(mu))
@@ -156,51 +164,6 @@ def _block_solutions(a: Poly, b: Poly, mu) -> list[list[tuple]]:
     ]
 
 
-def _scaled(field: FieldTag, cols: int, ints: list[list[int]]) -> _Lifted:
-    """Integer rows as a lifted matrix over denominator 1: each is a
-    scaled copy of the row it came from, for uses that see only spans or
-    homogeneous relations."""
-    return _Lifted(field, cols, [1] * len(ints), ints)
-
-
-def _blocks(vecs: list[list[int]], n: int, phi: int, stacked: bool = False) -> list[list[int]]:
-    """Plane-major rows of [Y_1 | Y_2 | ...], or with `stacked` of
-    [Y_1; Y_2; ...], from the plane-major vecs of n x n blocks Y_e."""
-    nn = n * n
-    if stacked:
-        return [[x for f in range(phi) for x in v[f * nn + r * n : f * nn + (r + 1) * n]] for v in vecs for r in range(n)]
-    return [[x for f in range(phi) for v in vecs for x in v[f * nn + r * n : f * nn + (r + 1) * n]] for r in range(n)]
-
-
-def _unblocks(rows: list[list[int]], n: int, phi: int, count: int, stacked: bool = False) -> list[list[int]]:
-    """The plane-major vecs of the count n x n blocks of rows laid out as
-    in `_blocks`."""
-    if stacked:
-        return [[x for f in range(phi) for r in range(n) for x in rows[e * n + r][f * n : (f + 1) * n]] for e in range(count)]
-    w = n * count
-    return [[x for f in range(phi) for r in range(n) for x in rows[r][f * w + e * n : f * w + (e + 1) * n]] for e in range(count)]
-
-
-def _sides(vecs: list[list[int]], L: Matrix, R: Matrix) -> tuple[list, list]:
-    """Integer vecs proportional to L*Y_e and to Y_e*R, by the same factor
-    for each e, from the integer vecs of n x n blocks Y_e: equal exactly
-    when L*Y_e = Y_e*R, and their difference is a fixed multiple of
-    Y_e*R - L*Y_e.  L and R are lifted once each, with no Fraction output."""
-    n, count = L.rows, len(vecs)
-    Ll = _lift(L).common()
-    Rl = Ll if R is L else _lift(R).common()
-    phi = Ll.phi
-    LY = _mul_lifted(Ll, _scaled(L.field, n * count, _blocks(vecs, n, phi)))
-    YR = _mul_lifted(_scaled(L.field, n, _blocks(vecs, n, phi, stacked=True)), Rl)
-    left = _unblocks(LY.ints, n, phi, count)
-    right = _unblocks(YR.ints, n, phi, count, stacked=True)
-    dL, dR = Ll.dens[0], Rl.dens[0]
-    if dL != dR:
-        left = [[dR * x for x in v] for v in left]
-        right = [[dL * x for x in v] for v in right]
-    return left, right
-
-
 def centralizer_basis(A: Matrix) -> SubspaceBasis:
     """Basis of {X : AX = XA}."""
     return _mu_commutant_basis(A, A.field.one())
@@ -222,7 +185,8 @@ def double_centralizer_basis(A: Matrix) -> SubspaceBasis:
     from C(A) rather than read off as F[A], so C(C(A)) = F[A] is a check."""
     if not A.is_square:
         raise NotSquare("double centralizer needs a square matrix")
-    return _double_centralizer(A, centralizer_basis(A), invariant_factors(A)[-1].degree)
+    split = _split(A)
+    return _double_centralizer(A, _mu_commutant_basis(A, A.field.one(), split), split[0][-1].degree)
 
 
 def _double_centralizer(A: Matrix, cent: SubspaceBasis, m_degree: int) -> SubspaceBasis:
@@ -236,7 +200,7 @@ def _double_centralizer(A: Matrix, cent: SubspaceBasis, m_degree: int) -> Subspa
     for X in cent.basis:
         if K.rows <= m_degree:
             break
-        K = _shrink(K, X)
+        K = _shrink(K, _ad_power(K.ints, X, 1))
     S = _span(K, n)
     if S.dim != m_degree:
         raise VerificationError(f"double centralizer has dimension {S.dim}, deg m_A is {m_degree}")
@@ -246,16 +210,25 @@ def _double_centralizer(A: Matrix, cent: SubspaceBasis, m_degree: int) -> Subspa
     return S
 
 
-def _shrink(K: _Lifted, X: Matrix) -> _Lifted:
-    """Rows of K (integer vecs of Y_k) recombined to span the part
-    commuting with X: the kernel of the columns proportional to
-    vec(Y_k*X - X*Y_k), zero rows dropped.  K's rows carry no
-    denominators, so the kernel coordinates apply to them directly."""
-    xy, yx = _sides(K.ints, X, X)
+def _ad_power(vecs: list[list[int]], X: Matrix, k: int) -> list[list[int]]:
+    """Integer vecs proportional to (ad_X)^k Y_e, by the same factor for
+    each e, from the integer vecs of n x n blocks Y_e: k commutator steps
+    X*Y - Y*X, each one `_sides` product pair."""
+    for _ in range(k):
+        xy, yx = _sides(vecs, X, X)
+        vecs = [[a - b for a, b in zip(u, v)] for u, v in zip(xy, yx)]
+    return vecs
+
+
+def _shrink(K: _Lifted, images: list[list[int]]) -> _Lifted:
+    """Rows of K (integer vecs of Y_k) recombined to span the part a
+    linear map kills, from images[k] proportional to the map's value on
+    Y_k by the same factor for each k: the kernel of the columns images[k],
+    zero rows dropped.  K's rows carry no denominators, so the kernel
+    coordinates apply to them directly."""
     nn, phi = K.cols, K.phi
-    diff = [[a - b for a, b in zip(u, v)] for u, v in zip(yx, xy)]
     # one system row per entry i of the vecs, plane-major across k
-    rows = [r for r in ([d[f * nn + i] for f in range(phi) for d in diff] for i in range(nn)) if any(r)]
+    rows = [r for r in ([d[f * nn + i] for f in range(phi) for d in images] for i in range(nn)) if any(r)]
     system = Matrix(K.field, len(rows), K.rows, _entries(_scaled(K.field, K.rows, rows)))
     kernel = kernel_basis(system)
     C = _lift(Matrix(K.field, len(kernel), K.rows, tuple(x for v in kernel for x in v)))

@@ -25,13 +25,17 @@ Q and Q(zeta_q):
   coefficient over Q(zeta_q).
 
 `Matrix.__mul__` and `rref` normalize at once.  Callers that feed a
-result into more integer work keep it lifted instead: the commutant
-solvers carry X = P*Y*P^-1 into the canonical RREF and their relation
-checks in integers, and the Krylov iterations of the Frobenius split lift
-their matrix once.  Wherever only a span or a homogeneous relation
-matters, row denominators are dropped, since a scaled row spans the same
-line.  One determinant routine, plain pivoting with division, serves
-both fields.
+result into more integer work keep it lifted instead.  The batched
+product layer takes integer vecs of n x n matrices Y_e: `_left` gives
+L*Y_e for every e from one product, the Y_e laid abreast, `_right` gives
+Y_e*R with the Y_e stacked, and `_sides` pairs the two scaled alike.
+The conjugation X = P*Y*P^-1, every relation check L*Y = Y*R (the
+commutants, A*P = P*F, AB = omega*BA) and every commutator step of the
+double centralizer and the ad-power kernels go through it, and the
+Krylov iterations of the Frobenius split lift their matrix once.
+Wherever only a span or a homogeneous relation matters, row denominators
+are dropped, since a scaled row spans the same line.  One determinant
+routine, plain pivoting with division, serves both fields.
 """
 
 from __future__ import annotations
@@ -143,9 +147,6 @@ class Matrix:
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -379,15 +380,47 @@ def _mul_lifted(A: _Lifted, B: _Lifted) -> _Lifted:
     return _Lifted(A.field, m, [da * d for da in A.dens], ints)
 
 
-def _products_equal(A: Matrix, B: Matrix, C: Matrix, D: Matrix) -> bool:
-    """A*B == C*D exactly, decided in integers: row i of each product is
-    an integer row over its own denominator, so the rows agree when each
-    times the other's denominator does.  No entry becomes a Fraction."""
-    AB, CD = _mul_lifted(_lift(A), _lift(B)), _mul_lifted(_lift(C), _lift(D))
-    return all(
-        x == y if u == v else [a * v for a in x] == [c * u for c in y]
-        for u, x, v, y in zip(AB.dens, AB.ints, CD.dens, CD.ints)
-    )
+def _scaled(field: FieldTag, cols: int, ints: list[list[int]]) -> _Lifted:
+    """Integer rows as a lifted matrix over denominator 1: each is a
+    scaled copy of the row it came from, for uses that see only spans or
+    homogeneous relations."""
+    return _Lifted(field, cols, [1] * len(ints), ints)
+
+
+def _left(L: _Lifted, vecs: list[list[int]]) -> list[list[int]]:
+    """The integer vecs of d * L*Y_e, d the common denominator of L, from
+    the integer vecs of Y_e: one product L * [Y_1 | Y_2 | ...]."""
+    L = L.common()
+    n, phi, count = L.rows, L.phi, len(vecs)
+    nn, w = n * n, n * count
+    abreast = [[x for f in range(phi) for v in vecs for x in v[f * nn + r * n : f * nn + (r + 1) * n]] for r in range(n)]
+    rows = _mul_lifted(L, _scaled(L.field, w, abreast)).ints
+    return [[x for f in range(phi) for r in range(n) for x in rows[r][f * w + e * n : f * w + (e + 1) * n]] for e in range(count)]
+
+
+def _right(vecs: list[list[int]], R: _Lifted) -> list[list[int]]:
+    """The integer vecs of d * Y_e*R, d the common denominator of R, from
+    the integer vecs of Y_e: one product [Y_1; Y_2; ...] * R."""
+    n, phi = R.cols, R.phi
+    nn = n * n
+    stacked = [[x for f in range(phi) for x in v[f * nn + r * n : f * nn + (r + 1) * n]] for v in vecs for r in range(n)]
+    rows = _mul_lifted(_scaled(R.field, n, stacked), R).ints
+    return [[x for f in range(phi) for r in range(n) for x in rows[e * n + r][f * n : (f + 1) * n]] for e in range(len(vecs))]
+
+
+def _sides(vecs: list[list[int]], L: Matrix, R: Matrix) -> tuple[list, list]:
+    """Integer vecs proportional to L*Y_e and to Y_e*R, by the same factor
+    for each e, from the integer vecs of n x n blocks Y_e: equal exactly
+    when L*Y_e = Y_e*R, and their difference is a fixed multiple of
+    Y_e*R - L*Y_e.  L and R are lifted once each, with no Fraction output."""
+    Ll = _lift(L).common()
+    Rl = Ll if R is L else _lift(R).common()
+    left, right = _left(Ll, vecs), _right(vecs, Rl)
+    dL, dR = Ll.dens[0], Rl.dens[0]
+    if dL != dR:
+        left = [[dR * x for x in v] for v in left]
+        right = [[dL * x for x in v] for v in right]
+    return left, right
 
 
 def _content_free(L: _Lifted) -> _Lifted:

@@ -204,13 +204,6 @@ class Poly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def eval_scalar(self, value):
-        value = self.field.coerce(value)
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
     def __str__(self):
         if self.is_zero:
             return "0"

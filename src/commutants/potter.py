@@ -17,7 +17,7 @@ from .errors import (
     PairInvariantViolated,
     ShapeMismatch,
 )
-from .matrices import Matrix
+from .matrices import Matrix, _lift, _sides, vstack_rows
 from .polys import CongruenceClass, Poly
 from .subspaces import subspace_equal
 
@@ -29,8 +29,8 @@ def omega_commutes(A: Matrix, B: Matrix, w: OmegaSpec) -> bool:
     if A.rows != B.rows:
         raise ShapeMismatch(f"sizes differ: {A.rows} vs {B.rows}")
     A = A.promote(w.q)
-    B = B.promote(w.q)
-    return (A * B - (B * A).scale(w.omega())).is_zero()
+    AB, BwA = _sides(_lift(vstack_rows([B.promote(w.q).entries], A.field)).ints, A, A.scale(w.omega()))
+    return AB == BwA
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 
 import sympy
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
 from commutants import matrices
@@ -201,6 +202,15 @@ def reference_commutant_basis(A: Matrix, mu) -> SubspaceBasis:
     return subspace_from_matrices(mats, ambient_n=A.rows, field=A.field)
 
 
+def reference_ad_power_kernel(A: Matrix, k: int) -> SubspaceBasis:
+    """The Kronecker oracle for ker (ad_A)^k: the kernel of the k-th power
+    of the n^2 x n^2 operator A kron I - I kron A^T, canonicalized like
+    the library's bases."""
+    vecs = kernel_basis(commutant_operator(A, A.field.one()) ** k)
+    mats = [unvec(v, A.rows, A.field) for v in vecs]
+    return subspace_from_matrices(mats, ambient_n=A.rows, field=A.field)
+
+
 def reference_double_centralizer(A: Matrix) -> SubspaceBasis:
     """The stacked-kernel oracle for C(C(A)): the kernel of the
     c*n^2 x n^2 stack of commutant_operator(X_i, 1) over the centralizer
@@ -358,3 +368,40 @@ def random_jordan_matrix(seed: int, n: int) -> Matrix:
         if P.det():
             return P.inverse() * M * P
     return M
+
+
+def nilpotent(sizes, seed: int) -> Matrix:
+    """The direct sum of the nilpotent Jordan blocks J_k(0), k in sizes,
+    conjugated by a seeded integer matrix."""
+    return conjugated(Matrix.block_diag([Matrix.jordan(k, 0, QQ) for k in sizes]), seed)
+
+
+def cyclo3_jordan(seed: int, sizes) -> Matrix:
+    """Conjugated direct sum of Jordan blocks over Q(zeta_3) with
+    eigenvalues drawn from 0, 1, zeta_3 and -zeta_3."""
+    field, z = FieldTag.cyclotomic(3), CycloScalar.zeta(3)
+    eigen = [0, 1, z, -z]
+    blocks = [Matrix.jordan(k, eigen[(seed + i) % 4], field) for i, k in enumerate(sizes)]
+    return conjugated(Matrix.block_diag(blocks), seed)
+
+
+# ------------------------------------------------ hypothesis strategies
+
+def partitions(n: int):
+    """The partitions of n as tuples of part sizes."""
+    return st.integers(1, n).flatmap(
+        lambda head: st.just((head,)) if head == n else partitions(n - head).map(lambda rest: (head,) + rest)
+    )
+
+
+seeds = st.integers(0, 10 ** 6)
+# square matrices over Q and Q(zeta_3), n <= 6: random, Jordan, scalar,
+# nilpotent and cyclotomic Jordan forms, all but the scalars conjugated
+double_inputs = st.one_of(
+    st.builds(random_rational_matrix, seeds, st.integers(1, 6), st.integers(1, 3)),
+    st.builds(random_jordan_matrix, seeds, st.integers(2, 6)),
+    st.builds(lambda n, c: Matrix.identity(n, QQ).scale(c), st.integers(1, 5), st.integers(-3, 3)),
+    st.builds(nilpotent, st.integers(1, 6).flatmap(partitions), seeds),
+    st.builds(cyclo3_jordan, seeds, st.integers(1, 5).flatmap(partitions)),
+    st.builds(lambda s, n: random_rational_matrix(s, n, 2).promote(3), seeds, st.integers(1, 4)),
+)

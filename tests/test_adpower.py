@@ -1,11 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from commutants import adpower, commutant
 from commutants import (
     AdOperator,
     BadExponent,
+    CycloScalar,
+    FieldTag,
     Matrix,
+    NotSquare,
     QQ,
     ShapeMismatch,
     ad_inclusion_check,
@@ -16,9 +22,22 @@ from commutants import (
     kron,
     kernel_basis,
     subspace_equal,
+    subspace_from_matrices,
     subspace_leq,
 )
-from helpers import count_products, mat, poly, random_jordan_matrix, random_rational_matrix
+from helpers import (
+    count_products,
+    cyclo3_jordan,
+    double_inputs,
+    mat,
+    nilpotent,
+    partitions,
+    poly,
+    random_jordan_matrix,
+    random_rational_matrix,
+    reference_ad_power_kernel,
+    seeds,
+)
 
 
 def iterated_commutator(A, B, k):
@@ -184,3 +203,91 @@ def test_diagonalizable_members_annihilate():
     for k in (1, 2, 3):
         for X in ad_power_kernel(A, k).basis:
             assert ann_k_member(X, B, k), k
+
+
+# ---------------------------------------- ad-power kernels vs the Kronecker oracle
+
+def _same_kernel(A, k):
+    ours, ref = ad_power_kernel(A, k), reference_ad_power_kernel(A, k)
+    assert ours.field == ref.field
+    assert ours.rref_rows == ref.rref_rows
+    assert ours.pivots == ref.pivots
+
+
+@settings(max_examples=40, deadline=None)
+@given(double_inputs, st.integers(1, 4))
+def test_ad_power_kernel_equals_kronecker_oracle(A, k):
+    _same_kernel(A, k)
+
+
+def test_ad_power_kernel_equals_kronecker_oracle_on_fixed_inputs():
+    z3 = FieldTag.cyclotomic(3)
+    fixed = [
+        mat([[0]]),
+        mat([[Fraction(7, 3)]]),
+        Matrix.zero(3, 3, QQ),
+        Matrix.identity(4, QQ),
+        mat([[Fraction(1, 2), Fraction(-5, 3)], [Fraction(7, 4), 0]]),
+        Matrix.jordan(3, CycloScalar.zeta(3), z3),
+        cyclo3_jordan(2, (2, 1, 1)),
+    ]
+    for A in fixed:
+        for k in (1, 2, 3, 4):
+            _same_kernel(A, k)
+
+
+def clebsch_gordan_dim(sizes, k):
+    """dim ker (ad_N)^k for N nilpotent with Jordan blocks of the given
+    sizes: J_a kron I - I kron J_b^T has Jordan blocks of sizes a+b-1-2t,
+    t < min(a, b), and each contributes min(k, size) to the kernel."""
+    return sum(min(k, a + b - 1 - 2 * t) for a in sizes for b in sizes for t in range(min(a, b)))
+
+
+def test_clebsch_gordan_goldens():
+    assert clebsch_gordan_dim((6, 6), 2) == 44
+    assert clebsch_gordan_dim((6, 6), 3) == 64
+    # k = 1 is the centralizer: sum over block pairs of min(a, b)
+    assert clebsch_gordan_dim((3, 2, 1), 1) == 3 + 2 * 2 + 2 * 1 + 2 + 2 * 1 + 1
+    J66 = Matrix.block_diag([Matrix.jordan(6, 0, QQ)] * 2)
+    assert [ad_power_kernel(J66, k).dim for k in (2, 3)] == [44, 64]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6).flatmap(partitions), seeds, st.integers(1, 4))
+def test_nilpotent_kernel_dims_follow_clebsch_gordan(sizes, seed, k):
+    assert ad_power_kernel(nilpotent(sizes, seed), k).dim == clebsch_gordan_dim(sizes, k)
+
+
+def test_ad_power_kernels_build_no_kronecker_operator(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("Kronecker operator built")
+
+    monkeypatch.setattr(adpower, "commutant_operator", forbidden)
+    monkeypatch.setattr(commutant, "commutant_operator", forbidden)
+    monkeypatch.setattr(commutant, "kron", forbidden)
+    for A in (Matrix.jordan(3, 0, QQ), random_jordan_matrix(5, 4), cyclo3_jordan(1, (2, 2))):
+        for k in (1, 2, 3):
+            ad_power_kernel(A, k)
+            assert ad_inclusion_check(A, poly([1, 2, 3], A.field), k)
+
+
+def test_non_square_input_raises_not_square():
+    M = mat([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(NotSquare):
+        ad_power_kernel(M, 2)
+    with pytest.raises(NotSquare):
+        ad_inclusion_check(M, poly([0, 1]), 2)
+    with pytest.raises(BadExponent):
+        ad_power_kernel(M, 0)
+
+
+def test_inclusion_check_sees_a_noncommuting_element(monkeypatch):
+    # with ker (ad_A)^k replaced by all of M_3, the commutator steps with
+    # f(A) = A must find an element they do not kill
+    A = Matrix.jordan(3, 0, QQ)
+    everything = subspace_from_matrices([Matrix.elem(3, i, j, QQ) for i in range(3) for j in range(3)])
+    monkeypatch.setattr(adpower, "ad_power_kernel", lambda *args, **kwargs: everything)
+    assert not ad_inclusion_check(A, poly([0, 1]), 1)
+    assert not ad_inclusion_check(A, poly([0, 1]), 2)
+    # (ad_A)^5 kills all of M_3, as A^3 = 0
+    assert ad_inclusion_check(A, poly([0, 1]), 5)

@@ -39,12 +39,16 @@ from commutants import (
 from commutants.errors import VerificationError
 from helpers import (
     conjugated,
+    double_inputs,
     mat,
+    nilpotent,
+    partitions,
     random_jordan_matrix,
     random_rational_matrix,
     reference_commutant_basis,
     reference_double_centralizer,
     relation_kernel_oracle,
+    seeds,
 )
 
 
@@ -245,29 +249,18 @@ _z3 = CycloScalar.zeta(3)
 _CYCLO3_INPUT = conjugated(Matrix.block_diag([Matrix.jordan(2, _z3, _Z3), Matrix.diag([_z3, -_z3], _Z3)]), 0)
 
 
-def _partition(n):
-    return st.integers(1, n).flatmap(
-        lambda head: st.just((head,)) if head == n else _partition(n - head).map(lambda rest: (head,) + rest)
-    )
-
-
 def _balanced(seed, n):
     B = random_jordan_matrix(seed, n)
     return Matrix.block_diag([B, -B])
 
 
-def _nilpotent(sizes, seed):
-    return conjugated(Matrix.block_diag([Matrix.jordan(k, 0, QQ) for k in sizes]), seed)
-
-
-seeds = st.integers(0, 10 ** 6)
 rational_inputs = st.one_of(
     st.builds(random_rational_matrix, seeds, st.integers(1, 5), st.integers(1, 3)),
     st.builds(random_jordan_matrix, seeds, st.integers(2, 6)),
     # scalar matrices, the zero matrix among them
     st.builds(lambda n, c: Matrix.identity(n, QQ).scale(c), st.integers(1, 4), st.integers(-3, 3)),
     st.builds(_balanced, seeds, st.integers(1, 3)),
-    st.builds(_nilpotent, st.integers(1, 6).flatmap(_partition), seeds),
+    st.builds(nilpotent, st.integers(1, 6).flatmap(partitions), seeds),
 )
 # mu as (q, k): q = None for mu = 1 (k = 0) and mu = -1 (k = 1)
 mus = st.sampled_from(
@@ -431,24 +424,6 @@ def test_commutant_solvers_build_no_kronecker_operator(monkeypatch):
 
 # ------------------------------------ double centralizer vs the stacked oracle
 
-def _cyclo3_jordan(seed, sizes):
-    """Conjugated direct sum of Jordan blocks over Q(zeta_3) with
-    eigenvalues drawn from 0, 1, zeta_3 and -zeta_3."""
-    eigen = [0, 1, _z3, -_z3]
-    blocks = [Matrix.jordan(k, eigen[(seed + i) % 4], _Z3) for i, k in enumerate(sizes)]
-    return conjugated(Matrix.block_diag(blocks), seed)
-
-
-double_inputs = st.one_of(
-    st.builds(random_rational_matrix, seeds, st.integers(1, 6), st.integers(1, 3)),
-    st.builds(random_jordan_matrix, seeds, st.integers(2, 6)),
-    st.builds(lambda n, c: Matrix.identity(n, QQ).scale(c), st.integers(1, 5), st.integers(-3, 3)),
-    st.builds(_nilpotent, st.integers(1, 6).flatmap(_partition), seeds),
-    st.builds(_cyclo3_jordan, seeds, st.integers(1, 5).flatmap(_partition)),
-    st.builds(lambda s, n: random_rational_matrix(s, n, 2).promote(3), seeds, st.integers(1, 4)),
-)
-
-
 def _same_double(A):
     ours, ref = double_centralizer_basis(A), reference_double_centralizer(A)
     assert ours.field == ref.field
@@ -488,6 +463,23 @@ def test_shrink_steps_stop_at_deg_min_poly(monkeypatch):
         sizes = [K.rows for K, X in _calls_of("_shrink", A, monkeypatch)]
         assert sizes and sizes[0] == centralizer_basis(A).dim
         assert all(k > min_poly(A).degree for k in sizes)
+
+
+def test_double_centralizer_splits_once(monkeypatch):
+    # the centralizer and deg m_A are both read off one Frobenius split
+    plain = canonical._frobenius
+    splits = [0]
+
+    def counting(A):
+        splits[0] += 1
+        return plain(A)
+
+    for module in (canonical, commutant):
+        monkeypatch.setattr(module, "_frobenius", counting)
+    for A in _SHRUNK + (Matrix.jordan(4, 1, QQ),):
+        splits[0] = 0
+        double_centralizer_basis(A)
+        assert splits[0] == 1, A
 
 
 def _bump_first(kernel):
