@@ -30,6 +30,7 @@ from .matrices import (
     _combine,
     _content_free,
     _entries,
+    _horner,
     _lift,
     _Lifted,
     _mul_lifted,
@@ -129,7 +130,7 @@ def _cyclic_vector(M: Matrix, draws: _Draws) -> tuple[Poly, list[tuple]]:
     Ml = _lift(M).common()
     while True:
         f, krylov, pivots = _krylov_dependency(Ml, _lift(draws.column(M.rows)).common())
-        if _annihilates(f, M, pivots):
+        if _annihilates(f, Ml, pivots):
             return f, krylov
         draws.height += 1
 
@@ -169,33 +170,20 @@ def _krylov_dependency(Ml: _Lifted, y: _Lifted) -> tuple[Poly, list[tuple], list
         echelon.append((c, pv, shifts))
 
 
-def _annihilates(f: Poly, M: Matrix, pivots: list[int]) -> bool:
-    """f(M) = 0, for a monic f with f(M) v = 0 and `pivots` the pivot
-    columns of the independent rows v, Mv, ..., M^(deg f - 1) v.  f(M)
-    commutes with M, so it kills their span; the unit vectors e_j at the
-    other columns complete it to a basis, and f(M) is tested on those
-    m - deg f columns only, by one Horner pass.  A cyclic M (deg f = m)
-    needs no product."""
-    field, m = M.field, M.rows
+def _annihilates(f: Poly, Ml: _Lifted, pivots: list[int]) -> bool:
+    """f(M) = 0, for M lifted as Ml, a monic f with f(M) v = 0 and
+    `pivots` the pivot columns of the independent rows v, Mv, ...,
+    M^(deg f - 1) v.  f(M) commutes with M, so it kills their span; the
+    unit vectors e_j at the other columns complete it to a basis, and
+    f(M) is tested on those m - deg f columns only, by one integer Horner
+    pass.  A cyclic M (deg f = m) needs no product."""
+    m = Ml.rows
     if len(pivots) == m:
         return True
     # a zero v gives f = 1 and no pivots: every e_j is tested
     rest = [j for j in range(m) if j not in pivots]
-    w = len(rest)
-    units = [j * w + k for k, j in enumerate(rest)]  # e_j sits at (j, k)
-    zero, one = field.zero(), field.one()
-    flat = [zero] * (m * w)
-    for i in units:
-        flat[i] = one
-    R = Matrix(field, m, w, tuple(flat))
-    for c in reversed(f.coeffs[:-1]):
-        R = M * R
-        if c:
-            flat = list(R.entries)
-            for i in units:
-                flat[i] = flat[i] + c
-            R = Matrix(field, m, w, tuple(flat))
-    return R.is_zero()
+    R = _horner(f.coeffs, Ml, [(j, k) for k, j in enumerate(rest)], len(rest))  # e_j sits at (j, k)
+    return not any(any(row) for row in R.ints)
 
 
 def _frobenius(A: Matrix) -> tuple[tuple[Poly, ...], Matrix]:

@@ -118,11 +118,20 @@ def parse_matrix(text: bytes | str) -> Matrix:
     for i, row in enumerate(rows):
         if len(row) != width:
             raise RaggedRows(f"row {i} has length {len(row)}, expected {width}")
-    parsed = [
-        [_parse_scalar(x, field, f"row {i}, column {j}") for j, x in enumerate(row)]
-        for i, row in enumerate(rows)
-    ]
-    return Matrix.make(parsed, field)
+    # each distinct scalar is parsed once; the key carries the JSON type,
+    # so true never stands for 1, and a failure raises at its first position
+    memo, flat = {}, []
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            key = (list, tuple([(type(c), c) for c in x])) if isinstance(x, list) else (type(x), x)
+            try:
+                value = memo[key]
+            except KeyError:
+                value = memo[key] = _parse_scalar(x, field, f"row {i}, column {j}")
+            except TypeError:  # unhashable: an object or a nested list, never a scalar
+                value = _parse_scalar(x, field, f"row {i}, column {j}")
+            flat.append(value)
+    return Matrix(field, len(rows), width, tuple(flat))
 
 
 def _parse_genspec(obj, where: str = "spec") -> GenSpec:

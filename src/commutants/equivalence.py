@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from .canonical import _cyclic_vector, _Draws
 from .errors import FieldMismatch, NotSquare, ShapeMismatch, VerificationError
-from .matrices import Matrix, solve, vstack_rows
-from .polys import CongruenceClass, Poly, eval_at_matrix, poly_in_class, restrict_to_class
+from .matrices import Matrix, _lift, _same, solve, vstack_rows
+from .polys import CongruenceClass, Poly, _at_matrix, poly_in_class, restrict_to_class
 
 GENERAL = CongruenceClass.general()
 ODD = CongruenceClass.odd()
@@ -111,7 +111,7 @@ def _reduce(B: Matrix, A: Matrix) -> tuple[Poly, Poly] | None:
     if coords is None:
         return None
     f0 = Poly.make(coords, A.field)
-    return (m, f0) if eval_at_matrix(f0, A) == B else None
+    return (m, f0) if _same(_at_matrix(f0, A), _lift(B)) else None
 
 
 def _class_solve(base: Poly, target: Poly, m: Poly, cls: CongruenceClass, n: int) -> Poly | None:
@@ -154,4 +154,4 @@ def verify_certificate(A: Matrix, B: Matrix, cert: Certificate) -> bool:
         raise ShapeMismatch(f"sizes differ: {A.rows} vs {B.rows}")
     if not poly_in_class(cert.f, cert.cls) or not poly_in_class(cert.g, cert.cls):
         return False
-    return eval_at_matrix(cert.f, A) == B and eval_at_matrix(cert.g, B) == A
+    return _same(_at_matrix(cert.f, A), _lift(B)) and _same(_at_matrix(cert.g, B), _lift(A))

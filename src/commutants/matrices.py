@@ -32,7 +32,12 @@ Y_e*R with the Y_e stacked, and `_sides` pairs the two scaled alike.
 The conjugation X = P*Y*P^-1, every relation check L*Y = Y*R (the
 commutants, A*P = P*F, AB = omega*BA) and every commutator step of the
 double centralizer and the ad-power kernels go through it, and the
-Krylov iterations of the Frobenius split lift their matrix once.
+Krylov iterations of the Frobenius split lift their matrix once.  The
+chains of products stay lifted too, content-free after each product:
+`_power` (square-and-multiply, behind `Matrix.__pow__` and the Potter
+check), `_horner` (f(M)*E for a 0/1 matrix E, behind `eval_at_matrix`
+and the annihilation check of the split), and `_same`, which compares
+two lifted matrices row by row over cross-multiplied denominators.
 Wherever only a span or a homogeneous relation matters, row denominators
 are dropped, since a scaled row spans the same line.  One determinant
 routine, plain pivoting with division, serves both fields.
@@ -197,14 +202,9 @@ class Matrix:
             raise NotSquare("powers need a square matrix")
         if k < 0:
             return self.inverse() ** (-k)
-        result = None  # stands for I, which is never multiplied in
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return Matrix.identity(self.rows, self.field) if result is None else result
+        if k == 0:
+            return Matrix.identity(self.rows, self.field)
+        return Matrix(self.field, self.rows, self.cols, _entries(_power(_lift(self), k)))
 
     def transpose(self) -> Matrix:
         flat = tuple(
@@ -431,6 +431,52 @@ def _content_free(L: _Lifted) -> _Lifted:
     if g == 1:
         return L
     return _Lifted(L.field, L.cols, [d // g for d in L.dens], [[x // g for x in row] for row in L.ints])
+
+
+def _power(L: _Lifted, k: int) -> _Lifted:
+    """L^k for k >= 1 by square-and-multiply in integers, each product
+    made content-free; the identity is never multiplied in."""
+    result = None
+    while k:
+        if k & 1:
+            result = L if result is None else _content_free(_mul_lifted(result, L))
+        L = _content_free(_mul_lifted(L, L)) if k > 1 else L
+        k >>= 1
+    return result
+
+
+def _horner(coeffs: Sequence, Ml: _Lifted, units: Iterable[tuple[int, int]], cols: int) -> _Lifted:
+    """f(M)*E by Horner in integers, for f with ascending ``coeffs``, M
+    lifted as Ml and E the m x cols 0/1 matrix with ones at the (row,
+    column) positions ``units``.  f's denominators are cleared once, so
+    the pass runs on D*f with integer coefficients, each added at the
+    units scaled by its row's running denominator; D goes back into the
+    denominators at the end.  Degree d costs d products."""
+    field, m, phi, top = Ml.field, Ml.rows, Ml.phi, len(coeffs) - 1
+    D, c = _planes(coeffs, field.q, phi)
+    R = _Lifted(field, cols, [1] * m, [[0] * (phi * cols) for _ in range(m)])
+    for k in range(top, -1, -1):
+        if k < top:
+            R = _content_free(_mul_lifted(Ml, R))
+        ck = c[k :: top + 1]
+        if any(ck):
+            for i, j in units:
+                row, d = R.ints[i], R.dens[i]
+                for e, x in enumerate(ck):
+                    row[e * cols + j] += x * d
+    return _Lifted(field, cols, [d * D for d in R.dens], R.ints)
+
+
+def _same(L: _Lifted, M: _Lifted) -> bool:
+    """Whether L and M hold the same matrix: the same field and shape,
+    and each row's integers equal after cross-multiplying by the other's
+    denominator."""
+    return (
+        L.field == M.field
+        and L.cols == M.cols
+        and L.rows == M.rows
+        and all(a == b if d == e else [x * e for x in a] == [y * d for y in b] for d, a, e, b in zip(L.dens, L.ints, M.dens, M.ints))
+    )
 
 
 # ---- vectorization and Kronecker products ----

@@ -20,7 +20,7 @@ from .errors import (
     NotSquare,
     ZeroPolynomial,
 )
-from .matrices import Matrix
+from .matrices import Matrix, _entries, _horner, _lift, _Lifted
 from .scalars import QQ, CycloScalar, FieldTag, cyclo_coeffs
 
 
@@ -363,21 +363,18 @@ def poly_in_class(f: Poly, c: CongruenceClass) -> bool:
 
 def eval_at_matrix(f: Poly, A: Matrix) -> Matrix:
     """Horner evaluation of f at a square matrix; the constant term
-    contributes c*I.  It starts from c_top*I, so degree d costs d
-    products, and each step adds its coefficient to the n diagonal
-    entries only."""
+    contributes c*I.  A is lifted once and the pass runs in integers,
+    starting from c_top*I, so degree d costs d products, and each step
+    adds its coefficient to the n diagonal entries only; the result is
+    normalized once."""
+    return Matrix(A.field, A.rows, A.rows, _entries(_at_matrix(f, A)))
+
+
+def _at_matrix(f: Poly, A: Matrix) -> _Lifted:
+    """f(A), lifted: one `_horner` pass with the diagonal as units."""
     if not A.is_square:
         raise NotSquare("polynomial evaluation needs a square matrix")
     if f.field != A.field:
         raise FieldMismatch(f"{f.field} vs {A.field}")
     n = A.rows
-    if f.is_zero:
-        return Matrix.zero(n, n, A.field)
-    result = Matrix.diag([f.coeffs[-1]] * n, A.field)
-    for c in reversed(f.coeffs[:-1]):
-        result = result * A
-        if c:
-            flat = list(result.entries)
-            flat[:: n + 1] = [x + c for x in flat[:: n + 1]]
-            result = Matrix(A.field, n, n, tuple(flat))
-    return result
+    return _horner(f.coeffs, _lift(A), [(i, i) for i in range(n)], n)

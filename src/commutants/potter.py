@@ -17,8 +17,20 @@ from .errors import (
     PairInvariantViolated,
     ShapeMismatch,
 )
-from .matrices import Matrix, _lift, _sides, vstack_rows
+from .matrices import (
+    Matrix,
+    _content_free,
+    _lift,
+    _Lifted,
+    _mul_lifted,
+    _planes,
+    _power,
+    _same,
+    _sides,
+    vstack_rows,
+)
 from .polys import CongruenceClass, Poly
+from .scalars import FieldTag, phi_degree
 from .subspaces import subspace_equal
 
 
@@ -51,23 +63,44 @@ class QuasiPair:
         return cls(A.promote(w.q), B.promote(w.q), w)
 
     @cached_property
-    def _powers(self) -> tuple[Matrix, Matrix]:
-        """(A^q, B^q) over Q(zeta_q), computed once per pair."""
+    def _stacks(self) -> tuple[_Lifted, _Lifted]:
+        """[A; B] and [A^q; B^q] over Q(zeta_q), lifted once per pair,
+        each over one denominator."""
         q = self.omega.q
-        return self.A.promote(q) ** q, self.B.promote(q) ** q
+        A, B = _lift(self.A.promote(q)), _lift(self.B.promote(q))
+        return _stack(A, B), _stack(_power(A, q), _power(B, q))
+
+
+def _stack(X: _Lifted, Y: _Lifted) -> _Lifted:
+    """[X; Y] over one denominator."""
+    return _Lifted(X.field, X.cols, X.dens + Y.dens, X.ints + Y.ints).common()
+
+
+def _abreast(s, t, n: int, field: FieldTag) -> _Lifted:
+    """[s*I | t*I], n x 2n, lifted: two nonzero entries per row."""
+    phi = phi_degree(field.q)
+    d, c = _planes((s, t), field.q, phi)
+    ints = [[0] * (2 * n * phi) for _ in range(n)]
+    for i, row in enumerate(ints):
+        for e in range(phi):
+            row[2 * n * e + i], row[2 * n * e + n + i] = c[2 * e], c[2 * e + 1]
+    return _Lifted(field, 2 * n, [d] * n, ints)
 
 
 def potter_check(pair: QuasiPair, s, t) -> bool:
-    """Verify (sA + tB)^q = s^q A^q + t^q B^q for the pair."""
+    """Verify (sA + tB)^q = s^q A^q + t^q B^q for the pair.  Both sides
+    stay in integers: sA + tB = [sI | tI] * [A; B] and s^q A^q + t^q B^q
+    = [s^q I | t^q I] * [A^q; B^q], each one product, and the two sides
+    are compared row by row over their denominators."""
     q = pair.omega.q
     field = pair.omega.field
-    A = pair.A.promote(q)
-    B = pair.B.promote(q)
     s = field.coerce(s)
     t = field.coerce(t)
-    lhs = (A.scale(s) + B.scale(t)) ** q
-    rhs = pair._powers[0].scale(s ** q) + pair._powers[1].scale(t ** q)
-    return lhs == rhs
+    n = pair.A.rows
+    AB, powers = pair._stacks
+    lhs = _power(_content_free(_mul_lifted(_abreast(s, t, n, field), AB)), q)
+    rhs = _mul_lifted(_abreast(s ** q, t ** q, n, field), powers)
+    return _same(lhs, rhs)
 
 
 def weyl_pair(q: int, n: int) -> QuasiPair:

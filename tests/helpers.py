@@ -121,6 +121,29 @@ def reference_power(A: Matrix, k: int) -> Matrix:
     return result
 
 
+def stepwise_power(A: Matrix, k: int) -> Matrix:
+    """A^k as |k| products through ``Matrix.__mul__``, starting from I
+    and normalized after each, of A or (k < 0) of A's inverse.  The oracle
+    for the lifted power chain."""
+    base = A if k >= 0 else A.inverse()
+    result = Matrix.identity(A.rows, A.field)
+    for _ in range(abs(k)):
+        result = result * base
+    return result
+
+
+def stepwise_eval(f: Poly, A: Matrix) -> Matrix:
+    """f(A) as the sum of c_e * A^e, each power one more product through
+    ``Matrix.__mul__``, each term through ``scale`` and ``+``.  The oracle
+    for the lifted Horner chain."""
+    result = Matrix.zero(A.rows, A.rows, A.field)
+    power = Matrix.identity(A.rows, A.field)
+    for c in f.coeffs:
+        result = result + power.scale(c)
+        power = power * A
+    return result
+
+
 def reference_rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Textbook Gauss-Jordan with division: scale each pivot row by the
     inverse of its pivot, then clear the column in every other row.  The

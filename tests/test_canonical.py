@@ -226,6 +226,23 @@ def test_cyclic_input_check_makes_no_product(monkeypatch):
     assert checks[-1] == (6, True, 0)
 
 
+def test_annihilates_rejects_a_proper_divisor_of_the_minimal_polynomial():
+    # M = J_3(0) + J_1(0), m_M = x^3.  v = e_1 has m_v = x^2 with Krylov
+    # rows e_1, e_0 (pivots 0, 1), but x^2 does not kill e_2: M^2 e_2 = e_0
+    import commutants.canonical as canonical
+    from commutants.matrices import _lift
+    for field in (QQ, FieldTag.cyclotomic(3)):
+        M = Matrix.block_diag([Matrix.jordan(3, 0, field), Matrix.jordan(1, 0, field)])
+        Ml = _lift(M).common()
+        assert canonical._annihilates(Poly.monomial(2, 1, field), Ml, [0, 1]) is False
+        # v = e_2 gives x^3 with pivots 0, 1, 2, and x^3 kills e_3 too
+        assert canonical._annihilates(Poly.monomial(3, 1, field), Ml, [0, 1, 2]) is True
+        # conjugated, the same divisor is still rejected on every unit vector
+        C = conjugated(M, 3)
+        assert canonical._annihilates(Poly.monomial(2, 1, field), _lift(C).common(), []) is False
+        assert canonical._annihilates(Poly.monomial(3, 1, field), _lift(C).common(), []) is True
+
+
 def test_companion_goldens():
     assert companion(poly([1, 0, 1])) == mat([[0, -1], [1, 0]])
     f = poly([2, -3, 0, 1])

@@ -92,6 +92,38 @@ def test_parse_matrix_errors():
         parse_matrix('[1, 2]')
 
 
+@pytest.mark.parametrize("field, rows, message", [
+    ("Q", [[True]], "row 0, column 0: booleans are not scalars"),
+    ("Q", [[1.0]], "row 0, column 0: floats are not accepted, use \"p/q\" strings"),
+    ({"cyclotomic": 3}, [[[1, True]]], "row 0, column 0: booleans are not scalars"),
+    # a value parsed earlier never stands for a JSON value of another type
+    ("Q", [[1, True]], "row 0, column 1: booleans are not scalars"),
+    ("Q", [[1, 1.0]], "row 0, column 1: floats are not accepted, use \"p/q\" strings"),
+    ({"cyclotomic": 3}, [[[1, 1], [1, True]]], "row 0, column 1: booleans are not scalars"),
+    ({"cyclotomic": 3}, [[[2, 1], [2, 1.0]]], "row 0, column 1: floats are not accepted, use \"p/q\" strings"),
+    # a bad value repeated across the matrix is reported where it first occurs
+    ("Q", [[1, "1/0"], ["1/0", "1/0"]], "row 0, column 1: bad rational '1/0'"),
+    ({"cyclotomic": 3}, [[0, [0, {}]], [[0, {}], 0]], "row 0, column 1: cannot read scalar from dict"),
+])
+def test_parse_matrix_scalar_errors_name_the_first_position(field, rows, message):
+    with pytest.raises(FieldError) as info:
+        parse_matrix(json.dumps({"field": field, "rows": rows}))
+    assert str(info.value) == message
+
+
+def test_parse_matrix_repeated_entries_match_make():
+    from commutants import FieldTag
+    f5 = FieldTag.cyclotomic(5)
+    # a coefficient list longer than phi = 4 is still reduced mod Phi_5
+    long = [0, 0, 0, 0, 1]
+    rows = [[long, "1/2", 0, long], [0, [1, "-1/3"], "1/2", 0], ["1/2", long, 0, [1, "-1/3"]]]
+    A = parse_matrix(json.dumps({"field": {"cyclotomic": 5}, "rows": rows}))
+    assert A == Matrix.make(rows, f5)
+    assert A.at(0, 0) == A.at(0, 3) == CycloScalar(5, (-1, -1, -1, -1))
+    rows = [["2/4", 7, "2/4"], [0, "-3", 0], [7, 7, "1/2"]]
+    assert parse_matrix(json.dumps({"field": "Q", "rows": rows})) == Matrix.make(rows, QQ)
+
+
 def test_parse_matrix_reports_json_position():
     try:
         parse_matrix('{"field": "Q",\n "rows": [[1,]]}')

@@ -14,7 +14,9 @@ from commutants import (
     NotSquare,
     QQ,
     ShapeMismatch,
+    Poly,
     ZeroInverse,
+    eval_at_matrix,
     kernel_basis,
     kron,
     solve,
@@ -32,6 +34,8 @@ from helpers import (
     reference_power,
     reference_product,
     reference_rref,
+    stepwise_eval,
+    stepwise_power,
     to_sympy,
 )
 
@@ -389,6 +393,57 @@ def test_pow_multiplies_no_identity(monkeypatch):
     products[0] = 0
     assert A ** -3 == inverse_cubed
     assert products[0] == 2
+
+
+@st.composite
+def chain_case(draw):
+    """A square matrix over Q, Q(zeta_3) or Q(zeta_5), n <= 4, with large
+    and negative denominators and zero rows and columns, and a polynomial
+    over the same field: zero, constant or of degree up to 5, with
+    non-integer and (over Q(zeta_q)) non-rational coefficients."""
+    q = draw(st.sampled_from((None, 3, 5)))
+    field = QQ if q is None else FieldTag.cyclotomic(q)
+    entry = lift_rational if q is None else st.one_of(st.lists(lift_rational, min_size=2, max_size=2 * q), lift_rational)
+    n = draw(st.integers(1, 4))
+    A = Matrix.make(draw(grid(n, n, entry)), field)
+    coeff = st.one_of(st.just(0), entry)
+    f = Poly.make(draw(st.lists(coeff, max_size=draw(st.sampled_from((0, 1, 6))))), field)
+    return A, f
+
+
+@settings(max_examples=80, deadline=None)
+@given(chain_case(), st.integers(-2, 9))
+def test_lifted_power_and_horner_chains_equal_stepwise_products(case, k):
+    A, f = case
+    assert repr(eval_at_matrix(f, A)) == repr(stepwise_eval(f, A))
+    if k < 0 and not A.det():
+        with pytest.raises(ZeroInverse):
+            A ** k
+    else:
+        assert repr(A ** k) == repr(stepwise_power(A, k))
+
+
+def test_same_compares_rows_over_their_denominators():
+    f5 = FieldTag.cyclotomic(5)
+    for field in (QQ, f5):
+        L = matrices._Lifted
+        phi = 4 if field.is_cyclotomic else 1
+        row = [1, -2] + [0, 3] * (phi - 1)
+        # [1, -2] / 2 against the same row over 6 = 2 * 3: equal
+        assert matrices._same(L(field, 2, [2], [row]), L(field, 2, [6], [[3 * x for x in row]]))
+        # the same integers over other denominators are only proportional
+        assert not matrices._same(L(field, 2, [2], [row]), L(field, 2, [6], [row]))
+        doubled = [2 * x for x in row]
+        assert matrices._same(L(field, 2, [1, 1], [row, row]), L(field, 2, [1, 2], [row, doubled]))
+        assert not matrices._same(L(field, 2, [1, 1], [row, row]), L(field, 2, [2, 1], [row, doubled]))
+        # zero rows agree over any denominators
+        zero = [0] * (2 * phi)
+        assert matrices._same(L(field, 2, [5], [zero]), L(field, 2, [1], [list(zero)]))
+    A = Matrix.make([[Fraction(1, 2), Fraction(-2, 3)], [0, 7]], QQ)
+    assert matrices._same(matrices._lift(A), matrices._lift(A.promote(5))) is False
+    # other shapes are never the same, even where the rows they share agree
+    assert matrices._same(matrices._lift(A), matrices._lift(Matrix(QQ, 1, 2, A.row(0)))) is False
+    assert matrices._same(matrices._lift(A), matrices._lift(Matrix(QQ, 2, 1, (A.at(0, 0), 0)))) is False
 
 
 def test_vec_kron_identity():

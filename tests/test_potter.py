@@ -20,6 +20,7 @@ from commutants import (
     subspace_equal,
     weyl_pair,
 )
+from commutants.matrices import _entries
 from helpers import mat, poly
 
 
@@ -183,18 +184,40 @@ def test_omega_centralizer_is_subspace():
 
 
 def test_potter_check_powers_each_factor_once(monkeypatch):
+    import commutants.potter as potter
     pair = weyl_pair(3, 12)
     bases = []
-    plain = Matrix.__pow__
+    plain = potter._power
 
-    def spy(self, k):
-        bases.append(self)
-        return plain(self, k)
+    def spy(L, k):
+        bases.append(Matrix(L.field, L.rows, L.cols, _entries(L)))
+        return plain(L, k)
 
-    monkeypatch.setattr(Matrix, "__pow__", spy)
+    monkeypatch.setattr(potter, "_power", spy)
     for s in range(1, 5):
         for t in range(1, 6):
             assert potter_check(pair, s, t)
     assert sum(M == pair.A for M in bases) == 1
     assert sum(M == pair.B for M in bases) == 1
     assert len(bases) == 20 + 2
+
+
+def test_potter_check_false_branch():
+    # J_2(0) and I do not satisfy AB = omega BA at q = 2, so the pair is
+    # built past its invariant check: (J + I)^2 = 2J + I, but J^2 + I^2 = I
+    pair = object.__new__(QuasiPair)
+    for name, value in (("A", Matrix.jordan(2, 0, QQ)), ("B", Matrix.identity(2, QQ)), ("omega", OmegaSpec(2, 1))):
+        object.__setattr__(pair, name, value)
+    assert potter_check(pair, 1, 1) is False
+
+
+def test_potter_check_rejects_a_corrupted_power():
+    pair = weyl_pair(3, 6)
+    AB, powers = pair._stacks
+    ints = [row[:] for row in powers.ints]
+    ints[0][0] += powers.dens[0]  # entry (0, 0) of A^q gains 1
+    pair.__dict__["_stacks"] = (AB, powers._replace(ints=ints))
+    assert potter_check(pair, 1, 1) is False
+    assert potter_check(pair, Fraction(2, 3), w := CycloScalar.zeta(3)) is False
+    # with s = 0 the corrupted A^q is scaled away
+    assert potter_check(pair, 0, w) is True
