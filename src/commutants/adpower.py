@@ -8,7 +8,7 @@ from math import comb
 from .commutant import _ad_power, _shrink, commutant_operator
 from .errors import BadExponent, FieldMismatch, NotSquare, ShapeMismatch
 from .matrices import Matrix, _lift, vstack_rows
-from .polys import Poly, eval_at_matrix
+from .polys import Poly, _at_matrix
 from .subspaces import SubspaceBasis, _span
 
 DEFAULT_MAX_POWER = 16
@@ -39,7 +39,7 @@ def ad_power_kernel(A: Matrix, k: int, max_power: int = DEFAULT_MAX_POWER) -> Su
         raise NotSquare("ad-power kernel needs a square matrix")
     n = A.rows
     I = _lift(Matrix.identity(n * n, A.field))
-    return _span(_shrink(I, _ad_power(I.ints, A, k)), n)
+    return _span(_shrink(I, _ad_power(I.ints, _lift(A), k)), n)
 
 
 def ann_k_member(X: Matrix, B: Matrix, k: int) -> bool:
@@ -72,7 +72,7 @@ def ann_k_member(X: Matrix, B: Matrix, k: int) -> bool:
 def ad_inclusion_check(A: Matrix, f: Poly, k: int, max_power: int = DEFAULT_MAX_POWER) -> bool:
     """Test ker (ad_A)^k <= ker (ad_f(A))^k by running the iterated
     commutator with f(A) on every kernel basis element, in integers."""
-    F = eval_at_matrix(f, A)
+    F = _at_matrix(f, A)
     ker = ad_power_kernel(A, k, max_power=max_power)
     vecs = _lift(vstack_rows(ker.rref_rows, A.field)).ints
     return not any(any(v) for v in _ad_power(vecs, F, k))

@@ -231,7 +231,8 @@ def _frobenius(A: Matrix) -> tuple[tuple[Poly, ...], Matrix]:
     blocks.reverse()
     n = A.rows
     P = Matrix(field, n, n, tuple(x for i in range(n) for blk in blocks for x in blk.row(i)))
-    AP, PF = _sides(_lift(vstack_rows([P.entries], field)).ints, A, Matrix.block_diag([companion(f) for f in factors]))
+    F = Matrix.block_diag([companion(f) for f in factors])
+    AP, PF = _sides(_lift(vstack_rows([P.entries], field)).ints, _lift(A), _lift(F))
     if AP != PF:
         raise VerificationError("Frobenius decomposition fails A*P = P*F")
     return tuple(factors), P

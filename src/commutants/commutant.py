@@ -36,6 +36,7 @@ from .matrices import (
     _right,
     _scaled,
     _sides,
+    _times,
     kernel_basis,
     kron,
     vstack_rows,
@@ -126,7 +127,8 @@ def _mu_commutant_basis(A: Matrix, mu, split=None) -> SubspaceBasis:
     S = _span(_scaled(field, n * n, X), n)
     if S.dim != count:
         raise VerificationError(f"span has rank {S.dim}, Frobenius' formula gives {count}")
-    AX, XmuA = _sides(_lift(vstack_rows(S.rref_rows, field)).ints, A_mu, A_mu.scale(mu))
+    Al = _lift(A_mu)
+    AX, XmuA = _sides(_lift(vstack_rows(S.rref_rows, field)).ints, Al, _times(mu, Al))
     if AX != XmuA:
         raise VerificationError("a basis element fails AX = mu*XA")
     return S
@@ -197,7 +199,8 @@ def _double_centralizer(A: Matrix, cent: SubspaceBasis, m_degree: int) -> Subspa
     with every X_i, dim = deg m_A = dim F[A]."""
     n, field = A.rows, A.field
     K = _scaled(field, n * n, _lift(vstack_rows(cent.rref_rows, field)).ints)
-    for X in cent.basis:
+    lifts = [_lift(X).common() for X in cent.basis]
+    for X in lifts:
         if K.rows <= m_degree:
             break
         K = _shrink(K, _ad_power(K.ints, X, 1))
@@ -205,15 +208,15 @@ def _double_centralizer(A: Matrix, cent: SubspaceBasis, m_degree: int) -> Subspa
     if S.dim != m_degree:
         raise VerificationError(f"double centralizer has dimension {S.dim}, deg m_A is {m_degree}")
     vecs = _lift(vstack_rows(S.rref_rows, field)).ints
-    if any(xy != yx for xy, yx in (_sides(vecs, X, X) for X in cent.basis)):
+    if any(xy != yx for xy, yx in (_sides(vecs, X, X) for X in lifts)):
         raise VerificationError("a double centralizer element fails to commute with the centralizer")
     return S
 
 
-def _ad_power(vecs: list[list[int]], X: Matrix, k: int) -> list[list[int]]:
+def _ad_power(vecs: list[list[int]], X: _Lifted, k: int) -> list[list[int]]:
     """Integer vecs proportional to (ad_X)^k Y_e, by the same factor for
-    each e, from the integer vecs of n x n blocks Y_e: k commutator steps
-    X*Y - Y*X, each one `_sides` product pair."""
+    each e, from the integer vecs of n x n blocks Y_e and X lifted: k
+    commutator steps X*Y - Y*X, each one `_sides` product pair."""
     for _ in range(k):
         xy, yx = _sides(vecs, X, X)
         vecs = [[a - b for a, b in zip(u, v)] for u, v in zip(xy, yx)]

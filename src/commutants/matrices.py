@@ -7,9 +7,10 @@ come out in the free-column order the pivots induce.
 
 Products and elimination share one private lifted form, `_Lifted`:
 integer coefficient planes, one per power of zeta below phi = deg Phi_q
-(phi = 1 over Q), plane-major, over a denominator per row.  Each
-algorithm is "lift, integer core, one normalization", with one body for
-Q and Q(zeta_q):
+(phi = 1 over Q), plane-major, over a denominator per row.  Over
+Q(zeta_q) lifting reads only the nonzero coefficients of nonzero
+entries.  Each algorithm is "lift, integer core, one normalization",
+with one body for Q and Q(zeta_q):
 
 - `_mul_lifted` multiplies in integers with no division: the right
   factor goes over one denominator, output rows are integer axpys over
@@ -25,19 +26,24 @@ Q and Q(zeta_q):
   coefficient over Q(zeta_q).
 
 `Matrix.__mul__` and `rref` normalize at once.  Callers that feed a
-result into more integer work keep it lifted instead.  The batched
-product layer takes integer vecs of n x n matrices Y_e: `_left` gives
-L*Y_e for every e from one product, the Y_e laid abreast, `_right` gives
-Y_e*R with the Y_e stacked, and `_sides` pairs the two scaled alike.
-The conjugation X = P*Y*P^-1, every relation check L*Y = Y*R (the
-commutants, A*P = P*F, AB = omega*BA) and every commutator step of the
+result into more integer work keep it lifted instead, and lift each
+matrix once.  A scalar enters as c*I: `_abreast` builds [c_1*I | c_2*I
+| ...] straight from the scalars' coefficient planes, and `_times` is
+c*L, an integer scale over Q and one product c*I * L over Q(zeta_q),
+so mu*A and omega*A never become field elements.  The batched product
+layer takes integer vecs of n x n matrices Y_e and lifted operands:
+`_left` gives L*Y_e for every e from one product, the Y_e laid abreast,
+`_right` gives Y_e*R with the Y_e stacked, and `_sides` pairs the two
+scaled alike.  The conjugation X = P*Y*P^-1, every relation check
+L*Y = Y*R (the commutants, A*P = P*F) and every commutator step of the
 double centralizer and the ad-power kernels go through it, and the
 Krylov iterations of the Frobenius split lift their matrix once.  The
 chains of products stay lifted too, content-free after each product:
 `_power` (square-and-multiply, behind `Matrix.__pow__` and the Potter
 check), `_horner` (f(M)*E for a 0/1 matrix E, behind `eval_at_matrix`
 and the annihilation check of the split), and `_same`, which compares
-two lifted matrices row by row over cross-multiplied denominators.
+two lifted matrices row by row over cross-multiplied denominators (the
+Potter identity, AB = omega*BA, the certificates).
 Wherever only a span or a homogeneous relation matters, row denominators
 are dropped, since a scaled row spans the same line.  One determinant
 routine, plain pivoting with division, serves both fields.
@@ -315,11 +321,18 @@ class _Lifted(NamedTuple):
 def _planes(values: Sequence, q: int | None, phi: int) -> tuple[int, list[int]]:
     """The lcm d of the denominators of ``values`` (over Q(zeta_q), of all
     their zeta-coefficients) and the integers d * x, plane-major:
-    coefficient e of entry j sits at e * len(values) + j.  Over Q, phi = 1."""
-    if q:
-        values = [x.coeffs[e] for e in range(phi) for x in values]
-    d = lcm(*(x.denominator for x in values))
-    return d, [x.numerator * (d // x.denominator) for x in values]
+    coefficient e of entry j sits at e * len(values) + j.  Over Q, phi = 1.
+    Over Q(zeta_q) only the nonzero coefficients of nonzero entries are read."""
+    if not q:
+        d = lcm(*(x.denominator for x in values))
+        return d, [x.numerator * (d // x.denominator) for x in values]
+    m = len(values)
+    nonzero = [(e * m + j, c) for j, x in enumerate(values) if x for e, c in enumerate(x.coeffs) if c]
+    d = lcm(*(c.denominator for _, c in nonzero))
+    out = [0] * (phi * m)
+    for i, c in nonzero:
+        out[i] = c.numerator * (d // c.denominator)
+    return d, out
 
 
 def _lift(M: Matrix) -> _Lifted:
@@ -408,19 +421,42 @@ def _right(vecs: list[list[int]], R: _Lifted) -> list[list[int]]:
     return [[x for f in range(phi) for r in range(n) for x in rows[e * n + r][f * n : (f + 1) * n]] for e in range(len(vecs))]
 
 
-def _sides(vecs: list[list[int]], L: Matrix, R: Matrix) -> tuple[list, list]:
+def _sides(vecs: list[list[int]], L: _Lifted, R: _Lifted) -> tuple[list, list]:
     """Integer vecs proportional to L*Y_e and to Y_e*R, by the same factor
     for each e, from the integer vecs of n x n blocks Y_e: equal exactly
     when L*Y_e = Y_e*R, and their difference is a fixed multiple of
-    Y_e*R - L*Y_e.  L and R are lifted once each, with no Fraction output."""
-    Ll = _lift(L).common()
-    Rl = Ll if R is L else _lift(R).common()
+    Y_e*R - L*Y_e.  L and R come lifted; no Fraction is built."""
+    Ll = L.common()
+    Rl = Ll if R is L else R.common()
     left, right = _left(Ll, vecs), _right(vecs, Rl)
     dL, dR = Ll.dens[0], Rl.dens[0]
     if dL != dR:
         left = [[dR * x for x in v] for v in left]
         right = [[dL * x for x in v] for v in right]
     return left, right
+
+
+def _abreast(scalars: Sequence, n: int, field: FieldTag) -> _Lifted:
+    """[c_1*I | c_2*I | ...], n x (count * n), lifted straight from the
+    scalars' coefficient planes: one nonzero entry per row and block."""
+    phi = phi_degree(field.q) if field.q else 1
+    count = len(scalars)
+    d, c = _planes(scalars, field.q, phi)
+    w = count * n
+    ints = [[0] * (phi * w) for _ in range(n)]
+    for i, row in enumerate(ints):
+        for e in range(phi):
+            for b in range(count):
+                row[e * w + b * n + i] = c[e * count + b]
+    return _Lifted(field, w, [d] * n, ints)
+
+
+def _times(c, L: _Lifted) -> _Lifted:
+    """c*L for a scalar c of L's field: over Q an integer scale of each
+    row and its denominator, over Q(zeta_q) one product c*I * L."""
+    if L.field.q is None:
+        return _Lifted(L.field, L.cols, [d * c.denominator for d in L.dens], [[c.numerator * x for x in row] for row in L.ints])
+    return _mul_lifted(_abreast((c,), L.rows, L.field), L)
 
 
 def _content_free(L: _Lifted) -> _Lifted:

@@ -83,9 +83,11 @@ class Poly:
 
     def monic(self) -> Poly:
         lead = self.leading
-        if lead == self.field.one():
+        one = self.field.one()
+        if lead == one:
             return self
-        return Poly(self.field, tuple(c / lead for c in self.coeffs))
+        inv = one / lead
+        return Poly(self.field, tuple(c * inv for c in self.coeffs[:-1]) + (one,))
 
     def reflect(self) -> Poly:
         """f(-x): sign flip on odd-index coefficients."""
@@ -172,10 +174,11 @@ class Poly:
             raise ZeroPolynomial("division by the zero polynomial")
         num = list(self.coeffs)
         dd = o.degree
-        lead = o.leading
+        one = self.field.one()
+        inv = None if o.leading == one else one / o.leading
         quo = [self.field.zero()] * max(len(num) - dd, 0)
         for i in range(len(num) - 1, dd - 1, -1):
-            c = num[i] / lead
+            c = num[i] if inv is None else num[i] * inv
             if c:
                 quo[i - dd] = c
                 for j, p in enumerate(o.coeffs):

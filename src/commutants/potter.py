@@ -19,43 +19,53 @@ from .errors import (
 )
 from .matrices import (
     Matrix,
+    _abreast,
     _content_free,
     _lift,
     _Lifted,
     _mul_lifted,
-    _planes,
     _power,
     _same,
-    _sides,
-    vstack_rows,
+    _times,
 )
 from .polys import CongruenceClass, Poly
-from .scalars import FieldTag, phi_degree
 from .subspaces import subspace_equal
 
 
 def omega_commutes(A: Matrix, B: Matrix, w: OmegaSpec) -> bool:
-    """Whether AB = omega * BA (inputs promoted to Q(zeta_q))."""
+    """Whether AB = omega * BA (inputs promoted to Q(zeta_q)): A and B
+    are lifted once each and the two products compared in integers."""
+    return _quasi_commutes(*_lifts(A, B, w), w)
+
+
+def _lifts(A: Matrix, B: Matrix, w: OmegaSpec) -> tuple[_Lifted, _Lifted]:
+    """A and B, square and of one size, promoted to Q(zeta_q) and lifted."""
     if not A.is_square or not B.is_square:
         raise NotSquare("quasi-commutation needs square matrices")
     if A.rows != B.rows:
         raise ShapeMismatch(f"sizes differ: {A.rows} vs {B.rows}")
-    A = A.promote(w.q)
-    AB, BwA = _sides(_lift(vstack_rows([B.promote(w.q).entries], A.field)).ints, A, A.scale(w.omega()))
-    return AB == BwA
+    return _lift(A.promote(w.q)), _lift(B.promote(w.q))
+
+
+def _quasi_commutes(A: _Lifted, B: _Lifted, w: OmegaSpec) -> bool:
+    """AB = omega * BA for A and B lifted over Q(zeta_q): omega*A is
+    formed in integers as omega*I * A, and AB and B*(omega*A) are compared
+    row by row over their denominators."""
+    return _same(_mul_lifted(A, B), _mul_lifted(B, _times(w.omega(), A)))
 
 
 @dataclass(frozen=True)
 class QuasiPair:
-    """A pair with AB = omega * BA; the relation is checked on
-    construction and violations raise immediately."""
+    """A pair with AB = omega * BA.  A and B are lifted to integers over
+    Q(zeta_q) once per pair; the relation is checked on those lifts on
+    construction, and violations raise immediately."""
 
     A: Matrix
     B: Matrix
     omega: OmegaSpec
 
     def __post_init__(self):
-        if not omega_commutes(self.A, self.B, self.omega):
+        if not _quasi_commutes(*self._lifted, self.omega):
             raise PairInvariantViolated("AB != omega * BA for this pair")
 
     @classmethod
@@ -63,28 +73,22 @@ class QuasiPair:
         return cls(A.promote(w.q), B.promote(w.q), w)
 
     @cached_property
+    def _lifted(self) -> tuple[_Lifted, _Lifted]:
+        """A and B over Q(zeta_q), lifted."""
+        return _lifts(self.A, self.B, self.omega)
+
+    @cached_property
     def _stacks(self) -> tuple[_Lifted, _Lifted]:
-        """[A; B] and [A^q; B^q] over Q(zeta_q), lifted once per pair,
-        each over one denominator."""
+        """[A; B] and [A^q; B^q], from the pair's lifts, each over one
+        denominator."""
+        A, B = self._lifted
         q = self.omega.q
-        A, B = _lift(self.A.promote(q)), _lift(self.B.promote(q))
         return _stack(A, B), _stack(_power(A, q), _power(B, q))
 
 
 def _stack(X: _Lifted, Y: _Lifted) -> _Lifted:
     """[X; Y] over one denominator."""
     return _Lifted(X.field, X.cols, X.dens + Y.dens, X.ints + Y.ints).common()
-
-
-def _abreast(s, t, n: int, field: FieldTag) -> _Lifted:
-    """[s*I | t*I], n x 2n, lifted: two nonzero entries per row."""
-    phi = phi_degree(field.q)
-    d, c = _planes((s, t), field.q, phi)
-    ints = [[0] * (2 * n * phi) for _ in range(n)]
-    for i, row in enumerate(ints):
-        for e in range(phi):
-            row[2 * n * e + i], row[2 * n * e + n + i] = c[2 * e], c[2 * e + 1]
-    return _Lifted(field, 2 * n, [d] * n, ints)
 
 
 def potter_check(pair: QuasiPair, s, t) -> bool:
@@ -98,8 +102,8 @@ def potter_check(pair: QuasiPair, s, t) -> bool:
     t = field.coerce(t)
     n = pair.A.rows
     AB, powers = pair._stacks
-    lhs = _power(_content_free(_mul_lifted(_abreast(s, t, n, field), AB)), q)
-    rhs = _mul_lifted(_abreast(s ** q, t ** q, n, field), powers)
+    lhs = _power(_content_free(_mul_lifted(_abreast((s, t), n, field), AB)), q)
+    rhs = _mul_lifted(_abreast((s ** q, t ** q), n, field), powers)
     return _same(lhs, rhs)
 
 

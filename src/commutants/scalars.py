@@ -162,14 +162,14 @@ class CycloScalar:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result = CycloScalar.from_rational(self.q, 1)
-        base = self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return CycloScalar.from_rational(self.q, 1) if result is None else result
 
     def __eq__(self, other):
         if isinstance(other, CycloScalar):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import sympy
 from hypothesis import strategies as st
@@ -173,6 +174,54 @@ def reference_rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
             break
     flat = tuple(x for row in rows for x in row)
     return Matrix(M.field, M.rows, M.cols, flat), tuple(pivots)
+
+
+# ------------------------------------------- reference scalar routines
+
+def reference_omega_commutes(A: Matrix, B: Matrix, w) -> bool:
+    """AB = omega * BA through ``Matrix.__mul__`` and ``scale``, with A
+    and B promoted to Q(zeta_q).  The oracle for the lifted relation check."""
+    A, B = A.promote(w.q), B.promote(w.q)
+    return A * B == (B * A).scale(w.omega())
+
+
+def repeated_power(x: CycloScalar, k: int) -> CycloScalar:
+    """x^k as |k| multiplications starting from 1, and for k < 0 one
+    division of 1 by x^|k|.  The oracle for ``CycloScalar.__pow__``."""
+    acc = CycloScalar.from_rational(x.q, 1)
+    for _ in range(abs(k)):
+        acc = acc * x
+    return acc if k >= 0 else 1 / acc
+
+
+def dense_planes(values, q: int, phi: int) -> tuple[int, list[int]]:
+    """The per-coefficient lift: every zeta-coefficient of every entry,
+    zeros included, read plane-major, over the lcm of all their
+    denominators.  The oracle for ``matrices._planes`` over Q(zeta_q)."""
+    coeffs = [x.coeffs[e] for e in range(phi) for x in values]
+    d = 1
+    for c in coeffs:
+        d = d * c.denominator // gcd(d, c.denominator)
+    return d, [int(c * d) for c in coeffs]
+
+
+def reference_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
+    """Long division with one field division by g's leading coefficient
+    per quotient coefficient.  The oracle for ``Poly.__divmod__``."""
+    num = list(f.coeffs)
+    dd = g.degree
+    quo = [f.field.zero()] * max(len(num) - dd, 0)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i] / g.leading
+        quo[i - dd] = c
+        for j, p in enumerate(g.coeffs):
+            num[i - dd + j] = num[i - dd + j] - c * p
+    return Poly.make(quo, f.field), Poly.make(num[:dd], f.field)
+
+
+def reference_monic(f: Poly) -> Poly:
+    """f with every coefficient divided by the leading one."""
+    return Poly.make([c / f.leading for c in f.coeffs], f.field)
 
 
 def count_products(monkeypatch) -> list[int]:

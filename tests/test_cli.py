@@ -527,23 +527,31 @@ def test_potter_checks_the_relation_once(tmp_path, capsys, monkeypatch):
     import commutants.potter as potter
     from commutants import weyl_pair
     pair = weyl_pair(3, 3)
-    calls = 0
-    plain = potter.omega_commutes
+    calls = lifts = 0
+    plain, lift = potter._quasi_commutes, potter._lift
 
     def counting(A, B, w):
         nonlocal calls
         calls += 1
         return plain(A, B, w)
 
+    def counting_lift(M):
+        nonlocal lifts
+        lifts += 1
+        return lift(M)
+
     # count calls made through any module that holds its own reference
     for module in (potter, cli):
-        if hasattr(module, "omega_commutes"):
-            monkeypatch.setattr(module, "omega_commutes", counting)
+        if hasattr(module, "_quasi_commutes"):
+            monkeypatch.setattr(module, "_quasi_commutes", counting)
+    monkeypatch.setattr(potter, "_lift", counting_lift)
     fa = write_matrix(tmp_path / "a.json", pair.A)
     fb = write_matrix(tmp_path / "b.json", pair.B)
     code, out, _ = run(capsys, ["potter", fa, fb, "--q", "3", "--samples", "2"])
-    assert code == 0 and out["holds"] is True
+    assert code == 0 and out["holds"] is True and out["samples_run"] == 2
     assert calls == 1
+    # A and B are lifted once each, for the relation and both samples
+    assert lifts == 2
 
 
 @pytest.mark.parametrize("a, b, error", [

@@ -25,9 +25,11 @@ from commutants import (
     weyl_pair,
 )
 from commutants import matrices
-from commutants.matrices import rref
+from commutants.matrices import hstack, rref
+from commutants.scalars import phi_degree
 from helpers import (
     count_products,
+    dense_planes,
     from_sympy,
     mat,
     random_rational_matrix,
@@ -559,3 +561,35 @@ def test_scale_multiplies_only_nonzero_entries(monkeypatch):
     scaled = A.scale(CycloScalar.zeta(3, 2))
     assert count[0] == nonzero == 12
     assert sum(1 for x in scaled.entries if x) == nonzero
+
+
+@st.composite
+def cyclotomic_row(draw):
+    """A row over Q(zeta_q), q in {3, 4, 5, 6}: zero entries, and entries
+    whose coefficient tuples are partly zero, over several denominators."""
+    field = FieldTag.cyclotomic(draw(st.sampled_from((3, 4, 5, 6))))
+    phi = phi_degree(field.q)
+    coefficient = st.one_of(st.just(0), rational)
+    entry = st.one_of(st.just([0]), st.lists(coefficient, min_size=phi, max_size=phi))
+    return field, [field.coerce(c) for c in draw(st.lists(entry, min_size=1, max_size=8))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(cyclotomic_row())
+def test_planes_skips_zeros_and_equals_the_dense_lift(case):
+    field, row = case
+    phi = phi_degree(field.q)
+    assert matrices._planes(row, field.q, phi) == dense_planes(row, field.q, phi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(rational_pair(), cyclotomic_pair()), st.lists(rational, min_size=1, max_size=6))
+def test_scalar_times_lifted_matrix_equals_scale(pair, coeffs):
+    A, _ = pair
+    c = A.field.coerce(coeffs[0] if A.field is QQ else coeffs)
+    lifted = matrices._times(c, matrices._lift(A))
+    assert Matrix(A.field, A.rows, A.cols, matrices._entries(lifted)) == A.scale(c)
+    # [c_1 I | c_2 I] has c_b on the diagonal of block b
+    both = Matrix(A.field, A.rows, 2 * A.rows, matrices._entries(matrices._abreast((c, -c), A.rows, A.field)))
+    ident = Matrix.identity(A.rows, A.field)
+    assert both == hstack(ident.scale(c), ident.scale(-c))

@@ -26,6 +26,8 @@ from commutants import (
 )
 from helpers import (
     count_products,
+    reference_divmod,
+    reference_monic,
     mat,
     poly,
     reference_power,
@@ -260,3 +262,52 @@ def test_eval_at_matrix_adds_constants_on_the_diagonal(monkeypatch):
         eval_at_matrix(poly(coeffs), A)
     eval_at_matrix(Poly.make([1, 1], FieldTag.cyclotomic(5)), A.promote(5))
     assert calls == []
+
+
+@st.composite
+def non_monic_pairs(draw):
+    """(f, g) over Q or Q(zeta_5) with g's leading coefficient not 1."""
+    field = draw(st.sampled_from((QQ, FieldTag.cyclotomic(5))))
+    fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    coefficient = fractions if field is QQ else st.lists(fractions, min_size=1, max_size=4).map(field.coerce)
+    f = Poly.make(draw(st.lists(coefficient, max_size=7)), field)
+    g = Poly.make(draw(st.lists(coefficient, min_size=1, max_size=4)), field)
+    if g.is_zero or g.is_monic:
+        lead = field.coerce(2) if field is QQ else field.coerce([1, -1, 0, 3])
+        g = Poly.make(list(g.coeffs) + [lead], field)
+    return f, g
+
+
+@settings(max_examples=60, deadline=None)
+@given(non_monic_pairs())
+def test_divmod_and_monic_equal_per_coefficient_division(case):
+    f, g = case
+    q, r = divmod(f, g)
+    assert (q, r) == reference_divmod(f, g)
+    assert q * g + r == f
+    assert g.monic() == reference_monic(g) and g.monic().is_monic
+    if not f.is_zero:
+        assert f.monic() == reference_monic(f)
+
+
+def test_divmod_and_monic_invert_the_leading_coefficient_once(monkeypatch):
+    from commutants import CycloScalar
+    field = FieldTag.cyclotomic(5)
+    g = Poly.make([1, [0, 1], [2, 0, -1], [1, 1]], field)
+    f = g * Poly.make([[3, 1], 0, [1, 0, 0, 2], 5], field) + Poly.make([[1, 2], 7], field)
+    count = [0]
+    plain = CycloScalar.inverse
+
+    def counting(self):
+        count[0] += 1
+        return plain(self)
+
+    monkeypatch.setattr(CycloScalar, "inverse", counting)
+    for call in (lambda: divmod(f, g), g.monic):
+        count[0] = 0
+        call()
+        assert count[0] == 1
+    h = g.monic()
+    count[0] = 0
+    divmod(f, h)  # a monic divisor needs no inverse
+    assert count[0] == 0

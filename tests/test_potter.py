@@ -1,10 +1,14 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commutants import (
     BadDimensions,
     CycloScalar,
+    FieldTag,
     Matrix,
     NotNilpotent,
     OmegaSpec,
@@ -21,7 +25,7 @@ from commutants import (
     weyl_pair,
 )
 from commutants.matrices import _entries
-from helpers import mat, poly
+from helpers import conjugated, mat, poly, random_rational_matrix, reference_omega_commutes
 
 
 def clock_shift_3():
@@ -221,3 +225,68 @@ def test_potter_check_rejects_a_corrupted_power():
     assert potter_check(pair, Fraction(2, 3), w := CycloScalar.zeta(3)) is False
     # with s = 0 the corrupted A^q is scaled away
     assert potter_check(pair, 0, w) is True
+
+
+def clock_shift(q: int, k: int, copies: int):
+    """copies of diag(1, zeta^k, ..., zeta^(k(q-1))) and the cyclic shift
+    e_i -> e_(i+1): DS = zeta^k * SD."""
+    field, z = FieldTag.cyclotomic(q), CycloScalar.zeta(q, k)
+    clock = Matrix.diag([z ** i for i in range(q)], field)
+    shift = Matrix.make([[1 if (r - 1) % q == c else 0 for c in range(q)] for r in range(q)], field)
+    return Matrix.block_diag([clock] * copies), Matrix.block_diag([shift] * copies)
+
+
+def units(q: int) -> list[int]:
+    return [k for k in range(q) if gcd(k, q) == 1]
+
+
+def test_omega_commutes_on_every_root_of_unity():
+    # each clock/shift pair holds for its own zeta^k only, and (for
+    # q > 1, where the clock is not I) a perturbed shift breaks it
+    for q in range(1, 7):
+        for k in units(q):
+            D, S = clock_shift(q, k, 2)
+            for k2 in units(q):
+                assert omega_commutes(D, S, OmegaSpec(q, k2)) == (k2 == k) == reference_omega_commutes(D, S, OmegaSpec(q, k2))
+            if q == 1:
+                continue
+            bumped = Matrix(S.field, S.rows, S.cols, (S.entries[0] + 1,) + S.entries[1:])
+            assert not omega_commutes(D, bumped, OmegaSpec(q, k))
+            assert not reference_omega_commutes(D, bumped, OmegaSpec(q, k))
+
+
+@st.composite
+def quasi_inputs(draw):
+    """(A, B, omega): a clock/shift pair for zeta^k' (k' = k or not),
+    conjugated and scaled, possibly with one entry of B changed; or two
+    random rational matrices; or a rational anticommuting pair."""
+    q = draw(st.integers(1, 6))
+    w = OmegaSpec(q, draw(st.sampled_from(units(q))))
+    kind = draw(st.sampled_from(("pair", "perturbed", "rational", "anticommuting")))
+    seed = draw(st.integers(0, 10 ** 6))
+    if kind == "rational":
+        n = draw(st.integers(1, 4))
+        return random_rational_matrix(seed, n, 2), random_rational_matrix(seed + 1, n, 2), w
+    if kind == "anticommuting":
+        return Matrix.diag([1, -1], QQ), mat([[0, 1], [1, 0]]), w
+    D, S = clock_shift(q, draw(st.sampled_from(units(q))), draw(st.integers(1, 2)))
+    a, b = (w.field.coerce(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=q))) for _ in range(2))
+    A, B = conjugated(D, seed).scale(a), conjugated(S, seed).scale(b)
+    if kind == "perturbed":
+        i = draw(st.integers(0, len(B.entries) - 1))
+        B = Matrix(B.field, B.rows, B.cols, B.entries[:i] + (B.entries[i] + w.omega(),) + B.entries[i + 1 :])
+    return A, B, w
+
+
+@settings(max_examples=120, deadline=None)
+@given(quasi_inputs())
+def test_omega_commutes_equals_the_matrix_oracle(case):
+    A, B, w = case
+    holds = reference_omega_commutes(A, B, w)
+    assert omega_commutes(A, B, w) == holds
+    # the pair's construction check decides the same relation
+    if holds:
+        QuasiPair.of(A, B, w)
+    else:
+        with pytest.raises(PairInvariantViolated):
+            QuasiPair.of(A, B, w)

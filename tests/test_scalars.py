@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from commutants import CycloScalar, FieldMismatch, FieldTag, QQ, ZeroInverse, cyclo_reduce
 from commutants.scalars import cyclo_coeffs, phi_degree
+from helpers import repeated_power
 
 
 def test_cyclotomic_polynomials_match_sympy():
@@ -133,3 +134,38 @@ def test_pow_negative_and_zero():
     assert z ** 0 == 1
     assert z ** -1 == z.inverse()
     assert z ** -3 == (z ** 3).inverse()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((3, 4, 5, 6)),
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4), min_size=1, max_size=6),
+)
+def test_pow_equals_repeated_multiplication(q, coeffs):
+    x = cyclo_reduce(coeffs, q)
+    for k in range(-3, 10):
+        if k < 0 and not x:
+            with pytest.raises(ZeroInverse):
+                x ** k
+            continue
+        assert x ** k == repeated_power(x, k), k
+
+
+def test_pow_multiplies_neither_by_one_nor_past_the_last_bit(monkeypatch):
+    # square-and-multiply from the first set bit: floor(log2 k) squarings
+    # and popcount(k) - 1 further products
+    x = cyclo_reduce([1, 2, -1], 5)
+    count = [0]
+    plain = CycloScalar.__mul__
+
+    def counting(self, other):
+        count[0] += 1
+        return plain(self, other)
+
+    monkeypatch.setattr(CycloScalar, "__mul__", counting)
+    for k in range(1, 18):
+        count[0] = 0
+        x ** k
+        assert count[0] == k.bit_length() - 1 + bin(k).count("1") - 1, k
+    count[0] = 0
+    assert x ** 0 == 1 and count[0] == 0
