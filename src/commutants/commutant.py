@@ -196,7 +196,12 @@ def _double_centralizer(A: Matrix, cent: SubspaceBasis, m_degree: int) -> Subspa
     C(C(A)) lies in C(A), as A is in C(A), so K (one integer vec per
     row, a scaled element) starts as cent's basis and each X_i in it
     cuts span K down to what commutes with X_i.  Checked: all commute
-    with every X_i, dim = deg m_A = dim F[A]."""
+    with every X_i, dim = deg m_A = dim F[A].  When dim C(A) = deg m_A
+    already, C(A) = F[A], which is commutative, so C(C(A)) = C(A) and
+    cent, whose relation and rank `_mu_commutant_basis` has checked, is
+    the answer."""
+    if cent.dim == m_degree:
+        return cent
     n, field = A.rows, A.field
     K = _scaled(field, n * n, _lift(vstack_rows(cent.rref_rows, field)).ints)
     lifts = [_lift(X).common() for X in cent.basis]

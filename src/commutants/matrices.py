@@ -13,15 +13,20 @@ entries.  Each algorithm is "lift, integer core, one normalization",
 with one body for Q and Q(zeta_q):
 
 - `_mul_lifted` multiplies in integers with no division: the right
-  factor goes over one denominator, output rows are integer axpys over
-  the nonzero entries of the left row and nonzero rows of the right
-  factor, and over Q(zeta_q) the 2 phi - 1 planes are folded back mod
-  Phi_q in integers.
+  factor goes over one denominator.  Over Q it is transposed once and
+  each output entry is one dot product, an all-zero left row giving a
+  zero row for free; over Q(zeta_q) output rows are integer axpys over
+  the nonzero entries of the left row's nonzero planes and the nonzero
+  rows of the right factor, and the 2 phi - 1 planes are folded back
+  mod Phi_q in integers.
 - `_rref_core` is fraction-free Gauss-Jordan by cross-multiplication
   with gcd normalization, stopped before the final division by each
-  pivot.  A pivot p that is not rational is made rational once, by
-  multiplying its row by d * p^-1 with d the lcm of the denominators of
-  p^-1, so every cross-multiplier is an integer.
+  pivot.  The pivot row is the candidate with the fewest bits, the
+  earliest on ties, which keeps the intermediates small; the RREF is
+  unique, so the choice does not change the result.  A pivot p that is
+  not rational is made rational once, by multiplying its row by
+  d * p^-1 with d the lcm of the denominators of p^-1, so every
+  cross-multiplier is an integer.
 - `_entries` normalizes: one Fraction per entry over Q, one division per
   coefficient over Q(zeta_q).
 
@@ -53,7 +58,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import FieldMismatch, NotSquare, ShapeMismatch, ZeroInverse
@@ -360,26 +367,36 @@ def _entries(L: _Lifted) -> tuple:
 
 def _mul_lifted(A: _Lifted, B: _Lifted) -> _Lifted:
     """A * B with no division: row i is over A.dens[i] * d, with B put
-    over one denominator d, accumulated unreduced in 2 phi - 1 planes by
-    row axpys over the nonzero entries of A and nonzero rows of B; over
-    Q(zeta_q) the planes from phi up are folded back with
+    over one denominator d.  Over Q each entry is one dot product of A's
+    row with a column of B, transposed once per call, and an all-zero
+    row of A gives a zero row with no work.  Over Q(zeta_q) each row is
+    accumulated unreduced in 2 phi - 1 planes by row axpys over the
+    nonzero entries of A's nonzero planes and the nonzero rows of B, and
+    the planes from phi up are folded back with
     zeta^phi = -sum_k low[k] zeta^k, in integers."""
     B = B.common()
     q = A.field.q
-    low = cyclo_coeffs(q)[:-1] if q else ()
-    phi = len(low) or 1
     m = B.cols
-    b_rows = [[row[f * m : (f + 1) * m] if any(row[f * m : (f + 1) * m]) else None for row in B.ints] for f in range(phi)]
     d = B.dens[0] if B.dens else 1
+    dens = [da * d for da in A.dens]
+    if q is None:
+        cols = list(zip(*B.ints))
+        ints = [[sum(map(mul, arow, col)) for col in cols] if any(arow) else [0] * m for arow in A.ints]
+        return _Lifted(A.field, m, dens, ints)
+    low = cyclo_coeffs(q)[:-1]
+    phi = len(low)
+    b_rows = [[row[f * m : (f + 1) * m] if any(row[f * m : (f + 1) * m]) else None for row in B.ints] for f in range(phi)]
     ints = []
     for arow in A.ints:
         acc = [[0] * m for _ in range(2 * phi - 1)]
         for e in range(phi):
             a = arow[e * A.cols : (e + 1) * A.cols]
+            if not any(a):
+                continue
             for f, brows in enumerate(b_rows):
                 s = acc[e + f]
-                for x, brow in zip(a, brows):
-                    if x and brow:
+                for x, brow in compress(zip(a, brows), a):
+                    if brow:
                         s = [u + x * y for u, y in zip(s, brow)]
                 acc[e + f] = s
         for e in range(2 * phi - 2, phi - 1, -1):
@@ -390,7 +407,7 @@ def _mul_lifted(A: _Lifted, B: _Lifted) -> _Lifted:
                 if ck:
                     acc[e - phi + k] = [x - ck * t for x, t in zip(acc[e - phi + k], top)]
         ints.append([x for plane in acc[:phi] for x in plane])
-    return _Lifted(A.field, m, [da * d for da in A.dens], ints)
+    return _Lifted(A.field, m, dens, ints)
 
 
 def _scaled(field: FieldTag, cols: int, ints: list[list[int]]) -> _Lifted:
@@ -592,16 +609,19 @@ def _rref_core(ints: list[list[int]], width: int, q: int | None) -> tuple[list[l
     """Fraction-free Gauss-Jordan on plane-major integer rows of `width`
     columns, stopped before the final division: the nonzero reduced rows,
     each a multiple pv = row[c] (rational, in plane 0) of its RREF row,
-    and their pivot columns c.  The update is row_i <- pv * row_i -
+    and their pivot columns c.  Of the rows from r on that are nonzero
+    in column c (in any plane), the one with the fewest bits is the
+    pivot, the earliest on ties.  The update is row_i <- pv * row_i -
     v * pivot_row, with v = entry (i, c) applied as sum_e v_e * (zeta^e *
     pivot_row)."""
     work = list(ints)
     pivots = []
     r = 0
     for c in range(width):
-        pivot_row = next((i for i in range(r, len(work)) if any(work[i][c::width])), None)
-        if pivot_row is None:
+        candidates = [i for i in range(r, len(work)) if any(work[i][c::width])]
+        if not candidates:
             continue
+        pivot_row = min(candidates, key=lambda i: sum(map(int.bit_length, work[i])))
         work[r], work[pivot_row] = work[pivot_row], work[r]
         pv, work[r], shifts = _pivot(work[r], c, width, q)
         for i, row in enumerate(work):

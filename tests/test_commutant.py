@@ -39,10 +39,12 @@ from commutants import (
 from commutants.errors import VerificationError
 from helpers import (
     conjugated,
+    cyclo3_jordan,
     double_inputs,
     mat,
     nilpotent,
     partitions,
+    poly,
     random_jordan_matrix,
     random_rational_matrix,
     reference_commutant_basis,
@@ -480,6 +482,24 @@ def test_double_centralizer_splits_once(monkeypatch):
         splits[0] = 0
         double_centralizer_basis(A)
         assert splits[0] == 1, A
+
+
+def test_nonderogatory_double_centralizer_is_the_centralizer(monkeypatch):
+    # dim C(A) = deg m_A gives C(A) = F[A], which is commutative, so
+    # C(C(A)) = C(A): no shrink step and no commutation check runs
+    def forbidden(*args):
+        raise AssertionError("commutator products on a nonderogatory input")
+
+    companion = canonical.companion(poly([3, -1, 2, 0, -2, 1]))
+    for A in (conjugated(companion, 7), companion, cyclo3_jordan(0, (2, 1)), mat([[Fraction(5, 2)]])):
+        cent = centralizer_basis(A)
+        m_degree = min_poly(A).degree
+        assert cent.dim == m_degree
+        with monkeypatch.context() as m:
+            m.setattr(commutant, "_sides", forbidden)
+            m.setattr(commutant, "_shrink", forbidden)
+            assert commutant._double_centralizer(A, cent, m_degree) is cent
+        _same_double(A)
 
 
 def _bump_first(kernel):

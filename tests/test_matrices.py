@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,25 +8,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commutants import (
+    ConjugateBy,
     CycloScalar,
     FieldMismatch,
     FieldTag,
+    GenSpec,
     Matrix,
+    NilpotentBlocks,
     NotSquare,
+    OmegaSpec,
     QQ,
     ShapeMismatch,
     Poly,
     ZeroInverse,
     eval_at_matrix,
+    generate,
     kernel_basis,
     kron,
+    omega_centralizer_basis,
     solve,
     unvec,
     vec,
     weyl_pair,
 )
 from commutants import matrices
-from commutants.matrices import hstack, rref
+from commutants.matrices import hstack, rref, vstack_rows
 from commutants.scalars import phi_degree
 from helpers import (
     count_products,
@@ -246,6 +253,173 @@ def test_lifted_kernels_on_fixed_edge_inputs():
                 reduced, pivots = reference_rref(M)
                 r = matrices._rref_lifted(matrices._lift(M))
                 assert repr(r.rref) == repr(reduced) and r.pivots == pivots
+
+
+# the lifted kernels at the shapes the library feeds them: Krylov columns,
+# commutator products laid abreast (about 40 columns wide), stacked matrix
+# units with all-zero rows, right factors with zero rows, and Weyl-like
+# monomial rows whose other zeta-planes are all zero; n up to 12
+
+LIBRARY_SHAPES = ("column", "wide", "units", "zero_rows", "weyl")
+
+
+def _random_entry(rng, q):
+    """Zero, a small integer, or a fraction over a large denominator; over
+    Q(zeta_q) a coefficient list of length 1..q."""
+    def coefficient():
+        kind = rng.random()
+        if kind < 0.3:
+            return 0
+        if kind < 0.7:
+            return rng.randint(-6, 6)
+        return Fraction(rng.randint(-(10**15), 10**15), rng.choice(LIFT_DENOMINATORS))
+    if q is None:
+        return coefficient()
+    return [coefficient() for _ in range(rng.randint(1, q))]
+
+
+def _random_matrix(rng, field, rows, cols, zero_rows=()):
+    return Matrix.make(
+        [[0 if i in zero_rows else _random_entry(rng, field.q) for _ in range(cols)] for i in range(rows)], field
+    )
+
+
+def _monomial_matrix(rng, field, rows, cols):
+    """At most one nonzero entry per row, c * zeta^e: every other plane
+    of the row is zero."""
+    out = [[0] * cols for _ in range(rows)]
+    for row in out:
+        j = rng.randint(-1, cols - 1)
+        if j >= 0:
+            c = Fraction(rng.randint(-(10**6), 10**6) or 1, rng.choice(LIFT_DENOMINATORS))
+            row[j] = c if field.q is None else [0] * rng.randint(0, field.q - 1) + [c]
+    return Matrix.make(out, field)
+
+
+@st.composite
+def library_shape_case(draw):
+    q = draw(st.sampled_from((None, 3, 4, 5, 6)))
+    field = QQ if q is None else FieldTag.cyclotomic(q)
+    shape = draw(st.sampled_from(LIBRARY_SHAPES))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    k, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    if shape == "column":
+        return _random_matrix(rng, field, k, m), _random_matrix(rng, field, m, 1)
+    if shape == "wide":
+        return _random_matrix(rng, field, k, m), _random_matrix(rng, field, m, draw(st.integers(36, 44)))
+    if shape == "units":
+        # matrix units E_ij, m x m, stacked: one 1 in each block, every other row zero
+        units = [Matrix.elem(m, rng.randrange(m), rng.randrange(m), field) for _ in range(draw(st.integers(1, 4)))]
+        left = vstack_rows((U.row(i) for U in units for i in range(m)), field)
+        return left, _random_matrix(rng, field, m, draw(st.integers(1, 12)))
+    if shape == "zero_rows":
+        zero = draw(st.sets(st.integers(0, m - 1)))
+        return _random_matrix(rng, field, k, m), _random_matrix(rng, field, m, draw(st.integers(1, 12)), zero)
+    return _monomial_matrix(rng, field, k, m), draw(st.sampled_from((_monomial_matrix, _random_matrix)))(rng, field, m, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(library_shape_case())
+def test_lifted_product_at_library_shapes_equals_the_fraction_oracle(case):
+    A, B = case
+    product = matrices._entries(matrices._mul_lifted(matrices._lift(A), matrices._lift(B)))
+    assert repr(Matrix(A.field, A.rows, B.cols, product)) == repr(reference_product(A, B))
+
+
+def test_lifted_product_with_an_empty_inner_dimension():
+    # k x 0 times 0 x m: B has no row to transpose, every entry is an empty sum
+    for field in (QQ, FieldTag.cyclotomic(5)):
+        phi = 1 if field.q is None else phi_degree(field.q)
+        empty = matrices._Lifted(field, 3, [], [])
+        product = matrices._mul_lifted(matrices._Lifted(field, 0, [1, 2], [[], []]), empty)
+        assert product.ints == [[0] * (3 * phi)] * 2 and product.dens == [1, 2]
+
+
+def test_zero_rows_of_a_product_are_distinct_lists():
+    # callers such as _horner add into product rows in place
+    for field in (QQ, FieldTag.cyclotomic(3)):
+        A = Matrix.make([[0, 0], [0, 0], [1, 0]], field)
+        rows = matrices._mul_lifted(matrices._lift(A), matrices._lift(Matrix.identity(2, field))).ints
+        assert len({id(row) for row in rows}) == len(rows)
+
+
+# --------------------------------------------------- the pivot choice
+
+# row scales that make a row large, so that the smallest candidate for a
+# pivot is often not the first one
+BIG_SCALES = (2**61 - 1, -(10**12 + 39), Fraction(2**61 - 1, 10**12 + 39), 3)
+
+
+@st.composite
+def scaled_rows_case(draw):
+    """A matrix over Q or Q(zeta_q), q in 3..6, up to 6 x 8, whose leading
+    rows are multiplied by large rational (and, over Q(zeta_q), nonreal)
+    factors; some rows repeat others up to such a factor."""
+    q = draw(st.sampled_from((None, 3, 4, 5, 6)))
+    field = QQ if q is None else FieldTag.cyclotomic(q)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    base = [[field.coerce(_random_entry(rng, q)) for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        if i and rng.random() < 0.3:
+            base[i] = list(base[rng.randrange(i)])
+    scales = [field.coerce(s) for s in BIG_SCALES]
+    if field.is_cyclotomic:
+        scales.append(field.coerce([10**12 + 39, 0, -(2**61 - 1)]))
+    big = draw(st.integers(1, rows))
+    for i in range(big):
+        s = rng.choice(scales)
+        base[i] = [s * x for x in base[i]]
+    return Matrix.make(base, field)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_rows_case())
+def test_smallest_row_pivoting_keeps_the_unique_rref(M):
+    reduced, pivots = reference_rref(M)
+    r = matrices._rref_lifted(matrices._lift(M))
+    assert repr(r.rref) == repr(reduced)
+    assert r.pivots == pivots and r.rank == len(pivots)
+
+
+def test_pivot_is_the_row_with_fewest_bits_earliest_on_ties(monkeypatch):
+    chosen = []
+    plain = matrices._pivot
+
+    def spy(row, c, width, q):
+        chosen.append(list(row))
+        return plain(row, c, width, q)
+
+    monkeypatch.setattr(matrices, "_pivot", spy)
+    # rows 1 and 2 both have 1 + 3 bits, row 0 has 61 + 2
+    M = mat([[2**61 - 1, 3], [1, 5], [1, 7]])
+    r = rref(M)
+    assert chosen[0] == [1, 5]
+    assert (r.rref, r.pivots) == reference_rref(M)
+
+
+# sha256 of repr(rref_rows) of the omega-centralizer basis below, as the
+# first-nonzero-row pivoting gave it
+NILPOTENT66_OMEGA5_DIGEST = "349d01ed208fd8c36ca5353017e37274098df13fd8d26e5ea9d3aabd7fb62bee"
+
+
+def test_pivot_choice_bounds_intermediate_size_on_a_cyclotomic_basis(monkeypatch):
+    # first-nonzero-row pivoting let this 24 x 144 elimination over four
+    # planes reach 3,385-bit integers; the smallest row keeps them below 1,200
+    largest = [0]
+    plain = matrices._combine
+
+    def measured(*args):
+        row = plain(*args)
+        largest[0] = max(largest[0], max(abs(x) for x in row).bit_length())
+        return row
+
+    monkeypatch.setattr(matrices, "_combine", measured)
+    A = generate(GenSpec(ConjugateBy(GenSpec(NilpotentBlocks((6, 6))), 3), seed=7))
+    S = omega_centralizer_basis(A, OmegaSpec(5))
+    assert 0 < largest[0] < 1200
+    assert S.dim == 24
+    assert hashlib.sha256(repr(S.rref_rows).encode()).hexdigest() == NILPOTENT66_OMEGA5_DIGEST
 
 
 def test_mul_rejects_mismatches():
