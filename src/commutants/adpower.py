@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .commutant import _ad_power, _shrink, commutant_operator
+from .commutant import _ad_power, _kernel_coords, commutant_operator
 from .errors import BadExponent, FieldMismatch, NotSquare, ShapeMismatch
-from .matrices import Matrix, _lift, vstack_rows
+from .matrices import Matrix, _lift, _scaled, vstack_rows
 from .polys import Poly, _at_matrix
 from .subspaces import SubspaceBasis, _span
 
@@ -31,15 +31,16 @@ class AdOperator:
 
 def ad_power_kernel(A: Matrix, k: int, max_power: int = DEFAULT_MAX_POWER) -> SubspaceBasis:
     """Kernel of (ad_A)^k as a subspace of n x n matrices: the unit
-    matrices E_ij, lifted, go through k commutator steps, and the kernel
-    of their images recombines them."""
+    matrices E_ij, as integer vecs, go through k commutator steps, and
+    the kernel of their images recombines them; the kernel coordinates
+    are themselves the vecs, since the E_ij are the standard basis."""
     if not isinstance(k, int) or k < 1 or k > max_power:
         raise BadExponent(f"power k={k} outside 1..{max_power}")
     if not A.is_square:
         raise NotSquare("ad-power kernel needs a square matrix")
-    n = A.rows
-    I = _lift(Matrix.identity(n * n, A.field))
-    return _span(_shrink(I, _ad_power(I.ints, _lift(A), k)), n)
+    n, Al = A.rows, _lift(A)
+    units = [[int(i == j) for j in range(Al.phi * n * n)] for i in range(n * n)]
+    return _span(_kernel_coords(_scaled(A.field, n * n, _ad_power(units, Al, k))), n)
 
 
 def ann_k_member(X: Matrix, B: Matrix, k: int) -> bool:

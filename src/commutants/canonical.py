@@ -120,9 +120,9 @@ class _Draws:
         return Matrix(self.field, m, 1, entries)
 
 
-def _cyclic_vector(M: Matrix, draws: _Draws) -> tuple[Poly, list[tuple]]:
-    """m_M and the Krylov columns v, Mv, ..., M^(d-1) v of a drawn v
-    with m_v = m_M, d = deg m_M.
+def _cyclic_vector(M: Matrix, draws: _Draws) -> tuple[Poly, list[_Lifted]]:
+    """m_M and the Krylov columns v, Mv, ..., M^(d-1) v, lifted, of a
+    drawn v with m_v = m_M, d = deg m_M.
 
     The first Krylov dependency m_v of v is accepted only once
     `_annihilates` has checked m_v(M) = 0 exactly; then m_v = m_M.  A
@@ -135,13 +135,14 @@ def _cyclic_vector(M: Matrix, draws: _Draws) -> tuple[Poly, list[tuple]]:
         draws.height += 1
 
 
-def _krylov_dependency(Ml: _Lifted, y: _Lifted) -> tuple[Poly, list[tuple], list[int]]:
-    """m_v, vec(v), vec(Mv), ..., vec(M^(d-1) v), d = deg m_v, and their
+def _krylov_dependency(Ml: _Lifted, y: _Lifted) -> tuple[Poly, list[_Lifted], list[int]]:
+    """m_v, the columns v, Mv, ..., M^(d-1) v, d = deg m_v, and their
     pivot columns, for M and the column v lifted, each over one
-    denominator.  Each new integer column y = D * M^k v enters as the row
-    [y | D * e_k] and is reduced fraction-free against the earlier ones,
-    so its right part keeps the coefficients of v, ..., M^k v that make
-    up its left part; the first column that reduces to zero stops the
+    denominator; the columns stay lifted, each over one denominator.
+    Each new integer column y = D * M^k v enters as the row [y | D * e_k]
+    and is reduced fraction-free against the earlier ones, so its right
+    part keeps the coefficients of v, ..., M^k v that make up its left
+    part; the first column that reduces to zero stops the
     iteration, after deg m_v products, and its right part, divided by its
     last entry, is m_v.  The echelon rows lead at distinct columns, the
     pivot columns of the Krylov rows' RREF."""
@@ -165,7 +166,7 @@ def _krylov_dependency(Ml: _Lifted, y: _Lifted) -> tuple[Poly, list[tuple], list
         if c is None:
             coeffs = [x for f in range(phi) for x in row[f * w + m : f * w + m + k + 1]]
             f = Poly.make(_entries(_Lifted(field, k + 1, [row[m + k]], [coeffs])), field)
-            return f, [_entries(col) for col in columns[:k]], [c for c, _, _ in echelon]
+            return f, columns[:k], [c for c, _, _ in echelon]
         pv, _, shifts = _pivot(row, c, w, field.q)
         echelon.append((c, pv, shifts))
 
@@ -209,7 +210,7 @@ def _frobenius(A: Matrix) -> tuple[tuple[Poly, ...], Matrix]:
         m = M.rows
         f, krylov = _cyclic_vector(M, draws)
         d = f.degree
-        K = vstack_rows(krylov, field).transpose()
+        K = vstack_rows([_entries(col) for col in krylov], field).transpose()
         factors.append(f)
         blocks.append(K if B is None else B * K)
         if d == m:

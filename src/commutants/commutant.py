@@ -231,16 +231,22 @@ def _ad_power(vecs: list[list[int]], X: _Lifted, k: int) -> list[list[int]]:
 def _shrink(K: _Lifted, images: list[list[int]]) -> _Lifted:
     """Rows of K (integer vecs of Y_k) recombined to span the part a
     linear map kills, from images[k] proportional to the map's value on
-    Y_k by the same factor for each k: the kernel of the columns images[k],
-    zero rows dropped.  K's rows carry no denominators, so the kernel
-    coordinates apply to them directly."""
-    nn, phi = K.cols, K.phi
-    # one system row per entry i of the vecs, plane-major across k
-    rows = [r for r in ([d[f * nn + i] for f in range(phi) for d in images] for i in range(nn)) if any(r)]
-    system = Matrix(K.field, len(rows), K.rows, _entries(_scaled(K.field, K.rows, rows)))
+    Y_k by the same factor for each k: the kernel coordinates times K.
+    K's rows carry no denominators, so the coordinates apply to them
+    directly."""
+    C = _kernel_coords(_scaled(K.field, K.cols, images))
+    return _scaled(K.field, K.cols, _mul_lifted(C, K).ints)
+
+
+def _kernel_coords(images: _Lifted) -> _Lifted:
+    """The kernel of the system whose column k is row k of images, an
+    integer vec, lifted: one system row per entry i of the vecs,
+    plane-major across k, zero rows dropped."""
+    field, nn, phi, count = images.field, images.cols, images.phi, images.rows
+    rows = [r for r in ([d[f * nn + i] for f in range(phi) for d in images.ints] for i in range(nn)) if any(r)]
+    system = Matrix(field, len(rows), count, _entries(_scaled(field, count, rows)))
     kernel = kernel_basis(system)
-    C = _lift(Matrix(K.field, len(kernel), K.rows, tuple(x for v in kernel for x in v)))
-    return _scaled(K.field, nn, _mul_lifted(C, K).ints)
+    return _lift(Matrix(field, len(kernel), count, tuple(x for v in kernel for x in v)))
 
 
 def k_matrix(n: int, i: int) -> Matrix:

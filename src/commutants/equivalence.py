@@ -8,22 +8,27 @@ whose Krylov polynomial is checked to annihilate A (so it is m_A).
 The coordinates of Bv in v's Krylov basis give f0 with deg f0 <
 deg m_A, and B is a polynomial in A exactly when f0(A) = B.  Then
 B^e = (f0^e mod m_A)(A), so f and g solve deg m_A-row systems over the
-class exponents and no matrix power is formed.  Free coordinates are
-pinned to zero, which gives the same canonical solution as the n^2-row
-system of stacked powers, since the embedding is injective.  Before a
-certificate is returned, f = f0 and g(f0) = x mod m_A are checked by
-Horner in the quotient ring, which proves f(A) = B and g(B) = A; a
-failure raises VerificationError.  `None` means a genuine obstruction,
-not a search giving up.
+class exponents and no matrix power is formed.  The quotient ring is
+read in integers through the lifted companion matrix C of m_A, where
+p(C) e_0 is the coefficient column of p mod m_A: the class columns are
+integer products with the lifted step base^q(C), and every system, the
+Krylov one included, is one lifted solve (`matrices._solve_lifted`).
+Free coordinates are pinned to zero, which gives the same canonical
+solution as the n^2-row system of stacked powers, since the embedding
+is injective.  Before a certificate is returned, f = f0 and
+g(f0) = x mod m_A are checked by an integer Horner pass on the
+companion, which proves f(A) = B and g(B) = A; a failure raises
+VerificationError.  `None` means a genuine obstruction, not a search
+giving up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import _cyclic_vector, _Draws
+from .canonical import _cyclic_vector, _Draws, companion
 from .errors import FieldMismatch, NotSquare, ShapeMismatch, VerificationError
-from .matrices import Matrix, _lift, _same, solve, vstack_rows
+from .matrices import Matrix, _beside, _content_free, _horner, _lift, _Lifted, _mul_lifted, _power, _same, _solve_lifted
 from .polys import CongruenceClass, Poly, _at_matrix, poly_in_class, restrict_to_class
 
 GENERAL = CongruenceClass.general()
@@ -97,7 +102,8 @@ def _reduce(B: Matrix, A: Matrix) -> tuple[Poly, Poly] | None:
 
     For a checked v with m_v = m_A, B = p(A) gives Bv = (p mod m_A)(A) v,
     so f0's coefficients solve K c = Bv for the independent Krylov
-    columns K of v; when f0(A) != B, no p exists."""
+    columns K of v, lifted as `_cyclic_vector` leaves them; when
+    f0(A) != B, no p exists."""
     if not A.is_square or not B.is_square:
         raise NotSquare("power expression needs square matrices")
     if A.rows != B.rows:
@@ -105,42 +111,47 @@ def _reduce(B: Matrix, A: Matrix) -> tuple[Poly, Poly] | None:
     if A.field != B.field:
         raise FieldMismatch(f"fields differ: {A.field} vs {B.field}")
     m, krylov = _cyclic_vector(A, _Draws(A.field))
-    K = vstack_rows(krylov, A.field).transpose()
-    Bv = B * Matrix(A.field, A.rows, 1, krylov[0])
-    coords = solve(K, Bv.entries)
+    Bl = _lift(B)
+    coords = _solve_lifted(_beside(krylov + [_mul_lifted(Bl, krylov[0])]))
     if coords is None:
         return None
     f0 = Poly.make(coords, A.field)
-    return (m, f0) if _same(_at_matrix(f0, A), _lift(B)) else None
+    return (m, f0) if _same(_at_matrix(f0, A), Bl) else None
 
 
 def _class_solve(base: Poly, target: Poly, m: Poly, cls: CongruenceClass, n: int) -> Poly | None:
     """The canonical f = sum_e c_e x^e over the class exponents for size
-    n with f(base) = target mod m, or None.  The system has one row per
-    coefficient below deg m; the exponents step by q (by 1 in the
-    general class), so each column is the previous one times base^q
-    mod m.  Raises VerificationError unless f(base) = target mod m,
-    recomputed by Horner."""
+    n with f(base) = target mod m, or None.
+
+    F[x]/(m) is read in integers through C = companion(m), lifted once:
+    C maps e_i to e_(i+1), so p(C) e_0 is the coefficient column of
+    p mod m.  One Horner pass gives Bl = base(C); the exponents step by
+    q (by 1 in the general class), so after the first column, e_0 or
+    Bl e_0, each is the previous one times S = Bl^q, content-free.  The
+    columns and the target's coefficients go into one lifted solve with
+    deg m rows.  Raises VerificationError unless f(Bl) e_0, recomputed
+    by Horner, is target's coefficient column."""
     field, d = m.field, m.degree
     exps = class_exponents(cls, n)
-    step = base ** (cls.q or 1) % m
-    power = base ** exps[0] % m
-    columns = [power]
+    Bl = _horner(base.coeffs, _lift(companion(m)), [(i, i) for i in range(d)], d)
+    S = _power(Bl, cls.q) if cls.q else Bl
+    if exps[0]:
+        y = _Lifted(field, 1, Bl.dens, [row[::d] for row in Bl.ints])
+    else:
+        y = _Lifted(field, 1, [1] * d, [[int(i == e == 0) for e in range(Bl.phi)] for i in range(d)])
+    columns = [y]
     for _ in exps[1:]:
-        power = power * step % m
-        columns.append(power)
-    system = Matrix(field, d, len(exps), tuple(col.coeff(i) for i in range(d) for col in columns))
-    sol = solve(system, [target.coeff(i) for i in range(d)])
+        y = _content_free(_mul_lifted(S, y))
+        columns.append(y)
+    t = _lift(Matrix(field, d, 1, tuple(target.coeff(i) for i in range(d))))
+    sol = _solve_lifted(_beside(columns + [t]))
     if sol is None:
         return None
     dense = [field.zero()] * (exps[-1] + 1)
     for idx, e in enumerate(exps):
         dense[e] = sol[idx]
     f = Poly.make(dense, field)
-    acc = Poly.zero(field)
-    for c in reversed(f.coeffs):
-        acc = (acc * base + c) % m
-    if acc != target:
+    if not _same(_horner(f.coeffs, Bl, [(0, 0)], 1), t):
         raise VerificationError("certificate fails f(base) = target mod m_A")
     return f
 

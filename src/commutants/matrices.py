@@ -27,6 +27,10 @@ with one body for Q and Q(zeta_q):
   not rational is made rational once, by multiplying its row by
   d * p^-1 with d the lcm of the denominators of p^-1, so every
   cross-multiplier is an integer.
+- `_solve_lifted` solves a lifted augmented system [M | b] with
+  `_rref_core` and divides each pivot row's last entry by its pivot
+  once; `solve` lifts [M | b] and calls it, and the certificate systems
+  lay their lifted columns side by side with `_beside`.
 - `_entries` normalizes: one Fraction per entry over Q, one division per
   coefficient over Q(zeta_q).
 
@@ -44,9 +48,10 @@ L*Y = Y*R (the commutants, A*P = P*F) and every commutator step of the
 double centralizer and the ad-power kernels go through it, and the
 Krylov iterations of the Frobenius split lift their matrix once.  The
 chains of products stay lifted too, content-free after each product:
-`_power` (square-and-multiply, behind `Matrix.__pow__` and the Potter
-check), `_horner` (f(M)*E for a 0/1 matrix E, behind `eval_at_matrix`
-and the annihilation check of the split), and `_same`, which compares
+`_power` (square-and-multiply, behind `Matrix.__pow__`, the Potter
+check and the certificates' class step), `_horner` (f(M)*E for a 0/1
+matrix E, behind `eval_at_matrix`, the annihilation check of the split
+and the certificates on the companion of m_A), and `_same`, which compares
 two lifted matrices row by row over cross-multiplied denominators (the
 Potter identity, AB = omega*BA, the certificates).
 Wherever only a span or a homogeneous relation matters, row denominators
@@ -656,12 +661,7 @@ def _combine(pv: int, row: list[int], v: Sequence[int], shifts: list[list[int]])
         if ve:
             row = [pv * x - ve * y for x, y in zip(row, s)]
             pv = 1
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return row
+    g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
 
 
@@ -705,10 +705,29 @@ def solve(M: Matrix, b: Sequence):
     if len(b) != M.rows:
         raise ShapeMismatch("right-hand side length mismatch")
     bcol = Matrix(M.field, M.rows, 1, tuple(M.field.coerce(x) for x in b))
-    r = rref(hstack(M, bcol))
-    if any(p == M.cols for p in r.pivots):
+    return _solve_lifted(_lift(hstack(M, bcol)))
+
+
+def _solve_lifted(L: _Lifted) -> tuple | None:
+    """`solve` on the augmented matrix [M | b], lifted: the rows' scales
+    do not matter, so `_rref_core` runs on the integers as they are, and
+    each pivot row's last entry is divided by its pivot once.  Free
+    coordinates are zero; None when b is not in the column span."""
+    w = L.cols - 1
+    rows, pivots = _rref_core(L.ints, L.cols, L.field.q)
+    if pivots and pivots[-1] == w:
         return None
-    x = [M.field.zero()] * M.cols
-    for row_idx, pc in enumerate(r.pivots):
-        x[pc] = r.rref.at(row_idx, M.cols)
+    x = [L.field.zero()] * w
+    values = _entries(_Lifted(L.field, 1, [row[c] for row, c in zip(rows, pivots)], [row[w :: L.cols] for row in rows]))
+    for c, v in zip(pivots, values):
+        x[c] = v
     return tuple(x)
+
+
+def _beside(columns: Sequence[_Lifted]) -> _Lifted:
+    """The matrix [c_1 | c_2 | ...] of lifted m x 1 columns, each row
+    over the lcm of its entries' denominators."""
+    phi = columns[0].phi
+    dens = [lcm(*ds) for ds in zip(*(c.dens for c in columns))]
+    ints = [[c.ints[i][e] * (d // c.dens[i]) for e in range(phi) for c in columns] for i, d in enumerate(dens)]
+    return _Lifted(columns[0].field, len(columns), dens, ints)

@@ -256,7 +256,8 @@ class FieldTag:
         if self.q is None:
             if isinstance(value, CycloScalar):
                 raise FieldMismatch("cyclotomic scalar in a rational context")
-            return Fraction(value)
+            # a Fraction is immutable, and Fraction(Fraction) is slow
+            return value if type(value) is Fraction else Fraction(value)
         if isinstance(value, CycloScalar):
             if value.q != self.q:
                 raise FieldMismatch(

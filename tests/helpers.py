@@ -224,17 +224,20 @@ def reference_monic(f: Poly) -> Poly:
     return Poly.make([c / f.leading for c in f.coeffs], f.field)
 
 
-def count_products(monkeypatch) -> list[int]:
+def count_products(monkeypatch, shapes: list | None = None) -> list[int]:
     """Count matrix products from here on: every product, whether
     ``Matrix.__mul__`` or an integer Krylov step, runs the one integer
     product kernel ``matrices._mul_lifted``, so each module of the package
     that binds it gets a counting copy that increments the returned
-    one-item list."""
+    one-item list, and appends (rows, inner, cols) of each product to
+    ``shapes`` when given."""
     count = [0]
     plain = matrices._mul_lifted
 
     def counting(A, B):
         count[0] += 1
+        if shapes is not None:
+            shapes.append((A.rows, A.cols, B.cols))
         return plain(A, B)
 
     for name, module in list(sys.modules.items()):

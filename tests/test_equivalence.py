@@ -232,26 +232,41 @@ def test_shape_and_field_errors():
 
 
 def test_express_steps_by_the_class_power(monkeypatch):
-    # The class powers A^1, A^4, ..., A^16 are read as x^e mod m_A, so the
-    # matrix products are the same for every class.  Products are counted
-    # at the integer kernel, Krylov steps included.  The seeded first draw
-    # v has a degree-4 Krylov polynomial: the Krylov iteration stops at
-    # the first dependency, M^4 v, after four steps, then four Horner
-    # steps on the two unit vectors outside its span reject it.  The
-    # second draw is cyclic (this A is): six steps to the dependency at
-    # M^6 v and no check product.  Then one product for B*v and four for
-    # the Horner check f0(A) = B with f0 = x + 2x^4: 4 + 4 + 6 + 1 + 4.
+    # The class powers A^1, A^(1+q), ..., A^(1+5q) are read as x^e mod m_A
+    # in F[x]/(m_A), so no n x n power is taken per class exponent: only
+    # the step S = x^q(C), C the 6 x 6 companion of m_A, is a power, and
+    # its square-and-multiply costs grow with log q.  Products are
+    # counted at the integer kernel, split by the right factor: square
+    # (6 x 6) or narrow (at most two columns).
+    # _reduce, as for every class: the seeded first draw v has a degree-4
+    # Krylov polynomial, so the Krylov iteration stops at M^4 v after four
+    # narrow steps, and four Horner steps on the two unit vectors outside
+    # its span (narrow) reject it; the second draw is cyclic (this A is):
+    # six narrow steps to M^6 v and no check product; one narrow product
+    # B*v, and four square Horner steps check f0(A) = B with f0 = x + 2x^4.
+    # _class_solve: one square product for x(C) = C, the power S = C^q
+    # (q = 3, 5, 9: 2, 3, 4 square products), five narrow S*y for the
+    # columns after C e_0, and deg f narrow Horner steps for the check,
+    # f = x + 2x^4 for q = 3; for q = 5 and 9 the 6 x 6 system is
+    # nonsingular and f reaches the last exponent 1 + 5q.
     A = mat([[i + 1 if j == i else 1 if j > i else 0 for j in range(6)] for i in range(6)])
     B = A + (A ** 4).scale(2)
-    products = count_products(monkeypatch)
+    shapes = []
+    count_products(monkeypatch, shapes)
     counts = []
     for q in (3, 5, 9):
-        before = products[0]
+        shapes.clear()
         f = express_in_powers(B, A, CongruenceClass.q_class(q))
-        counts.append(products[0] - before)
+        square = sum(cols == inner for _, inner, cols in shapes)
+        counts.append((square, len(shapes) - square))
         if q == 3:
             assert f == poly([0, 1, 0, 0, 2])
-    assert counts == [19, 19, 19]
+        else:
+            assert f.degree == 1 + 5 * q
+    reduce_square, reduce_narrow = 4, 4 + 4 + 6 + 1
+    assert counts == [(reduce_square + 1 + 2, reduce_narrow + 5 + 4),
+                      (reduce_square + 1 + 3, reduce_narrow + 5 + 26),
+                      (reduce_square + 1 + 4, reduce_narrow + 5 + 46)]
 
 
 def test_certificates_take_no_matrix_power(monkeypatch):
@@ -306,7 +321,9 @@ def certificate_inputs(draw):
         if cyclo:
             B = B.promote(3) + A.scale(_z3)
         return A, B, cls
-    coeffs = draw(st.lists(st.integers(-2, 2), min_size=n + 2, max_size=n + 2))
+    # denominators 2 and 3 give f0, the columns and the target denominators
+    coeffs = draw(st.lists(st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3])),
+                           min_size=n + 2, max_size=n + 2))
     if kind == "class":
         coeffs = [c if cls.allows(e) else 0 for e, c in enumerate(coeffs)]
     lifted = [field.coerce(c) * (_z3 if cyclo and e % 2 else 1) for e, c in enumerate(coeffs)]
@@ -343,16 +360,16 @@ def test_certificates_equal_oracle_on_fixed_inputs():
 
 # ---------------------------------------- a corrupted certificate is never returned
 
-# the solves run in this order: 1 the Krylov coordinates of B*v, 2 the f
+# the lifted solves run in this order: 1 the Krylov coordinates of B*v, 2 the f
 # system, 3 the g system
 @pytest.mark.parametrize("which", [2, 3])
 def test_perturbed_certificate_is_never_returned(monkeypatch, which):
     for A, B, cls in [(PAIR5_A, PAIR5_B, GENERAL), (ODD4_A, ODD4_B, ODD), (TRI4_A, TRI4_B, ODD)]:
-        calls = perturb_first_coordinate(monkeypatch, equivalence, "solve", which)
+        calls = perturb_first_coordinate(monkeypatch, equivalence, "_solve_lifted", which)
         with pytest.raises(VerificationError):
             equivalence_certificate(A, B, cls)
         assert calls[0] == which
     if which == 2:
-        perturb_first_coordinate(monkeypatch, equivalence, "solve", which)
+        perturb_first_coordinate(monkeypatch, equivalence, "_solve_lifted", which)
         with pytest.raises(VerificationError):
             express_in_powers(PAIR5_B, PAIR5_A)

@@ -233,6 +233,36 @@ def test_lifted_product_and_rref_equal_the_fraction_oracle(case):
         assert r.pivots == pivots and r.rank == len(pivots)
 
 
+@st.composite
+def lift_system(draw):
+    """(M, b) over Q or Q(zeta_q) as in `lift_case`, b a column of M's height."""
+    q = draw(st.sampled_from((None, 3, 4, 5, 6)))
+    field = QQ if q is None else FieldTag.cyclotomic(q)
+    entry = lift_rational if q is None else st.one_of(st.lists(lift_rational, min_size=2, max_size=2 * q), lift_rational)
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return Matrix.make(draw(grid(k, m, entry)), field), Matrix.make(draw(grid(k, 1, entry)), field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lift_system())
+def test_lifted_solve_equals_the_rref_oracle(case):
+    # the canonical solution read off the oracle's RREF of [M | b]; the
+    # lifted solve also takes the columns lifted one by one, each over its
+    # own denominators, laid side by side
+    M, b = case
+    reduced, pivots = reference_rref(hstack(M, b))
+    expected = None
+    if M.cols not in pivots:
+        x = [M.field.zero()] * M.cols
+        for i, c in enumerate(pivots):
+            x[c] = reduced.at(i, M.cols)
+        expected = tuple(x)
+    assert repr(solve(M, b.entries)) == repr(expected)
+    columns = [matrices._lift(Matrix(M.field, M.rows, 1, M.entries[j :: M.cols])) for j in range(M.cols)]
+    got = matrices._solve_lifted(matrices._beside(columns + [matrices._lift(b)]))
+    assert repr(got) == repr(expected)
+
+
 def test_lifted_kernels_on_fixed_edge_inputs():
     big = Fraction(-(2**61 - 1), 10**12 + 39)
     for field in (QQ, FieldTag.cyclotomic(3), FieldTag.cyclotomic(4), FieldTag.cyclotomic(5), FieldTag.cyclotomic(6)):

@@ -113,6 +113,16 @@ def test_mixed_conductor_rejected():
 
 def test_field_tag_coerce():
     assert QQ.coerce(3) == Fraction(3)
+    # a Fraction comes back as itself; anything else as a plain Fraction
+    half = Fraction(1, 2)
+    assert QQ.coerce(half) is half
+
+    class Sub(Fraction):
+        pass
+
+    for value, expected in [(3, Fraction(3)), (True, Fraction(1)), (Sub(2, 3), Fraction(2, 3))]:
+        got = QQ.coerce(value)
+        assert type(got) is Fraction and got == expected
     f6 = FieldTag.cyclotomic(6)
     assert f6.coerce([0, 0, 1]) == CycloScalar.zeta(6, 2)
     assert f6.omega(1) == CycloScalar.zeta(6, 1)
