@@ -120,16 +120,16 @@ class _Draws:
         return Matrix(self.field, m, 1, entries)
 
 
-def _cyclic_vector(M: Matrix, draws: _Draws) -> tuple[Poly, list[_Lifted]]:
+def _cyclic_vector(Ml: _Lifted, draws: _Draws) -> tuple[Poly, list[_Lifted]]:
     """m_M and the Krylov columns v, Mv, ..., M^(d-1) v, lifted, of a
-    drawn v with m_v = m_M, d = deg m_M.
+    drawn v with m_v = m_M, d = deg m_M, for M lifted as Ml.
 
     The first Krylov dependency m_v of v is accepted only once
     `_annihilates` has checked m_v(M) = 0 exactly; then m_v = m_M.  A
     rejected draw retries one height up."""
-    Ml = _lift(M).common()
+    Ml = Ml.common()
     while True:
-        f, krylov, pivots = _krylov_dependency(Ml, _lift(draws.column(M.rows)).common())
+        f, krylov, pivots = _krylov_dependency(Ml, _lift(draws.column(Ml.rows)).common())
         if _annihilates(f, Ml, pivots):
             return f, krylov
         draws.height += 1
@@ -208,7 +208,7 @@ def _frobenius(A: Matrix) -> tuple[tuple[Poly, ...], Matrix]:
     M, B = A, None
     while True:
         m = M.rows
-        f, krylov = _cyclic_vector(M, draws)
+        f, krylov = _cyclic_vector(_lift(M), draws)
         d = f.degree
         K = vstack_rows([_entries(col) for col in krylov], field).transpose()
         factors.append(f)

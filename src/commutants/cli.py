@@ -54,6 +54,8 @@ from .subspaces import SubspaceBasis
 # ---------------------------------------------------------------- parsing
 
 def _parse_fraction(raw, where: str) -> Fraction:
+    """A JSON integer, or a string as Fraction(raw) reads it: "p", "-p"
+    and "p/q" in ASCII digits by int(), other spellings by Fraction."""
     if isinstance(raw, bool):
         raise FieldError(f"{where}: booleans are not scalars")
     if isinstance(raw, int):
@@ -61,7 +63,11 @@ def _parse_fraction(raw, where: str) -> Fraction:
     if isinstance(raw, float):
         raise FieldError(f"{where}: floats are not accepted, use \"p/q\" strings")
     if isinstance(raw, str):
+        num, slash, den = raw.partition("/")
         try:
+            # only ASCII digits take the int() path: isdigit() also holds for superscripts
+            if raw.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"{where}: bad rational {raw!r}") from exc
@@ -92,8 +98,9 @@ def _parse_field(raw) -> FieldTag:
 def parse_matrix(text: bytes | str) -> Matrix:
     """Read a matrix from the JSON wire format
     {"field": "Q" | {"cyclotomic": q}, "rows": [[scalar, ...], ...]}
-    where a scalar is an integer, a "p/q" string, or (cyclotomic only)
-    a coefficient array in powers of zeta_q."""
+    where a scalar is an integer, a string Fraction reads ("p/q", "1.5",
+    "1e3", " 3 "), exactly, or (cyclotomic only) a coefficient array in
+    powers of zeta_q; floats and booleans are rejected."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -118,12 +125,13 @@ def parse_matrix(text: bytes | str) -> Matrix:
     for i, row in enumerate(rows):
         if len(row) != width:
             raise RaggedRows(f"row {i} has length {len(row)}, expected {width}")
-    # each distinct scalar is parsed once; the key carries the JSON type,
-    # so true never stands for 1, and a failure raises at its first position
+    # each distinct scalar is parsed once; a string is its own key, which
+    # no number equals, and any other key carries the JSON type, so true
+    # never stands for 1; a failure raises at its first position
     memo, flat = {}, []
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            key = (list, tuple([(type(c), c) for c in x])) if isinstance(x, list) else (type(x), x)
+            key = x if isinstance(x, str) else (list, tuple([(type(c), c) for c in x])) if isinstance(x, list) else (type(x), x)
             try:
                 value = memo[key]
             except KeyError:

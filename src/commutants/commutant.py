@@ -24,11 +24,12 @@ from .errors import (
     NotSquare,
     ShapeMismatch,
     VerificationError,
-    ZeroInverse,
 )
 from .matrices import (
     Matrix,
+    _embed,
     _entries,
+    _inverse,
     _left,
     _lift,
     _Lifted,
@@ -75,13 +76,13 @@ def commutant_operator(A: Matrix, mu) -> Matrix:
     return kron(A, ident) - kron(ident, A.transpose()).scale(mu)
 
 
-def _split(A: Matrix) -> tuple[tuple[Poly, ...], Matrix, Matrix]:
-    """The checked Frobenius split of A with P^-1: (factors, P, P^-1)."""
+def _split(A: Matrix) -> tuple[tuple[Poly, ...], Matrix, _Lifted]:
+    """The checked Frobenius split of A with P^-1, lifted: (factors, P,
+    P^-1), P^-1 from one lifted solve against I."""
     factors, P = _frobenius(A)
-    try:
-        P_inv = P.inverse()
-    except ZeroInverse:
-        raise VerificationError("Frobenius change of basis is singular") from None
+    P_inv = _inverse(_lift(P))
+    if P_inv is None:
+        raise VerificationError("Frobenius change of basis is singular")
     return factors, P, P_inv
 
 
@@ -91,21 +92,22 @@ def _mu_commutant_basis(A: Matrix, mu, split=None) -> SubspaceBasis:
     returned: A*P = P*F (checked by the split) with P invertible, every
     returned X satisfies the relation, and the span has Frobenius'
     dimension sum deg gcd(f_i(x), f_j(mu^-1 x)).  A rational A is split
-    over Q even when mu is cyclotomic; only P, P^-1 and the factors are
-    promoted.  `split`, private, is `_split(A)` when the caller has it.
+    over Q even when mu is cyclotomic; then A, P and P^-1 are lifted over
+    Q and embedded with `_embed`, and the factors are promoted.
+    `split`, private, is `_split(A)` when the caller has it.
 
-    P and P^-1 are lifted to integers once, each over one denominator,
-    and each solution Y to one integer vec, so X = P*Y*P^-1 stays in
-    integers up to a scale per X, which the span does not see; only the
-    canonical basis that is returned becomes field elements."""
+    A and P are lifted to integers once (P^-1 comes lifted from the
+    split), and each solution Y to one integer vec, so X = P*Y*P^-1
+    stays in integers up to a scale per X, which the span does not see;
+    only the canonical basis that is returned becomes field elements."""
     if not A.is_square:
         raise NotSquare("commutant needs a square matrix")
     field = FieldTag.cyclotomic(mu.q) if isinstance(mu, CycloScalar) else QQ
-    A_mu = A.promote(field.q) if field.is_cyclotomic else A
+    Al = _embed(_lift(A), field)  # FieldMismatch for A over another Q(zeta_r)
     n = A.rows
     factors, P, P_inv = _split(A) if split is None else split
+    Pl, P_inv = _embed(_lift(P), field), _embed(P_inv, field)
     if A.field != field:
-        P, P_inv = P.promote(field.q), P_inv.promote(field.q)
         factors = tuple(Poly.make(f.coeffs, field) for f in factors)
     offsets = [0]
     for f in factors:
@@ -123,11 +125,10 @@ def _mu_commutant_basis(A: Matrix, mu, split=None) -> SubspaceBasis:
     count = len(ys)
     if not count:
         return subspace_from_matrices([], ambient_n=n, field=field)
-    X = _right(_left(_lift(P), _lift(vstack_rows(ys, field)).ints), _lift(P_inv))
+    X = _right(_left(Pl, _lift(vstack_rows(ys, field)).ints), P_inv)
     S = _span(_scaled(field, n * n, X), n)
     if S.dim != count:
         raise VerificationError(f"span has rank {S.dim}, Frobenius' formula gives {count}")
-    Al = _lift(A_mu)
     AX, XmuA = _sides(_lift(vstack_rows(S.rref_rows, field)).ints, Al, _times(mu, Al))
     if AX != XmuA:
         raise VerificationError("a basis element fails AX = mu*XA")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .canonical import _cyclic_vector, _Draws, companion
 from .errors import FieldMismatch, NotSquare, ShapeMismatch, VerificationError
 from .matrices import Matrix, _beside, _content_free, _horner, _lift, _Lifted, _mul_lifted, _power, _same, _solve_lifted
-from .polys import CongruenceClass, Poly, _at_matrix, poly_in_class, restrict_to_class
+from .polys import CongruenceClass, Poly, _at_lifted, _at_matrix, poly_in_class, restrict_to_class
 
 GENERAL = CongruenceClass.general()
 ODD = CongruenceClass.odd()
@@ -103,20 +103,21 @@ def _reduce(B: Matrix, A: Matrix) -> tuple[Poly, Poly] | None:
     For a checked v with m_v = m_A, B = p(A) gives Bv = (p mod m_A)(A) v,
     so f0's coefficients solve K c = Bv for the independent Krylov
     columns K of v, lifted as `_cyclic_vector` leaves them; when
-    f0(A) != B, no p exists."""
+    f0(A) != B, no p exists.  A is lifted once, for the Krylov columns
+    and the f0(A) = B check."""
     if not A.is_square or not B.is_square:
         raise NotSquare("power expression needs square matrices")
     if A.rows != B.rows:
         raise ShapeMismatch(f"sizes differ: {A.rows} vs {B.rows}")
     if A.field != B.field:
         raise FieldMismatch(f"fields differ: {A.field} vs {B.field}")
-    m, krylov = _cyclic_vector(A, _Draws(A.field))
-    Bl = _lift(B)
+    Al, Bl = _lift(A), _lift(B)
+    m, krylov = _cyclic_vector(Al, _Draws(A.field))
     coords = _solve_lifted(_beside(krylov + [_mul_lifted(Bl, krylov[0])]))
     if coords is None:
         return None
     f0 = Poly.make(coords, A.field)
-    return (m, f0) if _same(_at_matrix(f0, A), Bl) else None
+    return (m, f0) if _same(_at_lifted(f0, Al), Bl) else None
 
 
 def _class_solve(base: Poly, target: Poly, m: Poly, cls: CongruenceClass, n: int) -> Poly | None:
@@ -133,7 +134,7 @@ def _class_solve(base: Poly, target: Poly, m: Poly, cls: CongruenceClass, n: int
     by Horner, is target's coefficient column."""
     field, d = m.field, m.degree
     exps = class_exponents(cls, n)
-    Bl = _horner(base.coeffs, _lift(companion(m)), [(i, i) for i in range(d)], d)
+    Bl = _at_lifted(base, _lift(companion(m)))
     S = _power(Bl, cls.q) if cls.q else Bl
     if exps[0]:
         y = _Lifted(field, 1, Bl.dens, [row[::d] for row in Bl.ints])

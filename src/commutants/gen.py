@@ -1,7 +1,9 @@
 """Seeded test-case generators.
 
 Profiles describe a matrix shape declaratively; `generate` turns a spec
-into an exact matrix, deterministically for a given seed.
+into an exact matrix, deterministically for a given seed.  P^-1 * M * P
+is the lifted solve of P*X = M*P, for the first nonsingular seeded
+integer P, embedded in M's field.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .canonical import companion
-from .errors import DegreeZero, InvalidSpec, NotMonic, ZeroInverse
-from .matrices import Matrix
+from .errors import DegreeZero, InvalidSpec, NotMonic
+from .matrices import Matrix, _embed, _entries, _lift, _Lifted, _mul_lifted, _solve_square
 from .polys import CongruenceClass, Poly
 from .scalars import QQ
 
@@ -149,14 +151,12 @@ def _materialize(profile: Profile, seed: int) -> Matrix:
         n = inner.rows
         rng = random.Random(seed)
         H = profile.height
+        Ml = _lift(inner)
         for _ in range(_MAX_CONJUGATE_TRIES):
-            rows = [[rng.randint(-H, H) for _ in range(n)] for _ in range(n)]
-            P = Matrix.make(rows, inner.field)
-            try:
-                P_inv = P.inverse()
-            except ZeroInverse:
-                continue
-            return P_inv * inner * P
+            P = _embed(_Lifted(QQ, n, [1] * n, [[rng.randint(-H, H) for _ in range(n)] for _ in range(n)]), inner.field)
+            X = _solve_square(P, _mul_lifted(Ml, P))
+            if X is not None:
+                return Matrix(inner.field, n, n, _entries(X))
         raise InvalidSpec(
             f"no invertible conjugator found in {_MAX_CONJUGATE_TRIES} draws "
             f"(n={n}, height={H})"

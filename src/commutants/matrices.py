@@ -29,8 +29,13 @@ with one body for Q and Q(zeta_q):
   cross-multiplier is an integer.
 - `_solve_lifted` solves a lifted augmented system [M | b] with
   `_rref_core` and divides each pivot row's last entry by its pivot
-  once; `solve` lifts [M | b] and calls it, and the certificate systems
-  lay their lifted columns side by side with `_beside`.
+  once.  `_beside` lays lifted blocks side by side: `solve`'s [M | b],
+  the certificate systems' columns and `_solve_square`'s [L | R].
+- `_solve_square` is L^-1 * R, lifted, from one `_rref_core` pass on
+  [L | R]: `_inverse` (R = I, behind `Matrix.inverse` and the split's
+  P^-1) and `gen`'s P^-1 * M * P (solving P*X = M*P) are each one
+  such solve.  `_embed` pads a rational lift with the zero planes of
+  Q(zeta_q), so a rational P or A joins cyclotomic work unpromoted.
 - `_entries` normalizes: one Fraction per entry over Q, one division per
   coefficient over Q(zeta_q).
 
@@ -281,15 +286,10 @@ class Matrix:
     def inverse(self) -> Matrix:
         if not self.is_square:
             raise NotSquare("inverse needs a square matrix")
-        n = self.rows
-        aug = hstack(self, Matrix.identity(n, self.field))
-        r = rref(aug)
-        if r.rank < n or any(p >= n for p in r.pivots):
+        X = _inverse(_lift(self))
+        if X is None:
             raise ZeroInverse("matrix is singular")
-        flat = tuple(
-            r.rref.entries[i * 2 * n + n + j] for i in range(n) for j in range(n)
-        )
-        return Matrix(self.field, n, n, flat)
+        return Matrix(self.field, self.rows, self.rows, _entries(X))
 
     def __repr__(self):
         body = "; ".join(
@@ -567,18 +567,6 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
     return Matrix(A.field, rows, cols, tuple(flat))
 
 
-def hstack(A: Matrix, B: Matrix) -> Matrix:
-    if A.field != B.field:
-        raise FieldMismatch(f"{A.field} vs {B.field}")
-    if A.rows != B.rows:
-        raise ShapeMismatch("row counts differ")
-    flat = []
-    for i in range(A.rows):
-        flat.extend(A.row(i))
-        flat.extend(B.row(i))
-    return Matrix(A.field, A.rows, A.cols + B.cols, tuple(flat))
-
-
 def vstack_rows(rows: Iterable[Sequence], field: FieldTag) -> Matrix:
     rows = [tuple(r) for r in rows]
     if not rows:
@@ -705,7 +693,7 @@ def solve(M: Matrix, b: Sequence):
     if len(b) != M.rows:
         raise ShapeMismatch("right-hand side length mismatch")
     bcol = Matrix(M.field, M.rows, 1, tuple(M.field.coerce(x) for x in b))
-    return _solve_lifted(_lift(hstack(M, bcol)))
+    return _solve_lifted(_beside((_lift(M), _lift(bcol))))
 
 
 def _solve_lifted(L: _Lifted) -> tuple | None:
@@ -724,10 +712,39 @@ def _solve_lifted(L: _Lifted) -> tuple | None:
     return tuple(x)
 
 
-def _beside(columns: Sequence[_Lifted]) -> _Lifted:
-    """The matrix [c_1 | c_2 | ...] of lifted m x 1 columns, each row
-    over the lcm of its entries' denominators."""
-    phi = columns[0].phi
-    dens = [lcm(*ds) for ds in zip(*(c.dens for c in columns))]
-    ints = [[c.ints[i][e] * (d // c.dens[i]) for e in range(phi) for c in columns] for i, d in enumerate(dens)]
-    return _Lifted(columns[0].field, len(columns), dens, ints)
+def _solve_square(L: _Lifted, R: _Lifted) -> _Lifted | None:
+    """L^-1 * R, lifted, for a square L and an R with as many rows, from
+    one `_rref_core` pass on [L | R]: row i of the answer is the right
+    part of core row i over its pivot.  None when L is singular, that is
+    unless the first n pivots are 0, ..., n - 1: a singular L can still
+    give [L | R] full rank through R's columns."""
+    n, w = L.rows, L.cols + R.cols
+    rows, pivots = _rref_core(_beside((L, R)).ints, w, L.field.q)
+    if pivots[:n] != list(range(n)):
+        return None
+    return _Lifted(L.field, R.cols, [row[i] for i, row in enumerate(rows)], [[x for f in range(L.phi) for x in row[f * w + n : (f + 1) * w]] for row in rows])
+
+
+def _inverse(L: _Lifted) -> _Lifted | None:
+    """L^-1, lifted, the solve against I, or None when L is singular."""
+    return _solve_square(L, _abreast((L.field.one(),), L.rows, L.field))
+
+
+def _embed(L: _Lifted, field: FieldTag) -> _Lifted:
+    """L over `field`: a rational lift gains Q(zeta_q)'s zero planes, as
+    `_lift(M.promote(q))` would, and a lift over `field` is kept."""
+    if L.field == field:
+        return L
+    if L.field.is_cyclotomic:
+        raise FieldMismatch(f"cannot promote {L.field} to Q(zeta_{field.q})")
+    pad = [0] * ((phi_degree(field.q) - 1) * L.cols)
+    return _Lifted(field, L.cols, L.dens, [row + pad for row in L.ints])
+
+
+def _beside(blocks: Sequence[_Lifted]) -> _Lifted:
+    """The matrix [B_1 | B_2 | ...] of lifted blocks with as many rows,
+    each row over the lcm of its blocks' row denominators."""
+    phi = blocks[0].phi
+    dens = [lcm(*ds) for ds in zip(*(b.dens for b in blocks))]
+    ints = [[x * (d // b.dens[i]) for e in range(phi) for b in blocks for x in b.ints[i][e * b.cols : (e + 1) * b.cols]] for i, d in enumerate(dens)]
+    return _Lifted(blocks[0].field, sum(b.cols for b in blocks), dens, ints)

@@ -379,5 +379,10 @@ def _at_matrix(f: Poly, A: Matrix) -> _Lifted:
         raise NotSquare("polynomial evaluation needs a square matrix")
     if f.field != A.field:
         raise FieldMismatch(f"{f.field} vs {A.field}")
-    n = A.rows
-    return _horner(f.coeffs, _lift(A), [(i, i) for i in range(n)], n)
+    return _at_lifted(f, _lift(A))
+
+
+def _at_lifted(f: Poly, Al: _Lifted) -> _Lifted:
+    """f(A) for A lifted as Al, unchecked."""
+    n = Al.rows
+    return _horner(f.coeffs, Al, [(i, i) for i in range(n)], n)

@@ -96,6 +96,12 @@ COUNTER_B = Matrix.identity(3, QQ)
 
 # ------------------------------------------------- reference products
 
+def hstack(A: Matrix, B: Matrix) -> Matrix:
+    """[A | B] entry by entry, for systems the oracles reduce."""
+    assert A.field == B.field and A.rows == B.rows
+    return Matrix(A.field, A.rows, A.cols + B.cols, tuple(x for i in range(A.rows) for x in A.row(i) + B.row(i)))
+
+
 def reference_product(A: Matrix, B: Matrix) -> Matrix:
     """The textbook triple loop: one scalar multiply-add per nonzero
     entry of A and entry of B, each normalized on the spot.  The oracle

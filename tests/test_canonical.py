@@ -199,7 +199,7 @@ def test_cyclic_vector_stops_at_the_first_krylov_dependency(monkeypatch):
         return out
 
     monkeypatch.setattr(canonical, "_annihilates", spy)
-    f, krylov = canonical._cyclic_vector(A, canonical._Draws(QQ))
+    f, krylov = canonical._cyclic_vector(canonical._lift(A), canonical._Draws(QQ))
     assert f == poly([0, 0, 0, 1]) and len(krylov) == 3
     steps = [(deg, after - before) for (_, before), (deg, after) in zip([(None, 0)] + draws[1::2], draws[0::2])]
     assert steps and all(cost == deg for deg, cost in steps)

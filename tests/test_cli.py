@@ -6,10 +6,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commutants import (
     CycloScalar,
     FieldError,
+    FieldTag,
     InvalidSpec,
     Matrix,
     ParseError,
@@ -109,6 +112,49 @@ def test_parse_matrix_scalar_errors_name_the_first_position(field, rows, message
     with pytest.raises(FieldError) as info:
         parse_matrix(json.dumps({"field": field, "rows": rows}))
     assert str(info.value) == message
+
+
+# spellings on both sides of the int() reader's ASCII p, -p and p/q; the
+# outcome of each is Fraction's on the running Python, whose grammar
+# differs across versions ("2 / 3" is read from 3.12 on), and the
+# 5,000-digit numerator is past the int-string limit
+READER_CORPUS = ["0", "-0", "007", "+3", " 3 ", "1.5", "1e3", "1_000", "\u0663", "\u00b2", "-", "", "1/0", "0/0",
+                 "3/-4", "2 / 3", "1/2/3", "7" * 5000, "7" * 5000 + "/3", "--3", "1/", "/3", "-6/4", "006/-0"]
+reader_strings = st.one_of(
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-10 ** 6, 10 ** 6), st.integers(-9, 10 ** 6)),
+    st.lists(st.sampled_from(["0", "1", "7", "00", "-", "+", "/", " ", "_", ".", "e", "\u0663", "\u00b2"]), max_size=7).map("".join),
+)
+
+
+def _check_reader_parity(raw):
+    try:
+        want = Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        want = None
+    f3 = FieldTag.cyclotomic(3)
+    cases = [("Q", [[1, raw], [raw, 0]], lambda v: v), ({"cyclotomic": 3}, [[1, [0, raw]], [[0, raw], 0]], lambda v: v * f3.omega(1))]
+    for field, rows, expected in cases:
+        text = json.dumps({"field": field, "rows": rows})
+        if want is None:
+            with pytest.raises(FieldError) as info:
+                parse_matrix(text)
+            assert str(info.value) == f"row 0, column 1: bad rational {raw!r}"
+        else:
+            A = parse_matrix(text)
+            assert A.at(0, 1) == A.at(1, 0) == expected(want)
+            if field == "Q":
+                assert type(A.at(0, 1)) is Fraction
+
+
+@pytest.mark.parametrize("raw", READER_CORPUS)
+def test_parse_matrix_reads_strings_as_fraction_does(raw):
+    _check_reader_parity(raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reader_strings)
+def test_parse_matrix_reads_generated_strings_as_fraction_does(raw):
+    _check_reader_parity(raw)
 
 
 def test_parse_matrix_repeated_entries_match_make():

@@ -338,6 +338,23 @@ def test_split_checks_its_own_decomposition(monkeypatch):
         centralizer_basis(_DEROGATORY)
 
 
+def test_singular_frobenius_P_is_never_used(monkeypatch):
+    # P with its last column zeroed has no inverse: the split's lifted
+    # solve against I must reject it before any basis is built
+    split = commutant._frobenius
+
+    def singular(A):
+        factors, P = split(A)
+        n = P.rows
+        entries = tuple(P.field.zero() if k % n == n - 1 else x for k, x in enumerate(P.entries))
+        return factors, Matrix(P.field, n, n, entries)
+
+    monkeypatch.setattr(commutant, "_frobenius", singular)
+    for call in _corrupted_calls() + [lambda: double_centralizer_basis(_DEROGATORY)]:
+        with pytest.raises(VerificationError, match="singular"):
+            call()
+
+
 def test_perturbed_block_solution_is_never_returned(monkeypatch):
     solve_block = commutant._block_solutions
 

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +10,9 @@ from commutants import (
     Companion,
     CongruenceClass,
     ConjugateBy,
+    CycloScalar,
     DiagRational,
+    FieldTag,
     GenSpec,
     InvalidSpec,
     Matrix,
@@ -21,6 +26,7 @@ from commutants import (
     min_poly,
     random_odd_poly,
 )
+from commutants.cli import main
 from helpers import mat, poly
 
 
@@ -51,21 +57,22 @@ def test_block_diag_profile():
     assert prof.size() == 3
 
 
-def test_conjugate_by_preserves_similarity_invariants(monkeypatch):
-    inverted = []
-    plain_inverse = Matrix.inverse
+def _replayed_conjugator(n: int, seed: int, height: int = 3) -> Matrix:
+    """The P that ConjugateBy draws: the first n x n matrix of
+    random.Random(seed) integers in [-height, height] with nonzero det."""
+    rng = random.Random(seed)
+    while True:
+        P = mat([[rng.randint(-height, height) for _ in range(n)] for _ in range(n)])
+        if P.det():
+            return P
 
-    def recording_inverse(self):
-        inv = plain_inverse(self)
-        inverted.append(self)
-        return inv
 
-    monkeypatch.setattr(Matrix, "inverse", recording_inverse)
+def test_conjugate_by_preserves_similarity_invariants():
     inner = GenSpec(NilpotentBlocks((3, 2, 2)))
     base = generate(inner)
     for seed in range(6):
         A = generate(GenSpec(ConjugateBy(inner), seed=seed))
-        P = inverted[-1]  # the conjugator: A = P^-1 * base * P
+        P = _replayed_conjugator(base.rows, seed)  # A = P^-1 * base * P
         assert P.det() != 0
         assert P * A == base * P
         assert char_poly(A) == char_poly(base)
@@ -73,6 +80,52 @@ def test_conjugate_by_preserves_similarity_invariants(monkeypatch):
         assert invariant_factors(A) == invariant_factors(base)
         assert is_balanced_matrix(A) == is_balanced_matrix(base)
         assert centralizer_basis(A).dim == centralizer_basis(base).dim
+
+
+def test_conjugate_by_over_a_cyclotomic_companion():
+    # the rational conjugator enters Q(zeta_q) with its zero planes
+    for q in (3, 4, 5):
+        field = FieldTag.cyclotomic(q)
+        z = CycloScalar.zeta(q)
+        for coeffs in ([z, 1], [1, z, 0, 1], [z * z, -z, 1, 1]):
+            inner = GenSpec(Companion(poly(coeffs, field)))
+            base = generate(inner)
+            for seed in range(3):
+                A = generate(GenSpec(ConjugateBy(inner), seed=seed))
+                P = _replayed_conjugator(base.rows, seed).promote(q)
+                assert A.field == field
+                assert P * A == base * P
+                assert A == P.inverse() * base * P
+
+
+# sha256 of `gen --spec SPEC` stdout, pinned from the Fraction-inverse
+# generator; the first spec's first draw is singular, so a retry runs
+GEN_DIGESTS = [
+    ({"profile": {"conjugate_by": {"inner": {"profile": {"nilpotent_blocks": [2, 1]}}, "height": 1}}, "seed": 0},
+     "3bd04166dd608b6195eeb53cde2b12a5d7b39f15c6522cbffb3d37c25675383f"),
+    ({"profile": {"conjugate_by": {"inner": {"profile": {"nilpotent_blocks": [3, 2, 2]}}}}, "seed": 7},
+     "449eff34064201c83fc82c30742ca355fafeadd10258dcb23da656b18ca9d5e9"),
+    ({"profile": {"conjugate_by": {"inner": {"profile": {"companion": [3, "1/2", 0, -1, 1]}}, "height": 2}}, "seed": 3},
+     "b96fa011c84ff05f8816c6c3533f6560ec7162d2d849f7c9dfaad8431e58e2a8"),
+    ({"profile": {"conjugate_by": {"inner": {"profile": {"diag_rational": ["1/2", "-2/3", 5]}}}}, "seed": 11},
+     "221805efec1866fc75d982b12661891e379ab63e1a9a05e04901af52a1cce67b"),
+    ({"profile": {"conjugate_by": {"inner": {"profile": {"block_diag": [{"profile": {"nilpotent_blocks": [2]}},
+                                                                          {"profile": {"companion": [1, 0, 1]}}]}},
+                                   "height": 3}}, "seed": 5},
+     "cc00871853189b4814d829cbcfe4e02527db4cccaf14d6f4a59bb722ae1cc64e"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", GEN_DIGESTS)
+def test_gen_conjugate_by_stdout_is_pinned(spec, digest, capsys):
+    assert main(["gen", "--spec", json.dumps(spec)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_first_draw_of_the_pinned_retry_spec_is_singular():
+    rng = random.Random(0)
+    first = mat([[rng.randint(-1, 1) for _ in range(3)] for _ in range(3)])
+    assert first.det() == 0
 
 
 def test_conjugate_by_actually_moves():

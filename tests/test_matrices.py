@@ -32,12 +32,13 @@ from commutants import (
     weyl_pair,
 )
 from commutants import matrices
-from commutants.matrices import hstack, rref, vstack_rows
+from commutants.matrices import rref, vstack_rows
 from commutants.scalars import phi_degree
 from helpers import (
     count_products,
     dense_planes,
     from_sympy,
+    hstack,
     mat,
     random_rational_matrix,
     reference_power,
@@ -261,6 +262,53 @@ def test_lifted_solve_equals_the_rref_oracle(case):
     columns = [matrices._lift(Matrix(M.field, M.rows, 1, M.entries[j :: M.cols])) for j in range(M.cols)]
     got = matrices._solve_lifted(matrices._beside(columns + [matrices._lift(b)]))
     assert repr(got) == repr(expected)
+
+
+@st.composite
+def square_system(draw):
+    """(L, R) over Q or Q(zeta_5): L square, n in 1..4, often singular (the
+    grid zeroes whole rows and columns), R of L's height, 1..4 wide."""
+    field = draw(st.sampled_from((QQ, FieldTag.cyclotomic(5))))
+    entry = lift_rational if field is QQ else st.one_of(st.lists(lift_rational, min_size=2, max_size=8), lift_rational)
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return Matrix.make(draw(grid(n, n, entry)), field), Matrix.make(draw(grid(n, m, entry)), field)
+
+
+def _oracle_solve_square(L, R):
+    """L^-1 * R read off the oracle's RREF of [L | R], or None when a
+    pivot of the first n falls outside L's columns."""
+    n = L.rows
+    reduced, pivots = reference_rref(hstack(L, R))
+    if pivots[:n] != tuple(range(n)):
+        return None
+    return Matrix(L.field, n, R.cols, tuple(reduced.at(i, n + j) for i in range(n) for j in range(R.cols)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_system())
+def test_solve_square_equals_the_rref_oracle(case):
+    L, R = case
+    expected = _oracle_solve_square(L, R)
+    got = matrices._solve_square(matrices._lift(L), matrices._lift(R))
+    assert (got is None) == (expected is None) == (L.det() == 0)
+    if got is not None:
+        assert repr(Matrix(L.field, L.rows, R.cols, matrices._entries(got))) == repr(expected)
+        assert L * Matrix(L.field, L.rows, R.cols, matrices._entries(got)) == R
+
+
+def test_solve_square_is_none_for_singular_l_even_when_the_system_has_full_rank():
+    # [L | R] has rank n through R's columns, but L is singular
+    for field in (QQ, FieldTag.cyclotomic(5)):
+        z = field.one() if field is QQ else field.omega(1)
+        for L, R in [
+            (Matrix.make([[1, 0], [0, 0]], field), Matrix.make([[0], [1]], field)),
+            (Matrix.make([[z, z], [2 * z, 2 * z]], field), Matrix.make([[1, 0], [0, z]], field)),
+            (Matrix.zero(3, 3, field), Matrix.identity(3, field)),
+        ]:
+            assert rref(hstack(L, R)).rank == L.rows
+            assert matrices._solve_square(matrices._lift(L), matrices._lift(R)) is None
+            with pytest.raises(ZeroInverse):
+                L.inverse()
 
 
 def test_lifted_kernels_on_fixed_edge_inputs():
@@ -697,6 +745,19 @@ def test_promote():
     with pytest.raises(FieldMismatch):
         P.promote(3)
     assert P.promote(4) == P
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: grid(n, n, lift_rational)), st.sampled_from((3, 4, 5, 6, 7)))
+def test_embed_is_the_lift_of_the_promoted_matrix(rows, q):
+    A = mat(rows)
+    field = FieldTag.cyclotomic(q)
+    embedded = matrices._embed(matrices._lift(A), field)
+    assert embedded == matrices._lift(A.promote(q))
+    assert all(len(row) == phi_degree(q) * A.cols for row in embedded.ints)
+    assert matrices._embed(embedded, field) is embedded
+    with pytest.raises(FieldMismatch, match="cannot promote"):
+        matrices._embed(embedded, FieldTag.cyclotomic(q + 1 if q != 5 else 7))
 
 
 def test_scale_and_arithmetic():
