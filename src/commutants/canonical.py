@@ -4,15 +4,13 @@ Invariant factors come from a seeded Las Vegas cyclic-vector split:
 random draws, but every accepted draw is checked exactly, so the answer
 never depends on them.  The split also yields the change of basis P to
 the Frobenius (rational canonical) form F, with A*P = P*F checked
-exactly; the commutant solvers build their bases on F.  A structure
-report computes the factors once and derives the rest: the
-characteristic polynomial is their product and
-the minimal polynomial is the last one.  The standalone characteristic
-polynomial (Faddeev-LeVerrier, integer divisions only, safe in
-characteristic zero) and minimal polynomial (the first dependency of
-the vectorized powers) reach the same answers by independent routes.
-Balancedness is decided on invariant factors; the essential-part /
-balanced-radical split is a coprime factor splitting of the minimal
+exactly; the commutant solvers build their bases on F.  Everything else
+is read off the split, never recomputed: the characteristic polynomial
+is the product of the factors, and the minimal polynomial is the split's
+first step, the Krylov polynomial of a drawn vector, accepted only once
+it is checked to annihilate the matrix.  The 0 x 0 matrix has no
+factors, so both are 1.  Balancedness is decided on invariant factors;
+the essential-part / balanced-radical split is a coprime factor splitting of the minimal
 polynomial with a Bezout projector, so no Jordan form and no algebraic
 closure ever appear.
 """
@@ -46,21 +44,11 @@ from .scalars import FieldTag
 
 
 def char_poly(A: Matrix) -> Poly:
-    """det(xI - A), monic of degree n."""
+    """det(xI - A), monic of degree n: the product of the invariant
+    factors of the checked split."""
     if not A.is_square:
         raise NotSquare("characteristic polynomial needs a square matrix")
-    n = A.rows
-    field = A.field
-    ident = Matrix.identity(n, field)
-    AM = A
-    coeffs = [field.one()]
-    for k in range(1, n + 1):
-        ck = -(AM.trace() / k)
-        coeffs.append(ck)
-        if k < n:
-            AM = A * (AM + ident.scale(ck))
-    coeffs.reverse()
-    return Poly.make(coeffs, field)
+    return prod(_frobenius(A)[0], start=Poly.one(A.field))
 
 
 def _krylov(M: Matrix, x: Matrix, k: int) -> list[tuple]:
@@ -74,20 +62,15 @@ def _krylov(M: Matrix, x: Matrix, k: int) -> list[tuple]:
     return out
 
 
-def _first_dependency(columns: list[tuple], field: FieldTag) -> Poly:
-    """The monic f of least degree with sum_k f_k columns[k] = 0, read
-    off the first kernel vector of the matrix with these columns: its
-    first free column is the first one dependent on the lower ones."""
-    return Poly.make(kernel_basis(vstack_rows(columns, field).transpose())[0], field)
-
-
 def min_poly(A: Matrix) -> Poly:
-    """The monic generator of {f : f(A) = 0}: the first dependency of
-    vec(I), vec(A), ..., vec(A^n)."""
+    """The monic generator of {f : f(A) = 0}: the split's first step,
+    the first Krylov dependency of a drawn v, accepted only once it is
+    checked to annihilate A."""
     if not A.is_square:
         raise NotSquare("minimal polynomial needs a square matrix")
-    identity = vec(Matrix.identity(A.rows, A.field))
-    return _first_dependency([identity] + _krylov(A, A, A.rows), A.field)
+    if not A.rows:
+        return Poly.one(A.field)
+    return _cyclic_vector(_lift(A), _Draws(A.field))[0]
 
 
 def invariant_factors(A: Matrix) -> tuple[Poly, ...]:
@@ -203,6 +186,8 @@ def _frobenius(A: Matrix) -> tuple[tuple[Poly, ...], Matrix]:
     M restricted to U has the smaller factors, and B becomes B*U.  A
     rejected draw retries one height up."""
     field = A.field
+    if not A.rows:
+        return (), Matrix.identity(0, field)
     draws = _Draws(field)
     factors, blocks = [], []
     M, B = A, None
@@ -328,7 +313,7 @@ class StructureReport:
             raise NotSquare("structure report needs a square matrix")
         factors = invariant_factors(A) if _factors is None else _with_units(A, _factors)
         p = prod(factors, start=Poly.one(A.field))
-        m = factors[-1]
+        m = factors[-1] if factors else Poly.one(A.field)
         balanced = all(is_balanced_poly(d) for d in factors if d.degree >= 1)
         nilpotent = p == Poly.monomial(A.rows, 1, A.field)
         return cls(

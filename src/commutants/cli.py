@@ -267,7 +267,10 @@ def _cmd_analyze(args) -> int:
     one = A.field.one()
     cent = _mu_commutant_basis(A, one, split)
     cliff = _mu_commutant_basis(A, -one, split)
-    double = _double_centralizer(A, cent, rep.min_poly.degree)
+    # dim C(A) = deg m_A gives C(A) = F[A] = C(C(A)): cent, already
+    # checked, is the answer
+    d = rep.min_poly.degree
+    double = cent if cent.dim == d else _double_centralizer(A, d)
     out = {
         "input": matrix_json(A),
         "structure": _structure_json(rep),

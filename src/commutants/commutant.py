@@ -5,11 +5,13 @@ omega-centralizer (mu = zeta_q^k) are the solutions of AX = mu*XA.
 With A = P*F*P^-1 and F a direct sum of companion blocks, X = P*Y*P^-1
 where each block of Y solves C(a)*Y = mu*Y*C(b), whose solutions are
 known in closed form, so one structural routine serves all three and no
-n^2 x n^2 system is eliminated; the double centralizer shrinks the
-centralizer basis by commutator kernels.  Each basis is checked exactly
-before it is returned.  The ad-power kernels iterate the same lifted
-commutator products; the vectorized operator A kron I - mu * I kron A^T
-is the tests' oracle for all of them.
+n^2 x n^2 system is eliminated.  The double centralizer is F[A], by the
+double-centralizer theorem: the span of I, A, ..., A^(d-1), d = deg m_A,
+checked to be an A-invariant d-dimensional span containing I, with no
+centralizer built.  Each basis is checked exactly before it is
+returned.  The ad-power kernels iterate lifted commutator products; the
+vectorized operator A kron I - mu * I kron A^T is the tests' oracle for
+all of them.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import (
 )
 from .matrices import (
     Matrix,
+    _content_free,
     _embed,
     _entries,
     _inverse,
@@ -35,6 +38,7 @@ from .matrices import (
     _Lifted,
     _mul_lifted,
     _right,
+    _same,
     _scaled,
     _sides,
     _times,
@@ -184,59 +188,54 @@ def omega_centralizer_basis(A: Matrix, w: OmegaSpec) -> SubspaceBasis:
 
 
 def double_centralizer_basis(A: Matrix) -> SubspaceBasis:
-    """Matrices commuting with everything that commutes with A, shrunk
-    from C(A) rather than read off as F[A], so C(C(A)) = F[A] is a check."""
+    """Matrices commuting with everything that commutes with A: F[A], by
+    the double-centralizer theorem, derived from deg m_A on the checked
+    split with no centralizer built, and checked before it is returned."""
     if not A.is_square:
         raise NotSquare("double centralizer needs a square matrix")
-    split = _split(A)
-    return _double_centralizer(A, _mu_commutant_basis(A, A.field.one(), split), split[0][-1].degree)
+    factors = _frobenius(A)[0]
+    return _double_centralizer(A, factors[-1].degree if factors else 0)
 
 
-def _double_centralizer(A: Matrix, cent: SubspaceBasis, m_degree: int) -> SubspaceBasis:
-    """double_centralizer_basis(A) from cent = C(A) and m_degree = deg m_A.
-    C(C(A)) lies in C(A), as A is in C(A), so K (one integer vec per
-    row, a scaled element) starts as cent's basis and each X_i in it
-    cuts span K down to what commutes with X_i.  Checked: all commute
-    with every X_i, dim = deg m_A = dim F[A].  When dim C(A) = deg m_A
-    already, C(A) = F[A], which is commutative, so C(C(A)) = C(A) and
-    cent, whose relation and rank `_mu_commutant_basis` has checked, is
-    the answer."""
-    if cent.dim == m_degree:
-        return cent
+def _double_centralizer(A: Matrix, d: int) -> SubspaceBasis:
+    """C(C(A)) = F[A] for d = deg m_A = dim F[A]: the canonical span R of
+    the integer vecs of I, A, ..., A^(d-1), each power one lifted product
+    with the content divided out.  Checked without the powers: R has d
+    rows, and vec I and A*R_i for every row R_i lie in span R, each as
+    its coordinates at R's pivot columns times R.  An A-invariant span
+    that contains I contains every A^k, so span R contains F[A], and
+    with d rows it is F[A]."""
     n, field = A.rows, A.field
-    K = _scaled(field, n * n, _lift(vstack_rows(cent.rref_rows, field)).ints)
-    lifts = [_lift(X).common() for X in cent.basis]
-    for X in lifts:
-        if K.rows <= m_degree:
-            break
-        K = _shrink(K, _ad_power(K.ints, X, 1))
-    S = _span(K, n)
-    if S.dim != m_degree:
-        raise VerificationError(f"double centralizer has dimension {S.dim}, deg m_A is {m_degree}")
-    vecs = _lift(vstack_rows(S.rref_rows, field)).ints
-    if any(xy != yx for xy, yx in (_sides(vecs, X, X) for X in lifts)):
-        raise VerificationError("a double centralizer element fails to commute with the centralizer")
+    Al, ident = _lift(A).common(), _lift(Matrix.identity(n, field))
+    powers = [ident]
+    for _ in range(d - 1):
+        powers.append(_content_free(_mul_lifted(Al, powers[-1])))
+    S = _span(_scaled(field, n * n, [_vec(Y) for Y in powers[:d]]), n)
+    if S.dim != d:
+        raise VerificationError(f"double centralizer has dimension {S.dim}, deg m_A is {d}")
+    R = _lift(Matrix(field, d, n * n, tuple(x for row in S.rref_rows for x in row)))
+    V = _scaled(field, n * n, [_vec(ident)] + _left(Al, R.ints))
+    coords = _scaled(field, d, [[v[f * n * n + p] for f in range(R.phi) for p in S.pivots] for v in V.ints])
+    if not _same(_mul_lifted(coords, R), V):
+        raise VerificationError("the span of the powers of A is not A-invariant or misses I")
     return S
+
+
+def _vec(Y: _Lifted) -> list[int]:
+    """The integer vec of an n x n lifted Y over one denominator."""
+    n = Y.cols
+    return [x for f in range(Y.phi) for row in Y.ints for x in row[f * n : (f + 1) * n]]
 
 
 def _ad_power(vecs: list[list[int]], X: _Lifted, k: int) -> list[list[int]]:
     """Integer vecs proportional to (ad_X)^k Y_e, by the same factor for
     each e, from the integer vecs of n x n blocks Y_e and X lifted: k
-    commutator steps X*Y - Y*X, each one `_sides` product pair."""
-    for _ in range(k):
+    commutator steps X*Y - Y*X, each one `_sides` product pair, and none
+    when there are no blocks (n = 0)."""
+    for _ in range(k if vecs else 0):
         xy, yx = _sides(vecs, X, X)
         vecs = [[a - b for a, b in zip(u, v)] for u, v in zip(xy, yx)]
     return vecs
-
-
-def _shrink(K: _Lifted, images: list[list[int]]) -> _Lifted:
-    """Rows of K (integer vecs of Y_k) recombined to span the part a
-    linear map kills, from images[k] proportional to the map's value on
-    Y_k by the same factor for each k: the kernel coordinates times K.
-    K's rows carry no denominators, so the coordinates apply to them
-    directly."""
-    C = _kernel_coords(_scaled(K.field, K.cols, images))
-    return _scaled(K.field, K.cols, _mul_lifted(C, K).ints)
 
 
 def _kernel_coords(images: _Lifted) -> _Lifted:

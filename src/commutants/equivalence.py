@@ -111,6 +111,8 @@ def _reduce(B: Matrix, A: Matrix) -> tuple[Poly, Poly] | None:
         raise ShapeMismatch(f"sizes differ: {A.rows} vs {B.rows}")
     if A.field != B.field:
         raise FieldMismatch(f"fields differ: {A.field} vs {B.field}")
+    if not A.rows:
+        raise ShapeMismatch("matrix size must be positive")
     Al, Bl = _lift(A), _lift(B)
     m, krylov = _cyclic_vector(Al, _Draws(A.field))
     coords = _solve_lifted(_beside(krylov + [_mul_lifted(Bl, krylov[0])]))

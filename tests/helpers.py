@@ -306,6 +306,36 @@ def reference_double_centralizer(A: Matrix) -> SubspaceBasis:
     return subspace_from_matrices(mats, ambient_n=n, field=A.field)
 
 
+def reference_char_poly(A: Matrix) -> Poly:
+    """Faddeev-LeVerrier: det(xI - A) from the traces of A*M_k, with
+    M_(k+1) = A*M_k + c_k*I, n - 1 products through ``Matrix.__mul__``
+    and divisions by k only, exact in characteristic zero.  The oracle
+    for the product of the split's invariant factors."""
+    n, field = A.rows, A.field
+    ident = Matrix.identity(n, field)
+    AM = A
+    coeffs = [field.one()]
+    for k in range(1, n + 1):
+        ck = -(AM.trace() / k)
+        coeffs.append(ck)
+        if k < n:
+            AM = A * (AM + ident.scale(ck))
+    coeffs.reverse()
+    return Poly.make(coeffs, field)
+
+
+def reference_min_poly(A: Matrix) -> Poly:
+    """The first dependency of vec I, vec A, ..., vec A^n, read off the
+    first kernel vector of the matrix with these columns: its free column
+    is the first power dependent on the lower ones, where it is 1.  The
+    oracle for the split's checked Krylov polynomial."""
+    powers = [Matrix.identity(A.rows, A.field)]
+    for _ in range(A.rows):
+        powers.append(powers[-1] * A)
+    columns = Matrix(A.field, A.rows * A.rows, len(powers), tuple(x for row in zip(*map(vec, powers)) for x in row))
+    return Poly.make(kernel_basis(columns)[0], A.field)
+
+
 def reference_express_in_powers(B: Matrix, A: Matrix, cls: CongruenceClass) -> Poly | None:
     """The stacked-powers oracle for B = sum_e c_e A^e over the class
     exponents: one column vec(A^e) per exponent, n^2 rows, solved with

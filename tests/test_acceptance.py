@@ -56,6 +56,8 @@ from helpers import (
     ODD4_B,
     ODD4_B_FROM_A,
     poly,
+    reference_double_centralizer,
+    reference_min_poly,
 )
 
 
@@ -186,14 +188,19 @@ def test_c05_double_centralizer_is_polynomial_algebra():
             rng = random.Random(400 + trial)
             n = rng.randint(2, 5)
             A = trial_matrix(8000 + trial, n)
-            d = min_poly(A).degree
+            # d from the first dependency of the vectorized powers, not
+            # from the split the library reads it off
+            d = reference_min_poly(A).degree
+            assert min_poly(A).degree == d
             powers = []
             P = Matrix.identity(n, A.field)
             for _ in range(d):
                 powers.append(P)
                 P = P * A
             want = subspace_from_matrices(powers)
-            assert subspace_equal(double_centralizer_basis(A), want)
+            ours = double_centralizer_basis(A)
+            assert subspace_equal(ours, want)
+            assert ours.rref_rows == reference_double_centralizer(A).rref_rows
             assert want.dim == d
 
 

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
@@ -7,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commutants import canonical, commutant
+from commutants import canonical, cli, commutant
 
 from commutants import (
     CycloScalar,
@@ -305,8 +306,8 @@ def test_structural_bases_equal_kronecker_oracle_on_fixed_inputs():
 _DEROGATORY = conjugated(Matrix.block_diag([Matrix.jordan(2, 1, QQ), Matrix.diag([1, -1], QQ)]), 7)
 _NILPOTENT = conjugated(Matrix.block_diag([Matrix.jordan(3, 0, QQ), mat([[0]])]), 7)
 _W5 = OmegaSpec(5, 2)
-# derogatory inputs whose centralizer is larger than F[A], so at least
-# one double-centralizer shrink step runs
+# derogatory inputs whose centralizer is larger than F[A], so the double
+# centralizer is derived from the powers of A, not read off C(A)
 _SHRUNK = (_DEROGATORY, _NILPOTENT, Matrix.identity(3, QQ).scale(2), _CYCLO3_INPUT)
 
 
@@ -349,10 +350,13 @@ def test_singular_frobenius_P_is_never_used(monkeypatch):
         entries = tuple(P.field.zero() if k % n == n - 1 else x for k, x in enumerate(P.entries))
         return factors, Matrix(P.field, n, n, entries)
 
+    want = reference_double_centralizer(_DEROGATORY)
     monkeypatch.setattr(commutant, "_frobenius", singular)
-    for call in _corrupted_calls() + [lambda: double_centralizer_basis(_DEROGATORY)]:
+    for call in _corrupted_calls():
         with pytest.raises(VerificationError, match="singular"):
             call()
+    # the double centralizer reads only deg m_A off the split, never P
+    assert double_centralizer_basis(_DEROGATORY).rref_rows == want.rref_rows
 
 
 def test_perturbed_block_solution_is_never_returned(monkeypatch):
@@ -461,27 +465,14 @@ def test_double_centralizer_equals_stacked_oracle_on_fixed_inputs():
         _same_double(A)
 
 
-def _calls_of(name, A, monkeypatch):
-    """The arguments of each call double_centralizer_basis(A) makes to
-    commutant.<name>."""
-    calls = []
-    plain = getattr(commutant, name)
+def test_double_centralizer_builds_no_centralizer(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("centralizer or kernel built for the double centralizer")
 
-    def spy(*args):
-        calls.append(args)
-        return plain(*args)
-
-    with monkeypatch.context() as m:
-        m.setattr(commutant, name, spy)
-        double_centralizer_basis(A)
-    return calls
-
-
-def test_shrink_steps_stop_at_deg_min_poly(monkeypatch):
+    monkeypatch.setattr(commutant, "_mu_commutant_basis", forbidden)
+    monkeypatch.setattr(commutant, "kernel_basis", forbidden)
     for A in _SHRUNK:
-        sizes = [K.rows for K, X in _calls_of("_shrink", A, monkeypatch)]
-        assert sizes and sizes[0] == centralizer_basis(A).dim
-        assert all(k > min_poly(A).degree for k in sizes)
+        assert double_centralizer_basis(A).dim == min_poly(A).degree
 
 
 def test_double_centralizer_splits_once(monkeypatch):
@@ -501,46 +492,60 @@ def test_double_centralizer_splits_once(monkeypatch):
         assert splits[0] == 1, A
 
 
-def test_nonderogatory_double_centralizer_is_the_centralizer(monkeypatch):
-    # dim C(A) = deg m_A gives C(A) = F[A], which is commutative, so
-    # C(C(A)) = C(A): no shrink step and no commutation check runs
+def test_nonderogatory_double_centralizer_is_the_centralizer(monkeypatch, tmp_path, capsys):
+    # dim C(A) = deg m_A gives C(A) = F[A] = C(C(A)): the derived span is
+    # the centralizer, and analyze returns the centralizer it already has
     def forbidden(*args):
-        raise AssertionError("commutator products on a nonderogatory input")
+        raise AssertionError("double centralizer derived on a nonderogatory input")
 
     companion = canonical.companion(poly([3, -1, 2, 0, -2, 1]))
-    for A in (conjugated(companion, 7), companion, cyclo3_jordan(0, (2, 1)), mat([[Fraction(5, 2)]])):
+    for i, A in enumerate((conjugated(companion, 7), companion, cyclo3_jordan(0, (2, 1)), mat([[Fraction(5, 2)]]))):
         cent = centralizer_basis(A)
-        m_degree = min_poly(A).degree
-        assert cent.dim == m_degree
-        with monkeypatch.context() as m:
-            m.setattr(commutant, "_sides", forbidden)
-            m.setattr(commutant, "_shrink", forbidden)
-            assert commutant._double_centralizer(A, cent, m_degree) is cent
+        assert cent.dim == min_poly(A).degree
+        assert double_centralizer_basis(A).rref_rows == cent.rref_rows
         _same_double(A)
-
-
-def _bump_first(kernel):
-    return [(kernel[0][0] + 1,) + kernel[0][1:]] + kernel[1:]
-
-
-@pytest.mark.parametrize("name, corrupt", [
-    ("kernel_basis", lambda plain, args: _bump_first(plain(*args))),
-    ("kernel_basis", lambda plain, args: plain(*args)[:-1]),
-    # from the last step on, K is returned unshrunk: the loop stops early
-    ("_shrink", lambda plain, args: args[0]),
-], ids=["perturbed-coefficient", "dropped-kernel-vector", "stopped-early"])
-def test_corrupted_shrink_step_is_never_returned(monkeypatch, name, corrupt):
-    for A in _SHRUNK:
-        last = len(_calls_of(name, A, monkeypatch))
-        assert last
-        plain = getattr(commutant, name)
-        calls = [0]
-
-        def corrupted(*args):
-            calls[0] += 1
-            return corrupt(plain, args) if calls[0] >= last else plain(*args)
-
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(cli.matrix_json(A)))
         with monkeypatch.context() as m:
-            m.setattr(commutant, name, corrupted)
+            m.setattr(cli, "_double_centralizer", forbidden)
+            assert cli.main(["analyze", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["dims"]["double_centralizer"] == cent.dim
+
+
+def _bump_entry(k):
+    """L with entry 0 of its row k raised by 1."""
+    def corrupt(L):
+        ints = [list(row) for row in L.ints]
+        ints[k][0] += 1
+        return L._replace(ints=ints)
+    return corrupt
+
+
+def _drop_last(L):
+    return L._replace(dens=L.dens[:-1], ints=L.ints[:-1])
+
+
+@pytest.mark.parametrize("corruptions", [
+    lambda d: [_bump_entry(k) for k in range(d)],
+    lambda d: [_drop_last],
+], ids=["bumped-power", "dropped-power"])
+def test_corrupted_power_is_never_returned(monkeypatch, corruptions):
+    # each power in turn with one entry bumped, or the last power
+    # dropped, on its way into the canonical span
+    span = commutant._span
+    for A in _SHRUNK:
+        for corrupt in corruptions(min_poly(A).degree):
+            with monkeypatch.context() as m:
+                m.setattr(commutant, "_span", lambda L, n: span(corrupt(L), n))
+                with pytest.raises(VerificationError):
+                    double_centralizer_basis(A)
+
+
+def test_wrong_degree_is_never_returned():
+    # one power too many spans F[A] with fewer than d rows; one too few
+    # spans a subspace that A*R_i leaves
+    for A in _SHRUNK:
+        d = min_poly(A).degree
+        for wrong in (d - 1, d + 1):
             with pytest.raises(VerificationError):
-                double_centralizer_basis(A)
+                commutant._double_centralizer(A, wrong)
