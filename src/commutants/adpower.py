@@ -1,15 +1,17 @@
-"""Iterated commutator (ad) operators and their kernels."""
+"""Iterated commutator (ad) operators and their kernels: ker (ad_A)^k is
+read off one reversed-column reduction of the integer matrix of
+(ad_A)^k, built by the binomial formula in one product."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd, lcm
 
-from .commutant import _ad_power, _kernel_coords, commutant_operator
+from .commutant import commutant_operator
 from .errors import BadExponent, FieldMismatch, NotSquare, ShapeMismatch
-from .matrices import Matrix, _lift, _scaled, vstack_rows
+from .matrices import Matrix, _entries, _lift, _Lifted, _mul_lifted, _rref_core, _scaled, _sides, unvec, vstack_rows
 from .polys import Poly, _at_matrix
-from .subspaces import SubspaceBasis, _span
+from .subspaces import SubspaceBasis
 
 DEFAULT_MAX_POWER = 16
 
@@ -30,17 +32,63 @@ class AdOperator:
 
 
 def ad_power_kernel(A: Matrix, k: int, max_power: int = DEFAULT_MAX_POWER) -> SubspaceBasis:
-    """Kernel of (ad_A)^k as a subspace of n x n matrices: the unit
-    matrices E_ij, as integer vecs, go through k commutator steps, and
-    the kernel of their images recombines them; the kernel coordinates
-    are themselves the vecs, since the E_ij are the standard basis."""
+    """Kernel of (ad_A)^k as a subspace of n x n matrices: its canonical
+    basis, read off one reduction of `_ad_matrix` by `_kernel_rref`."""
     if not isinstance(k, int) or k < 1 or k > max_power:
         raise BadExponent(f"power k={k} outside 1..{max_power}")
     if not A.is_square:
         raise NotSquare("ad-power kernel needs a square matrix")
-    n, Al = A.rows, _lift(A)
-    units = [[int(i == j) for j in range(Al.phi * n * n)] for i in range(n * n)]
-    return _span(_kernel_coords(_scaled(A.field, n * n, _ad_power(units, Al, k))), n)
+    n = A.rows
+    rows, pivots = _kernel_rref(_scaled(A.field, n * n, _ad_matrix(_lift(A), k)))
+    return SubspaceBasis(A.field, n, len(rows), tuple(unvec(row, n, A.field) for row in rows), rows, pivots)
+
+
+def _ad_matrix(Al: _Lifted, k: int) -> list[list[int]]:
+    """The nonzero rows, content-free, of the matrix of (ad_A)^k = sum_a
+    c_a A^a kron (A^(k-a))^T, c_a = C(k,a) (-1)^(k-a), under row-major vec:
+    realigned from ((i, j), (l, m)) to ((i, l), (j, m)) it is U*V, U with
+    the vecs of c_a Al^a as its k + 1 columns and V with those of
+    (Al^(k-a))^T as its rows, A = Al / D.  The raw integer powers of Al
+    share the scale D^k, so one product builds it."""
+    Al = Al.common()
+    n, phi, field = Al.rows, Al.phi, Al.field
+    powers = [[[int(i == j) for j in range(phi * n)] for i in range(n)], Al.ints]
+    for _ in range(k - 1):
+        powers.append(_mul_lifted(Al, _scaled(field, n, powers[-1])).ints)
+    U = [[(-1) ** (k - a) * comb(k, a) * powers[a][i][f * n + l] for f in range(phi) for a in range(k + 1)] for i in range(n) for l in range(n)]
+    V = [[powers[k - a][m][f * n + j] for f in range(phi) for j in range(n) for m in range(n)] for a in range(k + 1)]
+    N = _mul_lifted(_scaled(field, k + 1, U), _scaled(field, n * n, V)).ints
+    rows = ([x for f in range(phi) for r in N[i * n : (i + 1) * n] for x in r[(f * n + j) * n : (f * n + j + 1) * n]] for i in range(n) for j in range(n))
+    return [[x // g for x in row] for row in rows if (g := gcd(*row))]
+
+
+def _kernel_rref(L: _Lifted) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    """The RREF rows and pivots of {x : Mx = 0}, M the system with L's
+    rows, from one `_rref_core` pass on M with its columns reversed: the
+    kernel vector of each free column is then 1 there, 0 at the other free
+    columns and -row/pv at the pivots to its right, so in increasing order
+    these vectors are the kernel's RREF, one normalization each.  Reversed
+    rows move only pivot ties, and for (ad_A)^k make the pass the
+    column-order reduction of (ad_JAJ)^k, J the reversal: faster."""
+    w, phi = L.cols, L.phi
+    flip = lambda row: [x for e in range(phi) for x in row[e * w : (e + 1) * w][::-1]]
+    rows, pivots = _rref_core([flip(row) for row in reversed(L.ints)], w, L.field.q)
+    free, at = sorted(set(range(w)) - set(pivots), reverse=True), dict(zip(pivots, rows))
+    dens = [lcm(*(row[p] for p, row in at.items() if any(row[c::w]))) for c in free]
+    ints = [flip([d if e * w + t == c else -(d // at[t][t]) * at[t][e * w + c] if t in at else 0 for e in range(phi) for t in range(w)]) for c, d in zip(free, dens)]
+    flat = _entries(_Lifted(L.field, w, dens, ints))
+    return tuple(flat[i * w : (i + 1) * w] for i in range(len(free))), tuple(w - 1 - c for c in free)
+
+
+def _ad_power(vecs: list[list[int]], X: _Lifted, k: int) -> list[list[int]]:
+    """Integer vecs proportional to (ad_X)^k Y_e, by the same factor for
+    each e, from the integer vecs of n x n blocks Y_e and X lifted: k
+    commutator steps X*Y - Y*X, each one `_sides` product pair, and none
+    when there are no blocks (n = 0)."""
+    for _ in range(k if vecs else 0):
+        xy, yx = _sides(vecs, X, X)
+        vecs = [[a - b for a, b in zip(u, v)] for u, v in zip(xy, yx)]
+    return vecs
 
 
 def ann_k_member(X: Matrix, B: Matrix, k: int) -> bool:

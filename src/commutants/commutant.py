@@ -6,12 +6,14 @@ With A = P*F*P^-1 and F a direct sum of companion blocks, X = P*Y*P^-1
 where each block of Y solves C(a)*Y = mu*Y*C(b), whose solutions are
 known in closed form, so one structural routine serves all three and no
 n^2 x n^2 system is eliminated.  The double centralizer is F[A], by the
-double-centralizer theorem: the span of I, A, ..., A^(d-1), d = deg m_A,
-checked to be an A-invariant d-dimensional span containing I, with no
-centralizer built.  Each basis is checked exactly before it is
-returned.  The ad-power kernels iterate lifted commutator products; the
-vectorized operator A kron I - mu * I kron A^T is the tests' oracle for
-all of them.
+double-centralizer theorem: the span of I, A, ..., A^(d-1), d = deg m_A
+from the checked `min_poly`, checked to be an A-invariant d-dimensional
+span containing I, with no split and no centralizer built.  Each basis
+is checked exactly before it is returned.  The vectorized operator
+A kron I - mu * I kron A^T is the tests' oracle for all of them and for
+the ad-power kernels of `adpower`, which build the integer matrix of
+(ad_A)^k by the binomial formula and read their basis off one
+reversed-column reduction.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .canonical import _frobenius, is_balanced_matrix
+from .canonical import _frobenius, is_balanced_matrix, min_poly
 from .errors import (
     IndexOutOfRange,
     InvalidSpec,
@@ -31,7 +33,6 @@ from .matrices import (
     Matrix,
     _content_free,
     _embed,
-    _entries,
     _inverse,
     _left,
     _lift,
@@ -42,7 +43,6 @@ from .matrices import (
     _scaled,
     _sides,
     _times,
-    kernel_basis,
     kron,
     vstack_rows,
 )
@@ -189,12 +189,12 @@ def omega_centralizer_basis(A: Matrix, w: OmegaSpec) -> SubspaceBasis:
 
 def double_centralizer_basis(A: Matrix) -> SubspaceBasis:
     """Matrices commuting with everything that commutes with A: F[A], by
-    the double-centralizer theorem, derived from deg m_A on the checked
-    split with no centralizer built, and checked before it is returned."""
+    the double-centralizer theorem, derived from deg m_A (the checked
+    `min_poly`, no split) with no centralizer built, and checked before
+    it is returned."""
     if not A.is_square:
         raise NotSquare("double centralizer needs a square matrix")
-    factors = _frobenius(A)[0]
-    return _double_centralizer(A, factors[-1].degree if factors else 0)
+    return _double_centralizer(A, min_poly(A).degree)
 
 
 def _double_centralizer(A: Matrix, d: int) -> SubspaceBasis:
@@ -225,28 +225,6 @@ def _vec(Y: _Lifted) -> list[int]:
     """The integer vec of an n x n lifted Y over one denominator."""
     n = Y.cols
     return [x for f in range(Y.phi) for row in Y.ints for x in row[f * n : (f + 1) * n]]
-
-
-def _ad_power(vecs: list[list[int]], X: _Lifted, k: int) -> list[list[int]]:
-    """Integer vecs proportional to (ad_X)^k Y_e, by the same factor for
-    each e, from the integer vecs of n x n blocks Y_e and X lifted: k
-    commutator steps X*Y - Y*X, each one `_sides` product pair, and none
-    when there are no blocks (n = 0)."""
-    for _ in range(k if vecs else 0):
-        xy, yx = _sides(vecs, X, X)
-        vecs = [[a - b for a, b in zip(u, v)] for u, v in zip(xy, yx)]
-    return vecs
-
-
-def _kernel_coords(images: _Lifted) -> _Lifted:
-    """The kernel of the system whose column k is row k of images, an
-    integer vec, lifted: one system row per entry i of the vecs,
-    plane-major across k, zero rows dropped."""
-    field, nn, phi, count = images.field, images.cols, images.phi, images.rows
-    rows = [r for r in ([d[f * nn + i] for f in range(phi) for d in images.ints] for i in range(nn)) if any(r)]
-    system = Matrix(field, len(rows), count, _entries(_scaled(field, count, rows)))
-    kernel = kernel_basis(system)
-    return _lift(Matrix(field, len(kernel), count, tuple(x for v in kernel for x in v)))
 
 
 def k_matrix(n: int, i: int) -> Matrix:

@@ -49,16 +49,19 @@ layer takes integer vecs of n x n matrices Y_e and lifted operands:
 `_left` gives L*Y_e for every e from one product, the Y_e laid abreast,
 `_right` gives Y_e*R with the Y_e stacked, and `_sides` pairs the two
 scaled alike.  The conjugation X = P*Y*P^-1, every relation check
-L*Y = Y*R (the commutants, A*P = P*F) and every commutator step of the
-double centralizer and the ad-power kernels go through it, and the
-Krylov iterations of the Frobenius split lift their matrix once.  The
-chains of products stay lifted too, content-free after each product:
-`_power` (square-and-multiply, behind `Matrix.__pow__`, the Potter
-check and the certificates' class step), `_horner` (f(M)*E for a 0/1
-matrix E, behind `eval_at_matrix`, the annihilation check of the split
-and the certificates on the companion of m_A), and `_same`, which compares
-two lifted matrices row by row over cross-multiplied denominators (the
-Potter identity, AB = omega*BA, the certificates).
+L*Y = Y*R (the commutants, A*P = P*F) and the commutator steps of the
+ad-power inclusion check go through it, and the Krylov iterations of
+the Frobenius split lift their matrix once.  The ad-power kernels build
+the integer matrix of (ad_A)^k by the binomial formula in one
+`_mul_lifted` product and read their basis off one `_rref_core` pass
+with the columns reversed.  The chains of products stay lifted too,
+content-free after each product: `_power` (square-and-multiply, behind
+`Matrix.__pow__`, the Potter check and the certificates' class step),
+`_horner` (f(M)*E for a 0/1 matrix E, behind `eval_at_matrix`, the
+annihilation check of the split and the certificates on the companion
+of m_A), and `_same`, which compares two lifted matrices row by row over
+cross-multiplied denominators (the Potter identity, AB = omega*BA, the
+certificates).
 Wherever only a span or a homogeneous relation matters, row denominators
 are dropped, since a scaled row spans the same line.  One determinant
 routine, plain pivoting with division, serves both fields.

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .canonical import char_poly
+from .canonical import min_poly
 from .commutant import OmegaSpec, omega_centralizer_basis
 from .equivalence import Certificate, equivalence_certificate
 from .errors import (
@@ -143,8 +143,8 @@ def omega_equivalence_check(A: Matrix, B: Matrix, w: OmegaSpec) -> OmegaEquivale
         raise NotSquare("equivalence check needs square matrices")
     if A.rows != B.rows:
         raise ShapeMismatch(f"sizes differ: {A.rows} vs {B.rows}")
-    n = A.rows
-    if char_poly(A) != Poly.monomial(n, 1, A.field):
+    m = min_poly(A)
+    if m != Poly.monomial(m.degree, 1, A.field):
         raise NotNilpotent("first matrix must be nilpotent")
     if A.field != B.field:
         if not A.field.is_cyclotomic:

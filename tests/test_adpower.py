@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commutants import adpower, commutant
+from commutants import adpower, commutant, matrices, subspaces
 from commutants import (
     AdOperator,
     BadExponent,
@@ -269,6 +269,39 @@ def test_ad_power_kernels_build_no_kronecker_operator(monkeypatch):
         for k in (1, 2, 3):
             ad_power_kernel(A, k)
             assert ad_inclusion_check(A, poly([1, 2, 3], A.field), k)
+
+
+def test_ad_power_kernel_at_max_power_equals_kronecker_oracle():
+    A = mat([[Fraction(1, 2), Fraction(-5, 3)], [Fraction(7, 4), 0]])
+    for M in (Matrix.jordan(3, 0, QQ), A):
+        _same_kernel(M, adpower.DEFAULT_MAX_POWER)
+
+
+def test_ad_power_kernel_is_one_elimination(monkeypatch):
+    # the basis is read off one reversed-column reduction: no kernel of
+    # unit-matrix images, no canonicalizing second elimination
+    def forbidden(*args):
+        raise AssertionError("second elimination")
+
+    for module in (matrices, subspaces, commutant, adpower):
+        for name in ("_span", "kernel_basis"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    plain = matrices._rref_core
+    passes = [0]
+
+    def counting(*args):
+        passes[0] += 1
+        return plain(*args)
+
+    for module in (matrices, adpower):
+        monkeypatch.setattr(module, "_rref_core", counting)
+    rational = mat([[Fraction(1, 2), Fraction(-5, 3)], [Fraction(7, 4), 0]])
+    for A in (Matrix.jordan(3, 0, QQ), random_jordan_matrix(5, 4), cyclo3_jordan(1, (2, 2)), rational, Matrix.zero(0, 0, QQ)):
+        for k in (1, 2, 3):
+            passes[0] = 0
+            ad_power_kernel(A, k)
+            assert passes[0] == 1, (A, k)
 
 
 def test_non_square_input_raises_not_square():

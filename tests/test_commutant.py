@@ -470,26 +470,31 @@ def test_double_centralizer_builds_no_centralizer(monkeypatch):
         raise AssertionError("centralizer or kernel built for the double centralizer")
 
     monkeypatch.setattr(commutant, "_mu_commutant_basis", forbidden)
-    monkeypatch.setattr(commutant, "kernel_basis", forbidden)
+    monkeypatch.setattr(canonical, "kernel_basis", forbidden)
     for A in _SHRUNK:
         assert double_centralizer_basis(A).dim == min_poly(A).degree
 
 
-def test_double_centralizer_splits_once(monkeypatch):
-    # the centralizer and deg m_A are both read off one Frobenius split
-    plain = canonical._frobenius
-    splits = [0]
+def test_double_centralizer_runs_no_split_and_one_cyclic_vector_step(monkeypatch):
+    # deg m_A is read off min_poly's one checked cyclic-vector step; the
+    # Frobenius split never runs
+    def forbidden(*args):
+        raise AssertionError("Frobenius split run for the double centralizer")
 
-    def counting(A):
-        splits[0] += 1
-        return plain(A)
+    plain = canonical._cyclic_vector
+    steps = [0]
+
+    def counting(*args):
+        steps[0] += 1
+        return plain(*args)
 
     for module in (canonical, commutant):
-        monkeypatch.setattr(module, "_frobenius", counting)
+        monkeypatch.setattr(module, "_frobenius", forbidden)
+    monkeypatch.setattr(canonical, "_cyclic_vector", counting)
     for A in _SHRUNK + (Matrix.jordan(4, 1, QQ),):
-        splits[0] = 0
+        steps[0] = 0
         double_centralizer_basis(A)
-        assert splits[0] == 1, A
+        assert steps[0] == 1, A
 
 
 def test_nonderogatory_double_centralizer_is_the_centralizer(monkeypatch, tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commutants import (
@@ -31,9 +31,10 @@ from commutants import (
     vec,
     weyl_pair,
 )
-from commutants import matrices
+from commutants import adpower, matrices
 from commutants.matrices import rref, vstack_rows
 from commutants.scalars import phi_degree
+from commutants.subspaces import _span
 from helpers import (
     count_products,
     dense_planes,
@@ -331,6 +332,52 @@ def test_lifted_kernels_on_fixed_edge_inputs():
                 reduced, pivots = reference_rref(M)
                 r = matrices._rref_lifted(matrices._lift(M))
                 assert repr(r.rref) == repr(reduced) and r.pivots == pivots
+
+
+@st.composite
+def kernel_system(draw):
+    """(field, n, rows): plane-major integer rows n^2 wide over Q or
+    Q(zeta_3), n in 1..3, with zero rows and columns; of kind random,
+    all zero, or full column rank (a nonzero diagonal over random rows)."""
+    field = draw(st.sampled_from((QQ, FieldTag.cyclotomic(3))))
+    phi = 1 if field is QQ else 2
+    n = draw(st.integers(1, 3))
+    w = n * n
+    kind = draw(st.sampled_from(("random", "zero", "full")))
+    height = draw(st.integers(0, w + 2))
+    entry = st.integers(-4, 4) if kind != "zero" else st.just(0)
+    rows = draw(grid(height, phi * w, entry)) if height else []
+    if kind == "full":
+        diag = draw(st.lists(st.integers(1, 9), min_size=w, max_size=w))
+        rows = [[d if j == i else 0 for j in range(phi * w)] for i, d in enumerate(diag)] + rows
+    return field, n, rows
+
+
+def _kernel_span(field, n, rows):
+    """The canonical rows and pivots of the kernel of the integer system
+    `rows`, by `kernel_basis` and then `_span`: two eliminations."""
+    M = Matrix(field, len(rows), n * n, matrices._entries(matrices._scaled(field, n * n, rows)))
+    kernel = kernel_basis(M)
+    if not kernel:
+        return (), ()
+    S = _span(matrices._lift(vstack_rows(kernel, field)), n)
+    return S.rref_rows, S.pivots
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_system())
+@example((QQ, 2, [[0, 0, 0, 0], [0, 0, 0, 0]]))
+@example((FieldTag.cyclotomic(3), 2, []))
+@example((QQ, 2, [[2, 0, 0, 0], [0, -1, 0, 0], [0, 0, 3, 0], [0, 0, 0, 5]]))
+@example((FieldTag.cyclotomic(3), 1, [[0, 4]]))
+@example((QQ, 1, [[0], [0]]))
+@example((QQ, 1, [[-3]]))
+def test_reversed_column_read_off_equals_the_span_of_the_kernel(case):
+    # the examples: all zero, no rows, full column rank, one column (4 zeta, 0, -3)
+    field, n, rows = case
+    got = adpower._kernel_rref(matrices._scaled(field, n * n, rows))
+    want = _kernel_span(field, n, rows)
+    assert repr(got) == repr(want)
 
 
 # the lifted kernels at the shapes the library feeds them: Krylov columns,

@@ -138,6 +138,28 @@ def test_omega_equivalence_requires_nilpotent():
         omega_equivalence_check(Matrix.identity(2, QQ), Matrix.identity(2, QQ), w)
 
 
+def test_nilpotency_is_read_off_min_poly_without_a_split(monkeypatch):
+    # m_A = x^(deg m_A) decides nilpotency; a non-nilpotent A is refused
+    # before any Frobenius split runs, even when x divides m_A
+    from commutants import canonical, commutant
+
+    def forbidden(*args):
+        raise AssertionError("Frobenius split run for the nilpotency test")
+
+    for module in (canonical, commutant):
+        monkeypatch.setattr(module, "_frobenius", forbidden)
+    w = OmegaSpec(3, 1)
+    z3 = w.field
+    for A in (
+        Matrix.diag([0, 0, 1], QQ),
+        Matrix.block_diag([Matrix.jordan(2, 0, QQ), mat([[Fraction(1, 2)]])]),
+        conjugated(Matrix.block_diag([Matrix.jordan(3, 0, QQ), Matrix.jordan(1, 2, QQ)]), 7),
+        Matrix.jordan(2, CycloScalar.zeta(3), z3),
+    ):
+        with pytest.raises(NotNilpotent):
+            omega_equivalence_check(A, A, w)
+
+
 def test_small_jordan_certificate_is_monomial():
     # n <= q: equality of omega-centralizers forces B = cA, and the
     # certificate the solver returns is exactly the monomial c x
