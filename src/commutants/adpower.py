@@ -1,15 +1,15 @@
 """Iterated commutator (ad) operators and their kernels: ker (ad_A)^k is
-read off one reversed-column reduction of the integer matrix of
-(ad_A)^k, built by the binomial formula in one product."""
+read by `matrices._kernel` off one reversed-column reduction of the
+integer matrix of (ad_A)^k, built by the binomial formula in one product."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from .commutant import commutant_operator
 from .errors import BadExponent, FieldMismatch, NotSquare, ShapeMismatch
-from .matrices import Matrix, _entries, _lift, _Lifted, _mul_lifted, _rref_core, _scaled, _sides, unvec, vstack_rows
+from .matrices import Matrix, _entries, _kernel, _lift, _Lifted, _mul_lifted, _scaled, _sides, unvec, vstack_rows
 from .polys import Poly, _at_matrix
 from .subspaces import SubspaceBasis
 
@@ -64,20 +64,17 @@ def _ad_matrix(Al: _Lifted, k: int) -> list[list[int]]:
 
 def _kernel_rref(L: _Lifted) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
     """The RREF rows and pivots of {x : Mx = 0}, M the system with L's
-    rows, from one `_rref_core` pass on M with its columns reversed: the
-    kernel vector of each free column is then 1 there, 0 at the other free
-    columns and -row/pv at the pivots to its right, so in increasing order
-    these vectors are the kernel's RREF, one normalization each.  Reversed
-    rows move only pivot ties, and for (ad_A)^k make the pass the
-    column-order reduction of (ad_JAJ)^k, J the reversal: faster."""
+    rows, from `_kernel` on M with its columns reversed: the kernel vector
+    of each free column is then 1 there, 0 at the other free columns and
+    nonzero only to its right, so flipped back and in increasing order
+    these vectors are the kernel's RREF.  Reversed rows move only pivot
+    ties, and for (ad_A)^k make the pass the column-order reduction of
+    (ad_JAJ)^k, J the reversal: faster."""
     w, phi = L.cols, L.phi
-    flip = lambda row: [x for e in range(phi) for x in row[e * w : (e + 1) * w][::-1]]
-    rows, pivots = _rref_core([flip(row) for row in reversed(L.ints)], w, L.field.q)
-    free, at = sorted(set(range(w)) - set(pivots), reverse=True), dict(zip(pivots, rows))
-    dens = [lcm(*(row[p] for p, row in at.items() if any(row[c::w]))) for c in free]
-    ints = [flip([d if e * w + t == c else -(d // at[t][t]) * at[t][e * w + c] if t in at else 0 for e in range(phi) for t in range(w)]) for c, d in zip(free, dens)]
-    flat = _entries(_Lifted(L.field, w, dens, ints))
-    return tuple(flat[i * w : (i + 1) * w] for i in range(len(free))), tuple(w - 1 - c for c in free)
+    flip = lambda rows: [[x for e in range(phi) for x in row[e * w : (e + 1) * w][::-1]] for row in reversed(rows)]
+    free, K = _kernel(_scaled(L.field, w, flip(L.ints)))
+    flat = _entries(_Lifted(L.field, w, K.dens[::-1], flip(K.ints)))
+    return tuple(flat[i * w : (i + 1) * w] for i in range(len(free))), tuple(w - 1 - c for c in reversed(free))
 
 
 def _ad_power(vecs: list[list[int]], X: _Lifted, k: int) -> list[list[int]]:

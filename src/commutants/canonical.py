@@ -2,9 +2,10 @@
 
 Invariant factors come from a seeded Las Vegas cyclic-vector split:
 random draws, but every accepted draw is checked exactly, so the answer
-never depends on them.  The split also yields the change of basis P to
-the Frobenius (rational canonical) form F, with A*P = P*F checked
-exactly; the commutant solvers build their bases on F.  Everything else
+never depends on them.  The split runs in integers, its complements
+read off `matrices._kernel`, and also yields the change of basis P,
+lifted, to the Frobenius (rational canonical) form F, with A*P = P*F
+checked exactly; the commutant solvers build their bases on F.  Everything else
 is read off the split, never recomputed: the characteristic polynomial
 is the product of the factors, and the minimal polynomial is the split's
 first step, the Krylov polynomial of a drawn vector, accepted only once
@@ -25,22 +26,24 @@ from math import prod
 from .errors import DegreeZero, NotMonic, NotSquare, VerificationError
 from .matrices import (
     Matrix,
+    _beside,
     _combine,
     _content_free,
+    _embed,
     _entries,
     _horner,
+    _kernel,
     _lift,
     _Lifted,
     _mul_lifted,
     _pivot,
+    _rref_core,
+    _scaled,
     _sides,
-    kernel_basis,
-    rref,
-    vec,
-    vstack_rows,
+    _vec,
 )
 from .polys import Poly, eval_at_matrix, is_balanced_poly, poly_gcd, poly_xgcd
-from .scalars import FieldTag
+from .scalars import QQ, FieldTag
 
 
 def char_poly(A: Matrix) -> Poly:
@@ -51,17 +54,6 @@ def char_poly(A: Matrix) -> Poly:
     return prod(_frobenius(A)[0], start=Poly.one(A.field))
 
 
-def _krylov(M: Matrix, x: Matrix, k: int) -> list[tuple]:
-    """vec(x), vec(Mx), ..., vec(M^(k-1) x): k - 1 integer products, with
-    M lifted once and each iterate kept in integers over one denominator."""
-    Ml, y = _lift(M).common(), _lift(x)
-    out = [vec(x)]
-    for _ in range(k - 1):
-        y = _content_free(_mul_lifted(Ml, y))
-        out.append(_entries(y))
-    return out
-
-
 def min_poly(A: Matrix) -> Poly:
     """The monic generator of {f : f(A) = 0}: the split's first step,
     the first Krylov dependency of a drawn v, accepted only once it is
@@ -70,7 +62,7 @@ def min_poly(A: Matrix) -> Poly:
         raise NotSquare("minimal polynomial needs a square matrix")
     if not A.rows:
         return Poly.one(A.field)
-    return _cyclic_vector(_lift(A), _Draws(A.field))[0]
+    return _cyclic_vector(_lift(A), _Draws())[0]
 
 
 def invariant_factors(A: Matrix) -> tuple[Poly, ...]:
@@ -88,19 +80,17 @@ def _with_units(A: Matrix, factors: tuple[Poly, ...]) -> tuple[Poly, ...]:
 
 
 class _Draws:
-    """Seeded random columns with small integer entries.  The caller
+    """Seeded random integer vectors with small entries.  The caller
     raises `height` after a rejected draw, so the next one comes from a
     wider range."""
 
-    def __init__(self, field: FieldTag):
-        self.field = field
+    def __init__(self):
         self.rng = random.Random(0)
         self.height = 1
 
-    def column(self, m: int) -> Matrix:
+    def ints(self, m: int) -> list[int]:
         h = self.height
-        entries = tuple(self.field.coerce(self.rng.randint(-h, h)) for _ in range(m))
-        return Matrix(self.field, m, 1, entries)
+        return [self.rng.randint(-h, h) for _ in range(m)]
 
 
 def _cyclic_vector(Ml: _Lifted, draws: _Draws) -> tuple[Poly, list[_Lifted]]:
@@ -112,7 +102,8 @@ def _cyclic_vector(Ml: _Lifted, draws: _Draws) -> tuple[Poly, list[_Lifted]]:
     rejected draw retries one height up."""
     Ml = Ml.common()
     while True:
-        f, krylov, pivots = _krylov_dependency(Ml, _lift(draws.column(Ml.rows)).common())
+        v = _embed(_scaled(QQ, 1, [[x] for x in draws.ints(Ml.rows)]), Ml.field)
+        f, krylov, pivots = _krylov_dependency(Ml, v)
         if _annihilates(f, Ml, pivots):
             return f, krylov
         draws.height += 1
@@ -170,55 +161,57 @@ def _annihilates(f: Poly, Ml: _Lifted, pivots: list[int]) -> bool:
     return not any(any(row) for row in R.ints)
 
 
-def _frobenius(A: Matrix) -> tuple[tuple[Poly, ...], Matrix]:
+def _frobenius(A: Matrix) -> tuple[tuple[Poly, ...], _Lifted]:
     """The nonconstant invariant factors f_1 | ... | f_r of a square A
-    and an invertible P with A*P = P*F, F = companion(f_1) + ... +
-    companion(f_r), checked exactly before they are returned.
+    and an invertible P, lifted, with A*P = P*F, F = companion(f_1) +
+    ... + companion(f_r), checked exactly before they are returned.
 
     Seeded Las Vegas cyclic-vector split (Giesbrecht 1995, Storjohann
-    1998).  The loop keeps M, the restriction of A to an invariant
-    subspace, and B, whose columns span that subspace in A's
-    coordinates, so A*B = B*M (B starts as I, which is never multiplied
-    in).  `_cyclic_vector` draws v with m_v = m_M, and B maps its Krylov
-    columns v, Mv, ..., M^(d-1) v to P's block for it.  A random w with
-    a nonsingular Hankel matrix [w^T M^(i+j) v], i, j < d = deg m_v,
-    makes the kernel U of the rows w^T M^i an M-invariant complement;
+    1998), in integers throughout.  The loop keeps M, the restriction of
+    A to an invariant subspace, and B, whose columns span that subspace
+    in A's coordinates, so A*B = B*M (B starts as I, which is never
+    multiplied in).  `_cyclic_vector` draws v with m_v = m_M, and B maps
+    its Krylov columns K = [v, Mv, ..., M^(d-1) v] to P's block for it.
+    A random w with a nonsingular Hankel matrix W*K, W's rows w^T M^i,
+    i < d = deg m_v, makes the kernel U of W an M-invariant complement;
     M restricted to U has the smaller factors, and B becomes B*U.  A
     rejected draw retries one height up."""
     field = A.field
     if not A.rows:
-        return (), Matrix.identity(0, field)
-    draws = _Draws(field)
+        return (), _lift(A)
+    draws = _Draws()
     factors, blocks = [], []
-    M, B = A, None
+    M, B = _lift(A).common(), None
     while True:
         m = M.rows
-        f, krylov = _cyclic_vector(_lift(M), draws)
+        f, krylov = _cyclic_vector(M, draws)
         d = f.degree
-        K = vstack_rows([_entries(col) for col in krylov], field).transpose()
+        K = _beside(krylov)
         factors.append(f)
-        blocks.append(K if B is None else B * K)
+        blocks.append(K if B is None else _content_free(_mul_lifted(B, K)))
         if d == m:
             break
         while True:
-            W = vstack_rows(_krylov(M.transpose(), draws.column(m), d), field)
-            if rref(W * K).rank == d:
+            W = [_embed(_scaled(QQ, m, [draws.ints(m)]), field)]
+            for _ in range(d - 1):
+                W.append(_content_free(_mul_lifted(W[-1], M)))
+            W = _scaled(field, m, [y.ints[0] for y in W])
+            if len(_rref_core(_mul_lifted(W, K).ints, d, field.q)[1]) == d:
                 break
             draws.height += 1
-        # a kernel vector is zero right of its free column, where it is
-        # 1, so M|U in this basis is M*U read at the free columns
-        kernel = kernel_basis(W)
-        free = [max(j for j, x in enumerate(u) if x) for u in kernel]
-        U = vstack_rows(kernel, field).transpose()
-        MU = M * U
-        M = Matrix(field, m - d, m - d, tuple(x for j in free for x in MU.row(j)))
-        B = U if B is None else B * U
+        # the kernel vector of free column c is 1 there and 0 at the
+        # other free columns, so M|U in this basis is M*U read at them
+        free, U = _kernel(W)
+        U = U.common()
+        U = _Lifted(field, m - d, U.dens[:1] * m, [[u[e * m + i] for e in range(M.phi) for u in U.ints] for i in range(m)])
+        MU = _mul_lifted(M, U)
+        M = _content_free(_Lifted(field, m - d, [MU.dens[j] for j in free], [MU.ints[j] for j in free]))
+        B = U if B is None else _content_free(_mul_lifted(B, U))
     factors.reverse()
     blocks.reverse()
-    n = A.rows
-    P = Matrix(field, n, n, tuple(x for i in range(n) for blk in blocks for x in blk.row(i)))
+    P = _beside(blocks)
     F = Matrix.block_diag([companion(f) for f in factors])
-    AP, PF = _sides(_lift(vstack_rows([P.entries], field)).ints, _lift(A), _lift(F))
+    AP, PF = _sides([_vec(P.common())], _lift(A), _lift(F))
     if AP != PF:
         raise VerificationError("Frobenius decomposition fails A*P = P*F")
     return tuple(factors), P

@@ -13,7 +13,8 @@ is checked exactly before it is returned.  The vectorized operator
 A kron I - mu * I kron A^T is the tests' oracle for all of them and for
 the ad-power kernels of `adpower`, which build the integer matrix of
 (ad_A)^k by the binomial formula and read their basis off one
-reversed-column reduction.
+reversed-column reduction with `matrices._kernel`, the kernel routine
+of the Frobenius split too, which runs in integers and hands P lifted.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .matrices import (
     _scaled,
     _sides,
     _times,
+    _vec,
     kron,
     vstack_rows,
 )
@@ -80,11 +82,11 @@ def commutant_operator(A: Matrix, mu) -> Matrix:
     return kron(A, ident) - kron(ident, A.transpose()).scale(mu)
 
 
-def _split(A: Matrix) -> tuple[tuple[Poly, ...], Matrix, _Lifted]:
-    """The checked Frobenius split of A with P^-1, lifted: (factors, P,
-    P^-1), P^-1 from one lifted solve against I."""
+def _split(A: Matrix) -> tuple[tuple[Poly, ...], _Lifted, _Lifted]:
+    """The checked Frobenius split of A with P and P^-1 lifted: (factors,
+    P, P^-1), P^-1 from one lifted solve against I."""
     factors, P = _frobenius(A)
-    P_inv = _inverse(_lift(P))
+    P_inv = _inverse(P)
     if P_inv is None:
         raise VerificationError("Frobenius change of basis is singular")
     return factors, P, P_inv
@@ -110,7 +112,7 @@ def _mu_commutant_basis(A: Matrix, mu, split=None) -> SubspaceBasis:
     Al = _embed(_lift(A), field)  # FieldMismatch for A over another Q(zeta_r)
     n = A.rows
     factors, P, P_inv = _split(A) if split is None else split
-    Pl, P_inv = _embed(_lift(P), field), _embed(P_inv, field)
+    Pl, P_inv = _embed(P, field), _embed(P_inv, field)
     if A.field != field:
         factors = tuple(Poly.make(f.coeffs, field) for f in factors)
     offsets = [0]
@@ -219,12 +221,6 @@ def _double_centralizer(A: Matrix, d: int) -> SubspaceBasis:
     if not _same(_mul_lifted(coords, R), V):
         raise VerificationError("the span of the powers of A is not A-invariant or misses I")
     return S
-
-
-def _vec(Y: _Lifted) -> list[int]:
-    """The integer vec of an n x n lifted Y over one denominator."""
-    n = Y.cols
-    return [x for f in range(Y.phi) for row in Y.ints for x in row[f * n : (f + 1) * n]]
 
 
 def k_matrix(n: int, i: int) -> Matrix:

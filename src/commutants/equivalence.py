@@ -114,7 +114,7 @@ def _reduce(B: Matrix, A: Matrix) -> tuple[Poly, Poly] | None:
     if not A.rows:
         raise ShapeMismatch("matrix size must be positive")
     Al, Bl = _lift(A), _lift(B)
-    m, krylov = _cyclic_vector(Al, _Draws(A.field))
+    m, krylov = _cyclic_vector(Al, _Draws())
     coords = _solve_lifted(_beside(krylov + [_mul_lifted(Bl, krylov[0])]))
     if coords is None:
         return None

@@ -106,7 +106,7 @@ def _validate_profile(profile: Profile) -> None:
     if isinstance(profile, NilpotentBlocks):
         if not profile.sizes:
             raise InvalidSpec("NilpotentBlocks needs at least one block")
-        if any(not isinstance(s, int) or s < 1 for s in profile.sizes):
+        if any(not isinstance(s, int) or isinstance(s, bool) or s < 1 for s in profile.sizes):
             raise InvalidSpec(f"block sizes must be positive integers: {profile.sizes}")
     elif isinstance(profile, Companion):
         f = profile.poly
@@ -127,7 +127,7 @@ def _validate_profile(profile: Profile) -> None:
     elif isinstance(profile, ConjugateBy):
         if not isinstance(profile.inner, GenSpec):
             raise InvalidSpec("ConjugateBy inner must be a GenSpec")
-        if not isinstance(profile.height, int) or profile.height < 1:
+        if not isinstance(profile.height, int) or isinstance(profile.height, bool) or profile.height < 1:
             raise InvalidSpec(f"conjugator height must be >= 1, got {profile.height}")
         _validate_profile(profile.inner.profile)
     else:

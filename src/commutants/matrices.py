@@ -27,6 +27,9 @@ with one body for Q and Q(zeta_q):
   not rational is made rational once, by multiplying its row by
   d * p^-1 with d the lcm of the denominators of p^-1, so every
   cross-multiplier is an integer.
+- `_kernel` reads the kernel's RREF basis off one `_rref_core` pass,
+  one vector per free column, lifted: `kernel_basis`, the ad-power
+  kernels (columns reversed) and the Frobenius split's complement.
 - `_solve_lifted` solves a lifted augmented system [M | b] with
   `_rref_core` and divides each pivot row's last entry by its pivot
   once.  `_beside` lays lifted blocks side by side: `solve`'s [M | b],
@@ -50,11 +53,10 @@ layer takes integer vecs of n x n matrices Y_e and lifted operands:
 `_right` gives Y_e*R with the Y_e stacked, and `_sides` pairs the two
 scaled alike.  The conjugation X = P*Y*P^-1, every relation check
 L*Y = Y*R (the commutants, A*P = P*F) and the commutator steps of the
-ad-power inclusion check go through it, and the Krylov iterations of
-the Frobenius split lift their matrix once.  The ad-power kernels build
-the integer matrix of (ad_A)^k by the binomial formula in one
-`_mul_lifted` product and read their basis off one `_rref_core` pass
-with the columns reversed.  The chains of products stay lifted too,
+ad-power inclusion check go through it.  The Frobenius split runs on
+lifted matrices throughout and returns P lifted.  The ad-power kernels
+build the integer matrix of (ad_A)^k by the binomial formula in one
+`_mul_lifted` product.  The chains of products stay lifted too,
 content-free after each product: `_power` (square-and-multiply, behind
 `Matrix.__pow__`, the Potter check and the certificates' class step),
 `_horner` (f(M)*E for a 0/1 matrix E, behind `eval_at_matrix`, the
@@ -548,6 +550,12 @@ def vec(M: Matrix) -> tuple:
     return M.entries
 
 
+def _vec(Y: _Lifted) -> list[int]:
+    """The integer vec of an n x n lifted Y over one denominator."""
+    n = Y.cols
+    return [x for f in range(Y.phi) for row in Y.ints for x in row[f * n : (f + 1) * n]]
+
+
 def unvec(v: Sequence, n: int, field: FieldTag) -> Matrix:
     if len(v) != n * n:
         raise ShapeMismatch(f"vector of length {len(v)} is not n^2 for n={n}")
@@ -673,21 +681,24 @@ def _pivot(row: list[int], c: int, width: int, q: int | None) -> tuple[int, list
 def kernel_basis(M: Matrix) -> list[tuple]:
     """Basis vectors of {x : Mx = 0}, one per free column, in the
     deterministic order the RREF pivots induce."""
-    r = rref(M)
-    pivot_set = set(r.pivots)
-    z, o = M.field.zero(), M.field.one()
-    out = []
-    for fc in range(M.cols):
-        if fc in pivot_set:
-            continue
-        v = [z] * M.cols
-        v[fc] = o
-        for row_idx, pc in enumerate(r.pivots):
-            coeff = r.rref.at(row_idx, fc)
-            if coeff:
-                v[pc] = -coeff
-        out.append(tuple(v))
-    return out
+    free, K = _kernel(_lift(M))
+    flat = _entries(K)
+    return [flat[i * M.cols : (i + 1) * M.cols] for i in range(len(free))]
+
+
+def _kernel(L: _Lifted) -> tuple[list[int], _Lifted]:
+    """The free columns, increasing, of the system with L's rows (its
+    scales do not matter) and its kernel's RREF basis, lifted, from one
+    `_rref_core` pass: the vector of free column c is 1 at c, 0 at the
+    other free columns and -row/pv at each pivot, over the lcm of the
+    pivots pv whose rows are nonzero at c."""
+    w, phi = L.cols, L.phi
+    rows, pivots = _rref_core(L.ints, w, L.field.q)
+    at = dict(zip(pivots, rows))
+    free = [c for c in range(w) if c not in at]
+    dens = [lcm(*(row[p] for p, row in at.items() if any(row[c::w]))) for c in free]
+    ints = [[d if e * w + t == c else -(d // at[t][t]) * at[t][e * w + c] if t in at else 0 for e in range(phi) for t in range(w)] for c, d in zip(free, dens)]
+    return free, _Lifted(L.field, w, dens, ints)
 
 
 def solve(M: Matrix, b: Sequence):

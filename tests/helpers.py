@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
 from commutants import matrices
+from commutants.matrices import rref
 from commutants import (
     CongruenceClass,
     class_exponents,
@@ -24,7 +25,6 @@ from commutants import (
     SubspaceBasis,
     centralizer_basis,
     commutant_operator,
-    kernel_basis,
     solve,
     subspace_from_matrices,
     unvec,
@@ -274,11 +274,33 @@ def perturb_first_coordinate(monkeypatch, module, name: str, which: int) -> list
     return calls
 
 
+def reference_kernel_basis(M: Matrix) -> list[tuple]:
+    """Basis vectors of {x : Mx = 0} read off the public `rref` in field
+    arithmetic: for each free column, 1 there and the negated RREF column
+    at the pivots.  The oracle for `kernel_basis`, whose lifted read-off
+    the ad-power kernels share, and the kernel step of the Kronecker and
+    power-dependency oracles."""
+    r = rref(M)
+    z, o = M.field.zero(), M.field.one()
+    out = []
+    for fc in range(M.cols):
+        if fc in r.pivots:
+            continue
+        v = [z] * M.cols
+        v[fc] = o
+        for row_idx, pc in enumerate(r.pivots):
+            coeff = r.rref.at(row_idx, fc)
+            if coeff:
+                v[pc] = -coeff
+        out.append(tuple(v))
+    return out
+
+
 def reference_commutant_basis(A: Matrix, mu) -> SubspaceBasis:
     """The Kronecker oracle for {X : AX = mu XA}: the kernel of the
     n^2 x n^2 operator A kron I - mu I kron A^T, canonicalized like the
     library's bases.  A must already live over mu's field."""
-    vecs = kernel_basis(commutant_operator(A, mu))
+    vecs = reference_kernel_basis(commutant_operator(A, mu))
     mats = [unvec(v, A.rows, A.field) for v in vecs]
     return subspace_from_matrices(mats, ambient_n=A.rows, field=A.field)
 
@@ -287,7 +309,7 @@ def reference_ad_power_kernel(A: Matrix, k: int) -> SubspaceBasis:
     """The Kronecker oracle for ker (ad_A)^k: the kernel of the k-th power
     of the n^2 x n^2 operator A kron I - I kron A^T, canonicalized like
     the library's bases."""
-    vecs = kernel_basis(commutant_operator(A, A.field.one()) ** k)
+    vecs = reference_kernel_basis(commutant_operator(A, A.field.one()) ** k)
     mats = [unvec(v, A.rows, A.field) for v in vecs]
     return subspace_from_matrices(mats, ambient_n=A.rows, field=A.field)
 
@@ -302,7 +324,7 @@ def reference_double_centralizer(A: Matrix) -> SubspaceBasis:
         op = commutant_operator(X, A.field.one())
         rows.extend(op.row(i) for i in range(op.rows))
     stacked = Matrix(A.field, len(rows), n * n, tuple(x for r in rows for x in r))
-    mats = [unvec(v, n, A.field) for v in kernel_basis(stacked)]
+    mats = [unvec(v, n, A.field) for v in reference_kernel_basis(stacked)]
     return subspace_from_matrices(mats, ambient_n=n, field=A.field)
 
 
@@ -333,7 +355,7 @@ def reference_min_poly(A: Matrix) -> Poly:
     for _ in range(A.rows):
         powers.append(powers[-1] * A)
     columns = Matrix(A.field, A.rows * A.rows, len(powers), tuple(x for row in zip(*map(vec, powers)) for x in row))
-    return Poly.make(kernel_basis(columns)[0], A.field)
+    return Poly.make(reference_kernel_basis(columns)[0], A.field)
 
 
 def reference_express_in_powers(B: Matrix, A: Matrix, cls: CongruenceClass) -> Poly | None:

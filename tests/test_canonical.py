@@ -4,6 +4,8 @@ from math import prod
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commutants import (
     CycloScalar,
@@ -34,6 +36,7 @@ from helpers import (
     random_rational_matrix,
     reference_char_poly,
     reference_min_poly,
+    seeds,
     sympy_charpoly,
     sympy_invariant_factors,
 )
@@ -170,33 +173,67 @@ def test_invariant_factors_survive_rejected_draws(monkeypatch):
             return script.pop(0) if script else super().randint(a, b)
 
     annihilates, hankel_ranks, shapes = [], [], []
-    plain_check, plain_rref = canonical._annihilates, canonical.rref
+    plain_check, plain_rref = canonical._annihilates, canonical._rref_core
 
     def check_spy(f, M, krylov):
         out = plain_check(f, M, krylov)
         annihilates.append(out)
         return out
 
-    def rref_spy(M):
-        out = plain_rref(M)
-        shapes.append(M.shape)
+    def rref_spy(ints, width, q):
+        out = plain_rref(ints, width, q)
+        shapes.append((len(ints), width))
         # the Hankel matrices are the square ones
-        if M.rows == M.cols:
-            hankel_ranks.append((out.rank, M.rows))
+        if len(ints) == width:
+            hankel_ranks.append((len(out[1]), width))
         return out
 
     monkeypatch.setattr(canonical, "random", SimpleNamespace(Random=ScriptedRandom))
     monkeypatch.setattr(canonical, "_annihilates", check_spy)
-    monkeypatch.setattr(canonical, "rref", rref_spy)
+    monkeypatch.setattr(canonical, "_rref_core", rref_spy)
     got = invariant_factors(A)
     assert not script
     assert annihilates[:2] == [False, True]
     assert hankel_ranks[0][0] < hankel_ranks[0][1] == 3 == hankel_ranks[1][0]
     # the annihilation check reads the Krylov pivots off the dependency
-    # search, so the Hankel tests are the split's only rref calls
+    # search and the complement's kernel goes through matrices._kernel,
+    # so the Hankel tests are the split's only direct eliminations
     assert len(shapes) == len(hankel_ranks) == 2
     assert got == (Poly.one(QQ), Poly.one(QQ), poly([-1, 1]), poly([-2, 5, -4, 1]))
     assert list(got) == sympy_invariant_factors(A)
+
+
+@st.composite
+def derogatory_jordan_sum(draw):
+    """(R, A): R a conjugated direct sum of rational Jordan blocks in
+    which the first eigenvalue has two blocks, so the split reaches the
+    Hankel complement, and A either R or R over Q(zeta_3) conjugated
+    again by a unit upper triangular S with zeta_3 entries; A has R's
+    invariant factors."""
+    eigen = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=len(eigen) + 1, max_size=len(eigen) + 1))
+    R = conjugated(Matrix.block_diag([Matrix.jordan(k, lam, QQ) for k, lam in zip(sizes, eigen + eigen[:1])]), draw(seeds))
+    if draw(st.booleans()):
+        return R, R
+    field, z, n = FieldTag.cyclotomic(3), CycloScalar.zeta(3), R.rows
+    upper = draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+    S = Matrix(field, n, n, tuple(field.one() if i == j else upper[i * n + j] * z if j > i else field.zero() for i in range(n) for j in range(n)))
+    return R, S.inverse() * R.promote(3) * S
+
+
+@settings(max_examples=30, deadline=None)
+@given(derogatory_jordan_sum())
+def test_frobenius_split_matches_sympy_and_its_P_is_checked_in_field_arithmetic(case):
+    import commutants.canonical as canonical
+    from commutants.matrices import _entries
+    R, A = case
+    factors, Pl = canonical._frobenius(A)
+    assert list(factors) == [Poly.make(f.coeffs, A.field) for f in sympy_invariant_factors(R) if f.degree >= 1]
+    assert len(factors) >= 2
+    P = Matrix(A.field, A.rows, A.rows, _entries(Pl))
+    F = Matrix.block_diag([companion(f) for f in factors])
+    assert A * P == P * F
+    assert P.det() != 0
 
 
 def test_cyclic_vector_stops_at_the_first_krylov_dependency(monkeypatch):
@@ -216,7 +253,7 @@ def test_cyclic_vector_stops_at_the_first_krylov_dependency(monkeypatch):
         return out
 
     monkeypatch.setattr(canonical, "_annihilates", spy)
-    f, krylov = canonical._cyclic_vector(canonical._lift(A), canonical._Draws(QQ))
+    f, krylov = canonical._cyclic_vector(canonical._lift(A), canonical._Draws())
     assert f == poly([0, 0, 0, 1]) and len(krylov) == 3
     steps = [(deg, after - before) for (_, before), (deg, after) in zip([(None, 0)] + draws[1::2], draws[0::2])]
     assert steps and all(cost == deg for deg, cost in steps)

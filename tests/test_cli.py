@@ -440,6 +440,14 @@ def test_gen_bad_profile(capsys):
     assert payload["error"] == "InvalidSpec"
 
 
+def test_gen_rejects_boolean_block_sizes(capsys):
+    # true would otherwise pass as a block of size 1
+    code, out, err = run(capsys, ["gen", "--spec", '{"profile": {"nilpotent_blocks": [true, 2]}}'])
+    assert code == 2
+    assert out is None
+    assert json.loads(err)["error"] == "InvalidSpec"
+
+
 # ----------------------------------------------------------- error paths
 
 def test_missing_file_is_input_error(capsys):

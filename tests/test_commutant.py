@@ -319,10 +319,12 @@ def test_perturbed_frobenius_P_is_never_returned(monkeypatch):
     split = commutant._frobenius
 
     def perturbed(A):
+        # P comes lifted: entry (0, 0) grows by 1 when its integer grows
+        # by its row's denominator
         factors, P = split(A)
-        entries = list(P.entries)
-        entries[0] += 1
-        return factors, Matrix(P.field, P.rows, P.cols, tuple(entries))
+        ints = [list(row) for row in P.ints]
+        ints[0][0] += P.dens[0]
+        return factors, P._replace(ints=ints)
 
     monkeypatch.setattr(commutant, "_frobenius", perturbed)
     for call in _corrupted_calls():
@@ -345,10 +347,10 @@ def test_singular_frobenius_P_is_never_used(monkeypatch):
     split = commutant._frobenius
 
     def singular(A):
+        # P comes lifted, plane-major: index k is column k % n
         factors, P = split(A)
-        n = P.rows
-        entries = tuple(P.field.zero() if k % n == n - 1 else x for k, x in enumerate(P.entries))
-        return factors, Matrix(P.field, n, n, entries)
+        n = P.cols
+        return factors, P._replace(ints=[[0 if k % n == n - 1 else x for k, x in enumerate(row)] for row in P.ints])
 
     want = reference_double_centralizer(_DEROGATORY)
     monkeypatch.setattr(commutant, "_frobenius", singular)
@@ -470,7 +472,7 @@ def test_double_centralizer_builds_no_centralizer(monkeypatch):
         raise AssertionError("centralizer or kernel built for the double centralizer")
 
     monkeypatch.setattr(commutant, "_mu_commutant_basis", forbidden)
-    monkeypatch.setattr(canonical, "kernel_basis", forbidden)
+    monkeypatch.setattr(canonical, "_kernel", forbidden)
     for A in _SHRUNK:
         assert double_centralizer_basis(A).dim == min_poly(A).degree
 

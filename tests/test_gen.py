@@ -184,6 +184,11 @@ def test_invalid_specs():
         generate(GenSpec(BlockDiag(())))
     with pytest.raises(InvalidSpec):
         generate(GenSpec(NilpotentBlocks((2,)), size=5))
+    # bool is a subclass of int, but True is no block size or height
+    with pytest.raises(InvalidSpec):
+        generate(GenSpec(NilpotentBlocks((True, 2))))
+    with pytest.raises(InvalidSpec):
+        generate(GenSpec(ConjugateBy(GenSpec(NilpotentBlocks([2])), height=True)))
 
 
 def test_size_override_matches():

@@ -43,6 +43,7 @@ from helpers import (
     mat,
     random_rational_matrix,
     reference_power,
+    reference_kernel_basis,
     reference_product,
     reference_rref,
     stepwise_eval,
@@ -355,9 +356,10 @@ def kernel_system(draw):
 
 def _kernel_span(field, n, rows):
     """The canonical rows and pivots of the kernel of the integer system
-    `rows`, by `kernel_basis` and then `_span`: two eliminations."""
+    `rows`, by `reference_kernel_basis` and then `_span`: two
+    eliminations."""
     M = Matrix(field, len(rows), n * n, matrices._entries(matrices._scaled(field, n * n, rows)))
-    kernel = kernel_basis(M)
+    kernel = reference_kernel_basis(M)
     if not kernel:
         return (), ()
     S = _span(matrices._lift(vstack_rows(kernel, field)), n)
@@ -627,6 +629,43 @@ def test_rref_cyclotomic_pivots_need_no_scalar_sums(monkeypatch):
     R, pivots, rank = rref(M)
     assert sums[0] == 0
     assert (R, pivots) == expected and rank == 6
+
+
+@st.composite
+def kernel_matrix(draw):
+    """A matrix over Q or Q(zeta_3) with 0..4 rows and 0..4 columns, so
+    wide, tall or square: random with zero rows and columns, all zero, or
+    of full rank (nonzero diagonal, random entries above it)."""
+    field = draw(st.sampled_from((QQ, FieldTag.cyclotomic(3))))
+    entry = rational if field is QQ else st.lists(rational, max_size=3)
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(("random", "zero", "full")))
+    if not rows or not cols or kind == "zero":
+        return Matrix.zero(rows, cols, field)
+    if kind == "random":
+        return Matrix.make(draw(grid(rows, cols, entry)), field)
+    nonzero = entry.filter(lambda x: field.coerce(x))
+    return Matrix.make([[draw(nonzero) if j == i else draw(entry) if j > i else 0 for j in range(cols)] for i in range(rows)], field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_matrix())
+@example(Matrix.zero(3, 0, QQ))
+@example(Matrix.zero(0, 3, FieldTag.cyclotomic(3)))
+@example(mat([[1, 2, 3, 4], [2, 4, 6, 8]]))
+@example(mat([[1, 2], [3, 4], [5, 6], [7, 8]]))
+def test_kernel_basis_equals_the_field_arithmetic_read_off(M):
+    # the examples: no columns, no rows, wide of rank 1, tall of full rank
+    assert repr(kernel_basis(M)) == repr(reference_kernel_basis(M))
+
+
+def test_kernel_basis_of_matrices_without_rows_or_columns():
+    # no columns: no kernel vector, and no slicing by a zero width
+    assert kernel_basis(Matrix.zero(3, 0, QQ)) == []
+    # no rows: every column is free, so the unit vectors span the kernel
+    for field in (QQ, FieldTag.cyclotomic(3)):
+        o, z = field.one(), field.zero()
+        assert kernel_basis(Matrix.zero(0, 3, field)) == [(o, z, z), (z, o, z), (z, z, o)]
 
 
 def test_kernel_solve_inverse_cyclotomic():
