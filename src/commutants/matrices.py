@@ -15,10 +15,10 @@ with one body for Q and Q(zeta_q):
 - `_mul_lifted` multiplies in integers with no division: the right
   factor goes over one denominator.  Over Q it is transposed once and
   each output entry is one dot product, an all-zero left row giving a
-  zero row for free; over Q(zeta_q) output rows are integer axpys over
-  the nonzero entries of the left row's nonzero planes and the nonzero
-  rows of the right factor, and the 2 phi - 1 planes are folded back
-  mod Phi_q in integers.
+  zero row for free; over Q(zeta_q) it is one scatter pass, adding each
+  nonzero product of coefficients into one flat row of 2 phi - 1 planes
+  and folding the top planes' nonzero entries back mod Phi_q in
+  integers, so cost follows the nonzero products.
 - `_rref_core` is fraction-free Gauss-Jordan by cross-multiplication
   with gcd normalization, stopped before the final division by each
   pivot.  The pivot row is the candidate with the fewest bits, the
@@ -73,7 +73,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -379,11 +379,16 @@ def _mul_lifted(A: _Lifted, B: _Lifted) -> _Lifted:
     """A * B with no division: row i is over A.dens[i] * d, with B put
     over one denominator d.  Over Q each entry is one dot product of A's
     row with a column of B, transposed once per call, and an all-zero
-    row of A gives a zero row with no work.  Over Q(zeta_q) each row is
-    accumulated unreduced in 2 phi - 1 planes by row axpys over the
-    nonzero entries of A's nonzero planes and the nonzero rows of B, and
-    the planes from phi up are folded back with
-    zeta^phi = -sum_k low[k] zeta^k, in integers."""
+    row of A gives a zero row with no work.  Over Q(zeta_q) the nonzero
+    (plane-major position, value) pairs of each row of B are listed once;
+    each nonzero coefficient x of A's row at plane e, column j, times
+    each pair (t, y) of B's row j is added at e * m + t of one flat,
+    unreduced row of 2 phi - 1 planes, and the nonzero entries of the
+    planes from phi up are folded back, top plane first, with
+    zeta^phi = -sum_k low[k] zeta^k, in integers.  Cost follows the
+    nonzero products.  Over Q the dot products stay: sent through the
+    scatter body, dense rational products made the structure_q benchmark
+    about 20% slower."""
     B = B.common()
     q = A.field.q
     m = B.cols
@@ -394,29 +399,23 @@ def _mul_lifted(A: _Lifted, B: _Lifted) -> _Lifted:
         ints = [[sum(map(mul, arow, col)) for col in cols] if any(arow) else [0] * m for arow in A.ints]
         return _Lifted(A.field, m, dens, ints)
     low = cyclo_coeffs(q)[:-1]
-    phi = len(low)
-    b_rows = [[row[f * m : (f + 1) * m] if any(row[f * m : (f + 1) * m]) else None for row in B.ints] for f in range(phi)]
+    phi, n = len(low), A.cols
+    fold = [((k - phi) * m, ck) for k, ck in enumerate(low) if ck]
+    b_nonzero = [list(zip(compress(range(len(row)), row), filter(None, row))) for row in B.ints]
     ints = []
     for arow in A.ints:
-        acc = [[0] * m for _ in range(2 * phi - 1)]
-        for e in range(phi):
-            a = arow[e * A.cols : (e + 1) * A.cols]
-            if not any(a):
-                continue
-            for f, brows in enumerate(b_rows):
-                s = acc[e + f]
-                for x, brow in compress(zip(a, brows), a):
-                    if brow:
-                        s = [u + x * y for u, y in zip(s, brow)]
-                acc[e + f] = s
+        acc = [0] * ((2 * phi - 1) * m)
+        for i, x in compress(enumerate(arow), arow):
+            e, j = divmod(i, n)
+            base = e * m
+            for t, y in b_nonzero[j]:
+                acc[base + t] += x * y
         for e in range(2 * phi - 2, phi - 1, -1):
-            top = acc[e]
-            if not any(top):
-                continue
-            for k, ck in enumerate(low):
-                if ck:
-                    acc[e - phi + k] = [x - ck * t for x, t in zip(acc[e - phi + k], top)]
-        ints.append([x for plane in acc[:phi] for x in plane])
+            plane = acc[e * m : (e + 1) * m]
+            for t, v in compress(enumerate(plane, e * m), plane):
+                for shift, ck in fold:
+                    acc[t + shift] -= ck * v
+        ints.append(acc[: phi * m])
     return _Lifted(A.field, m, dens, ints)
 
 
@@ -490,7 +489,7 @@ def _content_free(L: _Lifted) -> _Lifted:
     """L over one denominator, with the gcd of that denominator and all
     the integers divided out, so repeated products do not swell."""
     L = L.common()
-    g = gcd(L.dens[0], *(x for row in L.ints for x in row)) if L.dens else 1
+    g = gcd(L.dens[0], *chain.from_iterable(L.ints)) if L.dens else 1
     if g == 1:
         return L
     return _Lifted(L.field, L.cols, [d // g for d in L.dens], [[x // g for x in row] for row in L.ints])

@@ -118,7 +118,7 @@ def cyclotomic_matrix(draw, field, rows, cols, kinds):
 @st.composite
 def cyclotomic_pair(draw):
     """Compatible dense, Weyl-style or zero factors over Q(zeta_q)."""
-    field = FieldTag.cyclotomic(draw(st.sampled_from((1, 2, 3, 4, 5, 6, 12))))
+    field = FieldTag.cyclotomic(draw(st.sampled_from((1, 2, 3, 4, 5, 6, 7, 8, 9, 12))))
     k, m, p = draw(dim), draw(dim), draw(dim)
     kinds = ("dense", "weyl", "zero")
     return (

@@ -90,7 +90,7 @@ def test_potter_fails_for_commuting_pair_with_wrong_omega():
 
 
 def test_weyl_pair_shapes_and_identity():
-    for q in (1, 2, 3, 4, 5):
+    for q in (1, 2, 3, 4, 5, 7, 8, 9, 12):
         pair = weyl_pair(q, q)
         assert pair.A.rows == q
         assert omega_commutes(pair.A, pair.B, pair.omega)
