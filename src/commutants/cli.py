@@ -1,5 +1,9 @@
 """Command-line front-end: JSON in, JSON out, exact arithmetic inside.
 
+One reader, `_read`, takes the JSON wire format straight to lifted
+integer rows; `equiv` and `potter` run on those, and `parse_matrix`,
+behind the other commands, normalizes them once into a `Matrix`.
+
 Exit codes: 0 success, 1 negative mathematical verdict (not equivalent,
 identity fails), 2 malformed input, 3 a failed internal check (a
 computed result did not verify, so nothing was printed).  Errors go to
@@ -14,6 +18,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .canonical import StructureReport
 from .commutant import (
@@ -25,7 +30,7 @@ from .commutant import (
     clifforder_basis,
     omega_centralizer_basis,
 )
-from .equivalence import Certificate, equivalence_certificate
+from .equivalence import Certificate, _certificate
 from .errors import (
     AlgebraError,
     FieldError,
@@ -44,18 +49,17 @@ from .gen import (
     NilpotentBlocks,
     generate,
 )
-from .matrices import Matrix
+from .matrices import Matrix, _entries, _Lifted
 from .polys import CongruenceClass, Poly
-from .potter import QuasiPair, potter_check
-from .scalars import QQ, CycloScalar, FieldTag, cyclo_reduce
+from .potter import _collapses, _lifts, _power_stacks, _quasi_commutes
+from .scalars import QQ, CycloScalar, FieldTag, _divmod_monic, cyclo_coeffs, phi_degree
 from .subspaces import SubspaceBasis
 
 
 # ---------------------------------------------------------------- parsing
 
 def _parse_fraction(raw, where: str) -> Fraction:
-    """A JSON integer, or a string as Fraction(raw) reads it: "p", "-p"
-    and "p/q" in ASCII digits by int(), other spellings by Fraction."""
+    """A JSON integer, or a string exactly as Fraction(raw) reads it."""
     if isinstance(raw, bool):
         raise FieldError(f"{where}: booleans are not scalars")
     if isinstance(raw, int):
@@ -63,25 +67,48 @@ def _parse_fraction(raw, where: str) -> Fraction:
     if isinstance(raw, float):
         raise FieldError(f"{where}: floats are not accepted, use \"p/q\" strings")
     if isinstance(raw, str):
-        num, slash, den = raw.partition("/")
         try:
-            # only ASCII digits take the int() path: isdigit() also holds for superscripts
-            if raw.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
-                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"{where}: bad rational {raw!r}") from exc
     raise FieldError(f"{where}: cannot read scalar from {type(raw).__name__}")
 
 
-def _parse_scalar(raw, field: FieldTag, where: str):
-    if isinstance(raw, list):
-        if not field.is_cyclotomic:
-            raise FieldError(f"{where}: coefficient arrays need a cyclotomic field")
-        coeffs = [_parse_fraction(c, where) for c in raw]
-        return cyclo_reduce(coeffs, field.q)
-    value = _parse_fraction(raw, where)
-    return field.coerce(value)
+def _ratio(raw, i: int, j: int) -> tuple[int, int]:
+    """The scalar at row i, column j as (num, den), den > 0: JSON integers
+    and "p", "-p" and "p/q" in ASCII digits by int(), every other spelling
+    and every error through `_parse_fraction`."""
+    if type(raw) is int:
+        return raw, 1
+    if type(raw) is str and raw.isascii():
+        num, slash, den = raw.partition("/")
+        if num.removeprefix("-").isdigit() and (not slash or den.isdigit() and den.strip("0")):
+            try:
+                return int(num), int(den) if slash else 1
+            except ValueError:  # past the int-string limit
+                pass
+    x = _parse_fraction(raw, f"row {i}, column {j}")
+    return x.numerator, x.denominator
+
+
+def _cell(raw, q: int | None, phi: int, memo: dict, i: int, j: int) -> tuple[list[int], int]:
+    """The Q(zeta_q) entry at row i, column j as phi coefficient integers
+    over a denominator: a plain scalar in plane 0, an array over the lcm of
+    its denominators, folded mod Phi_q in integers, read once per spelling."""
+    if type(raw) is not list:
+        num, den = _ratio(raw, i, j)
+        return [num] + [0] * (phi - 1), den
+    if q is None:
+        raise FieldError(f"row {i}, column {j}: coefficient arrays need a cyclotomic field")
+    key = repr(raw)  # tells true from 1 and "1" from 1
+    if key not in memo:
+        parts = [_ratio(c, i, j) for c in raw]
+        den = lcm(*[d for _, d in parts])
+        ints = [n * (den // d) for n, d in parts]
+        if len(ints) > phi:
+            ints = _divmod_monic(ints, cyclo_coeffs(q))[1]
+        memo[key] = ints + [0] * (phi - len(ints)), den
+    return memo[key]
 
 
 def _parse_field(raw) -> FieldTag:
@@ -95,12 +122,9 @@ def _parse_field(raw) -> FieldTag:
     raise FieldError(f"unrecognized field designation {raw!r}")
 
 
-def parse_matrix(text: bytes | str) -> Matrix:
-    """Read a matrix from the JSON wire format
-    {"field": "Q" | {"cyclotomic": q}, "rows": [[scalar, ...], ...]}
-    where a scalar is an integer, a string Fraction reads ("p/q", "1.5",
-    "1e3", " 3 "), exactly, or (cyclotomic only) a coefficient array in
-    powers of zeta_q; floats and booleans are rejected."""
+def _read(text: bytes | str) -> _Lifted:
+    """`parse_matrix`'s input as lifted integer rows, each over the lcm of
+    its reduced denominators as `_lift` gives them, with no field element."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -110,6 +134,8 @@ def parse_matrix(text: bytes | str) -> Matrix:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:  # an integer literal past the int-string limit
+        raise ParseError(f"bad JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("top level must be a JSON object")
     missing = {"field", "rows"} - set(obj)
@@ -125,21 +151,30 @@ def parse_matrix(text: bytes | str) -> Matrix:
     for i, row in enumerate(rows):
         if len(row) != width:
             raise RaggedRows(f"row {i} has length {len(row)}, expected {width}")
-    # each distinct scalar is parsed once; a string is its own key, which
-    # no number equals, and any other key carries the JSON type, so true
-    # never stands for 1; a failure raises at its first position
-    memo, flat = {}, []
+    q = field.q
+    phi = phi_degree(q) if q else 1
+    memo, dens, ints = {}, [], []
     for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            key = x if isinstance(x, str) else (list, tuple([(type(c), c) for c in x])) if isinstance(x, list) else (type(x), x)
-            try:
-                value = memo[key]
-            except KeyError:
-                value = memo[key] = _parse_scalar(x, field, f"row {i}, column {j}")
-            except TypeError:  # unhashable: an object or a nested list, never a scalar
-                value = _parse_scalar(x, field, f"row {i}, column {j}")
-            flat.append(value)
-    return Matrix(field, len(rows), width, tuple(flat))
+        if q is None:  # an array raises in _cell
+            cells = [_ratio(raw, i, j) if type(raw) is not list else _cell(raw, q, phi, memo, i, j) for j, raw in enumerate(row)]
+        else:
+            cells = [_cell(raw, q, phi, memo, i, j) for j, raw in enumerate(row)]
+        d = lcm(*[e for _, e in cells])
+        out = [n * (d // e) for n, e in cells] if q is None else [c[k] * (d // e) for k in range(phi) for c, e in cells]
+        g = gcd(d, *out)  # 1 unless an unreduced spelling such as "2/4" left a factor
+        dens.append(d // g)
+        ints.append([x // g for x in out] if g != 1 else out)
+    return _Lifted(field, width, dens, ints)
+
+
+def parse_matrix(text: bytes | str) -> Matrix:
+    """Read a matrix from the JSON wire format
+    {"field": "Q" | {"cyclotomic": q}, "rows": [[scalar, ...], ...]}
+    where a scalar is an integer, a string Fraction reads ("p/q", "1.5",
+    "1e3", " 3 "), exactly, or (cyclotomic only) a coefficient array in
+    powers of zeta_q; floats and booleans are rejected."""
+    L = _read(text)
+    return Matrix(L.field, L.rows, L.cols, _entries(L))
 
 
 def _parse_genspec(obj, where: str = "spec") -> GenSpec:
@@ -249,17 +284,16 @@ def _emit(obj) -> None:
 
 # ------------------------------------------------------------- commands
 
-def _read_matrix_file(path: str) -> Matrix:
+def _read_file(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_matrix(data)
 
 
 def _cmd_analyze(args) -> int:
-    A = _read_matrix_file(args.file)
+    A = parse_matrix(_read_file(args.file))
     # one Frobenius split, P^-1 included, serves the report and every
     # commutant; a non-square A is rejected by the report, as before
     split = _split(A) if A.is_square else None
@@ -295,7 +329,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_subspace(args, which: str) -> int:
-    A = _read_matrix_file(args.file)
+    A = parse_matrix(_read_file(args.file))
     S = centralizer_basis(A) if which == "centralizer" else clifforder_basis(A)
     out = {"dimension": S.dim}
     if args.basis:
@@ -305,7 +339,7 @@ def _cmd_subspace(args, which: str) -> int:
 
 
 def _cmd_omega(args) -> int:
-    A = _read_matrix_file(args.file)
+    A = parse_matrix(_read_file(args.file))
     w = OmegaSpec(args.q, args.k)
     S = omega_centralizer_basis(A, w)
     out = {"q": w.q, "k": w.k, "dimension": S.dim}
@@ -316,13 +350,13 @@ def _cmd_omega(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    A = _read_matrix_file(args.file_a)
-    B = _read_matrix_file(args.file_b)
+    A = _read(_read_file(args.file_a))
+    B = _read(_read_file(args.file_b))
     try:
         cls = CongruenceClass.parse(args.cls)
     except ValueError as exc:
         raise FieldError(f"bad class {args.cls!r}: {exc}") from None
-    cert = equivalence_certificate(A, B, cls)
+    cert = _certificate(A, B, cls)
     if cert is None:
         _emit({"equivalent": False})
         return 1
@@ -344,17 +378,17 @@ def _potter_samples(q: int, n_samples: int, seed: int):
 def _cmd_potter(args) -> int:
     if args.samples < 0:
         raise InvalidSpec(f"--samples must be non-negative, got {args.samples}")
-    A = _read_matrix_file(args.file_a)
-    B = _read_matrix_file(args.file_b)
+    A = _read(_read_file(args.file_a))
+    B = _read(_read_file(args.file_b))
     w = OmegaSpec(args.q, args.k)
-    try:
-        pair = QuasiPair.of(A, B, w)
-    except PairInvariantViolated:
+    A, B = _lifts(A, B, w)
+    if not _quasi_commutes(A, B, w):
         _emit({"quasi_commuting": False, "q": w.q, "k": w.k})
         return 1
+    stacks = _power_stacks(A, B, w.q)
     checked = 0
     for s, t in _potter_samples(w.q, args.samples, args.seed):
-        if not potter_check(pair, s, t):
+        if not _collapses(stacks, s, t, w):
             _emit({"quasi_commuting": True, "holds": False, "q": w.q, "samples_run": checked})
             return 1
         checked += 1
@@ -374,6 +408,10 @@ def _cmd_gen(args) -> int:
             raise InvalidSpec(f"--spec is neither JSON nor a readable file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad spec JSON in {raw}: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+        except ValueError as exc:  # not UTF-8, or an integer literal past the int-string limit
+            raise ParseError(f"bad spec JSON in {raw}: {exc}") from exc
+    except ValueError as exc:  # an integer literal past the int-string limit
+        raise ParseError(f"bad spec JSON: {exc}") from exc
     spec = _parse_genspec(obj)
     if args.seed is not None:
         spec = GenSpec(profile=spec.profile, seed=args.seed, size=spec.size)

@@ -19,7 +19,8 @@ is injective.  Before a certificate is returned, f = f0 and
 g(f0) = x mod m_A are checked by an integer Horner pass on the
 companion, which proves f(A) = B and g(B) = A; a failure raises
 VerificationError.  `None` means a genuine obstruction, not a search
-giving up.
+giving up.  The core, `_certificate`, runs on A and B lifted once each,
+as the CLI's reader gives them.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def express_in_powers(B: Matrix, A: Matrix, cls: CongruenceClass = GENERAL) -> P
     which makes the answer canonical: the solution supported on the
     earliest allowed exponents.
     """
-    reduced = _reduce(B, A)
+    reduced = _reduce(_lift(B), _lift(A))
     if reduced is None:
         return None
     m, f0 = reduced
@@ -82,6 +83,11 @@ def equivalence_certificate(A: Matrix, B: Matrix, cls: CongruenceClass = GENERAL
     """Two-sided certificate for the given class, or None if either
     direction fails.  Both directions are solved in F[x]/(m_A): with
     B = f0(A), B^e = (f0^e mod m_A)(A)."""
+    return _certificate(_lift(A), _lift(B), cls)
+
+
+def _certificate(A: _Lifted, B: _Lifted, cls: CongruenceClass) -> Certificate | None:
+    """`equivalence_certificate` on lifted A and B, as the CLI reads them."""
     reduced = _reduce(B, A)
     if reduced is None:
         return None
@@ -96,16 +102,15 @@ def equivalence_certificate(A: Matrix, B: Matrix, cls: CongruenceClass = GENERAL
     return Certificate(f=f, g=g, cls=cls)
 
 
-def _reduce(B: Matrix, A: Matrix) -> tuple[Poly, Poly] | None:
+def _reduce(B: _Lifted, A: _Lifted) -> tuple[Poly, Poly] | None:
     """(m_A, f0) with deg f0 < deg m_A and f0(A) = B, or None when B is
-    not a polynomial in A.
+    not a polynomial in A, for lifted A and B.
 
     For a checked v with m_v = m_A, B = p(A) gives Bv = (p mod m_A)(A) v,
     so f0's coefficients solve K c = Bv for the independent Krylov
     columns K of v, lifted as `_cyclic_vector` leaves them; when
-    f0(A) != B, no p exists.  A is lifted once, for the Krylov columns
-    and the f0(A) = B check."""
-    if not A.is_square or not B.is_square:
+    f0(A) != B, no p exists."""
+    if A.rows != A.cols or B.rows != B.cols:
         raise NotSquare("power expression needs square matrices")
     if A.rows != B.rows:
         raise ShapeMismatch(f"sizes differ: {A.rows} vs {B.rows}")
@@ -113,13 +118,12 @@ def _reduce(B: Matrix, A: Matrix) -> tuple[Poly, Poly] | None:
         raise FieldMismatch(f"fields differ: {A.field} vs {B.field}")
     if not A.rows:
         raise ShapeMismatch("matrix size must be positive")
-    Al, Bl = _lift(A), _lift(B)
-    m, krylov = _cyclic_vector(Al, _Draws())
-    coords = _solve_lifted(_beside(krylov + [_mul_lifted(Bl, krylov[0])]))
+    m, krylov = _cyclic_vector(A, _Draws())
+    coords = _solve_lifted(_beside(krylov + [_mul_lifted(B, krylov[0])]))
     if coords is None:
         return None
     f0 = Poly.make(coords, A.field)
-    return (m, f0) if _same(_at_lifted(f0, Al), Bl) else None
+    return (m, f0) if _same(_at_lifted(f0, A), B) else None
 
 
 def _class_solve(base: Poly, target: Poly, m: Poly, cls: CongruenceClass, n: int) -> Poly | None:

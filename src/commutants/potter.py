@@ -1,5 +1,7 @@
 """Quasi-commuting pairs, the binomial-collapse identity, and the
-omega-centralizer equivalence report."""
+omega-centralizer equivalence report.  The relation and the identity run
+on A and B lifted over Q(zeta_q): `QuasiPair` lifts its matrices once,
+and the CLI runs the same helpers on the lifts its reader gives."""
 
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from .matrices import (
     Matrix,
     _abreast,
     _content_free,
+    _embed,
     _lift,
     _Lifted,
     _mul_lifted,
@@ -35,16 +38,18 @@ from .subspaces import subspace_equal
 def omega_commutes(A: Matrix, B: Matrix, w: OmegaSpec) -> bool:
     """Whether AB = omega * BA (inputs promoted to Q(zeta_q)): A and B
     are lifted once each and the two products compared in integers."""
-    return _quasi_commutes(*_lifts(A, B, w), w)
+    return _quasi_commutes(*_lifts(_lift(A), _lift(B), w), w)
 
 
-def _lifts(A: Matrix, B: Matrix, w: OmegaSpec) -> tuple[_Lifted, _Lifted]:
-    """A and B, square and of one size, promoted to Q(zeta_q) and lifted."""
-    if not A.is_square or not B.is_square:
+def _lifts(A: _Lifted, B: _Lifted, w: OmegaSpec) -> tuple[_Lifted, _Lifted]:
+    """Lifted A and B embedded into Q(zeta_q) (A's field is checked
+    first), then checked square and of one size."""
+    A, B = _embed(A, w.field), _embed(B, w.field)
+    if A.rows != A.cols or B.rows != B.cols:
         raise NotSquare("quasi-commutation needs square matrices")
     if A.rows != B.rows:
         raise ShapeMismatch(f"sizes differ: {A.rows} vs {B.rows}")
-    return _lift(A.promote(w.q)), _lift(B.promote(w.q))
+    return A, B
 
 
 def _quasi_commutes(A: _Lifted, B: _Lifted, w: OmegaSpec) -> bool:
@@ -75,15 +80,17 @@ class QuasiPair:
     @cached_property
     def _lifted(self) -> tuple[_Lifted, _Lifted]:
         """A and B over Q(zeta_q), lifted."""
-        return _lifts(self.A, self.B, self.omega)
+        return _lifts(_lift(self.A), _lift(self.B), self.omega)
 
     @cached_property
     def _stacks(self) -> tuple[_Lifted, _Lifted]:
-        """[A; B] and [A^q; B^q], from the pair's lifts, each over one
-        denominator."""
-        A, B = self._lifted
-        q = self.omega.q
-        return _stack(A, B), _stack(_power(A, q), _power(B, q))
+        """[A; B] and [A^q; B^q], from the pair's lifts."""
+        return _power_stacks(*self._lifted, self.omega.q)
+
+
+def _power_stacks(A: _Lifted, B: _Lifted, q: int) -> tuple[_Lifted, _Lifted]:
+    """[A; B] and [A^q; B^q], each over one denominator."""
+    return _stack(A, B), _stack(_power(A, q), _power(B, q))
 
 
 def _stack(X: _Lifted, Y: _Lifted) -> _Lifted:
@@ -92,16 +99,18 @@ def _stack(X: _Lifted, Y: _Lifted) -> _Lifted:
 
 
 def potter_check(pair: QuasiPair, s, t) -> bool:
-    """Verify (sA + tB)^q = s^q A^q + t^q B^q for the pair.  Both sides
-    stay in integers: sA + tB = [sI | tI] * [A; B] and s^q A^q + t^q B^q
-    = [s^q I | t^q I] * [A^q; B^q], each one product, and the two sides
-    are compared row by row over their denominators."""
-    q = pair.omega.q
-    field = pair.omega.field
-    s = field.coerce(s)
-    t = field.coerce(t)
-    n = pair.A.rows
-    AB, powers = pair._stacks
+    """Verify (sA + tB)^q = s^q A^q + t^q B^q for the pair."""
+    return _collapses(pair._stacks, s, t, pair.omega)
+
+
+def _collapses(stacks: tuple[_Lifted, _Lifted], s, t, w: OmegaSpec) -> bool:
+    """(sA + tB)^q = s^q A^q + t^q B^q from `_power_stacks`, in integers:
+    sA + tB = [sI | tI] * [A; B] and s^q A^q + t^q B^q = [s^q I | t^q I] *
+    [A^q; B^q], each one product, compared row by row over denominators."""
+    q, field = w.q, w.field
+    s, t = field.coerce(s), field.coerce(t)
+    AB, powers = stacks
+    n = AB.cols
     lhs = _power(_content_free(_mul_lifted(_abreast((s, t), n, field), AB)), q)
     rhs = _mul_lifted(_abreast((s ** q, t ** q), n, field), powers)
     return _same(lhs, rhs)

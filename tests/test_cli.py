@@ -1,5 +1,7 @@
+import contextlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,7 +23,8 @@ from commutants import (
     eval_at_matrix,
     invariant_factors,
 )
-from commutants.cli import main, matrix_json, parse_matrix
+from commutants.cli import _read, main, matrix_json, parse_matrix
+from commutants.matrices import _lift, _same
 from helpers import (
     PAIR5_A,
     PAIR5_B,
@@ -119,11 +122,38 @@ def test_parse_matrix_scalar_errors_name_the_first_position(field, rows, message
 # differs across versions ("2 / 3" is read from 3.12 on), and the
 # 5,000-digit numerator is past the int-string limit
 READER_CORPUS = ["0", "-0", "007", "+3", " 3 ", "1.5", "1e3", "1_000", "\u0663", "\u00b2", "-", "", "1/0", "0/0",
-                 "3/-4", "2 / 3", "1/2/3", "7" * 5000, "7" * 5000 + "/3", "--3", "1/", "/3", "-6/4", "006/-0"]
+                 "3/-4", "2 / 3", "1/2/3", "7" * 5000, "7" * 5000 + "/3", "--3", "1/", "/3", "-6/4", "006/-0",
+                 "2/4", "-0/5", "10/000"]
 reader_strings = st.one_of(
     st.builds(lambda p, q: f"{p}/{q}", st.integers(-10 ** 6, 10 ** 6), st.integers(-9, 10 ** 6)),
     st.lists(st.sampled_from(["0", "1", "7", "00", "-", "+", "/", " ", "_", ".", "e", "\u0663", "\u00b2"]), max_size=7).map("".join),
 )
+INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _int_spelling(raw) -> bool:
+    """Whether the reader takes raw by int(): "p", "-p" or "p/q" in ASCII
+    digits with q nonzero, each part within the int-string limit."""
+    parts = re.fullmatch(r"-?([0-9]+)(?:/([0-9]+))?", raw, re.ASCII)
+    return bool(parts) and (parts[2] is None or int(parts[2]) != 0) and (
+        not INT_LIMIT or all(len(p) <= INT_LIMIT for p in parts.groups() if p))
+
+
+@contextlib.contextmanager
+def _fraction_fallbacks():
+    """The raw scalars the reader hands to cli._parse_fraction meanwhile."""
+    import commutants.cli as cli
+    seen, plain = [], cli._parse_fraction
+
+    def spy(raw, where):
+        seen.append(raw)
+        return plain(raw, where)
+
+    cli._parse_fraction = spy
+    try:
+        yield seen
+    finally:
+        cli._parse_fraction = plain
 
 
 def _check_reader_parity(raw):
@@ -131,19 +161,29 @@ def _check_reader_parity(raw):
         want = Fraction(raw)
     except (ValueError, ZeroDivisionError):
         want = None
-    f3 = FieldTag.cyclotomic(3)
-    cases = [("Q", [[1, raw], [raw, 0]], lambda v: v), ({"cyclotomic": 3}, [[1, [0, raw]], [[0, raw], 0]], lambda v: v * f3.omega(1))]
-    for field, rows, expected in cases:
-        text = json.dumps({"field": field, "rows": rows})
+    cases = [(QQ, [[1, raw], [raw, 0]], 1), (FieldTag.cyclotomic(3), [[1, [0, raw]], [[0, raw], 0]], CycloScalar.zeta(3))]
+    # arrays longer than phi are folded mod Phi_q: zeta^(q-1) + zeta^(q+1)
+    for q in (5, 6, 12):
+        arr = [0] * (q - 1) + [raw, 0, raw]
+        cases.append((FieldTag.cyclotomic(q), [[1, arr], [arr, 0]], CycloScalar.zeta(q, -1) + CycloScalar.zeta(q)))
+    for field, rows, unit in cases:
+        text = json.dumps({"field": "Q" if field == QQ else {"cyclotomic": field.q}, "rows": rows})
         if want is None:
             with pytest.raises(FieldError) as info:
                 parse_matrix(text)
             assert str(info.value) == f"row 0, column 1: bad rational {raw!r}"
-        else:
-            A = parse_matrix(text)
-            assert A.at(0, 1) == A.at(1, 0) == expected(want)
-            if field == "Q":
-                assert type(A.at(0, 1)) is Fraction
+            continue
+        with _fraction_fallbacks() as fallbacks:
+            L = _read(text)
+        # the lifted rows are _lift's, row for row and denominator for denominator
+        expected = _lift(Matrix.make(rows, field))
+        assert _same(L, expected) and L == expected
+        if _int_spelling(raw):
+            assert fallbacks == []
+        A = parse_matrix(text)
+        assert A.at(0, 1) == A.at(1, 0) == want * unit
+        if field == QQ:
+            assert type(A.at(0, 1)) is Fraction
 
 
 @pytest.mark.parametrize("raw", READER_CORPUS)
@@ -581,8 +621,8 @@ def test_potter_checks_the_relation_once(tmp_path, capsys, monkeypatch):
     import commutants.potter as potter
     from commutants import weyl_pair
     pair = weyl_pair(3, 3)
-    calls = lifts = 0
-    plain, lift = potter._quasi_commutes, potter._lift
+    calls = lifts = reads = 0
+    plain, lift, read = potter._quasi_commutes, potter._lift, cli._read
 
     def counting(A, B, w):
         nonlocal calls
@@ -594,18 +634,25 @@ def test_potter_checks_the_relation_once(tmp_path, capsys, monkeypatch):
         lifts += 1
         return lift(M)
 
+    def counting_read(text):
+        nonlocal reads
+        reads += 1
+        return read(text)
+
     # count calls made through any module that holds its own reference
     for module in (potter, cli):
         if hasattr(module, "_quasi_commutes"):
             monkeypatch.setattr(module, "_quasi_commutes", counting)
     monkeypatch.setattr(potter, "_lift", counting_lift)
+    monkeypatch.setattr(cli, "_read", counting_read)
     fa = write_matrix(tmp_path / "a.json", pair.A)
     fb = write_matrix(tmp_path / "b.json", pair.B)
     code, out, _ = run(capsys, ["potter", fa, fb, "--q", "3", "--samples", "2"])
     assert code == 0 and out["holds"] is True and out["samples_run"] == 2
     assert calls == 1
-    # A and B are lifted once each, for the relation and both samples
-    assert lifts == 2
+    # A and B are read into lifts once each, for the relation and both
+    # samples, and no Matrix is lifted
+    assert (reads, lifts) == (2, 0)
 
 
 @pytest.mark.parametrize("a, b, error", [
@@ -620,6 +667,114 @@ def test_potter_input_errors(tmp_path, capsys, a, b, error):
     assert code == 2
     assert out is None
     assert json.loads(err)["error"] == error
+
+
+# ------------------------------------- lifted handlers against the library
+
+def _conjugated_nilpotent(blocks, seed):
+    from commutants import ConjugateBy, GenSpec, NilpotentBlocks, generate
+    return generate(GenSpec(profile=ConjugateBy(inner=GenSpec(profile=NilpotentBlocks(blocks))), seed=seed))
+
+
+@pytest.mark.parametrize("cls", ["general", "odd", "q:3"])
+def test_equiv_prints_what_the_library_gives(tmp_path, capsys, cls):
+    # B = p(A) for a p inside and one outside the class, and a B that is
+    # no polynomial in A: stdout and exit code are the library's, read
+    # through parse_matrix
+    from commutants import CongruenceClass, equivalence_certificate
+    from commutants.cli import certificate_json
+    A = _conjugated_nilpotent([5, 3], 11)
+    polys = {"general": [[1, 2, Fraction(-3, 2)], [0, 0, 1]],
+             "odd": [[0, 2, 0, Fraction(1, 2)], [0, 1, 1]],
+             "q:3": [[0, 3, 0, 0, Fraction(-1, 4)], [0, 1, 0, 1]]}[cls]
+    Bs = [eval_at_matrix(poly(p), A) for p in polys] + [_conjugated_nilpotent([5, 3], 12)]
+    fa = write_matrix(tmp_path / "a.json", A)
+    codes = []
+    for i, B in enumerate(Bs):
+        fb = write_matrix(tmp_path / f"b{i}.json", B)
+        cert = equivalence_certificate(parse_matrix(Path(fa).read_bytes()), parse_matrix(Path(fb).read_bytes()),
+                                       CongruenceClass.parse(cls))
+        want = {"equivalent": False} if cert is None else certificate_json(cert)
+        code = main(["equiv", fa, fb, "--class", cls])
+        assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+        codes.append(code)
+    assert codes == [0, 1, 1]
+
+
+@pytest.mark.parametrize("q, n, k", [(3, 6, 1), (3, 6, 2), (5, 10, 1), (5, 10, 2), (12, 12, 1), (12, 12, 5)])
+def test_potter_prints_what_the_library_gives(tmp_path, capsys, q, n, k):
+    from commutants import OmegaSpec, PairInvariantViolated, QuasiPair, potter_check, weyl_pair
+    from commutants.cli import _potter_samples
+    pair = weyl_pair(q, n)
+    fa = write_matrix(tmp_path / "a.json", pair.A)
+    fb = write_matrix(tmp_path / "b.json", pair.B)
+    w = OmegaSpec(q, k)
+    try:
+        lib = QuasiPair.of(parse_matrix(Path(fa).read_bytes()), parse_matrix(Path(fb).read_bytes()), w)
+    except PairInvariantViolated:
+        want, code = {"quasi_commuting": False, "q": q, "k": k}, 1
+    else:
+        held = [potter_check(lib, s, t) for s, t in _potter_samples(q, 3, 5)]
+        want, code = {"quasi_commuting": True, "holds": True, "q": q, "samples_run": 3}, 0
+        assert all(held)
+    assert (k == 1) == (code == 0)
+    assert main(["potter", fa, fb, "--q", str(q), "--k", str(k), "--samples", "3", "--seed", "5"]) == code
+    assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, a, b, err", [
+    (["equiv"], mat([[1, 2, 3], [4, 5, 6]]), Matrix.identity(2, QQ),
+     '{"error": "NotSquare", "message": "power expression needs square matrices"}'),
+    (["equiv"], Matrix.identity(2, QQ), Matrix.identity(3, QQ),
+     '{"error": "ShapeMismatch", "message": "sizes differ: 2 vs 3"}'),
+    (["equiv"], Matrix.identity(2, QQ), Matrix.identity(2, QQ).promote(3),
+     '{"error": "FieldMismatch", "message": "fields differ: Q vs Q(zeta_3)"}'),
+    (["potter", "--q", "3"], Matrix.identity(2, QQ).promote(5), Matrix.identity(2, QQ),
+     '{"error": "FieldMismatch", "message": "cannot promote Q(zeta_5) to Q(zeta_3)"}'),
+    # the field of B is checked before the shape of A
+    (["potter", "--q", "3"], mat([[1, 2, 3], [4, 5, 6]]), Matrix.identity(2, QQ).promote(5),
+     '{"error": "FieldMismatch", "message": "cannot promote Q(zeta_5) to Q(zeta_3)"}'),
+    (["potter", "--q", "3"], mat([[1, 2, 3], [4, 5, 6]]), Matrix.identity(2, QQ),
+     '{"error": "NotSquare", "message": "quasi-commutation needs square matrices"}'),
+    (["potter", "--q", "3"], Matrix.identity(2, QQ), Matrix.identity(3, QQ),
+     '{"error": "ShapeMismatch", "message": "sizes differ: 2 vs 3"}'),
+])
+def test_lifted_handlers_report_input_errors_as_before(tmp_path, capsys, argv, a, b, err):
+    fa = write_matrix(tmp_path / "a.json", a)
+    fb = write_matrix(tmp_path / "b.json", b)
+    assert main([argv[0], fa, fb, *argv[1:]]) == 2
+    cap = capsys.readouterr()
+    assert (cap.out, cap.err) == ("", err + "\n")
+
+
+@pytest.mark.skipif(not 0 < INT_LIMIT < 5000, reason="no int-string limit below 5,000 digits on this Python")
+def test_integer_literal_past_the_int_string_limit_is_a_parse_error(tmp_path, capsys):
+    # json.loads raises a plain ValueError here, not a JSONDecodeError
+    big = "7" * 5000
+    path = tmp_path / "big.json"
+    path.write_text('{"field": "Q", "rows": [[' + big + "]]}")
+    spec = '{"profile": {"nilpotent_blocks": [' + big + "]}}"
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(spec)
+    with pytest.raises(ParseError):
+        parse_matrix(path.read_text())
+    for argv, prefix in ((["centralizer", str(path)], "bad JSON: "),
+                         (["equiv", str(path), str(path)], "bad JSON: "),
+                         (["gen", "--spec", spec], "bad spec JSON: "),
+                         (["gen", "--spec", str(spec_path)], f"bad spec JSON in {spec_path}: ")):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, None), argv
+        payload = json.loads(err)
+        assert payload["error"] == "ParseError"
+        assert payload["message"].startswith(prefix) and str(INT_LIMIT) in payload["message"]
+
+
+def test_gen_spec_file_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b'{"profile": "\xc3("}')
+    code, out, err = run(capsys, ["gen", "--spec", str(path)])
+    assert (code, out) == (2, None)
+    assert json.loads(err)["message"].startswith(f"bad spec JSON in {path}: 'utf-8' codec can't decode")
 
 
 # --------------------------------------------------------- python -O parity
