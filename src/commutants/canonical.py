@@ -51,7 +51,7 @@ def char_poly(A: Matrix) -> Poly:
     factors of the checked split."""
     if not A.is_square:
         raise NotSquare("characteristic polynomial needs a square matrix")
-    return prod(_frobenius(A)[0], start=Poly.one(A.field))
+    return prod(_frobenius(_lift(A))[0], start=Poly.one(A.field))
 
 
 def min_poly(A: Matrix) -> Poly:
@@ -71,7 +71,7 @@ def invariant_factors(A: Matrix) -> tuple[Poly, ...]:
     checked Frobenius decomposition."""
     if not A.is_square:
         raise NotSquare("invariant factors need a square matrix")
-    return _with_units(A, _frobenius(A)[0])
+    return _with_units(A, _frobenius(_lift(A))[0])
 
 
 def _with_units(A: Matrix, factors: tuple[Poly, ...]) -> tuple[Poly, ...]:
@@ -161,10 +161,10 @@ def _annihilates(f: Poly, Ml: _Lifted, pivots: list[int]) -> bool:
     return not any(any(row) for row in R.ints)
 
 
-def _frobenius(A: Matrix) -> tuple[tuple[Poly, ...], _Lifted]:
-    """The nonconstant invariant factors f_1 | ... | f_r of a square A
-    and an invertible P, lifted, with A*P = P*F, F = companion(f_1) +
-    ... + companion(f_r), checked exactly before they are returned.
+def _frobenius(Al: _Lifted) -> tuple[tuple[Poly, ...], _Lifted]:
+    """The nonconstant invariant factors f_1 | ... | f_r of the square A
+    lifted as Al, and an invertible P, lifted, with A*P = P*F, F =
+    companion(f_1) + ... + companion(f_r), checked exactly.
 
     Seeded Las Vegas cyclic-vector split (Giesbrecht 1995, Storjohann
     1998), in integers throughout.  The loop keeps M, the restriction of
@@ -176,12 +176,12 @@ def _frobenius(A: Matrix) -> tuple[tuple[Poly, ...], _Lifted]:
     i < d = deg m_v, makes the kernel U of W an M-invariant complement;
     M restricted to U has the smaller factors, and B becomes B*U.  A
     rejected draw retries one height up."""
-    field = A.field
-    if not A.rows:
-        return (), _lift(A)
+    field = Al.field
+    if not Al.rows:
+        return (), Al
     draws = _Draws()
     factors, blocks = [], []
-    M, B = _lift(A).common(), None
+    M, B = Al.common(), None
     while True:
         m = M.rows
         f, krylov = _cyclic_vector(M, draws)
@@ -211,7 +211,7 @@ def _frobenius(A: Matrix) -> tuple[tuple[Poly, ...], _Lifted]:
     blocks.reverse()
     P = _beside(blocks)
     F = Matrix.block_diag([companion(f) for f in factors])
-    AP, PF = _sides([_vec(P.common())], _lift(A), _lift(F))
+    AP, PF = _sides([_vec(P.common())], Al, _lift(F))
     if AP != PF:
         raise VerificationError("Frobenius decomposition fails A*P = P*F")
     return tuple(factors), P

@@ -1,8 +1,8 @@
 """Command-line front-end: JSON in, JSON out, exact arithmetic inside.
 
 One reader, `_read`, takes the JSON wire format straight to lifted
-integer rows; `equiv` and `potter` run on those, and `parse_matrix`,
-behind the other commands, normalizes them once into a `Matrix`.
+integer rows, and every matrix command runs on those; only `analyze`
+normalizes them, once, for the `Matrix` it echoes and reports on.
 
 Exit codes: 0 success, 1 negative mathematical verdict (not equivalent,
 identity fails), 2 malformed input, 3 a failed internal check (a
@@ -26,9 +26,6 @@ from .commutant import (
     _double_centralizer,
     _mu_commutant_basis,
     _split,
-    centralizer_basis,
-    clifforder_basis,
-    omega_centralizer_basis,
 )
 from .equivalence import Certificate, _certificate
 from .errors import (
@@ -134,7 +131,7 @@ def _read(text: bytes | str) -> _Lifted:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-    except ValueError as exc:  # an integer literal past the int-string limit
+    except (ValueError, RecursionError) as exc:  # an integer past the int-string limit, or too deep
         raise ParseError(f"bad JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("top level must be a JSON object")
@@ -241,7 +238,7 @@ def _field_json(field: FieldTag):
 def matrix_json(M: Matrix) -> dict:
     return {
         "field": _field_json(M.field),
-        "rows": [[_scalar_json(M.at(i, j)) for j in range(M.cols)] for i in range(M.rows)],
+        "rows": [[_scalar_json(x) for x in M.row(i)] for i in range(M.rows)],
     }
 
 
@@ -293,18 +290,19 @@ def _read_file(path: str) -> bytes:
 
 
 def _cmd_analyze(args) -> int:
-    A = parse_matrix(_read_file(args.file))
+    L = _read(_read_file(args.file))
+    A = Matrix(L.field, L.rows, L.cols, _entries(L))
     # one Frobenius split, P^-1 included, serves the report and every
     # commutant; a non-square A is rejected by the report, as before
-    split = _split(A) if A.is_square else None
+    split = _split(L) if A.is_square else None
     rep = StructureReport.of(A, _factors=split[0] if split else None)
     one = A.field.one()
-    cent = _mu_commutant_basis(A, one, split)
-    cliff = _mu_commutant_basis(A, -one, split)
+    cent = _mu_commutant_basis(L, one, split)
+    cliff = _mu_commutant_basis(L, -one, split)
     # dim C(A) = deg m_A gives C(A) = F[A] = C(C(A)): cent, already
     # checked, is the answer
     d = rep.min_poly.degree
-    double = cent if cent.dim == d else _double_centralizer(A, d)
+    double = cent if cent.dim == d else _double_centralizer(L, d)
     out = {
         "input": matrix_json(A),
         "structure": _structure_json(rep),
@@ -322,15 +320,15 @@ def _cmd_analyze(args) -> int:
     }
     if args.q is not None:
         w = OmegaSpec(args.q, args.k)
-        om = _mu_commutant_basis(A, w.omega(), split)
+        om = _mu_commutant_basis(L, w.omega(), split)
         out["omega"] = {"q": w.q, "k": w.k, "dim": om.dim, "basis": _basis_json(om)}
     _emit(out)
     return 0
 
 
 def _cmd_subspace(args, which: str) -> int:
-    A = parse_matrix(_read_file(args.file))
-    S = centralizer_basis(A) if which == "centralizer" else clifforder_basis(A)
+    A = _read(_read_file(args.file))
+    S = _mu_commutant_basis(A, A.field.one() if which == "centralizer" else -A.field.one())
     out = {"dimension": S.dim}
     if args.basis:
         out["basis"] = _basis_json(S)
@@ -339,9 +337,9 @@ def _cmd_subspace(args, which: str) -> int:
 
 
 def _cmd_omega(args) -> int:
-    A = parse_matrix(_read_file(args.file))
+    A = _read(_read_file(args.file))
     w = OmegaSpec(args.q, args.k)
-    S = omega_centralizer_basis(A, w)
+    S = _mu_commutant_basis(A, w.omega())
     out = {"q": w.q, "k": w.k, "dimension": S.dim}
     if args.basis:
         out["basis"] = _basis_json(S)
@@ -408,9 +406,9 @@ def _cmd_gen(args) -> int:
             raise InvalidSpec(f"--spec is neither JSON nor a readable file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad spec JSON in {raw}: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-        except ValueError as exc:  # not UTF-8, or an integer literal past the int-string limit
+        except (ValueError, RecursionError) as exc:  # not UTF-8, an integer past the int-string limit, or too deep
             raise ParseError(f"bad spec JSON in {raw}: {exc}") from exc
-    except ValueError as exc:  # an integer literal past the int-string limit
+    except (ValueError, RecursionError) as exc:  # an integer past the int-string limit, or too deep
         raise ParseError(f"bad spec JSON: {exc}") from exc
     spec = _parse_genspec(obj)
     if args.seed is not None:

@@ -5,16 +5,16 @@ omega-centralizer (mu = zeta_q^k) are the solutions of AX = mu*XA.
 With A = P*F*P^-1 and F a direct sum of companion blocks, X = P*Y*P^-1
 where each block of Y solves C(a)*Y = mu*Y*C(b), whose solutions are
 known in closed form, so one structural routine serves all three and no
-n^2 x n^2 system is eliminated.  The double centralizer is F[A], by the
-double-centralizer theorem: the span of I, A, ..., A^(d-1), d = deg m_A
-from the checked `min_poly`, checked to be an A-invariant d-dimensional
-span containing I, with no split and no centralizer built.  Each basis
-is checked exactly before it is returned.  The vectorized operator
-A kron I - mu * I kron A^T is the tests' oracle for all of them and for
-the ad-power kernels of `adpower`, which build the integer matrix of
+n^2 x n^2 system is eliminated.  It takes A lifted once, as the CLI
+reads it, and stays in integers up to the checked canonical basis.
+The double centralizer is F[A], by the double-centralizer theorem: the
+span of I, A, ..., A^(d-1), d = deg m_A from the checked `min_poly`,
+checked to be an A-invariant d-dimensional span containing I, with no
+split and no centralizer built.  The vectorized operator A kron I -
+mu * I kron A^T is the tests' oracle for all of them and for the
+ad-power kernels of `adpower`, which build the integer matrix of
 (ad_A)^k by the binomial formula and read their basis off one
-reversed-column reduction with `matrices._kernel`, the kernel routine
-of the Frobenius split too, which runs in integers and hands P lifted.
+reversed-column reduction with `matrices._kernel`.
 """
 
 from __future__ import annotations
@@ -39,17 +39,18 @@ from .matrices import (
     _lift,
     _Lifted,
     _mul_lifted,
-    _right,
+    _planes,
     _same,
     _scaled,
     _sides,
     _times,
     _vec,
+    _zeta_shifts,
     kron,
     vstack_rows,
 )
 from .polys import Poly, poly_gcd
-from .scalars import QQ, CycloScalar, FieldTag
+from .scalars import QQ, CycloScalar, FieldTag, cyclo_coeffs, phi_degree
 from .subspaces import SubspaceBasis, _span, subspace_from_matrices
 
 
@@ -82,111 +83,118 @@ def commutant_operator(A: Matrix, mu) -> Matrix:
     return kron(A, ident) - kron(ident, A.transpose()).scale(mu)
 
 
-def _split(A: Matrix) -> tuple[tuple[Poly, ...], _Lifted, _Lifted]:
-    """The checked Frobenius split of A with P and P^-1 lifted: (factors,
-    P, P^-1), P^-1 from one lifted solve against I."""
-    factors, P = _frobenius(A)
+def _split(Al: _Lifted) -> tuple[tuple[Poly, ...], _Lifted, _Lifted]:
+    """The checked Frobenius split of A, lifted as Al, with P and P^-1
+    lifted: (factors, P, P^-1), P^-1 from one lifted solve against I."""
+    factors, P = _frobenius(Al)
     P_inv = _inverse(P)
     if P_inv is None:
         raise VerificationError("Frobenius change of basis is singular")
     return factors, P, P_inv
 
 
-def _mu_commutant_basis(A: Matrix, mu, split=None) -> SubspaceBasis:
-    """Basis of {X : AX = mu*XA} over mu's field, built block by block
-    on the Frobenius form A = P*F*P^-1 and proven before it is
-    returned: A*P = P*F (checked by the split) with P invertible, every
-    returned X satisfies the relation, and the span has Frobenius'
-    dimension sum deg gcd(f_i(x), f_j(mu^-1 x)).  A rational A is split
-    over Q even when mu is cyclotomic; then A, P and P^-1 are lifted over
-    Q and embedded with `_embed`, and the factors are promoted.
-    `split`, private, is `_split(A)` when the caller has it.
-
-    A and P are lifted to integers once (P^-1 comes lifted from the
-    split), and each solution Y to one integer vec, so X = P*Y*P^-1
-    stays in integers up to a scale per X, which the span does not see;
-    only the canonical basis that is returned becomes field elements."""
-    if not A.is_square:
+def _mu_commutant_basis(Al: _Lifted, mu, split=None) -> SubspaceBasis:
+    """Basis of {X : AX = mu*XA} over mu's field, for A lifted as Al,
+    built block by block on the Frobenius form A = P*F*P^-1 and proven
+    before it is returned: A*P = P*F (checked by the split) with P
+    invertible, every returned X satisfies the relation, and the span
+    has Frobenius' dimension sum deg gcd(f_i(x), f_j(mu^-1 x)).  A
+    rational A is split over Q even when mu is cyclotomic; then A, P and
+    P^-1 are embedded with `_embed`, and the factors are promoted.
+    `split`, private, is `_split(Al)` when the caller has it.  Each
+    integer Y of `_block_solutions` fills one block (I, J), so X =
+    (P[:, I]*Y)*P^-1[J, :]: one product per I, the Ys' distinct columns
+    abreast, and one per J, the n x deg f_J blocks stacked.  P and P^-1
+    go over one denominator each, so every X keeps the dense product's
+    scale, which the span does not see but the pivot choice does."""
+    if Al.rows != Al.cols:
         raise NotSquare("commutant needs a square matrix")
     field = FieldTag.cyclotomic(mu.q) if isinstance(mu, CycloScalar) else QQ
-    Al = _embed(_lift(A), field)  # FieldMismatch for A over another Q(zeta_r)
-    n = A.rows
-    factors, P, P_inv = _split(A) if split is None else split
-    Pl, P_inv = _embed(P, field), _embed(P_inv, field)
-    if A.field != field:
+    Ae = _embed(Al, field)  # FieldMismatch for A over another Q(zeta_r)
+    n, phi = Ae.cols, Ae.phi
+    factors, P, P_inv = _split(Al) if split is None else split
+    P, P_inv = _embed(P, field).common(), _embed(P_inv, field).common()
+    if Al.field != field:
         factors = tuple(Poly.make(f.coeffs, field) for f in factors)
-    offsets = [0]
-    for f in factors:
-        offsets.append(offsets[-1] + f.degree)
-    # each solution Y is one nonzero block (i, j) of an n x n matrix
-    ys = []
+    offsets = [sum(f.degree for f in factors[:i]) for i in range(len(factors))]
+    stacks = [[] for _ in factors]  # the rows of P[:, I]*Y for each Y in block column J
     for i, a in enumerate(factors):
-        for j, b in enumerate(factors):
-            for cols in _block_solutions(a, b, mu):
-                flat = [field.zero()] * (n * n)
-                for k, col in enumerate(cols):
-                    for r, x in enumerate(col):
-                        flat[(offsets[i] + r) * n + offsets[j] + k] = x
-                ys.append(flat)
-    count = len(ys)
-    if not count:
+        sols = [(j, Y) for j, b in enumerate(factors) for Y in _block_solutions(a, b, mu)]
+        at = {col: k for k, col in enumerate(dict.fromkeys(col for _, Y in sols for col in Y))}  # Ys share columns
+        if at:
+            da, o, w = a.degree, offsets[i], len(at)
+            PI = _Lifted(field, da, P.dens, [[row[e * n + o + t] for e in range(phi) for t in range(da)] for row in P.ints])
+            left = _mul_lifted(PI, _scaled(field, w, [[c[e * da + r] for e in range(phi) for c in at] for r in range(da)])).ints
+            for j, Y in sols:
+                stacks[j] += [[row[e * w + at[c]] for e in range(phi) for c in Y] for row in left]
+    X = []
+    for j, rows in enumerate(stacks):
+        if rows:
+            o, db = offsets[j], factors[j].degree
+            XJ = _mul_lifted(_scaled(field, db, rows), _Lifted(field, n, P_inv.dens[o : o + db], P_inv.ints[o : o + db])).ints
+            X += [_vec(_scaled(field, n, XJ[s : s + n])) for s in range(0, len(XJ), n)]
+    if not X:
         return subspace_from_matrices([], ambient_n=n, field=field)
-    X = _right(_left(Pl, _lift(vstack_rows(ys, field)).ints), P_inv)
     S = _span(_scaled(field, n * n, X), n)
-    if S.dim != count:
-        raise VerificationError(f"span has rank {S.dim}, Frobenius' formula gives {count}")
-    AX, XmuA = _sides(_lift(vstack_rows(S.rref_rows, field)).ints, Al, _times(mu, Al))
+    if S.dim != len(X):
+        raise VerificationError(f"span has rank {S.dim}, Frobenius' formula gives {len(X)}")
+    AX, XmuA = _sides(_lift(vstack_rows(S.rref_rows, field)).ints, Ae, _times(mu, Ae))
     if AX != XmuA:
         raise VerificationError("a basis element fails AX = mu*XA")
     return S
 
 
 def _block_solutions(a: Poly, b: Poly, mu) -> list[list[tuple]]:
-    """Basis of {Y : C(a)*Y = mu*Y*C(b)}, each Y as its deg b columns of
-    length deg a.  With columns read as F[x]/(a), where C(a) is
-    multiplication by x, the solutions are p -> p(mu^-1 x)*u mod a for
-    u in (a/g)*F[x]/(a), g = gcd(a(x), b(mu^-1 x)): spanned by
-    u_t = x^t * (a/g), t < deg g, and column k is mu^-k x^k u_t mod a,
-    so every column is a scaled x^s * (a/g) mod a, s < deg g + deg b."""
+    """Basis of {Y : C(a)*Y = mu*Y*C(b)} for invariant factors a and b
+    (one divides the other), each Y as its deg b columns in integers,
+    plane-major, over one scale per Y.  With columns read as F[x]/(a),
+    column k of Y_t, t < deg g, is U_(t+k), U_s = mu^-s x^s (a/g) mod a,
+    g = gcd(a(x), b(mu^-1 x)): the factor of lower degree when b(mu^-1 x)
+    is a multiple of b, that is when mu^(deg b - k) = 1 for every b_k !=
+    0.  U_(s+1) is mu^-1 times U_s shifted, its top entry folded back
+    through a's low coefficients."""
     field = a.field
     inv = field.one() / mu
-    scales, c = [], field.one()
-    for _ in b.coeffs:
-        scales.append(c)
-        c = c * inv
-    g = poly_gcd(a, Poly.make([x * y for x, y in zip(b.coeffs, scales)], field))
+    if mu == 1 or all(mu ** (b.degree - k) == 1 for k, x in enumerate(b.coeffs) if x):
+        g = a if a.degree <= b.degree else b  # b(mu^-1 x) = mu^-deg b * b(x)
+    else:
+        g = poly_gcd(a, Poly.make([x * inv**k for k, x in enumerate(b.coeffs)], field))
     if not g.degree:
         return []
-    zero, low = field.zero(), a.coeffs[:-1]
-    w = list((a // g).coeffs) + [zero] * (g.degree - 1)
-    shifts = [tuple(w)]
+    q, da = field.q, a.degree
+    d, low = _planes(a.coeffs[:-1], q, phi_degree(q) if q else 1)
+    fold = _zeta_shifts(low, da, cyclo_coeffs(q)[:-1] if q else ())  # zeta^e * d*low
+    u = Poly.one(field) if g is a else a // g
+    dw, w = _planes(list(u.coeffs) + [field.zero()] * (da - u.degree - 1), q, len(fold))
+    U = _Lifted(field, da, [dw], [w])
     for _ in range(g.degree + b.degree - 2):
-        # x * w mod a: shift up, fold the top back with the monic a
-        top = w[-1]
-        w = [zero] + w[:-1]
-        if top:
-            w = [x - top * y for x, y in zip(w, low)]
-        shifts.append(tuple(w))
-    return [
-        [shifts[t + k] if s == 1 else tuple(s * x for x in shifts[t + k]) for k, s in enumerate(scales[:-1])]
-        for t in range(g.degree)
-    ]
+        z = U.ints[-1]
+        y = [d * z[i - 1] if i % da else 0 for i in range(len(z))]
+        for t, f in zip(z[da - 1 :: da], fold):
+            if t:
+                y = [x - t * v for x, v in zip(y, f)]
+        y = _Lifted(field, da, [U.dens[-1] * d], [y])
+        y = y if inv == 1 else _times(inv, y)
+        U.dens.append(y.dens[0])
+        U.ints.append(y.ints[0])
+    db = b.degree
+    return [[tuple(col) for col in U._replace(dens=U.dens[t : t + db], ints=U.ints[t : t + db]).common().ints] for t in range(g.degree)]
 
 
 def centralizer_basis(A: Matrix) -> SubspaceBasis:
     """Basis of {X : AX = XA}."""
-    return _mu_commutant_basis(A, A.field.one())
+    return _mu_commutant_basis(_lift(A), A.field.one())
 
 
 def clifforder_basis(A: Matrix) -> SubspaceBasis:
     """Basis of {X : AX = -XA}."""
-    return _mu_commutant_basis(A, -A.field.one())
+    return _mu_commutant_basis(_lift(A), -A.field.one())
 
 
 def omega_centralizer_basis(A: Matrix, w: OmegaSpec) -> SubspaceBasis:
     """Basis of {X : AX = omega*XA} over Q(zeta_q); rational input is
     promoted."""
-    return _mu_commutant_basis(A, w.omega())
+    return _mu_commutant_basis(_lift(A), w.omega())
 
 
 def double_centralizer_basis(A: Matrix) -> SubspaceBasis:
@@ -196,19 +204,19 @@ def double_centralizer_basis(A: Matrix) -> SubspaceBasis:
     it is returned."""
     if not A.is_square:
         raise NotSquare("double centralizer needs a square matrix")
-    return _double_centralizer(A, min_poly(A).degree)
+    return _double_centralizer(_lift(A), min_poly(A).degree)
 
 
-def _double_centralizer(A: Matrix, d: int) -> SubspaceBasis:
-    """C(C(A)) = F[A] for d = deg m_A = dim F[A]: the canonical span R of
-    the integer vecs of I, A, ..., A^(d-1), each power one lifted product
-    with the content divided out.  Checked without the powers: R has d
-    rows, and vec I and A*R_i for every row R_i lie in span R, each as
-    its coordinates at R's pivot columns times R.  An A-invariant span
-    that contains I contains every A^k, so span R contains F[A], and
-    with d rows it is F[A]."""
-    n, field = A.rows, A.field
-    Al, ident = _lift(A).common(), _lift(Matrix.identity(n, field))
+def _double_centralizer(Al: _Lifted, d: int) -> SubspaceBasis:
+    """C(C(A)) = F[A] for A lifted as Al and d = deg m_A = dim F[A]: the
+    canonical span R of the integer vecs of I, A, ..., A^(d-1), each
+    power one lifted product with the content divided out.  Checked
+    without the powers: R has d rows, and vec I and A*R_i for every row
+    R_i lie in span R, each as its coordinates at R's pivot columns
+    times R.  An A-invariant span that contains I contains every A^k, so
+    span R contains F[A], and with d rows it is F[A]."""
+    n, field = Al.rows, Al.field
+    Al, ident = Al.common(), _lift(Matrix.identity(n, field))
     powers = [ident]
     for _ in range(d - 1):
         powers.append(_content_free(_mul_lifted(Al, powers[-1])))

@@ -51,12 +51,12 @@ so mu*A and omega*A never become field elements.  The batched product
 layer takes integer vecs of n x n matrices Y_e and lifted operands:
 `_left` gives L*Y_e for every e from one product, the Y_e laid abreast,
 `_right` gives Y_e*R with the Y_e stacked, and `_sides` pairs the two
-scaled alike.  The conjugation X = P*Y*P^-1, every relation check
-L*Y = Y*R (the commutants, A*P = P*F) and the commutator steps of the
-ad-power inclusion check go through it.  The Frobenius split runs on
-lifted matrices throughout and returns P lifted.  The ad-power kernels
-build the integer matrix of (ad_A)^k by the binomial formula in one
-`_mul_lifted` product.  The chains of products stay lifted too,
+scaled alike.  Every relation check L*Y = Y*R (the commutants, A*P =
+P*F) and the commutator steps of the ad-power inclusion check go
+through it; the commutants form X = P*Y*P^-1 on Y's block alone.  The
+Frobenius split takes A lifted and returns P lifted.  The ad-power
+kernels build the integer matrix of (ad_A)^k by the binomial formula in
+one `_mul_lifted` product.  The chains of products stay lifted too,
 content-free after each product: `_power` (square-and-multiply, behind
 `Matrix.__pow__`, the Potter check and the certificates' class step),
 `_horner` (f(M)*E for a 0/1 matrix E, behind `eval_at_matrix`, the

@@ -25,6 +25,7 @@ from commutants import (
     SubspaceBasis,
     centralizer_basis,
     commutant_operator,
+    poly_gcd,
     solve,
     subspace_from_matrices,
     unvec,
@@ -303,6 +304,35 @@ def reference_commutant_basis(A: Matrix, mu) -> SubspaceBasis:
     vecs = reference_kernel_basis(commutant_operator(A, mu))
     mats = [unvec(v, A.rows, A.field) for v in vecs]
     return subspace_from_matrices(mats, ambient_n=A.rows, field=A.field)
+
+
+def reference_block_solutions(a: Poly, b: Poly, mu) -> list[list[tuple]]:
+    """Basis of {Y : C(a)*Y = mu*Y*C(b)} in field arithmetic, each Y as
+    its deg b columns of deg a field elements: with columns read as
+    F[x]/(a), the solutions are p -> p(mu^-1 x)*u mod a for u in
+    (a/g)*F[x]/(a), g = gcd(a(x), b(mu^-1 x)), taken by Euclid for any
+    a and b; column k of solution t is mu^-k x^(t+k) (a/g) mod a.  The
+    oracle for `commutant._block_solutions`, which works in integers."""
+    field = a.field
+    inv = field.one() / mu
+    scales, c = [], field.one()
+    for _ in b.coeffs:
+        scales.append(c)
+        c = c * inv
+    g = poly_gcd(a, Poly.make([x * y for x, y in zip(b.coeffs, scales)], field))
+    if not g.degree:
+        return []
+    zero, low = field.zero(), a.coeffs[:-1]
+    w = list((a // g).coeffs) + [zero] * (g.degree - 1)
+    shifts = [tuple(w)]
+    for _ in range(g.degree + b.degree - 2):
+        # x * w mod a: shift up, fold the top back with the monic a
+        top = w[-1]
+        w = [zero] + w[:-1]
+        if top:
+            w = [x - top * y for x, y in zip(w, low)]
+        shifts.append(tuple(w))
+    return [[tuple(s * x for x in shifts[t + k]) for k, s in enumerate(scales[:-1])] for t in range(g.degree)]
 
 
 def reference_ad_power_kernel(A: Matrix, k: int) -> SubspaceBasis:

@@ -32,6 +32,8 @@ from helpers import (
     PAIR5_B_FROM_A,
     ODD4_A,
     ODD4_B,
+    conjugated,
+    cyclo3_jordan,
     mat,
     perturb_first_coordinate,
     poly,
@@ -552,10 +554,9 @@ def test_analyze_computes_invariant_factors_once(tmp_path, capsys, monkeypatch):
     assert splits[0] == 1
 
 
-def test_analyze_splits_once_and_prints_what_the_public_calls_give(tmp_path, capsys, monkeypatch):
-    # conjugated J_3(0) + J_1(0), and a cyclic input, each with and
-    # without an omega section: one split per analyze, and stdout equal
-    # to the JSON built from the public calls, each of which splits anew
+def _analyze_json(A: Matrix, q: int | None) -> dict:
+    """What `analyze` prints for A (with an omega section for q), built
+    from the public calls, each of which splits anew."""
     import commutants.cli as cli
     from commutants import (
         OmegaSpec,
@@ -565,33 +566,40 @@ def test_analyze_splits_once_and_prints_what_the_public_calls_give(tmp_path, cap
         double_centralizer_basis,
         omega_centralizer_basis,
     )
+    rep = StructureReport.of(A)
+    expected = {
+        "input": matrix_json(A),
+        "structure": cli._structure_json(rep),
+        "dims": {
+            "centralizer": centralizer_basis(A).dim,
+            "clifforder": clifforder_basis(A).dim,
+            "double_centralizer": double_centralizer_basis(A).dim,
+        },
+        "flags": {
+            "balanced": rep.is_balanced,
+            "nilpotent": rep.is_nilpotent,
+            "min_eq_char": rep.min_equals_char,
+            "clifforder_has_invertible": rep.is_balanced,
+        },
+    }
+    if q:
+        om = omega_centralizer_basis(A, OmegaSpec(q))
+        expected["omega"] = {"q": q, "k": 1, "dim": om.dim, "basis": cli._basis_json(om)}
+    return expected
+
+
+def test_analyze_splits_once_and_prints_what_the_public_calls_give(tmp_path, capsys, monkeypatch):
+    # conjugated J_3(0) + J_1(0), and a cyclic input, each with and
+    # without an omega section: one split per analyze, and stdout equal
+    # to the JSON built from the public calls
     P = mat([[1, 2, 0, 0], [0, 1, 1, 0], [1, 0, 1, 1], [0, 1, 0, 1]])
     N = Matrix.block_diag([Matrix.jordan(3, 0, QQ), mat([[0]])])
     inputs = [P.inverse() * N * P, mat([[1, 2], [Fraction(1, 3), -1]])]
     for i, A in enumerate(inputs):
         f = write_matrix(tmp_path / f"{i}.json", A)
         for q in (None, 3):
-            rep = StructureReport.of(A)
-            expected = {
-                "input": matrix_json(A),
-                "structure": cli._structure_json(rep),
-                "dims": {
-                    "centralizer": centralizer_basis(A).dim,
-                    "clifforder": clifforder_basis(A).dim,
-                    "double_centralizer": double_centralizer_basis(A).dim,
-                },
-                "flags": {
-                    "balanced": rep.is_balanced,
-                    "nilpotent": rep.is_nilpotent,
-                    "min_eq_char": rep.min_equals_char,
-                    "clifforder_has_invertible": rep.is_balanced,
-                },
-            }
-            argv = ["analyze", f]
-            if q:
-                om = omega_centralizer_basis(A, OmegaSpec(q))
-                expected["omega"] = {"q": q, "k": 1, "dim": om.dim, "basis": cli._basis_json(om)}
-                argv += ["--q", str(q)]
+            expected = _analyze_json(A, q)
+            argv = ["analyze", f] + (["--q", str(q)] if q else [])
             with monkeypatch.context() as m:
                 splits = _count_splits(m)
                 assert main(argv) == 0
@@ -745,6 +753,139 @@ def test_lifted_handlers_report_input_errors_as_before(tmp_path, capsys, argv, a
     assert main([argv[0], fa, fb, *argv[1:]]) == 2
     cap = capsys.readouterr()
     assert (cap.out, cap.err) == ("", err + "\n")
+
+
+def _commutant_inputs() -> list[Matrix]:
+    """Derogatory inputs over Q, Q(zeta_3) and Q(zeta_5), each with a
+    nonzero centralizer, clifforder and omega-centralizer (q = 3 or 5)."""
+    F5, z = FieldTag.cyclotomic(5), CycloScalar.zeta(5)
+    D5 = Matrix.block_diag([Matrix.jordan(2, z, F5), Matrix.jordan(1, z * z, F5), Matrix.jordan(1, -z, F5)])
+    N = Matrix.block_diag([Matrix.jordan(3, 0, QQ), Matrix.jordan(2, 0, QQ), mat([[0]])])
+    return [conjugated(N, 7), cyclo3_jordan(5, (2, 1, 1)), conjugated(D5, 7)]
+
+
+def _library_run(call, render) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) the CLI should give for a library call
+    on parse_matrix's reading of the same file."""
+    import commutants.cli as cli
+    from commutants import AlgebraError
+    try:
+        out = render(call())
+    except AlgebraError as exc:
+        return 2, "", json.dumps(cli._error_json(exc)) + "\n"
+    return 0, json.dumps(out, indent=2) + "\n", ""
+
+
+def test_commutant_commands_print_what_the_library_gives(tmp_path, capsys):
+    # the commands run on the rows `_read` returns; the library runs on
+    # parse_matrix's Matrix of the same file, over Q, Q(zeta_3) and
+    # Q(zeta_5), with and without --basis; an omega section over another
+    # Q(zeta_r) is the library's FieldMismatch
+    import commutants.cli as cli
+    from commutants import OmegaSpec, centralizer_basis, clifforder_basis, omega_centralizer_basis
+    for i, M in enumerate(_commutant_inputs()):
+        f = write_matrix(tmp_path / f"{i}.json", M)
+        A = parse_matrix(Path(f).read_bytes())
+        cases = []
+        for basis in ([], ["--basis"]):
+            def subspace(S, basis=basis):
+                return {"dimension": S.dim, **({"basis": cli._basis_json(S)} if basis else {})}
+
+            cases.append((["centralizer", f, *basis], lambda: centralizer_basis(A), subspace))
+            cases.append((["clifforder", f, *basis], lambda: clifforder_basis(A), subspace))
+            for q, k in ((3, 1), (5, 1), (5, 2)):
+                def omega(S, q=q, k=k, basis=basis):
+                    return {"q": q, "k": k, "dimension": S.dim, **({"basis": cli._basis_json(S)} if basis else {})}
+
+                cases.append((["omega", f, "--q", str(q), "--k", str(k), *basis],
+                              lambda q=q, k=k: omega_centralizer_basis(A, OmegaSpec(q, k)), omega))
+        for q in (3, 5):
+            cases.append((["analyze", f, "--q", str(q)], lambda q=q: _analyze_json(A, q), lambda out: out))
+        dims = set()
+        for argv, call, render in cases:
+            want = _library_run(call, render)
+            code = main(argv)
+            cap = capsys.readouterr()
+            assert (code, cap.out, cap.err) == want, argv
+            if code == 0 and argv[0] != "analyze":
+                dims.add((argv[0], json.loads(cap.out)["dimension"] > 0))
+        assert {cmd for cmd, nonzero in dims if nonzero} == {"centralizer", "clifforder", "omega"}, i
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["centralizer"], "commutant needs a square matrix"),
+    (["clifforder", "--basis"], "commutant needs a square matrix"),
+    (["omega", "--q", "3", "--basis"], "commutant needs a square matrix"),
+    (["analyze", "--q", "3"], "structure report needs a square matrix"),
+])
+def test_commutant_commands_reject_non_square_input_as_before(tmp_path, capsys, argv, message):
+    # the message is the library's on parse_matrix's Matrix
+    from commutants import NotSquare, OmegaSpec, StructureReport, centralizer_basis, clifforder_basis, omega_centralizer_basis
+    library = {"centralizer": centralizer_basis, "clifforder": clifforder_basis,
+               "omega": lambda A: omega_centralizer_basis(A, OmegaSpec(3)), "analyze": StructureReport.of}
+    f = write_matrix(tmp_path / "a.json", mat([[1, 2, 3], [4, 5, 6]]))
+    with pytest.raises(NotSquare, match=message):
+        library[argv[0]](parse_matrix(Path(f).read_bytes()))
+    assert main([argv[0], f, *argv[1:]]) == 2
+    cap = capsys.readouterr()
+    assert (cap.out, json.loads(cap.err)) == ("", {"error": "NotSquare", "message": message})
+
+
+def test_commutant_commands_lift_no_matrix_but_the_proof_rows(tmp_path, capsys, monkeypatch):
+    # centralizer, clifforder and omega never build the Matrix of their
+    # input: parse_matrix is never called, and `_lift`, wherever the
+    # package holds it, lifts the companion form F of the split's
+    # A*P = P*F check and then only the returned rows, for the relation
+    # check, never a copy of A
+    import commutants.cli as cli
+    import commutants.matrices as matrices
+    from commutants import invariant_factors
+    from commutants.canonical import companion
+    plain, lifted = matrices._lift, []
+
+    def spy(M):
+        lifted.append(M)
+        return plain(M)
+
+    def forbidden(text):
+        raise AssertionError("parse_matrix called")
+
+    for name, module in list(sys.modules.items()):
+        if (name == "commutants" or name.startswith("commutants.")) and getattr(module, "_lift", None) is plain:
+            monkeypatch.setattr(module, "_lift", spy)
+    for i, A in enumerate(_commutant_inputs()):
+        f = write_matrix(tmp_path / f"{i}.json", A)
+        n = A.rows
+        F = Matrix.block_diag([companion(p) for p in invariant_factors(A) if p.degree])
+        for argv in (["centralizer", f], ["clifforder", f], ["omega", f, "--q", str(A.field.q or 5)]):
+            lifted.clear()
+            with monkeypatch.context() as m:
+                m.setattr(cli, "parse_matrix", forbidden)
+                assert main([*argv, "--basis"]) == 0
+            basis = [parse_matrix(json.dumps(X)) for X in json.loads(capsys.readouterr().out)["basis"]]
+            assert basis, argv
+            rows = Matrix(basis[0].field, len(basis), n * n, tuple(x for X in basis for x in X.entries))
+            assert lifted == [F, rows], argv
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    # json.loads raises RecursionError here, not a JSONDecodeError
+    nested = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"field": "Q", "rows": ' + nested + "}")
+    spec = '{"profile": ' + nested + "}"
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(spec)
+    with pytest.raises(ParseError):
+        parse_matrix(path.read_text())
+    for argv, prefix in ((["centralizer", str(path)], "bad JSON: "),
+                         (["gen", "--spec", spec], "bad spec JSON: "),
+                         (["gen", "--spec", str(spec_path)], f"bad spec JSON in {spec_path}: ")):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, None), argv
+        payload = json.loads(err)
+        assert payload["error"] == "ParseError"
+        assert payload["message"].startswith(prefix) and "recursion" in payload["message"], argv
 
 
 @pytest.mark.skipif(not 0 < INT_LIMIT < 5000, reason="no int-string limit below 5,000 digits on this Python")

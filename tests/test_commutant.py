@@ -19,6 +19,7 @@ from commutants import (
     Matrix,
     NotSquare,
     OmegaSpec,
+    Poly,
     QQ,
     ShapeMismatch,
     centralizer_basis,
@@ -38,6 +39,7 @@ from commutants import (
     subspace_leq,
 )
 from commutants.errors import VerificationError
+from commutants.matrices import rref
 from helpers import (
     conjugated,
     cyclo3_jordan,
@@ -48,6 +50,7 @@ from helpers import (
     poly,
     random_jordan_matrix,
     random_rational_matrix,
+    reference_block_solutions,
     reference_commutant_basis,
     reference_double_centralizer,
     relation_kernel_oracle,
@@ -297,6 +300,65 @@ def test_structural_bases_equal_kronecker_oracle_on_fixed_inputs():
             _same_span(A, q, k)
     for q, k in [(None, 0), (None, 1), (3, 1), (3, 2)]:
         _same_span(_CYCLO3_INPUT, q, k)
+
+
+# ------------------------- integer block solutions against field arithmetic
+
+@st.composite
+def block_pairs(draw):
+    """(a, b, mu) with a | b or b | a, as for two invariant factors, over
+    Q (non-integer coefficients), Q(zeta_3) or Q(zeta_5), mu in {1, -1,
+    zeta_q^k}: the larger of a and b carries m and the smaller a factor
+    m(mu^-1 x), so gcd(a(x), b(mu^-1 x)) is not 1 when deg m > 0; the
+    cofactors are sometimes powers of x, for which b(mu^-1 x) is a
+    multiple of b."""
+    q = draw(st.sampled_from([None, 3, 5]))
+    field = QQ if q is None else FieldTag.cyclotomic(q)
+    mus = [field.one(), -field.one()] + ([] if q is None else [CycloScalar.zeta(q, k) for k in range(1, q)])
+    mu = draw(st.sampled_from(mus))
+    ratio = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    scalar = ratio if q is None else st.lists(ratio, min_size=1, max_size=q - 1).map(lambda c: CycloScalar(q, tuple(c)))
+
+    def monic(low: int, high: int) -> Poly:
+        degree = draw(st.integers(low, high))
+        if draw(st.booleans()):
+            return Poly.monomial(degree, 1, field)
+        return Poly.make([draw(scalar) for _ in range(degree)] + [1], field)
+
+    m = monic(0, 2)
+    inv = field.one() / mu
+    m_mu = Poly.make([c * inv ** k for k, c in enumerate(m.coeffs)], field).monic()
+    small = m_mu * monic(1 if m.degree == 0 else 0, 2)
+    big = small * m * monic(0, 1)
+    a, b = draw(st.sampled_from([(small, big), (big, small), (small, small), (big, big)]))
+    return a, b, mu
+
+
+def _solution_rref(sols, a, b):
+    """The RREF of the vec'd Ys, read from field elements or from the
+    integer plane-major columns of `_block_solutions`."""
+    field, da = a.field, a.degree
+
+    def entry(col, r):
+        if not isinstance(col[0], int):
+            return col[r]
+        if field.q is None:
+            return Fraction(col[r])
+        return CycloScalar(field.q, tuple(Fraction(x) for x in col[r::da]))
+
+    rows = [[entry(Y[k], r) for r in range(da) for k in range(b.degree)] for Y in sols]
+    return rref(Matrix(field, len(rows), da * b.degree, tuple(x for row in rows for x in row))).rref
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_pairs())
+def test_integer_block_solutions_span_the_field_solutions(case):
+    a, b, mu = case
+    ours, ref = commutant._block_solutions(a, b, mu), reference_block_solutions(a, b, mu)
+    assert len(ours) == len(ref)
+    assert all(len(Y) == b.degree and all(type(x) is int for col in Y for x in col) for Y in ours)
+    if ref:
+        assert _solution_rref(ours, a, b) == _solution_rref(ref, a, b)
 
 
 # ---------------------------------------- a corrupted result is never returned
@@ -555,4 +617,4 @@ def test_wrong_degree_is_never_returned():
         d = min_poly(A).degree
         for wrong in (d - 1, d + 1):
             with pytest.raises(VerificationError):
-                commutant._double_centralizer(A, wrong)
+                commutant._double_centralizer(commutant._lift(A), wrong)
