@@ -7,10 +7,11 @@ read off `matrices._kernel`, and also yields the change of basis P,
 lifted, to the Frobenius (rational canonical) form F, with A*P = P*F
 checked exactly; the commutant solvers build their bases on F.  Everything else
 is read off the split, never recomputed: the characteristic polynomial
-is the product of the factors, and the minimal polynomial is the split's
+is the product of the factors, `Matrix.det` is (-1)^n times its
+constant term, and the minimal polynomial is the split's
 first step, the Krylov polynomial of a drawn vector, accepted only once
 it is checked to annihilate the matrix.  The 0 x 0 matrix has no
-factors, so both are 1.  Balancedness is decided on invariant factors;
+factors, so all three are 1.  Balancedness is decided on invariant factors;
 the essential-part / balanced-radical split is a coprime factor splitting of the minimal
 polynomial with a Bezout projector, so no Jordan form and no algebraic
 closure ever appear.
@@ -38,9 +39,8 @@ from .matrices import (
     _mul_lifted,
     _pivot,
     _rref_core,
+    _same,
     _scaled,
-    _sides,
-    _vec,
 )
 from .polys import Poly, eval_at_matrix, is_balanced_poly, poly_gcd, poly_xgcd
 from .scalars import QQ, FieldTag
@@ -210,9 +210,8 @@ def _frobenius(Al: _Lifted) -> tuple[tuple[Poly, ...], _Lifted]:
     factors.reverse()
     blocks.reverse()
     P = _beside(blocks)
-    F = Matrix.block_diag([companion(f) for f in factors])
-    AP, PF = _sides([_vec(P.common())], Al, _lift(F))
-    if AP != PF:
+    F = _lift(Matrix.block_diag([companion(f) for f in factors]))
+    if not _same(_mul_lifted(Al, P), _mul_lifted(P, F)):
         raise VerificationError("Frobenius decomposition fails A*P = P*F")
     return tuple(factors), P
 

@@ -32,7 +32,6 @@ from .errors import (
     AlgebraError,
     FieldError,
     InvalidSpec,
-    PairInvariantViolated,
     ParseError,
     RaggedRows,
     VerificationError,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .canonical import companion
-from .errors import DegreeZero, InvalidSpec, NotMonic
+from .errors import InvalidSpec
 from .matrices import Matrix, _embed, _entries, _lift, _Lifted, _mul_lifted, _solve_square
 from .polys import CongruenceClass, Poly
 from .scalars import QQ
@@ -135,33 +135,30 @@ def _validate_profile(profile: Profile) -> None:
 
 
 def _materialize(profile: Profile, seed: int) -> Matrix:
+    """The matrix of a profile that `_validate_profile` has accepted."""
     if isinstance(profile, NilpotentBlocks):
         return Matrix.block_diag([Matrix.jordan(s, 0, QQ) for s in profile.sizes])
     if isinstance(profile, Companion):
-        try:
-            return companion(profile.poly)
-        except (NotMonic, DegreeZero) as exc:  # pre-validated; belt and braces
-            raise InvalidSpec(str(exc)) from exc
+        return companion(profile.poly)
     if isinstance(profile, DiagRational):
         return Matrix.diag(list(profile.values), QQ)
     if isinstance(profile, BlockDiag):
         return Matrix.block_diag([generate(p) for p in profile.parts])
-    if isinstance(profile, ConjugateBy):
-        inner = generate(profile.inner)
-        n = inner.rows
-        rng = random.Random(seed)
-        H = profile.height
-        Ml = _lift(inner)
-        for _ in range(_MAX_CONJUGATE_TRIES):
-            P = _embed(_Lifted(QQ, n, [1] * n, [[rng.randint(-H, H) for _ in range(n)] for _ in range(n)]), inner.field)
-            X = _solve_square(P, _mul_lifted(Ml, P))
-            if X is not None:
-                return Matrix(inner.field, n, n, _entries(X))
-        raise InvalidSpec(
-            f"no invertible conjugator found in {_MAX_CONJUGATE_TRIES} draws "
-            f"(n={n}, height={H})"
-        )
-    raise InvalidSpec(f"unknown profile {type(profile).__name__}")
+    # ConjugateBy, the one profile `_validate_profile` leaves
+    inner = generate(profile.inner)
+    n = inner.rows
+    rng = random.Random(seed)
+    H = profile.height
+    Ml = _lift(inner)
+    for _ in range(_MAX_CONJUGATE_TRIES):
+        P = _embed(_Lifted(QQ, n, [1] * n, [[rng.randint(-H, H) for _ in range(n)] for _ in range(n)]), inner.field)
+        X = _solve_square(P, _mul_lifted(Ml, P))
+        if X is not None:
+            return Matrix(inner.field, n, n, _entries(X))
+    raise InvalidSpec(
+        f"no invertible conjugator found in {_MAX_CONJUGATE_TRIES} draws "
+        f"(n={n}, height={H})"
+    )
 
 
 def random_odd_poly(seed: int, n: int, cls: CongruenceClass | None = None) -> Poly:

@@ -51,10 +51,10 @@ so mu*A and omega*A never become field elements.  The batched product
 layer takes integer vecs of n x n matrices Y_e and lifted operands:
 `_left` gives L*Y_e for every e from one product, the Y_e laid abreast,
 `_right` gives Y_e*R with the Y_e stacked, and `_sides` pairs the two
-scaled alike.  Every relation check L*Y = Y*R (the commutants, A*P =
-P*F) and the commutator steps of the ad-power inclusion check go
-through it; the commutants form X = P*Y*P^-1 on Y's block alone.  The
-Frobenius split takes A lifted and returns P lifted.  The ad-power
+scaled alike.  The commutants' relation checks L*Y = Y*R and the
+commutator steps of the ad-power inclusion check go through it; the
+commutants form X = P*Y*P^-1 on Y's block alone.  The Frobenius split
+takes A lifted and returns P lifted.  The ad-power
 kernels build the integer matrix of (ad_A)^k by the binomial formula in
 one `_mul_lifted` product.  The chains of products stay lifted too,
 content-free after each product: `_power` (square-and-multiply, behind
@@ -63,10 +63,11 @@ content-free after each product: `_power` (square-and-multiply, behind
 annihilation check of the split and the certificates on the companion
 of m_A), and `_same`, which compares two lifted matrices row by row over
 cross-multiplied denominators (the Potter identity, AB = omega*BA, the
-certificates).
+certificates, and the split's A*P = P*F as two plain products).
 Wherever only a span or a homogeneous relation matters, row denominators
-are dropped, since a scaled row spans the same line.  One determinant
-routine, plain pivoting with division, serves both fields.
+are dropped, since a scaled row spans the same line.  `Matrix.det` runs
+no elimination of its own: it is (-1)^n chi_A(0), read off the checked
+Frobenius split.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -262,31 +263,15 @@ class Matrix:
         )
 
     def det(self):
+        """(-1)^n chi_A(0): (-1)^n times the product of f(0) over the
+        nonconstant invariant factors f of the checked Frobenius split,
+        whose product is chi_A.  The 0 x 0 matrix has det 1."""
         if not self.is_square:
             raise NotSquare("determinant needs a square matrix")
-        n = self.rows
-        rows = [list(self.row(i)) for i in range(n)]
-        det = self.field.one()
-        for k in range(n):
-            pivot_row = None
-            for i in range(k, n):
-                if rows[i][k]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return self.field.zero()
-            if pivot_row != k:
-                rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-                det = -det
-            pv = rows[k][k]
-            det = det * pv
-            inv = 1 / pv
-            rows[k] = [x * inv for x in rows[k]]
-            for i in range(k + 1, n):
-                v = rows[i][k]
-                if v:
-                    rows[i] = [x - v * y for x, y in zip(rows[i], rows[k])]
-        return det
+        from .canonical import _frobenius  # canonical imports this module
+
+        d = prod((f.coeff(0) for f in _frobenius(_lift(self))[0]), start=self.field.one())
+        return -d if self.rows % 2 else d
 
     def inverse(self) -> Matrix:
         if not self.is_square:

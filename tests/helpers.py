@@ -11,6 +11,7 @@ from math import gcd
 import sympy
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
+from sympy.polys.matrices import DomainMatrix
 
 from commutants import matrices
 from commutants.matrices import rref
@@ -477,6 +478,28 @@ def sympy_charpoly(M: Matrix) -> Poly:
     x = sympy.Symbol("x")
     p = to_sympy(M).charpoly(x)
     return _poly_from_sympy(sympy.Poly(p.as_expr(), x, domain="QQ"))
+
+
+def sympy_det(M: Matrix):
+    """Oracle: det M as a scalar of M's field, by sympy's fraction-free
+    elimination over QQ, or over QQ[z] for Q(zeta_q), the polynomial in
+    z then reduced mod Phi_q(z) by sympy."""
+    if not M.field.is_cyclotomic:
+        d = to_sympy(M).det()
+        return Fraction(int(d.p), int(d.q))
+    q, z = M.field.q, sympy.Symbol("z")
+    ring = sympy.QQ[z]
+    memo = {}
+
+    def entry(x):
+        if x not in memo:
+            memo[x] = ring.from_sympy(sum(sympy.Rational(c) * z ** e for e, c in enumerate(x.coeffs)))
+        return memo[x]
+
+    grid = [[entry(M.at(i, j)) for j in range(M.cols)] for i in range(M.rows)]
+    d = DomainMatrix(grid, M.shape, ring).det() if M.rows else ring.one
+    r = sympy.Poly(sympy.rem(ring.to_sympy(d), sympy.cyclotomic_poly(q, z), z), z, domain="QQ")
+    return CycloScalar(q, tuple(Fraction(int(c.p), int(c.q)) for c in reversed(r.all_coeffs())))
 
 
 def relation_kernel_oracle(A: Matrix, mu_sympy) -> int:

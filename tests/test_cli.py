@@ -433,6 +433,26 @@ def test_potter_negative_samples_is_input_error(tmp_path, capsys):
     assert out == {"quasi_commuting": True, "holds": True, "q": 3, "samples_run": 0}
 
 
+def test_potter_stops_at_the_first_failed_sample(tmp_path, capsys, monkeypatch):
+    # the third sample fails: two samples ran, exit 1
+    from commutants import cli, weyl_pair
+    pair = weyl_pair(3, 3)
+    fa = write_matrix(tmp_path / "a.json", pair.A)
+    fb = write_matrix(tmp_path / "b.json", pair.B)
+    calls = []
+    collapses = cli._collapses
+
+    def third_fails(*args):
+        calls.append(args)
+        return len(calls) != 3 and collapses(*args)
+
+    monkeypatch.setattr(cli, "_collapses", third_fails)
+    code, out, err = run(capsys, ["potter", fa, fb, "--q", "3", "--samples", "5"])
+    assert code == 1 and err == ""
+    assert out == {"quasi_commuting": True, "holds": False, "q": 3, "samples_run": 2}
+    assert len(calls) == 3
+
+
 def test_potter_not_quasi_commuting(tmp_path, capsys):
     fa = write_matrix(tmp_path / "a.json", Matrix.identity(2, QQ))
     fb = write_matrix(tmp_path / "b.json", Matrix.identity(2, QQ))
@@ -488,6 +508,47 @@ def test_gen_rejects_boolean_block_sizes(capsys):
     assert code == 2
     assert out is None
     assert json.loads(err)["error"] == "InvalidSpec"
+
+
+_NIL = {"profile": {"nilpotent_blocks": [2]}}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ([1], "spec: expected an object"),
+    ({"seed": 1}, 'spec: missing "profile"'),
+    ({**_NIL, "seed": "1"}, "spec: seed must be an integer"),
+    ({**_NIL, "seed": True}, "spec: seed must be an integer"),
+    ({**_NIL, "size": 2.0}, "spec: size must be an integer"),
+    ({"profile": {}}, "spec: profile must be an object with exactly one key"),
+    ({"profile": {"nilpotent_blocks": [1], "companion": [0, 1]}}, "spec: profile must be an object with exactly one key"),
+    ({"profile": {"nilpotent_blocks": 3}}, "spec: nilpotent_blocks takes a list of sizes"),
+    ({"profile": {"companion": "1 + x"}}, "spec: companion takes ascending coefficients"),
+    ({"profile": {"diag_rational": 2}}, "spec: diag_rational takes a list of scalars"),
+    ({"profile": {"block_diag": _NIL}}, "spec: block_diag takes a list of specs"),
+    ({"profile": {"block_diag": [_NIL, 5]}}, "spec.block_diag[1]: expected an object"),
+    ({"profile": {"conjugate_by": _NIL}}, 'spec: conjugate_by needs an "inner" spec'),
+    ({"profile": {"conjugate_by": {"inner": _NIL, "height": "3"}}}, "spec: height must be an integer"),
+    ({"profile": {"conjugate_by": {"inner": {}}}}, 'spec.conjugate_by.inner: missing "profile"'),
+    ({"profile": {"mystery": 1}}, "spec: unknown profile kind 'mystery'"),
+])
+def test_gen_spec_errors_print_their_message(capsys, spec, message):
+    code, out, err = run(capsys, ["gen", "--spec", json.dumps(spec)])
+    assert code == 2 and out is None
+    assert err == json.dumps({"error": "InvalidSpec", "message": message}) + "\n"
+
+
+@pytest.mark.parametrize("text, want", [
+    ('{"field": "Q", "rows": [[]]}', {"error": "ParseError", "message": "rows must be non-empty"}),
+    ('{"field": {"cyclotomic": 1.5}, "rows": [[1]]}',
+     {"error": "FieldError", "message": "cyclotomic order must be a positive integer, got 1.5"}),
+])
+def test_malformed_matrix_prints_its_message(tmp_path, capsys, text, want):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    for command in ("analyze", "centralizer", "clifforder"):
+        code, out, err = run(capsys, [command, str(path)])
+        assert code == 2 and out is None
+        assert err == json.dumps(want) + "\n"
 
 
 # ----------------------------------------------------------- error paths

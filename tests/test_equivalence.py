@@ -13,6 +13,7 @@ from commutants import (
     FieldMismatch,
     Matrix,
     NotInClass,
+    NotSquare,
     Poly,
     QQ,
     ShapeMismatch,
@@ -229,6 +230,18 @@ def test_shape_and_field_errors():
         express_in_powers(Matrix.identity(2, QQ), Matrix.identity(3, QQ))
     with pytest.raises(FieldMismatch):
         express_in_powers(Matrix.identity(2, QQ), Matrix.identity(2, QQ).promote(3))
+
+
+def test_verify_certificate_checks_shapes_before_the_polynomials():
+    # f = g = x holds for any pair A = B; shapes are refused first
+    x = Certificate(f=poly([0, 1]), g=poly([0, 1]), cls=GENERAL)
+    I2, I3, wide = Matrix.identity(2, QQ), Matrix.identity(3, QQ), mat([[1, 2, 3], [4, 5, 6]])
+    assert verify_certificate(I2, I2, x)
+    for A, B in ((wide, I2), (I2, wide), (wide, wide)):
+        with pytest.raises(NotSquare, match="certificate check needs square matrices"):
+            verify_certificate(A, B, x)
+    with pytest.raises(ShapeMismatch, match="sizes differ: 2 vs 3"):
+        verify_certificate(I2, I3, x)
 
 
 def test_express_steps_by_the_class_power(monkeypatch):

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy
@@ -31,16 +32,19 @@ from commutants import (
     vec,
     weyl_pair,
 )
-from commutants import adpower, matrices
+from commutants import adpower, canonical, matrices
+from commutants.errors import VerificationError
 from commutants.matrices import rref, vstack_rows
 from commutants.scalars import phi_degree
 from commutants.subspaces import _span
 from helpers import (
     count_products,
+    cyclo3_jordan,
     dense_planes,
     from_sympy,
     hstack,
     mat,
+    nilpotent,
     random_rational_matrix,
     reference_power,
     reference_kernel_basis,
@@ -48,6 +52,7 @@ from helpers import (
     reference_rref,
     stepwise_eval,
     stepwise_power,
+    sympy_det,
     to_sympy,
 )
 
@@ -576,6 +581,49 @@ def test_det_generic_path_cyclotomic():
     # 3x3 with mixed entries: first-row cofactor expansion gives -z^2
     C = Matrix.make([[1, z, 0], [z, 1, 1], [0, 1, 1]], f5)
     assert C.det() == -(z ** 2)
+
+
+@lru_cache(maxsize=None)
+def _det_inputs():
+    u = [Fraction(k - 5, k + 1) for k in range(12)]
+    v = [Fraction(3 - k, 2) for k in range(12)]
+    return {
+        # repeated entries: one invariant factor per repeat
+        "diagonal": Matrix.diag([2, 2, Fraction(-1, 3), 2, Fraction(-1, 3), 5], QQ),
+        # forty one-dimensional blocks per factor over Q(zeta_5)
+        "weyl": weyl_pair(5, 40).A,
+        "rank 1": mat([[a * b for b in v] for a in u]),
+        "zero": Matrix.zero(5, 5, QQ),
+        "nilpotent (4,4,4,4)": nilpotent((4, 4, 4, 4), 7),
+        "zeta_3": cyclo3_jordan(5, (2, 1, 3)) + Matrix.identity(6, FieldTag.cyclotomic(3)),
+        "0 x 0": Matrix(QQ, 0, 0, ()),
+    }
+
+
+@pytest.mark.parametrize("name", list(_det_inputs()))
+def test_det_matches_sympy_where_the_split_works_hardest(name):
+    # det is (-1)^n chi_A(0) off the split: inputs with many invariant
+    # factors, a zero constant term, or none at all
+    A = _det_inputs()[name]
+    assert A.det() == sympy_det(A)
+    assert type(A.det()) is type(A.field.one())
+
+
+def test_det_of_the_empty_matrix_is_one():
+    for field in (QQ, FieldTag.cyclotomic(3)):
+        assert Matrix(field, 0, 0, ()).det() == field.one()
+    with pytest.raises(NotSquare, match="determinant needs a square matrix"):
+        mat([[1, 2]]).det()
+
+
+def test_det_raises_on_a_corrupted_split(monkeypatch):
+    # a wrong companion form fails the split's A*P = P*F check, so det
+    # raises instead of returning a value
+    inputs = _det_inputs()
+    monkeypatch.setattr(canonical, "companion", lambda f: Matrix.identity(f.degree, f.field))
+    for A in (mat([[1, 2], [3, 4]]), inputs["zeta_3"], inputs["nilpotent (4,4,4,4)"], inputs["weyl"]):
+        with pytest.raises(VerificationError):
+            A.det()
 
 
 @settings(max_examples=80)

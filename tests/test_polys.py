@@ -176,6 +176,70 @@ def test_reflect():
     assert eval_at_matrix(g, M) == eval_at_matrix(f, M.scale(-1))
 
 
+@settings(max_examples=40)
+@given(small_polys, st.integers(0, 5))
+def test_power_matches_sympy(f, k):
+    # k = 0 gives 1, for the zero polynomial too
+    assert sympy_poly_coeffs(f ** k) == sympy_poly_coeffs(f) ** k
+
+
+def test_negative_power_is_refused():
+    with pytest.raises(ValueError, match="negative polynomial power"):
+        poly([1, 1]) ** -1
+
+
+@settings(max_examples=40)
+@given(small_polys, st.one_of(st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=6)))
+def test_scalar_minus_poly_matches_sympy(f, c):
+    g = c - f
+    assert g.field == QQ
+    assert sympy_poly_coeffs(g) == sympy.Poly(sympy.Rational(c) - sympy_poly_coeffs(f).as_expr(), x, domain="QQ")
+
+
+def test_cyclotomic_scalar_minus_poly():
+    f3 = FieldTag.cyclotomic(3)
+    z = f3.omega(1)
+    assert z - poly([0, 1], f3) == poly([z, -1], f3)
+    assert 1 - poly([z, 1], f3) == poly([1 - z, -1], f3)
+
+
+def test_poly_equals_its_constant():
+    assert poly([5]) == 5 and 5 == poly([5])
+    assert poly([]) == 0 and poly([0, 0]) == 0
+    assert poly([Fraction(1, 2)]) == Fraction(1, 2)
+    assert Fraction(-3, 4) == poly([Fraction(-3, 4)])
+    assert poly([2], FieldTag.cyclotomic(3)) == 2
+    assert poly([1, 1]) != 1 and poly([Fraction(1, 2)]) != 0 and poly([1]) != Fraction(1, 2)
+    assert poly([1]) != "1"
+
+
+def test_poly_str_and_repr():
+    f = poly([1, 0, -2, Fraction(1, 2)])
+    assert str(f) == "1 + -2*x^2 + 1/2*x^3"
+    assert repr(f) == "Poly<Q: 1 + -2*x^2 + 1/2*x^3>"
+    assert str(poly([])) == "0" and repr(poly([])) == "Poly<Q: 0>"
+    assert str(poly([0, 3])) == "3*x"
+    f3 = FieldTag.cyclotomic(3)
+    z = f3.omega(1)
+    assert repr(poly([z, 0, 1], f3)) == f"Poly<Q(zeta_3): {z} + {f3.one()}*x^2>"
+
+
+def test_congruence_class_names_round_trip():
+    for cls, name in (
+        (CongruenceClass.general(), "general"),
+        (CongruenceClass.odd(), "odd"),
+        (CongruenceClass.q_class(2), "odd"),
+        (CongruenceClass.q_class(1), "q:1"),
+        (CongruenceClass.q_class(3), "q:3"),
+    ):
+        assert cls.name == name and str(cls) == name
+        assert CongruenceClass.parse(str(cls)) == cls
+    assert CongruenceClass.parse(" Q:5 ") == CongruenceClass.q_class(5)
+    for bad in ("even", "q:0", "q:x"):
+        with pytest.raises(ValueError):
+            CongruenceClass.parse(bad)
+
+
 def test_eval_at_matrix_golden():
     A = Matrix.jordan(2, 0, QQ)
     f = poly([1, 1])  # 1 + x

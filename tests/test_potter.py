@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from commutants import (
     BadDimensions,
     CycloScalar,
+    FieldMismatch,
     FieldTag,
     Matrix,
     NotNilpotent,
@@ -15,6 +16,7 @@ from commutants import (
     PairInvariantViolated,
     QQ,
     QuasiPair,
+    ShapeMismatch,
     eval_at_matrix,
     omega_centralizer_basis,
     omega_commutes,
@@ -22,10 +24,18 @@ from commutants import (
     potter_check,
     random_invertible_probe,
     subspace_equal,
+    verify_certificate,
     weyl_pair,
 )
 from commutants.matrices import _entries
-from helpers import conjugated, mat, poly, random_rational_matrix, reference_omega_commutes
+from helpers import (
+    conjugated,
+    mat,
+    poly,
+    random_rational_matrix,
+    reference_commutant_basis,
+    reference_omega_commutes,
+)
 
 
 def clock_shift_3():
@@ -138,6 +148,37 @@ def test_omega_equivalence_requires_nilpotent():
         omega_equivalence_check(Matrix.identity(2, QQ), Matrix.identity(2, QQ), w)
 
 
+def test_omega_equivalence_promotes_the_rational_side():
+    # Q meets Q(zeta_3) either way round; the oracle is the Kronecker
+    # kernel on the promoted pair, and c * J_5(0), c != 0, is the
+    # certificate class's x times c
+    w = OmegaSpec(3, 1)
+    z = w.omega()
+    J = Matrix.jordan(5, 0, QQ)
+    for A, B, equivalent in (
+        (J, J.promote(3).scale(z + 2), True),
+        (J, (J * J).promote(3), False),
+        (J.promote(3).scale(z + 2), J, True),
+        (J.promote(3), J * J, False),
+    ):
+        rep = omega_equivalence_check(A, B, w)
+        A3, B3 = (M if M.field == w.field else M.promote(3) for M in (A, B))
+        oracle = subspace_equal(reference_commutant_basis(A3, z), reference_commutant_basis(B3, z))
+        assert rep.centralizers_equal == oracle == equivalent
+        assert (rep.certificate is not None) == equivalent and rep.agree
+        if equivalent:
+            assert verify_certificate(A3, B3, rep.certificate)
+
+
+def test_omega_equivalence_refuses_two_cyclotomic_fields_and_unequal_sizes():
+    w = OmegaSpec(3, 1)
+    J = Matrix.jordan(3, 0, QQ)
+    with pytest.raises(FieldMismatch, match=r"fields differ: Q\(zeta_3\) vs Q\(zeta_5\)"):
+        omega_equivalence_check(J.promote(3), J.promote(5), w)
+    with pytest.raises(ShapeMismatch, match="sizes differ: 3 vs 2"):
+        omega_equivalence_check(J, Matrix.jordan(2, 0, QQ), w)
+
+
 def test_nilpotency_is_read_off_min_poly_without_a_split(monkeypatch):
     # m_A = x^(deg m_A) decides nilpotency; a non-nilpotent A is refused
     # before any Frobenius split runs, even when x divides m_A
@@ -146,16 +187,19 @@ def test_nilpotency_is_read_off_min_poly_without_a_split(monkeypatch):
     def forbidden(*args):
         raise AssertionError("Frobenius split run for the nilpotency test")
 
-    for module in (canonical, commutant):
-        monkeypatch.setattr(module, "_frobenius", forbidden)
     w = OmegaSpec(3, 1)
     z3 = w.field
-    for A in (
+    # built before the spy: `conjugated` tests its P with det, which
+    # reads the split
+    inputs = (
         Matrix.diag([0, 0, 1], QQ),
         Matrix.block_diag([Matrix.jordan(2, 0, QQ), mat([[Fraction(1, 2)]])]),
         conjugated(Matrix.block_diag([Matrix.jordan(3, 0, QQ), Matrix.jordan(1, 2, QQ)]), 7),
         Matrix.jordan(2, CycloScalar.zeta(3), z3),
-    ):
+    )
+    for module in (canonical, commutant):
+        monkeypatch.setattr(module, "_frobenius", forbidden)
+    for A in inputs:
         with pytest.raises(NotNilpotent):
             omega_equivalence_check(A, A, w)
 

@@ -132,6 +132,15 @@ def test_field_tag_coerce():
         FieldTag.cyclotomic(4).coerce(CycloScalar.zeta(6, 1))
 
 
+def test_only_cyclotomic_fields_have_a_root_of_unity():
+    with pytest.raises(FieldMismatch, match="Q has no designated root of unity"):
+        QQ.omega()
+    with pytest.raises(FieldMismatch):
+        QQ.omega(2)
+    # zeta_5^7 = zeta_5^2: coefficient 1 at the square
+    assert FieldTag.cyclotomic(5).omega(7).coeffs == (0, 0, 1, 0)
+
+
 def test_degenerate_conductors():
     # Q(zeta_1) and Q(zeta_2) are Q in disguise
     assert CycloScalar.zeta(1, 0) == 1

@@ -7,13 +7,14 @@ from commutants import (
     Matrix,
     QQ,
     ShapeMismatch,
+    clifforder_basis,
     random_invertible_probe,
     subspace_contains,
     subspace_equal,
     subspace_from_matrices,
     subspace_leq,
 )
-from helpers import mat
+from helpers import mat, reference_commutant_basis
 
 
 def span(*mats, n=None):
@@ -77,6 +78,15 @@ def test_probe_none_on_singular_span():
     # every element has a zero first column, so none is invertible
     s = span(Matrix.elem(3, 0, 1, QQ), Matrix.elem(3, 0, 2, QQ))
     assert random_invertible_probe(s, trials=200, seed=0) is None
+
+
+def test_probe_none_on_zero_dimensional_span():
+    # the clifforder of I is {X : 2X = 0} = 0, by the Kronecker oracle
+    # too; a zero-dimensional span holds no invertible matrix
+    for s in (span(Matrix.zero(3, 3, QQ), n=3), clifforder_basis(Matrix.identity(2, QQ))):
+        assert s.dim == 0
+        assert random_invertible_probe(s, trials=200, seed=0) is None
+    assert reference_commutant_basis(Matrix.identity(2, QQ), -1).dim == 0
 
 
 def test_probe_deterministic():
