@@ -9,9 +9,9 @@ from math import comb, gcd
 
 from .commutant import commutant_operator
 from .errors import BadExponent, FieldMismatch, NotSquare, ShapeMismatch
-from .matrices import Matrix, _entries, _kernel, _lift, _Lifted, _mul_lifted, _scaled, _sides, unvec, vstack_rows
+from .matrices import Matrix, _entries, _kernel, _lift, _Lifted, _mul_lifted, _scaled, _sides, unvec
 from .polys import Poly, _at_matrix
-from .subspaces import SubspaceBasis
+from .subspaces import SubspaceBasis, _rows
 
 DEFAULT_MAX_POWER = 16
 
@@ -120,5 +120,6 @@ def ad_inclusion_check(A: Matrix, f: Poly, k: int, max_power: int = DEFAULT_MAX_
     commutator with f(A) on every kernel basis element, in integers."""
     F = _at_matrix(f, A)
     ker = ad_power_kernel(A, k, max_power=max_power)
-    vecs = _lift(vstack_rows(ker.rref_rows, A.field)).ints
-    return not any(any(v) for v in _ad_power(vecs, F, k))
+    if not A.rows:
+        raise ShapeMismatch("matrix size must be positive")
+    return not any(any(v) for v in _ad_power(_rows(ker).ints, F, k))

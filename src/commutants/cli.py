@@ -118,6 +118,17 @@ def _parse_field(raw) -> FieldTag:
     raise FieldError(f"unrecognized field designation {raw!r}")
 
 
+def _loads(text: bytes | str, what: str):
+    """json.loads(text), every failure a ParseError "bad <what>: ...",
+    with the position when the text is not JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad {what}: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an integer past the int-string limit, or too deep
+        raise ParseError(f"bad {what}: {exc}") from exc
+
+
 def _read(text: bytes | str) -> _Lifted:
     """`parse_matrix`'s input as lifted integer rows, each over the lcm of
     its reduced denominators as `_lift` gives them, with no field element."""
@@ -126,12 +137,7 @@ def _read(text: bytes | str) -> _Lifted:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not UTF-8: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-    except (ValueError, RecursionError) as exc:  # an integer past the int-string limit, or too deep
-        raise ParseError(f"bad JSON: {exc}") from exc
+    obj = _loads(text, "JSON")
     if not isinstance(obj, dict):
         raise ParseError("top level must be a JSON object")
     missing = {"field", "rows"} - set(obj)
@@ -325,21 +331,16 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_subspace(args, which: str) -> int:
+def _cmd_commutant(args) -> int:
+    """centralizer, clifforder and omega: the solutions of AX = mu*XA."""
     A = _read(_read_file(args.file))
-    S = _mu_commutant_basis(A, A.field.one() if which == "centralizer" else -A.field.one())
-    out = {"dimension": S.dim}
-    if args.basis:
-        out["basis"] = _basis_json(S)
-    _emit(out)
-    return 0
-
-
-def _cmd_omega(args) -> int:
-    A = _read(_read_file(args.file))
-    w = OmegaSpec(args.q, args.k)
-    S = _mu_commutant_basis(A, w.omega())
-    out = {"q": w.q, "k": w.k, "dimension": S.dim}
+    if args.command == "omega":
+        w = OmegaSpec(args.q, args.k)
+        mu, out = w.omega(), {"q": w.q, "k": w.k}
+    else:
+        mu, out = A.field.one() if args.command == "centralizer" else -A.field.one(), {}
+    S = _mu_commutant_basis(A, mu)
+    out["dimension"] = S.dim
     if args.basis:
         out["basis"] = _basis_json(S)
     _emit(out)
@@ -396,19 +397,16 @@ def _cmd_potter(args) -> int:
 def _cmd_gen(args) -> int:
     raw = args.spec
     try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError:
-        try:
+        obj = _loads(raw, "spec JSON")
+    except ParseError as exc:
+        if not isinstance(exc.__cause__, json.JSONDecodeError):
+            raise
+        try:  # not JSON text: a path
             with open(raw, "rb") as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise InvalidSpec(f"--spec is neither JSON nor a readable file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad spec JSON in {raw}: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-        except (ValueError, RecursionError) as exc:  # not UTF-8, an integer past the int-string limit, or too deep
-            raise ParseError(f"bad spec JSON in {raw}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # an integer past the int-string limit, or too deep
-        raise ParseError(f"bad spec JSON: {exc}") from exc
+                text = fh.read()
+        except OSError as err:
+            raise InvalidSpec(f"--spec is neither JSON nor a readable file: {err}") from err
+        obj = _loads(text, f"spec JSON in {raw}")
     spec = _parse_genspec(obj)
     if args.seed is not None:
         spec = GenSpec(profile=spec.profile, seed=args.seed, size=spec.size)
@@ -433,22 +431,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--q", type=int, default=None, help="add an omega-centralizer section")
     sp.add_argument("--k", type=int, default=1)
+    sp.set_defaults(run=_cmd_analyze)
 
     for name in ("centralizer", "clifforder"):
         sp = sub.add_parser(name, help=f"dimension (and basis) of the {name}")
         sp.add_argument("file")
         sp.add_argument("--basis", action="store_true")
+        sp.set_defaults(run=_cmd_commutant)
 
     sp = sub.add_parser("omega", help="omega-centralizer over Q(zeta_q)")
     sp.add_argument("file")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--basis", action="store_true")
+    sp.set_defaults(run=_cmd_commutant)
 
     sp = sub.add_parser("equiv", help="two-sided polynomial equivalence certificate")
     sp.add_argument("file_a")
     sp.add_argument("file_b")
     sp.add_argument("--class", dest="cls", default="general", help="general, odd or q:N")
+    sp.set_defaults(run=_cmd_equiv)
 
     sp = sub.add_parser("potter", help="verify the q-th power collapse on sampled (s, t)")
     sp.add_argument("file_a")
@@ -457,10 +459,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--samples", type=int, default=20)
     sp.add_argument("--seed", type=int, default=0)
+    sp.set_defaults(run=_cmd_potter)
 
     sp = sub.add_parser("gen", help="materialize a generator spec to a matrix")
     sp.add_argument("--spec", required=True, help="inline JSON or a path to a JSON file")
     sp.add_argument("--seed", type=int, default=None)
+    sp.set_defaults(run=_cmd_gen)
 
     return p
 
@@ -478,17 +482,8 @@ def _error_json(exc: Exception) -> dict:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "analyze": _cmd_analyze,
-        "centralizer": lambda a: _cmd_subspace(a, "centralizer"),
-        "clifforder": lambda a: _cmd_subspace(a, "clifforder"),
-        "omega": _cmd_omega,
-        "equiv": _cmd_equiv,
-        "potter": _cmd_potter,
-        "gen": _cmd_gen,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except AlgebraError as exc:
         print(json.dumps(_error_json(exc)), file=sys.stderr)
         return 2

@@ -40,18 +40,16 @@ from .matrices import (
     _Lifted,
     _mul_lifted,
     _planes,
-    _same,
     _scaled,
     _sides,
     _times,
     _vec,
     _zeta_shifts,
     kron,
-    vstack_rows,
 )
 from .polys import Poly, poly_gcd
 from .scalars import QQ, CycloScalar, FieldTag, cyclo_coeffs, phi_degree
-from .subspaces import SubspaceBasis, _span, subspace_from_matrices
+from .subspaces import SubspaceBasis, _contains, _rows, _span, subspace_from_matrices
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,7 @@ def _mu_commutant_basis(Al: _Lifted, mu, split=None) -> SubspaceBasis:
     S = _span(_scaled(field, n * n, X), n)
     if S.dim != len(X):
         raise VerificationError(f"span has rank {S.dim}, Frobenius' formula gives {len(X)}")
-    AX, XmuA = _sides(_lift(vstack_rows(S.rref_rows, field)).ints, Ae, _times(mu, Ae))
+    AX, XmuA = _sides(_rows(S).ints, Ae, _times(mu, Ae))
     if AX != XmuA:
         raise VerificationError("a basis element fails AX = mu*XA")
     return S
@@ -212,9 +210,9 @@ def _double_centralizer(Al: _Lifted, d: int) -> SubspaceBasis:
     canonical span R of the integer vecs of I, A, ..., A^(d-1), each
     power one lifted product with the content divided out.  Checked
     without the powers: R has d rows, and vec I and A*R_i for every row
-    R_i lie in span R, each as its coordinates at R's pivot columns
-    times R.  An A-invariant span that contains I contains every A^k, so
-    span R contains F[A], and with d rows it is F[A]."""
+    R_i lie in span R (`_contains`).  An A-invariant span that contains
+    I contains every A^k, so span R contains F[A], and with d rows it is
+    F[A]."""
     n, field = Al.rows, Al.field
     Al, ident = Al.common(), _lift(Matrix.identity(n, field))
     powers = [ident]
@@ -223,10 +221,7 @@ def _double_centralizer(Al: _Lifted, d: int) -> SubspaceBasis:
     S = _span(_scaled(field, n * n, [_vec(Y) for Y in powers[:d]]), n)
     if S.dim != d:
         raise VerificationError(f"double centralizer has dimension {S.dim}, deg m_A is {d}")
-    R = _lift(Matrix(field, d, n * n, tuple(x for row in S.rref_rows for x in row)))
-    V = _scaled(field, n * n, [_vec(ident)] + _left(Al, R.ints))
-    coords = _scaled(field, d, [[v[f * n * n + p] for f in range(R.phi) for p in S.pivots] for v in V.ints])
-    if not _same(_mul_lifted(coords, R), V):
+    if not _contains(S, _scaled(field, n * n, [_vec(ident)] + _left(Al, _rows(S).ints))):
         raise VerificationError("the span of the powers of A is not A-invariant or misses I")
     return S
 

@@ -63,7 +63,8 @@ content-free after each product: `_power` (square-and-multiply, behind
 annihilation check of the split and the certificates on the companion
 of m_A), and `_same`, which compares two lifted matrices row by row over
 cross-multiplied denominators (the Potter identity, AB = omega*BA, the
-certificates, and the split's A*P = P*F as two plain products).
+certificates, the split's A*P = P*F as two plain products, and subspace
+membership).
 Wherever only a span or a homogeneous relation matters, row denominators
 are dropped, since a scaled row spans the same line.  `Matrix.det` runs
 no elimination of its own: it is (-1)^n chi_A(0), read off the checked
@@ -517,12 +518,12 @@ def _horner(coeffs: Sequence, Ml: _Lifted, units: Iterable[tuple[int, int]], col
 def _same(L: _Lifted, M: _Lifted) -> bool:
     """Whether L and M hold the same matrix: the same field and shape,
     and each row's integers equal after cross-multiplying by the other's
-    denominator."""
+    denominator, both divided by their gcd g first."""
     return (
         L.field == M.field
         and L.cols == M.cols
         and L.rows == M.rows
-        and all(a == b if d == e else [x * e for x in a] == [y * d for y in b] for d, a, e, b in zip(L.dens, L.ints, M.dens, M.ints))
+        and all(a == b if d == e else [x * (e // g) for x in a] == [y * (d // g) for y in b] for d, a, e, b, g in zip(L.dens, L.ints, M.dens, M.ints, map(gcd, L.dens, M.dens)))
     )
 
 

@@ -1,9 +1,11 @@
 """Subspaces of M_n as canonical RREF row spans.
 
 A subspace is stored by the unique RREF of the vectorized spanning set,
-which makes equality a plain tuple comparison and membership a single
-reduction pass.  The invertibility probe is randomized but seeded, so
-every run is replayable.
+which makes equality a plain tuple comparison.  Membership, containment
+and the invertibility probe run on the returned rows lifted to integers
+(`_rows`): a row lies in the span exactly when it is its own entries at
+the pivot columns times those rows, one integer product (`_contains`).
+The probe is randomized but seeded, so every run is replayable.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import AmbientMismatch, FieldMismatch, NotSquare, ShapeMismatch
-from .matrices import Matrix, _lift, _Lifted, _rref_lifted, unvec, vstack_rows
-from .scalars import FieldTag
+from .matrices import Matrix, _embed, _entries, _inverse, _lift, _Lifted, _mul_lifted, _rref_lifted, _same, unvec, vstack_rows
+from .scalars import QQ, FieldTag
 
 
 @dataclass(frozen=True)
@@ -79,56 +81,58 @@ def subspace_equal(S: SubspaceBasis, T: SubspaceBasis) -> bool:
     return S.rref_rows == T.rref_rows
 
 
-def _reduce_against_rows(v: list, S: SubspaceBasis) -> list:
-    for row, p in zip(S.rref_rows, S.pivots):
-        c = v[p]
-        if c:
-            v = [a - c * b for a, b in zip(v, row)]
-    return v
+def _rows(S: SubspaceBasis) -> _Lifted:
+    """S's returned RREF rows, lifted: every check on S reads these, so it
+    sees exactly the rows a caller gets."""
+    return _lift(Matrix(S.field, S.dim, S.ambient_n**2, tuple(x for row in S.rref_rows for x in row)))
+
+
+def _contains(S: SubspaceBasis, V: _Lifted) -> bool:
+    """Whether every row of V, lifted n^2-vectors over S's field, lies in
+    S: a row does exactly when it equals its entries at S's pivot columns
+    (in every plane) times `_rows(S)`, which are 1 at their own pivot and
+    0 at the others."""
+    R = _rows(S)
+    coords = _Lifted(S.field, S.dim, V.dens, [[v[f * R.cols + p] for f in range(R.phi) for p in S.pivots] for v in V.ints])
+    return _same(_mul_lifted(coords, R), V)
 
 
 def subspace_contains(S: SubspaceBasis, X: Matrix) -> bool:
-    """True iff vec(X) reduces to zero against the stored RREF rows."""
+    """True iff vec(X) lies in the span of the stored RREF rows."""
     if X.shape != (S.ambient_n, S.ambient_n):
         raise AmbientMismatch(f"expected {S.ambient_n}x{S.ambient_n}, got {X.shape}")
     if X.field != S.field:
         raise FieldMismatch(f"{X.field} vs {S.field}")
-    v = _reduce_against_rows(list(X.entries), S)
-    return not any(v)
+    return _contains(S, _lift(Matrix(X.field, 1, X.rows * X.cols, X.entries)))
 
 
 def subspace_leq(S: SubspaceBasis, T: SubspaceBasis) -> bool:
     """True iff S is contained in T."""
     _check_same_ambient(S, T)
-    for row in S.rref_rows:
-        v = _reduce_against_rows(list(row), T)
-        if any(v):
-            return False
-    return True
+    return _contains(T, _rows(S))
 
 
 def random_invertible_probe(
     S: SubspaceBasis, trials: int = 64, seed: int = 0
 ) -> Matrix | None:
     """Search for an invertible element of S by sampling random integer
-    combinations of the basis, with coefficient height growing per trial.
-    Returns None when nothing invertible was found; that is evidence,
-    not proof, so callers needing certainty use the balanced criterion.
+    combinations of the basis, with coefficient height growing per trial:
+    each one integer product with `_rows(S)`, invertible when `_inverse`
+    of it exists.  Returns None when nothing invertible was found; that
+    is evidence, not proof, so callers needing certainty use the balanced
+    criterion.
     """
     if S.dim == 0:
         return None
     rng = random.Random(seed)
+    R, n = _rows(S), S.ambient_n
     for t in range(trials):
         h = 1 + t
         coeffs = [rng.randint(-h, h) for _ in range(S.dim)]
         if not any(coeffs):
             continue
-        combo = None
-        for c, b in zip(coeffs, S.basis):
-            if c == 0:
-                continue
-            term = b.scale(c)
-            combo = term if combo is None else combo + term
-        if combo is not None and combo.det() != 0:
-            return combo
+        c = _embed(_Lifted(QQ, S.dim, [1], [coeffs]), S.field)
+        X = Matrix(S.field, n, n, _entries(_mul_lifted(c, R)))
+        if _inverse(_lift(X)) is not None:
+            return X
     return None

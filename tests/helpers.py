@@ -359,6 +359,47 @@ def reference_double_centralizer(A: Matrix) -> SubspaceBasis:
     return subspace_from_matrices(mats, ambient_n=n, field=A.field)
 
 
+def reference_reduce(v: list, S: SubspaceBasis) -> list:
+    """v reduced against S's RREF rows in field arithmetic, one pass: zero
+    exactly when v lies in S.  With `reference_contains` and
+    `reference_leq`, the oracle for the lifted membership test behind
+    `subspace_contains` and `subspace_leq`."""
+    for row, p in zip(S.rref_rows, S.pivots):
+        c = v[p]
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    return v
+
+
+def reference_contains(S: SubspaceBasis, X: Matrix) -> bool:
+    return not any(reference_reduce(list(X.entries), S))
+
+
+def reference_leq(S: SubspaceBasis, T: SubspaceBasis) -> bool:
+    return not any(any(reference_reduce(list(row), T)) for row in S.rref_rows)
+
+
+def reference_invertible_probe(S: SubspaceBasis, trials: int = 64, seed: int = 0) -> Matrix | None:
+    """`random_invertible_probe` in field arithmetic: the same seeded
+    draws, each combination of the basis summed with `Matrix.scale` and
+    `+` and tested by `Matrix.det`."""
+    if S.dim == 0:
+        return None
+    rng = random.Random(seed)
+    for t in range(trials):
+        h = 1 + t
+        coeffs = [rng.randint(-h, h) for _ in range(S.dim)]
+        if not any(coeffs):
+            continue
+        combo = None
+        for c, b in zip(coeffs, S.basis):
+            if c:
+                combo = b.scale(c) if combo is None else combo + b.scale(c)
+        if combo.det() != 0:
+            return combo
+    return None
+
+
 def reference_char_poly(A: Matrix) -> Poly:
     """Faddeev-LeVerrier: det(xI - A) from the traces of A*M_k, with
     M_(k+1) = A*M_k + c_k*I, n - 1 products through ``Matrix.__mul__``

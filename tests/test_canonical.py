@@ -455,5 +455,5 @@ def test_every_public_function_takes_the_0x0_matrix():
             lambda: omega_equivalence_check(Z, Z, w),
             lambda: ad_inclusion_check(Z, poly([0, 1]), 1),
         ):
-            with pytest.raises(ShapeMismatch):
+            with pytest.raises(ShapeMismatch, match="^matrix size must be positive$"):
                 call()
