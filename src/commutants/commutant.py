@@ -20,6 +20,7 @@ reversed-column reduction with `matrices._kernel`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 
 from .canonical import _frobenius, is_balanced_matrix, min_poly
@@ -32,6 +33,7 @@ from .errors import (
 )
 from .matrices import (
     Matrix,
+    _abreast,
     _content_free,
     _embed,
     _inverse,
@@ -150,7 +152,7 @@ def _block_solutions(a: Poly, b: Poly, mu) -> list[list[tuple]]:
     g = gcd(a(x), b(mu^-1 x)): the factor of lower degree when b(mu^-1 x)
     is a multiple of b, that is when mu^(deg b - k) = 1 for every b_k !=
     0.  U_(s+1) is mu^-1 times U_s shifted, its top entry folded back
-    through a's low coefficients."""
+    through a's low coefficients; over Q(zeta_q) mu^-1 is lifted once."""
     field = a.field
     inv = field.one() / mu
     if mu == 1 or all(mu ** (b.degree - k) == 1 for k, x in enumerate(b.coeffs) if x):
@@ -160,6 +162,7 @@ def _block_solutions(a: Poly, b: Poly, mu) -> list[list[tuple]]:
     if not g.degree:
         return []
     q, da = field.q, a.degree
+    times_inv = partial(_mul_lifted, _abreast((inv,), 1, field)) if q else partial(_times, inv)
     d, low = _planes(a.coeffs[:-1], q, phi_degree(q) if q else 1)
     fold = _zeta_shifts(low, da, cyclo_coeffs(q)[:-1] if q else ())  # zeta^e * d*low
     u = Poly.one(field) if g is a else a // g
@@ -172,7 +175,7 @@ def _block_solutions(a: Poly, b: Poly, mu) -> list[list[tuple]]:
             if t:
                 y = [x - t * v for x, v in zip(y, f)]
         y = _Lifted(field, da, [U.dens[-1] * d], [y])
-        y = y if inv == 1 else _times(inv, y)
+        y = y if inv == 1 else times_inv(y)
         U.dens.append(y.dens[0])
         U.ints.append(y.ints[0])
     db = b.degree

@@ -24,9 +24,9 @@ with one body for Q and Q(zeta_q):
   pivot.  The pivot row is the candidate with the fewest bits, the
   earliest on ties, which keeps the intermediates small; the RREF is
   unique, so the choice does not change the result.  A pivot p that is
-  not rational is made rational once, by multiplying its row by
-  d * p^-1 with d the lcm of the denominators of p^-1, so every
-  cross-multiplier is an integer.
+  not rational is made rational once, by multiplying its row by the
+  integer product of p's other Galois conjugates (`scalars._conjugates`),
+  which turns p into its norm, so every cross-multiplier is an integer.
 - `_kernel` reads the kernel's RREF basis off one `_rref_core` pass,
   one vector per free column, lifted: `kernel_basis`, the ad-power
   kernels (columns reversed) and the Frobenius split's complement.
@@ -40,7 +40,8 @@ with one body for Q and Q(zeta_q):
   such solve.  `_embed` pads a rational lift with the zero planes of
   Q(zeta_q), so a rational P or A joins cyclotomic work unpromoted.
 - `_entries` normalizes: one Fraction per entry over Q, one division per
-  coefficient over Q(zeta_q).
+  coefficient over Q(zeta_q), through `scalars._from_ints`, which skips
+  the reduction mod Phi_q.
 
 `Matrix.__mul__` and `rref` normalize at once.  Callers that feed a
 result into more integer work keep it lifted instead, and lift each
@@ -81,7 +82,7 @@ from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import FieldMismatch, NotSquare, ShapeMismatch, ZeroInverse
-from .scalars import QQ, CycloScalar, FieldTag, cyclo_coeffs, phi_degree
+from .scalars import QQ, FieldTag, _conjugates, _from_ints, _over_lcm, cyclo_coeffs, phi_degree
 
 
 @dataclass(frozen=True)
@@ -327,8 +328,7 @@ def _planes(values: Sequence, q: int | None, phi: int) -> tuple[int, list[int]]:
     coefficient e of entry j sits at e * len(values) + j.  Over Q, phi = 1.
     Over Q(zeta_q) only the nonzero coefficients of nonzero entries are read."""
     if not q:
-        d = lcm(*(x.denominator for x in values))
-        return d, [x.numerator * (d // x.denominator) for x in values]
+        return _over_lcm(values)
     m = len(values)
     nonzero = [(e * m + j, c) for j, x in enumerate(values) if x for e, c in enumerate(x.coeffs) if c]
     d = lcm(*(c.denominator for _, c in nonzero))
@@ -357,7 +357,7 @@ def _entries(L: _Lifted) -> tuple:
         else:
             for j in range(n):
                 c = row[j::n]
-                flat.append(CycloScalar(q, tuple(c) if d == 1 else tuple(Fraction(x, d) for x in c)) if any(c) else zero)
+                flat.append(_from_ints(q, c, d) if any(c) else zero)
     return tuple(flat)
 
 
@@ -640,8 +640,17 @@ def _zeta_shifts(row: list[int], width: int, low: Sequence[int]) -> list[list[in
 
 
 def _combine(pv: int, row: list[int], v: Sequence[int], shifts: list[list[int]]) -> list[int]:
-    """pv * row - sum_e v[e] * shifts[e], gcd-normalized."""
-    for ve, s in zip(v, shifts):
+    """pv * row - sum_e v[e] * shifts[e], gcd-normalized.  Over Q(zeta_q)
+    the nonzero v[e] are applied two at a time, one pass over the row per
+    pair, and an odd one left over in a pass of its own."""
+    terms = zip(v, shifts)
+    if len(v) > 1:
+        terms = [(ve, s) for ve, s in terms if ve]
+        while len(terms) > 1:
+            (a, s), (b, t) = terms.pop(), terms.pop()
+            row = [pv * x - a * y - b * z for x, y, z in zip(row, s, t)]
+            pv = 1
+    for ve, s in terms:
         if ve:
             row = [pv * x - ve * y for x, y in zip(row, s)]
             pv = 1
@@ -651,13 +660,15 @@ def _combine(pv: int, row: list[int], v: Sequence[int], shifts: list[list[int]])
 
 def _pivot(row: list[int], c: int, width: int, q: int | None) -> tuple[int, list[int], list[list[int]]]:
     """(pv, row, zeta shifts of row) with row's entry at column c made
-    rational, pv: a pivot p that is not is multiplied by m = d * p^-1, d
-    the lcm of the denominators of p^-1, as 0 * row - (-m) * row."""
+    rational, pv: a pivot p that is not is multiplied by the integer
+    product m of its other Galois conjugates (p * m is p's norm, a
+    positive integer), as 0 * row - (-m) * row, content-free.  No field
+    element is built."""
     low = cyclo_coeffs(q)[:-1] if q else ()
     shifts = _zeta_shifts(row, width, low)
     p = row[c::width]
     if any(p[1:]):
-        _, m = _planes((CycloScalar(q, tuple(p)).inverse(),), q, len(low))
+        m = _conjugates(p, q)[0]
         row = _combine(0, row, [-x for x in m], shifts)
         shifts = _zeta_shifts(row, width, low)
     return row[c], row, shifts

@@ -5,9 +5,12 @@ conductor q >= 1.  A cyclotomic number is stored as the unique residue of
 a polynomial in zeta_q modulo the q-th cyclotomic polynomial Phi_q, so
 equality is plain coefficient comparison.  Mixed-field arithmetic is
 rejected; only the embedding of Q into Q(zeta_q) is applied implicitly
-(ints and Fractions act as constants).  An inverse in Q(zeta_q) is the
-product of the other Galois conjugates over the norm, so it needs only
-multiplication and no polynomial Euclid.
+(ints and Fractions act as constants).  Products, powers and inverses
+run on integer numerators over the lcm of the denominators, one integer
+fold mod Phi_q per product, and build the result's Fractions once.  An
+inverse is the product of the other Galois conjugates over the norm, an
+integer (`_conjugates`, shared with the elimination core's cyclotomic
+pivot), so it needs no polynomial Euclid.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence, Union
 
 from .errors import FieldMismatch, ZeroInverse
@@ -63,16 +66,61 @@ def phi_degree(q: int) -> int:
     return len(cyclo_coeffs(q)) - 1
 
 
+def _over_lcm(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The integer lift of Fractions: the lcm d of their denominators and
+    the integers d * c."""
+    d = lcm(*[c.denominator for c in coeffs])
+    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+
+
 def _reduce_mod_phi(coeffs: Sequence, q: int) -> tuple[Fraction, ...]:
-    # Integers are reduced in integer arithmetic and become Fractions
-    # only at the end; input of length deg Phi_q or less is only converted.
+    # Input longer than deg Phi_q is folded on its integer lift; shorter
+    # input is only converted and padded.
     phi = cyclo_coeffs(q)
     d = len(phi) - 1
-    if len(coeffs) > d:
-        rem = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
-        coeffs = _divmod_monic(rem, phi)[1]
-    pad = [_ZERO] * (d - len(coeffs))
-    return tuple([c if isinstance(c, Fraction) else Fraction(c) for c in coeffs] + pad)
+    fracs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+    if len(fracs) > d:
+        den, ints = _over_lcm(fracs)
+        return _from_ints(q, _divmod_monic(ints, phi)[1], den).coeffs
+    return tuple(fracs + [_ZERO] * (d - len(fracs)))
+
+
+def _product(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
+    """a * b mod Phi_q for integer coefficient lists of any length, deg
+    Phi_q integers: one convolution, skipping a's zeros, and one fold."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _divmod_monic(out, cyclo_coeffs(q))[1]
+
+
+def _conjugates(a: Sequence[int], q: int) -> tuple[list[int], int]:
+    """(others, norm) for nonzero integer coefficients a of deg Phi_q:
+    others is the product of the Galois conjugates sigma_k(a), k a unit
+    mod q other than 1, in integers, and a * others = norm, a nonzero
+    integer, positive when a is not rational."""
+    others = [1]
+    for k in range(2, q):
+        if gcd(k, q) == 1:
+            # sigma_k sends zeta^i to zeta^(ik mod q); k is a unit, so
+            # distinct i land on distinct exponents
+            image = [0] * q
+            for i, c in enumerate(a):
+                image[i * k % q] = c
+            others = _product(image, others, q)
+    return others, _product(a, others, q)[0]
+
+
+def _from_ints(q: int, ints: Sequence[int], d: int) -> CycloScalar:
+    """The element with coefficients ints[i] / d, for deg Phi_q integers
+    already reduced mod Phi_q: the Fractions are built once and no
+    reduction runs."""
+    s = object.__new__(CycloScalar)
+    object.__setattr__(s, "q", q)
+    object.__setattr__(s, "coeffs", tuple([Fraction(x, d) if x else _ZERO for x in ints]))
+    return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,13 +185,9 @@ class CycloScalar:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        out = [Fraction(0)] * (2 * len(self.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return CycloScalar(self.q, tuple(out))
+        da, a = _over_lcm(self.coeffs)
+        db, b = _over_lcm(o.coeffs)
+        return _from_ints(self.q, _product(a, b, self.q), da * db)
 
     __rmul__ = __mul__
 
@@ -151,25 +195,34 @@ class CycloScalar:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        if not o:
+            raise ZeroInverse("zero has no inverse")
+        q = self.q
+        da, a = _over_lcm(self.coeffs)
+        db, b = _over_lcm(o.coeffs)
+        others, norm = _conjugates(b, q)
+        return _from_ints(q, [db * x for x in _product(a, others, q)], da * norm)
 
     def __rtruediv__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return o / self
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result, base = None, self
+        q = self.q
+        d, base = _over_lcm(self.coeffs)
+        result, den = None, 1
         while k:
             if k & 1:
-                result = base if result is None else result * base
+                result = base if result is None else _product(result, base, q)
+                den *= d
             k >>= 1
             if k:
-                base = base * base
-        return CycloScalar.from_rational(self.q, 1) if result is None else result
+                base, d = _product(base, base, q), d * d
+        return CycloScalar.from_rational(q, 1) if result is None else _from_ints(q, result, den)
 
     def __eq__(self, other):
         if isinstance(other, CycloScalar):
@@ -187,21 +240,7 @@ class CycloScalar:
     def inverse(self) -> CycloScalar:
         """Multiplicative inverse: the product of the other Galois
         conjugates divided by the norm, which is a nonzero rational."""
-        if not self:
-            raise ZeroInverse("zero has no inverse")
-        q = self.q
-        others = CycloScalar.from_rational(q, 1)
-        for k in range(2, q):
-            if gcd(k, q) != 1:
-                continue
-            # sigma_k sends zeta^i to zeta^(ik mod q); k is a unit, so
-            # distinct i land on distinct exponents
-            image = [Fraction(0)] * q
-            for i, c in enumerate(self.coeffs):
-                image[i * k % q] = c
-            others = others * CycloScalar(q, tuple(image))
-        norm = (self * others).coeffs[0]
-        return CycloScalar(q, tuple(c / norm for c in others.coeffs))
+        return CycloScalar.from_rational(self.q, 1) / self
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])

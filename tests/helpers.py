@@ -15,6 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from commutants import matrices
 from commutants.matrices import rref
+from commutants.scalars import cyclo_coeffs
 from commutants import (
     CongruenceClass,
     class_exponents,
@@ -153,11 +154,12 @@ def stepwise_eval(f: Poly, A: Matrix) -> Matrix:
     return result
 
 
-def reference_rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+def reference_rref(M: Matrix, times=lambda x, y: x * y, inverse=lambda x: 1 / x) -> tuple[Matrix, tuple[int, ...]]:
     """Textbook Gauss-Jordan with division: scale each pivot row by the
     inverse of its pivot, then clear the column in every other row.  The
     oracle that ``rref`` must match entry for entry; returns the reduced
-    matrix and its pivot columns."""
+    matrix and its pivot columns.  ``times`` and ``inverse`` are the
+    scalar product and inverse, the field's own unless given."""
     rows = [list(M.row(i)) for i in range(M.rows)]
     pivots = []
     r = 0
@@ -170,12 +172,12 @@ def reference_rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        inv = inverse(rows[r][c])
+        rows[r] = [times(x, inv) for x in rows[r]]
         for i in range(M.rows):
             if i != r and rows[i][c]:
                 v = rows[i][c]
-                rows[i] = [x - v * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - times(v, y) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == M.rows:
@@ -191,6 +193,73 @@ def reference_omega_commutes(A: Matrix, B: Matrix, w) -> bool:
     and B promoted to Q(zeta_q).  The oracle for the lifted relation check."""
     A, B = A.promote(w.q), B.promote(w.q)
     return A * B == (B * A).scale(w.omega())
+
+
+def reference_reduce_mod_phi(coeffs, q: int) -> tuple[Fraction, ...]:
+    """coeffs as a polynomial in zeta_q, reduced mod Phi_q by long division
+    in Fraction arithmetic and padded to deg Phi_q.  With the three
+    routines below, the Fraction oracle for CycloScalar's integer
+    arithmetic."""
+    phi = cyclo_coeffs(q)
+    d = len(phi) - 1
+    rem = [Fraction(c) for c in coeffs]
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c:
+            for j, p in enumerate(phi, i - d):
+                rem[j] -= c * p
+    rem = rem[:d]
+    return tuple(rem + [Fraction(0)] * (d - len(rem)))
+
+
+def reference_mul(x: CycloScalar, y: CycloScalar) -> CycloScalar:
+    """x * y: the Fraction convolution of the coefficients, reduced by
+    `reference_reduce_mod_phi`."""
+    out = [Fraction(0)] * (2 * len(x.coeffs) - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            out[i + j] += a * b
+    return CycloScalar(x.q, reference_reduce_mod_phi(out, x.q))
+
+
+def reference_inverse(x: CycloScalar) -> CycloScalar:
+    """1 / x as the product of the other Galois conjugates of x, each
+    image reduced in Fractions, over the norm."""
+    q = x.q
+    others = CycloScalar.from_rational(q, 1)
+    for k in range(2, q):
+        if gcd(k, q) == 1:
+            image = [Fraction(0)] * q
+            for i, c in enumerate(x.coeffs):
+                image[i * k % q] = c
+            others = reference_mul(others, CycloScalar(q, reference_reduce_mod_phi(image, q)))
+    norm = reference_mul(x, others).coeffs[0]
+    return CycloScalar(q, tuple(c / norm for c in others.coeffs))
+
+
+def reference_pow(x: CycloScalar, k: int) -> CycloScalar:
+    """x^k by square-and-multiply on `reference_mul`, through
+    `reference_inverse` for k < 0."""
+    if k < 0:
+        return reference_pow(reference_inverse(x), -k)
+    result, base = CycloScalar.from_rational(x.q, 1), x
+    while k:
+        if k & 1:
+            result = reference_mul(result, base)
+        base = reference_mul(base, base)
+        k >>= 1
+    return result
+
+
+def sequential_combine(pv: int, row: list[int], v, shifts) -> list[int]:
+    """pv * row - sum_e v[e] * shifts[e], gcd-normalized, one pass over
+    the row per nonzero v[e].  The oracle for ``matrices._combine``."""
+    for ve, s in zip(v, shifts):
+        if ve:
+            row = [pv * x - ve * y for x, y in zip(row, s)]
+            pv = 1
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def repeated_power(x: CycloScalar, k: int) -> CycloScalar:

@@ -35,7 +35,7 @@ from commutants import (
 from commutants import adpower, canonical, matrices
 from commutants.errors import VerificationError
 from commutants.matrices import rref, vstack_rows
-from commutants.scalars import phi_degree
+from commutants.scalars import cyclo_coeffs, phi_degree
 from commutants.subspaces import _span
 from helpers import (
     count_products,
@@ -49,7 +49,10 @@ from helpers import (
     reference_power,
     reference_kernel_basis,
     reference_product,
+    reference_inverse,
+    reference_mul,
     reference_rref,
+    sequential_combine,
     stepwise_eval,
     stepwise_power,
     sympy_det,
@@ -650,6 +653,56 @@ def test_rref_cyclotomic_matches_reference(A):
     expected, expected_pivots = reference_rref(A)
     assert repr(R) == repr(expected)
     assert pivots == expected_pivots and rank == len(pivots)
+
+
+@st.composite
+def non_rational_pivot_matrix(draw, q):
+    """A 2..4 x 2..5 matrix over Q(zeta_q) of dense entries with no
+    rational entry in column 0, so pivots that are not rational occur; its
+    last row is sometimes s * row 0 + t * row 1 for dense s and t, and
+    then its entry in column 0 may be rational."""
+    field, phi = FieldTag.cyclotomic(q), phi_degree(q)
+    entry = st.lists(rational, min_size=phi, max_size=phi)
+    rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    grid = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    for row in grid:
+        row[0][1] = row[0][1] or Fraction(1)
+    M = Matrix.make(grid, field)
+    if rows > 2 and draw(st.booleans()):
+        s, t = field.coerce(draw(entry)), field.coerce(draw(entry))
+        last = [s * x + t * y for x, y in zip(M.row(0), M.row(1))]
+        M = Matrix(field, rows, cols, M.entries[: -cols] + tuple(last))
+    return M
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((5, 7, 12)).flatmap(non_rational_pivot_matrix))
+def test_rref_with_non_rational_pivots_matches_the_fraction_reference(M):
+    # the pivot row is multiplied by the integer product of its pivot's
+    # other conjugates; the reference divides by the pivot in Fractions
+    R, pivots, rank = rref(M)
+    expected, expected_pivots = reference_rref(M, reference_mul, reference_inverse)
+    assert not M.at(0, 0).is_rational()
+    assert repr(R) == repr(expected)
+    assert pivots == expected_pivots and rank == len(pivots)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from((None, 3, 5, 7, 12)).flatmap(
+    lambda q: st.tuples(
+        st.just(q),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=-50, max_value=50),
+        st.lists(st.integers(min_value=-9, max_value=9), min_size=phi_degree(q) if q else 1, max_size=phi_degree(q) if q else 1),
+        st.randoms(use_true_random=False),
+    )))
+def test_combine_in_pairs_equals_the_sequential_update(case):
+    q, width, pv, v, rng = case
+    phi = len(v)
+    row = [rng.randint(-10**6, 10**6) for _ in range(phi * width)]
+    pivot_row = [rng.randint(-10**6, 10**6) for _ in range(phi * width)]
+    shifts = matrices._zeta_shifts(pivot_row, width, cyclo_coeffs(q)[:-1] if q else ())
+    assert matrices._combine(pv, row, v, shifts) == sequential_combine(pv, row, v, shifts)
 
 
 def test_rref_cyclotomic_pivots_need_no_scalar_sums(monkeypatch):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -6,8 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commutants import CycloScalar, FieldMismatch, FieldTag, QQ, ZeroInverse, cyclo_reduce
+from commutants import scalars
 from commutants.scalars import cyclo_coeffs, phi_degree
-from helpers import repeated_power
+from helpers import (
+    reference_inverse,
+    reference_mul,
+    reference_pow,
+    reference_reduce_mod_phi,
+    repeated_power,
+)
 
 
 def test_cyclotomic_polynomials_match_sympy():
@@ -172,19 +180,80 @@ def test_pow_equals_repeated_multiplication(q, coeffs):
 
 def test_pow_multiplies_neither_by_one_nor_past_the_last_bit(monkeypatch):
     # square-and-multiply from the first set bit: floor(log2 k) squarings
-    # and popcount(k) - 1 further products
+    # and popcount(k) - 1 further products, each one integer product
     x = cyclo_reduce([1, 2, -1], 5)
     count = [0]
-    plain = CycloScalar.__mul__
+    plain = scalars._product
 
-    def counting(self, other):
+    def counting(a, b, q):
         count[0] += 1
-        return plain(self, other)
+        return plain(a, b, q)
 
-    monkeypatch.setattr(CycloScalar, "__mul__", counting)
+    monkeypatch.setattr(scalars, "_product", counting)
     for k in range(1, 18):
         count[0] = 0
         x ** k
         assert count[0] == k.bit_length() - 1 + bin(k).count("1") - 1, k
     count[0] = 0
     assert x ** 0 == 1 and count[0] == 0
+
+
+# conductors with phi = 1, 2, 4, 6 and 4, Phi_12 = x^4 - x^2 + 1 having a
+# zero coefficient; coefficients with denominators, vectors past phi
+CONDUCTORS = (1, 2, 3, 4, 5, 7, 8, 9, 12)
+coefficient = st.one_of(
+    st.integers(min_value=-9, max_value=9).map(Fraction),
+    st.builds(Fraction, st.integers(min_value=-40, max_value=40), st.integers(min_value=1, max_value=12)),
+)
+
+
+@st.composite
+def cyclo_vector(draw, q):
+    """Coefficients of a polynomial in zeta_q: zero, a pure rational, or
+    up to 2q coefficients, so often longer than deg Phi_q."""
+    kind = draw(st.sampled_from(("zero", "rational", "general")))
+    if kind == "zero":
+        return [0] * draw(st.integers(min_value=0, max_value=q + 1))
+    if kind == "rational":
+        return [draw(coefficient)]
+    return draw(st.lists(coefficient, min_size=1, max_size=2 * q))
+
+
+def assert_reduced(x: CycloScalar, q: int):
+    assert x.q == q and len(x.coeffs) == phi_degree(q)
+    for c in x.coeffs:
+        assert type(c) is Fraction and c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(CONDUCTORS).flatmap(
+        lambda q: st.tuples(st.just(q), cyclo_vector(q), cyclo_vector(q), coefficient)
+    ),
+    st.integers(min_value=-4, max_value=9),
+)
+def test_integer_arithmetic_matches_the_fraction_reference(case, k):
+    q, u, v, r = case
+    x, y = CycloScalar(q, tuple(u)), cyclo_reduce(v, q)
+    # long-vector construction folds like long division in Fractions
+    assert x.coeffs == reference_reduce_mod_phi(u, q)
+    assert y.coeffs == reference_reduce_mod_phi(v, q)
+    results = [x * y, x * r, r * x, x ** max(k, 0)]
+    assert results[0] == reference_mul(x, y)
+    assert results[1] == results[2] == reference_mul(x, CycloScalar.from_rational(q, r))
+    assert results[3] == reference_pow(x, max(k, 0))
+    for z, w in ((x, y), (y, x)):
+        if not w:
+            for call in (w.inverse, lambda: z / w, lambda: r / w, lambda: w ** -1):
+                with pytest.raises(ZeroInverse):
+                    call()
+            continue
+        results += [w.inverse(), z / w, w ** min(k, -1)]
+        assert results[-3] == reference_inverse(w)
+        assert results[-2] == reference_mul(z, reference_inverse(w))
+        assert results[-1] == reference_pow(w, min(k, -1))
+        if r:
+            assert r / w == reference_mul(CycloScalar.from_rational(q, r), reference_inverse(w))
+            assert w / r == reference_mul(w, CycloScalar.from_rational(q, 1 / r))
+    for z in results:
+        assert_reduced(z, q)
