@@ -9,7 +9,7 @@ from math import comb, gcd
 
 from .commutant import commutant_operator
 from .errors import BadExponent, FieldMismatch, NotSquare, ShapeMismatch
-from .matrices import Matrix, _entries, _kernel, _lift, _Lifted, _mul_lifted, _scaled, _sides, unvec
+from .matrices import Matrix, _entries, _kernel, _lift, _Lifted, _mul_lifted, _scaled, _sides, _vec, unvec
 from .polys import Poly, _at_matrix
 from .subspaces import SubspaceBasis, _rows
 
@@ -89,10 +89,9 @@ def _ad_power(vecs: list[list[int]], X: _Lifted, k: int) -> list[list[int]]:
 
 
 def ann_k_member(X: Matrix, B: Matrix, k: int) -> bool:
-    """Whether sum_i C(k,i) (-1)^i X^(k-i) B X^i vanishes, i.e. B is
-    killed by the k-th iterate of ad_X.  Computed from the expanded
-    binomial form on purpose; the recursive commutator is the oracle
-    the tests compare against."""
+    """Whether (ad_X)^k B = sum_i C(k,i) (-1)^i X^(k-i) B X^i vanishes,
+    i.e. B is killed by the k-th iterate of ad_X: k commutator steps of
+    `_ad_power` on B lifted, two products each."""
     if not X.is_square or not B.is_square:
         raise NotSquare("ann_k membership needs square matrices")
     if X.rows != B.rows:
@@ -101,18 +100,7 @@ def ann_k_member(X: Matrix, B: Matrix, k: int) -> bool:
         raise FieldMismatch(f"fields differ: {X.field} vs {B.field}")
     if not isinstance(k, int) or k < 1:
         raise BadExponent(f"power k={k} must be a positive integer")
-    n = X.rows
-    powers = [None, X]  # X^0 = I is never multiplied in
-    for _ in range(k - 1):
-        powers.append(powers[-1] * X)
-    acc = Matrix.zero(n, n, X.field)
-    for i in range(k + 1):
-        term = B if i == k else powers[k - i] * B
-        if i:
-            term = term * powers[i]
-        coeff = comb(k, i) * (-1 if i % 2 else 1)
-        acc = acc + term.scale(coeff)
-    return acc.is_zero()
+    return not X.rows or not any(_ad_power([_vec(_lift(B).common())], _lift(X), k)[0])
 
 
 def ad_inclusion_check(A: Matrix, f: Poly, k: int, max_power: int = DEFAULT_MAX_POWER) -> bool:

@@ -53,12 +53,12 @@ layer takes integer vecs of n x n matrices Y_e and lifted operands:
 `_left` gives L*Y_e for every e from one product, the Y_e laid abreast,
 `_right` gives Y_e*R with the Y_e stacked, and `_sides` pairs the two
 scaled alike.  The commutants' relation checks L*Y = Y*R and the
-commutator steps of the ad-power inclusion check go through it; the
-commutants form X = P*Y*P^-1 on Y's block alone.  The Frobenius split
-takes A lifted and returns P lifted.  The ad-power
+commutator steps of `ann_k_member` and the ad-power inclusion check go
+through it; the commutants form X = P*Y*P^-1 on Y's block alone.  The
+Frobenius split takes A lifted and returns P lifted.  The ad-power
 kernels build the integer matrix of (ad_A)^k by the binomial formula in
 one `_mul_lifted` product.  The chains of products stay lifted too,
-content-free after each product: `_power` (square-and-multiply, behind
+content-free after each product: `_power` (`scalars._binary_power`, behind
 `Matrix.__pow__`, the Potter check and the certificates' class step),
 `_horner` (f(M)*E for a 0/1 matrix E, behind `eval_at_matrix`, the
 annihilation check of the split and the certificates on the companion
@@ -82,7 +82,7 @@ from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import FieldMismatch, NotSquare, ShapeMismatch, ZeroInverse
-from .scalars import QQ, FieldTag, _conjugates, _from_ints, _over_lcm, cyclo_coeffs, phi_degree
+from .scalars import QQ, FieldTag, _binary_power, _conjugates, _from_ints, _over_lcm, cyclo_coeffs, phi_degree
 
 
 @dataclass(frozen=True)
@@ -482,15 +482,9 @@ def _content_free(L: _Lifted) -> _Lifted:
 
 
 def _power(L: _Lifted, k: int) -> _Lifted:
-    """L^k for k >= 1 by square-and-multiply in integers, each product
-    made content-free; the identity is never multiplied in."""
-    result = None
-    while k:
-        if k & 1:
-            result = L if result is None else _content_free(_mul_lifted(result, L))
-        L = _content_free(_mul_lifted(L, L)) if k > 1 else L
-        k >>= 1
-    return result
+    """L^k for k >= 1 by `_binary_power` in integers, each product made
+    content-free."""
+    return _binary_power(L, k, lambda a, b: _content_free(_mul_lifted(a, b)))
 
 
 def _horner(coeffs: Sequence, Ml: _Lifted, units: Iterable[tuple[int, int]], cols: int) -> _Lifted:

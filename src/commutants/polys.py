@@ -3,13 +3,16 @@
 Coefficients are stored dense and ascending with trailing zeros trimmed;
 the zero polynomial is the empty tuple and reports degree -1.  Degrees
 stay small (at most a few times the matrix size), so no fast arithmetic
-is attempted.
+is attempted: products, long division and powers are the shared
+`scalars._convolve`, `scalars._divmod_monic` and `scalars._binary_power`
+on the coefficient tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -21,7 +24,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .matrices import Matrix, _entries, _horner, _lift, _Lifted
-from .scalars import QQ, CycloScalar, FieldTag, cyclo_coeffs
+from .scalars import QQ, CycloScalar, FieldTag, _binary_power, _convolve, _divmod_monic, cyclo_coeffs
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,48 +147,33 @@ class Poly:
             raise FieldMismatch(f"{self.field} vs {other.field}")
         if self.is_zero or other.is_zero:
             return Poly.zero(self.field)
-        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-        return Poly(self.field, tuple(out))
+        return Poly(self.field, tuple(_convolve(self.coeffs, other.coeffs, self.field.zero())))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> Poly:
         if k < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return _binary_power(self, k, mul) if k else Poly.one(self.field)
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
+        """A non-monic divisor and the quotient are each scaled by one
+        inverse of the divisor's leading coefficient."""
         o = self._lift(other)
         if o is None:
             return NotImplemented
         if o.is_zero:
             raise ZeroPolynomial("division by the zero polynomial")
-        num = list(self.coeffs)
-        dd = o.degree
         one = self.field.one()
-        inv = None if o.leading == one else one / o.leading
-        quo = [self.field.zero()] * max(len(num) - dd, 0)
-        for i in range(len(num) - 1, dd - 1, -1):
-            c = num[i] if inv is None else num[i] * inv
-            if c:
-                quo[i - dd] = c
-                for j, p in enumerate(o.coeffs):
-                    num[i - dd + j] = num[i - dd + j] - c * p
-        while num and not num[-1]:
-            num.pop()
-        return Poly(self.field, tuple(quo)), Poly(self.field, tuple(num))
+        if o.leading == one:
+            quo, rem = _divmod_monic(self.coeffs, o.coeffs)
+        else:
+            inv = one / o.leading
+            quo, rem = _divmod_monic(self.coeffs, [c * inv for c in o.coeffs[:-1]] + [one])
+            quo = [c * inv for c in quo]
+        while rem and not rem[-1]:
+            rem.pop()
+        return Poly(self.field, tuple(quo)), Poly(self.field, tuple(rem))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]

@@ -11,6 +11,10 @@ fold mod Phi_q per product, and build the result's Fractions once.  An
 inverse is the product of the other Galois conjugates over the norm, an
 integer (`_conjugates`, shared with the elimination core's cyclotomic
 pivot), so it needs no polynomial Euclid.
+
+The package's one convolution (`_convolve`), long division by a monic
+polynomial (`_divmod_monic`) and square-and-multiply (`_binary_power`)
+live here too, for any exact coefficients.
 """
 
 from __future__ import annotations
@@ -46,19 +50,43 @@ def cyclo_coeffs(q: int) -> tuple[int, ...]:
     return tuple(rem)
 
 
-def _divmod_monic(num: Sequence, den: Sequence[int]) -> tuple[list, list]:
-    """Quotient and remainder of ``num`` by the monic integer polynomial
-    ``den``, both ascending; exact for int and Fraction coefficients."""
+def _divmod_monic(num: Sequence, den: Sequence) -> tuple[list, list]:
+    """Quotient and remainder of ``num`` by the monic ``den``, ascending,
+    for any exact coefficients; each quotient coefficient is taken from
+    the running remainder, so it keeps ``num``'s type."""
     rem = list(num)
     dd = len(den) - 1
     quo = [0] * max(len(rem) - dd, 0)
     for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
+        c = quo[i - dd] = rem[i]
         if c:
-            quo[i - dd] = c
             for j, p in enumerate(den, i - dd):
                 rem[j] -= c * p
     return quo, rem[:dd]
+
+
+def _convolve(a: Sequence, b: Sequence, zero=0) -> list:
+    """a * b for nonempty ascending coefficient lists, summed from
+    ``zero``, skipping a's zeros."""
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _binary_power(x, k: int, mul):
+    """x^k for k >= 1 under ``mul``, from the first set bit: floor(log2 k)
+    squarings and popcount(k) - 1 further products, no identity."""
+    result = None
+    while k:
+        if k & 1:
+            result = x if result is None else mul(result, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return result
 
 
 def phi_degree(q: int) -> int:
@@ -87,13 +115,8 @@ def _reduce_mod_phi(coeffs: Sequence, q: int) -> tuple[Fraction, ...]:
 
 def _product(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
     """a * b mod Phi_q for integer coefficient lists of any length, deg
-    Phi_q integers: one convolution, skipping a's zeros, and one fold."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return _divmod_monic(out, cyclo_coeffs(q))[1]
+    Phi_q integers: one convolution and one fold."""
+    return _divmod_monic(_convolve(a, b), cyclo_coeffs(q))[1]
 
 
 def _conjugates(a: Sequence[int], q: int) -> tuple[list[int], int]:
@@ -213,16 +236,11 @@ class CycloScalar:
         if k < 0:
             return self.inverse() ** (-k)
         q = self.q
-        d, base = _over_lcm(self.coeffs)
-        result, den = None, 1
-        while k:
-            if k & 1:
-                result = base if result is None else _product(result, base, q)
-                den *= d
-            k >>= 1
-            if k:
-                base, d = _product(base, base, q), d * d
-        return CycloScalar.from_rational(q, 1) if result is None else _from_ints(q, result, den)
+        if not k:
+            return CycloScalar.from_rational(q, 1)
+        # (denominator, integers) pairs multiply as one integer product
+        d, ints = _binary_power(_over_lcm(self.coeffs), k, lambda u, v: (u[0] * v[0], _product(u[1], v[1], q)))
+        return _from_ints(q, ints, d)
 
     def __eq__(self, other):
         if isinstance(other, CycloScalar):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import sympy
 from hypothesis import strategies as st
@@ -294,6 +294,69 @@ def reference_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
         for j, p in enumerate(g.coeffs):
             num[i - dd + j] = num[i - dd + j] - c * p
     return Poly.make(quo, f.field), Poly.make(num[:dd], f.field)
+
+
+def schoolbook_mul(f: Poly, g: Poly) -> Poly:
+    """f * g by a double loop over the nonzero coefficient pairs, summed
+    into field zeros.  The oracle for ``Poly.__mul__``."""
+    if f.is_zero or g.is_zero:
+        return Poly.zero(f.field)
+    out = [f.field.zero()] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        if a:
+            for j, b in enumerate(g.coeffs):
+                if b:
+                    out[i + j] = out[i + j] + a * b
+    return Poly(f.field, tuple(out))
+
+
+def one_inverse_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
+    """Long division by g, scaling each quotient coefficient by one
+    inverse of g's leading coefficient (none when g is monic).  The oracle
+    for ``Poly.__divmod__``."""
+    num = list(f.coeffs)
+    dd = g.degree
+    one = f.field.one()
+    inv = None if g.leading == one else one / g.leading
+    quo = [f.field.zero()] * max(len(num) - dd, 0)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i] if inv is None else num[i] * inv
+        if c:
+            quo[i - dd] = c
+            for j, p in enumerate(g.coeffs):
+                num[i - dd + j] = num[i - dd + j] - c * p
+    while num and not num[-1]:
+        num.pop()
+    return Poly(f.field, tuple(quo)), Poly(f.field, tuple(num))
+
+
+def from_one_pow(f: Poly, k: int) -> Poly:
+    """f^k by square-and-multiply starting from the polynomial 1.  The
+    oracle for ``Poly.__pow__``."""
+    result, base = Poly.one(f.field), f
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base if k > 1 else base
+        k >>= 1
+    return result
+
+
+def binomial_ann_k_member(X: Matrix, B: Matrix, k: int) -> bool:
+    """Whether sum_i C(k,i) (-1)^i X^(k-i) B X^i vanishes, expanded with
+    ``Matrix`` products, the identity never multiplied in.  The oracle
+    for ``ann_k_member``."""
+    n = X.rows
+    powers = [None, X]
+    for _ in range(k - 1):
+        powers.append(powers[-1] * X)
+    acc = Matrix.zero(n, n, X.field)
+    for i in range(k + 1):
+        term = B if i == k else powers[k - i] * B
+        if i:
+            term = term * powers[i]
+        acc = acc + term.scale(comb(k, i) * (-1 if i % 2 else 1))
+    return acc.is_zero()
 
 
 def reference_monic(f: Poly) -> Poly:

@@ -12,6 +12,7 @@ from commutants import (
     FieldTag,
     Matrix,
     NotSquare,
+    Poly,
     QQ,
     ShapeMismatch,
     ad_inclusion_check,
@@ -26,6 +27,7 @@ from commutants import (
     subspace_leq,
 )
 from helpers import (
+    binomial_ann_k_member,
     count_products,
     cyclo3_jordan,
     double_inputs,
@@ -118,7 +120,7 @@ def test_ann_k_goldens():
 
 
 def test_ann_k_member_multiplies_no_identity(monkeypatch):
-    # X^1..X^k cost k - 1 products, the k left and k right factors 2k
+    # k commutator steps, each one `_sides` pair: X*Y and Y*X, 2k products
     X = random_rational_matrix(71, 3)
     B = random_rational_matrix(91, 3)
     expected = {k: iterated_commutator(X, B, k).is_zero() for k in (1, 2, 3, 4)}
@@ -126,7 +128,45 @@ def test_ann_k_member_multiplies_no_identity(monkeypatch):
     for k in (1, 2, 3, 4):
         products[0] = 0
         assert ann_k_member(X, B, k) == expected[k]
-        assert products[0] == 3 * k - 1, k
+        assert products[0] == 2 * k, k
+
+
+def test_ann_k_member_of_the_empty_matrix():
+    Z = Matrix.zero(0, 0, QQ)
+    for k in (1, 2, 5):
+        assert ann_k_member(Z, Z, k)
+        assert ann_k_member(Z.promote(5), Z.promote(5), k)
+
+
+@st.composite
+def ann_k_cases(draw):
+    """(X, B) over Q, Q(zeta_3), Q(zeta_5) or Q(zeta_12), n = 1..3: B
+    arbitrary, a polynomial in X (killed for every k), or, for X = J_n(l),
+    B = X + diag(0, c, 2c, ...), whose commutator with X is c*(X - l*I),
+    killed from k = 2 on."""
+    field = draw(st.sampled_from((QQ, FieldTag.cyclotomic(3), FieldTag.cyclotomic(5), FieldTag.cyclotomic(12))))
+    n = draw(st.integers(1, 3))
+    small = st.integers(-2, 2)
+    entry = small if field is QQ else st.one_of(small, st.lists(small, min_size=1, max_size=4))
+    square = lambda: Matrix.make([[draw(entry) for _ in range(n)] for _ in range(n)], field)
+    kind = draw(st.sampled_from(("any", "polynomial", "jordan")))
+    if kind == "jordan":
+        X = Matrix.jordan(n, draw(entry), field)
+        return X, Matrix.diag([draw(small) * i for i in range(n)], field) + X
+    X = square()
+    if kind == "polynomial":
+        return X, eval_at_matrix(Poly.make([draw(entry) for _ in range(3)], field), X)
+    return X, square()
+
+
+@settings(max_examples=80, deadline=None)
+@given(ann_k_cases())
+def test_ann_k_member_equals_the_binomial_sum(case):
+    X, B = case
+    for k in range(1, 5):
+        want = binomial_ann_k_member(X, B, k)
+        assert want == iterated_commutator(X, B, k).is_zero()
+        assert ann_k_member(X, B, k) == want, k
 
 
 def test_ann_k_shape_errors():

@@ -26,12 +26,15 @@ from commutants import (
 )
 from helpers import (
     count_products,
+    from_one_pow,
+    one_inverse_divmod,
     reference_divmod,
     reference_monic,
     mat,
     poly,
     reference_power,
     reference_product,
+    schoolbook_mul,
     sympy_poly_coeffs,
 )
 
@@ -376,3 +379,45 @@ def test_divmod_and_monic_invert_the_leading_coefficient_once(monkeypatch):
     count[0] = 0
     divmod(f, h)  # a monic divisor needs no inverse
     assert count[0] == 0
+
+
+# Q and conductors with phi = 2, 4 and 4, Phi_12 = x^4 - x^2 + 1 having a
+# zero coefficient
+SHARED_FIELDS = (QQ, FieldTag.cyclotomic(3), FieldTag.cyclotomic(5), FieldTag.cyclotomic(12))
+
+
+@st.composite
+def poly_triples(draw):
+    """(f, g, h) over one field: f and g any, zero included, and h a
+    nonzero divisor, often constant or non-monic, often longer than f."""
+    field = draw(st.sampled_from(SHARED_FIELDS))
+    fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    coefficient = fractions if field is QQ else st.one_of(fractions, st.lists(fractions, min_size=1, max_size=5))
+    f, g = (Poly.make(draw(st.lists(coefficient, max_size=5)), field) for _ in "fg")
+    h = draw(st.lists(coefficient, max_size=4))
+    leads = (1, 2, Fraction(-1, 3)) if field is QQ else (1, 2, [0, 1], [Fraction(1, 2), 0, -1])
+    h = Poly.make(h + [draw(st.sampled_from(leads))], field)
+    return f, g, h
+
+
+@settings(max_examples=120, deadline=None)
+@given(poly_triples())
+def test_shared_routines_equal_the_references(case):
+    # products on `_convolve`, division on `_divmod_monic` and powers on
+    # `_binary_power` equal the loop references, coefficient types too
+    f, g, h = case
+    kind = type(f.field.one())
+    for a, b in ((f, g), (g, f), (f, h), (f, f)):
+        got = a * b
+        assert got == schoolbook_mul(a, b)
+        assert all(type(c) is kind for c in got.coeffs)
+    for a in (f, g, f * h):
+        quo, rem = divmod(a, h)
+        assert (quo, rem) == one_inverse_divmod(a, h)
+        assert quo * h + rem == a and rem.degree < h.degree
+        assert all(type(c) is kind for c in quo.coeffs + rem.coeffs)
+    base = Poly.make(f.coeffs[:3], f.field)
+    for k in range(10):
+        got = base ** k
+        assert got == from_one_pow(base, k), k
+        assert all(type(c) is kind for c in got.coeffs)

@@ -257,3 +257,39 @@ def test_integer_arithmetic_matches_the_fraction_reference(case, k):
             assert w / r == reference_mul(w, CycloScalar.from_rational(q, 1 / r))
     for z in results:
         assert_reduced(z, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-9, 9), max_size=7),
+    st.lists(st.integers(-9, 9), max_size=4),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+)
+def test_long_division_and_convolution_invert_each_other(num, low, other):
+    # num = quo * den + rem with deg rem < deg den, for monic den of any
+    # degree, constant included, and num shorter than den as well
+    den = low + [1]
+    quo, rem = scalars._divmod_monic(num, den)
+    assert len(rem) == min(len(num), len(den) - 1)
+    back = scalars._convolve(quo, den) if quo else []
+    back = back + [0] * (len(num) - len(back))
+    assert [b + (rem[i] if i < len(rem) else 0) for i, b in enumerate(back)] == num
+    # the convolution is the schoolbook product, whichever operand has zeros
+    for a, b in ((num or [0], other), (other, num or [0])):
+        want = [sum(a[i] * b[j - i] for i in range(len(a)) if 0 <= j - i < len(b)) for j in range(len(a) + len(b) - 1)]
+        assert scalars._convolve(a, b) == want
+
+
+def test_binary_power_multiplies_from_the_first_set_bit():
+    # concatenation as the product: floor(log2 k) squarings and
+    # popcount(k) - 1 further products, none with an identity
+    calls = []
+
+    def concat(u, v):
+        calls.append((u, v))
+        return u + v
+
+    for k in range(1, 10):
+        calls.clear()
+        assert scalars._binary_power("ab", k, concat) == "ab" * k
+        assert len(calls) == k.bit_length() - 1 + bin(k).count("1") - 1, k
