@@ -9,7 +9,7 @@ from math import comb, gcd
 
 from .commutant import commutant_operator
 from .errors import BadExponent, FieldMismatch, NotSquare, ShapeMismatch
-from .matrices import Matrix, _entries, _kernel, _lift, _Lifted, _mul_lifted, _scaled, _sides, _vec, unvec
+from .matrices import Matrix, _abreast, _columns, _entries, _kernel, _lift, _Lifted, _mul_lifted, _scaled, _sides, _transpose, _vec, unvec
 from .polys import Poly, _at_matrix
 from .subspaces import SubspaceBasis, _rows
 
@@ -52,12 +52,12 @@ def _ad_matrix(Al: _Lifted, k: int) -> list[list[int]]:
     share the scale D^k, so one product builds it."""
     Al = Al.common()
     n, phi, field = Al.rows, Al.phi, Al.field
-    powers = [[[int(i == j) for j in range(phi * n)] for i in range(n)], Al.ints]
+    powers = [_abreast((field.one(),), n, field), Al]
     for _ in range(k - 1):
-        powers.append(_mul_lifted(Al, _scaled(field, n, powers[-1])).ints)
-    U = [[(-1) ** (k - a) * comb(k, a) * powers[a][i][f * n + l] for f in range(phi) for a in range(k + 1)] for i in range(n) for l in range(n)]
-    V = [[powers[k - a][m][f * n + j] for f in range(phi) for j in range(n) for m in range(n)] for a in range(k + 1)]
-    N = _mul_lifted(_scaled(field, k + 1, U), _scaled(field, n * n, V)).ints
+        powers.append(_mul_lifted(Al, powers[-1]))
+    U = _transpose(_scaled(field, n * n, [[(-1) ** (k - a) * comb(k, a) * x for x in _vec(Y)] for a, Y in enumerate(powers)]))
+    V = _scaled(field, n * n, [_vec(_transpose(Y)) for Y in reversed(powers)])
+    N = _mul_lifted(U, V).ints
     rows = ([x for f in range(phi) for r in N[i * n : (i + 1) * n] for x in r[(f * n + j) * n : (f * n + j + 1) * n]] for i in range(n) for j in range(n))
     return [[x // g for x in row] for row in rows if (g := gcd(*row))]
 
@@ -70,10 +70,10 @@ def _kernel_rref(L: _Lifted) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
     these vectors are the kernel's RREF.  Reversed rows move only pivot
     ties, and for (ad_A)^k make the pass the column-order reduction of
     (ad_JAJ)^k, J the reversal: faster."""
-    w, phi = L.cols, L.phi
-    flip = lambda rows: [[x for e in range(phi) for x in row[e * w : (e + 1) * w][::-1]] for row in reversed(rows)]
-    free, K = _kernel(_scaled(L.field, w, flip(L.ints)))
-    flat = _entries(_Lifted(L.field, w, K.dens[::-1], flip(K.ints)))
+    w = L.cols
+    flip = lambda M: _columns(_Lifted(M.field, w, M.dens[::-1], M.ints[::-1]), range(w - 1, -1, -1))
+    free, K = _kernel(flip(L))
+    flat = _entries(flip(K))
     return tuple(flat[i * w : (i + 1) * w] for i in range(len(free))), tuple(w - 1 - c for c in reversed(free))
 
 
@@ -83,7 +83,7 @@ def _ad_power(vecs: list[list[int]], X: _Lifted, k: int) -> list[list[int]]:
     commutator steps X*Y - Y*X, each one `_sides` product pair, and none
     when there are no blocks (n = 0)."""
     for _ in range(k if vecs else 0):
-        xy, yx = _sides(vecs, X, X)
+        xy, yx = _sides(vecs, X, 1)
         vecs = [[a - b for a, b in zip(u, v)] for u, v in zip(xy, yx)]
     return vecs
 

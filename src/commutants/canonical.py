@@ -28,6 +28,7 @@ from .errors import DegreeZero, NotMonic, NotSquare, VerificationError
 from .matrices import (
     Matrix,
     _beside,
+    _columns,
     _combine,
     _content_free,
     _embed,
@@ -41,6 +42,7 @@ from .matrices import (
     _rref_core,
     _same,
     _scaled,
+    _transpose,
 )
 from .polys import Poly, eval_at_matrix, is_balanced_poly, poly_gcd, poly_xgcd
 from .scalars import QQ, FieldTag
@@ -138,8 +140,7 @@ def _krylov_dependency(Ml: _Lifted, y: _Lifted) -> tuple[Poly, list[_Lifted], li
                 row = _combine(pv, row, v, shifts)
         c = next((c for c in range(m) if any(row[c::w])), None)
         if c is None:
-            coeffs = [x for f in range(phi) for x in row[f * w + m : f * w + m + k + 1]]
-            f = Poly.make(_entries(_Lifted(field, k + 1, [row[m + k]], [coeffs])), field)
+            f = Poly.make(_entries(_columns(_Lifted(field, w, [row[m + k]], [row]), range(m, m + k + 1))), field)
             return f, columns[:k], [c for c, _, _ in echelon]
         pv, _, shifts = _pivot(row, c, w, field.q)
         echelon.append((c, pv, shifts))
@@ -202,8 +203,7 @@ def _frobenius(Al: _Lifted) -> tuple[tuple[Poly, ...], _Lifted]:
         # the kernel vector of free column c is 1 there and 0 at the
         # other free columns, so M|U in this basis is M*U read at them
         free, U = _kernel(W)
-        U = U.common()
-        U = _Lifted(field, m - d, U.dens[:1] * m, [[u[e * m + i] for e in range(M.phi) for u in U.ints] for i in range(m)])
+        U = _transpose(U)
         MU = _mul_lifted(M, U)
         M = _content_free(_Lifted(field, m - d, [MU.dens[j] for j in free], [MU.ints[j] for j in free]))
         B = U if B is None else _content_free(_mul_lifted(B, U))

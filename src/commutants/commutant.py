@@ -20,7 +20,6 @@ reversed-column reduction with `matrices._kernel`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import gcd
 
 from .canonical import _frobenius, is_balanced_matrix, min_poly
@@ -34,6 +33,7 @@ from .errors import (
 from .matrices import (
     Matrix,
     _abreast,
+    _columns,
     _content_free,
     _embed,
     _inverse,
@@ -45,6 +45,7 @@ from .matrices import (
     _scaled,
     _sides,
     _times,
+    _transpose,
     _vec,
     _zeta_shifts,
     kron,
@@ -123,8 +124,7 @@ def _mu_commutant_basis(Al: _Lifted, mu, split=None) -> SubspaceBasis:
         at = {col: k for k, col in enumerate(dict.fromkeys(col for _, Y in sols for col in Y))}  # Ys share columns
         if at:
             da, o, w = a.degree, offsets[i], len(at)
-            PI = _Lifted(field, da, P.dens, [[row[e * n + o + t] for e in range(phi) for t in range(da)] for row in P.ints])
-            left = _mul_lifted(PI, _scaled(field, w, [[c[e * da + r] for e in range(phi) for c in at] for r in range(da)])).ints
+            left = _mul_lifted(_columns(P, range(o, o + da)), _transpose(_scaled(field, da, list(at)))).ints
             for j, Y in sols:
                 stacks[j] += [[row[e * w + at[c]] for e in range(phi) for c in Y] for row in left]
     X = []
@@ -138,7 +138,7 @@ def _mu_commutant_basis(Al: _Lifted, mu, split=None) -> SubspaceBasis:
     S = _span(_scaled(field, n * n, X), n)
     if S.dim != len(X):
         raise VerificationError(f"span has rank {S.dim}, Frobenius' formula gives {len(X)}")
-    AX, XmuA = _sides(_rows(S).ints, Ae, _times(mu, Ae))
+    AX, XmuA = _sides(_rows(S).ints, Ae, mu)
     if AX != XmuA:
         raise VerificationError("a basis element fails AX = mu*XA")
     return S
@@ -151,8 +151,8 @@ def _block_solutions(a: Poly, b: Poly, mu) -> list[list[tuple]]:
     column k of Y_t, t < deg g, is U_(t+k), U_s = mu^-s x^s (a/g) mod a,
     g = gcd(a(x), b(mu^-1 x)): the factor of lower degree when b(mu^-1 x)
     is a multiple of b, that is when mu^(deg b - k) = 1 for every b_k !=
-    0.  U_(s+1) is mu^-1 times U_s shifted, its top entry folded back
-    through a's low coefficients; over Q(zeta_q) mu^-1 is lifted once."""
+    0.  U_(s+1) is U_s shifted, its top entry folded back through a's low
+    coefficients, times mu^-1 by `_times`."""
     field = a.field
     inv = field.one() / mu
     if mu == 1 or all(mu ** (b.degree - k) == 1 for k, x in enumerate(b.coeffs) if x):
@@ -162,7 +162,6 @@ def _block_solutions(a: Poly, b: Poly, mu) -> list[list[tuple]]:
     if not g.degree:
         return []
     q, da = field.q, a.degree
-    times_inv = partial(_mul_lifted, _abreast((inv,), 1, field)) if q else partial(_times, inv)
     d, low = _planes(a.coeffs[:-1], q, phi_degree(q) if q else 1)
     fold = _zeta_shifts(low, da, cyclo_coeffs(q)[:-1] if q else ())  # zeta^e * d*low
     u = Poly.one(field) if g is a else a // g
@@ -175,7 +174,7 @@ def _block_solutions(a: Poly, b: Poly, mu) -> list[list[tuple]]:
             if t:
                 y = [x - t * v for x, v in zip(y, f)]
         y = _Lifted(field, da, [U.dens[-1] * d], [y])
-        y = y if inv == 1 else times_inv(y)
+        y = y if inv == 1 else _times(inv, y)
         U.dens.append(y.dens[0])
         U.ints.append(y.ints[0])
     db = b.degree
@@ -217,7 +216,7 @@ def _double_centralizer(Al: _Lifted, d: int) -> SubspaceBasis:
     I contains every A^k, so span R contains F[A], and with d rows it is
     F[A]."""
     n, field = Al.rows, Al.field
-    Al, ident = Al.common(), _lift(Matrix.identity(n, field))
+    Al, ident = Al.common(), _abreast((field.one(),), n, field)
     powers = [ident]
     for _ in range(d - 1):
         powers.append(_content_free(_mul_lifted(Al, powers[-1])))

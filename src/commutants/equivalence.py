@@ -29,11 +29,10 @@ from dataclasses import dataclass
 
 from .canonical import _cyclic_vector, _Draws, companion
 from .errors import FieldMismatch, NotSquare, ShapeMismatch, VerificationError
-from .matrices import Matrix, _beside, _content_free, _horner, _lift, _Lifted, _mul_lifted, _power, _same, _solve_lifted
+from .matrices import Matrix, _abreast, _beside, _columns, _content_free, _horner, _lift, _Lifted, _mul_lifted, _power, _same, _solve_lifted
 from .polys import CongruenceClass, Poly, _at_lifted, _at_matrix, poly_in_class, restrict_to_class
 
 GENERAL = CongruenceClass.general()
-ODD = CongruenceClass.odd()
 
 
 @dataclass(frozen=True)
@@ -142,10 +141,7 @@ def _class_solve(base: Poly, target: Poly, m: Poly, cls: CongruenceClass, n: int
     exps = class_exponents(cls, n)
     Bl = _at_lifted(base, _lift(companion(m)))
     S = _power(Bl, cls.q) if cls.q else Bl
-    if exps[0]:
-        y = _Lifted(field, 1, Bl.dens, [row[::d] for row in Bl.ints])
-    else:
-        y = _Lifted(field, 1, [1] * d, [[int(i == e == 0) for e in range(Bl.phi)] for i in range(d)])
+    y = _columns(Bl if exps[0] else _abreast((field.one(),), d, field), [0])
     columns = [y]
     for _ in exps[1:]:
         y = _content_free(_mul_lifted(S, y))

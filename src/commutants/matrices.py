@@ -45,21 +45,25 @@ with one body for Q and Q(zeta_q):
 
 `Matrix.__mul__` and `rref` normalize at once.  Callers that feed a
 result into more integer work keep it lifted instead, and lift each
-matrix once.  A scalar enters as c*I: `_abreast` builds [c_1*I | c_2*I
-| ...] straight from the scalars' coefficient planes, and `_times` is
-c*L, an integer scale over Q and one product c*I * L over Q(zeta_q),
-so mu*A and omega*A never become field elements.  The batched product
-layer takes integer vecs of n x n matrices Y_e and lifted operands:
-`_left` gives L*Y_e for every e from one product, the Y_e laid abreast,
-`_right` gives Y_e*R with the Y_e stacked, and `_sides` pairs the two
-scaled alike.  The commutants' relation checks L*Y = Y*R and the
-commutator steps of `ann_k_member` and the ad-power inclusion check go
-through it; the commutants form X = P*Y*P^-1 on Y's block alone.  The
-Frobenius split takes A lifted and returns P lifted.  The ad-power
-kernels build the integer matrix of (ad_A)^k by the binomial formula in
-one `_mul_lifted` product.  The chains of products stay lifted too,
-content-free after each product: `_power` (`scalars._binary_power`, behind
-`Matrix.__pow__`, the Potter check and the certificates' class step),
+matrix once.  Other modules pick columns with `_columns` (in every
+plane, row denominators kept) and transpose with `_transpose` (over the
+common denominator) rather than by plane offsets.  `_abreast` builds
+[c_1*I | c_2*I | ...] straight from the scalars' coefficient planes: it
+is the one lifted identity (c = 1) and the c*I block a scalar enters
+as, and `_times` is c*L, one product c*I * L, so mu*A and omega*A
+never become field elements.  The batched product layer takes integer vecs of n x n
+matrices Y_e and lifted operands: `_left` gives L*Y_e for every e from
+one product, the Y_e laid abreast, `_right` gives Y_e*R with the Y_e
+stacked, and `_sides` gives L*Y_e against mu*Y_e*L, both over L's
+denominator.  The commutants' relation checks L*Y = mu*Y*L and the
+commutator steps (mu = 1) of `ann_k_member` and the ad-power inclusion
+check go through it; the commutants form X = P*Y*P^-1 on Y's block
+alone.  The Frobenius split takes A lifted and returns P lifted.  The
+ad-power kernels build the integer matrix of (ad_A)^k by the binomial
+formula in one `_mul_lifted` product.  The chains of products stay
+lifted too, content-free after each product: `_power`
+(`scalars._binary_power`, behind `Matrix.__pow__`, the Potter check and
+the certificates' class step),
 `_horner` (f(M)*E for a 0/1 matrix E, behind `eval_at_matrix`, the
 annihilation check of the split and the certificates on the companion
 of m_A), and `_same`, which compares two lifted matrices row by row over
@@ -297,7 +301,8 @@ class _Lifted(NamedTuple):
     """A matrix over Q or Q(zeta_q) in integers: row i is ints[i] / dens[i],
     and ints[i] is plane-major as in `_planes` (coefficient e of column j
     at e * cols + j).  Wherever only the span of the rows matters, the
-    denominators are dropped (set to 1): each row is then a scaled copy."""
+    denominators are dropped (set to 1): each row is then a scaled copy.
+    Modules other than this one read columns through `_columns`."""
 
     field: FieldTag
     cols: int
@@ -412,6 +417,20 @@ def _scaled(field: FieldTag, cols: int, ints: list[list[int]]) -> _Lifted:
     return _Lifted(field, cols, [1] * len(ints), ints)
 
 
+def _columns(L: _Lifted, cols: Sequence[int]) -> _Lifted:
+    """L's columns ``cols``, in that order, in every plane, each row over
+    its own denominator."""
+    at = [e * L.cols + c for e in range(L.phi) for c in cols]
+    return _Lifted(L.field, len(cols), L.dens, [[row[i] for i in at] for row in L.ints])
+
+
+def _transpose(L: _Lifted) -> _Lifted:
+    """L^T, every row over L's common denominator."""
+    L = L.common()
+    at = [[e * L.cols + j for e in range(L.phi)] for j in range(L.cols)]
+    return _Lifted(L.field, L.rows, [lcm(*L.dens)] * L.cols, [[row[i] for i in planes for row in L.ints] for planes in at])
+
+
 def _left(L: _Lifted, vecs: list[list[int]]) -> list[list[int]]:
     """The integer vecs of d * L*Y_e, d the common denominator of L, from
     the integer vecs of Y_e: one product L * [Y_1 | Y_2 | ...]."""
@@ -433,19 +452,14 @@ def _right(vecs: list[list[int]], R: _Lifted) -> list[list[int]]:
     return [[x for f in range(phi) for r in range(n) for x in rows[e * n + r][f * n : (f + 1) * n]] for e in range(len(vecs))]
 
 
-def _sides(vecs: list[list[int]], L: _Lifted, R: _Lifted) -> tuple[list, list]:
-    """Integer vecs proportional to L*Y_e and to Y_e*R, by the same factor
-    for each e, from the integer vecs of n x n blocks Y_e: equal exactly
-    when L*Y_e = Y_e*R, and their difference is a fixed multiple of
-    Y_e*R - L*Y_e.  L and R come lifted; no Fraction is built."""
-    Ll = L.common()
-    Rl = Ll if R is L else R.common()
-    left, right = _left(Ll, vecs), _right(vecs, Rl)
-    dL, dR = Ll.dens[0], Rl.dens[0]
-    if dL != dR:
-        left = [[dR * x for x in v] for v in left]
-        right = [[dL * x for x in v] for v in right]
-    return left, right
+def _sides(vecs: list[list[int]], L: _Lifted, mu) -> tuple[list, list]:
+    """The integer vecs of d * L*Y_e and d * mu*Y_e*L, d the common
+    denominator of L, from the integer vecs of n x n blocks Y_e: equal
+    exactly when L*Y_e = mu*Y_e*L, and their difference is d times
+    mu*Y_e*L - L*Y_e.  mu is 1, -1 or a power of zeta, which lifts over
+    denominator 1, so mu*L (`_times`) keeps L's denominator."""
+    L = L.common()
+    return _left(L, vecs), _right(vecs, L if mu == 1 else _times(mu, L))
 
 
 def _abreast(scalars: Sequence, n: int, field: FieldTag) -> _Lifted:
@@ -464,10 +478,7 @@ def _abreast(scalars: Sequence, n: int, field: FieldTag) -> _Lifted:
 
 
 def _times(c, L: _Lifted) -> _Lifted:
-    """c*L for a scalar c of L's field: over Q an integer scale of each
-    row and its denominator, over Q(zeta_q) one product c*I * L."""
-    if L.field.q is None:
-        return _Lifted(L.field, L.cols, [d * c.denominator for d in L.dens], [[c.numerator * x for x in row] for row in L.ints])
+    """c*L for a scalar c of L's field: one product c*I * L."""
     return _mul_lifted(_abreast((c,), L.rows, L.field), L)
 
 
@@ -710,7 +721,7 @@ def _solve_lifted(L: _Lifted) -> tuple | None:
     if pivots and pivots[-1] == w:
         return None
     x = [L.field.zero()] * w
-    values = _entries(_Lifted(L.field, 1, [row[c] for row, c in zip(rows, pivots)], [row[w :: L.cols] for row in rows]))
+    values = _entries(_columns(_Lifted(L.field, L.cols, [row[c] for row, c in zip(rows, pivots)], rows), [w]))
     for c, v in zip(pivots, values):
         x[c] = v
     return tuple(x)
@@ -726,7 +737,7 @@ def _solve_square(L: _Lifted, R: _Lifted) -> _Lifted | None:
     rows, pivots = _rref_core(_beside((L, R)).ints, w, L.field.q)
     if pivots[:n] != list(range(n)):
         return None
-    return _Lifted(L.field, R.cols, [row[i] for i, row in enumerate(rows)], [[x for f in range(L.phi) for x in row[f * w + n : (f + 1) * w]] for row in rows])
+    return _columns(_Lifted(L.field, w, [row[i] for i, row in enumerate(rows)], rows), range(n, w))
 
 
 def _inverse(L: _Lifted) -> _Lifted | None:

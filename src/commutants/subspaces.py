@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import AmbientMismatch, FieldMismatch, NotSquare, ShapeMismatch
-from .matrices import Matrix, _embed, _entries, _inverse, _lift, _Lifted, _mul_lifted, _rref_lifted, _same, unvec, vstack_rows
+from .matrices import Matrix, _columns, _embed, _entries, _inverse, _lift, _Lifted, _mul_lifted, _rref_lifted, _same, unvec, vstack_rows
 from .scalars import QQ, FieldTag
 
 
@@ -92,9 +92,7 @@ def _contains(S: SubspaceBasis, V: _Lifted) -> bool:
     S: a row does exactly when it equals its entries at S's pivot columns
     (in every plane) times `_rows(S)`, which are 1 at their own pivot and
     0 at the others."""
-    R = _rows(S)
-    coords = _Lifted(S.field, S.dim, V.dens, [[v[f * R.cols + p] for f in range(R.phi) for p in S.pivots] for v in V.ints])
-    return _same(_mul_lifted(coords, R), V)
+    return _same(_mul_lifted(_columns(V, S.pivots), _rows(S)), V)
 
 
 def subspace_contains(S: SubspaceBasis, X: Matrix) -> bool:

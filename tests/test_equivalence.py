@@ -112,6 +112,14 @@ def test_verify_rejects_perturbation():
     assert not verify_certificate(PAIR5_A, PAIR5_B, cert)
 
 
+def test_verify_rejects_a_polynomial_outside_the_class():
+    # the constructor refuses such a certificate, so the swap goes round it
+    cert = equivalence_certificate(ODD4_A, ODD4_B, ODD)
+    assert verify_certificate(ODD4_A, ODD4_B, cert)
+    object.__setattr__(cert, "f", ODD4_B_FROM_A_GENERAL)
+    assert not verify_certificate(ODD4_A, ODD4_B, cert)
+
+
 def test_certificate_degree_bound_general():
     for seed in range(6):
         A = random_jordan_matrix(700 + seed, 2 + seed % 4)

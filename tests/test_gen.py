@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -194,3 +195,20 @@ def test_invalid_specs():
 def test_size_override_matches():
     A = generate(GenSpec(NilpotentBlocks((2, 2)), size=4))
     assert A.rows == 4
+
+
+def test_conjugate_by_refuses_after_every_draw_is_singular(monkeypatch):
+    # every entry of every drawn conjugator is 0: all 64 draws singular
+    import commutants.gen as gen
+
+    draws = []
+
+    class ScriptedRandom(random.Random):
+        def randint(self, a, b):
+            draws.append((a, b))
+            return 0
+
+    monkeypatch.setattr(gen, "random", SimpleNamespace(Random=ScriptedRandom))
+    with pytest.raises(InvalidSpec, match="64 draws"):
+        generate(GenSpec(ConjugateBy(GenSpec(NilpotentBlocks((2, 1))), height=2)))
+    assert draws == [(-2, 2)] * (64 * 9)

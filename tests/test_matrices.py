@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import pytest
 import sympy
@@ -45,7 +46,9 @@ from helpers import (
     hstack,
     mat,
     nilpotent,
+    partitions,
     random_rational_matrix,
+    reference_commutant_basis,
     reference_power,
     reference_kernel_basis,
     reference_product,
@@ -1045,3 +1048,67 @@ def test_scalar_times_lifted_matrix_equals_scale(pair, coeffs):
     both = Matrix(A.field, A.rows, 2 * A.rows, matrices._entries(matrices._abreast((c, -c), A.rows, A.field)))
     ident = Matrix.identity(A.rows, A.field)
     assert both == hstack(ident.scale(c), ident.scale(-c))
+
+
+@st.composite
+def column_case(draw):
+    """A matrix over Q, Q(zeta_3) or Q(zeta_5), one-row and one-column
+    shapes drawn often, and a list of its column indices in any order,
+    repeats allowed."""
+    q = draw(st.sampled_from((None, 3, 5)))
+    rows, cols = draw(st.one_of(st.sampled_from(((1, 1), (1, 4), (4, 1))), st.tuples(dim, dim)))
+    if q is None:
+        M = mat(draw(grid(rows, cols, rational)))
+    else:
+        M = draw(cyclotomic_matrix(FieldTag.cyclotomic(q), rows, cols, ("dense", "weyl", "zero")))
+    return M, draw(st.lists(st.integers(0, cols - 1), max_size=2 * cols))
+
+
+@settings(max_examples=80, deadline=None)
+@given(column_case())
+def test_lifted_columns_and_transpose_equal_the_matrix_ones(case):
+    M, picks = case
+    L = matrices._lift(M)
+    T = matrices._transpose(L)
+    assert (T.rows, T.cols) == (M.cols, M.rows)
+    assert matrices._entries(T) == M.transpose().entries
+    C = matrices._columns(L, picks)
+    assert (C.rows, C.cols) == (M.rows, len(picks))
+    assert matrices._entries(C) == tuple(M.at(i, j) for i in range(M.rows) for j in picks)
+
+
+def _plane_ints(M: Matrix) -> list:
+    """The entries of M, row-major, each split into its coefficients,
+    plane-major as in `matrices._planes`; over Q the entries themselves."""
+    if M.field is QQ:
+        return list(M.entries)
+    phi = phi_degree(M.field.q)
+    return [x.coeffs[e] for e in range(phi) for x in M.entries]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([(QQ, Fraction(1)), (QQ, Fraction(-1)), (FieldTag.cyclotomic(5), CycloScalar.zeta(5, 2))]),
+    st.integers(1, 4).flatmap(partitions),
+    st.integers(0, 10**6),
+)
+def test_sides_equal_the_fraction_products_and_agree_exactly_on_the_relation(case, sizes, seed):
+    # the Ys: a basis of {Y : AY = mu*YA} from the Kronecker oracle, which
+    # satisfy it, a seeded integer matrix, which generally does not, and 0
+    field, mu = case
+    A = nilpotent(sizes, seed)
+    n = A.rows
+    Ys = [random_rational_matrix(seed, n), Matrix.zero(n, n, QQ)]
+    if field is not QQ:
+        A, Ys = A.promote(field.q), [Y.promote(field.q) for Y in Ys]
+    Ys += list(reference_commutant_basis(A, mu).basis)
+    L = matrices._lift(A)
+    lifts = [matrices._lift(Y).common() for Y in Ys]
+    left, right = matrices._sides([matrices._vec(Yl) for Yl in lifts], L, mu)
+    d = lcm(*L.dens)
+    for Y, Yl, lhs, rhs in zip(Ys, lifts, left, right):
+        AY, muYA = reference_product(A, Y), reference_product(Y, A).scale(mu)
+        s = d * Yl.dens[0]  # the sides are the integers of s*A*Y and s*mu*Y*A
+        assert lhs == _plane_ints(AY.scale(s))
+        assert rhs == _plane_ints(muYA.scale(s))
+        assert (lhs == rhs) == (AY == muYA)

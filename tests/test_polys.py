@@ -55,6 +55,16 @@ def test_basic_shape():
     assert not poly([2]).is_monic and poly([2, 1]).is_monic
 
 
+def test_sum_power_and_hash_of_fixed_polys():
+    """What the property tests reach only through their draws: a sum
+    whose top terms cancel, the zeroth and a positive power, and equal
+    polynomials hashing alike."""
+    f = poly([1, 2, 3])
+    assert f + poly([0, -2, -3]) == poly([1]) and (f - f).is_zero
+    assert f**0 == Poly.one(QQ) and f**2 == poly([1, 4, 10, 12, 9])
+    assert hash(f) == hash(poly([1, 2, 3])) and len({f, poly([1, 2, 3])}) == 1
+
+
 @settings(max_examples=80)
 @given(small_polys, small_polys)
 def test_divmod_matches_sympy(f, g):

@@ -23,6 +23,7 @@ from commutants import (
     Poly,
     QQ,
     ShapeMismatch,
+    ZeroInverse,
     ZeroPolynomial,
     ann_k_member,
     balanced_split,
@@ -48,6 +49,7 @@ from commutants import (
     unvec,
 )
 from commutants.cli import main
+from commutants.matrices import vstack_rows
 from commutants.scalars import cyclo_coeffs
 from helpers import mat, poly
 
@@ -92,15 +94,22 @@ REFUSALS = [
     ("subspace_from_matrices wide", lambda: subspace_from_matrices([WIDE]), NotSquare),
     ("subspace_from_matrices sizes", lambda: subspace_from_matrices([SQUARE, mat([[1]])]), ShapeMismatch),
     ("subspace_from_matrices ambient", lambda: subspace_from_matrices([SQUARE], ambient_n=3), ShapeMismatch),
+    ("subspace_from_matrices fields", lambda: subspace_from_matrices([SQUARE, SQUARE3]), FieldMismatch),
+    ("vstack_rows([])", lambda: vstack_rows([], QQ), ShapeMismatch),
     # polynomials
     ("random_odd_poly", lambda: random_odd_poly(0, 0), InvalidSpec),
     ("poly_xgcd zeros", lambda: poly_xgcd(Poly.zero(), Poly.zero()), BothZero),
+    ("poly_gcd zeros", lambda: poly_gcd(Poly.zero(), Poly.zero()), BothZero),
+    ("divmod(Poly, 0)", lambda: divmod(F, Poly.zero()), ZeroPolynomial),
     ("poly_crt lengths", lambda: poly_crt([F], [F, poly([0, 1])]), ValueError),
     ("poly_crt empty", lambda: poly_crt([], []), ValueError),
     ("is_balanced_poly", lambda: is_balanced_poly(Poly.zero()), ZeroPolynomial),
     ("Poly.leading", lambda: Poly.zero().leading, ZeroPolynomial),
+    ("Poly + Poly fields", lambda: F + F3, FieldMismatch),
+    ("Poly * Poly fields", lambda: F * F3, FieldMismatch),
     # scalars and fields
     ("CycloScalar.as_fraction", lambda: CycloScalar.zeta(3).as_fraction(), ValueError),
+    ("CycloScalar / 0", lambda: CycloScalar.zeta(3) / 0, ZeroInverse),
     ("cyclo_coeffs", lambda: cyclo_coeffs(0), ValueError),
     ("FieldTag.cyclotomic", lambda: FieldTag.cyclotomic(0), ValueError),
     # generator profiles of the wrong type
@@ -110,12 +119,18 @@ REFUSALS = [
     # operands of no known type
     ("Matrix + int", lambda: SQUARE + 2, TypeError),
     ("int - Matrix", lambda: 2 - SQUARE, TypeError),
+    ("Matrix - int", lambda: SQUARE - 2, TypeError),
     ("Matrix * list", lambda: SQUARE * [1], TypeError),
     ("Poly + str", lambda: F + "x", TypeError),
     ("Poly * str", lambda: F * "x", TypeError),
+    ("Poly - str", lambda: F - "x", TypeError),
+    ("str - Poly", lambda: "x" - F, TypeError),
     ("divmod(Poly, str)", lambda: divmod(F, "x"), TypeError),
     ("CycloScalar * str", lambda: CycloScalar.zeta(3) * "x", TypeError),
     ("str / CycloScalar", lambda: "x" / CycloScalar.zeta(3), TypeError),
+    ("CycloScalar + str", lambda: CycloScalar.zeta(3) + "x", TypeError),
+    ("str - CycloScalar", lambda: "x" - CycloScalar.zeta(3), TypeError),
+    ("CycloScalar / str", lambda: CycloScalar.zeta(3) / "x", TypeError),
 ]
 
 
@@ -132,6 +147,11 @@ def test_scalar_operands_are_accepted():
     assert SQUARE3 * Fraction(1, 2) == SQUARE3.scale(Fraction(1, 2))
     assert Poly.constant(3) == poly([3]) and Poly.constant(0).is_zero
     assert Poly.constant(CycloScalar.zeta(3), Q3) == Poly.make([[0, 1]], Q3)
+
+
+def test_zero_poly_is_falsy_and_a_scalar_is_unequal_to_a_string():
+    assert not Poly.zero()
+    assert (CycloScalar.zeta(3) == "x") is False
 
 
 def test_gen_spec_neither_json_nor_a_file(capsys, tmp_path):
