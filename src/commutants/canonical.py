@@ -5,7 +5,8 @@ random draws, but every accepted draw is checked exactly, so the answer
 never depends on them.  The split runs in integers, its complements
 read off `matrices._kernel`, and also yields the change of basis P,
 lifted, to the Frobenius (rational canonical) form F, with A*P = P*F
-checked exactly; the commutant solvers build their bases on F.  Everything else
+and f_1 | f_2 | ... | f_r checked exactly; the commutant solvers build
+their bases on F and count their dimensions off it.  Everything else
 is read off the split, never recomputed: the characteristic polynomial
 is the product of the factors, `Matrix.det` is (-1)^n times its
 constant term, and the minimal polynomial is the split's
@@ -70,7 +71,8 @@ def min_poly(A: Matrix) -> Poly:
 def invariant_factors(A: Matrix) -> tuple[Poly, ...]:
     """Diagonal of the Smith normal form of xI - A: monic polynomials
     d_1 | d_2 | ... | d_n including the constant ones, read off the
-    checked Frobenius decomposition."""
+    checked Frobenius decomposition, whose check includes that each
+    nonconstant factor divides the next."""
     if not A.is_square:
         raise NotSquare("invariant factors need a square matrix")
     return _with_units(A, _frobenius(_lift(A))[0])
@@ -164,8 +166,26 @@ def _annihilates(f: Poly, Ml: _Lifted, pivots: list[int]) -> bool:
 
 def _frobenius(Al: _Lifted) -> tuple[tuple[Poly, ...], _Lifted]:
     """The nonconstant invariant factors f_1 | ... | f_r of the square A
-    lifted as Al, and an invertible P, lifted, with A*P = P*F, F =
-    companion(f_1) + ... + companion(f_r), checked exactly.
+    lifted as Al, and P, lifted, with A*P = P*F, F = companion(f_1) +
+    ... + companion(f_r): `_cyclic_split`'s answer, with both relations
+    checked exactly.  A*P = P*F alone would pass the blocks in another
+    order, P's column blocks permuted alike; the divisibility check pins
+    the order, so the last factor is m_A.  P is proven invertible only
+    where P^-1 is formed, in `commutant._split`."""
+    if not Al.rows:
+        return (), Al
+    factors, P = _cyclic_split(Al)
+    F = _lift(Matrix.block_diag([companion(f) for f in factors]))
+    if not _same(_mul_lifted(Al, P), _mul_lifted(P, F)):
+        raise VerificationError("Frobenius decomposition fails A*P = P*F")
+    if any(b % a for a, b in zip(factors, factors[1:])):
+        raise VerificationError("Frobenius invariant factors fail f_1 | f_2 | ... | f_r")
+    return factors, P
+
+
+def _cyclic_split(Al: _Lifted) -> tuple[tuple[Poly, ...], _Lifted]:
+    """The invariant factors and P of `_frobenius`, for A lifted as Al,
+    n >= 1, unchecked.
 
     Seeded Las Vegas cyclic-vector split (Giesbrecht 1995, Storjohann
     1998), in integers throughout.  The loop keeps M, the restriction of
@@ -178,8 +198,6 @@ def _frobenius(Al: _Lifted) -> tuple[tuple[Poly, ...], _Lifted]:
     M restricted to U has the smaller factors, and B becomes B*U.  A
     rejected draw retries one height up."""
     field = Al.field
-    if not Al.rows:
-        return (), Al
     draws = _Draws()
     factors, blocks = [], []
     M, B = Al.common(), None
@@ -207,13 +225,7 @@ def _frobenius(Al: _Lifted) -> tuple[tuple[Poly, ...], _Lifted]:
         MU = _mul_lifted(M, U)
         M = _content_free(_Lifted(field, m - d, [MU.dens[j] for j in free], [MU.ints[j] for j in free]))
         B = U if B is None else _content_free(_mul_lifted(B, U))
-    factors.reverse()
-    blocks.reverse()
-    P = _beside(blocks)
-    F = _lift(Matrix.block_diag([companion(f) for f in factors]))
-    if not _same(_mul_lifted(Al, P), _mul_lifted(P, F)):
-        raise VerificationError("Frobenius decomposition fails A*P = P*F")
-    return tuple(factors), P
+    return tuple(reversed(factors)), _beside(blocks[::-1])
 
 
 def is_balanced_matrix(A: Matrix) -> bool:

@@ -2,7 +2,10 @@
 
 One reader, `_read`, takes the JSON wire format straight to lifted
 integer rows, and every matrix command runs on those; only `analyze`
-normalizes them, once, for the `Matrix` it echoes and reports on.
+normalizes them, once, for the `Matrix` it echoes and reports on.  A
+printed dimension with no basis beside it is read off the checked
+Frobenius split (`commutant._dimension`, and deg m_A for the double
+centralizer), so no span is built only to be counted.
 
 Exit codes: 0 success, 1 negative mathematical verdict (not equivalent,
 identity fails), 2 malformed input, 3 a failed internal check (a
@@ -21,12 +24,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .canonical import StructureReport
-from .commutant import (
-    OmegaSpec,
-    _double_centralizer,
-    _mu_commutant_basis,
-    _split,
-)
+from .commutant import OmegaSpec, _dimension, _mu_commutant_basis, _split
 from .equivalence import Certificate, _certificate
 from .errors import (
     AlgebraError,
@@ -302,19 +300,14 @@ def _cmd_analyze(args) -> int:
     split = _split(L) if A.is_square else None
     rep = StructureReport.of(A, _factors=split[0] if split else None)
     one = A.field.one()
-    cent = _mu_commutant_basis(L, one, split)
-    cliff = _mu_commutant_basis(L, -one, split)
-    # dim C(A) = deg m_A gives C(A) = F[A] = C(C(A)): cent, already
-    # checked, is the answer
-    d = rep.min_poly.degree
-    double = cent if cent.dim == d else _double_centralizer(L, d)
     out = {
         "input": matrix_json(A),
         "structure": _structure_json(rep),
         "dims": {
-            "centralizer": cent.dim,
-            "clifforder": cliff.dim,
-            "double_centralizer": double.dim,
+            "centralizer": _dimension(L, one, split),
+            "clifforder": _dimension(L, -one, split),
+            # C(C(A)) = F[A], of dimension deg m_A
+            "double_centralizer": rep.min_poly.degree,
         },
         "flags": {
             "balanced": rep.is_balanced,
@@ -339,10 +332,11 @@ def _cmd_commutant(args) -> int:
         mu, out = w.omega(), {"q": w.q, "k": w.k}
     else:
         mu, out = A.field.one() if args.command == "centralizer" else -A.field.one(), {}
-    S = _mu_commutant_basis(A, mu)
-    out["dimension"] = S.dim
     if args.basis:
-        out["basis"] = _basis_json(S)
+        S = _mu_commutant_basis(A, mu)
+        out["dimension"], out["basis"] = S.dim, _basis_json(S)
+    else:
+        out["dimension"] = _dimension(A, mu)
     _emit(out)
     return 0
 

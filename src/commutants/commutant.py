@@ -7,6 +7,10 @@ where each block of Y solves C(a)*Y = mu*Y*C(b), whose solutions are
 known in closed form, so one structural routine serves all three and no
 n^2 x n^2 system is eliminated.  It takes A lifted once, as the CLI
 reads it, and stays in integers up to the checked canonical basis.
+Where only the dimension is wanted, `_dimension` counts the same block
+solutions on the same checked split and builds no span: once the split
+has proven A*P = P*F, P invertible and f_1 | ... | f_r, Frobenius'
+count sum deg gcd(f_i(x), f_j(mu^-1 x)) is a theorem.
 The double centralizer is F[A], by the double-centralizer theorem: the
 span of I, A, ..., A^(d-1), d = deg m_A from the checked `min_poly`,
 checked to be an A-invariant d-dimensional span containing I, with no
@@ -94,29 +98,47 @@ def _split(Al: _Lifted) -> tuple[tuple[Poly, ...], _Lifted, _Lifted]:
     return factors, P, P_inv
 
 
+def _on_split(Al: _Lifted, mu, split):
+    """mu's field, A embedded in it, and the checked split (factors, P,
+    P^-1) of A lifted as Al, the factors over mu's field; NotSquare, then
+    FieldMismatch for A over another Q(zeta_r), before the split runs.  A
+    rational A is split over Q even when mu is cyclotomic, and its
+    factors are promoted.  `split` is `_split(Al)` when the caller has
+    it."""
+    if Al.rows != Al.cols:
+        raise NotSquare("commutant needs a square matrix")
+    field = FieldTag.cyclotomic(mu.q) if isinstance(mu, CycloScalar) else QQ
+    Ae = _embed(Al, field)
+    factors, P, P_inv = _split(Al) if split is None else split
+    if Al.field != field:
+        factors = tuple(Poly.make(f.coeffs, field) for f in factors)
+    return field, Ae, factors, P, P_inv
+
+
+def _dimension(Al: _Lifted, mu, split=None) -> int:
+    """dim {X : AX = mu*XA} for A lifted as Al, by Frobenius' count sum
+    deg gcd(f_i(x), f_j(mu^-1 x)) over all pairs of invariant factors,
+    each term the number of `_block_solutions`, with no span built.  The
+    count is a theorem once the split is checked: A*P = P*F and f_1 |
+    ... | f_r by `_frobenius`, P invertible by `_split`'s P^-1."""
+    factors = _on_split(Al, mu, split)[2]
+    return sum(len(_block_solutions(a, b, mu)) for a in factors for b in factors)
+
+
 def _mu_commutant_basis(Al: _Lifted, mu, split=None) -> SubspaceBasis:
     """Basis of {X : AX = mu*XA} over mu's field, for A lifted as Al,
-    built block by block on the Frobenius form A = P*F*P^-1 and proven
-    before it is returned: A*P = P*F (checked by the split) with P
-    invertible, every returned X satisfies the relation, and the span
-    has Frobenius' dimension sum deg gcd(f_i(x), f_j(mu^-1 x)).  A
-    rational A is split over Q even when mu is cyclotomic; then A, P and
-    P^-1 are embedded with `_embed`, and the factors are promoted.
-    `split`, private, is `_split(Al)` when the caller has it.  Each
-    integer Y of `_block_solutions` fills one block (I, J), so X =
+    built block by block on the Frobenius form A = P*F*P^-1 of
+    `_on_split` and proven before it is returned: every returned X
+    satisfies the relation, and the span has Frobenius' dimension, the
+    number of Ys.  A rational A's P and P^-1 are embedded with `_embed`.
+    Each integer Y of `_block_solutions` fills one block (I, J), so X =
     (P[:, I]*Y)*P^-1[J, :]: one product per I, the Ys' distinct columns
     abreast, and one per J, the n x deg f_J blocks stacked.  P and P^-1
     go over one denominator each, so every X keeps the dense product's
     scale, which the span does not see but the pivot choice does."""
-    if Al.rows != Al.cols:
-        raise NotSquare("commutant needs a square matrix")
-    field = FieldTag.cyclotomic(mu.q) if isinstance(mu, CycloScalar) else QQ
-    Ae = _embed(Al, field)  # FieldMismatch for A over another Q(zeta_r)
+    field, Ae, factors, P, P_inv = _on_split(Al, mu, split)
     n, phi = Ae.cols, Ae.phi
-    factors, P, P_inv = _split(Al) if split is None else split
     P, P_inv = _embed(P, field).common(), _embed(P_inv, field).common()
-    if Al.field != field:
-        factors = tuple(Poly.make(f.coeffs, field) for f in factors)
     offsets = [sum(f.degree for f in factors[:i]) for i in range(len(factors))]
     stacks = [[] for _ in factors]  # the rows of P[:, I]*Y for each Y in block column J
     for i, a in enumerate(factors):
@@ -199,24 +221,18 @@ def omega_centralizer_basis(A: Matrix, w: OmegaSpec) -> SubspaceBasis:
 
 def double_centralizer_basis(A: Matrix) -> SubspaceBasis:
     """Matrices commuting with everything that commutes with A: F[A], by
-    the double-centralizer theorem, derived from deg m_A (the checked
-    `min_poly`, no split) with no centralizer built, and checked before
-    it is returned."""
-    if not A.is_square:
-        raise NotSquare("double centralizer needs a square matrix")
-    return _double_centralizer(_lift(A), min_poly(A).degree)
-
-
-def _double_centralizer(Al: _Lifted, d: int) -> SubspaceBasis:
-    """C(C(A)) = F[A] for A lifted as Al and d = deg m_A = dim F[A]: the
+    the double-centralizer theorem, with d = deg m_A = dim F[A] from the
+    checked `min_poly` (no split) and no centralizer built.  It is the
     canonical span R of the integer vecs of I, A, ..., A^(d-1), each
-    power one lifted product with the content divided out.  Checked
+    power one lifted product with the content divided out, checked
     without the powers: R has d rows, and vec I and A*R_i for every row
     R_i lie in span R (`_contains`).  An A-invariant span that contains
     I contains every A^k, so span R contains F[A], and with d rows it is
     F[A]."""
-    n, field = Al.rows, Al.field
-    Al, ident = Al.common(), _abreast((field.one(),), n, field)
+    if not A.is_square:
+        raise NotSquare("double centralizer needs a square matrix")
+    n, field, d = A.rows, A.field, min_poly(A).degree
+    Al, ident = _lift(A).common(), _abreast((field.one(),), n, field)
     powers = [ident]
     for _ in range(d - 1):
         powers.append(_content_free(_mul_lifted(Al, powers[-1])))

@@ -668,21 +668,45 @@ def test_analyze_splits_once_and_prints_what_the_public_calls_give(tmp_path, cap
             assert splits[0] == 1
 
 
-def test_analyze_solves_the_centralizer_once(tmp_path, capsys, monkeypatch):
+def test_analyze_and_dimension_only_commands_build_no_span_they_do_not_print(tmp_path, capsys, monkeypatch):
+    # every printed dimension is read off the split: analyze without --q
+    # builds no commutant basis and no canonical span, with --q exactly
+    # one, the omega basis it prints, and centralizer, clifforder and
+    # omega without --basis build none
     import commutants.cli as cli
-    mus = []
-    plain = cli._mu_commutant_basis
+    import commutants.commutant as commutant
+    import commutants.subspaces as subspaces
+    from commutants import OmegaSpec
+    mus, spans = [], [0]
+    plain, span = cli._mu_commutant_basis, subspaces._span
 
     def counting(A, mu, split=None):
         mus.append(mu)
         return plain(A, mu, split)
 
+    def counting_span(L, n):
+        spans[0] += 1
+        return span(L, n)
+
     monkeypatch.setattr(cli, "_mu_commutant_basis", counting)
+    for module in (commutant, subspaces):
+        monkeypatch.setattr(module, "_span", counting_span)
     f = write_matrix(tmp_path / "a.json", mat([[0, 1, 0], [0, 0, 0], [0, 0, 2]]))
     code, out, _ = run(capsys, ["analyze", f])
     assert code == 0
     assert out["dims"] == {"centralizer": 3, "clifforder": 2, "double_centralizer": 3}
-    assert mus.count(1) == 1
+    assert (mus, spans[0]) == ([], 0)
+    code, out, _ = run(capsys, ["analyze", f, "--q", "3"])
+    assert code == 0
+    assert out["dims"] == {"centralizer": 3, "clifforder": 2, "double_centralizer": 3}
+    assert out["omega"]["dim"] == len(out["omega"]["basis"]) == 2
+    assert (mus, spans[0]) == ([OmegaSpec(3).omega()], 1)
+    mus.clear()
+    spans[0] = 0
+    for argv, dim in ((["centralizer", f], 3), (["clifforder", f], 2), (["omega", f, "--q", "3"], 2)):
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out["dimension"] == dim, argv
+    assert (mus, spans[0]) == ([], 0)
 
 
 def test_potter_checks_the_relation_once(tmp_path, capsys, monkeypatch):
@@ -862,15 +886,19 @@ def test_commutant_commands_print_what_the_library_gives(tmp_path, capsys):
                               lambda q=q, k=k: omega_centralizer_basis(A, OmegaSpec(q, k)), omega))
         for q in (3, 5):
             cases.append((["analyze", f, "--q", str(q)], lambda q=q: _analyze_json(A, q), lambda out: out))
-        dims = set()
+        dims, printed = set(), {}
         for argv, call, render in cases:
             want = _library_run(call, render)
             code = main(argv)
             cap = capsys.readouterr()
             assert (code, cap.out, cap.err) == want, argv
-            if code == 0 and argv[0] != "analyze":
-                dims.add((argv[0], json.loads(cap.out)["dimension"] > 0))
+            if argv[0] != "analyze":
+                dim = json.loads(cap.out)["dimension"] if code == 0 else None
+                dims.add((argv[0], bool(dim)))
+                # the run without --basis prints the --basis run's dimension
+                printed.setdefault(tuple(a for a in argv if a != "--basis"), []).append((code, dim, cap.err))
         assert {cmd for cmd, nonzero in dims if nonzero} == {"centralizer", "clifforder", "omega"}, i
+        assert all(len(runs) == 2 and runs[0] == runs[1] for runs in printed.values()), i
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -22,7 +22,9 @@ from commutants import (
     Poly,
     QQ,
     ShapeMismatch,
+    StructureReport,
     centralizer_basis,
+    char_poly,
     clifforder_basis,
     clifforder_has_invertible,
     commutant_operator,
@@ -39,7 +41,7 @@ from commutants import (
     subspace_leq,
 )
 from commutants.errors import VerificationError
-from commutants.matrices import rref
+from commutants.matrices import _columns, _lift, _mul_lifted, _same, rref
 from helpers import (
     conjugated,
     cyclo3_jordan,
@@ -276,12 +278,15 @@ mus = st.sampled_from(
 
 def _same_span(A, q, k):
     if q is None:
+        mu = A.field.coerce(-1 if k else 1)
         ours = clifforder_basis(A) if k else centralizer_basis(A)
-        ref = reference_commutant_basis(A, A.field.coerce(-1 if k else 1))
+        ref = reference_commutant_basis(A, mu)
     else:
         w = OmegaSpec(q, k)
+        mu = w.omega()
         ours = omega_centralizer_basis(A, w)
-        ref = reference_commutant_basis(A.promote(q), w.omega())
+        ref = reference_commutant_basis(A.promote(q), mu)
+    assert commutant._dimension(_lift(A), mu) == ours.dim
     assert ours.field == ref.field
     assert ours.rref_rows == ref.rref_rows
     assert ours.pivots == ref.pivots
@@ -300,6 +305,52 @@ def test_structural_bases_equal_kronecker_oracle_on_fixed_inputs():
             _same_span(A, q, k)
     for q, k in [(None, 0), (None, 1), (3, 1), (3, 2)]:
         _same_span(_CYCLO3_INPUT, q, k)
+
+
+# ------------------------------- Frobenius' count against the built bases
+
+@st.composite
+def count_cases(draw):
+    """(A, mu): A a conjugated direct sum of Jordan and companion blocks,
+    n <= 5, 1 x 1 and scalar matrices among them, over Q, Q(zeta_3) or
+    Q(zeta_5); mu in {1, -1, zeta_q^k}, with q = 3 or 5 drawn for a
+    rational A.  Eigenvalues such as 1 and zeta_q, whose negatives are
+    not eigenvalues, make the clifforder's `_block_solutions` take its
+    poly_gcd branch, as the identity does in the fixed inputs above."""
+    q = draw(st.sampled_from([None, 3, 5]))
+    field = QQ if q is None else FieldTag.cyclotomic(q)
+    z = field.one() if q is None else CycloScalar.zeta(q)
+    eigen = st.sampled_from([0, 1, -1, 2, Fraction(1, 2)] + ([] if q is None else [z, -z, z * z]))
+    if draw(st.booleans()):
+        A = Matrix.identity(draw(st.integers(1, 4)), field).scale(field.coerce(draw(eigen)))
+    else:
+        blocks, n = [], draw(st.integers(1, 5))
+        while n:
+            k = draw(st.integers(1, n))
+            if draw(st.booleans()):
+                blocks.append(Matrix.jordan(k, field.coerce(draw(eigen)), field))
+            else:
+                low = [field.coerce(draw(st.integers(-2, 2))) for _ in range(k)]
+                blocks.append(canonical.companion(Poly.make(low + [field.one()], field)))
+            n -= k
+        A = conjugated(Matrix.block_diag(blocks), draw(seeds))
+    rq = q or draw(st.sampled_from([3, 5]))
+    mus = [field.one(), -field.one()] + [CycloScalar.zeta(rq, k) for k in range(1, rq)]
+    return A, draw(st.sampled_from(mus))
+
+
+def _same_count(A, mu):
+    Al = _lift(A)
+    field = FieldTag.cyclotomic(mu.q) if isinstance(mu, CycloScalar) else A.field
+    dim = commutant._dimension(Al, mu)
+    assert dim == commutant._mu_commutant_basis(Al, mu).dim
+    assert dim == reference_commutant_basis(A if A.field == field else A.promote(field.q), mu).dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(count_cases())
+def test_frobenius_count_equals_the_built_bases_and_the_kronecker_oracle(case):
+    _same_count(*case)
 
 
 # ------------------------- integer block solutions against field arithmetic
@@ -403,24 +454,63 @@ def test_split_checks_its_own_decomposition(monkeypatch):
         centralizer_basis(_DEROGATORY)
 
 
+def _reordered(factors, P):
+    """The split with its blocks in reverse order, P's column blocks
+    permuted alike, so that A*P = P*F still holds."""
+    offsets = [sum(f.degree for f in factors[:i]) for i in range(len(factors))]
+    cols = [c for o, f in reversed(list(zip(offsets, factors))) for c in range(o, o + f.degree)]
+    return factors[::-1], _columns(P, cols)
+
+
+def _singular(factors, P):
+    """The split with P's last column zeroed; P comes lifted,
+    plane-major: index k is column k % n."""
+    n = P.cols
+    return factors, P._replace(ints=[[0 if k % n == n - 1 else x for k, x in enumerate(row)] for row in P.ints])
+
+
 def test_singular_frobenius_P_is_never_used(monkeypatch):
     # P with its last column zeroed has no inverse: the split's lifted
-    # solve against I must reject it before any basis is built
+    # solve against I must reject it before any basis or count is built
     split = commutant._frobenius
-
-    def singular(A):
-        # P comes lifted, plane-major: index k is column k % n
-        factors, P = split(A)
-        n = P.cols
-        return factors, P._replace(ints=[[0 if k % n == n - 1 else x for k, x in enumerate(row)] for row in P.ints])
-
     want = reference_double_centralizer(_DEROGATORY)
-    monkeypatch.setattr(commutant, "_frobenius", singular)
-    for call in _corrupted_calls():
+    monkeypatch.setattr(commutant, "_frobenius", lambda A: _singular(*split(A)))
+    for call in _corrupted_calls() + [lambda: commutant._dimension(_lift(_DEROGATORY), QQ.one())]:
         with pytest.raises(VerificationError, match="singular"):
             call()
     # the double centralizer reads only deg m_A off the split, never P
     assert double_centralizer_basis(_DEROGATORY).rref_rows == want.rref_rows
+
+
+@pytest.mark.parametrize("corrupt", [_reordered, _singular], ids=["reordered", "singular"])
+def test_corrupted_split_never_yields_a_number(monkeypatch, tmp_path, capsys, corrupt):
+    # the unchecked split returns a corrupted (factors, P): the checked
+    # split rejects it, so no invariant factor, report, characteristic
+    # polynomial or dimension is read off it, and no command prints one
+    plain = canonical._cyclic_split
+    inputs = (_DEROGATORY, _NILPOTENT, _CYCLO3_INPUT)
+    if corrupt is _reordered:
+        # A*P = P*F alone would pass the reordered split, with the wrong m_A last
+        for A in inputs:
+            factors, P = corrupt(*plain(_lift(A)))
+            F = _lift(Matrix.block_diag([canonical.companion(f) for f in factors]))
+            assert _same(_mul_lifted(_lift(A), P), _mul_lifted(P, F))
+            assert factors[-1] != min_poly(A)
+    monkeypatch.setattr(canonical, "_cyclic_split", lambda Al: corrupt(*plain(Al)))
+    for i, A in enumerate(inputs):
+        mus = [A.field.one(), -A.field.one(), _W5.omega() if A.field == QQ else _z3]
+        calls = [lambda: invariant_factors(A), lambda: StructureReport.of(A), lambda: char_poly(A)]
+        calls += [lambda mu=mu: commutant._dimension(_lift(A), mu) for mu in mus]
+        for call in calls:
+            with pytest.raises(VerificationError, match="f_1 [|] f_2" if corrupt is _reordered else "A[*]P = P[*]F"):
+                call()
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(cli.matrix_json(A)))
+        q = str(_W5.q if A.field == QQ else 3)
+        for argv in (["analyze"], ["centralizer"], ["clifforder"], ["omega", "--q", q]):
+            assert cli.main([argv[0], str(path), *argv[1:]]) == 3, argv
+            cap = capsys.readouterr()
+            assert cap.out == "" and json.loads(cap.err)["error"] == "VerificationError", argv
 
 
 def test_perturbed_block_solution_is_never_returned(monkeypatch):
@@ -563,9 +653,10 @@ def test_double_centralizer_runs_no_split_and_one_cyclic_vector_step(monkeypatch
 
 def test_nonderogatory_double_centralizer_is_the_centralizer(monkeypatch, tmp_path, capsys):
     # dim C(A) = deg m_A gives C(A) = F[A] = C(C(A)): the derived span is
-    # the centralizer, and analyze returns the centralizer it already has
+    # the centralizer, and analyze prints its dimension, deg m_A, with no
+    # basis and no span built
     def forbidden(*args):
-        raise AssertionError("double centralizer derived on a nonderogatory input")
+        raise AssertionError("a span built for a dimension analyze reads off the split")
 
     companion = canonical.companion(poly([3, -1, 2, 0, -2, 1]))
     for i, A in enumerate((conjugated(companion, 7), companion, cyclo3_jordan(0, (2, 1)), mat([[Fraction(5, 2)]]))):
@@ -576,9 +667,11 @@ def test_nonderogatory_double_centralizer_is_the_centralizer(monkeypatch, tmp_pa
         path = tmp_path / f"{i}.json"
         path.write_text(json.dumps(cli.matrix_json(A)))
         with monkeypatch.context() as m:
-            m.setattr(cli, "_double_centralizer", forbidden)
+            m.setattr(cli, "_mu_commutant_basis", forbidden)
+            m.setattr(commutant, "_span", forbidden)
             assert cli.main(["analyze", str(path)]) == 0
-        assert json.loads(capsys.readouterr().out)["dims"]["double_centralizer"] == cent.dim
+        dims = json.loads(capsys.readouterr().out)["dims"]
+        assert dims["double_centralizer"] == dims["centralizer"] == cent.dim
 
 
 def _bump_entry(k):
@@ -610,11 +703,13 @@ def test_corrupted_power_is_never_returned(monkeypatch, corruptions):
                     double_centralizer_basis(A)
 
 
-def test_wrong_degree_is_never_returned():
-    # one power too many spans F[A] with fewer than d rows; one too few
-    # spans a subspace that A*R_i leaves
+def test_wrong_degree_is_never_returned(monkeypatch):
+    # a scripted m_A of degree d + 1 spans F[A] with fewer than d + 1
+    # rows; one of degree d - 1 spans a subspace that A*R_i leaves
     for A in _SHRUNK:
         d = min_poly(A).degree
-        for wrong in (d - 1, d + 1):
-            with pytest.raises(VerificationError):
-                commutant._double_centralizer(commutant._lift(A), wrong)
+        for wrong, message in ((d + 1, "double centralizer has dimension"), (d - 1, "not A-invariant or misses I")):
+            with monkeypatch.context() as m:
+                m.setattr(commutant, "min_poly", lambda A, e=wrong: Poly.monomial(e, 1, A.field))
+                with pytest.raises(VerificationError, match=message):
+                    double_centralizer_basis(A)
