@@ -97,9 +97,10 @@ class _Draws:
         return [self.rng.randint(-h, h) for _ in range(m)]
 
 
-def _cyclic_vector(Ml: _Lifted, draws: _Draws) -> tuple[Poly, list[_Lifted]]:
-    """m_M and the Krylov columns v, Mv, ..., M^(d-1) v, lifted, of a
-    drawn v with m_v = m_M, d = deg m_M, for M lifted as Ml.
+def _cyclic_vector(Ml: _Lifted, draws: _Draws) -> tuple[Poly, list[_Lifted], list]:
+    """m_M, the Krylov columns v, Mv, ..., M^(d-1) v, lifted, of a
+    drawn v with m_v = m_M, d = deg m_M, for M lifted as Ml, and their
+    echelon, which `_in_span` reads coordinates in that basis off.
 
     The first Krylov dependency m_v of v is accepted only once
     `_annihilates` has checked m_v(M) = 0 exactly; then m_v = m_M.  A
@@ -107,45 +108,64 @@ def _cyclic_vector(Ml: _Lifted, draws: _Draws) -> tuple[Poly, list[_Lifted]]:
     Ml = Ml.common()
     while True:
         v = _embed(_scaled(QQ, 1, [[x] for x in draws.ints(Ml.rows)]), Ml.field)
-        f, krylov, pivots = _krylov_dependency(Ml, v)
-        if _annihilates(f, Ml, pivots):
-            return f, krylov
+        f, krylov, echelon = _krylov_dependency(Ml, v)
+        if _annihilates(f, Ml, [c for c, _, _ in echelon]):
+            return f, krylov, echelon
         draws.height += 1
 
 
-def _krylov_dependency(Ml: _Lifted, y: _Lifted) -> tuple[Poly, list[_Lifted], list[int]]:
+def _krylov_dependency(Ml: _Lifted, y: _Lifted) -> tuple[Poly, list[_Lifted], list]:
     """m_v, the columns v, Mv, ..., M^(d-1) v, d = deg m_v, and their
-    pivot columns, for M and the column v lifted, each over one
-    denominator; the columns stay lifted, each over one denominator.
-    Each new integer column y = D * M^k v enters as the row [y | D * e_k]
-    and is reduced fraction-free against the earlier ones, so its right
-    part keeps the coefficients of v, ..., M^k v that make up its left
-    part; the first column that reduces to zero stops the
-    iteration, after deg m_v products, and its right part, divided by its
-    last entry, is m_v.  The echelon rows lead at distinct columns, the
-    pivot columns of the Krylov rows' RREF."""
-    field, m, phi = Ml.field, Ml.rows, Ml.phi
-    w = 2 * m + 1
+    echelon, for M and the column v lifted, each over one denominator;
+    the columns stay lifted, each over one denominator.  Each new column
+    M^k v goes through `_in_span` against the echelon of the earlier
+    ones: the first that lies in their span, M^k v = c(M) v, stops the
+    iteration after deg m_v products, with m_v = x^k - c; any other is
+    pivoted at the leading column of its reduced row and joins the
+    echelon.  The echelon rows lead at distinct columns, the pivot
+    columns of the Krylov rows' RREF."""
+    field, w = Ml.field, 2 * Ml.rows + 1
     echelon, columns = [], []
     for k in count():
         if k:
             y = _content_free(_mul_lifted(Ml, y))
+        c, row, lead = _in_span(echelon, y)
+        if c is not None:
+            return Poly.monomial(k, 1, field) - c, columns, echelon
         columns.append(y)
-        row = [0] * (phi * w)
-        for i, planes in enumerate(y.ints):
-            row[i::w] = planes
-        row[m + k] = y.dens[0]
-        for c, pv, shifts in echelon:
-            # each echelon row is zero at the pivots before its own
-            v = row[c::w]
-            if any(v):
-                row = _combine(pv, row, v, shifts)
-        c = next((c for c in range(m) if any(row[c::w])), None)
-        if c is None:
-            f = Poly.make(_entries(_columns(_Lifted(field, w, [row[m + k]], [row]), range(m, m + k + 1))), field)
-            return f, columns[:k], [c for c, _, _ in echelon]
-        pv, _, shifts = _pivot(row, c, w, field.q)
-        echelon.append((c, pv, shifts))
+        pv, _, shifts = _pivot(row, lead, w, field.q)
+        echelon.append((lead, pv, shifts))
+
+
+def _in_span(echelon: list, y: _Lifted) -> tuple[Poly | None, list[int], int | None]:
+    """(c, row, lead): c with u = c(M) v, deg c < k, when the column
+    u = y / D, y lifted over one denominator D, lies in the span of the
+    k Krylov columns v, ..., M^(k-1) v that `_krylov_dependency` left
+    `echelon` for, else None; the reduced row; and the leading column of
+    its left part, None when it is zero.
+
+    u enters as the row [y | D * e_k], 2m + 1 wide for m = y.rows, and
+    is reduced fraction-free against the echelon, so its right part
+    keeps the coefficients of v, ..., M^(k-1) v, u that make up its left
+    part.  Echelon rows are zero at slot k in every plane and the
+    reduction scales the new row by rational pivots only, so right[k]
+    stays rational; a zero left part gives c = -right[0..k-1] / right[k]."""
+    field, m, k = y.field, y.rows, len(echelon)
+    w = 2 * m + 1
+    row = [0] * (y.phi * w)
+    for i, planes in enumerate(y.ints):
+        row[i::w] = planes
+    row[m + k] = y.dens[0]
+    for c, pv, shifts in echelon:
+        # each echelon row is zero at the pivots before its own
+        v = row[c::w]
+        if any(v):
+            row = _combine(pv, row, v, shifts)
+    lead = next((c for c in range(m) if any(row[c::w])), None)
+    if lead is not None:
+        return None, row, lead
+    c = _entries(_columns(_Lifted(field, w, [-row[m + k]], [row]), range(m, m + k)))
+    return Poly.make(c, field), row, None
 
 
 def _annihilates(f: Poly, Ml: _Lifted, pivots: list[int]) -> bool:
@@ -203,7 +223,7 @@ def _cyclic_split(Al: _Lifted) -> tuple[tuple[Poly, ...], _Lifted]:
     M, B = Al.common(), None
     while True:
         m = M.rows
-        f, krylov = _cyclic_vector(M, draws)
+        f, krylov, _ = _cyclic_vector(M, draws)
         d = f.degree
         K = _beside(krylov)
         factors.append(f)

@@ -11,11 +11,15 @@ B^e = (f0^e mod m_A)(A), so f and g solve deg m_A-row systems over the
 class exponents and no matrix power is formed.  The quotient ring is
 read in integers through the lifted companion matrix C of m_A, where
 p(C) e_0 is the coefficient column of p mod m_A: the class columns are
-integer products with the lifted step base^q(C), and every system, the
-Krylov one included, is one lifted solve (`matrices._solve_lifted`).
-Free coordinates are pinned to zero, which gives the same canonical
-solution as the n^2-row system of stacked powers, since the embedding
-is injective.  Before a certificate is returned, f = f0 and
+the Krylov sequence of the lifted step base^q(C).  No system is
+eliminated on its own: every coordinate is read by `canonical._in_span`
+off the fraction-free echelon that `canonical._krylov_dependency` built
+for the Krylov columns, of v under A for f0 and of the first class
+column under base^q(C) for f and g.  Those columns are independent up
+to the first dependency and every later one depends on them, so the
+read is the solution with the free coordinates pinned to zero, the same
+canonical one as the n^2-row system of stacked powers gives, since the
+embedding is injective.  Before a certificate is returned, f = f0 and
 g(f0) = x mod m_A are checked by an integer Horner pass on the
 companion, which proves f(A) = B and g(B) = A; a failure raises
 VerificationError.  `None` means a genuine obstruction, not a search
@@ -27,9 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import _cyclic_vector, _Draws, companion
+from .canonical import _cyclic_vector, _Draws, _in_span, _krylov_dependency, companion
 from .errors import FieldMismatch, NotSquare, ShapeMismatch, VerificationError
-from .matrices import Matrix, _abreast, _beside, _columns, _content_free, _horner, _lift, _Lifted, _mul_lifted, _power, _same, _solve_lifted
+from .matrices import Matrix, _abreast, _columns, _horner, _lift, _Lifted, _mul_lifted, _power, _same
 from .polys import CongruenceClass, Poly, _at_lifted, _at_matrix, poly_in_class, restrict_to_class
 
 GENERAL = CongruenceClass.general()
@@ -55,7 +59,9 @@ def class_exponents(cls: CongruenceClass, n: int) -> list[int]:
 
     The general class stops at n-1 (higher powers reduce), while the
     congruence classes run to q*n so that e.g. x^(q(n-1)+1) stays
-    available when the reduced exponent would leave the class.
+    available when the reduced exponent would leave the class.  The
+    certificate solver takes the menu for n = deg m_A: at most that many
+    exponents carry a coefficient.
     """
     if n < 1:
         raise ShapeMismatch("matrix size must be positive")
@@ -75,7 +81,7 @@ def express_in_powers(B: Matrix, A: Matrix, cls: CongruenceClass = GENERAL) -> P
     if reduced is None:
         return None
     m, f0 = reduced
-    return _class_solve(Poly.x(A.field), f0, m, cls, A.rows)
+    return _class_solve(Poly.x(A.field), f0, m, cls)
 
 
 def equivalence_certificate(A: Matrix, B: Matrix, cls: CongruenceClass = GENERAL) -> Certificate | None:
@@ -92,10 +98,10 @@ def _certificate(A: _Lifted, B: _Lifted, cls: CongruenceClass) -> Certificate | 
         return None
     m, f0 = reduced
     x = Poly.x(A.field)
-    f = _class_solve(x, f0, m, cls, A.rows)
+    f = _class_solve(x, f0, m, cls)
     if f is None:
         return None
-    g = _class_solve(f0, x % m, m, cls, A.rows)
+    g = _class_solve(f0, x % m, m, cls)
     if g is None:
         return None
     return Certificate(f=f, g=g, cls=cls)
@@ -106,9 +112,9 @@ def _reduce(B: _Lifted, A: _Lifted) -> tuple[Poly, Poly] | None:
     not a polynomial in A, for lifted A and B.
 
     For a checked v with m_v = m_A, B = p(A) gives Bv = (p mod m_A)(A) v,
-    so f0's coefficients solve K c = Bv for the independent Krylov
-    columns K of v, lifted as `_cyclic_vector` leaves them; when
-    f0(A) != B, no p exists."""
+    so f0 is `_in_span`'s read of Bv on the echelon of v's independent
+    Krylov columns that `_cyclic_vector` leaves; None there means Bv is
+    outside their span, and when f0(A) != B, no p exists either."""
     if A.rows != A.cols or B.rows != B.cols:
         raise NotSquare("power expression needs square matrices")
     if A.rows != B.rows:
@@ -117,43 +123,36 @@ def _reduce(B: _Lifted, A: _Lifted) -> tuple[Poly, Poly] | None:
         raise FieldMismatch(f"fields differ: {A.field} vs {B.field}")
     if not A.rows:
         raise ShapeMismatch("matrix size must be positive")
-    m, krylov = _cyclic_vector(A, _Draws())
-    coords = _solve_lifted(_beside(krylov + [_mul_lifted(B, krylov[0])]))
-    if coords is None:
-        return None
-    f0 = Poly.make(coords, A.field)
-    return (m, f0) if _same(_at_lifted(f0, A), B) else None
+    m, krylov, echelon = _cyclic_vector(A, _Draws())
+    f0 = _in_span(echelon, _mul_lifted(B, krylov[0]).common())[0]
+    return (m, f0) if f0 is not None and _same(_at_lifted(f0, A), B) else None
 
 
-def _class_solve(base: Poly, target: Poly, m: Poly, cls: CongruenceClass, n: int) -> Poly | None:
-    """The canonical f = sum_e c_e x^e over the class exponents for size
-    n with f(base) = target mod m, or None.
+def _class_solve(base: Poly, target: Poly, m: Poly, cls: CongruenceClass) -> Poly | None:
+    """The canonical f = sum_e c_e x^e over the class exponents with
+    f(base) = target mod m, or None.
 
     F[x]/(m) is read in integers through C = companion(m), lifted once:
     C maps e_i to e_(i+1), so p(C) e_0 is the coefficient column of
     p mod m.  One Horner pass gives Bl = base(C); the exponents step by
-    q (by 1 in the general class), so after the first column, e_0 or
-    Bl e_0, each is the previous one times S = Bl^q, content-free.  The
-    columns and the target's coefficients go into one lifted solve with
-    deg m rows.  Raises VerificationError unless f(Bl) e_0, recomputed
-    by Horner, is target's coefficient column."""
+    q (by 1 in the general class), so the class columns, from e_0 or
+    Bl e_0 on, are the Krylov sequence of S = Bl^q.  `_krylov_dependency`
+    runs it to its first dependency, after at most deg m + 1 products,
+    and `_in_span` reads the target's coefficients in the independent
+    columns off its echelon, coefficient i on exponent exps[i]; at most
+    deg m exponents can carry one.  Raises VerificationError unless
+    f(Bl) e_0, recomputed by Horner, is target's coefficient column."""
     field, d = m.field, m.degree
-    exps = class_exponents(cls, n)
+    exps = class_exponents(cls, d)
     Bl = _at_lifted(base, _lift(companion(m)))
     S = _power(Bl, cls.q) if cls.q else Bl
     y = _columns(Bl if exps[0] else _abreast((field.one(),), d, field), [0])
-    columns = [y]
-    for _ in exps[1:]:
-        y = _content_free(_mul_lifted(S, y))
-        columns.append(y)
-    t = _lift(Matrix(field, d, 1, tuple(target.coeff(i) for i in range(d))))
-    sol = _solve_lifted(_beside(columns + [t]))
-    if sol is None:
+    echelon = _krylov_dependency(S, y.common())[2]
+    t = _lift(Matrix(field, d, 1, tuple(target.coeff(i) for i in range(d)))).common()
+    c = _in_span(echelon, t)[0]
+    if c is None:
         return None
-    dense = [field.zero()] * (exps[-1] + 1)
-    for idx, e in enumerate(exps):
-        dense[e] = sol[idx]
-    f = Poly.make(dense, field)
+    f = sum((Poly.monomial(e, x, field) for e, x in zip(exps, c.coeffs)), Poly.zero(field))
     if not _same(_horner(f.coeffs, Bl, [(0, 0)], 1), t):
         raise VerificationError("certificate fails f(base) = target mod m_A")
     return f

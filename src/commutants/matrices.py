@@ -32,8 +32,11 @@ with one body for Q and Q(zeta_q):
   kernels (columns reversed) and the Frobenius split's complement.
 - `_solve_lifted` solves a lifted augmented system [M | b] with
   `_rref_core` and divides each pivot row's last entry by its pivot
-  once.  `_beside` lays lifted blocks side by side: `solve`'s [M | b],
-  the certificate systems' columns and `_solve_square`'s [L | R].
+  once; it is `solve`'s core.  The certificates run no system of their
+  own: their coordinates are read off the Krylov echelon
+  (`canonical._in_span`).  `_beside` lays lifted blocks side by side:
+  `solve`'s [M | b], the Frobenius split's Krylov matrices and P, and
+  `_solve_square`'s [L | R].
 - `_solve_square` is L^-1 * R, lifted, from one `_rref_core` pass on
   [L | R]: `_inverse` (R = I, behind `Matrix.inverse` and the split's
   P^-1) and `gen`'s P^-1 * M * P (solving P*X = M*P) are each one

@@ -253,8 +253,8 @@ def test_cyclic_vector_stops_at_the_first_krylov_dependency(monkeypatch):
         return out
 
     monkeypatch.setattr(canonical, "_annihilates", spy)
-    f, krylov = canonical._cyclic_vector(canonical._lift(A), canonical._Draws())
-    assert f == poly([0, 0, 0, 1]) and len(krylov) == 3
+    f, krylov, echelon = canonical._cyclic_vector(canonical._lift(A), canonical._Draws())
+    assert f == poly([0, 0, 0, 1]) and len(krylov) == len(echelon) == 3
     steps = [(deg, after - before) for (_, before), (deg, after) in zip([(None, 0)] + draws[1::2], draws[0::2])]
     assert steps and all(cost == deg for deg, cost in steps)
     assert steps[-1] == (3, 3)
@@ -278,6 +278,73 @@ def test_cyclic_input_check_makes_no_product(monkeypatch):
     monkeypatch.setattr(canonical, "_annihilates", spy)
     assert invariant_factors(companion(f))[-1] == f
     assert checks[-1] == (6, True, 0)
+
+
+_small = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def krylov_inputs(draw):
+    """(M, v, c, t) over Q, Q(zeta_3) or Q(zeta_5): M n x n, n <= 4 (1 x 1
+    drawn often), random with some zero rows and columns, scalar, or a
+    conjugated nilpotent; v an n x 1 column, often zero; c coefficients
+    for a target c(M) v; t a random n x 1 column.  Cyclotomic entries mix
+    powers of zeta, so the echelon pivots are rarely rational."""
+    q = draw(st.sampled_from((None, 3, 5)))
+    field = QQ if q is None else FieldTag.cyclotomic(q)
+    entry = _small if q is None else st.one_of(_small, st.lists(_small, min_size=2, max_size=q - 1))
+    n = draw(st.sampled_from((1, 1, 2, 3, 4)))
+    kind = draw(st.sampled_from(("random", "scalar", "nilpotent")))
+    if kind == "random":
+        zero = draw(st.sets(st.integers(0, n - 1)))
+        M = Matrix.make([[0 if i in zero else draw(entry) for j in range(n)] for i in range(n)], field)
+    elif kind == "scalar":
+        M = Matrix.identity(n, field).scale(field.coerce(draw(_small)))
+    else:
+        M = conjugated(Matrix.jordan(n, 0, field), draw(seeds))
+    v = Matrix.make([[0 if draw(st.booleans()) and draw(st.booleans()) else draw(entry)] for _ in range(n)], field)
+    c = [field.coerce(draw(_small)) for _ in range(n)]
+    t = Matrix.make([[draw(entry)] for _ in range(n)], field)
+    return M, v, c, t
+
+
+@settings(max_examples=120, deadline=None)
+@given(krylov_inputs())
+def test_in_span_reads_the_rref_oracles_krylov_coordinates(case):
+    # u = c(M) v for deg c < k gives c back exactly; any other target is
+    # read against the oracle's RREF of [v, Mv, ..., M^(k-1) v | t]: None
+    # when t is a pivot column, else the coordinates at the pivots
+    import commutants.canonical as canonical
+    from commutants.matrices import _lift
+    from helpers import hstack, reference_rref
+    M, v, c, t = case
+    field, n = M.field, M.rows
+    f, krylov, echelon = canonical._krylov_dependency(_lift(M), _lift(v).common())
+    k = len(echelon)
+    assert k == len(krylov) == f.degree
+    powers = [v]
+    for _ in range(k):
+        powers.append(M * powers[-1])
+    K = Matrix(field, n, k, tuple(x for i in range(n) for x in (P.at(i, 0) for P in powers[:k])))
+    assert reference_rref(K)[1] == tuple(range(k))
+
+    def read(u):
+        return canonical._in_span(echelon, _lift(u).common())[0]
+
+    target = Matrix.zero(n, 1, field)
+    for ci, P in zip(c[:k], powers):
+        target = target + P.scale(ci)
+    assert read(target) == Poly.make(c[:k], field)
+    units = [Matrix(field, n, 1, tuple(field.one() if i == j else field.zero() for i in range(n))) for j in range(n)]
+    outside = 0
+    for u in [t, powers[k]] + units:
+        reduced, pivots = reference_rref(hstack(K, u))
+        if k in pivots:
+            expected, outside = None, outside + 1
+        else:
+            expected = Poly.make([reduced.at(i, k) for i in range(k)], field)
+        assert read(u) == expected
+    assert outside >= n - k
 
 
 def test_annihilates_rejects_a_proper_divisor_of_the_minimal_polynomial():

@@ -394,8 +394,8 @@ def test_failed_check_exits_3_with_empty_stdout(tmp_path, capsys, monkeypatch):
     import commutants.equivalence as equivalence
     fa = write_matrix(tmp_path / "a.json", PAIR5_A)
     fb = write_matrix(tmp_path / "b.json", PAIR5_B)
-    # the second solve is the f system; its check must catch the change
-    perturb_first_coordinate(monkeypatch, equivalence, "_solve_lifted", 2)
+    # the second coordinate read is the f system; its check must catch the change
+    perturb_first_coordinate(monkeypatch, equivalence, "_in_span", 2)
     code, out, err = run(capsys, ["equiv", fa, fb])
     assert (code, out) == (3, None)
     assert json.loads(err)["error"] == "VerificationError"

@@ -266,10 +266,11 @@ def test_express_steps_by_the_class_power(monkeypatch):
     # six narrow steps to M^6 v and no check product; one narrow product
     # B*v, and four square Horner steps check f0(A) = B with f0 = x + 2x^4.
     # _class_solve: one square product for x(C) = C, the power S = C^q
-    # (q = 3, 5, 9: 2, 3, 4 square products), five narrow S*y for the
-    # columns after C e_0, and deg f narrow Horner steps for the check,
-    # f = x + 2x^4 for q = 3; for q = 5 and 9 the 6 x 6 system is
-    # nonsingular and f reaches the last exponent 1 + 5q.
+    # (q = 3, 5, 9: 2, 3, 4 square products), six narrow S*y steps of the
+    # Krylov sequence from C e_0, the last one finding the dependency, and
+    # deg f narrow Horner steps for the check, f = x + 2x^4 for q = 3; for
+    # q = 5 and 9 the six columns are independent and f reaches the last
+    # exponent 1 + 5q.
     A = mat([[i + 1 if j == i else 1 if j > i else 0 for j in range(6)] for i in range(6)])
     B = A + (A ** 4).scale(2)
     shapes = []
@@ -285,9 +286,73 @@ def test_express_steps_by_the_class_power(monkeypatch):
         else:
             assert f.degree == 1 + 5 * q
     reduce_square, reduce_narrow = 4, 4 + 4 + 6 + 1
-    assert counts == [(reduce_square + 1 + 2, reduce_narrow + 5 + 4),
-                      (reduce_square + 1 + 3, reduce_narrow + 5 + 26),
-                      (reduce_square + 1 + 4, reduce_narrow + 5 + 46)]
+    assert counts == [(reduce_square + 1 + 2, reduce_narrow + 6 + 4),
+                      (reduce_square + 1 + 3, reduce_narrow + 6 + 26),
+                      (reduce_square + 1 + 4, reduce_narrow + 6 + 46)]
+
+
+def test_class_solve_stops_at_the_first_dependency_on_a_derogatory_input(monkeypatch):
+    # conjugated J_3(0) + J_3(0) + J_2(0): n = 8, m_A = x^3, B = 2A + A^2.
+    # The class columns are the Krylov sequence of S = base(C)^q on the
+    # 3 x 3 companion C of x^3, so a class solve takes at most
+    # deg m_A + 1 = 4 narrow S*y products, not the n - 1 = 7 that one
+    # column per exponent of an n-long menu took.  The Horner check's
+    # narrow products are counted apart.  general: S = C from e_0 and
+    # S = f0(C) from e_0 reach 0 after three steps; odd: S = C^2 sends
+    # C e_0 to 0, and f0 = 2x + x^2 is outside span{x}; q:3: S = C^3 = 0.
+    N = Matrix.block_diag([Matrix.jordan(3, 0, QQ), Matrix.jordan(3, 0, QQ), Matrix.jordan(2, 0, QQ)])
+    A = conjugated(N, 5)
+    B = A.scale(2) + A * A
+    shapes = []
+    count_products(monkeypatch, shapes)
+    plain_solve, plain_check = equivalence._class_solve, equivalence._horner
+    checks, steps = [], []
+
+    def narrow(start):
+        return sum(cols < inner for _, inner, cols in shapes[start:])
+
+    def check_spy(*args):
+        start = len(shapes)
+        out = plain_check(*args)
+        checks.append(narrow(start))
+        return out
+
+    def solve_spy(*args):
+        start, before = len(shapes), len(checks)
+        out = plain_solve(*args)
+        steps.append(narrow(start) - sum(checks[before:]))
+        return out
+
+    monkeypatch.setattr(equivalence, "_horner", check_spy)
+    monkeypatch.setattr(equivalence, "_class_solve", solve_spy)
+    certs = [equivalence_certificate(A, B, cls) for cls in (GENERAL, ODD, CongruenceClass.q_class(3))]
+    assert certs[0] == Certificate(f=poly([0, 2, 1]), g=poly([0, Fraction(1, 2), Fraction(-1, 8)]), cls=GENERAL)
+    assert certs[1:] == [None, None]
+    assert steps == [3, 3, 1, 1]
+
+
+def test_certificates_run_no_rref_pass(monkeypatch):
+    # every certificate coordinate is read off the Krylov echelon the
+    # cyclic vector built, so no elimination pass of its own runs, and
+    # _class_solve takes no matrix size
+    import inspect
+
+    import commutants.canonical as canonical
+    import commutants.matrices as matrices
+
+    def forbidden(*args):
+        raise AssertionError("_rref_core pass")
+
+    cases = [(PAIR5_A, PAIR5_B, GENERAL), (ODD4_A, ODD4_B, ODD), (TRI4_A, TRI4_B, ODD), (COUNTER_A, COUNTER_B, GENERAL),
+             (PAIR5_A, PAIR5_B, CongruenceClass.q_class(3)), (PAIR5_A.promote(5), PAIR5_B.promote(5), GENERAL),
+             (ODD4_A.promote(5), ODD4_B.promote(5) + ODD4_A.promote(5).scale(CycloScalar.zeta(5)), ODD)]
+    expected = [(equivalence_certificate(A, B, cls), express_in_powers(B, A, cls)) for A, B, cls in cases]
+    assert any(cert is not None for cert, _ in expected) and any(cert is None for cert, _ in expected)
+    monkeypatch.setattr(matrices, "_rref_core", forbidden)
+    monkeypatch.setattr(canonical, "_rref_core", forbidden)
+    assert [(equivalence_certificate(A, B, cls), express_in_powers(B, A, cls)) for A, B, cls in cases] == expected
+    assert not hasattr(equivalence, "_solve_lifted") and not hasattr(equivalence, "_rref_core")
+    assert list(inspect.signature(equivalence._class_solve).parameters) == ["base", "target", "m", "cls"]
 
 
 def test_certificates_take_no_matrix_power(monkeypatch):
@@ -304,8 +369,6 @@ def test_certificates_take_no_matrix_power(monkeypatch):
 
 # ------------------------------------- certificates vs the stacked-powers oracle
 
-_Z3 = FieldTag.cyclotomic(3)
-_z3 = CycloScalar.zeta(3)
 CLASSES = [GENERAL, ODD, CongruenceClass.q_class(3), CongruenceClass.q_class(4)]
 _PARTITIONS = [(1,), (2,), (1, 1), (3,), (2, 1), (4,), (2, 2), (3, 1), (2, 1, 1), (5,), (3, 2), (4, 1)]
 seeds = st.integers(0, 10 ** 6)
@@ -326,28 +389,31 @@ base_inputs = st.one_of(
 
 @st.composite
 def certificate_inputs(draw):
-    """(A, B, cls) over Q or Q(zeta_3).  B is a polynomial in A (any
-    exponents, or class exponents only), or a random matrix, which is
-    almost never in F[A]."""
+    """(A, B, cls) over Q, Q(zeta_3) or Q(zeta_5).  B is a polynomial in A
+    (any exponents, or class exponents only), or a random matrix, which is
+    almost never in F[A].  Over Q(zeta_5), phi = 4, the odd coefficients
+    carry zeta, so the Krylov echelon meets non-rational pivots."""
     A = draw(base_inputs)
     cls = draw(st.sampled_from(CLASSES))
-    cyclo = draw(st.booleans())
+    q = draw(st.sampled_from([None, 3, 5]))
+    cyclo = q is not None
     n = A.rows
-    field = _Z3 if cyclo else QQ
+    field = FieldTag.cyclotomic(q) if cyclo else QQ
     if cyclo:
-        A = A.promote(3)
+        A = A.promote(q)
+        z = CycloScalar.zeta(q)
     kind = draw(st.sampled_from(["poly", "class", "outside"]))
     if kind == "outside":
         B = random_rational_matrix(draw(seeds), n, 2)
         if cyclo:
-            B = B.promote(3) + A.scale(_z3)
+            B = B.promote(q) + A.scale(z)
         return A, B, cls
     # denominators 2 and 3 give f0, the columns and the target denominators
     coeffs = draw(st.lists(st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3])),
                            min_size=n + 2, max_size=n + 2))
     if kind == "class":
         coeffs = [c if cls.allows(e) else 0 for e, c in enumerate(coeffs)]
-    lifted = [field.coerce(c) * (_z3 if cyclo and e % 2 else 1) for e, c in enumerate(coeffs)]
+    lifted = [field.coerce(c) * (z if cyclo and e % 2 else 1) for e, c in enumerate(coeffs)]
     return A, eval_at_matrix(Poly.make(lifted, field), A), cls
 
 
@@ -381,16 +447,16 @@ def test_certificates_equal_oracle_on_fixed_inputs():
 
 # ---------------------------------------- a corrupted certificate is never returned
 
-# the lifted solves run in this order: 1 the Krylov coordinates of B*v, 2 the f
-# system, 3 the g system
+# the coordinate reads run in this order: 1 the Krylov coordinates of B*v, 2
+# the f system, 3 the g system; each returns its coordinates first
 @pytest.mark.parametrize("which", [2, 3])
 def test_perturbed_certificate_is_never_returned(monkeypatch, which):
     for A, B, cls in [(PAIR5_A, PAIR5_B, GENERAL), (ODD4_A, ODD4_B, ODD), (TRI4_A, TRI4_B, ODD)]:
-        calls = perturb_first_coordinate(monkeypatch, equivalence, "_solve_lifted", which)
+        calls = perturb_first_coordinate(monkeypatch, equivalence, "_in_span", which)
         with pytest.raises(VerificationError):
             equivalence_certificate(A, B, cls)
         assert calls[0] == which
     if which == 2:
-        perturb_first_coordinate(monkeypatch, equivalence, "_solve_lifted", which)
+        perturb_first_coordinate(monkeypatch, equivalence, "_in_span", which)
         with pytest.raises(VerificationError):
             express_in_powers(PAIR5_B, PAIR5_A)
