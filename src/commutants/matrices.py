@@ -27,6 +27,13 @@ with one body for Q and Q(zeta_q):
   not rational is made rational once, by multiplying its row by the
   integer product of p's other Galois conjugates (`scalars._conjugates`),
   which turns p into its norm, so every cross-multiplier is an integer.
+  Pivots are taken two at a time, as in Bareiss' two-step elimination
+  (Math. Comp. 22, 1968): the second pivot column is the first one to
+  the right where a row below stays nonzero once the first column is
+  cleared, the two pivot rows are reduced against each other, and every
+  other row loses both columns in one three-term pass and one content
+  division.  Every row update is one `_combine`, which divides the
+  multipliers by their gcd before it touches the row.
 - `_kernel` reads the kernel's RREF basis off one `_rref_core` pass,
   one vector per free column, lifted: `kernel_basis`, the ad-power
   kernels (columns reversed) and the Frobenius split's complement.
@@ -608,27 +615,71 @@ def _rref_core(ints: list[list[int]], width: int, q: int | None) -> tuple[list[l
     each a multiple pv = row[c] (rational, in plane 0) of its RREF row,
     and their pivot columns c.  Of the rows from r on that are nonzero
     in column c (in any plane), the one with the fewest bits is the
-    pivot, the earliest on ties.  The update is row_i <- pv * row_i -
-    v * pivot_row, with v = entry (i, c) applied as sum_e v_e * (zeta^e *
-    pivot_row)."""
+    pivot p1, the earliest on ties, and pa its pivot value.
+
+    Pivots are taken two at a time (Bareiss' two-step elimination,
+    Math. Comp. 22, 1968).  The second pivot column c2 is the first
+    column right of c where some row below p1 is nonzero once its
+    column c is cleared against p1: pa * row[c2] != u * p1[c2] for
+    u = row[c], in some plane over Q(zeta_q).  Of those rows the one
+    with the fewest bits, the earliest on ties, is p2.  p2's column c
+    is cleared against p1, p2 is made rational at c2 (pivot value pb),
+    and p1's column c2 is cleared against p2.  Every other row with u
+    in column c or v in column c2 then becomes pa * pb * row -
+    (u * pb) * p1 - (v * pa) * p2 in one `_combine`, u applied plane
+    by plane as sum_e u_e * (zeta^e * p1), and v likewise.  Over Q, u
+    and v are read as entries, not as one-plane slices: on rows of a
+    few dozen integers that read costs as much as the arithmetic.  With no second
+    pivot every row below p1 is zero once its column c is cleared, so
+    only the rows above p1 are updated and p1 is the last pivot."""
     work = list(ints)
     pivots = []
-    r = 0
-    for c in range(width):
+    r, c = 0, 0
+    while r < len(work) and c < width:
         candidates = [i for i in range(r, len(work)) if any(work[i][c::width])]
         if not candidates:
+            c += 1
             continue
-        pivot_row = min(candidates, key=lambda i: sum(map(int.bit_length, work[i])))
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv, work[r], shifts = _pivot(work[r], c, width, q)
-        for i, row in enumerate(work):
-            v = row[c::width]
-            if i != r and any(v):
-                work[i] = _combine(pv, row, v, shifts)
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
+        size = {i: sum(map(int.bit_length, work[i])) for i in range(r, len(work))}  # bits, for both pivot choices
+        first = min(candidates, key=size.__getitem__)
+        work[r], work[first] = work[first], work[r]
+        size[r], size[first] = size[first], size[r]
+        pa, p1, sh1 = _pivot(work[r], c, width, q)
+        work[r] = p1
+        below = [(i, work[i], work[i][c::width]) for i in range(r + 1, len(work))]
+        seconds = []
+        for c2 in range(c + 1, width):
+            if q is None:
+                y = p1[c2]
+                seconds = [i for i, row, (u,) in below if pa * row[c2] != u * y]
+            else:
+                p1c2 = list(zip(*(s[c2::width] for s in sh1)))  # zeta^e * p1 at c2, per plane
+                seconds = [i for i, row, u in below if any(pa * x != sum(map(mul, u, ys)) for x, ys in zip(row[c2::width], p1c2))]
+            if seconds:
+                break
+        if not seconds:
+            for i in range(r):
+                v = work[i][c::width]
+                if any(v):
+                    work[i] = _combine(pa, work[i], v, sh1)
+            pivots.append(c)
+            return work[: r + 1], pivots
+        second = min(seconds, key=size.__getitem__)
+        work[r + 1], work[second] = work[second], work[r + 1]
+        p2 = work[r + 1]
+        pb, p2, sh2 = _pivot(_combine(pa, p2, p2[c::width], sh1), c2, width, q)
+        v = p1[c2::width]
+        if any(v):
+            pa, p1, sh1 = _pivot(_combine(pb, p1, v, sh2), c, width, q)
+        work[r], work[r + 1] = p1, p2
+        pab, shifts = pa * pb, sh1 + sh2
+        for i in chain(range(r), range(r + 2, len(work))):
+            row = work[i]
+            m = [row[c] * pb, row[c2] * pa] if q is None else [x * pb for x in row[c::width]] + [x * pa for x in row[c2::width]]
+            if any(m):
+                work[i] = _combine(pab, row, m, shifts)
+        pivots += (c, c2)
+        r, c = r + 2, c2 + 1
     return work[:r], pivots
 
 
@@ -648,20 +699,21 @@ def _zeta_shifts(row: list[int], width: int, low: Sequence[int]) -> list[list[in
 
 
 def _combine(pv: int, row: list[int], v: Sequence[int], shifts: list[list[int]]) -> list[int]:
-    """pv * row - sum_e v[e] * shifts[e], gcd-normalized.  Over Q(zeta_q)
-    the nonzero v[e] are applied two at a time, one pass over the row per
-    pair, and an odd one left over in a pass of its own."""
-    terms = zip(v, shifts)
-    if len(v) > 1:
-        terms = [(ve, s) for ve, s in terms if ve]
-        while len(terms) > 1:
-            (a, s), (b, t) = terms.pop(), terms.pop()
-            row = [pv * x - a * y - b * z for x, y, z in zip(row, s, t)]
-            pv = 1
-    for ve, s in terms:
-        if ve:
-            row = [pv * x - ve * y for x, y in zip(row, s)]
-            pv = 1
+    """pv * row - sum_e v[e] * shifts[e], gcd-normalized: every row update
+    of the elimination goes through here.  pv and the v[e] are divided
+    by their gcd first; the nonzero v[e] are applied two at a time, one
+    pass over the row per pair, and an odd one left over in a pass of
+    its own.  With every v[e] zero the row is only made content-free."""
+    g = gcd(pv, *v)
+    if g > 1:
+        pv, v = pv // g, [x // g for x in v]
+    terms = [(a, s) for a, s in zip(v, shifts) if a]
+    while len(terms) > 1:
+        (a, s), (b, t) = terms.pop(), terms.pop()
+        row = [pv * x - a * y - b * z for x, y, z in zip(row, s, t)]
+        pv = 1
+    for a, s in terms:
+        row = [pv * x - a * y for x, y in zip(row, s)]
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
 

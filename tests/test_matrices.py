@@ -490,17 +490,35 @@ BIG_SCALES = (2**61 - 1, -(10**12 + 39), Fraction(2**61 - 1, 10**12 + 39), 3)
 
 @st.composite
 def scaled_rows_case(draw):
-    """A matrix over Q or Q(zeta_q), q in 3..6, up to 6 x 8, whose leading
+    """A matrix over Q or Q(zeta_q), q in 3..6, up to 8 x 12, whose leading
     rows are multiplied by large rational (and, over Q(zeta_q), nonreal)
-    factors; some rows repeat others up to such a factor."""
+    factors.  Some rows repeat others up to such a factor, some are zero
+    and some are s * row_a + t * row_b for two earlier rows, so the rank
+    can fall short and a row can cancel to zero when two pivots are
+    cleared in one pass; some columns are zero in every row, so a second
+    pivot can sit several columns right of the first; and one column may
+    be nonzero in a single row only."""
     q = draw(st.sampled_from((None, 3, 4, 5, 6)))
     field = QQ if q is None else FieldTag.cyclotomic(q)
     rng = random.Random(draw(st.integers(0, 2**32)))
-    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
-    base = [[field.coerce(_random_entry(rng, q)) for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        if i and rng.random() < 0.3:
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    zero = field.zero()
+    zero_cols = {j for j in range(cols) if rng.random() < 0.2}
+    base = [[zero if j in zero_cols else field.coerce(_random_entry(rng, q)) for j in range(cols)] for _ in range(rows)]
+    for i in range(1, rows):
+        kind = rng.random()
+        if kind < 0.15:
             base[i] = list(base[rng.randrange(i)])
+        elif kind < 0.25:
+            base[i] = [zero] * cols
+        elif kind < 0.4 and i >= 2:
+            a, b = rng.sample(range(i), 2)
+            s, t = field.coerce(_random_entry(rng, q)), field.coerce(_random_entry(rng, q))
+            base[i] = [s * x + t * y for x, y in zip(base[a], base[b])]
+    if rng.random() < 0.3:
+        j, keep = rng.randrange(cols), rng.randrange(rows)
+        for i, row in enumerate(base):
+            row[j] = (row[j] or field.one()) if i == keep else zero
     scales = [field.coerce(s) for s in BIG_SCALES]
     if field.is_cyclotomic:
         scales.append(field.coerce([10**12 + 39, 0, -(2**61 - 1)]))
@@ -533,6 +551,34 @@ def test_pivot_is_the_row_with_fewest_bits_earliest_on_ties(monkeypatch):
     M = mat([[2**61 - 1, 3], [1, 5], [1, 7]])
     r = rref(M)
     assert chosen[0] == [1, 5]
+    assert (r.rref, r.pivots) == reference_rref(M)
+    # the second pivot follows the same rule among the rows nonzero in
+    # column 1 once column 0 is cleared: rows 2, 3 and 4 have 6 bits each,
+    # and row 2, zero in column 0, is the earliest; it enters as [0, 1, 3]
+    chosen.clear()
+    M = mat([[2**61 - 1, 5, 1], [1, 0, 0], [0, 3, 9], [3, 1, 7], [2, 1, 6]])
+    r = rref(M)
+    assert chosen[:2] == [[1, 0, 0], [0, 1, 3]]
+    assert (r.rref, r.pivots) == reference_rref(M)
+
+
+def test_a_pass_clears_two_pivot_columns(monkeypatch):
+    # one pivot per pass updates the 7 other rows at each of the 8 pivots,
+    # 56 updates; two per pass update 6 other rows at each of 4 pair
+    # steps, plus the two pivot rows' reductions against each other
+    updates = [0]
+    plain = matrices._combine
+
+    def counting(*args):
+        updates[0] += 1
+        return plain(*args)
+
+    monkeypatch.setattr(matrices, "_combine", counting)
+    rng = random.Random(8)
+    M = mat([[Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(20)] for _ in range(8)])
+    r = rref(M)
+    assert r.rank == 8
+    assert updates[0] <= 4 * 6 + 4 * 2
     assert (r.rref, r.pivots) == reference_rref(M)
 
 
