@@ -9,7 +9,7 @@ from math import comb, gcd
 
 from .commutant import commutant_operator
 from .errors import BadExponent, FieldMismatch, NotSquare, ShapeMismatch
-from .matrices import Matrix, _abreast, _columns, _entries, _kernel, _lift, _Lifted, _mul_lifted, _scaled, _sides, _transpose, _vec, unvec
+from .matrices import Matrix, _abreast, _columns, _entries, _kernel, _lift, _Lifted, _mul_lifted, _realigned, _scaled, _sides, _transpose, _vec, unvec
 from .polys import Poly, _at_matrix
 from .subspaces import SubspaceBasis, _rows
 
@@ -48,18 +48,17 @@ def _ad_matrix(Al: _Lifted, k: int) -> list[list[int]]:
     c_a A^a kron (A^(k-a))^T, c_a = C(k,a) (-1)^(k-a), under row-major vec:
     realigned from ((i, j), (l, m)) to ((i, l), (j, m)) it is U*V, U with
     the vecs of c_a Al^a as its k + 1 columns and V with those of
-    (Al^(k-a))^T as its rows, A = Al / D.  The raw integer powers of Al
-    share the scale D^k, so one product builds it."""
+    (Al^(k-a))^T as its rows, A = Al / D, realigned by
+    `matrices._realigned`.  The raw integer powers of Al share the scale
+    D^k, so one product builds it."""
     Al = Al.common()
-    n, phi, field = Al.rows, Al.phi, Al.field
+    n, field = Al.rows, Al.field
     powers = [_abreast((field.one(),), n, field), Al]
     for _ in range(k - 1):
         powers.append(_mul_lifted(Al, powers[-1]))
     U = _transpose(_scaled(field, n * n, [[(-1) ** (k - a) * comb(k, a) * x for x in _vec(Y)] for a, Y in enumerate(powers)]))
     V = _scaled(field, n * n, [_vec(_transpose(Y)) for Y in reversed(powers)])
-    N = _mul_lifted(U, V).ints
-    rows = ([x for f in range(phi) for r in N[i * n : (i + 1) * n] for x in r[(f * n + j) * n : (f * n + j + 1) * n]] for i in range(n) for j in range(n))
-    return [[x // g for x in row] for row in rows if (g := gcd(*row))]
+    return [[x // g for x in row] for row in _realigned(_mul_lifted(U, V), n) if (g := gcd(*row))]
 
 
 def _kernel_rref(L: _Lifted) -> tuple[tuple[tuple, ...], tuple[int, ...]]:

@@ -2,9 +2,12 @@
 
 Invariant factors come from a seeded Las Vegas cyclic-vector split:
 random draws, but every accepted draw is checked exactly, so the answer
-never depends on them.  The split runs in integers, its complements
-read off `matrices._kernel`, and also yields the change of basis P,
-lifted, to the Frobenius (rational canonical) form F, with A*P = P*F
+never depends on them.  The split runs in integers, its Krylov
+dependencies read by `matrices._in_span` and its complements off
+`matrices._kernel`; this module reads no plane of a lifted row, and
+wraps the coordinates `_in_span` returns in `Poly`, which `matrices`
+cannot import.  The split also yields the change of basis P, lifted,
+to the Frobenius (rational canonical) form F, with A*P = P*F
 and f_1 | f_2 | ... | f_r checked exactly; the commutant solvers build
 their bases on F and count their dimensions off it.  Everything else
 is read off the split, never recomputed: the characteristic polynomial
@@ -29,17 +32,14 @@ from .errors import DegreeZero, NotMonic, NotSquare, VerificationError
 from .matrices import (
     Matrix,
     _beside,
-    _columns,
-    _combine,
     _content_free,
     _embed,
-    _entries,
     _horner,
+    _in_span,
     _kernel,
     _lift,
     _Lifted,
     _mul_lifted,
-    _pivot,
     _rref_core,
     _same,
     _scaled,
@@ -100,7 +100,8 @@ class _Draws:
 def _cyclic_vector(Ml: _Lifted, draws: _Draws) -> tuple[Poly, list[_Lifted], list]:
     """m_M, the Krylov columns v, Mv, ..., M^(d-1) v, lifted, of a
     drawn v with m_v = m_M, d = deg m_M, for M lifted as Ml, and their
-    echelon, which `_in_span` reads coordinates in that basis off.
+    echelon, which `matrices._in_span` reads coordinates in that basis
+    off.
 
     The first Krylov dependency m_v of v is accepted only once
     `_annihilates` has checked m_v(M) = 0 exactly; then m_v = m_M.  A
@@ -118,54 +119,19 @@ def _krylov_dependency(Ml: _Lifted, y: _Lifted) -> tuple[Poly, list[_Lifted], li
     """m_v, the columns v, Mv, ..., M^(d-1) v, d = deg m_v, and their
     echelon, for M and the column v lifted, each over one denominator;
     the columns stay lifted, each over one denominator.  Each new column
-    M^k v goes through `_in_span` against the echelon of the earlier
-    ones: the first that lies in their span, M^k v = c(M) v, stops the
-    iteration after deg m_v products, with m_v = x^k - c; any other is
-    pivoted at the leading column of its reduced row and joins the
-    echelon.  The echelon rows lead at distinct columns, the pivot
-    columns of the Krylov rows' RREF."""
-    field, w = Ml.field, 2 * Ml.rows + 1
+    M^k v goes through `matrices._in_span` against the echelon of the
+    earlier ones: the first that lies in their span, M^k v = c(M) v,
+    stops the iteration after deg m_v products, with m_v = x^k - c; any
+    other joins the echelon, whose rows lead at the pivot columns of the
+    Krylov rows' RREF."""
     echelon, columns = [], []
     for k in count():
         if k:
             y = _content_free(_mul_lifted(Ml, y))
-        c, row, lead = _in_span(echelon, y)
+        c = _in_span(echelon, y)
         if c is not None:
-            return Poly.monomial(k, 1, field) - c, columns, echelon
+            return Poly.monomial(k, 1, Ml.field) - Poly.make(c, Ml.field), columns, echelon
         columns.append(y)
-        pv, _, shifts = _pivot(row, lead, w, field.q)
-        echelon.append((lead, pv, shifts))
-
-
-def _in_span(echelon: list, y: _Lifted) -> tuple[Poly | None, list[int], int | None]:
-    """(c, row, lead): c with u = c(M) v, deg c < k, when the column
-    u = y / D, y lifted over one denominator D, lies in the span of the
-    k Krylov columns v, ..., M^(k-1) v that `_krylov_dependency` left
-    `echelon` for, else None; the reduced row; and the leading column of
-    its left part, None when it is zero.
-
-    u enters as the row [y | D * e_k], 2m + 1 wide for m = y.rows, and
-    is reduced fraction-free against the echelon, so its right part
-    keeps the coefficients of v, ..., M^(k-1) v, u that make up its left
-    part.  Echelon rows are zero at slot k in every plane and the
-    reduction scales the new row by rational pivots only, so right[k]
-    stays rational; a zero left part gives c = -right[0..k-1] / right[k]."""
-    field, m, k = y.field, y.rows, len(echelon)
-    w = 2 * m + 1
-    row = [0] * (y.phi * w)
-    for i, planes in enumerate(y.ints):
-        row[i::w] = planes
-    row[m + k] = y.dens[0]
-    for c, pv, shifts in echelon:
-        # each echelon row is zero at the pivots before its own
-        v = row[c::w]
-        if any(v):
-            row = _combine(pv, row, v, shifts)
-    lead = next((c for c in range(m) if any(row[c::w])), None)
-    if lead is not None:
-        return None, row, lead
-    c = _entries(_columns(_Lifted(field, w, [-row[m + k]], [row]), range(m, m + k)))
-    return Poly.make(c, field), row, None
 
 
 def _annihilates(f: Poly, Ml: _Lifted, pivots: list[int]) -> bool:

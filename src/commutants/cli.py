@@ -21,7 +21,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .canonical import StructureReport
 from .commutant import OmegaSpec, _dimension, _mu_commutant_basis, _split
@@ -43,10 +43,10 @@ from .gen import (
     NilpotentBlocks,
     generate,
 )
-from .matrices import Matrix, _entries, _Lifted
+from .matrices import Matrix, _entries, _from_cells, _Lifted
 from .polys import CongruenceClass, Poly
 from .potter import _collapses, _lifts, _power_stacks, _quasi_commutes
-from .scalars import QQ, CycloScalar, FieldTag, _divmod_monic, cyclo_coeffs, phi_degree
+from .scalars import QQ, CycloScalar, FieldTag, _divmod_monic, cyclo_coeffs
 from .subspaces import SubspaceBasis
 
 
@@ -85,23 +85,21 @@ def _ratio(raw, i: int, j: int) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
-def _cell(raw, q: int | None, phi: int, memo: dict, i: int, j: int) -> tuple[list[int], int]:
-    """The Q(zeta_q) entry at row i, column j as phi coefficient integers
-    over a denominator: a plain scalar in plane 0, an array over the lcm of
-    its denominators, folded mod Phi_q in integers, read once per spelling."""
+def _cell(raw, q: int | None, memo: dict, i: int, j: int) -> tuple[list[int], int]:
+    """The Q(zeta_q) entry at row i, column j as its coefficient integers,
+    ascending in zeta, over a denominator: a plain scalar is one
+    coefficient, an array is taken over the lcm of its denominators and
+    folded mod Phi_q in integers, read once per spelling."""
     if type(raw) is not list:
         num, den = _ratio(raw, i, j)
-        return [num] + [0] * (phi - 1), den
+        return [num], den
     if q is None:
         raise FieldError(f"row {i}, column {j}: coefficient arrays need a cyclotomic field")
     key = repr(raw)  # tells true from 1 and "1" from 1
     if key not in memo:
         parts = [_ratio(c, i, j) for c in raw]
         den = lcm(*[d for _, d in parts])
-        ints = [n * (den // d) for n, d in parts]
-        if len(ints) > phi:
-            ints = _divmod_monic(ints, cyclo_coeffs(q))[1]
-        memo[key] = ints + [0] * (phi - len(ints)), den
+        memo[key] = _divmod_monic([n * (den // d) for n, d in parts], cyclo_coeffs(q))[1], den
     return memo[key]
 
 
@@ -129,7 +127,8 @@ def _loads(text: bytes | str, what: str):
 
 def _read(text: bytes | str) -> _Lifted:
     """`parse_matrix`'s input as lifted integer rows, each over the lcm of
-    its reduced denominators as `_lift` gives them, with no field element."""
+    its reduced denominators as `_lift` gives them, with no field element:
+    the cells go to `matrices._from_cells` as integers."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -151,20 +150,10 @@ def _read(text: bytes | str) -> _Lifted:
     for i, row in enumerate(rows):
         if len(row) != width:
             raise RaggedRows(f"row {i} has length {len(row)}, expected {width}")
-    q = field.q
-    phi = phi_degree(q) if q else 1
-    memo, dens, ints = {}, [], []
-    for i, row in enumerate(rows):
-        if q is None:  # an array raises in _cell
-            cells = [_ratio(raw, i, j) if type(raw) is not list else _cell(raw, q, phi, memo, i, j) for j, raw in enumerate(row)]
-        else:
-            cells = [_cell(raw, q, phi, memo, i, j) for j, raw in enumerate(row)]
-        d = lcm(*[e for _, e in cells])
-        out = [n * (d // e) for n, e in cells] if q is None else [c[k] * (d // e) for k in range(phi) for c, e in cells]
-        g = gcd(d, *out)  # 1 unless an unreduced spelling such as "2/4" left a factor
-        dens.append(d // g)
-        ints.append([x // g for x in out] if g != 1 else out)
-    return _Lifted(field, width, dens, ints)
+    q, memo = field.q, {}
+    # over Q a plain scalar is read straight, and an array raises in _cell
+    cells = ([_ratio(raw, i, j) if q is None and type(raw) is not list else _cell(raw, q, memo, i, j) for j, raw in enumerate(row)] for i, row in enumerate(rows))
+    return _from_cells(field, width, cells)
 
 
 def parse_matrix(text: bytes | str) -> Matrix:

@@ -45,17 +45,15 @@ from .matrices import (
     _lift,
     _Lifted,
     _mul_lifted,
-    _planes,
     _scaled,
     _sides,
     _times,
     _transpose,
     _vec,
-    _zeta_shifts,
     kron,
 )
 from .polys import Poly, poly_gcd
-from .scalars import QQ, CycloScalar, FieldTag, cyclo_coeffs, phi_degree
+from .scalars import QQ, CycloScalar, FieldTag
 from .subspaces import SubspaceBasis, _contains, _rows, _span, subspace_from_matrices
 
 
@@ -137,7 +135,7 @@ def _mu_commutant_basis(Al: _Lifted, mu, split=None) -> SubspaceBasis:
     go over one denominator each, so every X keeps the dense product's
     scale, which the span does not see but the pivot choice does."""
     field, Ae, factors, P, P_inv = _on_split(Al, mu, split)
-    n, phi = Ae.cols, Ae.phi
+    n = Ae.cols
     P, P_inv = _embed(P, field).common(), _embed(P_inv, field).common()
     offsets = [sum(f.degree for f in factors[:i]) for i in range(len(factors))]
     stacks = [[] for _ in factors]  # the rows of P[:, I]*Y for each Y in block column J
@@ -145,10 +143,10 @@ def _mu_commutant_basis(Al: _Lifted, mu, split=None) -> SubspaceBasis:
         sols = [(j, Y) for j, b in enumerate(factors) for Y in _block_solutions(a, b, mu)]
         at = {col: k for k, col in enumerate(dict.fromkeys(col for _, Y in sols for col in Y))}  # Ys share columns
         if at:
-            da, o, w = a.degree, offsets[i], len(at)
-            left = _mul_lifted(_columns(P, range(o, o + da)), _transpose(_scaled(field, da, list(at)))).ints
+            da, o = a.degree, offsets[i]
+            left = _mul_lifted(_columns(P, range(o, o + da)), _transpose(_scaled(field, da, list(at))))
             for j, Y in sols:
-                stacks[j] += [[row[e * w + at[c]] for e in range(phi) for c in Y] for row in left]
+                stacks[j] += _columns(left, [at[c] for c in Y]).ints
     X = []
     for j, rows in enumerate(stacks):
         if rows:
@@ -173,8 +171,10 @@ def _block_solutions(a: Poly, b: Poly, mu) -> list[list[tuple]]:
     column k of Y_t, t < deg g, is U_(t+k), U_s = mu^-s x^s (a/g) mod a,
     g = gcd(a(x), b(mu^-1 x)): the factor of lower degree when b(mu^-1 x)
     is a multiple of b, that is when mu^(deg b - k) = 1 for every b_k !=
-    0.  U_(s+1) is U_s shifted, its top entry folded back through a's low
-    coefficients, times mu^-1 by `_times`."""
+    0.  The U_s are the Krylov rows of a/g under S = mu^-1 * C(a)^T, one
+    `_mul_lifted` per step, since a row U times C(a)^T is x*U mod a.
+    C(a)^T's rows are those of the lifted identity from the second on and
+    a's negated low coefficients, laid by `_abreast` with no `Matrix`."""
     field = a.field
     inv = field.one() / mu
     if mu == 1 or all(mu ** (b.degree - k) == 1 for k, x in enumerate(b.coeffs) if x):
@@ -183,23 +183,15 @@ def _block_solutions(a: Poly, b: Poly, mu) -> list[list[tuple]]:
         g = poly_gcd(a, Poly.make([x * inv**k for k, x in enumerate(b.coeffs)], field))
     if not g.degree:
         return []
-    q, da = field.q, a.degree
-    d, low = _planes(a.coeffs[:-1], q, phi_degree(q) if q else 1)
-    fold = _zeta_shifts(low, da, cyclo_coeffs(q)[:-1] if q else ())  # zeta^e * d*low
-    u = Poly.one(field) if g is a else a // g
-    dw, w = _planes(list(u.coeffs) + [field.zero()] * (da - u.degree - 1), q, len(fold))
-    U = _Lifted(field, da, [dw], [w])
-    for _ in range(g.degree + b.degree - 2):
-        z = U.ints[-1]
-        y = [d * z[i - 1] if i % da else 0 for i in range(len(z))]
-        for t, f in zip(z[da - 1 :: da], fold):
-            if t:
-                y = [x - t * v for x, v in zip(y, f)]
-        y = _Lifted(field, da, [U.dens[-1] * d], [y])
-        y = y if inv == 1 else _times(inv, y)
+    da, db, u = a.degree, b.degree, Poly.one(field) if g is a else a // g
+    ident, low = _abreast((field.one(),), da, field), _abreast([-x for x in a.coeffs[:-1]], 1, field)
+    S = _Lifted(field, da, ident.dens[1:] + low.dens, ident.ints[1:] + low.ints)
+    S = S.common() if inv == 1 else _times(inv, S)
+    U = _abreast(list(u.coeffs) + [field.zero()] * (da - u.degree - 1), 1, field)
+    for _ in range(g.degree + db - 2):
+        y = _mul_lifted(_Lifted(field, da, U.dens[-1:], U.ints[-1:]), S)
         U.dens.append(y.dens[0])
         U.ints.append(y.ints[0])
-    db = b.degree
     return [[tuple(col) for col in U._replace(dens=U.dens[t : t + db], ints=U.ints[t : t + db]).common().ints] for t in range(g.degree)]
 
 

@@ -12,10 +12,12 @@ class exponents and no matrix power is formed.  The quotient ring is
 read in integers through the lifted companion matrix C of m_A, where
 p(C) e_0 is the coefficient column of p mod m_A: the class columns are
 the Krylov sequence of the lifted step base^q(C).  No system is
-eliminated on its own: every coordinate is read by `canonical._in_span`
+eliminated on its own: every coordinate is read by `matrices._in_span`
 off the fraction-free echelon that `canonical._krylov_dependency` built
 for the Krylov columns, of v under A for f0 and of the first class
-column under base^q(C) for f and g.  Those columns are independent up
+column under base^q(C) for f and g, and wrapped in `Poly` here.  A read
+outside the span appends to that echelon, which is then dropped.  Those
+columns are independent up
 to the first dependency and every later one depends on them, so the
 read is the solution with the free coordinates pinned to zero, the same
 canonical one as the n^2-row system of stacked powers gives, since the
@@ -31,9 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import _cyclic_vector, _Draws, _in_span, _krylov_dependency, companion
+from .canonical import _cyclic_vector, _Draws, _krylov_dependency, companion
 from .errors import FieldMismatch, NotSquare, ShapeMismatch, VerificationError
-from .matrices import Matrix, _abreast, _columns, _horner, _lift, _Lifted, _mul_lifted, _power, _same
+from .matrices import Matrix, _abreast, _columns, _horner, _in_span, _lift, _Lifted, _mul_lifted, _power, _same
 from .polys import CongruenceClass, Poly, _at_lifted, _at_matrix, poly_in_class, restrict_to_class
 
 GENERAL = CongruenceClass.general()
@@ -124,7 +126,8 @@ def _reduce(B: _Lifted, A: _Lifted) -> tuple[Poly, Poly] | None:
     if not A.rows:
         raise ShapeMismatch("matrix size must be positive")
     m, krylov, echelon = _cyclic_vector(A, _Draws())
-    f0 = _in_span(echelon, _mul_lifted(B, krylov[0]).common())[0]
+    c = _in_span(echelon, _mul_lifted(B, krylov[0]).common())
+    f0 = None if c is None else Poly.make(c, A.field)
     return (m, f0) if f0 is not None and _same(_at_lifted(f0, A), B) else None
 
 
@@ -149,10 +152,10 @@ def _class_solve(base: Poly, target: Poly, m: Poly, cls: CongruenceClass) -> Pol
     y = _columns(Bl if exps[0] else _abreast((field.one(),), d, field), [0])
     echelon = _krylov_dependency(S, y.common())[2]
     t = _lift(Matrix(field, d, 1, tuple(target.coeff(i) for i in range(d)))).common()
-    c = _in_span(echelon, t)[0]
+    c = _in_span(echelon, t)
     if c is None:
         return None
-    f = sum((Poly.monomial(e, x, field) for e, x in zip(exps, c.coeffs)), Poly.zero(field))
+    f = sum((Poly.monomial(e, x, field) for e, x in zip(exps, c)), Poly.zero(field))
     if not _same(_horner(f.coeffs, Bl, [(0, 0)], 1), t):
         raise VerificationError("certificate fails f(base) = target mod m_A")
     return f

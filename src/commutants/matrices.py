@@ -7,8 +7,25 @@ come out in the free-column order the pivots induce.
 
 Products and elimination share one private lifted form, `_Lifted`:
 integer coefficient planes, one per power of zeta below phi = deg Phi_q
-(phi = 1 over Q), plane-major, over a denominator per row.  Over
-Q(zeta_q) lifting reads only the nonzero coefficients of nonzero
+(phi = 1 over Q), plane-major, over a denominator per row.  The layout
+is this module's decision alone: no other module indexes a lifted row by
+plane offset (the CI checks it), and they call these primitives instead:
+
+- build: `_lift` (a `Matrix`), `_from_cells` (the CLI's integer JSON
+  cells), `_scaled` (integer rows over denominator 1), `_abreast`
+  ([c_1*I | c_2*I | ...] from the scalars' coefficient planes, the one
+  lifted identity, and with n = 1 a row of scalars) and `_embed` (a
+  rational lift padded with the zero planes of Q(zeta_q));
+- reshape: `_columns` (in every plane, row denominators kept),
+  `_transpose` (over the common denominator), `_beside`, `_vec` and
+  `_realigned` (row (i, l), column (j, m) to row (i, j), column (l, m));
+- multiply: `_mul_lifted`, `_times` (c*L), `_left`, `_right`, `_sides`,
+  `_power`, `_horner` and `_content_free`;
+- eliminate: `_rref_core`, `_rref_lifted`, `_kernel`, `_solve_square`,
+  `_inverse` and `_in_span`;
+- compare and normalize: `_same` and `_entries`.
+
+Over Q(zeta_q) lifting reads only the nonzero coefficients of nonzero
 entries.  Each algorithm is "lift, integer core, one normalization",
 with one body for Q and Q(zeta_q):
 
@@ -34,56 +51,48 @@ with one body for Q and Q(zeta_q):
   other row loses both columns in one three-term pass and one content
   division.  Every row update is one `_combine`, which divides the
   multipliers by their gcd before it touches the row.
-- `_kernel` reads the kernel's RREF basis off one `_rref_core` pass,
-  one vector per free column, lifted: `kernel_basis`, the ad-power
-  kernels (columns reversed) and the Frobenius split's complement.
-- `_solve_lifted` solves a lifted augmented system [M | b] with
-  `_rref_core` and divides each pivot row's last entry by its pivot
-  once; it is `solve`'s core.  The certificates run no system of their
-  own: their coordinates are read off the Krylov echelon
-  (`canonical._in_span`).  `_beside` lays lifted blocks side by side:
-  `solve`'s [M | b], the Frobenius split's Krylov matrices and P, and
-  `_solve_square`'s [L | R].
-- `_solve_square` is L^-1 * R, lifted, from one `_rref_core` pass on
-  [L | R]: `_inverse` (R = I, behind `Matrix.inverse` and the split's
-  P^-1) and `gen`'s P^-1 * M * P (solving P*X = M*P) are each one
-  such solve.  `_embed` pads a rational lift with the zero planes of
-  Q(zeta_q), so a rational P or A joins cyclotomic work unpromoted.
+- `_in_span` is the same elimination one row at a time: it reduces a
+  column against the echelon of earlier ones and returns its
+  coordinates in them, or pivots it and appends it to the echelon.  The
+  split's cyclic vectors and every certificate coordinate are read
+  through it, so the certificates run no system of their own.
+- `_reduced` writes `_rref_core`'s rows over their pivots once: `rref`,
+  `solve` (the last column of [M | b] at its pivots) and `_solve_square`
+  read their answers off it.  `_kernel` reads the kernel's RREF basis
+  off one `_rref_core` pass, one vector per free column, lifted:
+  `kernel_basis`, the ad-power kernels (columns reversed) and the
+  Frobenius split's complement.
+- `_solve_square` is L^-1 * R, lifted, from one reduction of [L | R]:
+  `_inverse` (R = I, behind `Matrix.inverse` and the split's P^-1) and
+  `gen`'s P^-1 * M * P (solving P*X = M*P) are each one such solve.
 - `_entries` normalizes: one Fraction per entry over Q, one division per
   coefficient over Q(zeta_q), through `scalars._from_ints`, which skips
   the reduction mod Phi_q.
 
 `Matrix.__mul__` and `rref` normalize at once.  Callers that feed a
 result into more integer work keep it lifted instead, and lift each
-matrix once.  Other modules pick columns with `_columns` (in every
-plane, row denominators kept) and transpose with `_transpose` (over the
-common denominator) rather than by plane offsets.  `_abreast` builds
-[c_1*I | c_2*I | ...] straight from the scalars' coefficient planes: it
-is the one lifted identity (c = 1) and the c*I block a scalar enters
-as, and `_times` is c*L, one product c*I * L, so mu*A and omega*A
-never become field elements.  The batched product layer takes integer vecs of n x n
-matrices Y_e and lifted operands: `_left` gives L*Y_e for every e from
-one product, the Y_e laid abreast, `_right` gives Y_e*R with the Y_e
-stacked, and `_sides` gives L*Y_e against mu*Y_e*L, both over L's
-denominator.  The commutants' relation checks L*Y = mu*Y*L and the
-commutator steps (mu = 1) of `ann_k_member` and the ad-power inclusion
-check go through it; the commutants form X = P*Y*P^-1 on Y's block
-alone.  The Frobenius split takes A lifted and returns P lifted.  The
-ad-power kernels build the integer matrix of (ad_A)^k by the binomial
-formula in one `_mul_lifted` product.  The chains of products stay
-lifted too, content-free after each product: `_power`
+matrix once.  `_times` is c*L, one product c*I * L, so mu*A and omega*A
+never become field elements.  The batched product layer takes integer
+vecs of n x n matrices Y_e and lifted operands: `_left` gives L*Y_e for
+every e from one product, the Y_e laid abreast, `_right` gives Y_e*R
+with the Y_e stacked, and `_sides` gives L*Y_e against mu*Y_e*L, both
+over L's denominator.  The commutants' relation checks L*Y = mu*Y*L and
+the commutator steps (mu = 1) of `ann_k_member` and the ad-power
+inclusion check go through it; the commutants form X = P*Y*P^-1 on Y's
+block alone.  The Frobenius split takes A lifted and returns P lifted.
+The ad-power kernels build the integer matrix of (ad_A)^k by the
+binomial formula in one `_mul_lifted` product, realigned.  The chains
+of products stay lifted too, content-free after each product: `_power`
 (`scalars._binary_power`, behind `Matrix.__pow__`, the Potter check and
-the certificates' class step),
-`_horner` (f(M)*E for a 0/1 matrix E, behind `eval_at_matrix`, the
-annihilation check of the split and the certificates on the companion
-of m_A), and `_same`, which compares two lifted matrices row by row over
-cross-multiplied denominators (the Potter identity, AB = omega*BA, the
-certificates, the split's A*P = P*F as two plain products, and subspace
-membership).
-Wherever only a span or a homogeneous relation matters, row denominators
-are dropped, since a scaled row spans the same line.  `Matrix.det` runs
-no elimination of its own: it is (-1)^n chi_A(0), read off the checked
-Frobenius split.
+the certificates' class step), `_horner` (f(M)*E for a 0/1 matrix E,
+behind `eval_at_matrix`, the annihilation check of the split and the
+certificates on the companion of m_A), and `_same`, which compares two
+lifted matrices row by row over cross-multiplied denominators (the
+Potter identity, AB = omega*BA, the certificates, the split's A*P = P*F
+as two plain products, and subspace membership).  Wherever only a span
+or a homogeneous relation matters, row denominators are dropped, since
+a scaled row spans the same line.  `Matrix.det` runs no elimination of
+its own: it is (-1)^n chi_A(0), read off the checked Frobenius split.
 """
 
 from __future__ import annotations
@@ -93,7 +102,7 @@ from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import FieldMismatch, NotSquare, ShapeMismatch, ZeroInverse
 from .scalars import QQ, FieldTag, _binary_power, _conjugates, _from_ints, _over_lcm, cyclo_coeffs, phi_degree
@@ -312,7 +321,9 @@ class _Lifted(NamedTuple):
     and ints[i] is plane-major as in `_planes` (coefficient e of column j
     at e * cols + j).  Wherever only the span of the rows matters, the
     denominators are dropped (set to 1): each row is then a scaled copy.
-    Modules other than this one read columns through `_columns`."""
+    Only this module indexes the planes, and `phi` is read here alone;
+    other modules build, reshape and read lifted matrices through the
+    primitives the module docstring lists, and may use rows whole."""
 
     field: FieldTag
     cols: int
@@ -359,6 +370,27 @@ def _lift(M: Matrix) -> _Lifted:
     phi = phi_degree(q) if q else 1
     rows = [_planes(M.row(i), q, phi) for i in range(M.rows)]
     return _Lifted(M.field, M.cols, [d for d, _ in rows], [row for _, row in rows])
+
+
+def _from_cells(field: FieldTag, cols: int, rows: Iterable[Sequence[tuple]]) -> _Lifted:
+    """Rows of integer cells, lifted as `_lift` lifts the matrix they
+    spell: each row over the lcm of its cells' denominators, its gcd with
+    the row's integers divided out.  A cell is (num, den) over Q and
+    (coefficients, den) over Q(zeta_q), at most phi coefficients
+    ascending in zeta, the missing top ones zero."""
+    q = field.q
+    phi = phi_degree(q) if q else 1
+    dens, ints = [], []
+    for cells in rows:
+        d = lcm(*[e for _, e in cells])
+        if q is None:
+            out = [n * (d // e) for n, e in cells]
+        else:
+            out = [c[k] * (d // e) if k < len(c) else 0 for k in range(phi) for c, e in cells]
+        g = gcd(d, *out)  # 1 unless an unreduced spelling such as "2/4" left a factor
+        dens.append(d // g)
+        ints.append([x // g for x in out] if g != 1 else out)
+    return _Lifted(field, cols, dens, ints)
 
 
 def _entries(L: _Lifted) -> tuple:
@@ -470,6 +502,16 @@ def _sides(vecs: list[list[int]], L: _Lifted, mu) -> tuple[list, list]:
     denominator 1, so mu*L (`_times`) keeps L's denominator."""
     L = L.common()
     return _left(L, vecs), _right(vecs, L if mu == 1 else _times(mu, L))
+
+
+def _realigned(L: _Lifted, n: int) -> Iterator[list[int]]:
+    """The integer rows of the n^2 x n^2 lifted L with the entry at row
+    (i, l), column (j, m) moved to row (i, j), column (l, m), in every
+    plane, the denominators dropped: Van Loan and Pitsianis' (1993)
+    rearrangement, which takes sum_a vec(A_a) vec(B_a)^T to sum_a A_a
+    kron B_a."""
+    N, phi = L.ints, L.phi
+    return ([x for f in range(phi) for r in N[i * n : (i + 1) * n] for x in r[(f * n + j) * n : (f * n + j + 1) * n]] for i in range(n) for j in range(n))
 
 
 def _abreast(scalars: Sequence, n: int, field: FieldTag) -> _Lifted:
@@ -601,12 +643,19 @@ def rref(M: Matrix) -> RrefResult:
 
 def _rref_lifted(L: _Lifted) -> RrefResult:
     """rref of the matrix whose rows span the rows of L (the denominators
-    do not matter): `_rref_core`, then each entry divided by its row's
+    do not matter): `_reduced`, then each entry divided by its row's
     pivot once."""
-    rows, pivots = _rref_core(L.ints, L.cols, L.field.q)
-    flat = _entries(_Lifted(L.field, L.cols, [row[c] for row, c in zip(rows, pivots)], rows))
-    flat += (L.field.zero(),) * (L.cols * (L.rows - len(pivots)))
+    R, pivots = _reduced(L)
+    flat = _entries(R) + (L.field.zero(),) * (L.cols * (L.rows - len(pivots)))
     return RrefResult(Matrix(L.field, L.rows, L.cols, flat), tuple(pivots), len(pivots))
+
+
+def _reduced(L: _Lifted) -> tuple[_Lifted, list[int]]:
+    """The nonzero RREF rows of the system with L's rows (its scales do
+    not matter), lifted: `_rref_core`'s rows, each over its pivot, and
+    their pivot columns."""
+    rows, pivots = _rref_core(L.ints, L.cols, L.field.q)
+    return _Lifted(L.field, L.cols, [row[c] for row, c in zip(rows, pivots)], rows), pivots
 
 
 def _rref_core(ints: list[list[int]], width: int, q: int | None) -> tuple[list[list[int]], list[int]]:
@@ -734,6 +783,39 @@ def _pivot(row: list[int], c: int, width: int, q: int | None) -> tuple[int, list
     return row[c], row, shifts
 
 
+def _in_span(echelon: list, y: _Lifted) -> tuple | None:
+    """The coordinates c_0, ..., c_(k-1) of the column u = y / D, y
+    lifted over one denominator D, in the k columns whose reduced rows
+    `echelon` holds, when u lies in their span; else None, and u's
+    reduced row joins `echelon`, pivoted at its leading column: the
+    elimination of `_rref_core`, one row at a time.  An empty list starts
+    a span; each item is (leading column, pivot value, zeta shifts), its
+    row zero at the leading columns of the items before it.
+
+    u enters as the row [y | D * e_k], 2m + 1 wide for m = y.rows, and
+    is reduced fraction-free against the echelon, so its right part
+    keeps the coefficients of the earlier columns and u that make up its
+    left part.  Echelon rows are zero at slot k in every plane and the
+    reduction scales the new row by rational pivots only, so right[k]
+    stays rational; a zero left part gives c = -right[0..k-1] / right[k]."""
+    q, m, k = y.field.q, y.rows, len(echelon)
+    w = 2 * m + 1
+    row = [0] * (y.phi * w)
+    for i, planes in enumerate(y.ints):
+        row[i::w] = planes
+    row[m + k] = y.dens[0]
+    for c, pv, shifts in echelon:
+        v = row[c::w]
+        if any(v):
+            row = _combine(pv, row, v, shifts)
+    lead = next((c for c in range(m) if any(row[c::w])), None)
+    if lead is None:
+        return _entries(_columns(_Lifted(y.field, w, [-row[m + k]], [row]), range(m, m + k)))
+    pv, _, shifts = _pivot(row, lead, w, q)
+    echelon.append((lead, pv, shifts))
+    return None
+
+
 def kernel_basis(M: Matrix) -> list[tuple]:
     """Basis vectors of {x : Mx = 0}, one per free column, in the
     deterministic order the RREF pivots induce."""
@@ -759,40 +841,31 @@ def _kernel(L: _Lifted) -> tuple[list[int], _Lifted]:
 
 def solve(M: Matrix, b: Sequence):
     """Canonical solution of Mx = b with free variables set to zero, or
-    None when the system is inconsistent."""
+    None when the system is inconsistent: the last column of the RREF of
+    [M | b], lifted, at its pivots."""
     if len(b) != M.rows:
         raise ShapeMismatch("right-hand side length mismatch")
     bcol = Matrix(M.field, M.rows, 1, tuple(M.field.coerce(x) for x in b))
-    return _solve_lifted(_beside((_lift(M), _lift(bcol))))
-
-
-def _solve_lifted(L: _Lifted) -> tuple | None:
-    """`solve` on the augmented matrix [M | b], lifted: the rows' scales
-    do not matter, so `_rref_core` runs on the integers as they are, and
-    each pivot row's last entry is divided by its pivot once.  Free
-    coordinates are zero; None when b is not in the column span."""
-    w = L.cols - 1
-    rows, pivots = _rref_core(L.ints, L.cols, L.field.q)
-    if pivots and pivots[-1] == w:
+    R, pivots = _reduced(_beside((_lift(M), _lift(bcol))))
+    if pivots and pivots[-1] == M.cols:
         return None
-    x = [L.field.zero()] * w
-    values = _entries(_columns(_Lifted(L.field, L.cols, [row[c] for row, c in zip(rows, pivots)], rows), [w]))
-    for c, v in zip(pivots, values):
+    x = [M.field.zero()] * M.cols
+    for c, v in zip(pivots, _entries(_columns(R, [M.cols]))):
         x[c] = v
     return tuple(x)
 
 
 def _solve_square(L: _Lifted, R: _Lifted) -> _Lifted | None:
     """L^-1 * R, lifted, for a square L and an R with as many rows, from
-    one `_rref_core` pass on [L | R]: row i of the answer is the right
-    part of core row i over its pivot.  None when L is singular, that is
-    unless the first n pivots are 0, ..., n - 1: a singular L can still
-    give [L | R] full rank through R's columns."""
+    one `_reduced` pass on [L | R]: the right part of its rows.  None
+    when L is singular, that is unless the first n pivots are 0, ...,
+    n - 1: a singular L can still give [L | R] full rank through R's
+    columns."""
     n, w = L.rows, L.cols + R.cols
-    rows, pivots = _rref_core(_beside((L, R)).ints, w, L.field.q)
+    reduced, pivots = _reduced(_beside((L, R)))
     if pivots[:n] != list(range(n)):
         return None
-    return _columns(_Lifted(L.field, w, [row[i] for i, row in enumerate(rows)], rows), range(n, w))
+    return _columns(reduced, range(n, w))
 
 
 def _inverse(L: _Lifted) -> _Lifted | None:

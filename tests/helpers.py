@@ -15,7 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from commutants import matrices
 from commutants.matrices import rref
-from commutants.scalars import cyclo_coeffs
+from commutants.scalars import cyclo_coeffs, phi_degree
 from commutants import (
     CongruenceClass,
     class_exponents,
@@ -466,6 +466,41 @@ def reference_block_solutions(a: Poly, b: Poly, mu) -> list[list[tuple]]:
             w = [x - top * y for x, y in zip(w, low)]
         shifts.append(tuple(w))
     return [[tuple(s * x for x in shifts[t + k]) for k, s in enumerate(scales[:-1])] for t in range(g.degree)]
+
+
+def hand_fold_block_solutions(a: Poly, b: Poly, mu) -> list[list[tuple]]:
+    """`commutant._block_solutions` with each step x*U mod a written out
+    on the plane-major integers: U_s shifted up one row in every plane,
+    its top entry folded back through a's low coefficients times each
+    power of zeta, then times mu^-1 by `_times`.  The oracle for the
+    step products, whose Ys it gives to within one positive rational
+    scale per Y."""
+    field = a.field
+    inv = field.one() / mu
+    if mu == 1 or all(mu ** (b.degree - k) == 1 for k, x in enumerate(b.coeffs) if x):
+        g = a if a.degree <= b.degree else b
+    else:
+        g = poly_gcd(a, Poly.make([x * inv**k for k, x in enumerate(b.coeffs)], field))
+    if not g.degree:
+        return []
+    q, da = field.q, a.degree
+    d, low = matrices._planes(a.coeffs[:-1], q, phi_degree(q) if q else 1)
+    fold = matrices._zeta_shifts(low, da, cyclo_coeffs(q)[:-1] if q else ())  # zeta^e * d*low
+    u = Poly.one(field) if g is a else a // g
+    dw, w = matrices._planes(list(u.coeffs) + [field.zero()] * (da - u.degree - 1), q, len(fold))
+    U = matrices._Lifted(field, da, [dw], [w])
+    for _ in range(g.degree + b.degree - 2):
+        z = U.ints[-1]
+        y = [d * z[i - 1] if i % da else 0 for i in range(len(z))]
+        for t, f in zip(z[da - 1 :: da], fold):
+            if t:
+                y = [x - t * v for x, v in zip(y, f)]
+        y = matrices._Lifted(field, da, [U.dens[-1] * d], [y])
+        y = y if inv == 1 else matrices._times(inv, y)
+        U.dens.append(y.dens[0])
+        U.ints.append(y.ints[0])
+    db = b.degree
+    return [[tuple(col) for col in U._replace(dens=U.dens[t : t + db], ints=U.ints[t : t + db]).common().ints] for t in range(g.degree)]
 
 
 def reference_ad_power_kernel(A: Matrix, k: int) -> SubspaceBasis:

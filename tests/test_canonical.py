@@ -313,9 +313,10 @@ def krylov_inputs(draw):
 def test_in_span_reads_the_rref_oracles_krylov_coordinates(case):
     # u = c(M) v for deg c < k gives c back exactly; any other target is
     # read against the oracle's RREF of [v, Mv, ..., M^(k-1) v | t]: None
-    # when t is a pivot column, else the coordinates at the pivots
+    # when t is a pivot column, else the coordinates at the pivots.  A
+    # read outside the span appends to the echelon, so each reads a copy
     import commutants.canonical as canonical
-    from commutants.matrices import _lift
+    from commutants.matrices import _in_span, _lift
     from helpers import hstack, reference_rref
     M, v, c, t = case
     field, n = M.field, M.rows
@@ -329,7 +330,8 @@ def test_in_span_reads_the_rref_oracles_krylov_coordinates(case):
     assert reference_rref(K)[1] == tuple(range(k))
 
     def read(u):
-        return canonical._in_span(echelon, _lift(u).common())[0]
+        c = _in_span(list(echelon), _lift(u).common())
+        return None if c is None else Poly.make(c, field)
 
     target = Matrix.zero(n, 1, field)
     for ci, P in zip(c[:k], powers):

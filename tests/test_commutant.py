@@ -46,6 +46,7 @@ from helpers import (
     conjugated,
     cyclo3_jordan,
     double_inputs,
+    hand_fold_block_solutions,
     mat,
     nilpotent,
     partitions,
@@ -356,14 +357,14 @@ def test_frobenius_count_equals_the_built_bases_and_the_kronecker_oracle(case):
 # ------------------------- integer block solutions against field arithmetic
 
 @st.composite
-def block_pairs(draw):
+def block_pairs(draw, qs=(None, 3, 5)):
     """(a, b, mu) with a | b or b | a, as for two invariant factors, over
-    Q (non-integer coefficients), Q(zeta_3) or Q(zeta_5), mu in {1, -1,
-    zeta_q^k}: the larger of a and b carries m and the smaller a factor
-    m(mu^-1 x), so gcd(a(x), b(mu^-1 x)) is not 1 when deg m > 0; the
-    cofactors are sometimes powers of x, for which b(mu^-1 x) is a
+    Q (non-integer coefficients) or Q(zeta_q) for q in ``qs``, mu in {1,
+    -1, zeta_q^k}: the larger of a and b carries m and the smaller a
+    factor m(mu^-1 x), so gcd(a(x), b(mu^-1 x)) is not 1 when deg m > 0;
+    the cofactors are sometimes powers of x, for which b(mu^-1 x) is a
     multiple of b."""
-    q = draw(st.sampled_from([None, 3, 5]))
+    q = draw(st.sampled_from(qs))
     field = QQ if q is None else FieldTag.cyclotomic(q)
     mus = [field.one(), -field.one()] + ([] if q is None else [CycloScalar.zeta(q, k) for k in range(1, q)])
     mu = draw(st.sampled_from(mus))
@@ -385,19 +386,21 @@ def block_pairs(draw):
     return a, b, mu
 
 
+def _entry(col, r, field, da):
+    """Row r of a column of Y, given as field elements or as the integer
+    plane-major column of `_block_solutions`."""
+    if not isinstance(col[0], int):
+        return col[r]
+    if field.q is None:
+        return Fraction(col[r])
+    return CycloScalar(field.q, tuple(Fraction(x) for x in col[r::da]))
+
+
 def _solution_rref(sols, a, b):
     """The RREF of the vec'd Ys, read from field elements or from the
     integer plane-major columns of `_block_solutions`."""
     field, da = a.field, a.degree
-
-    def entry(col, r):
-        if not isinstance(col[0], int):
-            return col[r]
-        if field.q is None:
-            return Fraction(col[r])
-        return CycloScalar(field.q, tuple(Fraction(x) for x in col[r::da]))
-
-    rows = [[entry(Y[k], r) for r in range(da) for k in range(b.degree)] for Y in sols]
+    rows = [[_entry(Y[k], r, field, da) for r in range(da) for k in range(b.degree)] for Y in sols]
     return rref(Matrix(field, len(rows), da * b.degree, tuple(x for row in rows for x in row))).rref
 
 
@@ -410,6 +413,43 @@ def test_integer_block_solutions_span_the_field_solutions(case):
     assert all(len(Y) == b.degree and all(type(x) is int for col in Y for x in col) for Y in ours)
     if ref:
         assert _solution_rref(ours, a, b) == _solution_rref(ref, a, b)
+
+
+def _scaled_hand_fold(a, b, mu):
+    """Each Y of `_block_solutions` is the hand fold's Y times one positive
+    rational, and C(a)*Y = mu*Y*C(b) holds for it by `Matrix` products."""
+    field, da = a.field, a.degree
+    ours, ref = commutant._block_solutions(a, b, mu), hand_fold_block_solutions(a, b, mu)
+    assert len(ours) == len(ref)
+    for Y, R in zip(ours, ref):
+        flat, rflat = [x for col in Y for x in col], [x for col in R for x in col]
+        scale = next(Fraction(x, r) for x, r in zip(flat, rflat) if r)
+        assert scale > 0 and flat == [scale * r for r in rflat]
+        M = Matrix(field, da, b.degree, tuple(_entry(Y[k], r, field, da) for r in range(da) for k in range(b.degree)))
+        assert not M.is_zero()
+        assert canonical.companion(a) * M == M.scale(mu) * canonical.companion(b)
+    return ours
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_pairs((None, 3, 5, 12)))
+def test_block_solutions_are_the_hand_fold_to_scale(case):
+    _scaled_hand_fold(*case)
+
+
+def test_block_solutions_of_an_unbalanced_b_at_mu_minus_one_are_the_hand_fold_to_scale():
+    # b has the root 2 but not -2, so b(-x) is no multiple of b and g comes
+    # from poly_gcd: for a = x + c and b = a * (x - c) * (x - 2), b(-x) =
+    # -(x + c)(x - c)(x + 2) shares x + c with a, and with a and b swapped
+    # b(-x) = c - x divides a
+    for q in (None, 3, 5, 12):
+        field = QQ if q is None else FieldTag.cyclotomic(q)
+        roots = [field.one()] if q is None else [field.one(), CycloScalar.zeta(q)]
+        for c in roots:
+            small = Poly.make([c, 1], field)
+            big = small * Poly.make([-c, 1], field) * Poly.make([-2, 1], field)
+            for a, b in [(small, big), (big, small)]:
+                assert len(_scaled_hand_fold(a, b, -field.one())) == 1
 
 
 # ---------------------------------------- a corrupted result is never returned
