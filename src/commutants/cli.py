@@ -5,7 +5,10 @@ integer rows, and every matrix command runs on those; only `analyze`
 normalizes them, once, for the `Matrix` it echoes and reports on.  A
 printed dimension with no basis beside it is read off the checked
 Frobenius split (`commutant._dimension`, and deg m_A for the double
-centralizer), so no span is built only to be counted.
+centralizer), so no span is built only to be counted.  A printed
+basis is spelled from the reduced integer rows the relation check read
+(`_rows_json`), with no field element built, and one writer, `_emit`,
+prints every command's JSON as json.dumps(obj, indent=2) would.
 
 Exit codes: 0 success, 1 negative mathematical verdict (not equivalent,
 identity fails), 2 malformed input, 3 a failed internal check (a
@@ -21,7 +24,8 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from json.encoder import encode_basestring_ascii
+from math import gcd, lcm
 
 from .canonical import StructureReport
 from .commutant import OmegaSpec, _dimension, _mu_commutant_basis, _split
@@ -43,11 +47,10 @@ from .gen import (
     NilpotentBlocks,
     generate,
 )
-from .matrices import Matrix, _entries, _from_cells, _Lifted
+from .matrices import Matrix, _cells, _entries, _from_cells, _Lifted
 from .polys import CongruenceClass, Poly
 from .potter import _collapses, _lifts, _power_stacks, _quasi_commutes
 from .scalars import QQ, CycloScalar, FieldTag, _divmod_monic, cyclo_coeffs
-from .subspaces import SubspaceBasis
 
 
 # ---------------------------------------------------------------- parsing
@@ -263,12 +266,50 @@ def _structure_json(rep: StructureReport) -> dict:
     }
 
 
-def _basis_json(S: SubspaceBasis) -> list:
-    return [matrix_json(X) for X in S.basis]
+def _spelled(x: int, d: int) -> str:
+    """str(Fraction(x, d)) for d != 0, with no Fraction built: x/d in
+    lowest terms, the sign on the numerator, "/1" left off."""
+    g = gcd(x, d) if d > 0 else -gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
+
+
+def _rows_json(R: _Lifted, n: int) -> list:
+    """`matrix_json` of each n x n matrix whose vec is a row of R, spelled
+    from the integers over each row's denominator: the basis as
+    `_mu_commutant_basis` proved it, with no field element built."""
+    field, rational = _field_json(R.field), R.field.q is None
+    out = []
+    for d, entries in _cells(R):
+        # zeros, about a third of the cells, skip the call
+        if rational:
+            cells = [_spelled(x, d) if x else "0" for x in entries]
+        else:
+            cells = [[_spelled(x, d) if x else "0" for x in c] for c in entries]
+        out.append({"field": field, "rows": [cells[i : i + n] for i in range(0, n * n, n)]})
+    return out
+
+
+def _json(obj, pad: str) -> str:
+    """json.dumps(obj, indent=2) for a JSON value whose dict keys are
+    strings, nested at the newline and indent ``pad``: containers are
+    laid out here, strings and other scalars spelled as json spells
+    them."""
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        items = [encode_basestring_ascii(x) if type(x) is str else _json(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    if isinstance(obj, dict):
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    return json.dumps(obj)
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    """print(json.dumps(obj, indent=2)), byte for byte, without the
+    pure-Python encoder json.dumps falls back to whenever indent is set."""
+    print(_json(obj, "\n"))
 
 
 # ------------------------------------------------------------- commands
@@ -307,8 +348,8 @@ def _cmd_analyze(args) -> int:
     }
     if args.q is not None:
         w = OmegaSpec(args.q, args.k)
-        om = _mu_commutant_basis(L, w.omega(), split)
-        out["omega"] = {"q": w.q, "k": w.k, "dim": om.dim, "basis": _basis_json(om)}
+        R, _ = _mu_commutant_basis(L, w.omega(), split)
+        out["omega"] = {"q": w.q, "k": w.k, "dim": R.rows, "basis": _rows_json(R, L.rows)}
     _emit(out)
     return 0
 
@@ -322,8 +363,8 @@ def _cmd_commutant(args) -> int:
     else:
         mu, out = A.field.one() if args.command == "centralizer" else -A.field.one(), {}
     if args.basis:
-        S = _mu_commutant_basis(A, mu)
-        out["dimension"], out["basis"] = S.dim, _basis_json(S)
+        R, _ = _mu_commutant_basis(A, mu)
+        out["dimension"], out["basis"] = R.rows, _rows_json(R, A.rows)
     else:
         out["dimension"] = _dimension(A, mu)
     _emit(out)

@@ -6,11 +6,14 @@ With A = P*F*P^-1 and F a direct sum of companion blocks, X = P*Y*P^-1
 where each block of Y solves C(a)*Y = mu*Y*C(b), whose solutions are
 known in closed form, so one structural routine serves all three and no
 n^2 x n^2 system is eliminated.  It takes A lifted once, as the CLI
-reads it, and stays in integers up to the checked canonical basis.
-Where only the dimension is wanted, `_dimension` counts the same block
-solutions on the same checked split and builds no span: once the split
-has proven A*P = P*F, P invertible and f_1 | ... | f_r, Frobenius'
-count sum deg gcd(f_i(x), f_j(mu^-1 x)) is a theorem.
+reads it, and stays in integers through the checked canonical basis:
+the relation is proven on the reduced integer rows themselves, which
+the CLI spells as they are and the public bases divide out once.
+Where only the dimension is wanted, `_dimension` sums deg g over the
+same block pairs on the same checked split and builds no block solution
+and no span: once the split has proven A*P = P*F, P invertible and
+f_1 | ... | f_r, Frobenius' count sum deg gcd(f_i(x), f_j(mu^-1 x)) is
+a theorem.
 The double centralizer is F[A], by the double-centralizer theorem: the
 span of I, A, ..., A^(d-1), d = deg m_A from the checked `min_poly`,
 checked to be an A-invariant d-dimensional span containing I, with no
@@ -45,6 +48,7 @@ from .matrices import (
     _lift,
     _Lifted,
     _mul_lifted,
+    _reduced,
     _scaled,
     _sides,
     _times,
@@ -54,7 +58,7 @@ from .matrices import (
 )
 from .polys import Poly, poly_gcd
 from .scalars import QQ, CycloScalar, FieldTag
-from .subspaces import SubspaceBasis, _contains, _rows, _span, subspace_from_matrices
+from .subspaces import SubspaceBasis, _contains, _from_reduced, _rows, _span
 
 
 @dataclass(frozen=True)
@@ -116,19 +120,23 @@ def _on_split(Al: _Lifted, mu, split):
 def _dimension(Al: _Lifted, mu, split=None) -> int:
     """dim {X : AX = mu*XA} for A lifted as Al, by Frobenius' count sum
     deg gcd(f_i(x), f_j(mu^-1 x)) over all pairs of invariant factors,
-    each term the number of `_block_solutions`, with no span built.  The
-    count is a theorem once the split is checked: A*P = P*F and f_1 |
-    ... | f_r by `_frobenius`, P invertible by `_split`'s P^-1."""
+    each g from `_block_gcd`, with no block solution and no span built.
+    The count is a theorem once the split is checked: A*P = P*F and f_1
+    | ... | f_r by `_frobenius`, P invertible by `_split`'s P^-1."""
     factors = _on_split(Al, mu, split)[2]
-    return sum(len(_block_solutions(a, b, mu)) for a in factors for b in factors)
+    return sum(_block_gcd(a, b, mu).degree for a in factors for b in factors)
 
 
-def _mu_commutant_basis(Al: _Lifted, mu, split=None) -> SubspaceBasis:
-    """Basis of {X : AX = mu*XA} over mu's field, for A lifted as Al,
+def _mu_commutant_basis(Al: _Lifted, mu, split=None) -> tuple[_Lifted, list[int]]:
+    """The canonical basis of {X : AX = mu*XA} over mu's field, for A
+    lifted as Al, as `_reduced` gives it: the integer vecs of the RREF
+    rows, each over its pivot value, and their pivot columns.  It is
     built block by block on the Frobenius form A = P*F*P^-1 of
-    `_on_split` and proven before it is returned: every returned X
-    satisfies the relation, and the span has Frobenius' dimension, the
-    number of Ys.  A rational A's P and P^-1 are embedded with `_embed`.
+    `_on_split` and proven on exactly these rows before they are
+    returned: every row satisfies the relation, and there are as many as
+    Frobenius' dimension, the number of Ys.  The public bases write them
+    out with `subspaces._from_reduced`, the CLI spells them as they
+    are.  A rational A's P and P^-1 are embedded with `_embed`.
     Each integer Y of `_block_solutions` fills one block (I, J), so X =
     (P[:, I]*Y)*P^-1[J, :]: one product per I, the Ys' distinct columns
     abreast, and one per J, the n x deg f_J blocks stacked.  P and P^-1
@@ -153,15 +161,25 @@ def _mu_commutant_basis(Al: _Lifted, mu, split=None) -> SubspaceBasis:
             o, db = offsets[j], factors[j].degree
             XJ = _mul_lifted(_scaled(field, db, rows), _Lifted(field, n, P_inv.dens[o : o + db], P_inv.ints[o : o + db])).ints
             X += [_vec(_scaled(field, n, XJ[s : s + n])) for s in range(0, len(XJ), n)]
-    if not X:
-        return subspace_from_matrices([], ambient_n=n, field=field)
-    S = _span(_scaled(field, n * n, X), n)
-    if S.dim != len(X):
-        raise VerificationError(f"span has rank {S.dim}, Frobenius' formula gives {len(X)}")
-    AX, XmuA = _sides(_rows(S).ints, Ae, mu)
+    R, pivots = _reduced(_scaled(field, n * n, X))
+    if R.rows != len(X):
+        raise VerificationError(f"span has rank {R.rows}, Frobenius' formula gives {len(X)}")
+    AX, XmuA = _sides(R.ints, Ae, mu)
     if AX != XmuA:
         raise VerificationError("a basis element fails AX = mu*XA")
-    return S
+    return R, pivots
+
+
+def _block_gcd(a: Poly, b: Poly, mu) -> Poly:
+    """g = gcd(a(x), b(mu^-1 x)) for invariant factors a and b (one
+    divides the other), so that {Y : C(a)*Y = mu*Y*C(b)} has dimension
+    deg g: the factor of lower degree when b(mu^-1 x) is a multiple of
+    b, that is when mu^(deg b - k) = 1 for every b_k != 0, and else one
+    `poly_gcd`."""
+    if mu == 1 or all(mu ** (b.degree - k) == 1 for k, x in enumerate(b.coeffs) if x):
+        return a if a.degree <= b.degree else b  # b(mu^-1 x) = mu^-deg b * b(x)
+    inv = a.field.one() / mu
+    return poly_gcd(a, Poly.make([x * inv**k for k, x in enumerate(b.coeffs)], a.field))
 
 
 def _block_solutions(a: Poly, b: Poly, mu) -> list[list[tuple]]:
@@ -169,20 +187,15 @@ def _block_solutions(a: Poly, b: Poly, mu) -> list[list[tuple]]:
     (one divides the other), each Y as its deg b columns in integers,
     plane-major, over one scale per Y.  With columns read as F[x]/(a),
     column k of Y_t, t < deg g, is U_(t+k), U_s = mu^-s x^s (a/g) mod a,
-    g = gcd(a(x), b(mu^-1 x)): the factor of lower degree when b(mu^-1 x)
-    is a multiple of b, that is when mu^(deg b - k) = 1 for every b_k !=
-    0.  The U_s are the Krylov rows of a/g under S = mu^-1 * C(a)^T, one
+    g = gcd(a(x), b(mu^-1 x)) from `_block_gcd`.  The U_s are the Krylov
+    rows of a/g under S = mu^-1 * C(a)^T, one
     `_mul_lifted` per step, since a row U times C(a)^T is x*U mod a.
     C(a)^T's rows are those of the lifted identity from the second on and
     a's negated low coefficients, laid by `_abreast` with no `Matrix`."""
-    field = a.field
-    inv = field.one() / mu
-    if mu == 1 or all(mu ** (b.degree - k) == 1 for k, x in enumerate(b.coeffs) if x):
-        g = a if a.degree <= b.degree else b  # b(mu^-1 x) = mu^-deg b * b(x)
-    else:
-        g = poly_gcd(a, Poly.make([x * inv**k for k, x in enumerate(b.coeffs)], field))
+    field, g = a.field, _block_gcd(a, b, mu)
     if not g.degree:
         return []
+    inv = field.one() / mu
     da, db, u = a.degree, b.degree, Poly.one(field) if g is a else a // g
     ident, low = _abreast((field.one(),), da, field), _abreast([-x for x in a.coeffs[:-1]], 1, field)
     S = _Lifted(field, da, ident.dens[1:] + low.dens, ident.ints[1:] + low.ints)
@@ -197,18 +210,18 @@ def _block_solutions(a: Poly, b: Poly, mu) -> list[list[tuple]]:
 
 def centralizer_basis(A: Matrix) -> SubspaceBasis:
     """Basis of {X : AX = XA}."""
-    return _mu_commutant_basis(_lift(A), A.field.one())
+    return _from_reduced(*_mu_commutant_basis(_lift(A), A.field.one()), A.rows)
 
 
 def clifforder_basis(A: Matrix) -> SubspaceBasis:
     """Basis of {X : AX = -XA}."""
-    return _mu_commutant_basis(_lift(A), -A.field.one())
+    return _from_reduced(*_mu_commutant_basis(_lift(A), -A.field.one()), A.rows)
 
 
 def omega_centralizer_basis(A: Matrix, w: OmegaSpec) -> SubspaceBasis:
     """Basis of {X : AX = omega*XA} over Q(zeta_q); rational input is
     promoted."""
-    return _mu_commutant_basis(_lift(A), w.omega())
+    return _from_reduced(*_mu_commutant_basis(_lift(A), w.omega()), A.rows)
 
 
 def double_centralizer_basis(A: Matrix) -> SubspaceBasis:

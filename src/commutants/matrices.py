@@ -23,7 +23,7 @@ plane offset (the CI checks it), and they call these primitives instead:
   `_power`, `_horner` and `_content_free`;
 - eliminate: `_rref_core`, `_rref_lifted`, `_kernel`, `_solve_square`,
   `_inverse` and `_in_span`;
-- compare and normalize: `_same` and `_entries`.
+- compare and normalize: `_same`, `_cells` and `_entries`.
 
 Over Q(zeta_q) lifting reads only the nonzero coefficients of nonzero
 entries.  Each algorithm is "lift, integer core, one normalization",
@@ -393,18 +393,26 @@ def _from_cells(field: FieldTag, cols: int, rows: Iterable[Sequence[tuple]]) -> 
     return _Lifted(field, cols, dens, ints)
 
 
+def _cells(L: _Lifted) -> Iterator[tuple[int, Iterable]]:
+    """Each row of L as its denominator and its entries' integers, column
+    by column: over Q one integer per entry, over Q(zeta_q) the tuple of
+    its phi coefficients, ascending in zeta.  `_entries` normalizes
+    them, and the CLI spells them with no field element built."""
+    n = L.cols
+    for d, row in zip(L.dens, L.ints):
+        yield d, row if L.field.q is None else zip(*(row[e * n : (e + 1) * n] for e in range(L.phi)))
+
+
 def _entries(L: _Lifted) -> tuple:
     """The entries of L, row-major: the one normalization per entry, a
     Fraction over Q, over Q(zeta_q) one division per coefficient."""
-    q, n, zero = L.field.q, L.cols, L.field.zero()
+    q, zero = L.field.q, L.field.zero()
     flat = []
-    for d, row in zip(L.dens, L.ints):
+    for d, cells in _cells(L):
         if q is None:
-            flat.extend((Fraction(x, d) if d != 1 else Fraction(x)) if x else zero for x in row)
+            flat.extend((Fraction(x, d) if d != 1 else Fraction(x)) if x else zero for x in cells)
         else:
-            for j in range(n):
-                c = row[j::n]
-                flat.append(_from_ints(q, c, d) if any(c) else zero)
+            flat.extend(_from_ints(q, c, d) if any(c) else zero for c in cells)
     return tuple(flat)
 
 

@@ -6,6 +6,9 @@ and the invertibility probe run on the returned rows lifted to integers
 (`_rows`): a row lies in the span exactly when it is its own entries at
 the pivot columns times those rows, one integer product (`_contains`).
 The probe is randomized but seeded, so every run is replayable.
+`_from_reduced` writes the elimination core's integer rows out as the
+canonical basis, for `_span` and for the commutant bases, whose
+relation check runs on those integer rows before they are written out.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import AmbientMismatch, FieldMismatch, NotSquare, ShapeMismatch
-from .matrices import Matrix, _columns, _embed, _entries, _inverse, _lift, _Lifted, _mul_lifted, _rref_lifted, _same, unvec, vstack_rows
+from .matrices import Matrix, _columns, _embed, _entries, _inverse, _lift, _Lifted, _mul_lifted, _reduced, _same, unvec, vstack_rows
 from .scalars import QQ, FieldTag
 
 
@@ -62,10 +65,18 @@ def _span(L: _Lifted, n: int) -> SubspaceBasis:
     matrices in lifted form: scaling a row does not change the span, so
     integer rows from any stage feed the elimination core directly, and
     only the returned entries become field elements."""
-    r = _rref_lifted(L)
-    rows = tuple(r.rref.row(i) for i in range(r.rank))
-    basis = tuple(unvec(row, n, L.field) for row in rows)
-    return SubspaceBasis(L.field, n, r.rank, basis, rows, r.pivots)
+    return _from_reduced(*_reduced(L), n)
+
+
+def _from_reduced(R: _Lifted, pivots: Sequence[int], n: int) -> SubspaceBasis:
+    """The subspace of M_n whose canonical basis is R, `_reduced`'s rows
+    (each over its pivot value), with their pivot columns: each entry
+    is divided by its row's pivot once, so a check run on R has seen
+    exactly the rows returned."""
+    m = n * n
+    flat = _entries(R)
+    rows = tuple(flat[i * m : (i + 1) * m] for i in range(R.rows))
+    return SubspaceBasis(R.field, n, R.rows, tuple(unvec(row, n, R.field) for row in rows), rows, tuple(pivots))
 
 
 def _check_same_ambient(S: SubspaceBasis, T: SubspaceBasis):
@@ -82,8 +93,11 @@ def subspace_equal(S: SubspaceBasis, T: SubspaceBasis) -> bool:
 
 
 def _rows(S: SubspaceBasis) -> _Lifted:
-    """S's returned RREF rows, lifted: every check on S reads these, so it
-    sees exactly the rows a caller gets."""
+    """S's returned RREF rows, lifted: membership, containment, the probe,
+    the double centralizer's closure check and the ad-power inclusion
+    check read these, so they see exactly the rows a caller gets.  The
+    commutant bases are checked on `_reduced`'s integer rows instead,
+    which `_from_reduced` then divides out."""
     return _lift(Matrix(S.field, S.dim, S.ambient_n**2, tuple(x for row in S.rref_rows for x in row)))
 
 

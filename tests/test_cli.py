@@ -645,7 +645,7 @@ def _analyze_json(A: Matrix, q: int | None) -> dict:
     }
     if q:
         om = omega_centralizer_basis(A, OmegaSpec(q))
-        expected["omega"] = {"q": q, "k": 1, "dim": om.dim, "basis": cli._basis_json(om)}
+        expected["omega"] = {"q": q, "k": 1, "dim": om.dim, "basis": [matrix_json(X) for X in om.basis]}
     return expected
 
 
@@ -670,7 +670,7 @@ def test_analyze_splits_once_and_prints_what_the_public_calls_give(tmp_path, cap
 
 def test_analyze_and_dimension_only_commands_build_no_span_they_do_not_print(tmp_path, capsys, monkeypatch):
     # every printed dimension is read off the split: analyze without --q
-    # builds no commutant basis and no canonical span, with --q exactly
+    # builds no commutant basis and reduces no span, with --q exactly
     # one, the omega basis it prints, and centralizer, clifforder and
     # omega without --basis build none
     import commutants.cli as cli
@@ -678,19 +678,19 @@ def test_analyze_and_dimension_only_commands_build_no_span_they_do_not_print(tmp
     import commutants.subspaces as subspaces
     from commutants import OmegaSpec
     mus, spans = [], [0]
-    plain, span = cli._mu_commutant_basis, subspaces._span
+    plain, reduced = cli._mu_commutant_basis, subspaces._reduced
 
     def counting(A, mu, split=None):
         mus.append(mu)
         return plain(A, mu, split)
 
-    def counting_span(L, n):
+    def counting_reduced(L):
         spans[0] += 1
-        return span(L, n)
+        return reduced(L)
 
     monkeypatch.setattr(cli, "_mu_commutant_basis", counting)
     for module in (commutant, subspaces):
-        monkeypatch.setattr(module, "_span", counting_span)
+        monkeypatch.setattr(module, "_reduced", counting_reduced)
     f = write_matrix(tmp_path / "a.json", mat([[0, 1, 0], [0, 0, 0], [0, 0, 2]]))
     code, out, _ = run(capsys, ["analyze", f])
     assert code == 0
@@ -865,8 +865,9 @@ def test_commutant_commands_print_what_the_library_gives(tmp_path, capsys):
     # the commands run on the rows `_read` returns; the library runs on
     # parse_matrix's Matrix of the same file, over Q, Q(zeta_3) and
     # Q(zeta_5), with and without --basis; an omega section over another
-    # Q(zeta_r) is the library's FieldMismatch
-    import commutants.cli as cli
+    # Q(zeta_r) is the library's FieldMismatch.  A printed basis, spelled
+    # from the reduced integer rows, is json.dumps of matrix_json of the
+    # public basis's matrices, byte for byte
     from commutants import OmegaSpec, centralizer_basis, clifforder_basis, omega_centralizer_basis
     for i, M in enumerate(_commutant_inputs()):
         f = write_matrix(tmp_path / f"{i}.json", M)
@@ -874,13 +875,13 @@ def test_commutant_commands_print_what_the_library_gives(tmp_path, capsys):
         cases = []
         for basis in ([], ["--basis"]):
             def subspace(S, basis=basis):
-                return {"dimension": S.dim, **({"basis": cli._basis_json(S)} if basis else {})}
+                return {"dimension": S.dim, **({"basis": [matrix_json(X) for X in S.basis]} if basis else {})}
 
             cases.append((["centralizer", f, *basis], lambda: centralizer_basis(A), subspace))
             cases.append((["clifforder", f, *basis], lambda: clifforder_basis(A), subspace))
             for q, k in ((3, 1), (5, 1), (5, 2)):
                 def omega(S, q=q, k=k, basis=basis):
-                    return {"q": q, "k": k, "dimension": S.dim, **({"basis": cli._basis_json(S)} if basis else {})}
+                    return {"q": q, "k": k, "dimension": S.dim, **({"basis": [matrix_json(X) for X in S.basis]} if basis else {})}
 
                 cases.append((["omega", f, "--q", str(q), "--k", str(k), *basis],
                               lambda q=q, k=k: omega_centralizer_basis(A, OmegaSpec(q, k)), omega))
@@ -923,9 +924,9 @@ def test_commutant_commands_reject_non_square_input_as_before(tmp_path, capsys, 
 def test_commutant_commands_lift_no_matrix_but_the_proof_rows(tmp_path, capsys, monkeypatch):
     # centralizer, clifforder and omega never build the Matrix of their
     # input: parse_matrix is never called, and `_lift`, wherever the
-    # package holds it, lifts the companion form F of the split's
-    # A*P = P*F check and then only the returned rows, for the relation
-    # check, never a copy of A
+    # package holds it, lifts only the companion form F of the split's
+    # A*P = P*F check, never a copy of A; the relation check reads the
+    # reduced integer rows that are printed, with no re-lift of them
     import commutants.cli as cli
     import commutants.matrices as matrices
     from commutants import invariant_factors
@@ -944,17 +945,100 @@ def test_commutant_commands_lift_no_matrix_but_the_proof_rows(tmp_path, capsys, 
             monkeypatch.setattr(module, "_lift", spy)
     for i, A in enumerate(_commutant_inputs()):
         f = write_matrix(tmp_path / f"{i}.json", A)
-        n = A.rows
         F = Matrix.block_diag([companion(p) for p in invariant_factors(A) if p.degree])
         for argv in (["centralizer", f], ["clifforder", f], ["omega", f, "--q", str(A.field.q or 5)]):
             lifted.clear()
             with monkeypatch.context() as m:
                 m.setattr(cli, "parse_matrix", forbidden)
                 assert main([*argv, "--basis"]) == 0
-            basis = [parse_matrix(json.dumps(X)) for X in json.loads(capsys.readouterr().out)["basis"]]
-            assert basis, argv
-            rows = Matrix(basis[0].field, len(basis), n * n, tuple(x for X in basis for x in X.entries))
-            assert lifted == [F, rows], argv
+            assert json.loads(capsys.readouterr().out)["basis"], argv
+            assert lifted == [F], argv
+
+
+def test_basis_commands_build_no_field_element_after_the_reduction(tmp_path, capsys, monkeypatch):
+    # from `_reduced` on, --basis and analyze --q check and spell the
+    # integer rows they got: no Fraction, Matrix or SubspaceBasis is built
+    import commutants.commutant as commutant
+    from commutants import SubspaceBasis
+    built, after = [], [False]
+    reduced = commutant._reduced
+
+    def spy(L):
+        out = reduced(L)
+        after[0] = True
+        return out
+
+    def watched(plain):
+        def call(*args, **kwargs):
+            if after[0]:
+                built.append(args[0])
+            return plain(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(commutant, "_reduced", spy)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(watched(Fraction.__new__)))
+    if hasattr(Fraction, "_from_coprime_ints"):  # Fraction arithmetic's constructor from Python 3.12 on
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(watched(Fraction._from_coprime_ints.__func__)))
+    for cls in (Matrix, SubspaceBasis):
+        monkeypatch.setattr(cls, "__init__", watched(cls.__init__))
+    for i, A in enumerate(_commutant_inputs()):
+        f = write_matrix(tmp_path / f"{i}.json", A)
+        q = str(A.field.q or 5)
+        for argv in (["centralizer", f, "--basis"], ["clifforder", f, "--basis"], ["omega", f, "--q", q, "--basis"], ["analyze", f, "--q", q]):
+            after[0] = False
+            assert main(argv) == 0, argv
+            assert after[0] and json.loads(capsys.readouterr().out), argv
+            assert built == [], argv
+
+
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+def test_writer_prints_what_json_dumps_prints(capsys):
+    # every branch of the writer against json.dumps(indent=2), byte for byte
+    from commutants.cli import _emit, _json
+    nested = {
+        "escaped": "quote \" backslash \\ newline \n tab \t nul \x00",
+        "non-ascii": "\u00e9\u2203\U0001f600",
+        "ints": (0, -7, 10**40),
+        "scalars": [True, False, None, 1.5],
+        "empty": [[], {}, (), ""],
+        "": {"deeper": [{"k": [[True]]}]},
+    }
+    for obj in (nested, [nested, [nested]], [], {}, "text", 3, False):
+        assert _json(obj, "\n") == json.dumps(obj, indent=2)
+        _emit(obj)
+        assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
+    for obj in ({1, 2}, [Fraction(1, 2)], {"k": object()}):
+        with pytest.raises(TypeError):
+            _json(obj, "\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values)
+def test_writer_prints_what_json_dumps_prints_on_drawn_values(obj):
+    from commutants.cli import _json
+    assert _json(obj, "\n") == json.dumps(obj, indent=2)
+
+
+def test_cells_are_spelled_as_fraction_spells_them():
+    from commutants.cli import _spelled
+    cases = [(0, 5, "0"), (0, -3, "0"), (7, 1, "7"), (-7, 1, "-7"), (6, 3, "2"), (6, -3, "-2"),
+             (4, 6, "2/3"), (4, -6, "-2/3"), (-4, -6, "2/3"), (-4, 6, "-2/3"), (3, -1, "-3")]
+    for x, d, want in cases:
+        assert _spelled(x, d) == str(Fraction(x, d)) == want, (x, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(), st.integers().filter(bool), st.integers(1, 10**6))
+def test_cells_are_spelled_as_fraction_spells_them_on_drawn_pairs(x, d, k):
+    # an unreduced pair k*x / k*d spells as x / d
+    from commutants.cli import _spelled
+    assert _spelled(x, d) == _spelled(k * x, k * d) == str(Fraction(x, d))
 
 
 def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):

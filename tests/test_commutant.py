@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commutants import canonical, cli, commutant
+from commutants import canonical, cli, commutant, subspaces
 
 from commutants import (
     CycloScalar,
@@ -344,7 +343,7 @@ def _same_count(A, mu):
     Al = _lift(A)
     field = FieldTag.cyclotomic(mu.q) if isinstance(mu, CycloScalar) else A.field
     dim = commutant._dimension(Al, mu)
-    assert dim == commutant._mu_commutant_basis(Al, mu).dim
+    assert dim == commutant._mu_commutant_basis(Al, mu)[0].rows
     assert dim == reference_commutant_basis(A if A.field == field else A.promote(field.q), mu).dim
 
 
@@ -352,6 +351,21 @@ def _same_count(A, mu):
 @given(count_cases())
 def test_frobenius_count_equals_the_built_bases_and_the_kronecker_oracle(case):
     _same_count(*case)
+
+
+def test_dimension_builds_no_block_solution(monkeypatch):
+    # Frobenius' count is deg g per pair of invariant factors: `_dimension`
+    # reads g off `_block_gcd` and builds no Y, on the poly_gcd branch
+    # (the clifforder of an unbalanced input) as on the others
+    cases = [(A, mu) for A in _SHRUNK for mu in (A.field.one(), -A.field.one(), _W5.omega() if A.field == QQ else CycloScalar.zeta(3))]
+    want = [commutant._mu_commutant_basis(_lift(A), mu)[0].rows for A, mu in cases]
+
+    def forbidden(*args):
+        raise AssertionError("a block solution built only to be counted")
+
+    monkeypatch.setattr(commutant, "_block_solutions", forbidden)
+    monkeypatch.setattr(commutant, "_mul_lifted", forbidden)
+    assert [commutant._dimension(_lift(A), mu) for A, mu in cases] == want
 
 
 # ------------------------- integer block solutions against field arithmetic
@@ -570,44 +584,59 @@ def test_perturbed_block_solution_is_never_returned(monkeypatch):
 
 
 def test_dropped_basis_element_is_never_returned(monkeypatch):
-    # the solutions reach the canonical span as integer rows
-    span = commutant._span
-    monkeypatch.setattr(commutant, "_span", lambda L, n: span(L._replace(dens=L.dens[:-1], ints=L.ints[:-1]), n))
+    # the solutions reach the elimination as integer rows, and the
+    # reduced rows lose their last one on the way out of `_reduced`
+    reduced = commutant._reduced
+
+    def dropped(L):
+        R, pivots = reduced(L)
+        return R._replace(dens=R.dens[:-1], ints=R.ints[:-1]), pivots[:-1]
+
+    monkeypatch.setattr(commutant, "_reduced", dropped)
     for call in _corrupted_calls():
         with pytest.raises(VerificationError):
             call()
 
 
-def test_entry_changed_after_normalization_is_never_returned(monkeypatch):
-    # the last canonical span of each call gets one returned entry
-    # changed after the integer -> field step; the relation (or
-    # commutation) check lifts the returned rows, so it must see it
-    span = commutant._span
+def test_entry_changed_after_normalization_is_never_returned(monkeypatch, tmp_path, capsys):
+    # the last reduction of each call gets one integer changed in the
+    # rows it hands on, the rows that are printed or written out as the
+    # basis; the relation (or commutation) check reads those rows, so it
+    # must see it, and the CLI prints nothing
+    reduced = {module: module._reduced for module in (commutant, subspaces)}
 
-    def bumped(S):
-        row = list(S.rref_rows[0])
-        row[-1] = row[-1] + 1
-        rows = (tuple(row),) + S.rref_rows[1:]
-        basis = (Matrix(S.field, S.ambient_n, S.ambient_n, tuple(row)),) + S.basis[1:]
-        return replace(S, rref_rows=rows, basis=basis)
+    def bumped(R, pivots):
+        ints = [list(row) for row in R.ints]
+        ints[0][-1] += 1
+        return R._replace(ints=ints), pivots
 
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(cli.matrix_json(_DEROGATORY)))
     calls = _corrupted_calls() + [lambda: clifforder_basis(_DEROGATORY)] + [lambda: double_centralizer_basis(A) for A in _SHRUNK]
-    for call in calls:
+    commands = [lambda argv=argv: cli.main([argv, str(path), "--basis"]) for argv in ("centralizer", "clifforder")]
+    for call in calls + commands:
         seen = []
         with monkeypatch.context() as m:
-            m.setattr(commutant, "_span", lambda L, n: seen.append(n) or span(L, n))
+            for module, plain in reduced.items():
+                m.setattr(module, "_reduced", lambda L, plain=plain: seen.append(L) or plain(L))
             call()
         last = len(seen)
+        capsys.readouterr()
 
-        def corrupted(L, n):
-            seen.append(n)
-            S = span(L, n)
-            return bumped(S) if len(seen) == 2 * last else S
+        def corrupted(L, plain):
+            seen.append(L)
+            return bumped(*plain(L)) if len(seen) == 2 * last else plain(L)
 
         with monkeypatch.context() as m:
-            m.setattr(commutant, "_span", corrupted)
-            with pytest.raises(VerificationError):
-                call()
+            for module, plain in reduced.items():
+                m.setattr(module, "_reduced", lambda L, plain=plain: corrupted(L, plain))
+            if call in commands:
+                assert call() == 3
+                cap = capsys.readouterr()
+                assert cap.out == "" and json.loads(cap.err)["error"] == "VerificationError"
+            else:
+                with pytest.raises(VerificationError):
+                    call()
 
 
 def test_rational_input_is_split_over_q(monkeypatch):
