@@ -1,6 +1,7 @@
 """Iterated commutator (ad) operators and their kernels: ker (ad_A)^k is
 read by `matrices._kernel` off one reversed-column reduction of the
-integer matrix of (ad_A)^k, built by the binomial formula in one product."""
+integer matrix of (ad_A)^k, built by the binomial formula in one product,
+and its lifted kernel rows are written out by `subspaces._from_reduced`."""
 
 from __future__ import annotations
 
@@ -9,9 +10,9 @@ from math import comb, gcd
 
 from .commutant import commutant_operator
 from .errors import BadExponent, FieldMismatch, NotSquare, ShapeMismatch
-from .matrices import Matrix, _abreast, _columns, _entries, _kernel, _lift, _Lifted, _mul_lifted, _realigned, _scaled, _sides, _transpose, _vec, unvec
+from .matrices import Matrix, _abreast, _columns, _kernel, _lift, _Lifted, _mul_lifted, _realigned, _scaled, _sides, _transpose, _vec
 from .polys import Poly, _at_matrix
-from .subspaces import SubspaceBasis, _rows
+from .subspaces import SubspaceBasis, _from_reduced, _rows
 
 DEFAULT_MAX_POWER = 16
 
@@ -33,14 +34,14 @@ class AdOperator:
 
 def ad_power_kernel(A: Matrix, k: int, max_power: int = DEFAULT_MAX_POWER) -> SubspaceBasis:
     """Kernel of (ad_A)^k as a subspace of n x n matrices: its canonical
-    basis, read off one reduction of `_ad_matrix` by `_kernel_rref`."""
+    basis, read off one reduction of `_ad_matrix` by `_kernel_rref` and
+    written out by `_from_reduced`."""
     if not isinstance(k, int) or k < 1 or k > max_power:
         raise BadExponent(f"power k={k} outside 1..{max_power}")
     if not A.is_square:
         raise NotSquare("ad-power kernel needs a square matrix")
     n = A.rows
-    rows, pivots = _kernel_rref(_scaled(A.field, n * n, _ad_matrix(_lift(A), k)))
-    return SubspaceBasis(A.field, n, len(rows), tuple(unvec(row, n, A.field) for row in rows), rows, pivots)
+    return _from_reduced(*_kernel_rref(_scaled(A.field, n * n, _ad_matrix(_lift(A), k))), n)
 
 
 def _ad_matrix(Al: _Lifted, k: int) -> list[list[int]]:
@@ -61,19 +62,19 @@ def _ad_matrix(Al: _Lifted, k: int) -> list[list[int]]:
     return [[x // g for x in row] for row in _realigned(_mul_lifted(U, V), n) if (g := gcd(*row))]
 
 
-def _kernel_rref(L: _Lifted) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
-    """The RREF rows and pivots of {x : Mx = 0}, M the system with L's
-    rows, from `_kernel` on M with its columns reversed: the kernel vector
-    of each free column is then 1 there, 0 at the other free columns and
-    nonzero only to its right, so flipped back and in increasing order
-    these vectors are the kernel's RREF.  Reversed rows move only pivot
-    ties, and for (ad_A)^k make the pass the column-order reduction of
-    (ad_JAJ)^k, J the reversal: faster."""
+def _kernel_rref(L: _Lifted) -> tuple[_Lifted, list[int]]:
+    """The RREF rows of {x : Mx = 0}, M the system with L's rows, lifted
+    each over its value at its pivot, and their pivots, from `_kernel` on
+    M with its columns reversed: the kernel vector of each free column is
+    then 1 there, 0 at the other free columns and nonzero only to its
+    right, so flipped back and in increasing order these vectors are the
+    kernel's RREF.  Reversed rows move only pivot ties, and for
+    (ad_A)^k make the pass the column-order reduction of (ad_JAJ)^k, J
+    the reversal: faster."""
     w = L.cols
     flip = lambda M: _columns(_Lifted(M.field, w, M.dens[::-1], M.ints[::-1]), range(w - 1, -1, -1))
     free, K = _kernel(flip(L))
-    flat = _entries(flip(K))
-    return tuple(flat[i * w : (i + 1) * w] for i in range(len(free))), tuple(w - 1 - c for c in reversed(free))
+    return flip(K), [w - 1 - c for c in reversed(free)]
 
 
 def _ad_power(vecs: list[list[int]], X: _Lifted, k: int) -> list[list[int]]:

@@ -5,10 +5,14 @@ integer rows, and every matrix command runs on those; only `analyze`
 normalizes them, once, for the `Matrix` it echoes and reports on.  A
 printed dimension with no basis beside it is read off the checked
 Frobenius split (`commutant._dimension`, and deg m_A for the double
-centralizer), so no span is built only to be counted.  A printed
-basis is spelled from the reduced integer rows the relation check read
-(`_rows_json`), with no field element built, and one writer, `_emit`,
-prints every command's JSON as json.dumps(obj, indent=2) would.
+centralizer), so no span is built only to be counted.  Every printed
+matrix is spelled from lifted integer rows by one speller,
+`_spelled_rows`: a basis from the reduced integer rows the relation
+check read (`_rows_json`), with no field element built, any other
+matrix from its lift (`matrix_json`); `_scalar_json` spells only
+polynomial coefficients.  One writer, `_emit`, prints every command's
+JSON as json.dumps(obj, indent=2) would.  `analyze` checks its --q and
+--k right after the read, before the split.
 
 Exit codes: 0 success, 1 negative mathematical verdict (not equivalent,
 identity fails), 2 malformed input, 3 a failed internal check (a
@@ -47,7 +51,7 @@ from .gen import (
     NilpotentBlocks,
     generate,
 )
-from .matrices import Matrix, _cells, _entries, _from_cells, _Lifted
+from .matrices import Matrix, _cells, _entries, _from_cells, _lift, _Lifted
 from .polys import CongruenceClass, Poly
 from .potter import _collapses, _lifts, _power_stacks, _quasi_commutes
 from .scalars import QQ, CycloScalar, FieldTag, _divmod_monic, cyclo_coeffs
@@ -219,6 +223,7 @@ def _parse_profile(obj, where: str):
 # ---------------------------------------------------------- serialization
 
 def _scalar_json(x):
+    """A polynomial coefficient; matrix cells go through `_spelled_rows`."""
     if isinstance(x, CycloScalar):
         return [str(c) for c in x.coeffs]
     return str(x)
@@ -231,10 +236,7 @@ def _field_json(field: FieldTag):
 
 
 def matrix_json(M: Matrix) -> dict:
-    return {
-        "field": _field_json(M.field),
-        "rows": [[_scalar_json(x) for x in M.row(i)] for i in range(M.rows)],
-    }
+    return {"field": _field_json(M.field), "rows": _spelled_rows(_lift(M))}
 
 
 def _poly_json(f: Poly) -> list:
@@ -273,20 +275,27 @@ def _spelled(x: int, d: int) -> str:
     return str(x // g) if g == d else f"{x // g}/{d // g}"
 
 
-def _rows_json(R: _Lifted, n: int) -> list:
-    """`matrix_json` of each n x n matrix whose vec is a row of R, spelled
-    from the integers over each row's denominator: the basis as
-    `_mu_commutant_basis` proved it, with no field element built."""
-    field, rational = _field_json(R.field), R.field.q is None
+def _spelled_rows(L: _Lifted) -> list[list]:
+    """L's rows as JSON cells, spelled from the integers over each row's
+    denominator with no field element built: over Q a string per entry,
+    over Q(zeta_q) a list of its phi coefficient strings."""
+    rational = L.field.q is None
     out = []
-    for d, entries in _cells(R):
+    for d, entries in _cells(L):
         # zeros, about a third of the cells, skip the call
         if rational:
-            cells = [_spelled(x, d) if x else "0" for x in entries]
+            out.append([_spelled(x, d) if x else "0" for x in entries])
         else:
-            cells = [[_spelled(x, d) if x else "0" for x in c] for c in entries]
-        out.append({"field": field, "rows": [cells[i : i + n] for i in range(0, n * n, n)]})
+            out.append([[_spelled(x, d) if x else "0" for x in c] for c in entries])
     return out
+
+
+def _rows_json(R: _Lifted, n: int) -> list:
+    """`matrix_json` of each n x n matrix whose vec is a row of R: the
+    basis as `_mu_commutant_basis` proved it, with no field element
+    built."""
+    field = _field_json(R.field)
+    return [{"field": field, "rows": [cells[i : i + n] for i in range(0, n * n, n)]} for cells in _spelled_rows(R)]
 
 
 def _json(obj, pad: str) -> str:
@@ -324,6 +333,7 @@ def _read_file(path: str) -> bytes:
 
 def _cmd_analyze(args) -> int:
     L = _read(_read_file(args.file))
+    w = None if args.q is None else OmegaSpec(args.q, args.k)  # a bad --k fails before the split
     A = Matrix(L.field, L.rows, L.cols, _entries(L))
     # one Frobenius split, P^-1 included, serves the report and every
     # commutant; a non-square A is rejected by the report, as before
@@ -346,8 +356,7 @@ def _cmd_analyze(args) -> int:
             "clifforder_has_invertible": rep.is_balanced,
         },
     }
-    if args.q is not None:
-        w = OmegaSpec(args.q, args.k)
+    if w is not None:
         R, _ = _mu_commutant_basis(L, w.omega(), split)
         out["omega"] = {"q": w.q, "k": w.k, "dim": R.rows, "basis": _rows_json(R, L.rows)}
     _emit(out)

@@ -16,12 +16,12 @@ f_1 | ... | f_r, Frobenius' count sum deg gcd(f_i(x), f_j(mu^-1 x)) is
 a theorem.
 The double centralizer is F[A], by the double-centralizer theorem: the
 span of I, A, ..., A^(d-1), d = deg m_A from the checked `min_poly`,
-checked to be an A-invariant d-dimensional span containing I, with no
-split and no centralizer built.  The vectorized operator A kron I -
-mu * I kron A^T is the tests' oracle for all of them and for the
-ad-power kernels of `adpower`, which build the integer matrix of
-(ad_A)^k by the binomial formula and read their basis off one
-reversed-column reduction with `matrices._kernel`.
+checked on its reduced integer rows to be an A-invariant d-dimensional
+span containing I, with no split and no centralizer built.  The
+vectorized operator A kron I - mu * I kron A^T is the tests' oracle for
+all of them and for the ad-power kernels of `adpower`, which build the
+integer matrix of (ad_A)^k by the binomial formula and read their basis
+off one reversed-column reduction with `matrices._kernel`.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .matrices import (
 )
 from .polys import Poly, poly_gcd
 from .scalars import QQ, CycloScalar, FieldTag
-from .subspaces import SubspaceBasis, _contains, _from_reduced, _rows, _span
+from .subspaces import SubspaceBasis, _contains, _from_reduced
 
 
 @dataclass(frozen=True)
@@ -228,12 +228,13 @@ def double_centralizer_basis(A: Matrix) -> SubspaceBasis:
     """Matrices commuting with everything that commutes with A: F[A], by
     the double-centralizer theorem, with d = deg m_A = dim F[A] from the
     checked `min_poly` (no split) and no centralizer built.  It is the
-    canonical span R of the integer vecs of I, A, ..., A^(d-1), each
-    power one lifted product with the content divided out, checked
-    without the powers: R has d rows, and vec I and A*R_i for every row
-    R_i lie in span R (`_contains`).  An A-invariant span that contains
-    I contains every A^k, so span R contains F[A], and with d rows it is
-    F[A]."""
+    canonical span of the integer vecs of I, A, ..., A^(d-1), each power
+    one lifted product with the content divided out, as `_reduced` gives
+    it, checked on exactly those rows R, without the powers: R has d
+    rows, and vec I and A*R_i for every row R_i lie in span R
+    (`_contains`); `_from_reduced` then writes R out.  An A-invariant
+    span that contains I contains every A^k, so span R contains F[A],
+    and with d rows it is F[A]."""
     if not A.is_square:
         raise NotSquare("double centralizer needs a square matrix")
     n, field, d = A.rows, A.field, min_poly(A).degree
@@ -241,12 +242,12 @@ def double_centralizer_basis(A: Matrix) -> SubspaceBasis:
     powers = [ident]
     for _ in range(d - 1):
         powers.append(_content_free(_mul_lifted(Al, powers[-1])))
-    S = _span(_scaled(field, n * n, [_vec(Y) for Y in powers[:d]]), n)
-    if S.dim != d:
-        raise VerificationError(f"double centralizer has dimension {S.dim}, deg m_A is {d}")
-    if not _contains(S, _scaled(field, n * n, [_vec(ident)] + _left(Al, _rows(S).ints))):
+    R, pivots = _reduced(_scaled(field, n * n, [_vec(Y) for Y in powers[:d]]))
+    if R.rows != d:
+        raise VerificationError(f"double centralizer has dimension {R.rows}, deg m_A is {d}")
+    if not _contains(R, pivots, _scaled(field, n * n, [_vec(ident)] + _left(Al, R.ints))):
         raise VerificationError("the span of the powers of A is not A-invariant or misses I")
-    return S
+    return _from_reduced(R, pivots, n)
 
 
 def k_matrix(n: int, i: int) -> Matrix:

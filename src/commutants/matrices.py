@@ -21,7 +21,7 @@ plane offset (the CI checks it), and they call these primitives instead:
   `_realigned` (row (i, l), column (j, m) to row (i, j), column (l, m));
 - multiply: `_mul_lifted`, `_times` (c*L), `_left`, `_right`, `_sides`,
   `_power`, `_horner` and `_content_free`;
-- eliminate: `_rref_core`, `_rref_lifted`, `_kernel`, `_solve_square`,
+- eliminate: `_rref_core`, `_reduced`, `_kernel`, `_solve_square`,
   `_inverse` and `_in_span`;
 - compare and normalize: `_same`, `_cells` and `_entries`.
 
@@ -57,9 +57,10 @@ with one body for Q and Q(zeta_q):
   split's cyclic vectors and every certificate coordinate are read
   through it, so the certificates run no system of their own.
 - `_reduced` writes `_rref_core`'s rows over their pivots once: `rref`,
-  `solve` (the last column of [M | b] at its pivots) and `_solve_square`
-  read their answers off it.  `_kernel` reads the kernel's RREF basis
-  off one `_rref_core` pass, one vector per free column, lifted:
+  `solve` (the last column of [M | b] at its pivots), `_solve_square`
+  and the spans that `subspaces._from_reduced` writes out read their
+  answers off it.  `_kernel` reads the kernel's RREF basis off one
+  `_rref_core` pass, one vector per free column, lifted:
   `kernel_basis`, the ad-power kernels (columns reversed) and the
   Frobenius split's complement.
 - `_solve_square` is L^-1 * R, lifted, from one reduction of [L | R]:
@@ -645,17 +646,12 @@ class RrefResult(NamedTuple):
 
 
 def rref(M: Matrix) -> RrefResult:
-    """The unique reduced row-echelon form of M, with pivot columns."""
-    return _rref_lifted(_lift(M))
-
-
-def _rref_lifted(L: _Lifted) -> RrefResult:
-    """rref of the matrix whose rows span the rows of L (the denominators
-    do not matter): `_reduced`, then each entry divided by its row's
-    pivot once."""
-    R, pivots = _reduced(L)
-    flat = _entries(R) + (L.field.zero(),) * (L.cols * (L.rows - len(pivots)))
-    return RrefResult(Matrix(L.field, L.rows, L.cols, flat), tuple(pivots), len(pivots))
+    """The unique reduced row-echelon form of M, with pivot columns:
+    `_reduced` on M lifted, then each entry divided by its row's pivot
+    once."""
+    R, pivots = _reduced(_lift(M))
+    flat = _entries(R) + (M.field.zero(),) * (M.cols * (M.rows - len(pivots)))
+    return RrefResult(Matrix(M.field, M.rows, M.cols, flat), tuple(pivots), len(pivots))
 
 
 def _reduced(L: _Lifted) -> tuple[_Lifted, list[int]]:

@@ -138,16 +138,12 @@ class Poly:
         return o - self
 
     def __mul__(self, other):
-        if not isinstance(other, Poly):
-            o = self._lift(other)
-            if o is None:
-                return NotImplemented
-            other = o
-        elif other.field != self.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-        if self.is_zero or other.is_zero:
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        if self.is_zero or o.is_zero:
             return Poly.zero(self.field)
-        return Poly(self.field, tuple(_convolve(self.coeffs, other.coeffs, self.field.zero())))
+        return Poly(self.field, tuple(_convolve(self.coeffs, o.coeffs, self.field.zero())))
 
     __rmul__ = __mul__
 

@@ -1,14 +1,19 @@
 """Subspaces of M_n as canonical RREF row spans.
 
 A subspace is stored by the unique RREF of the vectorized spanning set,
-which makes equality a plain tuple comparison.  Membership, containment
-and the invertibility probe run on the returned rows lifted to integers
-(`_rows`): a row lies in the span exactly when it is its own entries at
-the pivot columns times those rows, one integer product (`_contains`).
-The probe is randomized but seeded, so every run is replayable.
-`_from_reduced` writes the elimination core's integer rows out as the
-canonical basis, for `_span` and for the commutant bases, whose
-relation check runs on those integer rows before they are written out.
+which makes equality a plain tuple comparison.  Every `SubspaceBasis`
+is written out by `_from_reduced`, from lifted rows each over its value
+at its pivot column: `_reduced`'s rows for a span of given matrices,
+for the commutant bases and for the double centralizer, and the kernel
+rows of the ad-power kernels.  The commutant bases and the double
+centralizer are checked on the integer rows they hand to
+`_from_reduced`, so a check has seen exactly the rows returned.
+Membership and containment read rows and their pivots (`_contains`): a
+row lies in the span exactly when it is its own entries at the pivot
+columns times those rows, one integer product.  A `SubspaceBasis`
+argument's returned rows are lifted back to integers for that, and for
+the invertibility probe, by `_rows`.  The probe is randomized but
+seeded, so every run is replayable.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ def subspace_from_matrices(
     if not mats:
         if ambient_n is None or field is None:
             raise ShapeMismatch("empty span needs explicit ambient_n and field")
-        return SubspaceBasis(field, ambient_n, 0, (), (), ())
+        return _from_reduced(_Lifted(field, ambient_n * ambient_n, [], []), (), ambient_n)
     first = mats[0]
     if not first.is_square:
         raise NotSquare("subspace members must be square")
@@ -57,22 +62,15 @@ def subspace_from_matrices(
             raise FieldMismatch(f"{m.field} vs {f}")
     if ambient_n is not None and ambient_n != n:
         raise ShapeMismatch(f"ambient_n={ambient_n} but matrices are {n}x{n}")
-    return _span(_lift(vstack_rows([m.entries for m in mats], f)), n)
-
-
-def _span(L: _Lifted, n: int) -> SubspaceBasis:
-    """The canonical basis of the span of L's rows, the vecs of n x n
-    matrices in lifted form: scaling a row does not change the span, so
-    integer rows from any stage feed the elimination core directly, and
-    only the returned entries become field elements."""
-    return _from_reduced(*_reduced(L), n)
+    return _from_reduced(*_reduced(_lift(vstack_rows([m.entries for m in mats], f))), n)
 
 
 def _from_reduced(R: _Lifted, pivots: Sequence[int], n: int) -> SubspaceBasis:
-    """The subspace of M_n whose canonical basis is R, `_reduced`'s rows
-    (each over its pivot value), with their pivot columns: each entry
-    is divided by its row's pivot once, so a check run on R has seen
-    exactly the rows returned."""
+    """The subspace of M_n whose canonical basis is R, RREF rows of vecs
+    lifted each over its value at its pivot column, with those pivot
+    columns: each entry is divided by its row's pivot once, so a check
+    run on R has seen exactly the rows returned.  The one constructor
+    of `SubspaceBasis`."""
     m = n * n
     flat = _entries(R)
     rows = tuple(flat[i * m : (i + 1) * m] for i in range(R.rows))
@@ -93,20 +91,20 @@ def subspace_equal(S: SubspaceBasis, T: SubspaceBasis) -> bool:
 
 
 def _rows(S: SubspaceBasis) -> _Lifted:
-    """S's returned RREF rows, lifted: membership, containment, the probe,
-    the double centralizer's closure check and the ad-power inclusion
-    check read these, so they see exactly the rows a caller gets.  The
-    commutant bases are checked on `_reduced`'s integer rows instead,
-    which `_from_reduced` then divides out."""
+    """The returned RREF rows of a `SubspaceBasis` argument, lifted:
+    membership, containment, the probe and the ad-power inclusion check
+    read these, so they see exactly the rows a caller got.  A basis
+    being built is checked on its integer rows before `_from_reduced`
+    and is never lifted back."""
     return _lift(Matrix(S.field, S.dim, S.ambient_n**2, tuple(x for row in S.rref_rows for x in row)))
 
 
-def _contains(S: SubspaceBasis, V: _Lifted) -> bool:
-    """Whether every row of V, lifted n^2-vectors over S's field, lies in
-    S: a row does exactly when it equals its entries at S's pivot columns
-    (in every plane) times `_rows(S)`, which are 1 at their own pivot and
-    0 at the others."""
-    return _same(_mul_lifted(_columns(V, S.pivots), _rows(S)), V)
+def _contains(R: _Lifted, pivots: Sequence[int], V: _Lifted) -> bool:
+    """Whether every row of V lies in the span of R, lifted RREF rows
+    with their pivot columns: a row does exactly when it equals its
+    entries at the pivot columns (in every plane) times R, whose rows
+    are 1 at their own pivot and 0 at the others."""
+    return _same(_mul_lifted(_columns(V, pivots), R), V)
 
 
 def subspace_contains(S: SubspaceBasis, X: Matrix) -> bool:
@@ -115,13 +113,13 @@ def subspace_contains(S: SubspaceBasis, X: Matrix) -> bool:
         raise AmbientMismatch(f"expected {S.ambient_n}x{S.ambient_n}, got {X.shape}")
     if X.field != S.field:
         raise FieldMismatch(f"{X.field} vs {S.field}")
-    return _contains(S, _lift(Matrix(X.field, 1, X.rows * X.cols, X.entries)))
+    return _contains(_rows(S), S.pivots, _lift(Matrix(X.field, 1, X.rows * X.cols, X.entries)))
 
 
 def subspace_leq(S: SubspaceBasis, T: SubspaceBasis) -> bool:
     """True iff S is contained in T."""
     _check_same_ambient(S, T)
-    return _contains(T, _rows(S))
+    return _contains(_rows(T), T.pivots, _rows(S))
 
 
 def random_invertible_probe(

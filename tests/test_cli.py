@@ -585,6 +585,29 @@ def test_bad_omega_spec(tmp_path, capsys):
     assert json.loads(err)["error"] == "InvalidSpec"
 
 
+def test_analyze_rejects_a_bad_omega_spec_before_the_split(tmp_path, capsys, monkeypatch):
+    # --q and --k are checked right after the file is read: no Frobenius
+    # split, nothing printed; a malformed file is still reported first
+    import commutants.canonical as canonical
+    import commutants.commutant as commutant
+
+    def forbidden(*args):
+        raise AssertionError("Frobenius split run before the omega spec was checked")
+
+    for module in (canonical, commutant):
+        monkeypatch.setattr(module, "_frobenius", forbidden)
+    f = write_matrix(tmp_path / "a.json", Matrix.jordan(3, 0, QQ))
+    for q, k in (("4", "2"), ("0", "1"), ("6", "-3")):
+        code = main(["analyze", f, "--q", q, "--k", k])
+        cap = capsys.readouterr()
+        assert (code, cap.out, json.loads(cap.err)["error"]) == (2, "", "InvalidSpec"), (q, k)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"field": "Q", "rows": [[1,]]}')
+    code = main(["analyze", str(bad), "--q", "4", "--k", "2"])
+    cap = capsys.readouterr()
+    assert (code, cap.out, json.loads(cap.err)["error"]) == (2, "", "ParseError")
+
+
 # ------------------------------------------------------- work done once
 
 def _count_splits(monkeypatch) -> list[int]:
@@ -615,6 +638,14 @@ def test_analyze_computes_invariant_factors_once(tmp_path, capsys, monkeypatch):
     assert splits[0] == 1
 
 
+def _str_json(X: Matrix) -> dict:
+    """matrix_json(X) spelled cell by cell with str on the field elements:
+    an oracle for the CLI's integer speller that does not go through it."""
+    if X.field.q is None:
+        return {"field": "Q", "rows": [[str(x) for x in X.row(i)] for i in range(X.rows)]}
+    return {"field": {"cyclotomic": X.field.q}, "rows": [[[str(c) for c in x.coeffs] for x in X.row(i)] for i in range(X.rows)]}
+
+
 def _analyze_json(A: Matrix, q: int | None) -> dict:
     """What `analyze` prints for A (with an omega section for q), built
     from the public calls, each of which splits anew."""
@@ -629,7 +660,7 @@ def _analyze_json(A: Matrix, q: int | None) -> dict:
     )
     rep = StructureReport.of(A)
     expected = {
-        "input": matrix_json(A),
+        "input": _str_json(A),
         "structure": cli._structure_json(rep),
         "dims": {
             "centralizer": centralizer_basis(A).dim,
@@ -645,7 +676,7 @@ def _analyze_json(A: Matrix, q: int | None) -> dict:
     }
     if q:
         om = omega_centralizer_basis(A, OmegaSpec(q))
-        expected["omega"] = {"q": q, "k": 1, "dim": om.dim, "basis": [matrix_json(X) for X in om.basis]}
+        expected["omega"] = {"q": q, "k": 1, "dim": om.dim, "basis": [_str_json(X) for X in om.basis]}
     return expected
 
 
@@ -866,8 +897,8 @@ def test_commutant_commands_print_what_the_library_gives(tmp_path, capsys):
     # parse_matrix's Matrix of the same file, over Q, Q(zeta_3) and
     # Q(zeta_5), with and without --basis; an omega section over another
     # Q(zeta_r) is the library's FieldMismatch.  A printed basis, spelled
-    # from the reduced integer rows, is json.dumps of matrix_json of the
-    # public basis's matrices, byte for byte
+    # from the reduced integer rows, is json.dumps of the public basis's
+    # matrices with every cell spelled by str, byte for byte
     from commutants import OmegaSpec, centralizer_basis, clifforder_basis, omega_centralizer_basis
     for i, M in enumerate(_commutant_inputs()):
         f = write_matrix(tmp_path / f"{i}.json", M)
@@ -875,13 +906,13 @@ def test_commutant_commands_print_what_the_library_gives(tmp_path, capsys):
         cases = []
         for basis in ([], ["--basis"]):
             def subspace(S, basis=basis):
-                return {"dimension": S.dim, **({"basis": [matrix_json(X) for X in S.basis]} if basis else {})}
+                return {"dimension": S.dim, **({"basis": [_str_json(X) for X in S.basis]} if basis else {})}
 
             cases.append((["centralizer", f, *basis], lambda: centralizer_basis(A), subspace))
             cases.append((["clifforder", f, *basis], lambda: clifforder_basis(A), subspace))
             for q, k in ((3, 1), (5, 1), (5, 2)):
                 def omega(S, q=q, k=k, basis=basis):
-                    return {"q": q, "k": k, "dimension": S.dim, **({"basis": [matrix_json(X) for X in S.basis]} if basis else {})}
+                    return {"q": q, "k": k, "dimension": S.dim, **({"basis": [_str_json(X) for X in S.basis]} if basis else {})}
 
                 cases.append((["omega", f, "--q", str(q), "--k", str(k), *basis],
                               lambda q=q, k=k: omega_centralizer_basis(A, OmegaSpec(q, k)), omega))

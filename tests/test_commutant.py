@@ -737,7 +737,7 @@ def test_nonderogatory_double_centralizer_is_the_centralizer(monkeypatch, tmp_pa
         path.write_text(json.dumps(cli.matrix_json(A)))
         with monkeypatch.context() as m:
             m.setattr(cli, "_mu_commutant_basis", forbidden)
-            m.setattr(commutant, "_span", forbidden)
+            m.setattr(commutant, "_reduced", forbidden)
             assert cli.main(["analyze", str(path)]) == 0
         dims = json.loads(capsys.readouterr().out)["dims"]
         assert dims["double_centralizer"] == dims["centralizer"] == cent.dim
@@ -762,14 +762,32 @@ def _drop_last(L):
 ], ids=["bumped-power", "dropped-power"])
 def test_corrupted_power_is_never_returned(monkeypatch, corruptions):
     # each power in turn with one entry bumped, or the last power
-    # dropped, on its way into the canonical span
-    span = commutant._span
+    # dropped, on its way into the reduction
+    reduced = commutant._reduced
     for A in _SHRUNK:
         for corrupt in corruptions(min_poly(A).degree):
             with monkeypatch.context() as m:
-                m.setattr(commutant, "_span", lambda L, n: span(corrupt(L), n))
+                m.setattr(commutant, "_reduced", lambda L: reduced(corrupt(L)))
                 with pytest.raises(VerificationError):
                     double_centralizer_basis(A)
+
+
+def test_double_centralizer_lifts_no_row_it_returns(monkeypatch):
+    # the rank and closure checks read `_reduced`'s integer rows, which
+    # `_from_reduced` then writes out: A is the only matrix lifted, and
+    # no returned row is lifted back for the checks
+    lifted = []
+
+    def spy(M):
+        lifted.append(M)
+        return _lift(M)
+
+    for module in (commutant, subspaces):
+        monkeypatch.setattr(module, "_lift", spy)
+    for A in _SHRUNK + (Matrix.jordan(4, 1, QQ), Matrix.zero(0, 0, QQ)):
+        lifted.clear()
+        S = double_centralizer_basis(A)
+        assert S.dim == min_poly(A).degree and lifted == [A], A
 
 
 def test_wrong_degree_is_never_returned(monkeypatch):

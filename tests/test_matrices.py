@@ -29,6 +29,7 @@ from commutants import (
     kron,
     omega_centralizer_basis,
     solve,
+    subspace_from_matrices,
     unvec,
     vec,
     weyl_pair,
@@ -37,7 +38,7 @@ from commutants import adpower, canonical, matrices
 from commutants.errors import VerificationError
 from commutants.matrices import rref, vstack_rows
 from commutants.scalars import cyclo_coeffs, phi_degree
-from commutants.subspaces import _span
+from commutants.subspaces import _from_reduced
 from helpers import (
     count_products,
     cyclo3_jordan,
@@ -242,7 +243,7 @@ def test_lifted_product_and_rref_equal_the_fraction_oracle(case):
     assert repr(Matrix(A.field, A.rows, B.cols, product)) == repr(reference_product(A, B))
     for M in (A, B, reference_product(A, B)):
         reduced, pivots = reference_rref(M)
-        r = matrices._rref_lifted(matrices._lift(M))
+        r = rref(M)
         assert repr(r.rref) == repr(reduced)
         assert r.pivots == pivots and r.rank == len(pivots)
 
@@ -342,7 +343,7 @@ def test_lifted_kernels_on_fixed_edge_inputs():
             assert repr(Matrix(field, A.rows, B.cols, product)) == repr(reference_product(A, B))
             for M in (A, B):
                 reduced, pivots = reference_rref(M)
-                r = matrices._rref_lifted(matrices._lift(M))
+                r = rref(M)
                 assert repr(r.rref) == repr(reduced) and r.pivots == pivots
 
 
@@ -367,13 +368,10 @@ def kernel_system(draw):
 
 def _kernel_span(field, n, rows):
     """The canonical rows and pivots of the kernel of the integer system
-    `rows`, by `reference_kernel_basis` and then `_span`: two
-    eliminations."""
+    `rows`, by `reference_kernel_basis` and then `subspace_from_matrices`:
+    two eliminations."""
     M = Matrix(field, len(rows), n * n, matrices._entries(matrices._scaled(field, n * n, rows)))
-    kernel = reference_kernel_basis(M)
-    if not kernel:
-        return (), ()
-    S = _span(matrices._lift(vstack_rows(kernel, field)), n)
+    S = subspace_from_matrices([unvec(v, n, field) for v in reference_kernel_basis(M)], n, field)
     return S.rref_rows, S.pivots
 
 
@@ -388,9 +386,11 @@ def _kernel_span(field, n, rows):
 def test_reversed_column_read_off_equals_the_span_of_the_kernel(case):
     # the examples: all zero, no rows, full column rank, one column (4 zeta, 0, -3)
     field, n, rows = case
-    got = adpower._kernel_rref(matrices._scaled(field, n * n, rows))
-    want = _kernel_span(field, n, rows)
-    assert repr(got) == repr(want)
+    K, pivots = adpower._kernel_rref(matrices._scaled(field, n * n, rows))
+    # each lifted row is over its value at its pivot, so it reads 1 there
+    assert all(row[p] == d for d, row, p in zip(K.dens, K.ints, pivots))
+    S = _from_reduced(K, pivots, n)
+    assert repr((S.rref_rows, S.pivots)) == repr(_kernel_span(field, n, rows))
 
 
 # the lifted kernels at the shapes the library feeds them: Krylov columns,
@@ -533,7 +533,7 @@ def scaled_rows_case(draw):
 @given(scaled_rows_case())
 def test_smallest_row_pivoting_keeps_the_unique_rref(M):
     reduced, pivots = reference_rref(M)
-    r = matrices._rref_lifted(matrices._lift(M))
+    r = rref(M)
     assert repr(r.rref) == repr(reduced)
     assert r.pivots == pivots and r.rank == len(pivots)
 

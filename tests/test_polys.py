@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from commutants import (
     BothZero,
     CongruenceClass,
+    FieldMismatch,
     FieldTag,
     Matrix,
     NotCoprime,
@@ -431,3 +432,22 @@ def test_shared_routines_equal_the_references(case):
         got = base ** k
         assert got == from_one_pow(base, k), k
         assert all(type(c) is kind for c in got.coeffs)
+
+
+def test_binary_operations_coerce_their_operand_alike():
+    # +, -, * and divmod read the other operand through one coercion:
+    # a scalar is the constant polynomial, a Poly over another field is
+    # the same FieldMismatch, and anything else is NotImplemented
+    import operator
+    f, g = poly([1, 2, 3]), Poly.make([1, 1], FieldTag.cyclotomic(3))
+    messages = set()
+    for op in (operator.add, operator.sub, operator.mul, divmod):
+        for c in (3, Fraction(-3, 2)):
+            assert op(f, c) == op(f, Poly.make([c], QQ)), (op, c)
+        with pytest.raises(FieldMismatch) as exc:
+            op(f, g)
+        messages.add(str(exc.value))
+        with pytest.raises(TypeError):
+            op(f, "x")
+    assert len(messages) == 1
+    assert 3 * f == f * 3 and 3 - f == Poly.make([3], QQ) - f
