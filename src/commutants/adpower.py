@@ -10,9 +10,9 @@ from math import comb, gcd
 
 from .commutant import commutant_operator
 from .errors import BadExponent, FieldMismatch, NotSquare, ShapeMismatch
-from .matrices import Matrix, _abreast, _columns, _kernel, _lift, _Lifted, _mul_lifted, _realigned, _scaled, _sides, _transpose, _vec
+from .matrices import Matrix, _abreast, _columns, _kernel, _lift, _Lifted, _mul_lifted, _realigned, _scaled, _sides, _square_pair, _take, _transpose, _vec
 from .polys import Poly, _at_matrix
-from .subspaces import SubspaceBasis, _from_reduced, _rows
+from .subspaces import SubspaceBasis, _from_reduced
 
 DEFAULT_MAX_POWER = 16
 
@@ -72,7 +72,7 @@ def _kernel_rref(L: _Lifted) -> tuple[_Lifted, list[int]]:
     (ad_A)^k make the pass the column-order reduction of (ad_JAJ)^k, J
     the reversal: faster."""
     w = L.cols
-    flip = lambda M: _columns(_Lifted(M.field, w, M.dens[::-1], M.ints[::-1]), range(w - 1, -1, -1))
+    flip = lambda M: _columns(_take(M, range(M.rows - 1, -1, -1)), range(w - 1, -1, -1))
     free, K = _kernel(flip(L))
     return flip(K), [w - 1 - c for c in reversed(free)]
 
@@ -92,10 +92,7 @@ def ann_k_member(X: Matrix, B: Matrix, k: int) -> bool:
     """Whether (ad_X)^k B = sum_i C(k,i) (-1)^i X^(k-i) B X^i vanishes,
     i.e. B is killed by the k-th iterate of ad_X: k commutator steps of
     `_ad_power` on B lifted, two products each."""
-    if not X.is_square or not B.is_square:
-        raise NotSquare("ann_k membership needs square matrices")
-    if X.rows != B.rows:
-        raise ShapeMismatch(f"sizes differ: {X.rows} vs {B.rows}")
+    _square_pair(X, B, "ann_k membership")
     if X.field != B.field:
         raise FieldMismatch(f"fields differ: {X.field} vs {B.field}")
     if not isinstance(k, int) or k < 1:
@@ -110,4 +107,4 @@ def ad_inclusion_check(A: Matrix, f: Poly, k: int, max_power: int = DEFAULT_MAX_
     ker = ad_power_kernel(A, k, max_power=max_power)
     if not A.rows:
         raise ShapeMismatch("matrix size must be positive")
-    return not any(any(v) for v in _ad_power(_rows(ker).ints, F, k))
+    return not any(any(v) for v in _ad_power(ker._lifted.ints, F, k))

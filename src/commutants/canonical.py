@@ -43,6 +43,7 @@ from .matrices import (
     _rref_core,
     _same,
     _scaled,
+    _take,
     _transpose,
 )
 from .polys import Poly, eval_at_matrix, is_balanced_poly, poly_gcd, poly_xgcd
@@ -209,7 +210,7 @@ def _cyclic_split(Al: _Lifted) -> tuple[tuple[Poly, ...], _Lifted]:
         free, U = _kernel(W)
         U = _transpose(U)
         MU = _mul_lifted(M, U)
-        M = _content_free(_Lifted(field, m - d, [MU.dens[j] for j in free], [MU.ints[j] for j in free]))
+        M = _content_free(_take(MU, free))
         B = U if B is None else _content_free(_mul_lifted(B, U))
     return tuple(reversed(factors)), _beside(blocks[::-1])
 

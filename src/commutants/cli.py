@@ -2,15 +2,17 @@
 
 One reader, `_read`, takes the JSON wire format straight to lifted
 integer rows, and every matrix command runs on those; only `analyze`
-normalizes them, once, for the `Matrix` it echoes and reports on.  A
-printed dimension with no basis beside it is read off the checked
-Frobenius split (`commutant._dimension`, and deg m_A for the double
-centralizer), so no span is built only to be counted.  Every printed
-matrix is spelled from lifted integer rows by one speller,
+normalizes them, once, for the `Matrix` its structure report reads, and
+it echoes the input from the rows `_read` gave.  A printed dimension
+with no basis beside it is read off the checked Frobenius split
+(`commutant._dimension`, and deg m_A for the double centralizer), so
+no span is built only to be counted.  Every printed
+number is spelled from lifted integer rows by one speller,
 `_spelled_rows`: a basis from the reduced integer rows the relation
-check read (`_rows_json`), with no field element built, any other
-matrix from its lift (`matrix_json`); `_scalar_json` spells only
-polynomial coefficients.  One writer, `_emit`, prints every command's
+check read (`_rows_json`), with no field element built, the echoed
+input from `_read`'s rows, any other matrix from its lift
+(`matrix_json`), and a polynomial's coefficients from one row of them
+(`_poly_json`).  One writer, `_emit`, prints every command's
 JSON as json.dumps(obj, indent=2) would.  `analyze` checks its --q and
 --k right after the read, before the split.
 
@@ -51,7 +53,7 @@ from .gen import (
     NilpotentBlocks,
     generate,
 )
-from .matrices import Matrix, _cells, _entries, _from_cells, _lift, _Lifted
+from .matrices import Matrix, _abreast, _cells, _entries, _from_cells, _lift, _Lifted
 from .polys import CongruenceClass, Poly
 from .potter import _collapses, _lifts, _power_stacks, _quasi_commutes
 from .scalars import QQ, CycloScalar, FieldTag, _divmod_monic, cyclo_coeffs
@@ -222,13 +224,6 @@ def _parse_profile(obj, where: str):
 
 # ---------------------------------------------------------- serialization
 
-def _scalar_json(x):
-    """A polynomial coefficient; matrix cells go through `_spelled_rows`."""
-    if isinstance(x, CycloScalar):
-        return [str(c) for c in x.coeffs]
-    return str(x)
-
-
 def _field_json(field: FieldTag):
     if field.is_cyclotomic:
         return {"cyclotomic": field.q}
@@ -240,7 +235,9 @@ def matrix_json(M: Matrix) -> dict:
 
 
 def _poly_json(f: Poly) -> list:
-    return [_scalar_json(c) for c in f.coeffs]
+    """f's ascending coefficients, spelled as matrix cells are: one row
+    of them, laid by `_abreast`."""
+    return _spelled_rows(_abreast(f.coeffs, 1, f.field))[0]
 
 
 def _class_json(cls: CongruenceClass):
@@ -341,7 +338,7 @@ def _cmd_analyze(args) -> int:
     rep = StructureReport.of(A, _factors=split[0] if split else None)
     one = A.field.one()
     out = {
-        "input": matrix_json(A),
+        "input": {"field": _field_json(L.field), "rows": _spelled_rows(L)},
         "structure": _structure_json(rep),
         "dims": {
             "centralizer": _dimension(L, one, split),

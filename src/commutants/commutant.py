@@ -40,6 +40,7 @@ from .errors import (
 from .matrices import (
     Matrix,
     _abreast,
+    _below,
     _columns,
     _content_free,
     _embed,
@@ -51,6 +52,7 @@ from .matrices import (
     _reduced,
     _scaled,
     _sides,
+    _take,
     _times,
     _transpose,
     _vec,
@@ -159,7 +161,7 @@ def _mu_commutant_basis(Al: _Lifted, mu, split=None) -> tuple[_Lifted, list[int]
     for j, rows in enumerate(stacks):
         if rows:
             o, db = offsets[j], factors[j].degree
-            XJ = _mul_lifted(_scaled(field, db, rows), _Lifted(field, n, P_inv.dens[o : o + db], P_inv.ints[o : o + db])).ints
+            XJ = _mul_lifted(_scaled(field, db, rows), _take(P_inv, range(o, o + db))).ints
             X += [_vec(_scaled(field, n, XJ[s : s + n])) for s in range(0, len(XJ), n)]
     R, pivots = _reduced(_scaled(field, n * n, X))
     if R.rows != len(X):
@@ -188,24 +190,24 @@ def _block_solutions(a: Poly, b: Poly, mu) -> list[list[tuple]]:
     plane-major, over one scale per Y.  With columns read as F[x]/(a),
     column k of Y_t, t < deg g, is U_(t+k), U_s = mu^-s x^s (a/g) mod a,
     g = gcd(a(x), b(mu^-1 x)) from `_block_gcd`.  The U_s are the Krylov
-    rows of a/g under S = mu^-1 * C(a)^T, one
+    rows of a/g under S = mu^-1 * C(a)^T, each a one-row lift, one
     `_mul_lifted` per step, since a row U times C(a)^T is x*U mod a.
-    C(a)^T's rows are those of the lifted identity from the second on and
-    a's negated low coefficients, laid by `_abreast` with no `Matrix`."""
+    C(a)^T is `_below` of the lifted identity's rows from the second on
+    (`_take`) and a's negated low coefficients, laid by `_abreast` with
+    no `Matrix`, and Y_t is the window U_t, ..., U_(t+deg b-1) stacked
+    by `_below` over one denominator."""
     field, g = a.field, _block_gcd(a, b, mu)
     if not g.degree:
         return []
     inv = field.one() / mu
     da, db, u = a.degree, b.degree, Poly.one(field) if g is a else a // g
     ident, low = _abreast((field.one(),), da, field), _abreast([-x for x in a.coeffs[:-1]], 1, field)
-    S = _Lifted(field, da, ident.dens[1:] + low.dens, ident.ints[1:] + low.ints)
+    S = _below((_take(ident, range(1, da)), low))
     S = S.common() if inv == 1 else _times(inv, S)
-    U = _abreast(list(u.coeffs) + [field.zero()] * (da - u.degree - 1), 1, field)
+    U = [_abreast(list(u.coeffs) + [field.zero()] * (da - u.degree - 1), 1, field)]
     for _ in range(g.degree + db - 2):
-        y = _mul_lifted(_Lifted(field, da, U.dens[-1:], U.ints[-1:]), S)
-        U.dens.append(y.dens[0])
-        U.ints.append(y.ints[0])
-    return [[tuple(col) for col in U._replace(dens=U.dens[t : t + db], ints=U.ints[t : t + db]).common().ints] for t in range(g.degree)]
+        U.append(_mul_lifted(U[-1], S))
+    return [[tuple(col) for col in _below(U[t : t + db]).common().ints] for t in range(g.degree)]
 
 
 def centralizer_basis(A: Matrix) -> SubspaceBasis:

@@ -34,8 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canonical import _cyclic_vector, _Draws, _krylov_dependency, companion
-from .errors import FieldMismatch, NotSquare, ShapeMismatch, VerificationError
-from .matrices import Matrix, _abreast, _columns, _horner, _in_span, _lift, _Lifted, _mul_lifted, _power, _same
+from .errors import FieldMismatch, ShapeMismatch, VerificationError
+from .matrices import Matrix, _abreast, _columns, _horner, _in_span, _lift, _Lifted, _mul_lifted, _power, _same, _square_pair
 from .polys import CongruenceClass, Poly, _at_lifted, _at_matrix, poly_in_class, restrict_to_class
 
 GENERAL = CongruenceClass.general()
@@ -117,10 +117,7 @@ def _reduce(B: _Lifted, A: _Lifted) -> tuple[Poly, Poly] | None:
     so f0 is `_in_span`'s read of Bv on the echelon of v's independent
     Krylov columns that `_cyclic_vector` leaves; None there means Bv is
     outside their span, and when f0(A) != B, no p exists either."""
-    if A.rows != A.cols or B.rows != B.cols:
-        raise NotSquare("power expression needs square matrices")
-    if A.rows != B.rows:
-        raise ShapeMismatch(f"sizes differ: {A.rows} vs {B.rows}")
+    _square_pair(A, B, "power expression")
     if A.field != B.field:
         raise FieldMismatch(f"fields differ: {A.field} vs {B.field}")
     if not A.rows:
@@ -164,10 +161,7 @@ def _class_solve(base: Poly, target: Poly, m: Poly, cls: CongruenceClass) -> Pol
 def verify_certificate(A: Matrix, B: Matrix, cert: Certificate) -> bool:
     """Re-check a certificate from scratch: exponents in class, f(A) = B
     and g(B) = A."""
-    if not A.is_square or not B.is_square:
-        raise NotSquare("certificate check needs square matrices")
-    if A.rows != B.rows:
-        raise ShapeMismatch(f"sizes differ: {A.rows} vs {B.rows}")
+    _square_pair(A, B, "certificate check")
     if not poly_in_class(cert.f, cert.cls) or not poly_in_class(cert.g, cert.cls):
         return False
     return _same(_at_matrix(cert.f, A), _lift(B)) and _same(_at_matrix(cert.g, B), _lift(A))

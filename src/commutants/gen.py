@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .canonical import companion
 from .errors import InvalidSpec
-from .matrices import Matrix, _embed, _entries, _lift, _Lifted, _mul_lifted, _solve_square
+from .matrices import Matrix, _embed, _entries, _lift, _mul_lifted, _scaled, _solve_square
 from .polys import CongruenceClass, Poly
 from .scalars import QQ
 
@@ -151,7 +151,7 @@ def _materialize(profile: Profile, seed: int) -> Matrix:
     H = profile.height
     Ml = _lift(inner)
     for _ in range(_MAX_CONJUGATE_TRIES):
-        P = _embed(_Lifted(QQ, n, [1] * n, [[rng.randint(-H, H) for _ in range(n)] for _ in range(n)]), inner.field)
+        P = _embed(_scaled(QQ, n, [[rng.randint(-H, H) for _ in range(n)] for _ in range(n)]), inner.field)
         X = _solve_square(P, _mul_lifted(Ml, P))
         if X is not None:
             return Matrix(inner.field, n, n, _entries(X))

@@ -8,22 +8,28 @@ come out in the free-column order the pivots induce.
 Products and elimination share one private lifted form, `_Lifted`:
 integer coefficient planes, one per power of zeta below phi = deg Phi_q
 (phi = 1 over Q), plane-major, over a denominator per row.  The layout
-is this module's decision alone: no other module indexes a lifted row by
-plane offset (the CI checks it), and they call these primitives instead:
+is this module's decision alone, and so is the record itself: no other
+module indexes a lifted row by plane offset, builds a `_Lifted` or reads
+its denominators (the CI checks both), and they call these primitives
+instead:
 
 - build: `_lift` (a `Matrix`), `_from_cells` (the CLI's integer JSON
   cells), `_scaled` (integer rows over denominator 1), `_abreast`
   ([c_1*I | c_2*I | ...] from the scalars' coefficient planes, the one
   lifted identity, and with n = 1 a row of scalars) and `_embed` (a
   rational lift padded with the zero planes of Q(zeta_q));
-- reshape: `_columns` (in every plane, row denominators kept),
-  `_transpose` (over the common denominator), `_beside`, `_vec` and
-  `_realigned` (row (i, l), column (j, m) to row (i, j), column (l, m));
+- reshape: `_columns` (in every plane, row denominators kept), `_take`
+  (rows in any order, each over its own denominator), `_transpose`
+  (over the common denominator), `_beside` and `_below` (blocks side by
+  side and stacked), `_vec` and `_realigned` (row (i, l), column (j, m)
+  to row (i, j), column (l, m));
 - multiply: `_mul_lifted`, `_times` (c*L), `_left`, `_right`, `_sides`,
   `_power`, `_horner` and `_content_free`;
 - eliminate: `_rref_core`, `_reduced`, `_kernel`, `_solve_square`,
   `_inverse` and `_in_span`;
-- compare and normalize: `_same`, `_cells` and `_entries`.
+- compare and normalize: `_same`, `_cells` and `_entries`;
+- guard: `_square_pair`, the square-and-same-size check of a pair of
+  matrices, a `Matrix` or a `_Lifted` alike.
 
 Over Q(zeta_q) lifting reads only the nonzero coefficients of nonzero
 entries.  Each algorithm is "lift, integer core, one normalization",
@@ -314,6 +320,15 @@ class Matrix:
         return f"Matrix<{self.field}, {self.rows}x{self.cols}: {body}>"
 
 
+def _square_pair(A, B, what: str) -> None:
+    """NotSquare unless A and B, each a `Matrix` or a `_Lifted`, are
+    square, then ShapeMismatch unless they have one size."""
+    if A.rows != A.cols or B.rows != B.cols:
+        raise NotSquare(f"{what} needs square matrices")
+    if A.rows != B.rows:
+        raise ShapeMismatch(f"sizes differ: {A.rows} vs {B.rows}")
+
+
 # ---- the lifted form: integer planes over denominators ----
 
 
@@ -322,9 +337,10 @@ class _Lifted(NamedTuple):
     and ints[i] is plane-major as in `_planes` (coefficient e of column j
     at e * cols + j).  Wherever only the span of the rows matters, the
     denominators are dropped (set to 1): each row is then a scaled copy.
-    Only this module indexes the planes, and `phi` is read here alone;
-    other modules build, reshape and read lifted matrices through the
-    primitives the module docstring lists, and may use rows whole."""
+    Only this module indexes the planes, builds the record and reads
+    `dens` and `phi`; every other module builds, reshapes and reads
+    lifted matrices through the primitives the module docstring lists,
+    and may use `ints` rows whole (the CI checks it)."""
 
     field: FieldTag
     cols: int
@@ -473,6 +489,11 @@ def _columns(L: _Lifted, cols: Sequence[int]) -> _Lifted:
     its own denominator."""
     at = [e * L.cols + c for e in range(L.phi) for c in cols]
     return _Lifted(L.field, len(cols), L.dens, [[row[i] for i in at] for row in L.ints])
+
+
+def _take(L: _Lifted, rows: Sequence[int]) -> _Lifted:
+    """L's rows ``rows``, in that order, each over its own denominator."""
+    return _Lifted(L.field, L.cols, [L.dens[i] for i in rows], [L.ints[i] for i in rows])
 
 
 def _transpose(L: _Lifted) -> _Lifted:
@@ -895,3 +916,9 @@ def _beside(blocks: Sequence[_Lifted]) -> _Lifted:
     dens = [lcm(*ds) for ds in zip(*(b.dens for b in blocks))]
     ints = [[x * (d // b.dens[i]) for e in range(phi) for b in blocks for x in b.ints[i][e * b.cols : (e + 1) * b.cols]] for i, d in enumerate(dens)]
     return _Lifted(blocks[0].field, sum(b.cols for b in blocks), dens, ints)
+
+
+def _below(blocks: Sequence[_Lifted]) -> _Lifted:
+    """The matrix [B_1; B_2; ...] of lifted blocks with as many columns,
+    each row over its own denominator."""
+    return _Lifted(blocks[0].field, blocks[0].cols, [d for b in blocks for d in b.dens], [row for b in blocks for row in b.ints])

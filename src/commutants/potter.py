@@ -15,13 +15,12 @@ from .errors import (
     BadDimensions,
     FieldMismatch,
     NotNilpotent,
-    NotSquare,
     PairInvariantViolated,
-    ShapeMismatch,
 )
 from .matrices import (
     Matrix,
     _abreast,
+    _below,
     _content_free,
     _embed,
     _lift,
@@ -29,6 +28,7 @@ from .matrices import (
     _mul_lifted,
     _power,
     _same,
+    _square_pair,
     _times,
 )
 from .polys import CongruenceClass, Poly
@@ -45,10 +45,7 @@ def _lifts(A: _Lifted, B: _Lifted, w: OmegaSpec) -> tuple[_Lifted, _Lifted]:
     """Lifted A and B embedded into Q(zeta_q) (A's field is checked
     first), then checked square and of one size."""
     A, B = _embed(A, w.field), _embed(B, w.field)
-    if A.rows != A.cols or B.rows != B.cols:
-        raise NotSquare("quasi-commutation needs square matrices")
-    if A.rows != B.rows:
-        raise ShapeMismatch(f"sizes differ: {A.rows} vs {B.rows}")
+    _square_pair(A, B, "quasi-commutation")
     return A, B
 
 
@@ -90,12 +87,7 @@ class QuasiPair:
 
 def _power_stacks(A: _Lifted, B: _Lifted, q: int) -> tuple[_Lifted, _Lifted]:
     """[A; B] and [A^q; B^q], each over one denominator."""
-    return _stack(A, B), _stack(_power(A, q), _power(B, q))
-
-
-def _stack(X: _Lifted, Y: _Lifted) -> _Lifted:
-    """[X; Y] over one denominator."""
-    return _Lifted(X.field, X.cols, X.dens + Y.dens, X.ints + Y.ints).common()
+    return _below((A, B)).common(), _below((_power(A, q), _power(B, q))).common()
 
 
 def potter_check(pair: QuasiPair, s, t) -> bool:
@@ -148,10 +140,7 @@ class OmegaEquivalenceReport:
 def omega_equivalence_check(A: Matrix, B: Matrix, w: OmegaSpec) -> OmegaEquivalenceReport:
     """For nilpotent A: do A and B share an omega-centralizer exactly
     when each is a q-class polynomial in the other?"""
-    if not A.is_square or not B.is_square:
-        raise NotSquare("equivalence check needs square matrices")
-    if A.rows != B.rows:
-        raise ShapeMismatch(f"sizes differ: {A.rows} vs {B.rows}")
+    _square_pair(A, B, "equivalence check")
     m = min_poly(A)
     if m != Poly.monomial(m.degree, 1, A.field):
         raise NotNilpotent("first matrix must be nilpotent")

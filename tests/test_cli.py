@@ -18,6 +18,7 @@ from commutants import (
     InvalidSpec,
     Matrix,
     ParseError,
+    Poly,
     QQ,
     RaggedRows,
     eval_at_matrix,
@@ -1070,6 +1071,17 @@ def test_cells_are_spelled_as_fraction_spells_them_on_drawn_pairs(x, d, k):
     # an unreduced pair k*x / k*d spells as x / d
     from commutants.cli import _spelled
     assert _spelled(x, d) == _spelled(k * x, k * d) == str(Fraction(x, d))
+
+
+def test_polynomials_are_spelled_by_the_matrix_speller():
+    # one row of coefficients: the zero polynomial is [] over Q and over
+    # Q(zeta_5), and a Q(zeta_5) coefficient is its phi = 4 strings
+    from commutants.cli import _poly_json
+    Q5 = FieldTag.cyclotomic(5)
+    assert _poly_json(Poly.zero(QQ)) == _poly_json(Poly.zero(Q5)) == []
+    assert _poly_json(Poly.make([Fraction(-6, 4), 0, 3], QQ)) == ["-3/2", "0", "3"]
+    f = Poly.make([[Fraction(1, 2), 0, 0, Fraction(-2, 6)], 0, CycloScalar.zeta(5, 4), 1], Q5)
+    assert _poly_json(f) == [["1/2", "0", "0", "-1/3"], ["0"] * 4, ["-1"] * 4, ["1", "0", "0", "0"]]
 
 
 def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):

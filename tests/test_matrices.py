@@ -1099,21 +1099,32 @@ def test_scalar_times_lifted_matrix_equals_scale(pair, coeffs):
 @st.composite
 def column_case(draw):
     """A matrix over Q, Q(zeta_3) or Q(zeta_5), one-row and one-column
-    shapes drawn often, and a list of its column indices in any order,
-    repeats allowed."""
+    shapes drawn often, and lists of its column and of its row indices
+    in any order, repeats allowed."""
     q = draw(st.sampled_from((None, 3, 5)))
     rows, cols = draw(st.one_of(st.sampled_from(((1, 1), (1, 4), (4, 1))), st.tuples(dim, dim)))
     if q is None:
         M = mat(draw(grid(rows, cols, rational)))
     else:
         M = draw(cyclotomic_matrix(FieldTag.cyclotomic(q), rows, cols, ("dense", "weyl", "zero")))
-    return M, draw(st.lists(st.integers(0, cols - 1), max_size=2 * cols))
+    return M, draw(st.lists(st.integers(0, cols - 1), max_size=2 * cols)), draw(st.lists(st.integers(0, rows - 1), max_size=2 * rows))
+
+
+Q5 = FieldTag.cyclotomic(5)
+# rows over different denominators, taken reversed, repeated and not at all
+UNEVEN = mat([[Fraction(1, 2), 1], [Fraction(1, 3), 2], [5, Fraction(-1, 7)]])
+UNEVEN5 = Matrix.make([[[Fraction(1, 2), 0, 1], 1], [0, [0, Fraction(-2, 9)]], [[3, 0, 0, Fraction(1, 4)], Fraction(1, 5)]], Q5)
 
 
 @settings(max_examples=80, deadline=None)
 @given(column_case())
+@example((UNEVEN, [1, 0], [2, 1, 0]))
+@example((UNEVEN, [0], [1, 1, 2, 1]))
+@example((UNEVEN, [1], []))
+@example((UNEVEN5, [1, 0, 1], [2, 1, 0, 0]))
+@example((UNEVEN5, [], []))
 def test_lifted_columns_and_transpose_equal_the_matrix_ones(case):
-    M, picks = case
+    M, picks, rows = case
     L = matrices._lift(M)
     T = matrices._transpose(L)
     assert (T.rows, T.cols) == (M.cols, M.rows)
@@ -1121,6 +1132,13 @@ def test_lifted_columns_and_transpose_equal_the_matrix_ones(case):
     C = matrices._columns(L, picks)
     assert (C.rows, C.cols) == (M.rows, len(picks))
     assert matrices._entries(C) == tuple(M.at(i, j) for i in range(M.rows) for j in picks)
+    # _take and _below keep each row over its own denominator: plain list picks
+    R = matrices._take(L, rows)
+    assert (R.field, R.cols, R.dens, R.ints) == (M.field, M.cols, [L.dens[i] for i in rows], [L.ints[i] for i in rows])
+    assert matrices._entries(R) == tuple(x for i in rows for x in M.row(i))
+    S = matrices._below((L, R, matrices._take(L, rows[::-1])))
+    assert (S.field, S.cols, S.dens, S.ints) == (M.field, M.cols, L.dens + R.dens + R.dens[::-1], L.ints + R.ints + R.ints[::-1])
+    assert matrices._entries(S) == M.entries + tuple(x for i in rows + rows[::-1] for x in M.row(i))
 
 
 def _plane_ints(M: Matrix) -> list:

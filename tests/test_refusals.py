@@ -1,6 +1,6 @@
 """Public refusals: each call below must raise exactly the given error
 type, so that a caller (and the CLI's exit code 2) can tell bad input
-from a failed check."""
+from a failed check, and where a row gives one, with that message."""
 
 from fractions import Fraction
 
@@ -9,6 +9,7 @@ import pytest
 from commutants import (
     BlockDiag,
     BothZero,
+    Certificate,
     CongruenceClass,
     ConjugateBy,
     CycloScalar,
@@ -33,11 +34,13 @@ from commutants import (
     double_centralizer_basis,
     double_cover,
     eval_at_matrix,
+    express_in_powers,
     generate,
     invariant_factors,
     is_balanced_poly,
     kron,
     min_poly,
+    omega_commutes,
     omega_equivalence_check,
     poly_crt,
     poly_gcd,
@@ -47,6 +50,7 @@ from commutants import (
     subspace_contains,
     subspace_from_matrices,
     unvec,
+    verify_certificate,
 )
 from commutants.cli import main
 from commutants.matrices import vstack_rows
@@ -70,8 +74,12 @@ REFUSALS = [
     ("double_cover", lambda: double_cover(WIDE), NotSquare),
     ("double_centralizer_basis", lambda: double_centralizer_basis(WIDE), NotSquare),
     ("clifforder_has_invertible", lambda: clifforder_has_invertible(WIDE), NotSquare),
-    ("omega_equivalence_check", lambda: omega_equivalence_check(WIDE, WIDE, OmegaSpec(3)), NotSquare),
-    ("ann_k_member", lambda: ann_k_member(WIDE, SQUARE, 1), NotSquare),
+    # the pair guard's callers, with its message
+    ("omega_equivalence_check", lambda: omega_equivalence_check(WIDE, WIDE, OmegaSpec(3)), NotSquare, "^equivalence check needs square matrices$"),
+    ("ann_k_member", lambda: ann_k_member(WIDE, SQUARE, 1), NotSquare, "^ann_k membership needs square matrices$"),
+    ("express_in_powers", lambda: express_in_powers(SQUARE, WIDE), NotSquare, "^power expression needs square matrices$"),
+    ("verify_certificate", lambda: verify_certificate(SQUARE, WIDE, Certificate(F, F, CongruenceClass.general())), NotSquare, "^certificate check needs square matrices$"),
+    ("omega_commutes", lambda: omega_commutes(WIDE, SQUARE, OmegaSpec(3)), NotSquare, "^quasi-commutation needs square matrices$"),
     ("Matrix.trace", lambda: WIDE.trace(), NotSquare),
     ("Matrix.inverse", lambda: WIDE.inverse(), NotSquare),
     # FieldMismatch: Q against Q(zeta_3)
@@ -134,9 +142,9 @@ REFUSALS = [
 ]
 
 
-@pytest.mark.parametrize("call, error", [case[1:] for case in REFUSALS], ids=[case[0] for case in REFUSALS])
-def test_refusal(call, error):
-    with pytest.raises(error) as info:
+@pytest.mark.parametrize("call, error, message", [(case[1], case[2], case[3] if len(case) > 3 else None) for case in REFUSALS], ids=[case[0] for case in REFUSALS])
+def test_refusal(call, error, message):
+    with pytest.raises(error, match=message) as info:
         call()
     assert info.type is error
 
