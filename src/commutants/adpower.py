@@ -12,7 +12,7 @@ from .commutant import commutant_operator
 from .errors import BadExponent, FieldMismatch, NotSquare, ShapeMismatch
 from .matrices import Matrix, _abreast, _columns, _kernel, _lift, _Lifted, _mul_lifted, _realigned, _scaled, _sides, _square_pair, _take, _transpose, _vec
 from .polys import Poly, _at_matrix
-from .subspaces import SubspaceBasis, _from_reduced
+from .subspaces import SubspaceBasis, _from_reduced, _rows
 
 DEFAULT_MAX_POWER = 16
 
@@ -107,4 +107,4 @@ def ad_inclusion_check(A: Matrix, f: Poly, k: int, max_power: int = DEFAULT_MAX_
     ker = ad_power_kernel(A, k, max_power=max_power)
     if not A.rows:
         raise ShapeMismatch("matrix size must be positive")
-    return not any(any(v) for v in _ad_power(ker._lifted.ints, F, k))
+    return not any(any(v) for v in _ad_power(_rows(ker).ints, F, k))

@@ -2,19 +2,20 @@
 
 One reader, `_read`, takes the JSON wire format straight to lifted
 integer rows, and every matrix command runs on those; only `analyze`
-normalizes them, once, for the `Matrix` its structure report reads, and
-it echoes the input from the rows `_read` gave.  A printed dimension
-with no basis beside it is read off the checked Frobenius split
-(`commutant._dimension`, and deg m_A for the double centralizer), so
-no span is built only to be counted.  Every printed
-number is spelled from lifted integer rows by one speller,
+normalizes them, once, for the `Matrix` its structure report reads,
+and it echoes the input from the rows `_read` gave.  A printed
+dimension with no basis beside it is read off the checked Frobenius
+split (`commutant._dimension`, and deg m_A for the double
+centralizer), so no span is built only to be counted.  Every printed
+matrix is spelled from lifted integer rows by one speller,
 `_spelled_rows`: a basis from the reduced integer rows the relation
 check read (`_rows_json`), with no field element built, the echoed
-input from `_read`'s rows, any other matrix from its lift
-(`matrix_json`), and a polynomial's coefficients from one row of them
-(`_poly_json`).  One writer, `_emit`, prints every command's
-JSON as json.dumps(obj, indent=2) would.  `analyze` checks its --q and
---k right after the read, before the split.
+input from `_read`'s rows and any other matrix from its lift
+(`_lifted_json`).  A polynomial's coefficients are Fractions already,
+which `str` spells as `_spelled` does (`_poly_json`).  One writer,
+`_emit`, prints every command's JSON as json.dumps(obj, indent=2)
+would.  `analyze` checks its --q and --k right after the read, before
+the split.
 
 Exit codes: 0 success, 1 negative mathematical verdict (not equivalent,
 identity fails), 2 malformed input, 3 a failed internal check (a
@@ -53,7 +54,7 @@ from .gen import (
     NilpotentBlocks,
     generate,
 )
-from .matrices import Matrix, _abreast, _cells, _entries, _from_cells, _lift, _Lifted
+from .matrices import Matrix, _cells, _entries, _from_cells, _lift, _Lifted
 from .polys import CongruenceClass, Poly
 from .potter import _collapses, _lifts, _power_stacks, _quasi_commutes
 from .scalars import QQ, CycloScalar, FieldTag, _divmod_monic, cyclo_coeffs
@@ -230,14 +231,16 @@ def _field_json(field: FieldTag):
     return "Q"
 
 
+def _lifted_json(L: _Lifted) -> dict:
+    return {"field": _field_json(L.field), "rows": _spelled_rows(L)}
+
+
 def matrix_json(M: Matrix) -> dict:
-    return {"field": _field_json(M.field), "rows": _spelled_rows(_lift(M))}
+    return _lifted_json(_lift(M))
 
 
 def _poly_json(f: Poly) -> list:
-    """f's ascending coefficients, spelled as matrix cells are: one row
-    of them, laid by `_abreast`."""
-    return _spelled_rows(_abreast(f.coeffs, 1, f.field))[0]
+    return [[str(c) for c in x.coeffs] if isinstance(x, CycloScalar) else str(x) for x in f.coeffs]
 
 
 def _class_json(cls: CongruenceClass):
@@ -338,7 +341,7 @@ def _cmd_analyze(args) -> int:
     rep = StructureReport.of(A, _factors=split[0] if split else None)
     one = A.field.one()
     out = {
-        "input": {"field": _field_json(L.field), "rows": _spelled_rows(L)},
+        "input": _lifted_json(L),
         "structure": _structure_json(rep),
         "dims": {
             "centralizer": _dimension(L, one, split),

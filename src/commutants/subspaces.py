@@ -12,15 +12,14 @@ Membership and containment read rows and their pivots (`_contains`): a
 row lies in the span exactly when it is its own entries at the pivot
 columns times those rows, one integer product.  A `SubspaceBasis`
 argument's returned rows are lifted back to integers for that, and for
-the invertibility probe, once per basis: its `_lifted` is cached.  The
-probe is randomized but seeded, so every run is replayable.
+the invertibility probe, by `_rows`.  The probe is randomized but
+seeded, so every run is replayable.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .errors import AmbientMismatch, FieldMismatch, NotSquare, ShapeMismatch
@@ -36,15 +35,6 @@ class SubspaceBasis:
     basis: tuple[Matrix, ...]
     rref_rows: tuple[tuple, ...]
     pivots: tuple[int, ...]
-
-    @cached_property
-    def _lifted(self) -> _Lifted:
-        """The returned RREF rows, lifted once per basis: membership,
-        containment, the probe and the ad-power inclusion check read
-        these, so they see exactly the rows a caller got.  A basis being
-        built is checked on its integer rows before `_from_reduced` and
-        is never lifted back."""
-        return _lift(Matrix(self.field, self.dim, self.ambient_n**2, tuple(x for row in self.rref_rows for x in row)))
 
 
 def subspace_from_matrices(
@@ -100,6 +90,15 @@ def subspace_equal(S: SubspaceBasis, T: SubspaceBasis) -> bool:
     return S.rref_rows == T.rref_rows
 
 
+def _rows(S: SubspaceBasis) -> _Lifted:
+    """The returned RREF rows of a `SubspaceBasis` argument, lifted:
+    membership, containment, the probe and the ad-power inclusion check
+    read these, so they see exactly the rows a caller got.  A basis
+    being built is checked on its integer rows before `_from_reduced`
+    and is never lifted back."""
+    return _lift(Matrix(S.field, S.dim, S.ambient_n**2, tuple(x for row in S.rref_rows for x in row)))
+
+
 def _contains(R: _Lifted, pivots: Sequence[int], V: _Lifted) -> bool:
     """Whether every row of V lies in the span of R, lifted RREF rows
     with their pivot columns: a row does exactly when it equals its
@@ -114,13 +113,13 @@ def subspace_contains(S: SubspaceBasis, X: Matrix) -> bool:
         raise AmbientMismatch(f"expected {S.ambient_n}x{S.ambient_n}, got {X.shape}")
     if X.field != S.field:
         raise FieldMismatch(f"{X.field} vs {S.field}")
-    return _contains(S._lifted, S.pivots, _lift(Matrix(X.field, 1, X.rows * X.cols, X.entries)))
+    return _contains(_rows(S), S.pivots, _lift(Matrix(X.field, 1, X.rows * X.cols, X.entries)))
 
 
 def subspace_leq(S: SubspaceBasis, T: SubspaceBasis) -> bool:
     """True iff S is contained in T."""
     _check_same_ambient(S, T)
-    return _contains(T._lifted, T.pivots, S._lifted)
+    return _contains(_rows(T), T.pivots, _rows(S))
 
 
 def random_invertible_probe(
@@ -128,7 +127,7 @@ def random_invertible_probe(
 ) -> Matrix | None:
     """Search for an invertible element of S by sampling random integer
     combinations of the basis, with coefficient height growing per trial:
-    each one integer product with `S._lifted`, invertible when `_inverse`
+    each one integer product with `_rows(S)`, invertible when `_inverse`
     of it exists.  Returns None when nothing invertible was found; that
     is evidence, not proof, so callers needing certainty use the balanced
     criterion.
@@ -136,7 +135,7 @@ def random_invertible_probe(
     if S.dim == 0:
         return None
     rng = random.Random(seed)
-    R, n = S._lifted, S.ambient_n
+    R, n = _rows(S), S.ambient_n
     for t in range(trials):
         h = 1 + t
         coeffs = [rng.randint(-h, h) for _ in range(S.dim)]

@@ -1073,9 +1073,9 @@ def test_cells_are_spelled_as_fraction_spells_them_on_drawn_pairs(x, d, k):
     assert _spelled(x, d) == _spelled(k * x, k * d) == str(Fraction(x, d))
 
 
-def test_polynomials_are_spelled_by_the_matrix_speller():
-    # one row of coefficients: the zero polynomial is [] over Q and over
-    # Q(zeta_5), and a Q(zeta_5) coefficient is its phi = 4 strings
+def test_polynomial_coefficients_are_spelled_in_lowest_terms():
+    # the zero polynomial is [] over Q and over Q(zeta_5), and a
+    # Q(zeta_5) coefficient is its phi = 4 strings
     from commutants.cli import _poly_json
     Q5 = FieldTag.cyclotomic(5)
     assert _poly_json(Poly.zero(QQ)) == _poly_json(Poly.zero(Q5)) == []

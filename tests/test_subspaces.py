@@ -182,21 +182,6 @@ def test_leq_matches_the_field_reduction(field):
                 assert subspace_leq(T, S) == reference_leq(T, S), (n, i, j)
 
 
-def test_a_basis_is_lifted_once_for_every_membership_check(monkeypatch):
-    import commutants.subspaces as subspaces
-    S = clifforder_basis(nilpotent([3], 7))
-    plain, lifted = subspaces._lift, []
-
-    def spy(M):
-        lifted.append(M.shape)
-        return plain(M)
-
-    monkeypatch.setattr(subspaces, "_lift", spy)
-    assert subspace_contains(S, S.basis[0]) and not subspace_contains(S, Matrix.identity(3, QQ))
-    # the basis rows once, the two members once each
-    assert S.dim > 1 and lifted == [(S.dim, 9), (1, 9), (1, 9)]
-
-
 def test_leq_with_an_empty_side():
     for field in FIELDS:
         for n in (0, 1, 3):
