@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from math import comb, gcd
 
 from .commutant import commutant_operator
-from .errors import BadExponent, FieldMismatch, NotSquare, ShapeMismatch
-from .matrices import Matrix, _abreast, _columns, _kernel, _lift, _Lifted, _mul_lifted, _realigned, _scaled, _sides, _square_pair, _take, _transpose, _vec
+from .errors import BadExponent, FieldMismatch, ShapeMismatch
+from .matrices import Matrix, _abreast, _columns, _kernel, _lift, _Lifted, _mul_lifted, _realigned, _scaled, _sides, _square, _square_pair, _take, _transpose, _vec
 from .polys import Poly, _at_matrix
 from .subspaces import SubspaceBasis, _from_reduced, _rows
 
@@ -38,8 +38,7 @@ def ad_power_kernel(A: Matrix, k: int, max_power: int = DEFAULT_MAX_POWER) -> Su
     written out by `_from_reduced`."""
     if not isinstance(k, int) or k < 1 or k > max_power:
         raise BadExponent(f"power k={k} outside 1..{max_power}")
-    if not A.is_square:
-        raise NotSquare("ad-power kernel needs a square matrix")
+    _square(A, "ad-power kernel needs a square matrix")
     n = A.rows
     return _from_reduced(*_kernel_rref(_scaled(A.field, n * n, _ad_matrix(_lift(A), k))), n)
 

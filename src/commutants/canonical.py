@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import count
 from math import prod
 
-from .errors import DegreeZero, NotMonic, NotSquare, VerificationError
+from .errors import DegreeZero, NotMonic, VerificationError
 from .matrices import (
     Matrix,
     _beside,
@@ -43,6 +43,7 @@ from .matrices import (
     _rref_core,
     _same,
     _scaled,
+    _square,
     _take,
     _transpose,
 )
@@ -53,8 +54,7 @@ from .scalars import QQ, FieldTag
 def char_poly(A: Matrix) -> Poly:
     """det(xI - A), monic of degree n: the product of the invariant
     factors of the checked split."""
-    if not A.is_square:
-        raise NotSquare("characteristic polynomial needs a square matrix")
+    _square(A, "characteristic polynomial needs a square matrix")
     return prod(_frobenius(_lift(A))[0], start=Poly.one(A.field))
 
 
@@ -62,8 +62,7 @@ def min_poly(A: Matrix) -> Poly:
     """The monic generator of {f : f(A) = 0}: the split's first step,
     the first Krylov dependency of a drawn v, accepted only once it is
     checked to annihilate A."""
-    if not A.is_square:
-        raise NotSquare("minimal polynomial needs a square matrix")
+    _square(A, "minimal polynomial needs a square matrix")
     if not A.rows:
         return Poly.one(A.field)
     return _cyclic_vector(_lift(A), _Draws())[0]
@@ -74,14 +73,14 @@ def invariant_factors(A: Matrix) -> tuple[Poly, ...]:
     d_1 | d_2 | ... | d_n including the constant ones, read off the
     checked Frobenius decomposition, whose check includes that each
     nonconstant factor divides the next."""
-    if not A.is_square:
-        raise NotSquare("invariant factors need a square matrix")
-    return _with_units(A, _frobenius(_lift(A))[0])
+    _square(A, "invariant factors need a square matrix")
+    return _with_units(A.field, A.rows, _frobenius(_lift(A))[0])
 
 
-def _with_units(A: Matrix, factors: tuple[Poly, ...]) -> tuple[Poly, ...]:
-    """The nonconstant invariant factors of A preceded by the constant ones."""
-    return (Poly.one(A.field),) * (A.rows - len(factors)) + factors
+def _with_units(field: FieldTag, n: int, factors: tuple[Poly, ...]) -> tuple[Poly, ...]:
+    """The nonconstant invariant factors of an n x n matrix over `field`
+    preceded by the constant ones."""
+    return (Poly.one(field),) * (n - len(factors)) + factors
 
 
 class _Draws:
@@ -252,8 +251,7 @@ def balanced_split(A: Matrix) -> tuple[Matrix, Matrix]:
     Br = A*(I - P).  Zero eigenvalues count as balanced, so a nilpotent
     A returns (A, O).
     """
-    if not A.is_square:
-        raise NotSquare("balanced split needs a square matrix")
+    _square(A, "balanced split needs a square matrix")
     field = A.field
     zero = Matrix.zero(A.rows, A.rows, field)
     m = min_poly(A)
@@ -280,8 +278,7 @@ def balanced_split(A: Matrix) -> tuple[Matrix, Matrix]:
 
 def double_cover(A: Matrix) -> Matrix:
     """blockdiag(A, -A), which is balanced whatever A is."""
-    if not A.is_square:
-        raise NotSquare("double cover needs a square matrix")
+    _square(A, "double cover needs a square matrix")
     return Matrix.block_diag([A, -A])
 
 
@@ -297,23 +294,27 @@ class StructureReport:
     min_equals_char: bool
 
     @classmethod
-    def of(cls, A: Matrix, _factors: tuple[Poly, ...] | None = None) -> StructureReport:
-        """The report of A; `_factors`, private, are A's nonconstant
-        invariant factors from a split the caller has already run."""
-        if not A.is_square:
-            raise NotSquare("structure report needs a square matrix")
-        factors = invariant_factors(A) if _factors is None else _with_units(A, _factors)
-        p = prod(factors, start=Poly.one(A.field))
-        m = factors[-1] if factors else Poly.one(A.field)
-        balanced = all(is_balanced_poly(d) for d in factors if d.degree >= 1)
-        nilpotent = p == Poly.monomial(A.rows, 1, A.field)
-        return cls(
-            n=A.rows,
-            field=A.field,
-            char_poly=p,
-            min_poly=m,
-            invariant_factors=factors,
-            is_balanced=balanced,
-            is_nilpotent=nilpotent,
-            min_equals_char=(m == p),
-        )
+    def of(cls, A: Matrix) -> StructureReport:
+        """The report of A, read off its checked Frobenius split."""
+        _square(A, "structure report needs a square matrix")
+        return _report(A.field, A.rows, _frobenius(_lift(A))[0])
+
+
+def _report(field: FieldTag, n: int, factors: tuple[Poly, ...]) -> StructureReport:
+    """The report of an n x n matrix over `field` whose nonconstant
+    invariant factors, from a checked split, are `factors`: what
+    `StructureReport.of` returns, and what `analyze` reads off the split
+    its commutant counts share, with no `Matrix` built."""
+    factors = _with_units(field, n, factors)
+    p = prod(factors, start=Poly.one(field))
+    m = factors[-1] if factors else Poly.one(field)
+    return StructureReport(
+        n=n,
+        field=field,
+        char_poly=p,
+        min_poly=m,
+        invariant_factors=factors,
+        is_balanced=all(is_balanced_poly(d) for d in factors if d.degree >= 1),
+        is_nilpotent=p == Poly.monomial(n, 1, field),
+        min_equals_char=(m == p),
+    )

@@ -1,11 +1,13 @@
 """Command-line front-end: JSON in, JSON out, exact arithmetic inside.
 
 One reader, `_read`, takes the JSON wire format straight to lifted
-integer rows, and every matrix command runs on those; only `analyze`
-normalizes them, once, for the `Matrix` its structure report reads,
-and it echoes the input from the rows `_read` gave.  A printed
-dimension with no basis beside it is read off the checked Frobenius
-split (`commutant._dimension`, and deg m_A for the double
+integer rows, and every matrix command runs on those, with no field
+element built for its input.  A commutant command builds the checked
+Frobenius split of those rows once, `commutant._split`, and reads every
+answer off it: `analyze` its structure report (`canonical._report`),
+both dimensions and its omega basis, and it echoes the input from the
+rows `_read` gave.  A printed dimension with no basis beside it is read
+off that split (`commutant._dimension`, and deg m_A for the double
 centralizer), so no span is built only to be counted.  Every printed
 matrix is spelled from lifted integer rows by one speller,
 `_spelled_rows`: a basis from the reduced integer rows the relation
@@ -34,7 +36,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 
-from .canonical import StructureReport
+from .canonical import StructureReport, _report
 from .commutant import OmegaSpec, _dimension, _mu_commutant_basis, _split
 from .equivalence import Certificate, _certificate
 from .errors import (
@@ -54,7 +56,7 @@ from .gen import (
     NilpotentBlocks,
     generate,
 )
-from .matrices import Matrix, _cells, _entries, _from_cells, _lift, _Lifted
+from .matrices import Matrix, _cells, _entries, _from_cells, _lift, _Lifted, _square
 from .polys import CongruenceClass, Poly
 from .potter import _collapses, _lifts, _power_stacks, _quasi_commutes
 from .scalars import QQ, CycloScalar, FieldTag, _divmod_monic, cyclo_coeffs
@@ -334,18 +336,18 @@ def _read_file(path: str) -> bytes:
 def _cmd_analyze(args) -> int:
     L = _read(_read_file(args.file))
     w = None if args.q is None else OmegaSpec(args.q, args.k)  # a bad --k fails before the split
-    A = Matrix(L.field, L.rows, L.cols, _entries(L))
+    _square(L, "structure report needs a square matrix")
     # one Frobenius split, P^-1 included, serves the report and every
-    # commutant; a non-square A is rejected by the report, as before
-    split = _split(L) if A.is_square else None
-    rep = StructureReport.of(A, _factors=split[0] if split else None)
-    one = A.field.one()
+    # commutant
+    split = _split(L)
+    rep = _report(L.field, L.rows, split.factors)
+    one = L.field.one()
     out = {
         "input": _lifted_json(L),
         "structure": _structure_json(rep),
         "dims": {
-            "centralizer": _dimension(L, one, split),
-            "clifforder": _dimension(L, -one, split),
+            "centralizer": _dimension(split, one),
+            "clifforder": _dimension(split, -one),
             # C(C(A)) = F[A], of dimension deg m_A
             "double_centralizer": rep.min_poly.degree,
         },
@@ -357,7 +359,7 @@ def _cmd_analyze(args) -> int:
         },
     }
     if w is not None:
-        R, _ = _mu_commutant_basis(L, w.omega(), split)
+        R, _ = _mu_commutant_basis(split, w.omega())
         out["omega"] = {"q": w.q, "k": w.k, "dim": R.rows, "basis": _rows_json(R, L.rows)}
     _emit(out)
     return 0
@@ -371,11 +373,12 @@ def _cmd_commutant(args) -> int:
         mu, out = w.omega(), {"q": w.q, "k": w.k}
     else:
         mu, out = A.field.one() if args.command == "centralizer" else -A.field.one(), {}
+    split = _split(A)
     if args.basis:
-        R, _ = _mu_commutant_basis(A, mu)
+        R, _ = _mu_commutant_basis(split, mu)
         out["dimension"], out["basis"] = R.rows, _rows_json(R, A.rows)
     else:
-        out["dimension"] = _dimension(A, mu)
+        out["dimension"] = _dimension(split, mu)
     _emit(out)
     return 0
 

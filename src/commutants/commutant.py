@@ -5,12 +5,15 @@ omega-centralizer (mu = zeta_q^k) are the solutions of AX = mu*XA.
 With A = P*F*P^-1 and F a direct sum of companion blocks, X = P*Y*P^-1
 where each block of Y solves C(a)*Y = mu*Y*C(b), whose solutions are
 known in closed form, so one structural routine serves all three and no
-n^2 x n^2 system is eliminated.  It takes A lifted once, as the CLI
-reads it, and stays in integers through the checked canonical basis:
-the relation is proven on the reduced integer rows themselves, which
-the CLI spells as they are and the public bases divide out once.
+n^2 x n^2 system is eliminated.  Each question is asked of one record,
+`_split`'s checked split of A lifted once, as the CLI reads it: A, its
+invariant factors, P and P^-1.  A caller builds it once and reads every
+dimension and basis it needs off it.  The solver stays in integers
+through the checked canonical basis: the relation is proven on the
+reduced integer rows themselves, which the CLI spells as they are and
+the public bases divide out once.
 Where only the dimension is wanted, `_dimension` sums deg g over the
-same block pairs on the same checked split and builds no block solution
+same block pairs on the same split and builds no block solution
 and no span: once the split has proven A*P = P*F, P invertible and
 f_1 | ... | f_r, Frobenius' count sum deg gcd(f_i(x), f_j(mu^-1 x)) is
 a theorem.
@@ -28,12 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .canonical import _frobenius, is_balanced_matrix, min_poly
 from .errors import (
     IndexOutOfRange,
     InvalidSpec,
-    NotSquare,
     ShapeMismatch,
     VerificationError,
 )
@@ -52,6 +55,7 @@ from .matrices import (
     _reduced,
     _scaled,
     _sides,
+    _square,
     _take,
     _times,
     _transpose,
@@ -86,67 +90,73 @@ class OmegaSpec:
 
 def commutant_operator(A: Matrix, mu) -> Matrix:
     """The n^2 x n^2 matrix of X -> AX - mu*XA under row-major vec."""
-    if not A.is_square:
-        raise NotSquare("commutant operator needs a square matrix")
+    _square(A, "commutant operator needs a square matrix")
     ident = Matrix.identity(A.rows, A.field)
     return kron(A, ident) - kron(ident, A.transpose()).scale(mu)
 
 
-def _split(Al: _Lifted) -> tuple[tuple[Poly, ...], _Lifted, _Lifted]:
-    """The checked Frobenius split of A, lifted as Al, with P and P^-1
-    lifted: (factors, P, P^-1), P^-1 from one lifted solve against I."""
+class _Split(NamedTuple):
+    """The checked Frobenius split A = P*F*P^-1 that every commutant
+    question is answered on: A lifted, its nonconstant invariant factors
+    f_1 | ... | f_r, whose companions make up F, and P and P^-1 lifted."""
+
+    A: _Lifted
+    factors: tuple[Poly, ...]
+    P: _Lifted
+    P_inv: _Lifted
+
+
+def _split(Al: _Lifted) -> _Split:
+    """The `_Split` of A lifted as Al: NotSquare unless A is square, then
+    `_frobenius`'s checked factors and P, and P^-1 from one lifted solve
+    against I, the proof that P is invertible."""
+    _square(Al, "commutant needs a square matrix")
     factors, P = _frobenius(Al)
     P_inv = _inverse(P)
     if P_inv is None:
         raise VerificationError("Frobenius change of basis is singular")
-    return factors, P, P_inv
+    return _Split(Al, factors, P, P_inv)
 
 
-def _on_split(Al: _Lifted, mu, split):
-    """mu's field, A embedded in it, and the checked split (factors, P,
-    P^-1) of A lifted as Al, the factors over mu's field; NotSquare, then
-    FieldMismatch for A over another Q(zeta_r), before the split runs.  A
-    rational A is split over Q even when mu is cyclotomic, and its
-    factors are promoted.  `split` is `_split(Al)` when the caller has
-    it."""
-    if Al.rows != Al.cols:
-        raise NotSquare("commutant needs a square matrix")
+def _on_split(split: _Split, mu) -> _Split:
+    """The split over mu's field.  A rational A is split over Q even when
+    mu is cyclotomic: its A, P and P^-1 are embedded with `_embed` and its
+    factors promoted; FieldMismatch for A over another Q(zeta_r)."""
     field = FieldTag.cyclotomic(mu.q) if isinstance(mu, CycloScalar) else QQ
-    Ae = _embed(Al, field)
-    factors, P, P_inv = _split(Al) if split is None else split
-    if Al.field != field:
-        factors = tuple(Poly.make(f.coeffs, field) for f in factors)
-    return field, Ae, factors, P, P_inv
+    if split.A.field == field:
+        return split
+    A, P, P_inv = (_embed(L, field) for L in (split.A, split.P, split.P_inv))
+    return _Split(A, tuple(Poly.make(f.coeffs, field) for f in split.factors), P, P_inv)
 
 
-def _dimension(Al: _Lifted, mu, split=None) -> int:
-    """dim {X : AX = mu*XA} for A lifted as Al, by Frobenius' count sum
-    deg gcd(f_i(x), f_j(mu^-1 x)) over all pairs of invariant factors,
+def _dimension(split: _Split, mu) -> int:
+    """dim {X : AX = mu*XA} for A split as `split`, by Frobenius' count
+    sum deg gcd(f_i(x), f_j(mu^-1 x)) over all pairs of invariant factors,
     each g from `_block_gcd`, with no block solution and no span built.
     The count is a theorem once the split is checked: A*P = P*F and f_1
     | ... | f_r by `_frobenius`, P invertible by `_split`'s P^-1."""
-    factors = _on_split(Al, mu, split)[2]
+    factors = _on_split(split, mu).factors
     return sum(_block_gcd(a, b, mu).degree for a in factors for b in factors)
 
 
-def _mu_commutant_basis(Al: _Lifted, mu, split=None) -> tuple[_Lifted, list[int]]:
+def _mu_commutant_basis(split: _Split, mu) -> tuple[_Lifted, list[int]]:
     """The canonical basis of {X : AX = mu*XA} over mu's field, for A
-    lifted as Al, as `_reduced` gives it: the integer vecs of the RREF
+    split as `split`, as `_reduced` gives it: the integer vecs of the RREF
     rows, each over its pivot value, and their pivot columns.  It is
-    built block by block on the Frobenius form A = P*F*P^-1 of
-    `_on_split` and proven on exactly these rows before they are
-    returned: every row satisfies the relation, and there are as many as
-    Frobenius' dimension, the number of Ys.  The public bases write them
-    out with `subspaces._from_reduced`, the CLI spells them as they
-    are.  A rational A's P and P^-1 are embedded with `_embed`.
+    built block by block on the Frobenius form A = P*F*P^-1, over mu's
+    field by `_on_split`, and proven on exactly these rows before they
+    are returned: every row satisfies the relation, and there are as many
+    as Frobenius' dimension, the number of Ys.  The public bases write
+    them out with `subspaces._from_reduced`, the CLI spells them as they
+    are.
     Each integer Y of `_block_solutions` fills one block (I, J), so X =
     (P[:, I]*Y)*P^-1[J, :]: one product per I, the Ys' distinct columns
     abreast, and one per J, the n x deg f_J blocks stacked.  P and P^-1
     go over one denominator each, so every X keeps the dense product's
     scale, which the span does not see but the pivot choice does."""
-    field, Ae, factors, P, P_inv = _on_split(Al, mu, split)
-    n = Ae.cols
-    P, P_inv = _embed(P, field).common(), _embed(P_inv, field).common()
+    Ae, factors, P, P_inv = _on_split(split, mu)
+    field, n = Ae.field, Ae.cols
+    P, P_inv = P.common(), P_inv.common()
     offsets = [sum(f.degree for f in factors[:i]) for i in range(len(factors))]
     stacks = [[] for _ in factors]  # the rows of P[:, I]*Y for each Y in block column J
     for i, a in enumerate(factors):
@@ -212,18 +222,18 @@ def _block_solutions(a: Poly, b: Poly, mu) -> list[list[tuple]]:
 
 def centralizer_basis(A: Matrix) -> SubspaceBasis:
     """Basis of {X : AX = XA}."""
-    return _from_reduced(*_mu_commutant_basis(_lift(A), A.field.one()), A.rows)
+    return _from_reduced(*_mu_commutant_basis(_split(_lift(A)), A.field.one()), A.rows)
 
 
 def clifforder_basis(A: Matrix) -> SubspaceBasis:
     """Basis of {X : AX = -XA}."""
-    return _from_reduced(*_mu_commutant_basis(_lift(A), -A.field.one()), A.rows)
+    return _from_reduced(*_mu_commutant_basis(_split(_lift(A)), -A.field.one()), A.rows)
 
 
 def omega_centralizer_basis(A: Matrix, w: OmegaSpec) -> SubspaceBasis:
     """Basis of {X : AX = omega*XA} over Q(zeta_q); rational input is
     promoted."""
-    return _from_reduced(*_mu_commutant_basis(_lift(A), w.omega()), A.rows)
+    return _from_reduced(*_mu_commutant_basis(_split(_lift(A)), w.omega()), A.rows)
 
 
 def double_centralizer_basis(A: Matrix) -> SubspaceBasis:
@@ -237,8 +247,7 @@ def double_centralizer_basis(A: Matrix) -> SubspaceBasis:
     (`_contains`); `_from_reduced` then writes R out.  An A-invariant
     span that contains I contains every A^k, so span R contains F[A],
     and with d rows it is F[A]."""
-    if not A.is_square:
-        raise NotSquare("double centralizer needs a square matrix")
+    _square(A, "double centralizer needs a square matrix")
     n, field, d = A.rows, A.field, min_poly(A).degree
     Al, ident = _lift(A).common(), _abreast((field.one(),), n, field)
     powers = [ident]
@@ -286,6 +295,5 @@ def clifforder_has_invertible(A: Matrix) -> bool:
     invertible X with AX = -XA is exactly X^-1 A X = -A, the definition
     of balanced, so the answer is the invariant-factor test.  Acceptance
     test c04 compares it with the randomized invertibility probe."""
-    if not A.is_square:
-        raise NotSquare("clifforder test needs a square matrix")
+    _square(A, "clifforder test needs a square matrix")
     return is_balanced_matrix(A)

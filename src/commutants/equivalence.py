@@ -152,7 +152,8 @@ def _class_solve(base: Poly, target: Poly, m: Poly, cls: CongruenceClass) -> Pol
     c = _in_span(echelon, t)
     if c is None:
         return None
-    f = sum((Poly.monomial(e, x, field) for e, x in zip(exps, c)), Poly.zero(field))
+    at = dict(zip(exps, c))
+    f = Poly.make([at.get(e, 0) for e in range(max(at, default=-1) + 1)], field)
     if not _same(_horner(f.coeffs, Bl, [(0, 0)], 1), t):
         raise VerificationError("certificate fails f(base) = target mod m_A")
     return f

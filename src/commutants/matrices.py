@@ -28,8 +28,9 @@ instead:
 - eliminate: `_rref_core`, `_reduced`, `_kernel`, `_solve_square`,
   `_inverse` and `_in_span`;
 - compare and normalize: `_same`, `_cells` and `_entries`;
-- guard: `_square_pair`, the square-and-same-size check of a pair of
-  matrices, a `Matrix` or a `_Lifted` alike.
+- guard: `_square`, the square check of one matrix, and `_square_pair`,
+  the square-and-same-size check of a pair, for a `Matrix` or a
+  `_Lifted` alike; no other routine raises NotSquare (the CI checks it).
 
 Over Q(zeta_q) lifting reads only the nonzero coefficients of nonzero
 entries.  Each algorithm is "lift, integer core, one normalization",
@@ -112,7 +113,7 @@ from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import FieldMismatch, NotSquare, ShapeMismatch, ZeroInverse
-from .scalars import QQ, FieldTag, _binary_power, _conjugates, _from_ints, _over_lcm, cyclo_coeffs, phi_degree
+from .scalars import QQ, FieldTag, _binary_power, _conjugates, _from_ints, _over_lcm, _same_field, cyclo_coeffs, phi_degree
 
 
 @dataclass(frozen=True)
@@ -220,8 +221,7 @@ class Matrix:
     # ---- arithmetic ----
 
     def _check_same_shape(self, other: Matrix):
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
+        _same_field(self.field, other.field)
         if self.shape != other.shape:
             raise ShapeMismatch(f"{self.shape} vs {other.shape}")
 
@@ -248,8 +248,7 @@ class Matrix:
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            if self.field != other.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
+            _same_field(self.field, other.field)
             if self.cols != other.rows:
                 raise ShapeMismatch(f"{self.shape} @ {other.shape}")
             return Matrix(self.field, self.rows, other.cols, _entries(_mul_lifted(_lift(self), _lift(other))))
@@ -259,8 +258,7 @@ class Matrix:
         return self.scale(other)
 
     def __pow__(self, k: int) -> Matrix:
-        if not self.is_square:
-            raise NotSquare("powers need a square matrix")
+        _square(self, "powers need a square matrix")
         if k < 0:
             return self.inverse() ** (-k)
         if k == 0:
@@ -276,8 +274,7 @@ class Matrix:
         return Matrix(self.field, self.cols, self.rows, flat)
 
     def trace(self):
-        if not self.is_square:
-            raise NotSquare("trace needs a square matrix")
+        _square(self, "trace needs a square matrix")
         acc = self.field.zero()
         for i in range(self.rows):
             acc = acc + self.at(i, i)
@@ -298,16 +295,14 @@ class Matrix:
         """(-1)^n chi_A(0): (-1)^n times the product of f(0) over the
         nonconstant invariant factors f of the checked Frobenius split,
         whose product is chi_A.  The 0 x 0 matrix has det 1."""
-        if not self.is_square:
-            raise NotSquare("determinant needs a square matrix")
+        _square(self, "determinant needs a square matrix")
         from .canonical import _frobenius  # canonical imports this module
 
         d = prod((f.coeff(0) for f in _frobenius(_lift(self))[0]), start=self.field.one())
         return -d if self.rows % 2 else d
 
     def inverse(self) -> Matrix:
-        if not self.is_square:
-            raise NotSquare("inverse needs a square matrix")
+        _square(self, "inverse needs a square matrix")
         X = _inverse(_lift(self))
         if X is None:
             raise ZeroInverse("matrix is singular")
@@ -318,6 +313,12 @@ class Matrix:
             " ".join(str(x) for x in self.row(i)) for i in range(self.rows)
         )
         return f"Matrix<{self.field}, {self.rows}x{self.cols}: {body}>"
+
+
+def _square(A, message: str) -> None:
+    """NotSquare(message) unless A, a `Matrix` or a `_Lifted`, is square."""
+    if A.rows != A.cols:
+        raise NotSquare(message)
 
 
 def _square_pair(A, B, what: str) -> None:
@@ -636,8 +637,7 @@ def unvec(v: Sequence, n: int, field: FieldTag) -> Matrix:
 
 def kron(A: Matrix, B: Matrix) -> Matrix:
     """Kronecker product: the (i,j) block is a_ij * B."""
-    if A.field != B.field:
-        raise FieldMismatch(f"{A.field} vs {B.field}")
+    _same_field(A.field, B.field)
     rows, cols = A.rows * B.rows, A.cols * B.cols
     flat = []
     for i1 in range(A.rows):

@@ -17,14 +17,12 @@ from typing import Sequence
 
 from .errors import (
     BothZero,
-    FieldMismatch,
     NotCoprime,
     NotInClass,
-    NotSquare,
     ZeroPolynomial,
 )
-from .matrices import Matrix, _entries, _horner, _lift, _Lifted
-from .scalars import QQ, CycloScalar, FieldTag, _binary_power, _convolve, _divmod_monic, cyclo_coeffs
+from .matrices import Matrix, _entries, _horner, _lift, _Lifted, _square
+from .scalars import QQ, CycloScalar, FieldTag, _binary_power, _convolve, _divmod_monic, _same_field, cyclo_coeffs
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +101,7 @@ class Poly:
 
     def _lift(self, other) -> Poly | None:
         if isinstance(other, Poly):
-            if other.field != self.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
+            _same_field(self.field, other.field)
             return other
         if isinstance(other, (int, Fraction, CycloScalar)):
             return Poly.make([other], self.field)
@@ -219,8 +216,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd by the Euclidean algorithm."""
     if f.is_zero and g.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
-    if f.field != g.field:
-        raise FieldMismatch(f"{f.field} vs {g.field}")
+    _same_field(f.field, g.field)
     a, b = f, g
     while not b.is_zero:
         a, b = b, a % b
@@ -231,8 +227,7 @@ def poly_xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     """(d, u, v) with d monic, d = gcd(f, g) and u*f + v*g = d."""
     if f.is_zero and g.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
-    if f.field != g.field:
-        raise FieldMismatch(f"{f.field} vs {g.field}")
+    _same_field(f.field, g.field)
     field = f.field
     r0, r1 = f, g
     s0, s1 = Poly.one(field), Poly.zero(field)
@@ -359,10 +354,8 @@ def eval_at_matrix(f: Poly, A: Matrix) -> Matrix:
 
 def _at_matrix(f: Poly, A: Matrix) -> _Lifted:
     """f(A), lifted: one `_horner` pass with the diagonal as units."""
-    if not A.is_square:
-        raise NotSquare("polynomial evaluation needs a square matrix")
-    if f.field != A.field:
-        raise FieldMismatch(f"{f.field} vs {A.field}")
+    _square(A, "polynomial evaluation needs a square matrix")
+    _same_field(f.field, A.field)
     return _at_lifted(f, _lift(A))
 
 

@@ -4,13 +4,14 @@ Two fields are supported, Q (``fractions.Fraction``) and Q(zeta_q) for a
 conductor q >= 1.  A cyclotomic number is stored as the unique residue of
 a polynomial in zeta_q modulo the q-th cyclotomic polynomial Phi_q, so
 equality is plain coefficient comparison.  Mixed-field arithmetic is
-rejected; only the embedding of Q into Q(zeta_q) is applied implicitly
-(ints and Fractions act as constants).  Products, powers and inverses
-run on integer numerators over the lcm of the denominators, one integer
-fold mod Phi_q per product, and build the result's Fractions once.  An
-inverse is the product of the other Galois conjugates over the norm, an
-integer (`_conjugates`, shared with the elimination core's cyclotomic
-pivot), so it needs no polynomial Euclid.
+rejected (`_same_field` is the common "a vs b" refusal); only the
+embedding of Q into Q(zeta_q) is applied implicitly (ints and Fractions
+act as constants).  Products, powers and inverses run on integer
+numerators over the lcm of the denominators, one integer fold mod Phi_q
+per product, and build the result's Fractions once.  An inverse is the
+product of the other Galois conjugates over the norm, an integer
+(`_conjugates`, shared with the elimination core's cyclotomic pivot), so
+it needs no polynomial Euclid.
 
 The package's one convolution (`_convolve`), long division by a monic
 polynomial (`_divmod_monic`) and square-and-multiply (`_binary_power`)
@@ -335,3 +336,10 @@ class FieldTag:
 
 
 QQ = FieldTag.rational()
+
+
+def _same_field(a: FieldTag, b: FieldTag) -> None:
+    """FieldMismatch "a vs b" unless a and b are one field: every
+    refusal of two operands over different fields with that message."""
+    if a != b:
+        raise FieldMismatch(f"{a} vs {b}")

@@ -22,9 +22,9 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import AmbientMismatch, FieldMismatch, NotSquare, ShapeMismatch
-from .matrices import Matrix, _columns, _embed, _entries, _inverse, _lift, _Lifted, _mul_lifted, _reduced, _same, _scaled, unvec, vstack_rows
-from .scalars import QQ, FieldTag
+from .errors import AmbientMismatch, ShapeMismatch
+from .matrices import Matrix, _columns, _embed, _entries, _inverse, _lift, _Lifted, _mul_lifted, _reduced, _same, _scaled, _square, unvec, vstack_rows
+from .scalars import QQ, FieldTag, _same_field
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,13 @@ def subspace_from_matrices(
             raise ShapeMismatch("empty span needs explicit ambient_n and field")
         return _from_reduced(_scaled(field, ambient_n * ambient_n, []), (), ambient_n)
     first = mats[0]
-    if not first.is_square:
-        raise NotSquare("subspace members must be square")
+    _square(first, "subspace members must be square")
     n = first.rows
     f = first.field
     for m in mats:
         if m.shape != (n, n):
             raise ShapeMismatch(f"expected {n}x{n}, got {m.shape}")
-        if m.field != f:
-            raise FieldMismatch(f"{m.field} vs {f}")
+        _same_field(m.field, f)
     if ambient_n is not None and ambient_n != n:
         raise ShapeMismatch(f"ambient_n={ambient_n} but matrices are {n}x{n}")
     return _from_reduced(*_reduced(_lift(vstack_rows([m.entries for m in mats], f))), n)
@@ -111,8 +109,7 @@ def subspace_contains(S: SubspaceBasis, X: Matrix) -> bool:
     """True iff vec(X) lies in the span of the stored RREF rows."""
     if X.shape != (S.ambient_n, S.ambient_n):
         raise AmbientMismatch(f"expected {S.ambient_n}x{S.ambient_n}, got {X.shape}")
-    if X.field != S.field:
-        raise FieldMismatch(f"{X.field} vs {S.field}")
+    _same_field(X.field, S.field)
     return _contains(_rows(S), S.pivots, _lift(Matrix(X.field, 1, X.rows * X.cols, X.entries)))
 
 

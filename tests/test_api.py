@@ -82,6 +82,12 @@ SIGNATURES = {
 }
 
 
+def test_structure_report_of_takes_the_matrix_alone():
+    # a caller's split reaches the report through a private routine, not
+    # through a private parameter of the public classmethod
+    assert str(inspect.signature(commutants.StructureReport.of)) == "(A: 'Matrix') -> 'StructureReport'"
+
+
 def test_public_names_are_fixed():
     assert sorted(commutants.__all__) == PUBLIC_NAMES
     assert len(PUBLIC_NAMES) == 88

@@ -639,6 +639,33 @@ def test_analyze_computes_invariant_factors_once(tmp_path, capsys, monkeypatch):
     assert splits[0] == 1
 
 
+def test_analyze_builds_no_matrix_of_its_input(tmp_path, capsys, monkeypatch):
+    # the report, both counts and the omega basis are read off the one
+    # split of `_read`'s rows: `matrices._entries`, wherever the package
+    # holds it, never turns an n x n matrix into field elements (the
+    # split's Krylov coordinates are normalized, a column at a time)
+    import commutants
+    import commutants.matrices as matrices
+    shapes = []
+    plain = matrices._entries
+
+    def spy(L):
+        shapes.append((L.rows, L.cols))
+        return plain(L)
+
+    for module in vars(commutants).values():
+        if getattr(module, "_entries", None) is plain:
+            monkeypatch.setattr(module, "_entries", spy)
+    A = mat([[0, 1, 0], [0, 0, 0], [0, 0, 2]])
+    for M in (A, A.promote(3)):
+        f = write_matrix(tmp_path / "a.json", M)
+        for argv in (["analyze", f], ["analyze", f, "--q", "3"]):
+            assert run(capsys, argv)[0] == 0, argv
+    assert shapes and (3, 3) not in shapes
+    # the spy sees the call parse_matrix makes
+    assert parse_matrix(json.dumps(matrix_json(A))) == A and shapes[-1] == (3, 3)
+
+
 def _str_json(X: Matrix) -> dict:
     """matrix_json(X) spelled cell by cell with str on the field elements:
     an oracle for the CLI's integer speller that does not go through it."""
@@ -712,9 +739,9 @@ def test_analyze_and_dimension_only_commands_build_no_span_they_do_not_print(tmp
     mus, spans = [], [0]
     plain, reduced = cli._mu_commutant_basis, subspaces._reduced
 
-    def counting(A, mu, split=None):
+    def counting(split, mu):
         mus.append(mu)
-        return plain(A, mu, split)
+        return plain(split, mu)
 
     def counting_reduced(L):
         spans[0] += 1

@@ -286,7 +286,7 @@ def _same_span(A, q, k):
         mu = w.omega()
         ours = omega_centralizer_basis(A, w)
         ref = reference_commutant_basis(A.promote(q), mu)
-    assert commutant._dimension(_lift(A), mu) == ours.dim
+    assert commutant._dimension(commutant._split(_lift(A)), mu) == ours.dim
     assert ours.field == ref.field
     assert ours.rref_rows == ref.rref_rows
     assert ours.pivots == ref.pivots
@@ -340,10 +340,10 @@ def count_cases(draw):
 
 
 def _same_count(A, mu):
-    Al = _lift(A)
+    split = commutant._split(_lift(A))
     field = FieldTag.cyclotomic(mu.q) if isinstance(mu, CycloScalar) else A.field
-    dim = commutant._dimension(Al, mu)
-    assert dim == commutant._mu_commutant_basis(Al, mu)[0].rows
+    dim = commutant._dimension(split, mu)
+    assert dim == commutant._mu_commutant_basis(split, mu)[0].rows
     assert dim == reference_commutant_basis(A if A.field == field else A.promote(field.q), mu).dim
 
 
@@ -358,14 +358,14 @@ def test_dimension_builds_no_block_solution(monkeypatch):
     # reads g off `_block_gcd` and builds no Y, on the poly_gcd branch
     # (the clifforder of an unbalanced input) as on the others
     cases = [(A, mu) for A in _SHRUNK for mu in (A.field.one(), -A.field.one(), _W5.omega() if A.field == QQ else CycloScalar.zeta(3))]
-    want = [commutant._mu_commutant_basis(_lift(A), mu)[0].rows for A, mu in cases]
+    want = [commutant._mu_commutant_basis(commutant._split(_lift(A)), mu)[0].rows for A, mu in cases]
 
     def forbidden(*args):
         raise AssertionError("a block solution built only to be counted")
 
     monkeypatch.setattr(commutant, "_block_solutions", forbidden)
     monkeypatch.setattr(commutant, "_mul_lifted", forbidden)
-    assert [commutant._dimension(_lift(A), mu) for A, mu in cases] == want
+    assert [commutant._dimension(commutant._split(_lift(A)), mu) for A, mu in cases] == want
 
 
 # ------------------------- integer block solutions against field arithmetic
@@ -529,7 +529,7 @@ def test_singular_frobenius_P_is_never_used(monkeypatch):
     split = commutant._frobenius
     want = reference_double_centralizer(_DEROGATORY)
     monkeypatch.setattr(commutant, "_frobenius", lambda A: _singular(*split(A)))
-    for call in _corrupted_calls() + [lambda: commutant._dimension(_lift(_DEROGATORY), QQ.one())]:
+    for call in _corrupted_calls() + [lambda: commutant._dimension(commutant._split(_lift(_DEROGATORY)), QQ.one())]:
         with pytest.raises(VerificationError, match="singular"):
             call()
     # the double centralizer reads only deg m_A off the split, never P
@@ -554,7 +554,7 @@ def test_corrupted_split_never_yields_a_number(monkeypatch, tmp_path, capsys, co
     for i, A in enumerate(inputs):
         mus = [A.field.one(), -A.field.one(), _W5.omega() if A.field == QQ else _z3]
         calls = [lambda: invariant_factors(A), lambda: StructureReport.of(A), lambda: char_poly(A)]
-        calls += [lambda mu=mu: commutant._dimension(_lift(A), mu) for mu in mus]
+        calls += [lambda mu=mu: commutant._dimension(commutant._split(_lift(A)), mu) for mu in mus]
         for call in calls:
             with pytest.raises(VerificationError, match="f_1 [|] f_2" if corrupt is _reordered else "A[*]P = P[*]F"):
                 call()

@@ -144,6 +144,7 @@ def test_construction_and_access():
     assert M.at(1, 0) == 3 and M[1, 0] == 3
     assert M.transpose() == mat([[1, 3], [2, 4]])
     assert M.trace() == 5
+    assert M.is_square and not mat([[1, 2]]).is_square
     with pytest.raises(ShapeMismatch):
         mat([[1, 2], [3]])
 

@@ -24,22 +24,29 @@ from commutants import (
     Poly,
     QQ,
     ShapeMismatch,
+    StructureReport,
     ZeroInverse,
     ZeroPolynomial,
+    ad_power_kernel,
     ann_k_member,
     balanced_split,
+    centralizer_basis,
     char_poly,
     class_exponents,
+    clifforder_basis,
     clifforder_has_invertible,
+    commutant_operator,
     double_centralizer_basis,
     double_cover,
     eval_at_matrix,
     express_in_powers,
     generate,
     invariant_factors,
+    is_balanced_matrix,
     is_balanced_poly,
     kron,
     min_poly,
+    omega_centralizer_basis,
     omega_commutes,
     omega_equivalence_check,
     poly_crt,
@@ -66,22 +73,33 @@ F3 = Poly.make([1, 1], Q3)
 NILPOTENT_SPEC = GenSpec(NilpotentBlocks((2,)))
 
 REFUSALS = [
-    # NotSquare: every entry point that needs a square matrix
-    ("char_poly", lambda: char_poly(WIDE), NotSquare),
-    ("min_poly", lambda: min_poly(WIDE), NotSquare),
-    ("invariant_factors", lambda: invariant_factors(WIDE), NotSquare),
-    ("balanced_split", lambda: balanced_split(WIDE), NotSquare),
-    ("double_cover", lambda: double_cover(WIDE), NotSquare),
-    ("double_centralizer_basis", lambda: double_centralizer_basis(WIDE), NotSquare),
-    ("clifforder_has_invertible", lambda: clifforder_has_invertible(WIDE), NotSquare),
+    # NotSquare: every entry point that needs a square matrix, with the
+    # message of the single-matrix guard
+    ("char_poly", lambda: char_poly(WIDE), NotSquare, "^characteristic polynomial needs a square matrix$"),
+    ("min_poly", lambda: min_poly(WIDE), NotSquare, "^minimal polynomial needs a square matrix$"),
+    ("invariant_factors", lambda: invariant_factors(WIDE), NotSquare, "^invariant factors need a square matrix$"),
+    ("is_balanced_matrix", lambda: is_balanced_matrix(WIDE), NotSquare, "^invariant factors need a square matrix$"),
+    ("StructureReport.of", lambda: StructureReport.of(WIDE), NotSquare, "^structure report needs a square matrix$"),
+    ("balanced_split", lambda: balanced_split(WIDE), NotSquare, "^balanced split needs a square matrix$"),
+    ("double_cover", lambda: double_cover(WIDE), NotSquare, "^double cover needs a square matrix$"),
+    ("centralizer_basis", lambda: centralizer_basis(WIDE), NotSquare, "^commutant needs a square matrix$"),
+    ("clifforder_basis", lambda: clifforder_basis(WIDE), NotSquare, "^commutant needs a square matrix$"),
+    ("omega_centralizer_basis", lambda: omega_centralizer_basis(WIDE, OmegaSpec(3)), NotSquare, "^commutant needs a square matrix$"),
+    ("double_centralizer_basis", lambda: double_centralizer_basis(WIDE), NotSquare, "^double centralizer needs a square matrix$"),
+    ("clifforder_has_invertible", lambda: clifforder_has_invertible(WIDE), NotSquare, "^clifforder test needs a square matrix$"),
+    ("commutant_operator", lambda: commutant_operator(WIDE, 1), NotSquare, "^commutant operator needs a square matrix$"),
+    ("ad_power_kernel", lambda: ad_power_kernel(WIDE, 1), NotSquare, "^ad-power kernel needs a square matrix$"),
+    ("eval_at_matrix wide", lambda: eval_at_matrix(F, WIDE), NotSquare, "^polynomial evaluation needs a square matrix$"),
     # the pair guard's callers, with its message
     ("omega_equivalence_check", lambda: omega_equivalence_check(WIDE, WIDE, OmegaSpec(3)), NotSquare, "^equivalence check needs square matrices$"),
     ("ann_k_member", lambda: ann_k_member(WIDE, SQUARE, 1), NotSquare, "^ann_k membership needs square matrices$"),
     ("express_in_powers", lambda: express_in_powers(SQUARE, WIDE), NotSquare, "^power expression needs square matrices$"),
     ("verify_certificate", lambda: verify_certificate(SQUARE, WIDE, Certificate(F, F, CongruenceClass.general())), NotSquare, "^certificate check needs square matrices$"),
     ("omega_commutes", lambda: omega_commutes(WIDE, SQUARE, OmegaSpec(3)), NotSquare, "^quasi-commutation needs square matrices$"),
-    ("Matrix.trace", lambda: WIDE.trace(), NotSquare),
-    ("Matrix.inverse", lambda: WIDE.inverse(), NotSquare),
+    ("Matrix.__pow__", lambda: WIDE ** 2, NotSquare, "^powers need a square matrix$"),
+    ("Matrix.trace", lambda: WIDE.trace(), NotSquare, "^trace needs a square matrix$"),
+    ("Matrix.det", lambda: WIDE.det(), NotSquare, "^determinant needs a square matrix$"),
+    ("Matrix.inverse", lambda: WIDE.inverse(), NotSquare, "^inverse needs a square matrix$"),
     # FieldMismatch: Q against Q(zeta_3)
     ("ann_k_member fields", lambda: ann_k_member(SQUARE, SQUARE3, 1), FieldMismatch),
     ("kron", lambda: kron(SQUARE, SQUARE3), FieldMismatch),
@@ -99,7 +117,7 @@ REFUSALS = [
     ("A + B", lambda: SQUARE + mat([[1]]), ShapeMismatch),
     ("class_exponents", lambda: class_exponents(CongruenceClass.general(), 0), ShapeMismatch),
     ("subspace_from_matrices empty", lambda: subspace_from_matrices([]), ShapeMismatch),
-    ("subspace_from_matrices wide", lambda: subspace_from_matrices([WIDE]), NotSquare),
+    ("subspace_from_matrices wide", lambda: subspace_from_matrices([WIDE]), NotSquare, "^subspace members must be square$"),
     ("subspace_from_matrices sizes", lambda: subspace_from_matrices([SQUARE, mat([[1]])]), ShapeMismatch),
     ("subspace_from_matrices ambient", lambda: subspace_from_matrices([SQUARE], ambient_n=3), ShapeMismatch),
     ("subspace_from_matrices fields", lambda: subspace_from_matrices([SQUARE, SQUARE3]), FieldMismatch),
