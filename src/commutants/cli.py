@@ -59,7 +59,7 @@ from .gen import (
 from .matrices import Matrix, _cells, _entries, _from_cells, _lift, _Lifted, _square
 from .polys import CongruenceClass, Poly
 from .potter import _collapses, _lifts, _power_stacks, _quasi_commutes
-from .scalars import QQ, CycloScalar, FieldTag, _divmod_monic, cyclo_coeffs
+from .scalars import QQ, CycloScalar, FieldTag, _divmod_monic, _scaled_zeta, cyclo_coeffs
 
 
 # ---------------------------------------------------------------- parsing
@@ -399,14 +399,14 @@ def _cmd_equiv(args) -> int:
 
 
 def _potter_samples(q: int, n_samples: int, seed: int):
+    """(s, t, s^q, t^q) per sample, s = r * zeta^k for a rational r = +-a/b
+    and k drawn below q, built straight from the draws and the residue of
+    zeta^k; s^q = r^q, since zeta^(kq) = 1."""
     rng = random.Random(seed)
-    field = FieldTag.cyclotomic(q)
     for _ in range(n_samples):
-        s = field.coerce(Fraction(rng.randint(1, 9), rng.randint(1, 4)) * rng.choice([-1, 1]))
-        t = field.coerce(Fraction(rng.randint(1, 9), rng.randint(1, 4)) * rng.choice([-1, 1]))
-        s = s * CycloScalar.zeta(q, rng.randrange(q))
-        t = t * CycloScalar.zeta(q, rng.randrange(q))
-        yield s, t
+        r = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) * rng.choice([-1, 1]) for _ in range(2)]
+        s, t = [_scaled_zeta(q, x, rng.randrange(q)) for x in r]
+        yield s, t, _scaled_zeta(q, r[0] ** q, 0), _scaled_zeta(q, r[1] ** q, 0)
 
 
 def _cmd_potter(args) -> int:
@@ -421,8 +421,8 @@ def _cmd_potter(args) -> int:
         return 1
     stacks = _power_stacks(A, B, w.q)
     checked = 0
-    for s, t in _potter_samples(w.q, args.samples, args.seed):
-        if not _collapses(stacks, s, t, w):
+    for sample in _potter_samples(w.q, args.samples, args.seed):
+        if not _collapses(stacks, *sample, w):
             _emit({"quasi_commuting": True, "holds": False, "q": w.q, "samples_run": checked})
             return 1
         checked += 1

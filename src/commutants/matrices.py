@@ -40,9 +40,10 @@ with one body for Q and Q(zeta_q):
   factor goes over one denominator.  Over Q it is transposed once and
   each output entry is one dot product, an all-zero left row giving a
   zero row for free; over Q(zeta_q) it is one scatter pass, adding each
-  nonzero product of coefficients into one flat row of 2 phi - 1 planes
-  and folding the top planes' nonzero entries back mod Phi_q in
-  integers, so cost follows the nonzero products.
+  nonzero product of coefficients into one flat row of 2 phi - 1 planes,
+  and one fold of each nonzero entry at zeta^phi or above through the
+  conductor's table of zeta^k mod Phi_q (`scalars._zeta_powers`), so
+  cost follows the nonzero products.
 - `_rref_core` is fraction-free Gauss-Jordan by cross-multiplication
   with gcd normalization, stopped before the final division by each
   pivot.  The pivot row is the candidate with the fewest bits, the
@@ -113,7 +114,7 @@ from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import FieldMismatch, NotSquare, ShapeMismatch, ZeroInverse
-from .scalars import QQ, FieldTag, _binary_power, _conjugates, _from_ints, _over_lcm, _same_field, cyclo_coeffs, phi_degree
+from .scalars import QQ, FieldTag, _binary_power, _conjugates, _from_ints, _over_lcm, _same_field, _zeta_powers, cyclo_coeffs, phi_degree
 
 
 @dataclass(frozen=True)
@@ -442,10 +443,17 @@ def _mul_lifted(A: _Lifted, B: _Lifted) -> _Lifted:
     (plane-major position, value) pairs of each row of B are listed once;
     each nonzero coefficient x of A's row at plane e, column j, times
     each pair (t, y) of B's row j is added at e * m + t of one flat,
-    unreduced row of 2 phi - 1 planes, and the nonzero entries of the
-    planes from phi up are folded back, top plane first, with
-    zeta^phi = -sum_k low[k] zeta^k, in integers.  Cost follows the
-    nonzero products.  Over Q the dot products stay: sent through the
+    unreduced row of 2 phi - 1 planes.  Each nonzero entry v of plane
+    e >= phi is then folded once: v times the residue of zeta^e mod
+    Phi_q, read from the conductor's table, is added to the planes below
+    phi, in integers.  A row of A with no nonzero above plane 0 reaches
+    no plane from phi up and is not folded; reading B's highest plane
+    as well, to skip more rows, made the potter products 5% slower.
+    Cost follows the nonzero products, but listing B's nonzeros scans
+    all of B's integers, and each folded row scans its top phi - 1
+    planes.  Folding each partial product through the table as it is
+    made, with no accumulator, made dense products several times slower
+    at phi = 4 to 48.  Over Q the dot products stay: sent through the
     scatter body, dense rational products made the structure_q benchmark
     about 20% slower."""
     B = B.common()
@@ -457,24 +465,27 @@ def _mul_lifted(A: _Lifted, B: _Lifted) -> _Lifted:
         cols = list(zip(*B.ints))
         ints = [[sum(map(mul, arow, col)) for col in cols] if any(arow) else [0] * m for arow in A.ints]
         return _Lifted(A.field, m, dens, ints)
-    low = cyclo_coeffs(q)[:-1]
-    phi, n = len(low), A.cols
-    fold = [((k - phi) * m, ck) for k, ck in enumerate(low) if ck]
+    phi, n = phi_degree(q), A.cols
+    top = phi * m
+    fold = _zeta_powers(q)[phi : 2 * phi - 1]
     b_nonzero = [list(zip(compress(range(len(row)), row), filter(None, row))) for row in B.ints]
     ints = []
     for arow in A.ints:
         acc = [0] * ((2 * phi - 1) * m)
+        e = 0  # ends as the highest plane of the row's nonzeros
         for i, x in compress(enumerate(arow), arow):
             e, j = divmod(i, n)
             base = e * m
             for t, y in b_nonzero[j]:
                 acc[base + t] += x * y
-        for e in range(2 * phi - 2, phi - 1, -1):
-            plane = acc[e * m : (e + 1) * m]
-            for t, v in compress(enumerate(plane, e * m), plane):
-                for shift, ck in fold:
-                    acc[t + shift] -= ck * v
-        ints.append(acc[: phi * m])
+        if e:
+            high = acc[top:]
+            for t, v in compress(enumerate(high), high):
+                h, c = divmod(t, m)
+                for k, ck in fold[h]:
+                    acc[k * m + c] += ck * v
+        del acc[top:]
+        ints.append(acc)
     return _Lifted(A.field, m, dens, ints)
 
 

@@ -92,19 +92,20 @@ def _power_stacks(A: _Lifted, B: _Lifted, q: int) -> tuple[_Lifted, _Lifted]:
 
 def potter_check(pair: QuasiPair, s, t) -> bool:
     """Verify (sA + tB)^q = s^q A^q + t^q B^q for the pair."""
-    return _collapses(pair._stacks, s, t, pair.omega)
-
-
-def _collapses(stacks: tuple[_Lifted, _Lifted], s, t, w: OmegaSpec) -> bool:
-    """(sA + tB)^q = s^q A^q + t^q B^q from `_power_stacks`, in integers:
-    sA + tB = [sI | tI] * [A; B] and s^q A^q + t^q B^q = [s^q I | t^q I] *
-    [A^q; B^q], each one product, compared row by row over denominators."""
-    q, field = w.q, w.field
+    q, field = pair.omega.q, pair.omega.field
     s, t = field.coerce(s), field.coerce(t)
+    return _collapses(pair._stacks, s, t, s ** q, t ** q, pair.omega)
+
+
+def _collapses(stacks: tuple[_Lifted, _Lifted], s, t, s_q, t_q, w: OmegaSpec) -> bool:
+    """(sA + tB)^q = s_q A^q + t_q B^q from `_power_stacks`, in integers,
+    for s, t and s_q = s^q, t_q = t^q in Q(zeta_q): sA + tB = [sI | tI] *
+    [A; B] and s_q A^q + t_q B^q = [s_q I | t_q I] * [A^q; B^q], each one
+    product, compared row by row over denominators."""
     AB, powers = stacks
     n = AB.cols
-    lhs = _power(_content_free(_mul_lifted(_abreast((s, t), n, field), AB)), q)
-    rhs = _mul_lifted(_abreast((s ** q, t ** q), n, field), powers)
+    lhs = _power(_content_free(_mul_lifted(_abreast((s, t), n, w.field), AB)), w.q)
+    rhs = _mul_lifted(_abreast((s_q, t_q), n, w.field), powers)
     return _same(lhs, rhs)
 
 

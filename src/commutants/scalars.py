@@ -15,7 +15,11 @@ it needs no polynomial Euclid.
 
 The package's one convolution (`_convolve`), long division by a monic
 polynomial (`_divmod_monic`) and square-and-multiply (`_binary_power`)
-live here too, for any exact coefficients.
+live here too, for any exact coefficients, and so does the residue of
+every power of zeta_q that a root of unity or a product of two residues
+takes (`_zeta_powers`, built once per conductor): the lifted product
+folds its planes from zeta^phi up through it, and a rational multiple
+of a root of unity is read off it with no product (`_scaled_zeta`).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, lcm
 from typing import Sequence, Union
 
@@ -49,6 +54,26 @@ def cyclo_coeffs(q: int) -> tuple[int, ...]:
         phi_d = cyclo_coeffs(d)
         rem = _divmod_monic(rem, phi_d)[0]
     return tuple(rem)
+
+
+@lru_cache(maxsize=None)
+def _zeta_powers(q: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """zeta_q^k mod Phi_q for 0 <= k < max(q, 2 phi - 1), phi = deg Phi_q,
+    each as its nonzero (i, coefficient of zeta^i) pairs, ascending in i:
+    every power a q-th root of unity takes, and every power a product of
+    two residues reaches.  Each power past zeta^(phi - 1) is the one
+    below it shifted up once and folded with zeta^phi = -sum_i low[i]
+    zeta^i, so the table costs O(phi) per power, with no division."""
+    low = cyclo_coeffs(q)[:-1]
+    phi = len(low)
+    out = [((k, 1),) for k in range(phi)]
+    r = [0] * (phi - 1) + [1]
+    for _ in range(phi, max(q, 2 * phi - 1)):
+        top, r = r[-1], [0] + r[:-1]
+        if top:
+            r = [x - top * c for x, c in zip(r, low)]
+        out.append(tuple(zip(compress(range(phi), r), filter(None, r))))
+    return tuple(out)
 
 
 def _divmod_monic(num: Sequence, den: Sequence) -> tuple[list, list]:
@@ -145,6 +170,15 @@ def _from_ints(q: int, ints: Sequence[int], d: int) -> CycloScalar:
     object.__setattr__(s, "q", q)
     object.__setattr__(s, "coeffs", tuple([Fraction(x, d) if x else _ZERO for x in ints]))
     return s
+
+
+def _scaled_zeta(q: int, r: Fraction, k: int) -> CycloScalar:
+    """r * zeta_q^k for a rational r and 0 <= k < q, read off the residue
+    of zeta^k: no product and no reduction runs."""
+    ints = [0] * phi_degree(q)
+    for i, c in _zeta_powers(q)[k]:
+        ints[i] = r.numerator * c
+    return _from_ints(q, ints, r.denominator)
 
 
 @dataclass(frozen=True, eq=False)

@@ -251,6 +251,20 @@ def reference_pow(x: CycloScalar, k: int) -> CycloScalar:
     return result
 
 
+def reference_potter_samples(q: int, n_samples: int, seed: int):
+    """The (s, t) pairs the CLI's potter samples must equal: the same
+    draws, each scalar coerced into Q(zeta_q) and multiplied by
+    CycloScalar.zeta(q, k)."""
+    rng = random.Random(seed)
+    field = FieldTag.cyclotomic(q)
+    for _ in range(n_samples):
+        s = field.coerce(Fraction(rng.randint(1, 9), rng.randint(1, 4)) * rng.choice([-1, 1]))
+        t = field.coerce(Fraction(rng.randint(1, 9), rng.randint(1, 4)) * rng.choice([-1, 1]))
+        s = s * CycloScalar.zeta(q, rng.randrange(q))
+        t = t * CycloScalar.zeta(q, rng.randrange(q))
+        yield s, t
+
+
 def sequential_combine(pv: int, row: list[int], v, shifts) -> list[int]:
     """pv * row - sum_e v[e] * shifts[e], gcd-normalized, one pass over
     the row per nonzero v[e].  The oracle for ``matrices._combine``."""

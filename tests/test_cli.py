@@ -38,6 +38,7 @@ from helpers import (
     mat,
     perturb_first_coordinate,
     poly,
+    reference_potter_samples,
 )
 
 
@@ -866,12 +867,22 @@ def test_potter_prints_what_the_library_gives(tmp_path, capsys, q, n, k):
     except PairInvariantViolated:
         want, code = {"quasi_commuting": False, "q": q, "k": k}, 1
     else:
-        held = [potter_check(lib, s, t) for s, t in _potter_samples(q, 3, 5)]
+        held = [potter_check(lib, s, t) for s, t, *_ in _potter_samples(q, 3, 5)]
         want, code = {"quasi_commuting": True, "holds": True, "q": q, "samples_run": 3}, 0
         assert all(held)
     assert (k == 1) == (code == 0)
     assert main(["potter", fa, fb, "--q", str(q), "--k", str(k), "--samples", "3", "--seed", "5"]) == code
     assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5, 7, 12])
+def test_potter_samples_equal_the_scalar_products_they_replace(q):
+    # the benchmark's digests depend on these scalars
+    from commutants.cli import _potter_samples
+    for seed in (0, 7, 123):
+        samples = list(_potter_samples(q, 20, seed))
+        assert [(s, t) for s, t, _, _ in samples] == list(reference_potter_samples(q, 20, seed))
+        assert [(s_q, t_q) for s, t, s_q, t_q in samples] == [(s ** q, t ** q) for s, t, _, _ in samples]
 
 
 @pytest.mark.parametrize("argv, a, b, err", [

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -34,7 +35,7 @@ from commutants import (
     vec,
     weyl_pair,
 )
-from commutants import adpower, canonical, matrices
+from commutants import adpower, canonical, matrices, scalars
 from commutants.errors import VerificationError
 from commutants.matrices import rref, vstack_rows
 from commutants.scalars import cyclo_coeffs, phi_degree
@@ -226,10 +227,10 @@ lift_rational = st.one_of(
 
 @st.composite
 def lift_case(draw):
-    """A compatible pair over Q or Q(zeta_q), q in 3..6, sizes 1..4, with
-    zero rows and columns; cyclotomic entries are rational, or carry
-    coefficients on every power of zeta below 2q."""
-    q = draw(st.sampled_from((None, 3, 4, 5, 6)))
+    """A compatible pair over Q or Q(zeta_q), q in 3..7, 12 or 15, sizes
+    1..4, with zero rows and columns; cyclotomic entries are rational, or
+    carry coefficients on every power of zeta below 2q."""
+    q = draw(st.sampled_from((None, 3, 4, 5, 6, 7, 12, 15)))
     field = QQ if q is None else FieldTag.cyclotomic(q)
     entry = lift_rational if q is None else st.one_of(st.lists(lift_rational, min_size=2, max_size=2 * q), lift_rational)
     k, m, p = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
@@ -437,7 +438,7 @@ def _monomial_matrix(rng, field, rows, cols):
 
 @st.composite
 def library_shape_case(draw):
-    q = draw(st.sampled_from((None, 3, 4, 5, 6)))
+    q = draw(st.sampled_from((None, 3, 4, 5, 6, 7, 12, 15)))
     field = QQ if q is None else FieldTag.cyclotomic(q)
     shape = draw(st.sampled_from(LIBRARY_SHAPES))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -463,6 +464,61 @@ def test_lifted_product_at_library_shapes_equals_the_fraction_oracle(case):
     A, B = case
     product = matrices._entries(matrices._mul_lifted(matrices._lift(A), matrices._lift(B)))
     assert repr(Matrix(A.field, A.rows, B.cols, product)) == repr(reference_product(A, B))
+
+
+def test_lifted_product_over_q105_folds_what_reaches_zeta_phi():
+    # Phi_105 has a -2; phi = 48, so planes below 24 never reach zeta^48
+    # in a product, zeta * zeta^47 reaches it exactly, zeta^47 squared
+    # reaches the top plane zeta^94, and a clock-like diagonal times a
+    # shift is one monomial product per row
+    field = FieldTag.cyclotomic(105)
+    phi = phi_degree(105)
+    rng = random.Random(105)
+    z = field.omega()
+
+    def grid_of(entry, rows, cols):
+        return Matrix.make([[entry() for _ in range(cols)] for _ in range(rows)], field)
+
+    def low():
+        return [rng.randint(-5, 5) for _ in range(phi // 2)]
+
+    def dense():
+        return [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 7))) for _ in range(phi)]
+
+    def top():
+        return [0] * (phi - 1) + [Fraction(rng.randint(1, 9), rng.choice((1, 3)))]
+
+    clock = Matrix.diag([z ** k for k in (0, 1, 47, 50, 104)], field)
+    shift = Matrix.make([[int((i - 1) % 5 == j) for j in range(5)] for i in range(5)], field)
+    cases = [
+        (grid_of(low, 3, 4), grid_of(low, 4, 2)),
+        (grid_of(dense, 2, 3), grid_of(dense, 3, 2)),
+        (grid_of(top, 2, 2), grid_of(top, 2, 3)),
+        (Matrix.make([[0, 0], [1, z]], field), grid_of(top, 2, 2)),
+        (Matrix.make([[z, 1]], field), Matrix.make([[z ** 47], [1]], field)),
+        (clock, shift),
+        (shift, clock),
+        (clock, clock),
+        (clock * shift, clock),
+    ]
+    for A, B in cases:
+        product = matrices._entries(matrices._mul_lifted(matrices._lift(A), matrices._lift(B)))
+        assert repr(Matrix(field, A.rows, B.cols, product)) == repr(reference_product(A, B))
+
+
+def test_first_product_over_a_large_conductor_is_quick():
+    # the fold table of Q(zeta_1009), phi = 1008, is built on the first
+    # product; one long division per power would take minutes here
+    scalars._zeta_powers.cache_clear()
+    field = FieldTag.cyclotomic(1009)
+    z = field.omega()
+    A = matrices._lift(Matrix.make([[z, 1], [0, z ** 1007]], field))
+    start = time.perf_counter()
+    product = matrices._mul_lifted(A, A)
+    assert time.perf_counter() - start < 5
+    # zeta * zeta^1007 = zeta^1008 = -(1 + zeta + ... + zeta^1007)
+    assert matrices._entries(product)[1] == z + z ** 1007
+    assert matrices._entries(product)[3] == z ** 1005
 
 
 def test_lifted_product_with_an_empty_inner_dimension():

@@ -40,6 +40,21 @@ def test_zeta_power_reduction():
         assert CycloScalar.zeta(q, 1) ** q == 1
 
 
+def test_zeta_power_table_equals_the_reduced_powers():
+    # Phi_12 has a zero coefficient, Phi_15 zero and negative ones, Phi_105 a -2
+    assert 0 in cyclo_coeffs(12) and {0, -1} <= set(cyclo_coeffs(15)) and -2 in cyclo_coeffs(105)
+    for q in (1, 2, 3, 4, 5, 7, 12, 15, 105):
+        table, phi = scalars._zeta_powers(q), phi_degree(q)
+        assert len(table) == max(q, 2 * phi - 1)
+        for k, pairs in enumerate(table):
+            dense = [Fraction(0)] * phi
+            for i, c in pairs:
+                assert c and not dense[i]
+                dense[i] = Fraction(c)
+            assert [i for i, _ in pairs] == sorted(i for i, _ in pairs)
+            assert tuple(dense) == CycloScalar.zeta(q, k).coeffs, (q, k)
+
+
 def test_cyclo_reduce_long_vectors():
     # 0 + 0 z + 1 z^2 over q = 6, given with extra length
     got = cyclo_reduce([0, 0, 1], 6)
