@@ -36,7 +36,7 @@ def ad_power_kernel(A: Matrix, k: int, max_power: int = DEFAULT_MAX_POWER) -> Su
     """Kernel of (ad_A)^k as a subspace of n x n matrices: its canonical
     basis, read off one reduction of `_ad_matrix` by `_kernel_rref` and
     written out by `_from_reduced`."""
-    if not isinstance(k, int) or k < 1 or k > max_power:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k > max_power:
         raise BadExponent(f"power k={k} outside 1..{max_power}")
     _square(A, "ad-power kernel needs a square matrix")
     n = A.rows
@@ -94,7 +94,7 @@ def ann_k_member(X: Matrix, B: Matrix, k: int) -> bool:
     _square_pair(X, B, "ann_k membership")
     if X.field != B.field:
         raise FieldMismatch(f"fields differ: {X.field} vs {B.field}")
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise BadExponent(f"power k={k} must be a positive integer")
     return not X.rows or not any(_ad_power([_vec(_lift(B).common())], _lift(X), k)[0])
 

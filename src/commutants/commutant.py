@@ -75,9 +75,9 @@ class OmegaSpec:
     k: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.q, int) or self.q < 1:
+        if not isinstance(self.q, int) or isinstance(self.q, bool) or self.q < 1:
             raise InvalidSpec("order q must be a positive integer")
-        if not isinstance(self.k, int) or gcd(self.k, self.q) != 1:
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or gcd(self.k, self.q) != 1:
             raise InvalidSpec(f"k={self.k} is not coprime to q={self.q}")
 
     @property

@@ -297,7 +297,7 @@ class CongruenceClass:
 
     @classmethod
     def q_class(cls, q: int) -> CongruenceClass:
-        if not isinstance(q, int) or q < 1:
+        if not isinstance(q, int) or isinstance(q, bool) or q < 1:
             raise ValueError("congruence modulus must be a positive integer")
         return cls(q)
 

@@ -329,7 +329,7 @@ class FieldTag:
 
     @classmethod
     def cyclotomic(cls, q: int) -> FieldTag:
-        if not isinstance(q, int) or q < 1:
+        if not isinstance(q, int) or isinstance(q, bool) or q < 1:
             raise ValueError("conductor must be a positive integer")
         return cls(q)
 

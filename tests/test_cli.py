@@ -543,6 +543,9 @@ def test_gen_spec_errors_print_their_message(capsys, spec, message):
     ('{"field": "Q", "rows": [[]]}', {"error": "ParseError", "message": "rows must be non-empty"}),
     ('{"field": {"cyclotomic": 1.5}, "rows": [[1]]}',
      {"error": "FieldError", "message": "cyclotomic order must be a positive integer, got 1.5"}),
+    # what matrix_json would write for FieldTag.cyclotomic(True), which refuses it
+    ('{"field": {"cyclotomic": true}, "rows": [[1]]}',
+     {"error": "FieldError", "message": "cyclotomic order must be a positive integer, got True"}),
 ])
 def test_malformed_matrix_prints_its_message(tmp_path, capsys, text, want):
     path = tmp_path / "m.json"

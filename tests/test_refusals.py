@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from commutants import (
+    BadExponent,
     BlockDiag,
     BothZero,
     Certificate,
@@ -138,6 +139,13 @@ REFUSALS = [
     ("CycloScalar / 0", lambda: CycloScalar.zeta(3) / 0, ZeroInverse),
     ("cyclo_coeffs", lambda: cyclo_coeffs(0), ValueError),
     ("FieldTag.cyclotomic", lambda: FieldTag.cyclotomic(0), ValueError),
+    # booleans are not integers, though True would pass for 1
+    ("FieldTag.cyclotomic(True)", lambda: FieldTag.cyclotomic(True), ValueError, "^conductor must be a positive integer$"),
+    ("OmegaSpec(True)", lambda: OmegaSpec(True), InvalidSpec, "^order q must be a positive integer$"),
+    ("OmegaSpec(5, True)", lambda: OmegaSpec(5, True), InvalidSpec, "^k=True is not coprime to q=5$"),
+    ("CongruenceClass.q_class(True)", lambda: CongruenceClass.q_class(True), ValueError, "^congruence modulus must be a positive integer$"),
+    ("ad_power_kernel(A, True)", lambda: ad_power_kernel(SQUARE, True), BadExponent, r"^power k=True outside 1\.\.16$"),
+    ("ann_k_member(X, B, True)", lambda: ann_k_member(SQUARE, SQUARE, True), BadExponent, "^power k=True must be a positive integer$"),
     # generator profiles of the wrong type
     ("BlockDiag part", lambda: generate(GenSpec(BlockDiag([NilpotentBlocks((2,))]))), InvalidSpec),
     ("ConjugateBy inner", lambda: generate(GenSpec(ConjugateBy(NilpotentBlocks((2,))))), InvalidSpec),
