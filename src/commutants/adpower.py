@@ -36,6 +36,8 @@ def ad_power_kernel(A: Matrix, k: int, max_power: int = DEFAULT_MAX_POWER) -> Su
     """Kernel of (ad_A)^k as a subspace of n x n matrices: its canonical
     basis, read off one reduction of `_ad_matrix` by `_kernel_rref` and
     written out by `_from_reduced`."""
+    if not isinstance(max_power, int) or isinstance(max_power, bool) or max_power < 1:
+        raise BadExponent(f"max_power={max_power} must be a positive integer")
     if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k > max_power:
         raise BadExponent(f"power k={k} outside 1..{max_power}")
     _square(A, "ad-power kernel needs a square matrix")

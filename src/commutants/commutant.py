@@ -53,8 +53,8 @@ from .matrices import (
     _Lifted,
     _mul_lifted,
     _reduced,
+    _relation_holds,
     _scaled,
-    _sides,
     _square,
     _take,
     _times,
@@ -145,8 +145,10 @@ def _mu_commutant_basis(split: _Split, mu) -> tuple[_Lifted, list[int]]:
     rows, each over its pivot value, and their pivot columns.  It is
     built block by block on the Frobenius form A = P*F*P^-1, over mu's
     field by `_on_split`, and proven on exactly these rows before they
-    are returned: every row satisfies the relation, and there are as many
-    as Frobenius' dimension, the number of Ys.  The public bases write
+    are returned: there are as many as Frobenius' dimension, the number
+    of Ys, and every row satisfies the relation, proven for all rows at
+    once by `_relation_holds` on one packed product pair, whose verdict
+    is exactly the row-by-row one.  The public bases write
     them out with `subspaces._from_reduced`, the CLI spells them as they
     are.
     Each integer Y of `_block_solutions` fills one block (I, J), so X =
@@ -176,8 +178,7 @@ def _mu_commutant_basis(split: _Split, mu) -> tuple[_Lifted, list[int]]:
     R, pivots = _reduced(_scaled(field, n * n, X))
     if R.rows != len(X):
         raise VerificationError(f"span has rank {R.rows}, Frobenius' formula gives {len(X)}")
-    AX, XmuA = _sides(R.ints, Ae, mu)
-    if AX != XmuA:
+    if not _relation_holds(R.ints, Ae, mu):
         raise VerificationError("a basis element fails AX = mu*XA")
     return R, pivots
 

@@ -65,7 +65,7 @@ def class_exponents(cls: CongruenceClass, n: int) -> list[int]:
     certificate solver takes the menu for n = deg m_A: at most that many
     exponents carry a coefficient.
     """
-    if n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ShapeMismatch("matrix size must be positive")
     if cls.q is None:
         return list(range(n))

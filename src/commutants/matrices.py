@@ -24,13 +24,15 @@ instead:
   side and stacked), `_vec` and `_realigned` (row (i, l), column (j, m)
   to row (i, j), column (l, m));
 - multiply: `_mul_lifted`, `_times` (c*L), `_left`, `_right`, `_sides`,
-  `_power`, `_horner` and `_content_free`;
+  `_relation_holds`, `_power`, `_horner` and `_content_free`;
 - eliminate: `_rref_core`, `_reduced`, `_kernel`, `_solve_square`,
   `_inverse` and `_in_span`;
 - compare and normalize: `_same`, `_cells` and `_entries`;
 - guard: `_square`, the square check of one matrix, and `_square_pair`,
   the square-and-same-size check of a pair, for a `Matrix` or a
   `_Lifted` alike; no other routine raises NotSquare (the CI checks it).
+  `_sizes` refuses a size that is a bool or below zero in the
+  constructors `zero`, `identity` and `jordan`.
 
 Over Q(zeta_q) lifting reads only the nonzero coefficients of nonzero
 entries.  Each algorithm is "lift, integer core, one normalization",
@@ -85,10 +87,15 @@ never become field elements.  The batched product layer takes integer
 vecs of n x n matrices Y_e and lifted operands: `_left` gives L*Y_e for
 every e from one product, the Y_e laid abreast, `_right` gives Y_e*R
 with the Y_e stacked, and `_sides` gives L*Y_e against mu*Y_e*L, both
-over L's denominator.  The commutants' relation checks L*Y = mu*Y*L and
-the commutator steps (mu = 1) of `ann_k_member` and the ad-power
-inclusion check go through it; the commutants form X = P*Y*P^-1 on Y's
-block alone.  The Frobenius split takes A lifted and returns P lifted.
+over L's denominator.  The commutator steps (mu = 1) of `ann_k_member`
+and the ad-power inclusion check go through `_sides`.  The commutants'
+relation check L*Y_e = mu*Y_e*L for every e is `_relation_holds`: the
+Y_e packed into one matrix of big integers, slot e at bit k*e with k
+wider than any entry of either side (Kronecker substitution), and one
+`_left`/`_right` pair on it, whose verdict is exactly the row-by-row
+one; this packed slot layout is this module's alone too.  The
+commutants form X = P*Y*P^-1 on Y's block alone.  The Frobenius split
+takes A lifted and returns P lifted.
 The ad-power kernels build the integer matrix of (ad_A)^k by the
 binomial formula in one `_mul_lifted` product, realigned.  The chains
 of products stay lifted too, content-free after each product: `_power`
@@ -110,10 +117,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm, prod
-from operator import mul
+from operator import lshift, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import FieldMismatch, NotSquare, ShapeMismatch, ZeroInverse
+from .errors import BadDimensions, FieldMismatch, NotSquare, ShapeMismatch, ZeroInverse
 from .scalars import QQ, FieldTag, _binary_power, _conjugates, _from_ints, _over_lcm, _same_field, _zeta_powers, cyclo_coeffs, phi_degree
 
 
@@ -140,11 +147,13 @@ class Matrix:
     @classmethod
     def zero(cls, rows: int, cols: int | None = None, field: FieldTag = QQ) -> Matrix:
         cols = rows if cols is None else cols
+        _sizes(rows, cols)
         z = field.zero()
         return cls(field, rows, cols, (z,) * (rows * cols))
 
     @classmethod
     def identity(cls, n: int, field: FieldTag = QQ) -> Matrix:
+        _sizes(n)
         z, o = field.zero(), field.one()
         flat = tuple(o if i == j else z for i in range(n) for j in range(n))
         return cls(field, n, n, flat)
@@ -160,6 +169,7 @@ class Matrix:
     @classmethod
     def jordan(cls, n: int, lam, field: FieldTag = QQ) -> Matrix:
         """Jordan block: lam on the diagonal, 1 on the superdiagonal."""
+        _sizes(n)
         lam = field.coerce(lam)
         z, o = field.zero(), field.one()
         flat = []
@@ -314,6 +324,14 @@ class Matrix:
             " ".join(str(x) for x in self.row(i)) for i in range(self.rows)
         )
         return f"Matrix<{self.field}, {self.rows}x{self.cols}: {body}>"
+
+
+def _sizes(*sizes) -> None:
+    """BadDimensions unless every size is an int >= 0; a bool is not a
+    size."""
+    for s in sizes:
+        if not isinstance(s, int) or isinstance(s, bool) or s < 0:
+            raise BadDimensions(f"matrix size {s!r} is not a non-negative integer")
 
 
 def _square(A, message: str) -> None:
@@ -541,9 +559,44 @@ def _sides(vecs: list[list[int]], L: _Lifted, mu) -> tuple[list, list]:
     denominator of L, from the integer vecs of n x n blocks Y_e: equal
     exactly when L*Y_e = mu*Y_e*L, and their difference is d times
     mu*Y_e*L - L*Y_e.  mu is 1, -1 or a power of zeta, which lifts over
-    denominator 1, so mu*L (`_times`) keeps L's denominator."""
+    denominator 1, so mu*L (`_times`) keeps L's denominator.  For the
+    commutator steps, which need the vecs themselves; a verdict on the
+    relation alone is `_relation_holds`, one packed product pair."""
     L = L.common()
     return _left(L, vecs), _right(vecs, L if mu == 1 else _times(mu, L))
+
+
+def _relation_holds(vecs: list[list[int]], L: _Lifted, mu) -> bool:
+    """Whether L*Y_e = mu*Y_e*L for every e, from the integer vecs of n x
+    n blocks Y_e, by one product pair on one packed vec (Kronecker
+    substitution): Z = sum_e 2^(k e) * Y_e holds Y_e in slot e, and since
+    the products and the fold mod Phi_q are integer-linear, the packed
+    sides d*L*Z and d*mu*Z*L hold `_sides`' d*L*Y_e and d*mu*Y_e*L in the
+    same slots.
+    The verdict is `_sides`' row-by-row one, exactly, not a probable one.
+    Every entry of either side is at most B = n * phi * M_L * M_Y * (1 +
+    sum |c|) in absolute value, with M_L the largest integer of L and of
+    mu*L over their one denominator, M_Y the largest integer of the vecs
+    and c the coefficients of the fold rows zeta^phi .. zeta^(2 phi - 2)
+    mod Phi_q (none over Q): before the fold an entry is a sum of at most
+    n * phi products, and the fold adds c*v from the high planes into
+    each low one.  With k = B.bit_length() + 2 every slot u_e, v_e of the
+    two sides lies below 2^(k - 1) in absolute value.  If they differ,
+    let e be the lowest slot where they do: the packed sums differ by
+    2^(k e) * (u_e - v_e) mod 2^(k (e + 1)), with 0 < |u_e - v_e| < 2^k,
+    so they are not equal.  With no vecs the relation holds vacuously."""
+    if not vecs:
+        return True
+    L = L.common()
+    muL = L if mu == 1 else _times(mu, L)
+    phi = L.phi
+    folds = _zeta_powers(L.field.q)[phi : 2 * phi - 1] if L.field.q else ()
+    m_L = max(map(abs, chain(chain.from_iterable(L.ints), chain.from_iterable(muL.ints))))
+    m_Y = max(map(abs, chain.from_iterable(vecs)))
+    k = (L.rows * phi * m_L * m_Y * (1 + sum(abs(c) for row in folds for _, c in row))).bit_length() + 2
+    shifts = range(0, k * len(vecs), k)
+    Z = [sum(map(lshift, slots, shifts)) for slots in zip(*vecs)]
+    return _left(L, [Z]) == _right([Z], muL)
 
 
 def _realigned(L: _Lifted, n: int) -> Iterator[list[int]]:

@@ -37,12 +37,17 @@ Scalar = Union[Fraction, "CycloScalar"]
 _ZERO = Fraction(0)
 
 
+def _conductor(q) -> None:
+    """ValueError unless q is an int >= 1; a bool is not a conductor."""
+    if not isinstance(q, int) or isinstance(q, bool) or q < 1:
+        raise ValueError("conductor must be a positive integer")
+
+
 @lru_cache(maxsize=None)
 def cyclo_coeffs(q: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_q, ascending, computed by dividing
     x^q - 1 by the product of Phi_d over proper divisors d of q."""
-    if q < 1:
-        raise ValueError("conductor must be >= 1")
+    _conductor(q)
     if q == 1:
         return (-1, 1)
     rem = [0] * (q + 1)
@@ -198,6 +203,9 @@ class CycloScalar:
     @classmethod
     def zeta(cls, q: int, k: int = 1) -> CycloScalar:
         """The root of unity zeta_q^k."""
+        _conductor(q)
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise ValueError("exponent of zeta must be an integer")
         k %= q
         return cls(q, tuple([Fraction(0)] * k + [Fraction(1)]))
 
@@ -329,8 +337,7 @@ class FieldTag:
 
     @classmethod
     def cyclotomic(cls, q: int) -> FieldTag:
-        if not isinstance(q, int) or isinstance(q, bool) or q < 1:
-            raise ValueError("conductor must be a positive integer")
+        _conductor(q)
         return cls(q)
 
     @property

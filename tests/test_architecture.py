@@ -169,6 +169,23 @@ def not_square_raised_by_square_guards(sources):
     return bad
 
 
+def left_shifts_in_matrices(sources):
+    """The packed layout of the commutants' relation proof, slot e of a
+    big integer at bit k*e, belongs to matrices.py: elsewhere a << or
+    <<=, or operator.lshift, is a module packing or reading slots by bit
+    offset."""
+    bad = []
+    for path, name, tree in _trees(sources):
+        if name == "matrices.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.LShift):
+                bad.append(f"{path}:{node.lineno}: shifts left with <<")
+            elif "lshift" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+                bad.append(f"{path}:{node.lineno}: uses lshift")
+    return bad
+
+
 RULES = [
     no_assert_or_debug,
     no_module_level_rng,
@@ -178,6 +195,7 @@ RULES = [
     subspace_basis_built_by_from_reduced,
     lifted_record_built_in_matrices,
     not_square_raised_by_square_guards,
+    left_shifts_in_matrices,
 ]
 
 # (rule, module, source appended to it, message of the violation on the
@@ -201,6 +219,9 @@ PLANTED = [
     (lifted_record_built_in_matrices, "adpower.py", "def _d(L): return L.dens\n", "reads .dens"),
     (lifted_record_built_in_matrices, "adpower.py", "def _g(L): L.ints.append([]); L.ints[0] = []\n", "calls .ints.append, changes .ints in place"),
     (not_square_raised_by_square_guards, "adpower.py", "def _check(A): raise NotSquare('needs a square matrix')\n", "raises NotSquare outside matrices' square guards"),
+    (left_shifts_in_matrices, "canonical.py", "WIDE = 1 << 64\n", "shifts left with <<"),
+    (left_shifts_in_matrices, "scalars.py", "def _up(x): x <<= 1; return x\n", "shifts left with <<"),
+    (left_shifts_in_matrices, "adpower.py", "from operator import lshift\n", "uses lshift"),
 ]
 
 

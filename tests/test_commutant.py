@@ -598,6 +598,32 @@ def test_dropped_basis_element_is_never_returned(monkeypatch):
             call()
 
 
+def test_corrupted_reduced_row_is_never_returned(monkeypatch, tmp_path, capsys):
+    # entry (0, 0) of the last reduced row grows by 1 (its integer by the
+    # row's denominator) on the way out of `_reduced`: the row count
+    # still matches, so only the relation proof on the returned rows can
+    # see it, and the CLI prints nothing
+    reduced = commutant._reduced
+
+    def grown(L):
+        R, pivots = reduced(L)
+        ints = [list(row) for row in R.ints]
+        ints[-1][0] += R.dens[-1]
+        return R._replace(ints=ints), pivots
+
+    monkeypatch.setattr(commutant, "_reduced", grown)
+    calls = [lambda: centralizer_basis(_DEROGATORY), lambda: clifforder_basis(_DEROGATORY), lambda: omega_centralizer_basis(_NILPOTENT, _W5)]
+    for call in calls:
+        with pytest.raises(VerificationError, match="fails AX = mu[*]XA"):
+            call()
+    for i, (A, argv) in enumerate(((_DEROGATORY, ["centralizer"]), (_NILPOTENT, ["omega", "--q", "5", "--k", "2"]))):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(cli.matrix_json(A)))
+        assert cli.main([argv[0], str(path), *argv[1:], "--basis"]) == 3, argv
+        cap = capsys.readouterr()
+        assert cap.out == "" and json.loads(cap.err)["error"] == "VerificationError", argv
+
+
 def test_entry_changed_after_normalization_is_never_returned(monkeypatch, tmp_path, capsys):
     # the last reduction of each call gets one integer changed in the
     # rows it hands on, the rows that are printed or written out as the

@@ -1233,3 +1233,119 @@ def test_sides_equal_the_fraction_products_and_agree_exactly_on_the_relation(cas
         assert lhs == _plane_ints(AY.scale(s))
         assert rhs == _plane_ints(muYA.scale(s))
         assert (lhs == rhs) == (AY == muYA)
+
+
+def _packed_width(vecs, L, mu) -> int:
+    """The slot width k the packed relation proof must use: B = n * phi *
+    M_L * M_Y * (1 + sum |c|) over the fold rows, k = B.bit_length() + 2."""
+    L = L.common()
+    mu_L = L if mu == 1 else matrices._times(mu, L)
+    q = L.field.q
+    phi = phi_degree(q) if q else 1
+    fold = sum(abs(c) for row in scalars._zeta_powers(q)[phi : 2 * phi - 1] for _, c in row) if q else 0
+    m_L = max([abs(x) for M in (L, mu_L) for row in M.ints for x in row], default=0)
+    m_Y = max(abs(x) for v in vecs for x in v)
+    return (L.rows * phi * m_L * m_Y * (1 + fold)).bit_length() + 2
+
+
+@st.composite
+def relation_case(draw):
+    """A over Q, Q(zeta_3), Q(zeta_5), Q(zeta_7) or Q(zeta_12) (a
+    conjugated nilpotent, times zeta^s over Q(zeta_q)), mu in {1, -1,
+    zeta^j} with j up to q - 1, so past phi as well, and integer vecs:
+    basis rows of {Y : AY = mu*YA} times large multipliers of either
+    sign, possibly cut to one row or none, a row of large negative
+    entries appended, or one entry of one row moved by +-1."""
+    q = draw(st.sampled_from((None, 3, 5, 7, 12)))
+    A = nilpotent(draw(st.integers(1, 3).flatmap(partitions)), draw(st.integers(0, 10**6)))
+    mu = Fraction(draw(st.sampled_from((1, -1))))
+    if q is not None:
+        field = FieldTag.cyclotomic(q)
+        A = A.promote(q).scale(CycloScalar.zeta(q, draw(st.integers(0, q - 1))))
+        mu = draw(st.sampled_from((field.one(), -field.one(), CycloScalar.zeta(q, draw(st.integers(0, q - 1))))))
+    scale = st.one_of(st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integers(2**60, 2**90), st.integers(-(2**90), -(2**60)))
+    vecs = [[draw(scale) * x for x in matrices._vec(matrices._lift(Y).common())] for Y in reference_commutant_basis(A, mu).basis]
+    cut = draw(st.sampled_from(("all", "single", "none")))
+    vecs = vecs[:1] if cut == "single" else [] if cut == "none" else vecs
+    width = A.rows * A.rows * (phi_degree(q) if q else 1)
+    if draw(st.booleans()):
+        vecs.append(draw(st.lists(st.integers(-(2**100), 0), min_size=width, max_size=width)))
+    if vecs and draw(st.booleans()):
+        e, p = draw(st.integers(0, len(vecs) - 1)), draw(st.integers(0, width - 1))
+        vecs[e] = vecs[e][:p] + [vecs[e][p] + draw(st.sampled_from((1, -1)))] + vecs[e][p + 1 :]
+    return A, mu, vecs
+
+
+def _folding_case(q, j, off):
+    """Conjugated nilpotent (2, 1) times zeta_q over Q(zeta_q), mu =
+    zeta_q^j past phi, its basis rows with the last one negated and made
+    huge, and with ``off`` added to the first entry of the first row."""
+    A = nilpotent((2, 1), 3).promote(q).scale(CycloScalar.zeta(q))
+    mu = CycloScalar.zeta(q, j)
+    vecs = [matrices._vec(matrices._lift(Y).common()) for Y in reference_commutant_basis(A, mu).basis]
+    vecs[-1] = [-(2**80) * x for x in vecs[-1]]
+    vecs[0] = [vecs[0][0] + off] + vecs[0][1:]
+    return A, mu, vecs
+
+
+@settings(max_examples=120, deadline=None)
+@given(relation_case())
+@example(_folding_case(5, 4, 0))
+@example(_folding_case(5, 4, -1))
+@example(_folding_case(12, 7, 0))
+@example(_folding_case(12, 7, 1))
+@example(_folding_case(7, 6, 0))
+def test_packed_relation_proof_gives_the_row_by_row_verdict(case):
+    A, mu, vecs = case
+    L = matrices._lift(A)
+    left, right = matrices._sides(vecs, L, mu)
+    with pytest.MonkeyPatch.context() as m:
+        packed = []
+        m.setattr(matrices, "_left", lambda L, vs, plain=matrices._left: packed.extend(vs) or plain(L, vs))
+        assert matrices._relation_holds(vecs, L, mu) == (left == right)
+    if not vecs:
+        assert packed == []
+        return
+    # the helper packs slot e at 2^(k e) with the width of its docstring,
+    # and that width holds every entry of every unpacked side
+    k = _packed_width(vecs, L, mu)
+    assert packed == [[sum(v[p] * 2 ** (k * e) for e, v in enumerate(vecs)) for p in range(len(vecs[0]))]]
+    assert all(abs(x) < 2 ** (k - 1) for side in (left, right) for row in side for x in row)
+
+
+_J2 = mat([[0, 1], [0, 0]])
+
+
+@pytest.mark.parametrize(
+    "A, mu, vecs, holds",
+    [
+        (_J2, Fraction(1), [], True),
+        (_J2, Fraction(1), [[1, 0, 0, 1]], True),
+        (_J2, Fraction(1), [[-(10**40), 3, 0, -(10**40)]], True),
+        (_J2, Fraction(1), [[1, 0, 0, 1], [0, -(10**40), 0, 0], [-7, 1, 0, -7]], True),
+        (_J2, Fraction(1), [[1, 0, 0, 1], [0, -(10**40), 0, 0], [-7, 1, 0, -6]], False),
+        (_J2, Fraction(-1), [[0, -(10**40), 0, 0]], True),
+        (_J2, Fraction(-1), [[0, 1, 0, 0], [1, 0, 0, -1]], True),
+        (_J2, Fraction(-1), [[0, 1, 0, 0], [1, 0, 0, 1]], False),
+    ],
+)
+def test_packed_relation_proof_on_fixed_rows(A, mu, vecs, holds):
+    L = matrices._lift(A)
+    left, right = matrices._sides(vecs, L, mu)
+    assert (left == right) == holds
+    assert matrices._relation_holds(vecs, L, mu) == holds
+
+
+def test_a_slot_narrower_than_its_entries_lets_failing_rows_cancel():
+    # Y = E_11 fails J_2*Y = Y*J_2; rows 8*Y and -Y packed 3 bits apart
+    # sum to 8*Y - 8*Y = 0, so both packed sides vanish, but the width
+    # of the proof keeps the slots apart and sees both rows fail
+    L, Y = matrices._lift(_J2), [1, 0, 0, 0]
+    vecs = [[8 * x for x in Y], [-x for x in Y]]
+    left, right = matrices._sides(vecs, L, Fraction(1))
+    assert left[0] != right[0] and left[1] != right[1]
+    narrow = [sum(v[p] * 2 ** (3 * e) for e, v in enumerate(vecs)) for p in range(4)]
+    assert narrow == [0, 0, 0, 0]
+    assert matrices._left(L, [narrow]) == matrices._right([narrow], L)
+    assert _packed_width(vecs, L, Fraction(1)) > 3
+    assert not matrices._relation_holds(vecs, L, Fraction(1))

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from commutants import (
+    BadDimensions,
     BadExponent,
     BlockDiag,
     BothZero,
@@ -137,7 +138,7 @@ REFUSALS = [
     # scalars and fields
     ("CycloScalar.as_fraction", lambda: CycloScalar.zeta(3).as_fraction(), ValueError),
     ("CycloScalar / 0", lambda: CycloScalar.zeta(3) / 0, ZeroInverse),
-    ("cyclo_coeffs", lambda: cyclo_coeffs(0), ValueError),
+    ("cyclo_coeffs", lambda: cyclo_coeffs(0), ValueError, "^conductor must be a positive integer$"),
     ("FieldTag.cyclotomic", lambda: FieldTag.cyclotomic(0), ValueError),
     # booleans are not integers, though True would pass for 1
     ("FieldTag.cyclotomic(True)", lambda: FieldTag.cyclotomic(True), ValueError, "^conductor must be a positive integer$"),
@@ -146,6 +147,19 @@ REFUSALS = [
     ("CongruenceClass.q_class(True)", lambda: CongruenceClass.q_class(True), ValueError, "^congruence modulus must be a positive integer$"),
     ("ad_power_kernel(A, True)", lambda: ad_power_kernel(SQUARE, True), BadExponent, r"^power k=True outside 1\.\.16$"),
     ("ann_k_member(X, B, True)", lambda: ann_k_member(SQUARE, SQUARE, True), BadExponent, "^power k=True must be a positive integer$"),
+    ("class_exponents(cls, True)", lambda: class_exponents(CongruenceClass.general(), True), ShapeMismatch, "^matrix size must be positive$"),
+    ("ad_power_kernel(max_power=True)", lambda: ad_power_kernel(SQUARE, 1, max_power=True), BadExponent, "^max_power=True must be a positive integer$"),
+    ("cyclo_coeffs(True)", lambda: cyclo_coeffs(True), ValueError, "^conductor must be a positive integer$"),
+    ("CycloScalar.zeta(True)", lambda: CycloScalar.zeta(True), ValueError, "^conductor must be a positive integer$"),
+    ("CycloScalar.zeta(3, True)", lambda: CycloScalar.zeta(3, True), ValueError, "^exponent of zeta must be an integer$"),
+    ("Matrix.identity(True)", lambda: Matrix.identity(True), BadDimensions, "^matrix size True is not a non-negative integer$"),
+    ("Matrix.jordan(True, 0)", lambda: Matrix.jordan(True, 0, QQ), BadDimensions, "^matrix size True is not a non-negative integer$"),
+    ("Matrix.zero(2, True)", lambda: Matrix.zero(2, True), BadDimensions, "^matrix size True is not a non-negative integer$"),
+    # sizes below zero, and conductor 0
+    ("Matrix.identity(-1)", lambda: Matrix.identity(-1), BadDimensions, "^matrix size -1 is not a non-negative integer$"),
+    ("Matrix.zero(-1)", lambda: Matrix.zero(-1), BadDimensions, "^matrix size -1 is not a non-negative integer$"),
+    ("Matrix.jordan(-1, 0)", lambda: Matrix.jordan(-1, 0, QQ), BadDimensions, "^matrix size -1 is not a non-negative integer$"),
+    ("CycloScalar.zeta(0)", lambda: CycloScalar.zeta(0), ValueError, "^conductor must be a positive integer$"),
     # generator profiles of the wrong type
     ("BlockDiag part", lambda: generate(GenSpec(BlockDiag([NilpotentBlocks((2,))]))), InvalidSpec),
     ("ConjugateBy inner", lambda: generate(GenSpec(ConjugateBy(NilpotentBlocks((2,))))), InvalidSpec),
