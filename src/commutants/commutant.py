@@ -55,6 +55,7 @@ from .matrices import (
     _reduced,
     _relation_holds,
     _scaled,
+    _sizes,
     _square,
     _take,
     _times,
@@ -147,10 +148,10 @@ def _mu_commutant_basis(split: _Split, mu) -> tuple[_Lifted, list[int]]:
     field by `_on_split`, and proven on exactly these rows before they
     are returned: there are as many as Frobenius' dimension, the number
     of Ys, and every row satisfies the relation, proven for all rows at
-    once by `_relation_holds` on one packed product pair, whose verdict
-    is exactly the row-by-row one.  The public bases write
-    them out with `subspaces._from_reduced`, the CLI spells them as they
-    are.
+    once by `_relation_holds` at k = 1, one product pair on the packed
+    rows, whose verdict is exactly the row-by-row one.  The public bases
+    write them out with `subspaces._from_reduced`, the CLI spells them as
+    they are.
     Each integer Y of `_block_solutions` fills one block (I, J), so X =
     (P[:, I]*Y)*P^-1[J, :]: one product per I, the Ys' distinct columns
     abreast, and one per J, the n x deg f_J blocks stacked.  P and P^-1
@@ -178,7 +179,7 @@ def _mu_commutant_basis(split: _Split, mu) -> tuple[_Lifted, list[int]]:
     R, pivots = _reduced(_scaled(field, n * n, X))
     if R.rows != len(X):
         raise VerificationError(f"span has rank {R.rows}, Frobenius' formula gives {len(X)}")
-    if not _relation_holds(R.ints, Ae, mu):
+    if not _relation_holds(R.ints, Ae, mu, 1):
         raise VerificationError("a basis element fails AX = mu*XA")
     return R, pivots
 
@@ -265,7 +266,8 @@ def double_centralizer_basis(A: Matrix) -> SubspaceBasis:
 def k_matrix(n: int, i: int) -> Matrix:
     """K_n^(i): alternating signs down the (i-1)-th superdiagonal, so
     the entry at (r, r+i-1) is (-1)^(r-1) with 1-based r."""
-    if not 1 <= i <= n:
+    _sizes(n)
+    if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= n:
         raise IndexOutOfRange(f"i={i} outside 1..{n}")
     return Matrix.make(
         [

@@ -23,8 +23,8 @@ instead:
   (over the common denominator), `_beside` and `_below` (blocks side by
   side and stacked), `_vec` and `_realigned` (row (i, l), column (j, m)
   to row (i, j), column (l, m));
-- multiply: `_mul_lifted`, `_times` (c*L), `_left`, `_right`, `_sides`,
-  `_relation_holds`, `_power`, `_horner` and `_content_free`;
+- multiply: `_mul_lifted`, `_times` (c*L), `_left`, `_relation_holds`,
+  `_power`, `_horner` and `_content_free`;
 - eliminate: `_rref_core`, `_reduced`, `_kernel`, `_solve_square`,
   `_inverse` and `_in_span`;
 - compare and normalize: `_same`, `_cells` and `_entries`;
@@ -32,7 +32,7 @@ instead:
   the square-and-same-size check of a pair, for a `Matrix` or a
   `_Lifted` alike; no other routine raises NotSquare (the CI checks it).
   `_sizes` refuses a size that is a bool or below zero in the
-  constructors `zero`, `identity` and `jordan`.
+  constructors `zero`, `identity`, `jordan` and `elem`.
 
 Over Q(zeta_q) lifting reads only the nonzero coefficients of nonzero
 entries.  Each algorithm is "lift, integer core, one normalization",
@@ -83,19 +83,18 @@ with one body for Q and Q(zeta_q):
 `Matrix.__mul__` and `rref` normalize at once.  Callers that feed a
 result into more integer work keep it lifted instead, and lift each
 matrix once.  `_times` is c*L, one product c*I * L, so mu*A and omega*A
-never become field elements.  The batched product layer takes integer
-vecs of n x n matrices Y_e and lifted operands: `_left` gives L*Y_e for
-every e from one product, the Y_e laid abreast, `_right` gives Y_e*R
-with the Y_e stacked, and `_sides` gives L*Y_e against mu*Y_e*L, both
-over L's denominator.  The commutator steps (mu = 1) of `ann_k_member`
-and the ad-power inclusion check go through `_sides`.  The commutants'
-relation check L*Y_e = mu*Y_e*L for every e is `_relation_holds`: the
-Y_e packed into one matrix of big integers, slot e at bit k*e with k
-wider than any entry of either side (Kronecker substitution), and one
-`_left`/`_right` pair on it, whose verdict is exactly the row-by-row
-one; this packed slot layout is this module's alone too.  The
-commutants form X = P*Y*P^-1 on Y's block alone.  The Frobenius split
-takes A lifted and returns P lifted.
+never become field elements.  `_left` takes the integer vecs of n x n
+matrices Y_e and gives L*Y_e for every e from one product, the Y_e laid
+abreast.  Every commutator question, whether (ad^mu_L)^k Y_e = 0 for
+every e with ad^mu_L(Y) = L*Y - mu*Y*L, is `_relation_holds`: the Y_e
+packed into one matrix of big integers, slot e at bit w*e with w wider
+than any entry the chain reaches (Kronecker substitution), then k - 1
+difference steps L*Y - Y*(mu*L) and one comparison of the last two
+sides, two products a step, whose verdict is exactly the row-by-row
+one.  The commutants ask it at k = 1, `ann_k_member` and the ad-power
+inclusion check with mu = 1; this packed slot layout is this module's
+alone too.  The commutants form X = P*Y*P^-1 on Y's block alone.  The
+Frobenius split takes A lifted and returns P lifted.
 The ad-power kernels build the integer matrix of (ad_A)^k by the
 binomial formula in one `_mul_lifted` product, realigned.  The chains
 of products stay lifted too, content-free after each product: `_power`
@@ -117,10 +116,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm, prod
-from operator import lshift, mul
+from operator import lshift, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import BadDimensions, FieldMismatch, NotSquare, ShapeMismatch, ZeroInverse
+from .errors import BadDimensions, FieldMismatch, IndexOutOfRange, NotSquare, ShapeMismatch, ZeroInverse
 from .scalars import QQ, FieldTag, _binary_power, _conjugates, _from_ints, _over_lcm, _same_field, _zeta_powers, cyclo_coeffs, phi_degree
 
 
@@ -181,6 +180,10 @@ class Matrix:
     @classmethod
     def elem(cls, n: int, i: int, j: int, field: FieldTag = QQ) -> Matrix:
         """The matrix unit E_ij (0-indexed)."""
+        _sizes(n)
+        for x in (i, j):
+            if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
+                raise IndexOutOfRange(f"index {x!r} outside range({n})")
         z, o = field.zero(), field.one()
         flat = tuple(
             o if (r, c) == (i, j) else z for r in range(n) for c in range(n)
@@ -544,59 +547,49 @@ def _left(L: _Lifted, vecs: list[list[int]]) -> list[list[int]]:
     return [[x for f in range(phi) for r in range(n) for x in rows[r][f * w + e * n : f * w + (e + 1) * n]] for e in range(count)]
 
 
-def _right(vecs: list[list[int]], R: _Lifted) -> list[list[int]]:
-    """The integer vecs of d * Y_e*R, d the common denominator of R, from
-    the integer vecs of Y_e: one product [Y_1; Y_2; ...] * R."""
-    n, phi = R.cols, R.phi
-    nn = n * n
-    stacked = [[x for f in range(phi) for x in v[f * nn + r * n : f * nn + (r + 1) * n]] for v in vecs for r in range(n)]
-    rows = _mul_lifted(_scaled(R.field, n, stacked), R).ints
-    return [[x for f in range(phi) for r in range(n) for x in rows[e * n + r][f * n : (f + 1) * n]] for e in range(len(vecs))]
-
-
-def _sides(vecs: list[list[int]], L: _Lifted, mu) -> tuple[list, list]:
-    """The integer vecs of d * L*Y_e and d * mu*Y_e*L, d the common
-    denominator of L, from the integer vecs of n x n blocks Y_e: equal
-    exactly when L*Y_e = mu*Y_e*L, and their difference is d times
-    mu*Y_e*L - L*Y_e.  mu is 1, -1 or a power of zeta, which lifts over
-    denominator 1, so mu*L (`_times`) keeps L's denominator.  For the
-    commutator steps, which need the vecs themselves; a verdict on the
-    relation alone is `_relation_holds`, one packed product pair."""
-    L = L.common()
-    return _left(L, vecs), _right(vecs, L if mu == 1 else _times(mu, L))
-
-
-def _relation_holds(vecs: list[list[int]], L: _Lifted, mu) -> bool:
-    """Whether L*Y_e = mu*Y_e*L for every e, from the integer vecs of n x
-    n blocks Y_e, by one product pair on one packed vec (Kronecker
-    substitution): Z = sum_e 2^(k e) * Y_e holds Y_e in slot e, and since
-    the products and the fold mod Phi_q are integer-linear, the packed
-    sides d*L*Z and d*mu*Z*L hold `_sides`' d*L*Y_e and d*mu*Y_e*L in the
-    same slots.
-    The verdict is `_sides`' row-by-row one, exactly, not a probable one.
-    Every entry of either side is at most B = n * phi * M_L * M_Y * (1 +
-    sum |c|) in absolute value, with M_L the largest integer of L and of
-    mu*L over their one denominator, M_Y the largest integer of the vecs
-    and c the coefficients of the fold rows zeta^phi .. zeta^(2 phi - 2)
-    mod Phi_q (none over Q): before the fold an entry is a sum of at most
-    n * phi products, and the fold adds c*v from the high planes into
-    each low one.  With k = B.bit_length() + 2 every slot u_e, v_e of the
-    two sides lies below 2^(k - 1) in absolute value.  If they differ,
-    let e be the lowest slot where they do: the packed sums differ by
-    2^(k e) * (u_e - v_e) mod 2^(k (e + 1)), with 0 < |u_e - v_e| < 2^k,
-    so they are not equal.  With no vecs the relation holds vacuously."""
+def _relation_holds(vecs: list[list[int]], L: _Lifted, mu, k: int) -> bool:
+    """Whether (ad^mu_L)^k Y_e = 0 for every e, ad^mu_L(Y) = L*Y - mu*Y*L,
+    from the integer vecs of n x n blocks Y_e, by one chain of products
+    on one packed matrix (Kronecker substitution): Z = sum_e 2^(w e) *
+    Y_e holds Y_e in slot e, k - 1 difference steps Y <- L*Y - Y*(mu*L)
+    run on it, and the two sides L*Y and Y*(mu*L) of the k-th are
+    compared.  mu is 1, -1 or a power of zeta, which lifts over
+    denominator 1, so mu*L (`_times`) keeps L's common denominator d and
+    each step scales every slot by d alike.  The products, the fold mod
+    Phi_q and the subtraction are integer-linear, so after step j the
+    packed matrix is sum_e 2^(w e) * Y_e^(j) exactly, Y_e^(j) the j-th
+    step on Y_e alone, with no bound needed along the way.
+    The verdict is the row-by-row one, exactly, not a probable one.  Let
+    S = n * phi * M_L * (1 + sum |c|), with M_L the largest integer of L
+    and of mu*L over d and c the coefficients of the fold rows zeta^phi
+    .. zeta^(2 phi - 2) mod Phi_q (none over Q): before the fold an
+    entry of a product is a sum of at most n * phi products, and the
+    fold adds c*v from the high planes into each low one, so a side of Y
+    with entries at most B has entries at most S * B.  The entries of
+    Y_e^(j) are then at most B_j <= 2 S * B_(j-1), B_0 = M_Y the largest
+    integer of the vecs, and each entry u_e, v_e of the last two sides
+    at most S * B_(k-1) <= S * (2 S)^(k-1) * M_Y.  With w that bound's
+    bit length plus 2, every u_e and v_e lies below 2^(w - 1) in
+    absolute value.  If they differ, let e be the lowest slot where they
+    do: the packed sides differ by 2^(w e) * (u_e - v_e) mod 2^(w (e +
+    1)), with 0 < |u_e - v_e| < 2^w, so they are not equal.  At k = 1
+    this is one product pair.  With no vecs the relation holds
+    vacuously."""
     if not vecs:
         return True
     L = L.common()
     muL = L if mu == 1 else _times(mu, L)
-    phi = L.phi
+    n, phi, nn = L.rows, L.phi, L.rows * L.rows
     folds = _zeta_powers(L.field.q)[phi : 2 * phi - 1] if L.field.q else ()
     m_L = max(map(abs, chain(chain.from_iterable(L.ints), chain.from_iterable(muL.ints))))
     m_Y = max(map(abs, chain.from_iterable(vecs)))
-    k = (L.rows * phi * m_L * m_Y * (1 + sum(abs(c) for row in folds for _, c in row))).bit_length() + 2
-    shifts = range(0, k * len(vecs), k)
-    Z = [sum(map(lshift, slots, shifts)) for slots in zip(*vecs)]
-    return _left(L, [Z]) == _right([Z], muL)
+    s = n * phi * m_L * (1 + sum(abs(c) for row in folds for _, c in row))
+    w = (s * (2 * s) ** (k - 1) * m_Y).bit_length() + 2
+    Z = [sum(map(lshift, slots, range(0, w * len(vecs), w))) for slots in zip(*vecs)]
+    Y = _scaled(L.field, n, [[x for f in range(phi) for x in Z[f * nn + r * n : f * nn + (r + 1) * n]] for r in range(n)])
+    for _ in range(k - 1):
+        Y = _scaled(L.field, n, [list(map(sub, a, b)) for a, b in zip(_mul_lifted(L, Y).ints, _mul_lifted(Y, muL).ints)])
+    return _mul_lifted(L, Y).ints == _mul_lifted(Y, muL).ints
 
 
 def _realigned(L: _Lifted, n: int) -> Iterator[list[int]]:

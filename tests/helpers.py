@@ -373,6 +373,30 @@ def binomial_ann_k_member(X: Matrix, B: Matrix, k: int) -> bool:
     return acc.is_zero()
 
 
+def reference_commutator_chain(vecs: list[list[int]], L, mu, k: int) -> list[tuple[list, list, list]]:
+    """The chain of `matrices._relation_holds` on each Y_e alone, with no
+    packing: for the integer vec Y_e of an n x n block, (steps, left,
+    right) with steps the integer vecs Y_e^(0) = Y_e, ..., Y_e^(k-1),
+    Y_e^(j) = d*L*Y_e^(j-1) - d*mu*Y_e^(j-1)*L, and left and right the
+    integer vecs of d*L*Y_e^(k-1) and d*mu*Y_e^(k-1)*L, d the common
+    denominator of the lifted L.  Each side is one `_mul_lifted` product
+    on one Y; (ad^mu_L)^k Y_e = 0 exactly when left == right."""
+    L = L.common()
+    mu_L = L if mu == 1 else matrices._times(mu, L)
+    n, q = L.rows, L.field.q
+    phi = phi_degree(q) if q else 1
+    lifted = lambda v: matrices._scaled(L.field, n, [[v[f * n * n + r * n + c] for f in range(phi) for c in range(n)] for r in range(n)])
+    out = []
+    for v in vecs:
+        steps = [v]
+        for _ in range(k):
+            Y = lifted(steps[-1])
+            left, right = (matrices._vec(matrices._mul_lifted(*pair)) for pair in ((L, Y), (Y, mu_L)))
+            steps.append([a - b for a, b in zip(left, right)])
+        out.append((steps[:-1], left, right))
+    return out
+
+
 def reference_monic(f: Poly) -> Poly:
     """f with every coefficient divided by the leading one."""
     return Poly.make([c / f.leading for c in f.coeffs], f.field)

@@ -120,7 +120,8 @@ def test_ann_k_goldens():
 
 
 def test_ann_k_member_multiplies_no_identity(monkeypatch):
-    # k commutator steps, each one `_sides` pair: X*Y and Y*X, 2k products
+    # one packed chain: k - 1 commutator steps and the last two sides,
+    # each a pair X*Y and Y*X, so 2k products
     X = random_rational_matrix(71, 3)
     B = random_rational_matrix(91, 3)
     expected = {k: iterated_commutator(X, B, k).is_zero() for k in (1, 2, 3, 4)}
@@ -365,3 +366,50 @@ def test_inclusion_check_sees_a_noncommuting_element(monkeypatch):
     assert not ad_inclusion_check(A, poly([0, 1]), 2)
     # (ad_A)^5 kills all of M_3, as A^3 = 0
     assert ad_inclusion_check(A, poly([0, 1]), 5)
+
+
+@pytest.mark.parametrize("q", [None, 5])
+def test_inclusion_check_sees_a_row_that_survives_two_steps(monkeypatch, q):
+    # with ker (ad_A)^k replaced by a span of C(A), which ad_F kills at
+    # once, and K = diag(0, 1, 2), which ad_F takes to a polynomial in A
+    # and so kills at the second step, the check holds at k = 2 but not at
+    # k = 1; with E_31, which survives both steps, added, it fails at k = 2
+    A, K, E31 = Matrix.jordan(3, 0, QQ), Matrix.diag([0, 1, 2], QQ), Matrix.elem(3, 2, 0, QQ)
+    f = poly([0, 1])
+    if q is not None:
+        A, K, E31 = A.promote(q), K.promote(q), E31.promote(q)
+        f = Poly.make([0, CycloScalar.zeta(q), CycloScalar.zeta(q, 2)], A.field)
+    F = eval_at_matrix(f, A)
+    assert not iterated_commutator(F, K, 1).is_zero() and iterated_commutator(F, K, 2).is_zero()
+    assert not iterated_commutator(F, E31, 2).is_zero()
+    centralizer = list(centralizer_basis(A).basis)
+    planted = {}
+    monkeypatch.setattr(adpower, "ad_power_kernel", lambda A, k, max_power: planted[k])
+    planted[1] = planted[2] = subspace_from_matrices(centralizer + [K])
+    assert not ad_inclusion_check(A, f, 1)
+    assert ad_inclusion_check(A, f, 2)
+    planted[2] = subspace_from_matrices(centralizer + [K, E31])
+    assert not ad_inclusion_check(A, f, 2)
+
+
+def test_inclusion_check_makes_2k_products_whatever_the_kernel_dimension(monkeypatch):
+    # every kernel row rides in one packed chain: k - 1 commutator steps
+    # and the last two sides, two products each
+    products = count_products(monkeypatch)
+    plain, made = adpower._relation_holds, []
+
+    def counting(*args):
+        before = products[0]
+        out = plain(*args)
+        made.append(products[0] - before)
+        return out
+
+    monkeypatch.setattr(adpower, "_relation_holds", counting)
+    dims = set()
+    for A in (Matrix.diag([1, 2, 5], QQ), Matrix.jordan(3, 0, QQ), Matrix.zero(3, 3, QQ), cyclo3_jordan(1, (2, 2))):
+        for k in (1, 2, 3):
+            made.clear()
+            assert ad_inclusion_check(A, poly([0, 1, 1], A.field), k)
+            assert made == [2 * k], (A, k)
+            dims.add(ad_power_kernel(A, k).dim)
+    assert dims == {3, 4, 5, 6, 7, 8, 9}

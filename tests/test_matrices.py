@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 
 import pytest
@@ -24,6 +25,7 @@ from commutants import (
     ShapeMismatch,
     Poly,
     ZeroInverse,
+    commutant_operator,
     eval_at_matrix,
     generate,
     kernel_basis,
@@ -50,7 +52,7 @@ from helpers import (
     nilpotent,
     partitions,
     random_rational_matrix,
-    reference_commutant_basis,
+    reference_commutator_chain,
     reference_power,
     reference_kernel_basis,
     reference_product,
@@ -1197,7 +1199,6 @@ def test_lifted_columns_and_transpose_equal_the_matrix_ones(case):
     assert (S.field, S.cols, S.dens, S.ints) == (M.field, M.cols, L.dens + R.dens + R.dens[::-1], L.ints + R.ints + R.ints[::-1])
     assert matrices._entries(S) == M.entries + tuple(x for i in rows + rows[::-1] for x in M.row(i))
 
-
 def _plane_ints(M: Matrix) -> list:
     """The entries of M, row-major, each split into its coefficients,
     plane-major as in `matrices._planes`; over Q the entries themselves."""
@@ -1207,37 +1208,55 @@ def _plane_ints(M: Matrix) -> list:
     return [x.coeffs[e] for e in range(phi) for x in M.entries]
 
 
+def _chain_kernel(A: Matrix, mu, k: int) -> list[Matrix]:
+    """A basis of {Y : (ad^mu_A)^k Y = 0}, ad^mu_A(Y) = AY - mu*YA, from
+    the Kronecker oracle: the kernel of the k-th power of its n^2 x n^2
+    operator, in field arithmetic."""
+    op = reference_power(commutant_operator(A, mu), k)
+    return [unvec(v, A.rows, A.field) for v in reference_kernel_basis(op)]
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.sampled_from([(QQ, Fraction(1)), (QQ, Fraction(-1)), (FieldTag.cyclotomic(5), CycloScalar.zeta(5, 2))]),
     st.integers(1, 4).flatmap(partitions),
     st.integers(0, 10**6),
+    st.integers(1, 3),
 )
-def test_sides_equal_the_fraction_products_and_agree_exactly_on_the_relation(case, sizes, seed):
-    # the Ys: a basis of {Y : AY = mu*YA} from the Kronecker oracle, which
-    # satisfy it, a seeded integer matrix, which generally does not, and 0
+def test_sides_equal_the_fraction_products_and_agree_exactly_on_the_relation(case, sizes, seed, k):
+    # the Ys: a basis of {Y : (ad^mu_A)^k Y = 0} from the Kronecker oracle,
+    # which the chain kills, a seeded integer matrix, which it generally
+    # does not, and 0; every step of the row-by-row chain must equal the
+    # Fraction products, and the packed verdict the Fraction one
     field, mu = case
     A = nilpotent(sizes, seed)
     n = A.rows
     Ys = [random_rational_matrix(seed, n), Matrix.zero(n, n, QQ)]
     if field is not QQ:
         A, Ys = A.promote(field.q), [Y.promote(field.q) for Y in Ys]
-    Ys += list(reference_commutant_basis(A, mu).basis)
+    Ys += _chain_kernel(A, mu, k)
     L = matrices._lift(A)
     lifts = [matrices._lift(Y).common() for Y in Ys]
-    left, right = matrices._sides([matrices._vec(Yl) for Yl in lifts], L, mu)
+    vecs = [matrices._vec(Yl) for Yl in lifts]
     d = lcm(*L.dens)
-    for Y, Yl, lhs, rhs in zip(Ys, lifts, left, right):
-        AY, muYA = reference_product(A, Y), reference_product(Y, A).scale(mu)
-        s = d * Yl.dens[0]  # the sides are the integers of s*A*Y and s*mu*Y*A
-        assert lhs == _plane_ints(AY.scale(s))
-        assert rhs == _plane_ints(muYA.scale(s))
-        assert (lhs == rhs) == (AY == muYA)
+    verdicts = []
+    for Y, Yl, (steps, lhs, rhs) in zip(Ys, lifts, reference_commutator_chain(vecs, L, mu, k)):
+        # step j holds the integers of t*d^j*(ad^mu_A)^j Y, t Y's denominator
+        t, Yj = Yl.dens[0], Y
+        for j, step in enumerate(steps):
+            assert step == _plane_ints(Yj.scale(t * d**j))
+            last, Yj = Yj, reference_product(A, Yj) - reference_product(Yj, A).scale(mu)
+        AY, muYA = reference_product(A, last), reference_product(last, A).scale(mu)
+        assert lhs == _plane_ints(AY.scale(t * d**k))
+        assert rhs == _plane_ints(muYA.scale(t * d**k))
+        assert (lhs == rhs) == Yj.is_zero()
+        verdicts.append(Yj.is_zero())
+    assert matrices._relation_holds(vecs, L, mu, k) == all(verdicts)
 
 
-def _packed_width(vecs, L, mu) -> int:
-    """The slot width k the packed relation proof must use: B = n * phi *
-    M_L * M_Y * (1 + sum |c|) over the fold rows, k = B.bit_length() + 2."""
+def _packed_width(vecs, L, mu, k) -> int:
+    """The slot width w the packed chain must use: S = n * phi * M_L *
+    (1 + sum |c|) over the fold rows, w = (S * (2 S)^(k-1) * M_Y).bit_length() + 2."""
     L = L.common()
     mu_L = L if mu == 1 else matrices._times(mu, L)
     q = L.field.q
@@ -1245,17 +1264,20 @@ def _packed_width(vecs, L, mu) -> int:
     fold = sum(abs(c) for row in scalars._zeta_powers(q)[phi : 2 * phi - 1] for _, c in row) if q else 0
     m_L = max([abs(x) for M in (L, mu_L) for row in M.ints for x in row], default=0)
     m_Y = max(abs(x) for v in vecs for x in v)
-    return (L.rows * phi * m_L * m_Y * (1 + fold)).bit_length() + 2
+    s = L.rows * phi * m_L * (1 + fold)
+    return (s * (2 * s) ** (k - 1) * m_Y).bit_length() + 2
 
 
 @st.composite
 def relation_case(draw):
     """A over Q, Q(zeta_3), Q(zeta_5), Q(zeta_7) or Q(zeta_12) (a
     conjugated nilpotent, times zeta^s over Q(zeta_q)), mu in {1, -1,
-    zeta^j} with j up to q - 1, so past phi as well, and integer vecs:
-    basis rows of {Y : AY = mu*YA} times large multipliers of either
-    sign, possibly cut to one row or none, a row of large negative
-    entries appended, or one entry of one row moved by +-1."""
+    zeta^j} with j up to q - 1, so past phi as well, k in {1, 2, 3} and
+    integer vecs: basis rows of {Y : (ad^mu_A)^k Y = 0}, or of the
+    kernel one power higher, which the chain need not kill, times large
+    multipliers of either sign,
+    possibly cut to one row or none, a row of large negative entries
+    appended, or one entry of one row moved by +-1."""
     q = draw(st.sampled_from((None, 3, 5, 7, 12)))
     A = nilpotent(draw(st.integers(1, 3).flatmap(partitions)), draw(st.integers(0, 10**6)))
     mu = Fraction(draw(st.sampled_from((1, -1))))
@@ -1263,8 +1285,10 @@ def relation_case(draw):
         field = FieldTag.cyclotomic(q)
         A = A.promote(q).scale(CycloScalar.zeta(q, draw(st.integers(0, q - 1))))
         mu = draw(st.sampled_from((field.one(), -field.one(), CycloScalar.zeta(q, draw(st.integers(0, q - 1))))))
+    k = draw(st.integers(1, 3))
     scale = st.one_of(st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integers(2**60, 2**90), st.integers(-(2**90), -(2**60)))
-    vecs = [[draw(scale) * x for x in matrices._vec(matrices._lift(Y).common())] for Y in reference_commutant_basis(A, mu).basis]
+    basis = _chain_kernel(A, mu, k + draw(st.integers(0, 1)))
+    vecs = [[draw(scale) * x for x in matrices._vec(matrices._lift(Y).common())] for Y in basis]
     cut = draw(st.sampled_from(("all", "single", "none")))
     vecs = vecs[:1] if cut == "single" else [] if cut == "none" else vecs
     width = A.rows * A.rows * (phi_degree(q) if q else 1)
@@ -1273,44 +1297,57 @@ def relation_case(draw):
     if vecs and draw(st.booleans()):
         e, p = draw(st.integers(0, len(vecs) - 1)), draw(st.integers(0, width - 1))
         vecs[e] = vecs[e][:p] + [vecs[e][p] + draw(st.sampled_from((1, -1)))] + vecs[e][p + 1 :]
-    return A, mu, vecs
+    return A, mu, vecs, k
 
 
-def _folding_case(q, j, off):
+def _folding_case(q, j, off, k):
     """Conjugated nilpotent (2, 1) times zeta_q over Q(zeta_q), mu =
-    zeta_q^j past phi, its basis rows with the last one negated and made
-    huge, and with ``off`` added to the first entry of the first row."""
+    zeta_q^j past phi, the basis rows of {Y : (ad^mu_A)^k Y = 0} with the
+    last one negated and made huge, and with ``off`` added to the first
+    entry of the first row."""
     A = nilpotent((2, 1), 3).promote(q).scale(CycloScalar.zeta(q))
     mu = CycloScalar.zeta(q, j)
-    vecs = [matrices._vec(matrices._lift(Y).common()) for Y in reference_commutant_basis(A, mu).basis]
+    vecs = [matrices._vec(matrices._lift(Y).common()) for Y in _chain_kernel(A, mu, k)]
     vecs[-1] = [-(2**80) * x for x in vecs[-1]]
     vecs[0] = [vecs[0][0] + off] + vecs[0][1:]
-    return A, mu, vecs
+    return A, mu, vecs, k
 
 
 @settings(max_examples=120, deadline=None)
 @given(relation_case())
-@example(_folding_case(5, 4, 0))
-@example(_folding_case(5, 4, -1))
-@example(_folding_case(12, 7, 0))
-@example(_folding_case(12, 7, 1))
-@example(_folding_case(7, 6, 0))
+@example(_folding_case(5, 4, 0, 1))
+@example(_folding_case(5, 4, -1, 1))
+@example(_folding_case(12, 7, 0, 1))
+@example(_folding_case(12, 7, 1, 1))
+@example(_folding_case(7, 6, 0, 1))
+@example(_folding_case(5, 4, 0, 2))
+@example(_folding_case(12, 7, 1, 2))
+@example(_folding_case(7, 6, -1, 3))
 def test_packed_relation_proof_gives_the_row_by_row_verdict(case):
-    A, mu, vecs = case
+    A, mu, vecs, k = case
     L = matrices._lift(A)
-    left, right = matrices._sides(vecs, L, mu)
+    chains = reference_commutator_chain(vecs, L, mu, k)
+    # the seam: every product the chain makes, with its operands
     with pytest.MonkeyPatch.context() as m:
-        packed = []
-        m.setattr(matrices, "_left", lambda L, vs, plain=matrices._left: packed.extend(vs) or plain(L, vs))
-        assert matrices._relation_holds(vecs, L, mu) == (left == right)
+        products = []
+        m.setattr(matrices, "_mul_lifted", lambda X, Y, plain=matrices._mul_lifted: products.append((X, Y)) or plain(X, Y))
+        assert matrices._relation_holds(vecs, L, mu, k) == all(left == right for _, left, right in chains)
     if not vecs:
-        assert packed == []
+        assert products == []
         return
-    # the helper packs slot e at 2^(k e) with the width of its docstring,
-    # and that width holds every entry of every unpacked side
-    k = _packed_width(vecs, L, mu)
-    assert packed == [[sum(v[p] * 2 ** (k * e) for e, v in enumerate(vecs)) for p in range(len(vecs[0]))]]
-    assert all(abs(x) < 2 ** (k - 1) for side in (left, right) for row in side for x in row)
+    # after mu*L (one product unless mu = 1) come k pairs L*Y, Y*(mu*L),
+    # and each step's Y is the packed one, slot e at 2^(w e), of the
+    # row-by-row steps, with the width of the docstring; that width
+    # holds every unpacked entry the chain makes, in the steps after the
+    # input and in both last sides
+    w = _packed_width(vecs, L, mu, k)
+    assert len(products) == 2 * k + (mu != 1)
+    pairs = products[-2 * k :]
+    for j in range(k):
+        (_, Y), (Y2, _) = pairs[2 * j], pairs[2 * j + 1]
+        assert Y is Y2
+        assert matrices._vec(Y) == [sum(steps[j][p] * 2 ** (w * e) for e, (steps, _, _) in enumerate(chains)) for p in range(len(vecs[0]))]
+    assert all(abs(x) < 2 ** (w - 1) for steps, left, right in chains for x in chain(*steps[1:], left, right))
 
 
 _J2 = mat([[0, 1], [0, 0]])
@@ -1331,21 +1368,82 @@ _J2 = mat([[0, 1], [0, 0]])
 )
 def test_packed_relation_proof_on_fixed_rows(A, mu, vecs, holds):
     L = matrices._lift(A)
-    left, right = matrices._sides(vecs, L, mu)
-    assert (left == right) == holds
-    assert matrices._relation_holds(vecs, L, mu) == holds
+    assert all(left == right for _, left, right in reference_commutator_chain(vecs, L, mu, 1)) == holds
+    assert matrices._relation_holds(vecs, L, mu, 1) == holds
+
+
+# the vecs of E_11, E_12, E_21 and E_22 over Q, and of E_21 and
+# zeta^2*E_21 over Q(zeta_5), four planes of four entries
+_E11, _E12, _E21, _E22 = ([int(p == i) for p in range(4)] for i in range(4))
+_Z5 = FieldTag.cyclotomic(5)
+_E21_5, _Z2E21_5 = [int(p == 2) for p in range(16)], [int(p == 10) for p in range(16)]
+
+
+@pytest.mark.parametrize(
+    "A, mu, vecs, k, holds",
+    [
+        # on J_2: ad(E_11) = -E_12 and ad(E_12) = 0, so E_11 dies at the
+        # second step; ad(E_21) = E_11 - E_22 and ad^2(E_21) = -2*E_12
+        (_J2, 1, [_E11], 1, False),
+        (_J2, 1, [_E11], 2, True),
+        (_J2, 1, [_E21], 2, False),
+        (_J2, 1, [_E21], 3, True),
+        (_J2, 1, [_E12, [-(10**40) * x for x in _E11], [7, 0, 0, 7]], 2, True),
+        (_J2, 1, [_E12, [-(10**40) * x for x in _E11], [7, 0, -1, 7]], 2, False),
+        (_J2, 1, [_E12, [-(10**40) * x for x in _E11], [7, 0, -1, 7]], 3, True),
+        # mu = -1: JY + YJ takes E_11 to E_12 to 0, and E_21 to I to 2J to 0
+        (_J2, -1, [_E11], 2, True),
+        (_J2, -1, [_E21], 2, False),
+        (_J2, -1, [_E21, _E22, _E11], 3, True),
+        (_J2, -1, [_E21, _E22, _E11], 2, False),
+        # mu = zeta_5: E_21 goes to E_11 - zeta*E_22, then to -2*zeta*E_12
+        (_J2.promote(5), CycloScalar.zeta(5), [_E21_5], 2, False),
+        (_J2.promote(5), CycloScalar.zeta(5), [_Z2E21_5, [-(2**70) * x for x in _E21_5]], 3, True),
+        (_J2.promote(5), CycloScalar.zeta(5, 4), [_Z2E21_5, [-(2**70) * x for x in _E21_5]], 2, False),
+        # L = 0 kills everything, at every power and for every mu
+        (Matrix.zero(2, 2, QQ), 1, [[5, -3, 10**30, 1]], 1, True),
+        (Matrix.zero(2, 2, QQ), -1, [[5, -3, 10**30, 1], _E21], 3, True),
+        (Matrix.zero(2, 2, _Z5), CycloScalar.zeta(5, 3), [_Z2E21_5], 2, True),
+        # no vecs: vacuously true
+        (_J2, 1, [], 2, True),
+        (_J2, -1, [], 3, True),
+    ],
+)
+def test_packed_chain_on_fixed_rows(A, mu, vecs, k, holds):
+    L = matrices._lift(A)
+    assert all(left == right for _, left, right in reference_commutator_chain(vecs, L, mu, k)) == holds
+    assert matrices._relation_holds(vecs, L, mu, k) == holds
 
 
 def test_a_slot_narrower_than_its_entries_lets_failing_rows_cancel():
     # Y = E_11 fails J_2*Y = Y*J_2; rows 8*Y and -Y packed 3 bits apart
     # sum to 8*Y - 8*Y = 0, so both packed sides vanish, but the width
     # of the proof keeps the slots apart and sees both rows fail
-    L, Y = matrices._lift(_J2), [1, 0, 0, 0]
-    vecs = [[8 * x for x in Y], [-x for x in Y]]
-    left, right = matrices._sides(vecs, L, Fraction(1))
-    assert left[0] != right[0] and left[1] != right[1]
+    L = matrices._lift(_J2)
+    vecs = [[8 * x for x in _E11], [-x for x in _E11]]
+    assert all(left != right for _, left, right in reference_commutator_chain(vecs, L, 1, 1))
     narrow = [sum(v[p] * 2 ** (3 * e) for e, v in enumerate(vecs)) for p in range(4)]
     assert narrow == [0, 0, 0, 0]
-    assert matrices._left(L, [narrow]) == matrices._right([narrow], L)
-    assert _packed_width(vecs, L, Fraction(1)) > 3
-    assert not matrices._relation_holds(vecs, L, Fraction(1))
+    [(_, left, right)] = reference_commutator_chain([narrow], L, 1, 1)
+    assert left == right
+    assert _packed_width(vecs, L, Fraction(1), 1) > 3
+    assert not matrices._relation_holds(vecs, L, Fraction(1), 1)
+
+
+def test_a_slot_narrower_than_the_chain_lets_rows_cancel_at_the_second_step():
+    # on J_2, (ad)^2 E_21 = -2*E_12 and (ad)^2 E_11 = 0, so Y_a = 4*E_21
+    # and Y_b = E_11 - E_21 both fail at k = 2.  Packed 2 bits apart they
+    # give Z = 4*E_11, which is not zero and fails at k = 1, but whose
+    # second step -8*E_12 + 4 * 2*E_12 cancels; the width of the proof
+    # holds each slot's entries and sees both rows fail
+    L = matrices._lift(_J2)
+    vecs = [[4 * x for x in _E21], [a - b for a, b in zip(_E11, _E21)]]
+    assert all(left != right for _, left, right in reference_commutator_chain(vecs, L, 1, 2))
+    narrow = [sum(v[p] * 2 ** (2 * e) for e, v in enumerate(vecs)) for p in range(4)]
+    assert narrow == [4 * x for x in _E11]
+    [(_, left, right)] = reference_commutator_chain([narrow], L, 1, 1)
+    assert left != right
+    [(_, left, right)] = reference_commutator_chain([narrow], L, 1, 2)
+    assert left == right
+    assert _packed_width(vecs, L, 1, 2) > 2
+    assert not matrices._relation_holds(vecs, L, 1, 2)

@@ -18,6 +18,7 @@ from commutants import (
     FieldMismatch,
     FieldTag,
     GenSpec,
+    IndexOutOfRange,
     InvalidSpec,
     Matrix,
     NilpotentBlocks,
@@ -46,6 +47,7 @@ from commutants import (
     invariant_factors,
     is_balanced_matrix,
     is_balanced_poly,
+    k_matrix,
     kron,
     min_poly,
     omega_centralizer_basis,
@@ -160,6 +162,16 @@ REFUSALS = [
     ("Matrix.zero(-1)", lambda: Matrix.zero(-1), BadDimensions, "^matrix size -1 is not a non-negative integer$"),
     ("Matrix.jordan(-1, 0)", lambda: Matrix.jordan(-1, 0, QQ), BadDimensions, "^matrix size -1 is not a non-negative integer$"),
     ("CycloScalar.zeta(0)", lambda: CycloScalar.zeta(0), ValueError, "^conductor must be a positive integer$"),
+    # matrix units and K_n^(i): sizes through the size guard, indices
+    # that are bools or out of range refused
+    ("Matrix.elem(-1, 0, 0)", lambda: Matrix.elem(-1, 0, 0), BadDimensions, "^matrix size -1 is not a non-negative integer$"),
+    ("Matrix.elem(True, 0, 0)", lambda: Matrix.elem(True, 0, 0), BadDimensions, "^matrix size True is not a non-negative integer$"),
+    ("Matrix.elem(2, 5, 5)", lambda: Matrix.elem(2, 5, 5), IndexOutOfRange, r"^index 5 outside range\(2\)$"),
+    ("Matrix.elem(2, 0, -1)", lambda: Matrix.elem(2, 0, -1), IndexOutOfRange, r"^index -1 outside range\(2\)$"),
+    ("Matrix.elem(2, True, 0)", lambda: Matrix.elem(2, True, 0), IndexOutOfRange, r"^index True outside range\(2\)$"),
+    ("Matrix.elem(0, 0, 0)", lambda: Matrix.elem(0, 0, 0), IndexOutOfRange, r"^index 0 outside range\(0\)$"),
+    ("k_matrix(True, 1)", lambda: k_matrix(True, 1), BadDimensions, "^matrix size True is not a non-negative integer$"),
+    ("k_matrix(3, True)", lambda: k_matrix(3, True), IndexOutOfRange, r"^i=True outside 1\.\.3$"),
     # generator profiles of the wrong type
     ("BlockDiag part", lambda: generate(GenSpec(BlockDiag([NilpotentBlocks((2,))]))), InvalidSpec),
     ("ConjugateBy inner", lambda: generate(GenSpec(ConjugateBy(NilpotentBlocks((2,))))), InvalidSpec),
