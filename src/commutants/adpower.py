@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import comb, gcd
 
 from .commutant import commutant_operator
-from .errors import BadExponent, FieldMismatch, ShapeMismatch
+from .errors import BadExponent, FieldMismatch, ShapeMismatch, _integer
 from .matrices import Matrix, _abreast, _columns, _kernel, _lift, _Lifted, _mul_lifted, _realigned, _relation_holds, _scaled, _square, _square_pair, _take, _transpose, _vec
 from .polys import Poly, _at_matrix
 from .subspaces import SubspaceBasis, _from_reduced, _rows
@@ -38,10 +38,8 @@ def ad_power_kernel(A: Matrix, k: int, max_power: int = DEFAULT_MAX_POWER) -> Su
     """Kernel of (ad_A)^k as a subspace of n x n matrices: its canonical
     basis, read off one reduction of `_ad_matrix` by `_kernel_rref` and
     written out by `_from_reduced`."""
-    if not isinstance(max_power, int) or isinstance(max_power, bool) or max_power < 1:
-        raise BadExponent(f"max_power={max_power} must be a positive integer")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k > max_power:
-        raise BadExponent(f"power k={k} outside 1..{max_power}")
+    _integer(max_power, 1, None, BadExponent, f"max_power={max_power} must be a positive integer")
+    _integer(k, 1, max_power, BadExponent, f"power k={k} outside 1..{max_power}")
     _square(A, "ad-power kernel needs a square matrix")
     n = A.rows
     return _from_reduced(*_kernel_rref(_scaled(A.field, n * n, _ad_matrix(_lift(A), k))), n)
@@ -88,8 +86,7 @@ def ann_k_member(X: Matrix, B: Matrix, k: int) -> bool:
     _square_pair(X, B, "ann_k membership")
     if X.field != B.field:
         raise FieldMismatch(f"fields differ: {X.field} vs {B.field}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise BadExponent(f"power k={k} must be a positive integer")
+    _integer(k, 1, None, BadExponent, f"power k={k} must be a positive integer")
     return not X.rows or _relation_holds([_vec(_lift(B).common())], _lift(X), 1, k)
 
 

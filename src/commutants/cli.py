@@ -46,6 +46,7 @@ from .errors import (
     ParseError,
     RaggedRows,
     VerificationError,
+    _integer,
 )
 from .gen import (
     BlockDiag,
@@ -120,8 +121,7 @@ def _parse_field(raw) -> FieldTag:
         return QQ
     if isinstance(raw, dict) and set(raw) == {"cyclotomic"}:
         q = raw["cyclotomic"]
-        if not isinstance(q, int) or isinstance(q, bool) or q < 1:
-            raise FieldError(f"cyclotomic order must be a positive integer, got {q!r}")
+        _integer(q, 1, None, FieldError, f"cyclotomic order must be a positive integer, got {q!r}")
         return FieldTag.cyclotomic(q)
     raise FieldError(f"unrecognized field designation {raw!r}")
 
@@ -185,10 +185,9 @@ def _parse_genspec(obj, where: str = "spec") -> GenSpec:
         raise InvalidSpec(f"{where}: missing \"profile\"")
     seed = obj.get("seed", 0)
     size = obj.get("size")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise InvalidSpec(f"{where}: seed must be an integer")
-    if size is not None and (not isinstance(size, int) or isinstance(size, bool)):
-        raise InvalidSpec(f"{where}: size must be an integer")
+    _integer(seed, None, None, InvalidSpec, f"{where}: seed must be an integer")
+    if size is not None:
+        _integer(size, None, None, InvalidSpec, f"{where}: size must be an integer")
     return GenSpec(profile=_parse_profile(obj["profile"], where), seed=seed, size=size)
 
 
@@ -218,8 +217,7 @@ def _parse_profile(obj, where: str):
         if not isinstance(payload, dict) or "inner" not in payload:
             raise InvalidSpec(f"{where}: conjugate_by needs an \"inner\" spec")
         height = payload.get("height", 3)
-        if not isinstance(height, int) or isinstance(height, bool):
-            raise InvalidSpec(f"{where}: height must be an integer")
+        _integer(height, None, None, InvalidSpec, f"{where}: height must be an integer")
         inner = _parse_genspec(payload["inner"], f"{where}.conjugate_by.inner")
         return ConjugateBy(inner=inner, height=height)
     raise InvalidSpec(f"{where}: unknown profile kind {kind!r}")

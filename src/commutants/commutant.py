@@ -39,6 +39,7 @@ from .errors import (
     InvalidSpec,
     ShapeMismatch,
     VerificationError,
+    _integer,
 )
 from .matrices import (
     Matrix,
@@ -76,10 +77,11 @@ class OmegaSpec:
     k: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.q, int) or isinstance(self.q, bool) or self.q < 1:
-            raise InvalidSpec("order q must be a positive integer")
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or gcd(self.k, self.q) != 1:
-            raise InvalidSpec(f"k={self.k} is not coprime to q={self.q}")
+        _integer(self.q, 1, None, InvalidSpec, "order q must be a positive integer")
+        coprime = f"k={self.k} is not coprime to q={self.q}"
+        _integer(self.k, None, None, InvalidSpec, coprime)
+        if gcd(self.k, self.q) != 1:
+            raise InvalidSpec(coprime)
 
     @property
     def field(self) -> FieldTag:
@@ -267,8 +269,7 @@ def k_matrix(n: int, i: int) -> Matrix:
     """K_n^(i): alternating signs down the (i-1)-th superdiagonal, so
     the entry at (r, r+i-1) is (-1)^(r-1) with 1-based r."""
     _sizes(n)
-    if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= n:
-        raise IndexOutOfRange(f"i={i} outside 1..{n}")
+    _integer(i, 1, n, IndexOutOfRange, f"i={i} outside 1..{n}")
     return Matrix.make(
         [
             [

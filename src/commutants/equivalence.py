@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canonical import _cyclic_vector, _Draws, _krylov_dependency, companion
-from .errors import FieldMismatch, ShapeMismatch, VerificationError
+from .errors import FieldMismatch, ShapeMismatch, VerificationError, _integer
 from .matrices import Matrix, _abreast, _columns, _horner, _in_span, _lift, _Lifted, _mul_lifted, _power, _same, _square_pair
 from .polys import CongruenceClass, Poly, _at_lifted, _at_matrix, poly_in_class, restrict_to_class
 
@@ -65,8 +65,7 @@ def class_exponents(cls: CongruenceClass, n: int) -> list[int]:
     certificate solver takes the menu for n = deg m_A: at most that many
     exponents carry a coefficient.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ShapeMismatch("matrix size must be positive")
+    _integer(n, 1, None, ShapeMismatch, "matrix size must be positive")
     if cls.q is None:
         return list(range(n))
     return list(range(1, cls.q * n + 1, cls.q))

@@ -3,6 +3,10 @@
 Mathematically negative answers (no solution, not equivalent, nothing
 found) are values, not exceptions; the classes here mark contract
 violations: bad shapes, mixed fields, malformed input.
+
+Every integer argument (an order q, a power k, a size n, an index i) is
+refused through one guard, `_integer`: an int that is not a bool, in
+range, or the caller's exception with the caller's message.
 """
 
 
@@ -110,3 +114,10 @@ class VerificationError(ArithmeticError):
     """An exact check of a computed result failed, so the result is
     withheld.  This marks a defect in the package, not bad input, so it
     is deliberately not an AlgebraError."""
+
+
+def _integer(x, low: int | None, high: int | None, error: type[Exception], message: str) -> None:
+    """error(message) unless x is an int, not a bool (True is no order,
+    power or size), with low <= x <= high; a bound of None is skipped."""
+    if not isinstance(x, int) or isinstance(x, bool) or (low is not None and x < low) or (high is not None and x > high):
+        raise error(message)

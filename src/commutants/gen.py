@@ -1,7 +1,10 @@
 """Seeded test-case generators.
 
 Profiles describe a matrix shape declaratively; `generate` turns a spec
-into an exact matrix, deterministically for a given seed.  P^-1 * M * P
+into an exact matrix, deterministically for a given seed.  One dispatch
+over the profile kinds, `_materialize`, checks a profile's fields and
+then builds it, so a nested spec is checked once, as it is built, and a
+declared size is compared with the built matrix.  P^-1 * M * P
 is the lifted solve of P*X = M*P, for the first nonsingular seeded
 integer P, embedded in M's field.
 """
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .canonical import companion
-from .errors import InvalidSpec
+from .errors import InvalidSpec, _integer
 from .matrices import Matrix, _embed, _entries, _lift, _mul_lifted, _scaled, _solve_square
 from .polys import CongruenceClass, Poly
 from .scalars import QQ
@@ -94,57 +97,44 @@ class GenSpec:
 
 def generate(spec: GenSpec) -> Matrix:
     """Materialize a spec.  Raises InvalidSpec on malformed profiles or
-    a declared size that disagrees with the profile."""
-    _validate_profile(spec.profile)
-    actual = spec.profile.size()
-    if spec.size is not None and spec.size != actual:
-        raise InvalidSpec(f"declared size {spec.size} != profile size {actual}")
-    return _materialize(spec.profile, spec.seed)
+    a declared size that disagrees with the built matrix."""
+    M = _materialize(spec.profile, spec.seed)
+    if spec.size is not None and spec.size != M.rows:
+        raise InvalidSpec(f"declared size {spec.size} != profile size {M.rows}")
+    return M
 
 
-def _validate_profile(profile: Profile) -> None:
+def _materialize(profile: Profile, seed: int) -> Matrix:
+    """The matrix of a profile, its fields checked first; nested specs
+    are checked as `generate` builds them."""
     if isinstance(profile, NilpotentBlocks):
         if not profile.sizes:
             raise InvalidSpec("NilpotentBlocks needs at least one block")
-        if any(not isinstance(s, int) or isinstance(s, bool) or s < 1 for s in profile.sizes):
-            raise InvalidSpec(f"block sizes must be positive integers: {profile.sizes}")
-    elif isinstance(profile, Companion):
+        for s in profile.sizes:
+            _integer(s, 1, None, InvalidSpec, f"block sizes must be positive integers: {profile.sizes}")
+        return Matrix.block_diag([Matrix.jordan(s, 0, QQ) for s in profile.sizes])
+    if isinstance(profile, Companion):
         f = profile.poly
         if f.is_zero or f.degree == 0:
             raise InvalidSpec("Companion needs a polynomial of positive degree")
         if not f.is_monic:
             raise InvalidSpec("Companion needs a monic polynomial")
-    elif isinstance(profile, DiagRational):
+        return companion(f)
+    if isinstance(profile, DiagRational):
         if not profile.values:
             raise InvalidSpec("DiagRational needs at least one entry")
-    elif isinstance(profile, BlockDiag):
-        if not profile.parts:
-            raise InvalidSpec("BlockDiag needs at least one part")
-        for p in profile.parts:
-            if not isinstance(p, GenSpec):
-                raise InvalidSpec("BlockDiag parts must be GenSpec values")
-            _validate_profile(p.profile)
-    elif isinstance(profile, ConjugateBy):
-        if not isinstance(profile.inner, GenSpec):
-            raise InvalidSpec("ConjugateBy inner must be a GenSpec")
-        if not isinstance(profile.height, int) or isinstance(profile.height, bool) or profile.height < 1:
-            raise InvalidSpec(f"conjugator height must be >= 1, got {profile.height}")
-        _validate_profile(profile.inner.profile)
-    else:
-        raise InvalidSpec(f"unknown profile {type(profile).__name__}")
-
-
-def _materialize(profile: Profile, seed: int) -> Matrix:
-    """The matrix of a profile that `_validate_profile` has accepted."""
-    if isinstance(profile, NilpotentBlocks):
-        return Matrix.block_diag([Matrix.jordan(s, 0, QQ) for s in profile.sizes])
-    if isinstance(profile, Companion):
-        return companion(profile.poly)
-    if isinstance(profile, DiagRational):
         return Matrix.diag(list(profile.values), QQ)
     if isinstance(profile, BlockDiag):
+        if not profile.parts:
+            raise InvalidSpec("BlockDiag needs at least one part")
+        if not all(isinstance(p, GenSpec) for p in profile.parts):
+            raise InvalidSpec("BlockDiag parts must be GenSpec values")
         return Matrix.block_diag([generate(p) for p in profile.parts])
-    # ConjugateBy, the one profile `_validate_profile` leaves
+    if not isinstance(profile, ConjugateBy):
+        raise InvalidSpec(f"unknown profile {type(profile).__name__}")
+    if not isinstance(profile.inner, GenSpec):
+        raise InvalidSpec("ConjugateBy inner must be a GenSpec")
+    _integer(profile.height, 1, None, InvalidSpec, f"conjugator height must be >= 1, got {profile.height}")
     inner = generate(profile.inner)
     n = inner.rows
     rng = random.Random(seed)
@@ -167,8 +157,7 @@ def random_odd_poly(seed: int, n: int, cls: CongruenceClass | None = None) -> Po
     nonzero coefficient so the result is never constant."""
     if cls is None:
         cls = CongruenceClass.odd()
-    if n < 1:
-        raise InvalidSpec("matrix size must be positive")
+    _integer(n, 1, None, InvalidSpec, "matrix size must be positive")
     rng = random.Random(seed)
     bound = max(n, 2)
     if cls.q is None:

@@ -119,7 +119,7 @@ from math import gcd, lcm, prod
 from operator import lshift, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import BadDimensions, FieldMismatch, IndexOutOfRange, NotSquare, ShapeMismatch, ZeroInverse
+from .errors import BadDimensions, FieldMismatch, IndexOutOfRange, NotSquare, ShapeMismatch, ZeroInverse, _integer
 from .scalars import QQ, FieldTag, _binary_power, _conjugates, _from_ints, _over_lcm, _same_field, _zeta_powers, cyclo_coeffs, phi_degree
 
 
@@ -182,8 +182,7 @@ class Matrix:
         """The matrix unit E_ij (0-indexed)."""
         _sizes(n)
         for x in (i, j):
-            if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
-                raise IndexOutOfRange(f"index {x!r} outside range({n})")
+            _integer(x, 0, n - 1, IndexOutOfRange, f"index {x!r} outside range({n})")
         z, o = field.zero(), field.one()
         flat = tuple(
             o if (r, c) == (i, j) else z for r in range(n) for c in range(n)
@@ -333,8 +332,7 @@ def _sizes(*sizes) -> None:
     """BadDimensions unless every size is an int >= 0; a bool is not a
     size."""
     for s in sizes:
-        if not isinstance(s, int) or isinstance(s, bool) or s < 0:
-            raise BadDimensions(f"matrix size {s!r} is not a non-negative integer")
+        _integer(s, 0, None, BadDimensions, f"matrix size {s!r} is not a non-negative integer")
 
 
 def _square(A, message: str) -> None:
@@ -687,6 +685,7 @@ def _vec(Y: _Lifted) -> list[int]:
 
 
 def unvec(v: Sequence, n: int, field: FieldTag) -> Matrix:
+    _sizes(n)
     if len(v) != n * n:
         raise ShapeMismatch(f"vector of length {len(v)} is not n^2 for n={n}")
     return Matrix(field, n, n, tuple(v))

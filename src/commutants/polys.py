@@ -20,6 +20,7 @@ from .errors import (
     NotCoprime,
     NotInClass,
     ZeroPolynomial,
+    _integer,
 )
 from .matrices import Matrix, _entries, _horner, _lift, _Lifted, _square
 from .scalars import QQ, CycloScalar, FieldTag, _binary_power, _convolve, _divmod_monic, _same_field, cyclo_coeffs
@@ -282,10 +283,15 @@ def is_balanced_poly(f: Poly) -> bool:
 @dataclass(frozen=True)
 class CongruenceClass:
     """Which exponents a certificate polynomial may use: ``q is None``
-    means no restriction; otherwise exponents e >= 1 with e = 1 mod q.
-    Odd is exactly QClass(2)."""
+    means no restriction; otherwise exponents e >= 1 with e = 1 mod q,
+    for an integer q >= 1 checked when the class is built.  Odd is
+    exactly QClass(2)."""
 
     q: int | None = None
+
+    def __post_init__(self):
+        if self.q is not None:
+            _integer(self.q, 1, None, ValueError, "congruence modulus must be a positive integer")
 
     @classmethod
     def general(cls) -> CongruenceClass:
@@ -297,8 +303,6 @@ class CongruenceClass:
 
     @classmethod
     def q_class(cls, q: int) -> CongruenceClass:
-        if not isinstance(q, int) or isinstance(q, bool) or q < 1:
-            raise ValueError("congruence modulus must be a positive integer")
         return cls(q)
 
     @classmethod

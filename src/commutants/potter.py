@@ -16,6 +16,7 @@ from .errors import (
     FieldMismatch,
     NotNilpotent,
     PairInvariantViolated,
+    _integer,
 )
 from .matrices import (
     Matrix,
@@ -116,8 +117,10 @@ def weyl_pair(q: int, n: int) -> QuasiPair:
     left shift sending e_i to e_(i+1 mod q).  Then DS = omega * SD.
     """
     w = OmegaSpec(q, 1)
-    if n < 1 or n % q != 0:
-        raise BadDimensions(f"size n={n} is not a positive multiple of q={q}")
+    multiple = f"size n={n} is not a positive multiple of q={q}"
+    _integer(n, 1, None, BadDimensions, multiple)
+    if n % q:
+        raise BadDimensions(multiple)
     field = w.field
     clock = Matrix.diag([w.omega() ** i for i in range(q)], field)
     shift_rows = [[1 if (r - 1) % q == c else 0 for c in range(q)] for r in range(q)]

@@ -31,7 +31,7 @@ from itertools import compress
 from math import gcd, lcm
 from typing import Sequence, Union
 
-from .errors import FieldMismatch, ZeroInverse
+from .errors import FieldMismatch, ZeroInverse, _integer
 
 Scalar = Union[Fraction, "CycloScalar"]
 _ZERO = Fraction(0)
@@ -39,8 +39,7 @@ _ZERO = Fraction(0)
 
 def _conductor(q) -> None:
     """ValueError unless q is an int >= 1; a bool is not a conductor."""
-    if not isinstance(q, int) or isinstance(q, bool) or q < 1:
-        raise ValueError("conductor must be a positive integer")
+    _integer(q, 1, None, ValueError, "conductor must be a positive integer")
 
 
 @lru_cache(maxsize=None)
@@ -204,8 +203,7 @@ class CycloScalar:
     def zeta(cls, q: int, k: int = 1) -> CycloScalar:
         """The root of unity zeta_q^k."""
         _conductor(q)
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise ValueError("exponent of zeta must be an integer")
+        _integer(k, None, None, ValueError, "exponent of zeta must be an integer")
         k %= q
         return cls(q, tuple([Fraction(0)] * k + [Fraction(1)]))
 

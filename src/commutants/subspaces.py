@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import AmbientMismatch, ShapeMismatch
-from .matrices import Matrix, _columns, _embed, _entries, _inverse, _lift, _Lifted, _mul_lifted, _reduced, _same, _scaled, _square, unvec, vstack_rows
+from .matrices import Matrix, _columns, _embed, _entries, _inverse, _lift, _Lifted, _mul_lifted, _reduced, _same, _scaled, _sizes, _square, unvec, vstack_rows
 from .scalars import QQ, FieldTag, _same_field
 
 
@@ -49,6 +49,7 @@ def subspace_from_matrices(
     if not mats:
         if ambient_n is None or field is None:
             raise ShapeMismatch("empty span needs explicit ambient_n and field")
+        _sizes(ambient_n)
         return _from_reduced(_scaled(field, ambient_n * ambient_n, []), (), ambient_n)
     first = mats[0]
     _square(first, "subspace members must be square")

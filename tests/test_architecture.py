@@ -186,6 +186,26 @@ def left_shifts_in_matrices(sources):
     return bad
 
 
+def integer_checks_through_the_guard(sources):
+    """Every "an int, but not a bool" check goes through
+    errors._integer: elsewhere a boolean expression that tests one
+    operand with both isinstance(_, int) and isinstance(_, bool) is an
+    entry point spelling its own guard."""
+    def tested(value, kind):
+        value = value.operand if isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.Not) else value
+        if isinstance(value, ast.Call) and ast.unparse(value.func) == "isinstance" and len(value.args) == 2 and ast.unparse(value.args[1]) == kind:
+            return ast.unparse(value.args[0])
+    bad = []
+    for path, name, tree in _trees(sources):
+        allowed = {id(node) for f in tree.body if name == "errors.py" and isinstance(f, ast.FunctionDef) and f.name == "_integer" for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BoolOp) and id(node) not in allowed:
+                ints = {tested(v, "int") for v in node.values} - {None}
+                for operand in sorted(ints & {tested(v, "bool") for v in node.values}):
+                    bad.append(f"{path}:{node.lineno}: checks {operand} for an int but not a bool outside errors._integer")
+    return bad
+
+
 RULES = [
     no_assert_or_debug,
     no_module_level_rng,
@@ -196,6 +216,7 @@ RULES = [
     lifted_record_built_in_matrices,
     not_square_raised_by_square_guards,
     left_shifts_in_matrices,
+    integer_checks_through_the_guard,
 ]
 
 # (rule, module, source appended to it, message of the violation on the
@@ -222,6 +243,7 @@ PLANTED = [
     (left_shifts_in_matrices, "canonical.py", "WIDE = 1 << 64\n", "shifts left with <<"),
     (left_shifts_in_matrices, "scalars.py", "def _up(x): x <<= 1; return x\n", "shifts left with <<"),
     (left_shifts_in_matrices, "adpower.py", "from operator import lshift\n", "uses lshift"),
+    (integer_checks_through_the_guard, "adpower.py", "def _n(k): return isinstance(k, int) and not isinstance(k, bool)\n", "checks k for an int but not a bool outside errors._integer"),
 ]
 
 

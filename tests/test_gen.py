@@ -197,6 +197,27 @@ def test_size_override_matches():
     assert A.rows == 4
 
 
+def test_each_profile_size_is_the_generated_rows():
+    # `generate` compares a declared size with the built matrix, so the
+    # public size() of each profile kind is checked against it here
+    nilpotent = GenSpec(NilpotentBlocks((2, 3)))
+    profiles = [
+        nilpotent.profile,
+        Companion(poly([1, 0, 0, 1])),
+        DiagRational((Fraction(1, 2), Fraction(3))),
+        BlockDiag((nilpotent, GenSpec(DiagRational((Fraction(1),))))),
+        ConjugateBy(GenSpec(BlockDiag((nilpotent,))), height=2),
+    ]
+    assert [profile.size() for profile in profiles] == [generate(GenSpec(profile)).rows for profile in profiles] == [5, 3, 2, 6, 5]
+
+
+def test_nested_declared_size_is_refused():
+    inner = GenSpec(NilpotentBlocks((2,)), size=3)
+    for profile in (BlockDiag((inner,)), ConjugateBy(inner)):
+        with pytest.raises(InvalidSpec, match="^declared size 3 != profile size 2$"):
+            generate(GenSpec(profile))
+
+
 def test_conjugate_by_refuses_after_every_draw_is_singular(monkeypatch):
     # every entry of every drawn conjugator is 0: all 64 draws singular
     import commutants.gen as gen

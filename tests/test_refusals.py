@@ -62,6 +62,7 @@ from commutants import (
     subspace_from_matrices,
     unvec,
     verify_certificate,
+    weyl_pair,
 )
 from commutants.cli import main
 from commutants.matrices import vstack_rows
@@ -172,6 +173,19 @@ REFUSALS = [
     ("Matrix.elem(0, 0, 0)", lambda: Matrix.elem(0, 0, 0), IndexOutOfRange, r"^index 0 outside range\(0\)$"),
     ("k_matrix(True, 1)", lambda: k_matrix(True, 1), BadDimensions, "^matrix size True is not a non-negative integer$"),
     ("k_matrix(3, True)", lambda: k_matrix(3, True), IndexOutOfRange, r"^i=True outside 1\.\.3$"),
+    # a congruence class checks its modulus when it is built: below 1
+    # the certificate solver would raise the step base to a negative
+    # power, and square-and-multiply never ends; the row is the class
+    # itself, so that no regression can reach that loop
+    *[(f"CongruenceClass({q!r})", lambda q=q: CongruenceClass(q), ValueError, "^congruence modulus must be a positive integer$") for q in (0, -2, True, 2.0, "3")],
+    # sizes of generated pairs and polynomials
+    ("weyl_pair(1, True)", lambda: weyl_pair(1, True), BadDimensions, "^size n=True is not a positive multiple of q=1$"),
+    ("weyl_pair(2, 2.0)", lambda: weyl_pair(2, 2.0), BadDimensions, r"^size n=2\.0 is not a positive multiple of q=2$"),
+    ("random_odd_poly(0, True)", lambda: random_odd_poly(0, True), InvalidSpec, "^matrix size must be positive$"),
+    ("unvec([1], -1)", lambda: unvec([1], -1, QQ), BadDimensions, "^matrix size -1 is not a non-negative integer$"),
+    ("unvec([1], True)", lambda: unvec([1], True, QQ), BadDimensions, "^matrix size True is not a non-negative integer$"),
+    ("subspace_from_matrices([], ambient_n=-1)", lambda: subspace_from_matrices([], ambient_n=-1, field=QQ), BadDimensions, "^matrix size -1 is not a non-negative integer$"),
+    ("subspace_from_matrices([], ambient_n=True)", lambda: subspace_from_matrices([], ambient_n=True, field=QQ), BadDimensions, "^matrix size True is not a non-negative integer$"),
     # generator profiles of the wrong type
     ("BlockDiag part", lambda: generate(GenSpec(BlockDiag([NilpotentBlocks((2,))]))), InvalidSpec),
     ("ConjugateBy inner", lambda: generate(GenSpec(ConjugateBy(NilpotentBlocks((2,))))), InvalidSpec),
