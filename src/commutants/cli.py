@@ -2,7 +2,12 @@
 
 One reader, `_read`, takes the JSON wire format straight to lifted
 integer rows, and every matrix command runs on those, with no field
-element built for its input.  A commutant command builds the checked
+element built for its input.  Over Q(zeta_q) it skips each cell spelled
+exactly as the writer spells zero (`matrices._zero_cell`) unread, and
+hands `matrices._from_cells` only the other cells of each row, with
+their columns; over Q it reads every cell.  A string scalar's decimal
+exponent is refused past `_MAX_EXPONENT` before Fraction builds its
+power of ten.  A commutant command builds the checked
 Frobenius split of those rows once, `commutant._split`, and reads every
 answer off it: `analyze` its structure report (`canonical._report`),
 both dimensions and its omega basis, and it echoes the input from the
@@ -13,8 +18,9 @@ matrix is spelled from lifted integer rows by one speller,
 `_spelled_rows`: a basis from the reduced integer rows the relation
 check read (`_rows_json`), with no field element built, the echoed
 input from `_read`'s rows and any other matrix from its lift
-(`_lifted_json`).  A polynomial's coefficients are Fractions already,
-which `str` spells as `_spelled` does (`_poly_json`).  One writer,
+(`_lifted_json`).  A polynomial's coefficients are spelled by the same
+`_spelled` (`_poly_json`), which spells an integer past the int-string
+limit in pieces below it, leaving the limit as it is.  One writer,
 `_emit`, prints every command's JSON as json.dumps(obj, indent=2)
 would.  `analyze` checks its --q and --k right after the read, before
 the split.
@@ -30,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -57,7 +64,7 @@ from .gen import (
     NilpotentBlocks,
     generate,
 )
-from .matrices import Matrix, _cells, _entries, _from_cells, _lift, _Lifted, _square
+from .matrices import Matrix, _cells, _entries, _from_cells, _lift, _Lifted, _square, _zero_cell
 from .polys import CongruenceClass, Poly
 from .potter import _collapses, _lifts, _power_stacks, _quasi_commutes
 from .scalars import QQ, CycloScalar, FieldTag, _divmod_monic, _scaled_zeta, cyclo_coeffs
@@ -65,8 +72,17 @@ from .scalars import QQ, CycloScalar, FieldTag, _divmod_monic, _scaled_zeta, cyc
 
 # ---------------------------------------------------------------- parsing
 
+# the largest decimal exponent a string scalar may carry: as many digits
+# as the int-string limit lets a JSON integer have
+_MAX_EXPONENT = 4300
+# the exponent of a spelling Fraction reads, "...e<digits>" at its end
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def _parse_fraction(raw, where: str) -> Fraction:
-    """A JSON integer, or a string exactly as Fraction(raw) reads it."""
+    """A JSON integer, or a string exactly as Fraction(raw) reads it, its
+    decimal exponent at most _MAX_EXPONENT in magnitude: Fraction would
+    build 10^N before anything could refuse it."""
     if isinstance(raw, bool):
         raise FieldError(f"{where}: booleans are not scalars")
     if isinstance(raw, int):
@@ -75,6 +91,12 @@ def _parse_fraction(raw, where: str) -> Fraction:
         raise FieldError(f"{where}: floats are not accepted, use \"p/q\" strings")
     if isinstance(raw, str):
         try:
+            e = _EXPONENT.search(raw)
+            if e and abs(int(e[1])) > _MAX_EXPONENT:
+                # the spelling with its exponent's digits zeroed parses as
+                # the spelling itself would, so a bad one is refused as before
+                Fraction(raw[: e.start(1)] + re.sub(r"\d", "0", e[1]) + raw[e.end(1) :])
+                raise FieldError(f"{where}: the exponent of {raw!r} exceeds {_MAX_EXPONENT} in magnitude")
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"{where}: bad rational {raw!r}") from exc
@@ -163,8 +185,15 @@ def _read(text: bytes | str) -> _Lifted:
         if len(row) != width:
             raise RaggedRows(f"row {i} has length {len(row)}, expected {width}")
     q, memo = field.q, {}
-    # over Q a plain scalar is read straight, and an array raises in _cell
-    cells = ([_ratio(raw, i, j) if q is None and type(raw) is not list else _cell(raw, q, memo, i, j) for j, raw in enumerate(row)] for i, row in enumerate(rows))
+    if q is None:
+        # a plain scalar is read straight, and an array raises in _cell
+        cells = ([_ratio(raw, i, j) if type(raw) is not list else _cell(raw, q, memo, i, j) for j, raw in enumerate(row)] for i, row in enumerate(rows))
+    else:
+        # the writer's zero adds nothing to a row's lift: it is skipped
+        # unread, and the other cells are read in row-major order, so the
+        # first bad one raises as before
+        zero = _zero_cell(q)
+        cells = ([(j, *_cell(raw, q, memo, i, j)) for j, raw in enumerate(row) if raw != zero] for i, row in enumerate(rows))
     return _from_cells(field, width, cells)
 
 
@@ -240,7 +269,8 @@ def matrix_json(M: Matrix) -> dict:
 
 
 def _poly_json(f: Poly) -> list:
-    return [[str(c) for c in x.coeffs] if isinstance(x, CycloScalar) else str(x) for x in f.coeffs]
+    spell = lambda c: _spelled(c.numerator, c.denominator)
+    return [[spell(c) for c in x.coeffs] if isinstance(x, CycloScalar) else spell(x) for x in f.coeffs]
 
 
 def _class_json(cls: CongruenceClass):
@@ -270,9 +300,27 @@ def _structure_json(rep: StructureReport) -> dict:
 
 def _spelled(x: int, d: int) -> str:
     """str(Fraction(x, d)) for d != 0, with no Fraction built: x/d in
-    lowest terms, the sign on the numerator, "/1" left off."""
+    lowest terms, the sign on the numerator, "/1" left off.  An integer
+    past the int-string limit is spelled too, in pieces below it."""
     g = gcd(x, d) if d > 0 else -gcd(x, d)
-    return str(x // g) if g == d else f"{x // g}/{d // g}"
+    x, d = x // g, d // g
+    try:
+        return str(x) if d == 1 else f"{x}/{d}"
+    except ValueError:  # past the limit, which this process keeps as it is
+        return _digits(x) if d == 1 else f"{_digits(x)}/{_digits(d)}"
+
+
+def _digits(x: int) -> str:
+    """str(x) for an int of any length, by divide and conquer: split at
+    10^k, k about half its digits, until each piece has at most 482
+    digits, below the smallest int-string limit a process can set."""
+    if x < 0:
+        return "-" + _digits(-x)
+    if x.bit_length() <= 1600:
+        return str(x)
+    k = x.bit_length() * 3 // 20  # 10^k < 2^(bits/2) <= x
+    hi, lo = divmod(x, 10**k)
+    return _digits(hi) + _digits(lo).zfill(k)
 
 
 def _spelled_rows(L: _Lifted) -> list[list]:

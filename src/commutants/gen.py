@@ -94,6 +94,11 @@ class GenSpec:
     seed: int = 0
     size: int | None = None
 
+    def __post_init__(self):
+        _integer(self.seed, None, None, InvalidSpec, "seed must be an integer")
+        if self.size is not None:
+            _integer(self.size, None, None, InvalidSpec, "size must be an integer")
+
 
 def generate(spec: GenSpec) -> Matrix:
     """Materialize a spec.  Raises InvalidSpec on malformed profiles or

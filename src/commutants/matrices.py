@@ -14,7 +14,8 @@ its denominators (the CI checks both), and they call these primitives
 instead:
 
 - build: `_lift` (a `Matrix`), `_from_cells` (the CLI's integer JSON
-  cells), `_scaled` (integer rows over denominator 1), `_abreast`
+  cells, over Q(zeta_q) only those not spelled as `_zero_cell`),
+  `_scaled` (integer rows over denominator 1), `_abreast`
   ([c_1*I | c_2*I | ...] from the scalars' coefficient planes, the one
   lifted identity, and with n = 1 a row of scalars) and `_embed` (a
   rational lift padded with the zero planes of Q(zeta_q));
@@ -119,7 +120,7 @@ from math import gcd, lcm, prod
 from operator import lshift, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import BadDimensions, FieldMismatch, IndexOutOfRange, NotSquare, ShapeMismatch, ZeroInverse, _integer
+from .errors import BadDimensions, BadExponent, FieldMismatch, IndexOutOfRange, NotSquare, ShapeMismatch, ZeroInverse, _integer
 from .scalars import QQ, FieldTag, _binary_power, _conjugates, _from_ints, _over_lcm, _same_field, _zeta_powers, cyclo_coeffs, phi_degree
 
 
@@ -271,6 +272,7 @@ class Matrix:
         return self.scale(other)
 
     def __pow__(self, k: int) -> Matrix:
+        _integer(k, None, None, BadExponent, "a power needs an integer exponent")
         _square(self, "powers need a square matrix")
         if k < 0:
             return self.inverse() ** (-k)
@@ -413,22 +415,40 @@ def _lift(M: Matrix) -> _Lifted:
 def _from_cells(field: FieldTag, cols: int, rows: Iterable[Sequence[tuple]]) -> _Lifted:
     """Rows of integer cells, lifted as `_lift` lifts the matrix they
     spell: each row over the lcm of its cells' denominators, its gcd with
-    the row's integers divided out.  A cell is (num, den) over Q and
-    (coefficients, den) over Q(zeta_q), at most phi coefficients
-    ascending in zeta, the missing top ones zero."""
+    the row's integers divided out.  Over Q a row is its cells (num,
+    den), one per column.  Over Q(zeta_q) a row lists (j, coefficients,
+    den) for the cells read in column j, at most phi coefficients
+    ascending in zeta, the missing top ones zero, and every cell it does
+    not list is zero: a zero entry adds nothing to the lcm or the gcd,
+    so only the listed cells' denominators make the lcm, their nonzero
+    coefficients are written into a zero row, and a row over 1 needs no
+    gcd.  The rows are those of the dense read, integer for integer."""
     q = field.q
     phi = phi_degree(q) if q else 1
     dens, ints = [], []
     for cells in rows:
-        d = lcm(*[e for _, e in cells])
         if q is None:
+            d = lcm(*[e for _, e in cells])
             out = [n * (d // e) for n, e in cells]
+            g = gcd(d, *out)  # 1 unless an unreduced spelling such as "2/4" left a factor
         else:
-            out = [c[k] * (d // e) if k < len(c) else 0 for k in range(phi) for c, e in cells]
-        g = gcd(d, *out)  # 1 unless an unreduced spelling such as "2/4" left a factor
+            d = lcm(*[e for _, _, e in cells])
+            out = [0] * (phi * cols)
+            for j, c, e in cells:
+                m = d // e
+                for k, x in enumerate(c):
+                    if x:
+                        out[k * cols + j] = x * m
+            g = gcd(d, *out) if d != 1 else 1
         dens.append(d // g)
         ints.append([x // g for x in out] if g != 1 else out)
     return _Lifted(field, cols, dens, ints)
+
+
+def _zero_cell(q: int) -> list[str]:
+    """A zero entry of Q(zeta_q) as the CLI writes it, phi strings "0":
+    the cell that `_from_cells` takes as read when a row does not list it."""
+    return ["0"] * phi_degree(q)
 
 
 def _cells(L: _Lifted) -> Iterator[tuple[int, Iterable]]:

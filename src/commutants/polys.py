@@ -16,6 +16,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import (
+    BadExponent,
     BothZero,
     NotCoprime,
     NotInClass,
@@ -146,6 +147,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> Poly:
+        _integer(k, None, None, BadExponent, "a power needs an integer exponent")
         if k < 0:
             raise ValueError("negative polynomial power")
         return _binary_power(self, k, mul) if k else Poly.one(self.field)

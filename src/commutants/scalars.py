@@ -31,7 +31,7 @@ from itertools import compress
 from math import gcd, lcm
 from typing import Sequence, Union
 
-from .errors import FieldMismatch, ZeroInverse, _integer
+from .errors import BadExponent, FieldMismatch, ZeroInverse, _integer
 
 Scalar = Union[Fraction, "CycloScalar"]
 _ZERO = Fraction(0)
@@ -274,6 +274,7 @@ class CycloScalar:
         return o / self
 
     def __pow__(self, k: int):
+        _integer(k, None, None, BadExponent, "a power needs an integer exponent")
         if k < 0:
             return self.inverse() ** (-k)
         q = self.q

@@ -160,22 +160,36 @@ def _fraction_fallbacks():
         cli._parse_fraction = plain
 
 
+def _writer_zero(q):
+    """A zero entry of Q(zeta_q) as the CLI writes it."""
+    return matrix_json(Matrix.zero(1, field=FieldTag.cyclotomic(q)))["rows"][0][0]
+
+
 def _check_reader_parity(raw):
     try:
         want = Fraction(raw)
     except (ValueError, ZeroDivisionError):
         want = None
-    cases = [(QQ, [[1, raw], [raw, 0]], 1), (FieldTag.cyclotomic(3), [[1, [0, raw]], [[0, raw], 0]], CycloScalar.zeta(3))]
+    message = f"bad rational {raw!r}"
+    # past the exponent bound a spelling Fraction reads is refused too
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", raw, re.IGNORECASE)
+    if want is not None and exponent and abs(int(exponent[1])) > 4300:
+        want, message = None, f"the exponent of {raw!r} exceeds 4300 in magnitude"
+    # each raw sits in a row beside the writer's zeros, which the reader
+    # skips unread
+    cases = [(QQ, [[1, raw, "0"], [raw, "0", 0]], 1)]
+    z = _writer_zero(3)
+    cases.append((FieldTag.cyclotomic(3), [[1, [0, raw], z], [[0, raw], z, 0]], CycloScalar.zeta(3)))
     # arrays longer than phi are folded mod Phi_q: zeta^(q-1) + zeta^(q+1)
     for q in (5, 6, 12):
-        arr = [0] * (q - 1) + [raw, 0, raw]
-        cases.append((FieldTag.cyclotomic(q), [[1, arr], [arr, 0]], CycloScalar.zeta(q, -1) + CycloScalar.zeta(q)))
+        arr, z = [0] * (q - 1) + [raw, 0, raw], _writer_zero(q)
+        cases.append((FieldTag.cyclotomic(q), [[1, arr, z], [arr, z, 0]], CycloScalar.zeta(q, -1) + CycloScalar.zeta(q)))
     for field, rows, unit in cases:
         text = json.dumps({"field": "Q" if field == QQ else {"cyclotomic": field.q}, "rows": rows})
         if want is None:
             with pytest.raises(FieldError) as info:
                 parse_matrix(text)
-            assert str(info.value) == f"row 0, column 1: bad rational {raw!r}"
+            assert str(info.value) == f"row 0, column 1: {message}"
             continue
         with _fraction_fallbacks() as fallbacks:
             L = _read(text)
@@ -212,6 +226,71 @@ def test_parse_matrix_repeated_entries_match_make():
     assert A.at(0, 0) == A.at(0, 3) == CycloScalar(5, (-1, -1, -1, -1))
     rows = [["2/4", 7, "2/4"], [0, "-3", 0], [7, 7, "1/2"]]
     assert parse_matrix(json.dumps({"field": "Q", "rows": rows})) == Matrix.make(rows, QQ)
+
+
+@pytest.mark.parametrize("q, n", [(3, 6), (5, 10), (7, 7), (12, 12), (15, 15)])
+def test_read_lifts_whole_weyl_inputs(q, n):
+    from commutants import weyl_pair
+    pair = weyl_pair(q, n)
+    for M in (pair.A, pair.B):
+        L = _read(json.dumps(matrix_json(M)))
+        assert L == _lift(M)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 12])
+def test_read_takes_other_spellings_of_zero_through_the_cell_reader(q, monkeypatch):
+    import commutants.cli as cli
+    z = _writer_zero(q)
+    phi = len(z)
+    zeros = [[0] * phi, ["0"] * q, "0/5", "-0", ["0/5"] + ["0"] * (phi - 1), ["-0"] * phi]
+    if q in (3, 5, 7):  # 1 + zeta + ... + zeta^(p-1) = 0 for a prime p
+        zeros.append([1] * q)
+    rows = [[z, "1/3", *zeros], [*zeros, z, [0, "2/4"]], [z] * (len(zeros) + 2)]
+    read, plain = [], cli._cell
+
+    def spy(raw, *args):
+        read.append(raw)
+        return plain(raw, *args)
+
+    monkeypatch.setattr(cli, "_cell", spy)
+    field = FieldTag.cyclotomic(q)
+    L = _read(json.dumps({"field": {"cyclotomic": q}, "rows": rows}))
+    assert L == _lift(Matrix.make(rows, field))
+    # the writer's zero is skipped, every other cell is read in row-major order
+    assert read == ["1/3", *zeros, *zeros, [0, "2/4"]]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (False, "booleans are not scalars"),
+    (0.0, "floats are not accepted, use \"p/q\" strings"),
+    ("zero-false", "booleans are not scalars"),
+    ("zero-float", "floats are not accepted, use \"p/q\" strings"),
+])
+@pytest.mark.parametrize("q", [3, 5])
+def test_read_among_writer_zeros_raises_at_the_first_bad_cell(q, bad, message):
+    z = _writer_zero(q)
+    bad = {"zero-false": z[:-1] + [False], "zero-float": [0.0] + z[1:]}.get(bad, bad)
+    rows = [[z, z, z], [z, bad, z], [bad, z, bad]]
+    with pytest.raises(FieldError) as info:
+        parse_matrix(json.dumps({"field": {"cyclotomic": q}, "rows": rows}))
+    assert str(info.value) == f"row 1, column 1: {message}"
+
+
+def test_parse_matrix_refuses_exponents_past_the_bound():
+    # Fraction would build 10^N first; the bound is the JSON integers' digit limit
+    for raw in ("1e100000000", "-1E+4301", "2.5e-4301", " 1e4_301 "):
+        text = json.dumps({"field": "Q", "rows": [[raw]]})
+        with pytest.raises(FieldError) as info:
+            parse_matrix(text)
+        assert str(info.value) == f"row 0, column 0: the exponent of {raw!r} exceeds 4300 in magnitude"
+    # a spelling that is no rational is refused as one, whatever its exponent
+    for raw in ("1.2.3e99999", "e99999", "1e5e99999"):
+        with pytest.raises(FieldError) as info:
+            parse_matrix(json.dumps({"field": "Q", "rows": [[raw]]}))
+        assert str(info.value) == f"row 0, column 0: bad rational {raw!r}"
+    for raw, want in (("1e4300", Fraction(10) ** 4300), ("-3E-4300", Fraction(-3, 10 ** 4300)), ("0.5e0_7", Fraction(5 * 10 ** 6))):
+        A = parse_matrix(json.dumps({"field": {"cyclotomic": 3}, "rows": [[[0, raw]]]}))
+        assert A.at(0, 0) == want * CycloScalar.zeta(3)
 
 
 def test_parse_matrix_reports_json_position():
@@ -287,6 +366,52 @@ def test_analyze_at_sizes_the_stacked_solver_could_not_reach(tmp_path, capsys, s
     code, out, _ = run(capsys, ["analyze", str(path)])
     assert code == 0
     assert out["dims"] == dims
+
+
+def test_integers_past_the_int_string_limit_are_printed(tmp_path, capsys):
+    # chi = x^2 - 2a x + a^2 for a = 10^2200: a^2 has 4,401 digits, past
+    # the limit str() keeps, which the CLI leaves as it is
+    path = tmp_path / "a.json"
+    path.write_text('{"field": "Q", "rows": [["1e2200", 0], [0, "1e2200"]]}')
+    a, twice, square = "1" + "0" * 2200, "2" + "0" * 2200, "1" + "0" * 4400
+    analysis = {
+        "input": {"field": "Q", "rows": [[a, "0"], ["0", a]]},
+        "structure": {
+            "n": 2, "field": "Q", "char_poly": [square, "-" + twice, "1"], "min_poly": ["-" + a, "1"],
+            "invariant_factors": [["-" + a, "1"], ["-" + a, "1"]],
+            "is_balanced": False, "is_nilpotent": False, "min_equals_char": False,
+        },
+        "dims": {"centralizer": 4, "clifforder": 0, "double_centralizer": 1},
+        "flags": {"balanced": False, "nilpotent": False, "min_eq_char": False, "clifforder_has_invertible": False},
+    }
+    assert main(["analyze", str(path)]) == 0
+    assert capsys.readouterr().out == json.dumps(analysis, indent=2) + "\n"
+    assert main(["equiv", str(path), str(path)]) == 0
+    assert capsys.readouterr().out == json.dumps({"f": [a], "g": [a], "class": "general"}, indent=2) + "\n"
+    # a 1 x 1 input at the exponent bound: 10^4300 has 4,301 digits
+    path.write_text('{"field": "Q", "rows": [["1e4300"]]}')
+    big = "1" + "0" * 4300
+    assert main(["equiv", str(path), str(path)]) == 0
+    assert capsys.readouterr().out == json.dumps({"f": [big], "g": [big], "class": "general"}, indent=2) + "\n"
+    assert main(["analyze", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["input"]["rows"] == [[big]] and out["structure"]["char_poly"] == ["-" + big, "1"]
+    path.write_text('{"field": "Q", "rows": [["-3e-4300"]]}')
+    assert main(["analyze", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["input"]["rows"] == [["-3/" + big]] and out["structure"]["char_poly"] == ["3/" + big, "1"]
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["equiv", "--class", "general"]])
+def test_exponents_past_the_bound_exit_2_at_once(tmp_path, capsys, command):
+    path = tmp_path / "a.json"
+    for raw in ("1e5000", "1e100000000"):
+        path.write_text(json.dumps({"field": "Q", "rows": [[raw]]}))
+        argv = [command[0], str(path)] + ([str(path)] + command[1:] if command[0] == "equiv" else [])
+        assert main(argv) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert json.loads(cap.err) == {"error": "FieldError", "message": f"row 0, column 0: the exponent of {raw!r} exceeds 4300 in magnitude"}
 
 
 # --------------------------------------------------------- subspace dumps

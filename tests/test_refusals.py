@@ -186,6 +186,18 @@ REFUSALS = [
     ("unvec([1], True)", lambda: unvec([1], True, QQ), BadDimensions, "^matrix size True is not a non-negative integer$"),
     ("subspace_from_matrices([], ambient_n=-1)", lambda: subspace_from_matrices([], ambient_n=-1, field=QQ), BadDimensions, "^matrix size -1 is not a non-negative integer$"),
     ("subspace_from_matrices([], ambient_n=True)", lambda: subspace_from_matrices([], ambient_n=True, field=QQ), BadDimensions, "^matrix size True is not a non-negative integer$"),
+    # powers take an int exponent, not a bool or a float, and refuse it
+    # before square-and-multiply runs
+    ("Matrix ** True", lambda: SQUARE ** True, BadExponent, "^a power needs an integer exponent$"),
+    ("Matrix ** 2.0", lambda: SQUARE ** 2.0, BadExponent, "^a power needs an integer exponent$"),
+    ("Poly ** True", lambda: F ** True, BadExponent, "^a power needs an integer exponent$"),
+    ("Poly ** 2.0", lambda: F ** 2.0, BadExponent, "^a power needs an integer exponent$"),
+    ("CycloScalar ** True", lambda: CycloScalar.zeta(3) ** True, BadExponent, "^a power needs an integer exponent$"),
+    ("CycloScalar ** 2.0", lambda: CycloScalar.zeta(3) ** 2.0, BadExponent, "^a power needs an integer exponent$"),
+    # a spec checks its size and seed when it is built
+    ("GenSpec(size=True)", lambda: GenSpec(NilpotentBlocks((1,)), size=True), InvalidSpec, "^size must be an integer$"),
+    ("GenSpec(seed=True)", lambda: GenSpec(NilpotentBlocks((1,)), seed=True), InvalidSpec, "^seed must be an integer$"),
+    ("GenSpec(seed=1.0)", lambda: GenSpec(NilpotentBlocks((1,)), seed=1.0), InvalidSpec, "^seed must be an integer$"),
     # generator profiles of the wrong type
     ("BlockDiag part", lambda: generate(GenSpec(BlockDiag([NilpotentBlocks((2,))]))), InvalidSpec),
     ("ConjugateBy inner", lambda: generate(GenSpec(ConjugateBy(NilpotentBlocks((2,))))), InvalidSpec),
