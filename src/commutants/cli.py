@@ -20,7 +20,7 @@ check read (`_rows_json`), with no field element built, the echoed
 input from `_read`'s rows and any other matrix from its lift
 (`_lifted_json`).  A polynomial's coefficients are spelled by the same
 `_spelled` (`_poly_json`), which spells an integer past the int-string
-limit in pieces below it, leaving the limit as it is.  One writer,
+limit through Decimal, leaving the limit as it is.  One writer,
 `_emit`, prints every command's JSON as json.dumps(obj, indent=2)
 would.  `analyze` checks its --q and --k right after the read, before
 the split.
@@ -38,6 +38,7 @@ import json
 import random
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -90,13 +91,10 @@ def _parse_fraction(raw, where: str) -> Fraction:
     if isinstance(raw, float):
         raise FieldError(f"{where}: floats are not accepted, use \"p/q\" strings")
     if isinstance(raw, str):
+        e = _EXPONENT.search(raw)
+        if e and abs(int(e[1])) > _MAX_EXPONENT:
+            raise FieldError(f"{where}: the exponent of {raw!r} exceeds {_MAX_EXPONENT} in magnitude")
         try:
-            e = _EXPONENT.search(raw)
-            if e and abs(int(e[1])) > _MAX_EXPONENT:
-                # the spelling with its exponent's digits zeroed parses as
-                # the spelling itself would, so a bad one is refused as before
-                Fraction(raw[: e.start(1)] + re.sub(r"\d", "0", e[1]) + raw[e.end(1) :])
-                raise FieldError(f"{where}: the exponent of {raw!r} exceeds {_MAX_EXPONENT} in magnitude")
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"{where}: bad rational {raw!r}") from exc
@@ -301,26 +299,14 @@ def _structure_json(rep: StructureReport) -> dict:
 def _spelled(x: int, d: int) -> str:
     """str(Fraction(x, d)) for d != 0, with no Fraction built: x/d in
     lowest terms, the sign on the numerator, "/1" left off.  An integer
-    past the int-string limit is spelled too, in pieces below it."""
+    past the int-string limit is spelled too, through Decimal, which
+    builds from its binary digits and prints every decimal one."""
     g = gcd(x, d) if d > 0 else -gcd(x, d)
     x, d = x // g, d // g
     try:
         return str(x) if d == 1 else f"{x}/{d}"
     except ValueError:  # past the limit, which this process keeps as it is
-        return _digits(x) if d == 1 else f"{_digits(x)}/{_digits(d)}"
-
-
-def _digits(x: int) -> str:
-    """str(x) for an int of any length, by divide and conquer: split at
-    10^k, k about half its digits, until each piece has at most 482
-    digits, below the smallest int-string limit a process can set."""
-    if x < 0:
-        return "-" + _digits(-x)
-    if x.bit_length() <= 1600:
-        return str(x)
-    k = x.bit_length() * 3 // 20  # 10^k < 2^(bits/2) <= x
-    hi, lo = divmod(x, 10**k)
-    return _digits(hi) + _digits(lo).zfill(k)
+        return str(Decimal(x)) if d == 1 else f"{Decimal(x)}/{Decimal(d)}"
 
 
 def _spelled_rows(L: _Lifted) -> list[list]:

@@ -171,9 +171,10 @@ def _check_reader_parity(raw):
     except (ValueError, ZeroDivisionError):
         want = None
     message = f"bad rational {raw!r}"
-    # past the exponent bound a spelling Fraction reads is refused too
+    # any spelling whose exponent is past the bound is refused before
+    # Fraction reads it
     exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", raw, re.IGNORECASE)
-    if want is not None and exponent and abs(int(exponent[1])) > 4300:
+    if exponent and abs(int(exponent[1])) > 4300:
         want, message = None, f"the exponent of {raw!r} exceeds 4300 in magnitude"
     # each raw sits in a row beside the writer's zeros, which the reader
     # skips unread
@@ -277,18 +278,15 @@ def test_read_among_writer_zeros_raises_at_the_first_bad_cell(q, bad, message):
 
 
 def test_parse_matrix_refuses_exponents_past_the_bound():
-    # Fraction would build 10^N first; the bound is the JSON integers' digit limit
-    for raw in ("1e100000000", "-1E+4301", "2.5e-4301", " 1e4_301 "):
+    # Fraction would build 10^N first; the bound is the JSON integers' digit
+    # limit, and a spelling past it is refused before Fraction reads it,
+    # whether or not Fraction would take the rest
+    for raw in ("1e100000000", "-1E+4301", "2.5e-4301", " 1e4_301 ", "1.2.3e99999", "e99999"):
         text = json.dumps({"field": "Q", "rows": [[raw]]})
         with pytest.raises(FieldError) as info:
             parse_matrix(text)
         assert str(info.value) == f"row 0, column 0: the exponent of {raw!r} exceeds 4300 in magnitude"
-    # a spelling that is no rational is refused as one, whatever its exponent
-    for raw in ("1.2.3e99999", "e99999", "1e5e99999"):
-        with pytest.raises(FieldError) as info:
-            parse_matrix(json.dumps({"field": "Q", "rows": [[raw]]}))
-        assert str(info.value) == f"row 0, column 0: bad rational {raw!r}"
-    for raw, want in (("1e4300", Fraction(10) ** 4300), ("-3E-4300", Fraction(-3, 10 ** 4300)), ("0.5e0_7", Fraction(5 * 10 ** 6))):
+    for raw, want in (("1e4300", Fraction(10) ** 4300), ("-3E-4300", Fraction(-3, 10 ** 4300)), ("0.5e07", Fraction(5 * 10 ** 6))):
         A = parse_matrix(json.dumps({"field": {"cyclotomic": 3}, "rows": [[[0, raw]]]}))
         assert A.at(0, 0) == want * CycloScalar.zeta(3)
 
