@@ -12,9 +12,10 @@ and f_1 | f_2 | ... | f_r checked exactly; the commutant solvers build
 their bases on F and count their dimensions off it.  Everything else
 is read off the split, never recomputed: the characteristic polynomial
 is the product of the factors, `Matrix.det` is (-1)^n times its
-constant term, and the minimal polynomial is the split's
-first step, the Krylov polynomial of a drawn vector, accepted only once
-it is checked to annihilate the matrix.  The 0 x 0 matrix has no
+constant term, and the minimal polynomial is the split's first step,
+the Krylov polynomial of a drawn vector: its dependency M^d v = c(M) v
+is checked on the Krylov columns, and it is accepted only once it is
+checked to annihilate the matrix.  The 0 x 0 matrix has no
 factors, so all three are 1.  Balancedness is decided on invariant factors;
 the essential-part / balanced-radical split is a coprime factor splitting of the minimal
 polynomial with a Bezout projector, so no Jordan form and no algebraic
@@ -46,6 +47,7 @@ from .matrices import (
     _square,
     _take,
     _transpose,
+    _vanishes,
 )
 from .polys import Poly, eval_at_matrix, is_balanced_poly, poly_gcd, poly_xgcd
 from .scalars import QQ, FieldTag
@@ -60,8 +62,9 @@ def char_poly(A: Matrix) -> Poly:
 
 def min_poly(A: Matrix) -> Poly:
     """The monic generator of {f : f(A) = 0}: the split's first step,
-    the first Krylov dependency of a drawn v, accepted only once it is
-    checked to annihilate A."""
+    the first Krylov dependency of a drawn v, checked on the Krylov
+    columns and accepted only once it is checked to annihilate A; a
+    dependency that fails its check raises VerificationError."""
     _square(A, "minimal polynomial needs a square matrix")
     if not A.rows:
         return Poly.one(A.field)
@@ -103,44 +106,54 @@ def _cyclic_vector(Ml: _Lifted, draws: _Draws) -> tuple[Poly, list[_Lifted], lis
     echelon, which `matrices._in_span` reads coordinates in that basis
     off.
 
-    The first Krylov dependency m_v of v is accepted only once
-    `_annihilates` has checked m_v(M) = 0 exactly; then m_v = m_M.  A
-    rejected draw retries one height up."""
+    The first Krylov dependency M^d v = c(M) v of v is not taken on
+    trust: m_v(M) v = x^d - c at M times v, the combination of the
+    columns and the M^d v that `_krylov_dependency` already holds, is
+    checked to vanish by `matrices._vanishes` in integers, with no
+    product.  A failure is a defect, not an unlucky draw, and raises
+    VerificationError.  m_v is then accepted only once `_annihilates`
+    has checked m_v(M) = 0 exactly; then m_v = m_M.  A rejected draw
+    retries one height up."""
     Ml = Ml.common()
     while True:
         v = _embed(_scaled(QQ, 1, [[x] for x in draws.ints(Ml.rows)]), Ml.field)
-        f, krylov, echelon = _krylov_dependency(Ml, v)
+        f, krylov, echelon, y = _krylov_dependency(Ml, v)
+        if not _vanishes(f.coeffs, krylov + [y]):
+            raise VerificationError("Krylov dependency fails M^d v = c(M) v")
         if _annihilates(f, Ml, [c for c, _, _ in echelon]):
             return f, krylov, echelon
         draws.height += 1
 
 
-def _krylov_dependency(Ml: _Lifted, y: _Lifted) -> tuple[Poly, list[_Lifted], list]:
-    """m_v, the columns v, Mv, ..., M^(d-1) v, d = deg m_v, and their
-    echelon, for M and the column v lifted, each over one denominator;
-    the columns stay lifted, each over one denominator.  Each new column
-    M^k v goes through `matrices._in_span` against the echelon of the
-    earlier ones: the first that lies in their span, M^k v = c(M) v,
-    stops the iteration after deg m_v products, with m_v = x^k - c; any
-    other joins the echelon, whose rows lead at the pivot columns of the
-    Krylov rows' RREF."""
+def _krylov_dependency(Ml: _Lifted, y: _Lifted) -> tuple[Poly, list[_Lifted], list, _Lifted]:
+    """m_v, the columns v, Mv, ..., M^(d-1) v, d = deg m_v, their
+    echelon and M^d v, for M and the column v lifted, each over one
+    denominator; the columns stay lifted, each over one denominator.
+    Each new column M^k v goes through `matrices._in_span` against the
+    echelon of the earlier ones: the first that lies in their span, M^k
+    v = c(M) v, stops the iteration after deg m_v products, with m_v =
+    x^k - c; any other joins the echelon, whose rows lead at the pivot
+    columns of the Krylov rows' RREF.  c is `_in_span`'s read, which
+    `_cyclic_vector` checks before m_v is used."""
     echelon, columns = [], []
     for k in count():
         if k:
             y = _content_free(_mul_lifted(Ml, y))
         c = _in_span(echelon, y)
         if c is not None:
-            return Poly.monomial(k, 1, Ml.field) - Poly.make(c, Ml.field), columns, echelon
+            return Poly.monomial(k, 1, Ml.field) - Poly.make(c, Ml.field), columns, echelon, y
         columns.append(y)
 
 
 def _annihilates(f: Poly, Ml: _Lifted, pivots: list[int]) -> bool:
-    """f(M) = 0, for M lifted as Ml, a monic f with f(M) v = 0 and
-    `pivots` the pivot columns of the independent rows v, Mv, ...,
-    M^(deg f - 1) v.  f(M) commutes with M, so it kills their span; the
-    unit vectors e_j at the other columns complete it to a basis, and
-    f(M) is tested on those m - deg f columns only, by one integer Horner
-    pass.  A cyclic M (deg f = m) needs no product."""
+    """f(M) = 0, for M lifted as Ml, a monic f with f(M) v = 0, as
+    `_cyclic_vector` has checked, and `pivots` the pivot columns of
+    the independent rows v, Mv, ..., M^(deg f - 1) v.  f(M) commutes
+    with M, so it kills their span; the unit vectors e_j at the other
+    columns complete it to a basis, and f(M) is tested on those m - deg
+    f columns only, by one integer Horner pass.  A cyclic M (deg f = m)
+    needs no product here: the checked f(M) v = 0 already covers the
+    whole span."""
     m = Ml.rows
     if len(pivots) == m:
         return True

@@ -4,7 +4,9 @@ Two matrices are equivalent for a congruence class of exponents when
 each is a polynomial in the other using only allowed exponents.  Both
 directions are solved in the quotient ring F[x]/(m_A), which
 p -> p(A) embeds into the matrices, from one cyclic vector v of A
-whose Krylov polynomial is checked to annihilate A (so it is m_A).
+whose Krylov dependency is checked on its Krylov columns and whose
+Krylov polynomial is checked to annihilate A (so it is m_A); a failed
+dependency check raises VerificationError.
 The coordinates of Bv in v's Krylov basis give f0 with deg f0 <
 deg m_A, and B is a polynomial in A exactly when f0(A) = B.  Then
 B^e = (f0^e mod m_A)(A), so f and g solve deg m_A-row systems over the
@@ -136,8 +138,9 @@ def _class_solve(base: Poly, target: Poly, m: Poly, cls: CongruenceClass) -> Pol
     p mod m.  One Horner pass gives Bl = base(C); the exponents step by
     q (by 1 in the general class), so the class columns, from e_0 or
     Bl e_0 on, are the Krylov sequence of S = Bl^q.  `_krylov_dependency`
-    runs it to its first dependency, after at most deg m + 1 products,
-    and `_in_span` reads the target's coefficients in the independent
+    runs it to its first dependency, after at most deg m + 1 products
+    (the dependency is not read, so it needs no check of its own), and
+    `_in_span` reads the target's coefficients in the independent
     columns off its echelon, coefficient i on exponent exps[i]; at most
     deg m exponents can carry one.  Raises VerificationError unless
     f(Bl) e_0, recomputed by Horner, is target's coefficient column."""

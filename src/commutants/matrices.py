@@ -26,6 +26,7 @@ instead:
   to row (i, j), column (l, m));
 - multiply: `_mul_lifted`, `_times` (c*L), `_left`, `_relation_holds`,
   `_power`, `_horner` and `_content_free`;
+- test a combination: `_vanishes` (sum_i c_i * column_i = 0);
 - eliminate: `_rref_core`, `_reduced`, `_kernel`, `_solve_square`,
   `_inverse` and `_in_span`;
 - compare and normalize: `_same`, `_cells` and `_entries`;
@@ -117,7 +118,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm, prod
-from operator import lshift, mul, sub
+from operator import add, lshift, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BadDimensions, BadExponent, FieldMismatch, IndexOutOfRange, NotSquare, ShapeMismatch, ZeroInverse, _integer
@@ -382,7 +383,7 @@ class _Lifted(NamedTuple):
     def common(self) -> _Lifted:
         """The same matrix with every row over the lcm of the denominators."""
         d = lcm(*self.dens)
-        if all(e == d for e in self.dens):
+        if self.dens.count(d) == len(self.dens):
             return self
         ints = [row if e == d else [x * (d // e) for x in row] for e, row in zip(self.dens, self.ints)]
         return _Lifted(self.field, self.cols, [d] * len(ints), ints)
@@ -676,6 +677,27 @@ def _horner(coeffs: Sequence, Ml: _Lifted, units: Iterable[tuple[int, int]], col
                 for e, x in enumerate(ck):
                     row[e * cols + j] += x * d
     return _Lifted(field, cols, [d * D for d in R.dens], R.ints)
+
+
+def _vanishes(coeffs: Sequence, columns: Sequence[_Lifted]) -> bool:
+    """Whether sum_i coeffs[i] * columns[i] = 0, for scalars of the
+    columns' field and m x 1 lifted columns, each over one denominator
+    d_i, in integers with no product of matrices.  With D * coeffs in
+    integer planes from `_planes`, d the lcm of the d_i and w_(i,e) the
+    coefficient of zeta^e in D * coeffs[i] times d / d_i, the sum is
+    D * d * sum_e zeta^e * B_e, B_e = sum_i w_(i,e) * (column i's
+    integers, plane-major): one dot product per integer of B_e, and
+    zeta^e from `_zeta_shifts`."""
+    phi, m, n = columns[0].phi, columns[0].rows, len(coeffs)
+    low = cyclo_coeffs(columns[0].field.q)[:-1] if phi > 1 else ()
+    d = lcm(*(col.dens[0] for col in columns))
+    _, c = _planes(coeffs, columns[0].field.q, phi)
+    at = list(zip(*(chain.from_iterable(zip(*col.ints)) for col in columns)))
+    acc = [0] * (phi * m)
+    for e, w in enumerate(zip(*([x * (d // col.dens[0]) for x in c[i::n]] for i, col in enumerate(columns)))):
+        if any(w):
+            acc = list(map(add, acc, _zeta_shifts([sum(map(mul, w, t)) for t in at], m, low)[e]))
+    return not any(acc)
 
 
 def _same(L: _Lifted, M: _Lifted) -> bool:

@@ -1,5 +1,11 @@
 import sys
 
+import pytest
+
+# the fault and forbidden-call runners in helpers.py check with assert,
+# which must hold under python -O as well
+pytest.register_assert_rewrite("helpers")
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     mod = sys.modules.get("test_acceptance")

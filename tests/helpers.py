@@ -3,18 +3,28 @@ and small random generators for the property suites."""
 
 from __future__ import annotations
 
+import json
 import random
+import re
+import signal
 import sys
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import count
 from math import comb, gcd
+from typing import Callable, NamedTuple
 
+import pytest
 import sympy
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
-from commutants import matrices
-from commutants.matrices import rref
+from commutants import adpower, canonical, cli, commutant, equivalence, matrices, subspaces
+from commutants.errors import AlgebraError, VerificationError
+from commutants.gen import Companion, ConjugateBy, GenSpec, NilpotentBlocks, generate
+from commutants.matrices import _lift, _take, rref
 from commutants.scalars import cyclo_coeffs, phi_degree
 from commutants import (
     CongruenceClass,
@@ -23,15 +33,32 @@ from commutants import (
     FieldTag,
     Matrix,
     Poly,
+    OmegaSpec,
     QQ,
+    StructureReport,
     SubspaceBasis,
+    ad_inclusion_check,
+    ad_power_kernel,
     centralizer_basis,
+    char_poly,
+    clifforder_basis,
+    clifforder_has_invertible,
     commutant_operator,
+    double_centralizer_basis,
+    equivalence_certificate,
+    eval_at_matrix,
+    express_in_powers,
+    invariant_factors,
+    is_balanced_matrix,
+    min_poly,
+    omega_centralizer_basis,
+    omega_equivalence_check,
     poly_gcd,
     solve,
     subspace_from_matrices,
     unvec,
     vec,
+    weyl_pair,
 )
 
 # ------------------------------------------------------------ builders
@@ -422,28 +449,6 @@ def count_products(monkeypatch, shapes: list | None = None) -> list[int]:
         if (name == "commutants" or name.startswith("commutants.")) and getattr(module, "_mul_lifted", None) is plain:
             monkeypatch.setattr(module, "_mul_lifted", counting)
     return count
-
-
-def perturb_first_coordinate(monkeypatch, module, name: str, which: int) -> list[int]:
-    """Make the which-th call of module.name (1-based) return its result
-    with 1 added to the first coordinate: of the tuple it returns, or of
-    the first tuple in the first list of a list of lists.  Returns a
-    one-item list counting the calls."""
-    plain = getattr(module, name)
-    calls = [0]
-
-    def perturbed(*args):
-        out = plain(*args)
-        calls[0] += 1
-        if calls[0] == which and out:
-            if isinstance(out, tuple):
-                return (out[0] + 1,) + out[1:]
-            first = out[0][0]
-            out[0][0] = (first[0] + 1,) + first[1:]
-        return out
-
-    monkeypatch.setattr(module, name, perturbed)
-    return calls
 
 
 def reference_kernel_basis(M: Matrix) -> list[tuple]:
@@ -837,3 +842,335 @@ double_inputs = st.one_of(
     st.builds(cyclo3_jordan, seeds, st.integers(1, 5).flatmap(partitions)),
     st.builds(lambda s, n: random_rational_matrix(s, n, 2).promote(3), seeds, st.integers(1, 4)),
 )
+
+
+# ------------------------------------------ proof obligations and forbidden calls
+# FAULTS plants a fault against each check the library makes before it
+# returns; FORBIDDEN spies on calls a path must not make.  test_faults.py
+# runs every (row, consumer) pair.  A consumer is (function, *args) or (CLI
+# command, *args); an argument that is a key of NAMED stands for that
+# object, which a CLI run writes to a file (a str as it is).
+
+DEROGATORY = conjugated(Matrix.block_diag([Matrix.jordan(2, 1, QQ), Matrix.diag([1, -1], QQ)]), 7)
+NILPOTENT = conjugated(Matrix.block_diag([Matrix.jordan(3, 0, QQ), mat([[0]])]), 7)
+W5 = OmegaSpec(5, 2)
+# conjugated J_2(zeta_3) + diag(zeta_3, -zeta_3), over Q(zeta_3)
+_Z3, _z3 = FieldTag.cyclotomic(3), CycloScalar.zeta(3)
+CYCLO3 = conjugated(Matrix.block_diag([Matrix.jordan(2, _z3, _Z3), Matrix.diag([_z3, -_z3], _Z3)]), 0)
+# derogatory inputs whose centralizer is larger than F[A]
+SHRUNK = (DEROGATORY, NILPOTENT, Matrix.identity(3, QQ).scale(2), CYCLO3)
+_CYCLIC = generate(GenSpec(ConjugateBy(GenSpec(Companion(poly([3, 0, 1, 1]))), 3), 7))
+
+NAMED = {
+    "derogatory": DEROGATORY, "nilpotent": NILPOTENT, "cyclo3": CYCLO3, "2I3": SHRUNK[2],
+    "J3": Matrix.jordan(3, 0, QQ), "J4(1)": Matrix.jordan(4, 1, QQ), "jordan(5, 4)": random_jordan_matrix(5, 4),
+    "cyclo3 (2,2)": cyclo3_jordan(1, (2, 2)), "0x0": Matrix.zero(0, 0, QQ),
+    "rational 2x2": mat([[Fraction(1, 2), Fraction(-5, 3)], [Fraction(7, 4), 0]]), "2x2": mat([[1, 2], [3, 4]]),
+    "zeta_3 (2,1,3) + I": cyclo3_jordan(5, (2, 1, 3)) + Matrix.identity(6, _Z3),
+    "nilpotent (4,4,4,4)": nilpotent((4, 4, 4, 4), 7), "weyl(5, 40).A": weyl_pair(5, 40).A,
+    "pair5_a": PAIR5_A, "pair5_b": PAIR5_B, "odd4_a": ODD4_A, "odd4_b": ODD4_B, "tri4_a": TRI4_A, "tri4_b": TRI4_B,
+    "counter_a": COUNTER_A, "counter_b": COUNTER_B, "pair5_a over Q(zeta_5)": PAIR5_A.promote(5),
+    "pair5_b over Q(zeta_5)": PAIR5_B.promote(5), "odd4_a over Q(zeta_5)": ODD4_A.promote(5),
+    "odd4_b + zeta_5 odd4_a": ODD4_B.promote(5) + ODD4_A.promote(5).scale(CycloScalar.zeta(5)),
+    "diag(0, 0, 1)": Matrix.diag([0, 0, 1], QQ), "J2(0) + (1/2)": Matrix.block_diag([Matrix.jordan(2, 0, QQ), mat([[Fraction(1, 2)]])]),
+    "J3(0) + J1(2), conjugated": conjugated(Matrix.block_diag([Matrix.jordan(3, 0, QQ), Matrix.jordan(1, 2, QQ)]), 7),
+    "J2(zeta_3)": Matrix.jordan(2, _z3, _Z3),
+    # the companion of 3 + x^2 + x^3 and nilpotent (3,2), conjugated as `gen` does (seed 7, height 3)
+    "cyclic": _CYCLIC, "nilpotent (3,2)": generate(GenSpec(ConjugateBy(GenSpec(NilpotentBlocks((3, 2))), 3), 7)),
+    **{f"cyclic: {name}": eval_at_matrix(poly(f), _CYCLIC) for name, f in (("x + x^2", [0, 1, 1]), ("x + x^3", [0, 1, 0, 1]), ("2x + x^4", [0, 2, 0, 0, 1]))},
+    "malformed": '{"field": "Q", "rows": [[1,]]}',
+    "mu=1": QQ.one(), "mu=-1": -QQ.one(), "mu=zeta_5^2": W5.omega(), "mu=zeta_3": _z3, "mu=1 in Q(zeta_3)": _Z3.one(), "mu=-1 in Q(zeta_3)": -_Z3.one(),
+    "w5": W5, "w3": OmegaSpec(3, 2), "w3,1": OmegaSpec(3, 1),
+    "general": CongruenceClass.general(), "odd": CongruenceClass.odd(), "q:3": CongruenceClass.q_class(3),
+    "1+2x+3x^2": poly([1, 2, 3]), "1+2x+3x^2 over Q(zeta_3)": poly([1, 2, 3], _Z3),
+}
+
+
+def dimension(A: Matrix, mu) -> int:
+    """dim {X : AX = mu*XA} as the CLI counts it, off the checked split."""
+    return commutant._dimension(commutant._split(_lift(A)), mu)
+
+
+def planted(change, which=None, first_argument=False):
+    """A plant that hands on change(value) for the value of call `which`
+    of the producer (1-based; every call when None), or with
+    `first_argument` hands the producer change(its first argument)."""
+    def plant(plain, fired):
+        calls = count(1)
+
+        def producer(*args):
+            if which not in (None, next(calls)):
+                return plain(*args)
+            value = args[0] if first_argument else plain(*args)
+            bad = change(value)
+            fired.append(bad != value)
+            return plain(bad, *args[1:]) if first_argument else bad
+        return producer
+    return plant
+
+
+def _split_reordered(split):
+    """The split with its blocks in reverse order, P's column blocks
+    permuted alike, so that A*P = P*F still holds."""
+    factors, P = split
+    offsets = [sum(f.degree for f in factors[:i]) for i in range(len(factors))]
+    cols = [c for o, f in reversed(list(zip(offsets, factors))) for c in range(o, o + f.degree)]
+    return factors[::-1], matrices._columns(P, cols)
+
+
+def _split_singular(split):
+    """The split with P's last column zeroed (plane-major: index k is
+    column k % n)."""
+    factors, P = split
+    return factors, P._replace(ints=[[0 if k % P.cols == P.cols - 1 else x for k, x in enumerate(row)] for row in P.ints])
+
+
+def _bumped(L, row, at, by=1):
+    """L with the integer at `at` of row `row` raised by `by`."""
+    ints = [list(r) for r in L.ints]
+    ints[row][at] += by
+    return L._replace(ints=ints)
+
+
+def _first_coordinate_plus_one(out):
+    """A coordinate tuple with 1 added to its first entry, or block
+    solutions with 1 added to the first entry of the first Y's first
+    column; nothing to change in an empty one."""
+    if not out:
+        return out
+    if isinstance(out, tuple):
+        return (out[0] + 1,) + out[1:]
+    (head, *cols), *rest = out
+    return [[(head[0] + 1,) + head[1:], *cols], *rest]
+
+
+_SPLIT_READERS = [
+    consumer
+    for A, mus, q in (("derogatory", ("mu=1", "mu=-1", "mu=zeta_5^2"), "5"), ("nilpotent", ("mu=1", "mu=-1", "mu=zeta_5^2"), "5"),
+                      ("cyclo3", ("mu=1 in Q(zeta_3)", "mu=-1 in Q(zeta_3)", "mu=zeta_3"), "3"))
+    for consumer in [(invariant_factors, A), (StructureReport.of, A), (char_poly, A), *[(dimension, A, mu) for mu in mus],
+                     ("analyze", A), ("centralizer", A), ("clifforder", A), ("omega", A, "--q", q)]
+]
+_DOUBLE_CENTRALIZERS = tuple((double_centralizer_basis, A) for A in ("derogatory", "nilpotent", "2I3", "cyclo3"))
+
+
+class Fault(NamedTuple):
+    """A proof obligation and a fault planted against it: `plant` turns
+    the plain `producer` (module, name), whose output the check reads,
+    into the faulty one, and every consumer must end in VerificationError
+    matching `message`; a CLI run exits 3 with nothing on stdout and one
+    JSON error on stderr.  `gaps` are consumers that still return a value
+    on the fault (strict xfails)."""
+
+    check: str
+    fault: str
+    producer: tuple
+    plant: Callable
+    message: str
+    consumers: tuple
+    gaps: tuple = ()
+
+
+FAULTS = [
+    Fault("A*P = P*F", "identity companion blocks", (canonical, "companion"), planted(lambda C: Matrix.identity(C.rows, C.field)), r"A\*P = P\*F",
+          ((invariant_factors, "derogatory"), (char_poly, "derogatory"), (is_balanced_matrix, "derogatory"), (centralizer_basis, "derogatory"), ("analyze", "derogatory"),
+           *[(Matrix.det, A) for A in ("2x2", "zeta_3 (2,1,3) + I", "nilpotent (4,4,4,4)", "weyl(5, 40).A")])),
+    Fault("A*P = P*F", "P's last column zeroed", (canonical, "_cyclic_split"), planted(_split_singular), r"A\*P = P\*F", tuple(_SPLIT_READERS)),
+    Fault("f_1 | ... | f_r", "blocks reordered", (canonical, "_cyclic_split"), planted(_split_reordered), r"f_1 \| f_2", tuple(_SPLIT_READERS)),
+    Fault("P invertible", "P's last column zeroed after the split", (commutant, "_frobenius"), planted(_split_singular), "singular",
+          ((centralizer_basis, "derogatory"), (clifforder_basis, "derogatory"), (omega_centralizer_basis, "nilpotent", "w5"), (dimension, "derogatory", "mu=1"),
+           ("analyze", "derogatory"), ("centralizer", "derogatory"), ("omega", "nilpotent", "--q", "5"))),
+    # on a scalar A the zeroed column passes A*P = P*F, and only the
+    # split's P^-1 sees it; the readers of `_frobenius` alone do not
+    Fault("P invertible", "P's last column zeroed on a scalar A", (canonical, "_cyclic_split"), planted(_split_singular), "singular",
+          ((centralizer_basis, "2I3"), (clifforder_basis, "2I3"), (dimension, "2I3", "mu=1"), ("analyze", "2I3"), ("centralizer", "2I3")),
+          gaps=tuple((f, "2I3") for f in (char_poly, invariant_factors, Matrix.det, StructureReport.of, is_balanced_matrix, clifforder_has_invertible))),
+    Fault("span rank = Frobenius' count", "last reduced row dropped", (commutant, "_reduced"), planted(lambda out: (_take(out[0], range(out[0].rows - 1)), out[1][:-1])),
+          "span has rank .+, Frobenius' formula gives",
+          ((centralizer_basis, "derogatory"), (clifforder_basis, "derogatory"), (omega_centralizer_basis, "nilpotent", "w5"), ("centralizer", "derogatory", "--basis"))),
+    Fault("relation", "last reduced row grown", (commutant, "_reduced"), planted(lambda out: (_bumped(out[0], -1, 0, out[0].dens[-1]), out[1])), r"fails AX = mu\*XA",
+          ((centralizer_basis, "derogatory"), (clifforder_basis, "derogatory"), (omega_centralizer_basis, "nilpotent", "w5"),
+           ("centralizer", "derogatory", "--basis"), ("omega", "nilpotent", "--q", "5", "--k", "2", "--basis"))),
+    Fault("relation", "an integer of the first reduced row changed", (commutant, "_reduced"), planted(lambda out: (_bumped(out[0], 0, -1), out[1])), r"fails AX = mu\*XA",
+          ((centralizer_basis, "derogatory"), (clifforder_basis, "derogatory"), (omega_centralizer_basis, "nilpotent", "w5"),
+           ("centralizer", "derogatory", "--basis"), ("clifforder", "derogatory", "--basis"))),
+    Fault("relation", "every block solution perturbed", (commutant, "_block_solutions"), planted(_first_coordinate_plus_one), r"fails AX = mu\*XA",
+          ((centralizer_basis, "derogatory"), (omega_centralizer_basis, "nilpotent", "w5"), ("centralizer", "pair5_a", "--basis"))),
+    Fault("relation", "the first block solution perturbed", (commutant, "_block_solutions"), planted(_first_coordinate_plus_one, 1), r"fails AX = mu\*XA",
+          ((centralizer_basis, "pair5_a"), ("centralizer", "pair5_a", "--basis"))),
+    Fault("relation", "P perturbed after the split", (commutant, "_frobenius"), planted(lambda out: (out[0], _bumped(out[1], 0, 0, out[1].dens[0]))), r"fails AX = mu\*XA",
+          ((centralizer_basis, "derogatory"), (clifforder_basis, "derogatory"), (omega_centralizer_basis, "nilpotent", "w5"), ("centralizer", "derogatory", "--basis"))),
+    Fault("double centralizer dimension", "deg m_A one too high", (commutant, "min_poly"), planted(lambda m: Poly.monomial(m.degree + 1, 1, m.field)), "double centralizer has dimension", _DOUBLE_CENTRALIZERS),
+    Fault("double centralizer dimension", "last power dropped", (commutant, "_reduced"), planted(lambda L: _take(L, range(L.rows - 1)), first_argument=True), "double centralizer has dimension", _DOUBLE_CENTRALIZERS),
+    Fault("A-invariance", "deg m_A one too low", (commutant, "min_poly"), planted(lambda m: Poly.monomial(m.degree - 1, 1, m.field)), "not A-invariant or misses I", _DOUBLE_CENTRALIZERS),
+    # power k on its way into the reduction, for every k < deg m_A (3, 3, 1 and 3)
+    *[Fault("A-invariance", f"power {k} bumped", (commutant, "_reduced"), planted(lambda L, k=k: _bumped(L, k, 0), first_argument=True), "not A-invariant or misses I",
+            tuple(c for c in _DOUBLE_CENTRALIZERS if k == 0 or c[1] != "2I3"))
+      for k in range(3)],
+    Fault("A-invariance", "an integer of the first reduced row changed", (commutant, "_reduced"), planted(lambda out: (_bumped(out[0], 0, -1), out[1])), "not A-invariant or misses I", _DOUBLE_CENTRALIZERS),
+    # the coordinate reads run in this order: 1 the Krylov coordinates of
+    # B*v, 2 the f system, 3 the g system
+    Fault("certificate congruence", "f system perturbed", (equivalence, "_in_span"), planted(_first_coordinate_plus_one, 2), r"certificate fails f\(base\) = target mod m_A",
+          ((equivalence_certificate, "pair5_a", "pair5_b", "general"), (equivalence_certificate, "odd4_a", "odd4_b", "odd"),
+           (equivalence_certificate, "tri4_a", "tri4_b", "odd"), (express_in_powers, "pair5_b", "pair5_a"), ("equiv", "pair5_a", "pair5_b"))),
+    Fault("certificate congruence", "g system perturbed", (equivalence, "_in_span"), planted(_first_coordinate_plus_one, 3), r"certificate fails f\(base\) = target mod m_A",
+          ((equivalence_certificate, "pair5_a", "pair5_b", "general"), (equivalence_certificate, "odd4_a", "odd4_b", "odd"),
+           (equivalence_certificate, "tri4_a", "tri4_b", "odd"), ("equiv", "pair5_a", "pair5_b"))),
+    # a wrong dependency must raise, not redraw: on the derogatory input
+    # every draw meets the same fault
+    Fault("Krylov dependency", "every dependency's first coordinate perturbed", (canonical, "_in_span"), planted(_first_coordinate_plus_one), "Krylov dependency fails",
+          (*[(f, A) for A in ("cyclic", "nilpotent (3,2)") for f in (min_poly, invariant_factors, char_poly, Matrix.det, double_centralizer_basis, centralizer_basis)],
+           *[(equivalence_certificate, "cyclic", f"cyclic: {f}", cls) for f in ("x + x^2", "x + x^3", "2x + x^4") for cls in ("general", "odd")],
+           (express_in_powers, "cyclic: x + x^2", "cyclic"),
+           (omega_equivalence_check, "nilpotent (3,2)", "nilpotent (3,2)", "w3,1"), ("analyze", "cyclic"), ("analyze", "nilpotent (3,2)"),
+           ("omega", "nilpotent (3,2)", "--q", "3"), ("equiv", "cyclic", "cyclic: x + x^2"), ("equiv", "nilpotent (3,2)", "nilpotent (3,2)"))),
+]
+
+
+class Forbidden(NamedTuple):
+    """Calls a path must not make: each consumer makes exactly `calls`
+    calls (0: none) of module.name for each (module, name, calls) of
+    `spied`, and gives the same answer with the spies as without."""
+
+    what: str
+    spied: tuple
+    consumers: tuple
+
+
+_KRONECKER_FREE = [(ad_power_kernel, A, k) for A in ("J3", "jordan(5, 4)", "cyclo3 (2,2)") for k in (1, 2, 3)]
+
+FORBIDDEN = [
+    Forbidden("no Kronecker operator", ((adpower, "commutant_operator", 0), (commutant, "commutant_operator", 0), (commutant, "kron", 0)),
+              (*_KRONECKER_FREE,
+               *[(ad_inclusion_check, A, "1+2x+3x^2" + (" over Q(zeta_3)" if A == "cyclo3 (2,2)" else ""), k) for _, A, k in _KRONECKER_FREE],
+               *[(f, A) for A in ("derogatory", "nilpotent", "cyclo3") for f in (centralizer_basis, clifforder_basis)],
+               (omega_centralizer_basis, "nilpotent", "w5"), (omega_centralizer_basis, "cyclo3", "w3"),
+               *_DOUBLE_CENTRALIZERS)),
+    # the basis is read off one reversed-column reduction: no kernel of
+    # unit-matrix images, no canonicalizing second elimination
+    Forbidden("one elimination", (*[(m, name, 0) for m in (matrices, subspaces, commutant, adpower) for name in ("_reduced", "kernel_basis") if hasattr(m, name)],
+                                  (matrices, "_rref_core", 1)),
+              tuple((ad_power_kernel, A, k) for A in ("J3", "jordan(5, 4)", "cyclo3 (2,2)", "rational 2x2", "0x0") for k in (1, 2, 3))),
+    # --q and --k are checked right after the file is read; a malformed
+    # file is still reported first
+    Forbidden("no split before the omega-spec check", ((canonical, "_cyclic_split", 0),),
+              (*[("analyze", "J3", "--q", q, "--k", k) for q, k in (("4", "2"), ("0", "1"), ("6", "-3"))], ("analyze", "malformed", "--q", "4", "--k", "2"))),
+    # Frobenius' count is deg g per pair of invariant factors, read off
+    # `_block_gcd`, on the poly_gcd branch as on the others
+    Forbidden("no block solution for a dimension", ((commutant, "_block_solutions", 0), (commutant, "_mul_lifted", 0)),
+              tuple((dimension, A, mu) for A in ("derogatory", "nilpotent", "2I3")
+                    for mu in ("mu=1", "mu=-1", "mu=zeta_5^2")) + tuple((dimension, "cyclo3", mu) for mu in ("mu=1 in Q(zeta_3)", "mu=-1 in Q(zeta_3)", "mu=zeta_3"))),
+    # deg m_A is read off min_poly's one checked cyclic-vector step
+    Forbidden("the double centralizer builds no centralizer and runs no split",
+              ((commutant, "_mu_commutant_basis", 0), (canonical, "_cyclic_split", 0), (canonical, "_cyclic_vector", 1)),
+              (*_DOUBLE_CENTRALIZERS, (double_centralizer_basis, "J4(1)"))),
+    # every certificate coordinate is read off the Krylov echelon the
+    # cyclic vector built
+    Forbidden("no rref pass in certificates", ((matrices, "_rref_core", 0), (canonical, "_rref_core", 0)),
+              tuple(c for A, B, cls in (("pair5_a", "pair5_b", "general"), ("odd4_a", "odd4_b", "odd"), ("tri4_a", "tri4_b", "odd"), ("counter_a", "counter_b", "general"),
+                                        ("pair5_a", "pair5_b", "q:3"), ("pair5_a over Q(zeta_5)", "pair5_b over Q(zeta_5)", "general"),
+                                        ("odd4_a over Q(zeta_5)", "odd4_b + zeta_5 odd4_a", "odd"))
+                    for c in ((equivalence_certificate, A, B, cls), (express_in_powers, B, A, cls)))),
+    Forbidden("no matrix power in certificates", ((Matrix, "__pow__", 0),),
+              tuple(c for A, B, cls in (("pair5_a", "pair5_b", "general"), ("odd4_a", "odd4_b", "odd"), ("tri4_a", "tri4_b", "odd"),
+                                        ("counter_a", "counter_b", "general"), ("pair5_a", "pair5_b", "q:3"))
+                    for c in ((equivalence_certificate, A, B, cls), (equivalence_certificate, B, A, cls)))),
+    # m_A = x^(deg m_A) decides nilpotency, even when x divides m_A
+    Forbidden("nilpotency read without a split", ((canonical, "_cyclic_split", 0),),
+              tuple((omega_equivalence_check, A, A, "w3,1") for A in ("diag(0, 0, 1)", "J2(0) + (1/2)", "J3(0) + J1(2), conjugated", "J2(zeta_3)"))),
+]
+
+
+def consumer_id(consumer) -> str:
+    head, *args = consumer
+    if callable(head):
+        return f"{head.__qualname__}({', '.join(map(str, args))})"
+    return " ".join(["cli", head, *args])
+
+
+@contextmanager
+def time_cap(seconds: int):
+    """Raise TimeoutError in the block after `seconds`: a check that turns
+    a fault into an endless redraw fails instead of hanging the run."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def outcome(consumer, tmp_path, capsys):
+    """What a consumer gives, within 60 s: a library call's value or
+    library error, or a CLI run's exit code, stdout and stderr."""
+    head, *args = consumer
+    with time_cap(60):
+        if callable(head):
+            try:
+                return "value", head(*(NAMED.get(a, a) if isinstance(a, str) else a for a in args))
+            except (AlgebraError, VerificationError) as exc:
+                return type(exc), str(exc)
+        argv = [head]
+        for a in args:
+            if a in NAMED:
+                path = tmp_path / f"{len(argv)}.json"
+                path.write_text(NAMED[a] if isinstance(NAMED[a], str) else json.dumps(cli.matrix_json(NAMED[a])))
+                a = str(path)
+            argv.append(a)
+        code = cli.main(argv)
+    cap = capsys.readouterr()
+    return code, cap.out, cap.err
+
+
+def plant_fault(fault: Fault, consumer, monkeypatch, tmp_path, capsys):
+    """Run `consumer` with `fault` planted: the fault must be planted and
+    must end in VerificationError matching the row's message."""
+    module, name = fault.producer
+    fired = []
+    monkeypatch.setattr(module, name, fault.plant(getattr(module, name), fired))
+    got = outcome(consumer, tmp_path, capsys)
+    assert any(fired), f"{name} gave no value the fault could change"
+    if callable(consumer[0]):
+        assert got[0] is VerificationError and re.search(fault.message, got[1]), got
+    else:
+        code, out, err = got
+        assert (code, out, json.loads(err)["error"]) == (3, "", "VerificationError") and re.search(fault.message, json.loads(err)["message"]), got
+
+
+def forbid_calls(row: Forbidden, consumer, monkeypatch, tmp_path, capsys):
+    """Run `consumer` without and with the row's spies: the same answer,
+    and exactly the allowed number of calls of each spied name."""
+    want = outcome(consumer, tmp_path, capsys)
+    made = Counter()
+    for module, name, calls in row.spied:
+        def spy(*args, key=(module, name), plain=getattr(module, name), calls=calls):
+            made[key] += 1
+            assert made[key] <= calls, f"{key[1]} called more than {calls} times"
+            return plain(*args)
+        monkeypatch.setattr(module, name, spy)
+    assert outcome(consumer, tmp_path, capsys) == want
+    assert [made[module, name] for module, name, _ in row.spied] == [calls for _, _, calls in row.spied]
+
+
+def rows_test(table, *groups, ids=None):
+    """A test that runs every consumer of the rows named in a group (by
+    `check: fault` for FAULTS, by `what` for FORBIDDEN), gaps left out:
+    one test, or one per group with `ids`."""
+    run = plant_fault if table is FAULTS else forbid_calls
+    name = (lambda row: f"{row.check}: {row.fault}") if table is FAULTS else (lambda row: row.what)
+
+    def test(group, monkeypatch, tmp_path, capsys):
+        rows = [row for row in table if name(row) in group]
+        assert len(rows) == len(group), group
+        for row in rows:
+            for consumer in row.consumers:
+                with monkeypatch.context() as m:
+                    run(row, consumer, m, tmp_path, capsys)
+
+    if ids is None:
+        return lambda monkeypatch, tmp_path, capsys: test(groups[0], monkeypatch, tmp_path, capsys)
+    return pytest.mark.parametrize("group", groups, ids=ids)(test)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commutants import adpower, commutant, matrices, subspaces
+from commutants import adpower
 from commutants import (
     AdOperator,
     BadExponent,
@@ -27,6 +27,7 @@ from commutants import (
     subspace_leq,
 )
 from helpers import (
+    FORBIDDEN,
     binomial_ann_k_member,
     count_products,
     cyclo3_jordan,
@@ -38,6 +39,7 @@ from helpers import (
     random_jordan_matrix,
     random_rational_matrix,
     reference_ad_power_kernel,
+    rows_test,
     seeds,
 )
 
@@ -299,17 +301,7 @@ def test_nilpotent_kernel_dims_follow_clebsch_gordan(sizes, seed, k):
     assert ad_power_kernel(nilpotent(sizes, seed), k).dim == clebsch_gordan_dim(sizes, k)
 
 
-def test_ad_power_kernels_build_no_kronecker_operator(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("Kronecker operator built")
-
-    monkeypatch.setattr(adpower, "commutant_operator", forbidden)
-    monkeypatch.setattr(commutant, "commutant_operator", forbidden)
-    monkeypatch.setattr(commutant, "kron", forbidden)
-    for A in (Matrix.jordan(3, 0, QQ), random_jordan_matrix(5, 4), cyclo3_jordan(1, (2, 2))):
-        for k in (1, 2, 3):
-            ad_power_kernel(A, k)
-            assert ad_inclusion_check(A, poly([1, 2, 3], A.field), k)
+test_ad_power_kernels_build_no_kronecker_operator = rows_test(FORBIDDEN, ["no Kronecker operator"])
 
 
 def test_ad_power_kernel_at_max_power_equals_kronecker_oracle():
@@ -318,32 +310,7 @@ def test_ad_power_kernel_at_max_power_equals_kronecker_oracle():
         _same_kernel(M, adpower.DEFAULT_MAX_POWER)
 
 
-def test_ad_power_kernel_is_one_elimination(monkeypatch):
-    # the basis is read off one reversed-column reduction: no kernel of
-    # unit-matrix images, no canonicalizing second elimination
-    def forbidden(*args):
-        raise AssertionError("second elimination")
-
-    rational = mat([[Fraction(1, 2), Fraction(-5, 3)], [Fraction(7, 4), 0]])
-    inputs = (Matrix.jordan(3, 0, QQ), random_jordan_matrix(5, 4), cyclo3_jordan(1, (2, 2)), rational, Matrix.zero(0, 0, QQ))
-    for module in (matrices, subspaces, commutant, adpower):
-        for name in ("_reduced", "kernel_basis"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, forbidden)
-    plain = matrices._rref_core
-    passes = [0]
-
-    def counting(*args):
-        passes[0] += 1
-        return plain(*args)
-
-    # adpower reduces through matrices._kernel, the one kernel routine
-    monkeypatch.setattr(matrices, "_rref_core", counting)
-    for A in inputs:
-        for k in (1, 2, 3):
-            passes[0] = 0
-            ad_power_kernel(A, k)
-            assert passes[0] == 1, (A, k)
+test_ad_power_kernel_is_one_elimination = rows_test(FORBIDDEN, ["one elimination"])
 
 
 def test_non_square_input_raises_not_square():

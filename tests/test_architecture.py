@@ -206,6 +206,25 @@ def integer_checks_through_the_guard(sources):
     return bad
 
 
+def verification_errors_have_fault_rows(sources):
+    """Every raise of VerificationError has a row in the fault table,
+    helpers.FAULTS, whose message pattern matches its text (a formatted
+    value read as "{}"), so a new check lands with a planted fault that
+    shows it fires."""
+    from helpers import FAULTS
+
+    text = lambda node: node.value if isinstance(node, ast.Constant) else "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in getattr(node, "values", ()))
+    bad = []
+    for path, _, tree in _trees(sources):
+        for node in ast.walk(tree):
+            exc = getattr(node, "exc", None)
+            if isinstance(node, ast.Raise) and exc is not None and ast.unparse(getattr(exc, "func", exc)).split(".")[-1] == "VerificationError":
+                message = text(exc.args[0]) if isinstance(exc, ast.Call) and exc.args else ""
+                if not any(re.search(row.message, message) for row in FAULTS):
+                    bad.append(f"{path}:{node.lineno}: VerificationError {message!r} has no fault-table row")
+    return bad
+
+
 RULES = [
     no_assert_or_debug,
     no_module_level_rng,
@@ -217,6 +236,7 @@ RULES = [
     not_square_raised_by_square_guards,
     left_shifts_in_matrices,
     integer_checks_through_the_guard,
+    verification_errors_have_fault_rows,
 ]
 
 # (rule, module, source appended to it, message of the violation on the
@@ -244,6 +264,7 @@ PLANTED = [
     (left_shifts_in_matrices, "scalars.py", "def _up(x): x <<= 1; return x\n", "shifts left with <<"),
     (left_shifts_in_matrices, "adpower.py", "from operator import lshift\n", "uses lshift"),
     (integer_checks_through_the_guard, "adpower.py", "def _n(k): return isinstance(k, int) and not isinstance(k, bool)\n", "checks k for an int but not a bool outside errors._integer"),
+    (verification_errors_have_fault_rows, "adpower.py", 'raise VerificationError("planted")\n', "VerificationError 'planted' has no fault-table row"),
 ]
 
 

@@ -320,7 +320,7 @@ def test_in_span_reads_the_rref_oracles_krylov_coordinates(case):
     from helpers import hstack, reference_rref
     M, v, c, t = case
     field, n = M.field, M.rows
-    f, krylov, echelon = canonical._krylov_dependency(_lift(M), _lift(v).common())
+    f, krylov, echelon, _ = canonical._krylov_dependency(_lift(M), _lift(v).common())
     k = len(echelon)
     assert k == len(krylov) == f.degree
     powers = [v]

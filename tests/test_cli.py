@@ -15,7 +15,6 @@ from commutants import (
     CycloScalar,
     FieldError,
     FieldTag,
-    InvalidSpec,
     Matrix,
     ParseError,
     Poly,
@@ -27,6 +26,8 @@ from commutants import (
 from commutants.cli import _read, main, matrix_json, parse_matrix
 from commutants.matrices import _lift, _same
 from helpers import (
+    FAULTS,
+    FORBIDDEN,
     PAIR5_A,
     PAIR5_B,
     PAIR5_A_FROM_B,
@@ -36,9 +37,9 @@ from helpers import (
     conjugated,
     cyclo3_jordan,
     mat,
-    perturb_first_coordinate,
     poly,
     reference_potter_samples,
+    rows_test,
 )
 
 
@@ -514,20 +515,7 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
 
 # ------------------------------------------------------ failed checks, exit 3
 
-def test_failed_check_exits_3_with_empty_stdout(tmp_path, capsys, monkeypatch):
-    import commutants.commutant as commutant
-    import commutants.equivalence as equivalence
-    fa = write_matrix(tmp_path / "a.json", PAIR5_A)
-    fb = write_matrix(tmp_path / "b.json", PAIR5_B)
-    # the second coordinate read is the f system; its check must catch the change
-    perturb_first_coordinate(monkeypatch, equivalence, "_in_span", 2)
-    code, out, err = run(capsys, ["equiv", fa, fb])
-    assert (code, out) == (3, None)
-    assert json.loads(err)["error"] == "VerificationError"
-    perturb_first_coordinate(monkeypatch, commutant, "_block_solutions", 1)
-    code, out, err = run(capsys, ["centralizer", fa, "--basis"])
-    assert (code, out) == (3, None)
-    assert json.loads(err)["error"] == "VerificationError"
+test_failed_check_exits_3_with_empty_stdout = rows_test(FAULTS, ["certificate congruence: f system perturbed", "relation: the first block solution perturbed"])
 
 
 # ----------------------------------------------------------------- potter
@@ -711,29 +699,16 @@ def test_bad_omega_spec(tmp_path, capsys):
     code, out, err = run(capsys, ["omega", f, "--q", "4", "--k", "2"])
     assert code == 2
     assert json.loads(err)["error"] == "InvalidSpec"
-
-
-def test_analyze_rejects_a_bad_omega_spec_before_the_split(tmp_path, capsys, monkeypatch):
-    # --q and --k are checked right after the file is read: no Frobenius
-    # split, nothing printed; a malformed file is still reported first
-    import commutants.canonical as canonical
-    import commutants.commutant as commutant
-
-    def forbidden(*args):
-        raise AssertionError("Frobenius split run before the omega spec was checked")
-
-    for module in (canonical, commutant):
-        monkeypatch.setattr(module, "_frobenius", forbidden)
-    f = write_matrix(tmp_path / "a.json", Matrix.jordan(3, 0, QQ))
-    for q, k in (("4", "2"), ("0", "1"), ("6", "-3")):
-        code = main(["analyze", f, "--q", q, "--k", k])
-        cap = capsys.readouterr()
-        assert (code, cap.out, json.loads(cap.err)["error"]) == (2, "", "InvalidSpec"), (q, k)
+    # analyze checks --q and --k right after the file is read, so a
+    # malformed file is still reported first
     bad = tmp_path / "bad.json"
     bad.write_text('{"field": "Q", "rows": [[1,]]}')
-    code = main(["analyze", str(bad), "--q", "4", "--k", "2"])
-    cap = capsys.readouterr()
-    assert (code, cap.out, json.loads(cap.err)["error"]) == (2, "", "ParseError")
+    for path, q, k, error in ((f, "4", "2", "InvalidSpec"), (f, "0", "1", "InvalidSpec"), (f, "6", "-3", "InvalidSpec"), (str(bad), "4", "2", "ParseError")):
+        code, out, err = run(capsys, ["analyze", path, "--q", q, "--k", k])
+        assert (code, out, json.loads(err)["error"]) == (2, None, error), (q, k)
+
+
+test_analyze_rejects_a_bad_omega_spec_before_the_split = rows_test(FORBIDDEN, ["no split before the omega-spec check"])
 
 
 # ------------------------------------------------------- work done once

@@ -21,9 +21,7 @@ from commutants import (
     Poly,
     QQ,
     ShapeMismatch,
-    StructureReport,
     centralizer_basis,
-    char_poly,
     clifforder_basis,
     clifforder_has_invertible,
     commutant_operator,
@@ -39,9 +37,14 @@ from commutants import (
     subspace_from_matrices,
     subspace_leq,
 )
-from commutants.errors import VerificationError
-from commutants.matrices import _columns, _lift, _mul_lifted, _same, rref
+from commutants.matrices import _lift, rref
 from helpers import (
+    CYCLO3,
+    FAULTS,
+    FORBIDDEN,
+    NILPOTENT,
+    SHRUNK,
+    W5,
     conjugated,
     cyclo3_jordan,
     double_inputs,
@@ -56,6 +59,7 @@ from helpers import (
     reference_commutant_basis,
     reference_double_centralizer,
     relation_kernel_oracle,
+    rows_test,
     seeds,
 )
 
@@ -253,8 +257,6 @@ def test_not_square_rejected():
 
 _Z3 = FieldTag.cyclotomic(3)
 _z3 = CycloScalar.zeta(3)
-# conjugated J_2(zeta_3) + diag(zeta_3, -zeta_3), over Q(zeta_3)
-_CYCLO3_INPUT = conjugated(Matrix.block_diag([Matrix.jordan(2, _z3, _Z3), Matrix.diag([_z3, -_z3], _Z3)]), 0)
 
 
 def _balanced(seed, n):
@@ -304,7 +306,7 @@ def test_structural_bases_equal_kronecker_oracle_on_fixed_inputs():
         for q, k in [(None, 0), (None, 1), (3, 2), (4, 1), (5, 3), (6, 5)]:
             _same_span(A, q, k)
     for q, k in [(None, 0), (None, 1), (3, 1), (3, 2)]:
-        _same_span(_CYCLO3_INPUT, q, k)
+        _same_span(CYCLO3, q, k)
 
 
 # ------------------------------- Frobenius' count against the built bases
@@ -353,19 +355,10 @@ def test_frobenius_count_equals_the_built_bases_and_the_kronecker_oracle(case):
     _same_count(*case)
 
 
-def test_dimension_builds_no_block_solution(monkeypatch):
-    # Frobenius' count is deg g per pair of invariant factors: `_dimension`
-    # reads g off `_block_gcd` and builds no Y, on the poly_gcd branch
-    # (the clifforder of an unbalanced input) as on the others
-    cases = [(A, mu) for A in _SHRUNK for mu in (A.field.one(), -A.field.one(), _W5.omega() if A.field == QQ else CycloScalar.zeta(3))]
-    want = [commutant._mu_commutant_basis(commutant._split(_lift(A)), mu)[0].rows for A, mu in cases]
-
-    def forbidden(*args):
-        raise AssertionError("a block solution built only to be counted")
-
-    monkeypatch.setattr(commutant, "_block_solutions", forbidden)
-    monkeypatch.setattr(commutant, "_mul_lifted", forbidden)
-    assert [commutant._dimension(commutant._split(_lift(A)), mu) for A, mu in cases] == want
+def test_frobenius_count_equals_the_built_bases_on_fixed_inputs():
+    for A in SHRUNK:
+        for mu in (A.field.one(), -A.field.one(), W5.omega() if A.field == QQ else CycloScalar.zeta(3)):
+            _same_count(A, mu)
 
 
 # ------------------------- integer block solutions against field arithmetic
@@ -466,203 +459,23 @@ def test_block_solutions_of_an_unbalanced_b_at_mu_minus_one_are_the_hand_fold_to
                 assert len(_scaled_hand_fold(a, b, -field.one())) == 1
 
 
-# ---------------------------------------- a corrupted result is never returned
+# ------------------------------------ planted faults and forbidden calls
+# each runs every consumer of the helpers.FAULTS or FORBIDDEN rows it names
 
-# conjugated J_2(1) + (1) + (-1) and J_3(0) + J_1(0): derogatory, nonzero
-# centralizer and omega-centralizer respectively
-_DEROGATORY = conjugated(Matrix.block_diag([Matrix.jordan(2, 1, QQ), Matrix.diag([1, -1], QQ)]), 7)
-_NILPOTENT = conjugated(Matrix.block_diag([Matrix.jordan(3, 0, QQ), mat([[0]])]), 7)
-_W5 = OmegaSpec(5, 2)
-# derogatory inputs whose centralizer is larger than F[A], so the double
-# centralizer is derived from the powers of A, not read off C(A)
-_SHRUNK = (_DEROGATORY, _NILPOTENT, Matrix.identity(3, QQ).scale(2), _CYCLO3_INPUT)
-
-
-def _corrupted_calls():
-    return [lambda: centralizer_basis(_DEROGATORY), lambda: omega_centralizer_basis(_NILPOTENT, _W5)]
-
-
-def test_perturbed_frobenius_P_is_never_returned(monkeypatch):
-    split = commutant._frobenius
-
-    def perturbed(A):
-        # P comes lifted: entry (0, 0) grows by 1 when its integer grows
-        # by its row's denominator
-        factors, P = split(A)
-        ints = [list(row) for row in P.ints]
-        ints[0][0] += P.dens[0]
-        return factors, P._replace(ints=ints)
-
-    monkeypatch.setattr(commutant, "_frobenius", perturbed)
-    for call in _corrupted_calls():
-        with pytest.raises(VerificationError):
-            call()
-
-
-def test_split_checks_its_own_decomposition(monkeypatch):
-    # a wrong F must fail A*P = P*F inside the split
-    monkeypatch.setattr(canonical, "companion", lambda f: Matrix.identity(f.degree, f.field))
-    with pytest.raises(VerificationError):
-        invariant_factors(_DEROGATORY)
-    with pytest.raises(VerificationError):
-        centralizer_basis(_DEROGATORY)
-
-
-def _reordered(factors, P):
-    """The split with its blocks in reverse order, P's column blocks
-    permuted alike, so that A*P = P*F still holds."""
-    offsets = [sum(f.degree for f in factors[:i]) for i in range(len(factors))]
-    cols = [c for o, f in reversed(list(zip(offsets, factors))) for c in range(o, o + f.degree)]
-    return factors[::-1], _columns(P, cols)
-
-
-def _singular(factors, P):
-    """The split with P's last column zeroed; P comes lifted,
-    plane-major: index k is column k % n."""
-    n = P.cols
-    return factors, P._replace(ints=[[0 if k % n == n - 1 else x for k, x in enumerate(row)] for row in P.ints])
-
-
-def test_singular_frobenius_P_is_never_used(monkeypatch):
-    # P with its last column zeroed has no inverse: the split's lifted
-    # solve against I must reject it before any basis or count is built
-    split = commutant._frobenius
-    want = reference_double_centralizer(_DEROGATORY)
-    monkeypatch.setattr(commutant, "_frobenius", lambda A: _singular(*split(A)))
-    for call in _corrupted_calls() + [lambda: commutant._dimension(commutant._split(_lift(_DEROGATORY)), QQ.one())]:
-        with pytest.raises(VerificationError, match="singular"):
-            call()
-    # the double centralizer reads only deg m_A off the split, never P
-    assert double_centralizer_basis(_DEROGATORY).rref_rows == want.rref_rows
-
-
-@pytest.mark.parametrize("corrupt", [_reordered, _singular], ids=["reordered", "singular"])
-def test_corrupted_split_never_yields_a_number(monkeypatch, tmp_path, capsys, corrupt):
-    # the unchecked split returns a corrupted (factors, P): the checked
-    # split rejects it, so no invariant factor, report, characteristic
-    # polynomial or dimension is read off it, and no command prints one
-    plain = canonical._cyclic_split
-    inputs = (_DEROGATORY, _NILPOTENT, _CYCLO3_INPUT)
-    if corrupt is _reordered:
-        # A*P = P*F alone would pass the reordered split, with the wrong m_A last
-        for A in inputs:
-            factors, P = corrupt(*plain(_lift(A)))
-            F = _lift(Matrix.block_diag([canonical.companion(f) for f in factors]))
-            assert _same(_mul_lifted(_lift(A), P), _mul_lifted(P, F))
-            assert factors[-1] != min_poly(A)
-    monkeypatch.setattr(canonical, "_cyclic_split", lambda Al: corrupt(*plain(Al)))
-    for i, A in enumerate(inputs):
-        mus = [A.field.one(), -A.field.one(), _W5.omega() if A.field == QQ else _z3]
-        calls = [lambda: invariant_factors(A), lambda: StructureReport.of(A), lambda: char_poly(A)]
-        calls += [lambda mu=mu: commutant._dimension(commutant._split(_lift(A)), mu) for mu in mus]
-        for call in calls:
-            with pytest.raises(VerificationError, match="f_1 [|] f_2" if corrupt is _reordered else "A[*]P = P[*]F"):
-                call()
-        path = tmp_path / f"{i}.json"
-        path.write_text(json.dumps(cli.matrix_json(A)))
-        q = str(_W5.q if A.field == QQ else 3)
-        for argv in (["analyze"], ["centralizer"], ["clifforder"], ["omega", "--q", q]):
-            assert cli.main([argv[0], str(path), *argv[1:]]) == 3, argv
-            cap = capsys.readouterr()
-            assert cap.out == "" and json.loads(cap.err)["error"] == "VerificationError", argv
-
-
-def test_perturbed_block_solution_is_never_returned(monkeypatch):
-    solve_block = commutant._block_solutions
-
-    def perturbed(a, b, mu):
-        sols = solve_block(a, b, mu)
-        if sols:
-            first = sols[0][0]
-            sols[0][0] = (first[0] + 1,) + first[1:]
-        return sols
-
-    monkeypatch.setattr(commutant, "_block_solutions", perturbed)
-    for call in _corrupted_calls():
-        with pytest.raises(VerificationError):
-            call()
-
-
-def test_dropped_basis_element_is_never_returned(monkeypatch):
-    # the solutions reach the elimination as integer rows, and the
-    # reduced rows lose their last one on the way out of `_reduced`
-    reduced = commutant._reduced
-
-    def dropped(L):
-        R, pivots = reduced(L)
-        return R._replace(dens=R.dens[:-1], ints=R.ints[:-1]), pivots[:-1]
-
-    monkeypatch.setattr(commutant, "_reduced", dropped)
-    for call in _corrupted_calls():
-        with pytest.raises(VerificationError):
-            call()
-
-
-def test_corrupted_reduced_row_is_never_returned(monkeypatch, tmp_path, capsys):
-    # entry (0, 0) of the last reduced row grows by 1 (its integer by the
-    # row's denominator) on the way out of `_reduced`: the row count
-    # still matches, so only the relation proof on the returned rows can
-    # see it, and the CLI prints nothing
-    reduced = commutant._reduced
-
-    def grown(L):
-        R, pivots = reduced(L)
-        ints = [list(row) for row in R.ints]
-        ints[-1][0] += R.dens[-1]
-        return R._replace(ints=ints), pivots
-
-    monkeypatch.setattr(commutant, "_reduced", grown)
-    calls = [lambda: centralizer_basis(_DEROGATORY), lambda: clifforder_basis(_DEROGATORY), lambda: omega_centralizer_basis(_NILPOTENT, _W5)]
-    for call in calls:
-        with pytest.raises(VerificationError, match="fails AX = mu[*]XA"):
-            call()
-    for i, (A, argv) in enumerate(((_DEROGATORY, ["centralizer"]), (_NILPOTENT, ["omega", "--q", "5", "--k", "2"]))):
-        path = tmp_path / f"{i}.json"
-        path.write_text(json.dumps(cli.matrix_json(A)))
-        assert cli.main([argv[0], str(path), *argv[1:], "--basis"]) == 3, argv
-        cap = capsys.readouterr()
-        assert cap.out == "" and json.loads(cap.err)["error"] == "VerificationError", argv
-
-
-def test_entry_changed_after_normalization_is_never_returned(monkeypatch, tmp_path, capsys):
-    # the last reduction of each call gets one integer changed in the
-    # rows it hands on, the rows that are printed or written out as the
-    # basis; the relation (or commutation) check reads those rows, so it
-    # must see it, and the CLI prints nothing
-    reduced = {module: module._reduced for module in (commutant, subspaces)}
-
-    def bumped(R, pivots):
-        ints = [list(row) for row in R.ints]
-        ints[0][-1] += 1
-        return R._replace(ints=ints), pivots
-
-    path = tmp_path / "a.json"
-    path.write_text(json.dumps(cli.matrix_json(_DEROGATORY)))
-    calls = _corrupted_calls() + [lambda: clifforder_basis(_DEROGATORY)] + [lambda: double_centralizer_basis(A) for A in _SHRUNK]
-    commands = [lambda argv=argv: cli.main([argv, str(path), "--basis"]) for argv in ("centralizer", "clifforder")]
-    for call in calls + commands:
-        seen = []
-        with monkeypatch.context() as m:
-            for module, plain in reduced.items():
-                m.setattr(module, "_reduced", lambda L, plain=plain: seen.append(L) or plain(L))
-            call()
-        last = len(seen)
-        capsys.readouterr()
-
-        def corrupted(L, plain):
-            seen.append(L)
-            return bumped(*plain(L)) if len(seen) == 2 * last else plain(L)
-
-        with monkeypatch.context() as m:
-            for module, plain in reduced.items():
-                m.setattr(module, "_reduced", lambda L, plain=plain: corrupted(L, plain))
-            if call in commands:
-                assert call() == 3
-                cap = capsys.readouterr()
-                assert cap.out == "" and json.loads(cap.err)["error"] == "VerificationError"
-            else:
-                with pytest.raises(VerificationError):
-                    call()
+test_dimension_builds_no_block_solution = rows_test(FORBIDDEN, ["no block solution for a dimension"])
+test_perturbed_frobenius_P_is_never_returned = rows_test(FAULTS, ["relation: P perturbed after the split"])
+test_split_checks_its_own_decomposition = rows_test(FAULTS, ["A*P = P*F: identity companion blocks"])
+test_singular_frobenius_P_is_never_used = rows_test(FAULTS, ["P invertible: P's last column zeroed after the split"])
+test_corrupted_split_never_yields_a_number = rows_test(FAULTS, ["f_1 | ... | f_r: blocks reordered"], ["A*P = P*F: P's last column zeroed"], ids=["reordered", "singular"])
+test_perturbed_block_solution_is_never_returned = rows_test(FAULTS, ["relation: every block solution perturbed"])
+test_dropped_basis_element_is_never_returned = rows_test(FAULTS, ["span rank = Frobenius' count: last reduced row dropped"])
+test_corrupted_reduced_row_is_never_returned = rows_test(FAULTS, ["relation: last reduced row grown"])
+test_entry_changed_after_normalization_is_never_returned = rows_test(FAULTS, ["relation: an integer of the first reduced row changed", "A-invariance: an integer of the first reduced row changed"])
+test_commutant_solvers_build_no_kronecker_operator = rows_test(FORBIDDEN, ["no Kronecker operator"])
+test_double_centralizer_builds_no_centralizer = rows_test(FORBIDDEN, ["the double centralizer builds no centralizer and runs no split"])
+test_double_centralizer_runs_no_split_and_one_cyclic_vector_step = rows_test(FORBIDDEN, ["the double centralizer builds no centralizer and runs no split"])
+test_corrupted_power_is_never_returned = rows_test(FAULTS, ["A-invariance: power 0 bumped", "A-invariance: power 1 bumped", "A-invariance: power 2 bumped"], ["double centralizer dimension: last power dropped"], ids=["bumped-power", "dropped-power"])
+test_wrong_degree_is_never_returned = rows_test(FAULTS, ["double centralizer dimension: deg m_A one too high", "A-invariance: deg m_A one too low"])
 
 
 def test_rational_input_is_split_over_q(monkeypatch):
@@ -674,24 +487,9 @@ def test_rational_input_is_split_over_q(monkeypatch):
         return split(A)
 
     monkeypatch.setattr(commutant, "_frobenius", spy)
-    omega_centralizer_basis(_NILPOTENT, _W5)
-    omega_centralizer_basis(_NILPOTENT.promote(5), _W5)
-    assert fields == [QQ, _W5.field]
-
-
-def test_commutant_solvers_build_no_kronecker_operator(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("Kronecker operator built")
-
-    monkeypatch.setattr(commutant, "commutant_operator", forbidden)
-    monkeypatch.setattr(commutant, "kron", forbidden)
-    for A in (_DEROGATORY, _NILPOTENT, _CYCLO3_INPUT):
-        centralizer_basis(A)
-        clifforder_basis(A)
-    omega_centralizer_basis(_NILPOTENT, _W5)
-    omega_centralizer_basis(_CYCLO3_INPUT, OmegaSpec(3, 2))
-    for A in _SHRUNK:
-        double_centralizer_basis(A)
+    omega_centralizer_basis(NILPOTENT, W5)
+    omega_centralizer_basis(NILPOTENT.promote(5), W5)
+    assert fields == [QQ, W5.field]
 
 
 # ------------------------------------ double centralizer vs the stacked oracle
@@ -710,40 +508,8 @@ def test_double_centralizer_equals_stacked_oracle(A):
 
 
 def test_double_centralizer_equals_stacked_oracle_on_fixed_inputs():
-    for A in (mat([[0]]), mat([[Fraction(7, 3)]]), Matrix.zero(4, 4, QQ), Matrix.identity(5, QQ), *_SHRUNK):
+    for A in (mat([[0]]), mat([[Fraction(7, 3)]]), Matrix.zero(4, 4, QQ), Matrix.identity(5, QQ), *SHRUNK):
         _same_double(A)
-
-
-def test_double_centralizer_builds_no_centralizer(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("centralizer or kernel built for the double centralizer")
-
-    monkeypatch.setattr(commutant, "_mu_commutant_basis", forbidden)
-    monkeypatch.setattr(canonical, "_kernel", forbidden)
-    for A in _SHRUNK:
-        assert double_centralizer_basis(A).dim == min_poly(A).degree
-
-
-def test_double_centralizer_runs_no_split_and_one_cyclic_vector_step(monkeypatch):
-    # deg m_A is read off min_poly's one checked cyclic-vector step; the
-    # Frobenius split never runs
-    def forbidden(*args):
-        raise AssertionError("Frobenius split run for the double centralizer")
-
-    plain = canonical._cyclic_vector
-    steps = [0]
-
-    def counting(*args):
-        steps[0] += 1
-        return plain(*args)
-
-    for module in (canonical, commutant):
-        monkeypatch.setattr(module, "_frobenius", forbidden)
-    monkeypatch.setattr(canonical, "_cyclic_vector", counting)
-    for A in _SHRUNK + (Matrix.jordan(4, 1, QQ),):
-        steps[0] = 0
-        double_centralizer_basis(A)
-        assert steps[0] == 1, A
 
 
 def test_nonderogatory_double_centralizer_is_the_centralizer(monkeypatch, tmp_path, capsys):
@@ -769,35 +535,6 @@ def test_nonderogatory_double_centralizer_is_the_centralizer(monkeypatch, tmp_pa
         assert dims["double_centralizer"] == dims["centralizer"] == cent.dim
 
 
-def _bump_entry(k):
-    """L with entry 0 of its row k raised by 1."""
-    def corrupt(L):
-        ints = [list(row) for row in L.ints]
-        ints[k][0] += 1
-        return L._replace(ints=ints)
-    return corrupt
-
-
-def _drop_last(L):
-    return L._replace(dens=L.dens[:-1], ints=L.ints[:-1])
-
-
-@pytest.mark.parametrize("corruptions", [
-    lambda d: [_bump_entry(k) for k in range(d)],
-    lambda d: [_drop_last],
-], ids=["bumped-power", "dropped-power"])
-def test_corrupted_power_is_never_returned(monkeypatch, corruptions):
-    # each power in turn with one entry bumped, or the last power
-    # dropped, on its way into the reduction
-    reduced = commutant._reduced
-    for A in _SHRUNK:
-        for corrupt in corruptions(min_poly(A).degree):
-            with monkeypatch.context() as m:
-                m.setattr(commutant, "_reduced", lambda L: reduced(corrupt(L)))
-                with pytest.raises(VerificationError):
-                    double_centralizer_basis(A)
-
-
 def test_double_centralizer_lifts_no_row_it_returns(monkeypatch):
     # the rank and closure checks read `_reduced`'s integer rows, which
     # `_from_reduced` then writes out: A is the only matrix lifted, and
@@ -810,19 +547,9 @@ def test_double_centralizer_lifts_no_row_it_returns(monkeypatch):
 
     for module in (commutant, subspaces):
         monkeypatch.setattr(module, "_lift", spy)
-    for A in _SHRUNK + (Matrix.jordan(4, 1, QQ), Matrix.zero(0, 0, QQ)):
+    for A in SHRUNK + (Matrix.jordan(4, 1, QQ), Matrix.zero(0, 0, QQ)):
         lifted.clear()
         S = double_centralizer_basis(A)
         assert S.dim == min_poly(A).degree and lifted == [A], A
 
 
-def test_wrong_degree_is_never_returned(monkeypatch):
-    # a scripted m_A of degree d + 1 spans F[A] with fewer than d + 1
-    # rows; one of degree d - 1 spans a subspace that A*R_i leaves
-    for A in _SHRUNK:
-        d = min_poly(A).degree
-        for wrong, message in ((d + 1, "double centralizer has dimension"), (d - 1, "not A-invariant or misses I")):
-            with monkeypatch.context() as m:
-                m.setattr(commutant, "min_poly", lambda A, e=wrong: Poly.monomial(e, 1, A.field))
-                with pytest.raises(VerificationError, match=message):
-                    double_centralizer_basis(A)

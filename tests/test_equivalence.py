@@ -29,6 +29,8 @@ from commutants import (
     verify_certificate,
 )
 from helpers import (
+    FAULTS,
+    FORBIDDEN,
     COUNTER_A,
     COUNTER_B,
     PAIR5_A,
@@ -52,13 +54,12 @@ from helpers import (
     conjugated,
     count_products,
     mat,
-    perturb_first_coordinate,
     poly,
     random_jordan_matrix,
     random_rational_matrix,
     reference_express_in_powers,
+    rows_test,
 )
-from commutants.errors import VerificationError
 
 GENERAL = CongruenceClass.general()
 ODD = CongruenceClass.odd()
@@ -331,40 +332,10 @@ def test_class_solve_stops_at_the_first_dependency_on_a_derogatory_input(monkeyp
     assert steps == [3, 3, 1, 1]
 
 
-def test_certificates_run_no_rref_pass(monkeypatch):
-    # every certificate coordinate is read off the Krylov echelon the
-    # cyclic vector built, so no elimination pass of its own runs, and
-    # _class_solve takes no matrix size
-    import inspect
-
-    import commutants.canonical as canonical
-    import commutants.matrices as matrices
-
-    def forbidden(*args):
-        raise AssertionError("_rref_core pass")
-
-    cases = [(PAIR5_A, PAIR5_B, GENERAL), (ODD4_A, ODD4_B, ODD), (TRI4_A, TRI4_B, ODD), (COUNTER_A, COUNTER_B, GENERAL),
-             (PAIR5_A, PAIR5_B, CongruenceClass.q_class(3)), (PAIR5_A.promote(5), PAIR5_B.promote(5), GENERAL),
-             (ODD4_A.promote(5), ODD4_B.promote(5) + ODD4_A.promote(5).scale(CycloScalar.zeta(5)), ODD)]
-    expected = [(equivalence_certificate(A, B, cls), express_in_powers(B, A, cls)) for A, B, cls in cases]
-    assert any(cert is not None for cert, _ in expected) and any(cert is None for cert, _ in expected)
-    monkeypatch.setattr(matrices, "_rref_core", forbidden)
-    monkeypatch.setattr(canonical, "_rref_core", forbidden)
-    assert [(equivalence_certificate(A, B, cls), express_in_powers(B, A, cls)) for A, B, cls in cases] == expected
-    assert not hasattr(equivalence, "_solve_lifted") and not hasattr(equivalence, "_rref_core")
-    assert list(inspect.signature(equivalence._class_solve).parameters) == ["base", "target", "m", "cls"]
+test_certificates_run_no_rref_pass = rows_test(FORBIDDEN, ["no rref pass in certificates"])
 
 
-def test_certificates_take_no_matrix_power(monkeypatch):
-    def forbidden(self, k):
-        raise AssertionError("matrix power taken")
-
-    monkeypatch.setattr(Matrix, "__pow__", forbidden)
-    Q3 = CongruenceClass.q_class(3)
-    for A, B, cls in [(PAIR5_A, PAIR5_B, GENERAL), (ODD4_A, ODD4_B, ODD), (TRI4_A, TRI4_B, ODD),
-                      (COUNTER_A, COUNTER_B, GENERAL), (PAIR5_A, PAIR5_B, Q3)]:
-        equivalence_certificate(A, B, cls)
-        equivalence_certificate(B, A, cls)
+test_certificates_take_no_matrix_power = rows_test(FORBIDDEN, ["no matrix power in certificates"])
 
 
 # ------------------------------------- certificates vs the stacked-powers oracle
@@ -447,16 +418,4 @@ def test_certificates_equal_oracle_on_fixed_inputs():
 
 # ---------------------------------------- a corrupted certificate is never returned
 
-# the coordinate reads run in this order: 1 the Krylov coordinates of B*v, 2
-# the f system, 3 the g system; each returns its coordinates first
-@pytest.mark.parametrize("which", [2, 3])
-def test_perturbed_certificate_is_never_returned(monkeypatch, which):
-    for A, B, cls in [(PAIR5_A, PAIR5_B, GENERAL), (ODD4_A, ODD4_B, ODD), (TRI4_A, TRI4_B, ODD)]:
-        calls = perturb_first_coordinate(monkeypatch, equivalence, "_in_span", which)
-        with pytest.raises(VerificationError):
-            equivalence_certificate(A, B, cls)
-        assert calls[0] == which
-    if which == 2:
-        perturb_first_coordinate(monkeypatch, equivalence, "_in_span", which)
-        with pytest.raises(VerificationError):
-            express_in_powers(PAIR5_B, PAIR5_A)
+test_perturbed_certificate_is_never_returned = rows_test(FAULTS, ["certificate congruence: f system perturbed"], ["certificate congruence: g system perturbed"], ids=["2", "3"])

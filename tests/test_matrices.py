@@ -37,12 +37,12 @@ from commutants import (
     vec,
     weyl_pair,
 )
-from commutants import adpower, canonical, matrices, scalars
-from commutants.errors import VerificationError
+from commutants import adpower, matrices, scalars
 from commutants.matrices import rref, vstack_rows
 from commutants.scalars import cyclo_coeffs, phi_degree
 from commutants.subspaces import _from_reduced
 from helpers import (
+    FAULTS,
     count_products,
     cyclo3_jordan,
     dense_planes,
@@ -59,6 +59,7 @@ from helpers import (
     reference_inverse,
     reference_mul,
     reference_rref,
+    rows_test,
     sequential_combine,
     stepwise_eval,
     stepwise_power,
@@ -727,14 +728,7 @@ def test_det_of_the_empty_matrix_is_one():
         mat([[1, 2]]).det()
 
 
-def test_det_raises_on_a_corrupted_split(monkeypatch):
-    # a wrong companion form fails the split's A*P = P*F check, so det
-    # raises instead of returning a value
-    inputs = _det_inputs()
-    monkeypatch.setattr(canonical, "companion", lambda f: Matrix.identity(f.degree, f.field))
-    for A in (mat([[1, 2], [3, 4]]), inputs["zeta_3"], inputs["nilpotent (4,4,4,4)"], inputs["weyl"]):
-        with pytest.raises(VerificationError):
-            A.det()
+test_det_raises_on_a_corrupted_split = rows_test(FAULTS, ["A*P = P*F: identity companion blocks"])
 
 
 @settings(max_examples=80)

@@ -29,12 +29,14 @@ from commutants import (
 )
 from commutants.matrices import _entries
 from helpers import (
+    FORBIDDEN,
     conjugated,
     mat,
     poly,
     random_rational_matrix,
     reference_commutant_basis,
     reference_omega_commutes,
+    rows_test,
 )
 
 
@@ -146,6 +148,11 @@ def test_omega_equivalence_requires_nilpotent():
     w = OmegaSpec(3, 1)
     with pytest.raises(NotNilpotent):
         omega_equivalence_check(Matrix.identity(2, QQ), Matrix.identity(2, QQ), w)
+    # x dividing m_A does not make A nilpotent
+    for A in (Matrix.diag([0, 0, 1], QQ), Matrix.block_diag([Matrix.jordan(2, 0, QQ), mat([[Fraction(1, 2)]])]),
+              conjugated(Matrix.block_diag([Matrix.jordan(3, 0, QQ), Matrix.jordan(1, 2, QQ)]), 7), Matrix.jordan(2, CycloScalar.zeta(3), w.field)):
+        with pytest.raises(NotNilpotent):
+            omega_equivalence_check(A, A, w)
 
 
 def test_omega_equivalence_promotes_the_rational_side():
@@ -179,29 +186,7 @@ def test_omega_equivalence_refuses_two_cyclotomic_fields_and_unequal_sizes():
         omega_equivalence_check(J, Matrix.jordan(2, 0, QQ), w)
 
 
-def test_nilpotency_is_read_off_min_poly_without_a_split(monkeypatch):
-    # m_A = x^(deg m_A) decides nilpotency; a non-nilpotent A is refused
-    # before any Frobenius split runs, even when x divides m_A
-    from commutants import canonical, commutant
-
-    def forbidden(*args):
-        raise AssertionError("Frobenius split run for the nilpotency test")
-
-    w = OmegaSpec(3, 1)
-    z3 = w.field
-    # built before the spy: `conjugated` tests its P with det, which
-    # reads the split
-    inputs = (
-        Matrix.diag([0, 0, 1], QQ),
-        Matrix.block_diag([Matrix.jordan(2, 0, QQ), mat([[Fraction(1, 2)]])]),
-        conjugated(Matrix.block_diag([Matrix.jordan(3, 0, QQ), Matrix.jordan(1, 2, QQ)]), 7),
-        Matrix.jordan(2, CycloScalar.zeta(3), z3),
-    )
-    for module in (canonical, commutant):
-        monkeypatch.setattr(module, "_frobenius", forbidden)
-    for A in inputs:
-        with pytest.raises(NotNilpotent):
-            omega_equivalence_check(A, A, w)
+test_nilpotency_is_read_off_min_poly_without_a_split = rows_test(FORBIDDEN, ["nilpotency read without a split"])
 
 
 def test_small_jordan_certificate_is_monomial():
